@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 from .cyclotomic import splitting
 from .finite_fields import FqElement, FqField, fq_create
@@ -20,7 +20,7 @@ from .valuations import (
     vp,
 )
 
-COUNT_CAP = 10**7  # largest field size accepted by direct enumeration
+COUNT_CAP = 10**7  # largest characteristic ell whose F_ell count is enumerated
 
 
 class SingularModelError(ValueError):
@@ -221,42 +221,37 @@ def point_order(model: WeierstrassModel, point: CurvePoint, bound: int) -> int |
 
 
 def count_points(model: WeierstrassModel) -> int:
-    """#E(F_q) including infinity, by enumerating x-fibers.
+    """#E(F_q) including infinity, for q = ell^f, at O(ell) cost.
 
-    Odd characteristic resolves each fiber by completing the square in y;
-    characteristic 2 solves the Artin-Schreier fiber z^2 + z = w via the
-    absolute trace.  Requires q <= COUNT_CAP and a nonsingular model.
+    The model must be defined over the prime field F_ell (every coefficient
+    has coords[1:] == 0).  It is counted over F_ell by one pass over the
+    x-fibers and the count over F_q follows from the Frobenius trace
+    recurrence (`extension_count`, which also checks the Hasse bound).  The
+    pipeline only builds such models: every choice in Tate's algorithm is
+    canonical, so the residue curve is defined over F_ell.  Any other model
+    raises ValueError, as does ell > COUNT_CAP or a singular model.
     """
     field = model.a1.field
-    q = field.order
-    if q > COUNT_CAP:
-        raise ValueError(f"field size {q} exceeds enumeration cap {COUNT_CAP}")
+    ell = field.characteristic
+    if ell > COUNT_CAP:
+        raise ValueError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
     if discriminant(model).is_zero():
         raise SingularModelError("cannot count points on a singular model")
-    if field.characteristic == 2:
-        return _count_char2(model, field)
-    if field.degree == 1:
-        return _count_prime_field(model, field)
-    return _count_generic_odd(model, field)
+    if any(any(c.coords[1:]) for c in model.coefficients()):
+        raise ValueError(f"model is not defined over the prime field F_{ell}")
+    n1 = _count_prime_field(ell, [c.coords[0] for c in model.coefficients()])
+    return extension_count(n1, ell, field.degree)
 
 
-def _count_char2(model: WeierstrassModel, field: FqField) -> int:
-    count = 1
-    for x in field.elements():
-        b = model.y_line(x)
-        c = model.rhs(x)
-        if b.is_zero():
-            count += 1  # unique square root in characteristic 2
-        else:
-            w = c / (b * b)
-            if field.absolute_trace(w) == 0:
-                count += 2
-    return count
-
-
-def _count_prime_field(model: WeierstrassModel, field: FqField) -> int:
-    p = field.order
-    a1, a2, a3, a4, a6 = (c.coords[0] for c in model.coefficients())
+def _count_prime_field(p: int, coeffs: list[int]) -> int:
+    """#E(F_p) for a1..a6 given as integers mod p."""
+    a1, a2, a3, a4, a6 = coeffs
+    if p == 2:
+        return 1 + sum(
+            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
+        )
     inv4 = pow(4, p - 2, p)
     use_table = p <= 300_000
     square_table = None
@@ -278,20 +273,6 @@ def _count_prime_field(model: WeierstrassModel, field: FqField) -> int:
     return count
 
 
-def _count_generic_odd(model: WeierstrassModel, field: FqField) -> int:
-    squares = field.squares()
-    inv4 = field.from_int(4).inverse()
-    count = 1
-    for x in field.elements():
-        h = model.y_line(x)
-        d = model.rhs(x) + h * h * inv4
-        if d.is_zero():
-            count += 1
-        elif d in squares:
-            count += 2
-    return count
-
-
 def extension_count(n1: int, q: int, k: int) -> int:
     """#E(F_{q^k}) from #E(F_q), via the Frobenius trace recurrence.
 
@@ -308,11 +289,6 @@ def extension_count(n1: int, q: int, k: int) -> int:
     for _ in range(k - 1):
         prev, cur = cur, a * cur - q * prev
     return q**k + 1 - cur
-
-
-def hasse_window(q: int) -> tuple[int, int]:
-    root = isqrt(4 * q)
-    return q + 1 - root, q + 1 + root
 
 
 # -- division polynomials ---------------------------------------------------------
@@ -435,7 +411,11 @@ def torsion_bound_over_F(
     primes ell (ell not dividing p*disc) of the p-part of #E(k_w), with
     k_w = F_{ell^f} read off the splitting of ell in Q(mu_m).  Lower bound:
     the rational p-torsion order, raised by an optional user certificate.
+    Rational p-torsion injects into the same reductions, so an upper bound
+    of 1 settles the lower bound without a search.
     """
+    if p < 5 or not is_prime(p):
+        raise ValueError("p must be a prime >= 5")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     model = integral_model(model)
@@ -456,7 +436,7 @@ def torsion_bound_over_F(
         if upper_exp == 0 or used >= samples:
             break  # the gcd is monotone; zero exponent cannot recover
     upper = p**upper_exp
-    lower = rational_p_torsion_order(model, p)
+    lower = 1 if upper == 1 else rational_p_torsion_order(model, p)
     if lower_certificate is not None:
         if lower_certificate < 1 or p ** int_valuation(lower_certificate, p) != lower_certificate:
             raise ValueError("torsion certificate must be a power of p")

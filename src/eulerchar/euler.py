@@ -331,7 +331,7 @@ class RhoResult:
 def rho_p(
     p: int,
     place_data: list[tuple[Place, LocalReductionData]],
-    torsion: TorsionEstimate,
+    torsion: TorsionEstimate | None,
     ext: ExternalArithmetic,
 ) -> RhoResult:
     """Exponent k with rho_p = p^k:
@@ -340,7 +340,9 @@ def rho_p(
 
     Torsion enters through the exact order when the estimate is exact, or
     through the user override certificate; otherwise the result is an
-    exponent window and no single value is fabricated.
+    exponent window and no single value is fabricated.  With torsion=None
+    (no torsion machinery, p < 5) the exponent is None and the window
+    collapses to the torsion-free sum.
     """
     sha_exp = _vp_int(ext.sha_p_order, p)
     tamagawa = sum(_vp_int(data.c_v, p) for _, data in place_data)
@@ -349,9 +351,14 @@ def rho_p(
     )
     base = sha_exp + tamagawa + counts
 
-    if torsion.exact:
+    exact_exp: int | None
+    if torsion is None:
+        exact_exp = None
+        window = (base, base)
+        torsion_term = None
+    elif torsion.exact:
         t_exp = _vp_int(torsion.order, p)
-        exact_exp: int | None = base - 2 * t_exp
+        exact_exp = base - 2 * t_exp
         window = (exact_exp, exact_exp)
         torsion_term = -2 * t_exp
     elif ext.torsion_p_override is not None:
@@ -563,27 +570,12 @@ def analyze(
             E, p, m, samples=samples, lower_certificate=ext.torsion_p_override
         )
         torsion_source = "certificate" if ext.torsion_p_override is not None else "computed"
-        rho = rho_p(p, place_rows, torsion, ext)
     else:
         # the torsion machinery requires p >= 5; the p >= 5 hypothesis
         # clause has already FAILed, so rho stays undetermined
         torsion = None
         torsion_source = "unavailable"
-        base = _vp_int(ext.sha_p_order, p) + sum(
-            _vp_int(d.c_v, p) for _, d in place_rows
-        ) + 2 * sum(
-            _vp_int(d.N_v, p) for _, d in place_rows if d.ell == p and d.is_good
-        )
-        rho = RhoResult(
-            p=p,
-            exponent=None,
-            window=(base, base),
-            breakdown={"sha": _vp_int(ext.sha_p_order, p), "torsion": None,
-                       "tamagawa": sum(_vp_int(d.c_v, p) for _, d in place_rows),
-                       "reduction_counts": 2 * sum(
-                           _vp_int(d.N_v, p)
-                           for _, d in place_rows if d.ell == p and d.is_good)},
-        )
+    rho = rho_p(p, place_rows, torsion, ext)
 
     m_place_rows = [(pl, data) for pl, data in place_rows if pl.ell in M_rational]
     a_pot_good = {ell: A.potentially_good_at(ell) for ell in relevant}

@@ -100,7 +100,6 @@ class FqField:
         self.degree = f
         self.order = ell**f
         self.modulus = modulus  # length f+1, monic, low-to-high degree
-        self._square_set: frozenset | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -190,11 +189,6 @@ class FqField:
     def char_root(self, a: FqElement) -> FqElement:
         """The unique ell-th root (inverse Frobenius), a**(q/ell)."""
         return a ** (self.order // self.characteristic)
-
-    def squares(self) -> frozenset:
-        if self._square_set is None:
-            self._square_set = frozenset(b * b for b in self.elements())
-        return self._square_set
 
     def __repr__(self):
         return f"FqField({self.characteristic}^{self.degree})"

@@ -11,6 +11,12 @@ t = pi * sqrt(a6 / pi^2 mod pi); everything else divides only by units.
 Singular points and multiple roots come from closed-form solutions, and
 residue-field root counts scan only small fields (larger ones go through
 deg gcd(P, x^q - x)), so no step is linear in the residue field size.
+
+Every choice above is canonical, so at a place with residue field F_{ell^f}
+the reduced curve of a good place is defined over F_ell.  Its point count is
+taken over F_ell and extended to F_{ell^f} by the Frobenius recurrence
+(`count_points`), at O(ell) cost for any f.  Potential supersingularity
+above p is read off a_p mod p of a curve over F_p with the reduced j.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
-    COUNT_CAP,
     WeierstrassModel,
     count_points,
     extension_count,
@@ -37,8 +42,6 @@ GOOD_SUPERSINGULAR = "GoodSupersingular"
 MULT_SPLIT = "MultSplit"
 MULT_NONSPLIT = "MultNonsplit"
 ADDITIVE = "Additive"
-
-_DIRECT_COUNT_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -530,19 +533,9 @@ def _additive(place, kodaira, c_v, v_min_delta, potentially_good):
 
 
 def _good_data(a, K: LocalField, place, potentially_good) -> LocalReductionData:
-    k = K.residue_field
-    q = k.order
+    q = K.residue_field.order
     reduced = WeierstrassModel(*(x.residue() for x in a))
-    if q <= _DIRECT_COUNT_LIMIT:
-        N = count_points(reduced)
-    elif K.e == 1:
-        # count over the prime field and extend along the unramified tower
-        base = tate_algorithm(place["model"], local_field_for(place["model"], K.ell))
-        if not base.is_good:
-            raise AssertionError("unramified base change cannot create good reduction")
-        N = extension_count(base.N_v, K.ell, K.f)
-    else:
-        raise ValueError(f"residue field size {q} exceeds enumeration cap {COUNT_CAP}")
+    N = count_points(reduced)
     trace = q + 1 - N
     cls = GOOD_SUPERSINGULAR if trace % K.ell == 0 else GOOD_ORDINARY
     return _finish(
@@ -626,9 +619,11 @@ def base_change_rules(data: LocalReductionData, f: int) -> dict:
 def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     """Is the reduction at p potentially supersingular?
 
-    Requires potential good reduction at p (v_p(j) >= 0); decided by
-    counting any curve over F_{p^2} with the reduced j-invariant, since
-    supersingularity only depends on j over the algebraic closure.
+    Requires potential good reduction at p (v_p(j) >= 0).  Supersingularity
+    depends only on j over the algebraic closure, and jbar lies in F_p, so
+    any curve over F_p with that j-invariant decides it: it is supersingular
+    iff a_p = p + 1 - N is 0 mod p, i.e. N = 1 mod p (Silverman, AEC
+    V.3-V.4).
     """
     inv = invariants(model)
     vj = vp(inv.j, p)
@@ -638,6 +633,5 @@ def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     jbar = num * pow(den, p - 2, p) % p
     if p <= 3:
         return jbar == 0  # the supersingular locus in characteristic 2 and 3
-    field = fq_create(p, 2)
-    N = count_points(model_with_j_invariant(field.from_int(jbar)))
+    N = count_points(model_with_j_invariant(fq_create(p, 1).from_int(jbar)))
     return N % p == 1

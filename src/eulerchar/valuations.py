@@ -121,14 +121,6 @@ def vp(x: Fraction | int, p: int) -> Valuation:
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
-def abs_p_exponent(x: Fraction | int, p: int) -> int:
-    """Exponent k with |x|_p = p**k, i.e. -vp(x).  x must be nonzero."""
-    v = vp(x, p)
-    if v is PLUS_INFINITY:
-        raise ValueError("|0|_p has no finite exponent")
-    return -v
-
-
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""

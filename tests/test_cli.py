@@ -117,6 +117,12 @@ def test_analyze_exit_two_on_p3(monkeypatch, capsys):
     assert doc["status"] == "HYPOTHESIS_FAIL"
     statuses = {h["name"]: h["status"] for h in doc["hypotheses"]}
     assert statuses["p_prime_at_least_5"] == "FAIL"
+    assert doc["rho"] == {
+        "base": 3,
+        "exponent": None,
+        "window": [0, 0],
+        "breakdown": {"sha": 0, "torsion": None, "tamagawa": 0, "reduction_counts": 0},
+    }
 
 
 def test_analyze_exit_three_not_exact(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from eulerchar import curves
 from eulerchar.curves import (
     CurvePoint,
     SingularModelError,
@@ -27,6 +28,7 @@ from eulerchar.curves import (
 )
 from eulerchar.finite_fields import fq_create
 from eulerchar.polynomials import rational_roots
+from oracles import brute_count
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -120,13 +122,13 @@ def test_count_char2_extension_field():
     F8 = fq_create(2, 3)
     curve = reduce_model(WeierstrassModel.from_rationals([0, 0, 1, 0, 0]), F8)
     n = count_points(curve)
-    # brute force oracle over all of F_8 x F_8
+    # brute force over all of F_8 x F_8, and the fiber oracle
     brute = 1
     for x in F8.elements():
         for y in F8.elements():
             if y * y + y == x * x * x:
                 brute += 1
-    assert n == brute
+    assert n == brute == brute_count(curve)
     assert abs(8 + 1 - n) <= 2 * isqrt(8)
 
 
@@ -156,7 +158,18 @@ def test_extension_count_matches_direct():
                 continue
             Fk = fq_create(ell, k)
             modelk = WeierstrassModel(*(Fk.from_int(c) for c in coeffs))
-            assert extension_count(n1, ell, k) == count_points(modelk)
+            assert n1 == brute_count(model1)
+            assert extension_count(n1, ell, k) == brute_count(modelk)
+            assert count_points(modelk) == brute_count(modelk)
+
+
+def test_count_rejects_model_outside_prime_field():
+    F25 = fq_create(5, 2)
+    u = F25.generator()
+    model = WeierstrassModel(F25.zero(), F25.zero(), F25.zero(), u, F25.one())
+    assert not curves.discriminant(model).is_zero()
+    with pytest.raises(ValueError, match="prime field"):
+        count_points(model)
 
 
 def test_division_polynomial_anchors():
@@ -238,6 +251,41 @@ def test_torsion_bound_anchors():
 def test_torsion_bound_rejects_bad_certificate():
     with pytest.raises(ValueError):
         torsion_bound_over_F(E294, 7, 7, samples=5, lower_certificate=14)
+
+
+def test_torsion_bound_skips_rational_search_when_upper_is_one(monkeypatch):
+    """An upper bound of 1 pins the lower bound without psi_p; otherwise the
+    bracket is the one the rational search gives."""
+    rng = random.Random(17)
+    calls = []
+
+    def recording(model, p):
+        calls.append((model, p))
+        return rational_p_torsion_order(model, p)
+
+    monkeypatch.setattr(curves, "rational_p_torsion_order", recording)
+    seen_upper_one = seen_upper_above_one = 0
+    while seen_upper_one < 8 or seen_upper_above_one < 2:
+        model = WeierstrassModel.from_rationals([rng.randint(-3, 3) for _ in range(5)])
+        try:
+            invariants(model)
+        except SingularModelError:
+            continue
+        p, m = rng.choice([5, 7]), rng.choice([1, 5, 7])
+        calls.clear()
+        est = torsion_bound_over_F(model, p, m, samples=8)
+        lower = rational_p_torsion_order(model, p)
+        assert (est.lower, est.exact) == (lower, lower == est.upper)
+        if est.upper == 1:
+            assert calls == []
+            seen_upper_one += 1
+        else:
+            assert calls == [(integral_model(model), p)]
+            seen_upper_above_one += 1
+    # a certificate is still checked against an upper bound of 1
+    assert torsion_bound_over_F(EJ0, 7, 1, samples=20).upper == 1
+    with pytest.raises(ValueError):
+        torsion_bound_over_F(EJ0, 7, 1, samples=20, lower_certificate=7)
 
 
 def test_torsion_divides_reduction_sample():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.cli import report_to_dict
-from eulerchar.curves import TorsionEstimate, WeierstrassModel
+from eulerchar.curves import TorsionEstimate, WeierstrassModel, extension_count
 from eulerchar.euler import (
     ASSUMED,
     FAIL,
@@ -26,6 +26,9 @@ from eulerchar.euler import (
     rho_p,
     tau_p,
 )
+from eulerchar.finite_fields import fq_create
+from oracles import brute_count
+
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
 EJ0 = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
@@ -165,6 +168,21 @@ def test_rho_override_when_not_exact():
     assert rho.exponent == -2
 
 
+def test_rho_without_torsion():
+    """torsion=None (p < 5): no exponent, the window is the torsion-free sum,
+    and the override certificate is not consulted."""
+    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    rho = rho_p(7, rows, None, EXT_FULL)
+    assert rho.exponent is None
+    assert rho.window == (2, 2)
+    assert rho.breakdown == {
+        "sha": 0,
+        "torsion": None,
+        "tamagawa": 0,
+        "reduction_counts": 2,
+    }
+
+
 def test_rho_ignores_euler_factors():
     """rho never reads L_at_1: perturbing every Euler factor changes nothing."""
     rows = _place_rows(E294, 7, 7, [2, 3, 7])
@@ -272,3 +290,27 @@ def test_report_determinism():
     doc1 = json.dumps(report_to_dict(analyze(E294, 7, 7, TABLE_23, EXT_FULL)), indent=2)
     doc2 = json.dumps(report_to_dict(analyze(E294, 7, 7, TABLE_23, EXT_FULL)), indent=2)
     assert doc1 == doc2
+
+
+def test_analyze_large_residue_fields_match_oracle():
+    """37a with A bad at 2, p = 5, m = 19 has good places with residue fields
+    F_{2^18} and F_{5^9}.  Each N_v is the F_ell brute-force count of the
+    reduced curve carried up by the trace recurrence, and brute-force counts
+    over F_{ell^2} and F_{ell^3} confirm the recurrence on that curve."""
+    e37 = WeierstrassModel.from_rationals([0, 0, 1, -1, 0])
+    bad_at_2 = AbelianVarietyInput(dimension=1, reduction_table=(ReductionFact(2, False, False),))
+    ext = ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True)
+    report = analyze(e37, 5, 19, bad_at_2, ext)
+    good = {(pl.ell, pl.f): data for pl, data in report.places if data.is_good}
+    assert sorted(good) == [(2, 18), (5, 9)]
+    for (ell, f), data in good.items():
+        coeffs = [c.coords[0] for c in data.reduced_model.coefficients()]
+
+        def over(k):
+            field = fq_create(ell, k)
+            return WeierstrassModel(*(field.from_int(c) for c in coeffs))
+
+        n1 = brute_count(over(1))
+        for k in (2, 3):
+            assert brute_count(over(k)) == extension_count(n1, ell, k)
+        assert data.N_v == extension_count(n1, ell, f)

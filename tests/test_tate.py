@@ -337,6 +337,34 @@ def test_pot_supersingular_small_characteristic():
         assert not pot_supersingular(e_unit_j, 3)
 
 
+def test_pot_supersingular_matches_quadratic_field_oracle():
+    """The F_p test against the definition it replaces: a curve over F_{p^2}
+    with the reduced j is supersingular iff its count is 1 mod p."""
+    from eulerchar.curves import model_with_j_invariant
+    from eulerchar.finite_fields import fq_create
+    from eulerchar.valuations import is_prime
+    from oracles import brute_count
+
+    rng = random.Random(140)
+    outcomes = set()
+    for p in (p for p in range(5, 140) if is_prime(p)):
+        js = [rng.randrange(p)] + ([0, 1728] if p < 60 else [])
+        for j in js:
+            if j % p == 0:
+                model = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
+            elif (j - 1728) % p == 0:
+                model = WeierstrassModel.from_rationals([0, 0, 0, 1, 0])
+            else:
+                c = Fraction(1, j - 1728)
+                model = WeierstrassModel.from_rationals([1, 0, 0, -36 * c, -c])
+            assert invariants(model).j % p == j % p  # the model's j is an integer
+            field = fq_create(p, 2)
+            oracle = brute_count(model_with_j_invariant(field.from_int(j))) % p == 1
+            assert pot_supersingular(model, p) == oracle
+            outcomes.add(oracle)
+    assert outcomes == {True, False}
+
+
 def test_pot_supersingular_matches_direct_count():
     """Twist- and model-independence: compare against counting the curve
     itself over F_p^2 when it has good reduction at p."""
