@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .cyclotomic import splitting
@@ -32,7 +32,9 @@ class WeierstrassModel:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
 
     Coefficients are Fractions for curves over Q, or FqElements for
-    reductions over a finite field.
+    reductions over a finite field.  `invariants` and `integral_model` are
+    computed once per model object and memoized on it, so equal models built
+    separately never share a memo and nothing outlives the model.
     """
 
     a1: object
@@ -58,6 +60,14 @@ class WeierstrassModel:
     def y_line(self, x):
         return self.a1 * x + self.a3
 
+    @cached_property
+    def _invariants(self) -> "CurveInvariants | None":
+        return _compute_invariants(self)
+
+    @cached_property
+    def _integral(self) -> "WeierstrassModel":
+        return _compute_integral_model(self)
+
 
 def b_invariants(model: WeierstrassModel):
     """(b2, b4, b6, b8) over the model's coefficient domain."""
@@ -70,6 +80,11 @@ def b_invariants(model: WeierstrassModel):
 
 
 def discriminant(model: WeierstrassModel):
+    """Delta over the model's coefficient domain; 0 for a singular model.
+    A rational model reads it from its memoized invariants."""
+    if model.is_rational():
+        inv = model._invariants
+        return Fraction(0) if inv is None else inv.disc
     b2, b4, b6, b8 = b_invariants(model)
     return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
@@ -87,16 +102,24 @@ class CurveInvariants:
 
 
 def invariants(model: WeierstrassModel) -> CurveInvariants:
-    """All standard invariants of a nonsingular rational model.
+    """All standard invariants of a nonsingular rational model, computed
+    once per model object.
 
     Raises SingularModelError when the discriminant vanishes.
     """
+    inv = model._invariants
+    if inv is None:
+        raise SingularModelError("discriminant is zero")
+    return inv
+
+
+def _compute_invariants(model: WeierstrassModel) -> CurveInvariants | None:
     b2, b4, b6, b8 = b_invariants(model)
     c4 = b2 * b2 - 24 * b4
     c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
-        raise SingularModelError("discriminant is zero")
+        return None
     return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, c4**3 / disc)
 
 
@@ -114,7 +137,12 @@ def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
 
 
 def integral_model(model: WeierstrassModel) -> WeierstrassModel:
-    """Scale a rational model to integral a-invariants (u = 1/d scaling)."""
+    """Scale a rational model to integral a-invariants (u = 1/d scaling);
+    computed once per model object."""
+    return model._integral
+
+
+def _compute_integral_model(model: WeierstrassModel) -> WeierstrassModel:
     d = lcm(*[c.denominator for c in model.coefficients()])
     if d == 1:
         return model
@@ -128,7 +156,7 @@ def reduce_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
     def red(c: Fraction) -> FqElement:
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not integral at {p}")
-        return field.from_int(c.numerator) * field.from_int(c.denominator).inverse()
+        return field.from_int(c.numerator * pow(c.denominator, -1, p))
 
     return WeierstrassModel(*(red(c) for c in model.coefficients()))
 
@@ -235,11 +263,12 @@ def count_points(model: WeierstrassModel) -> int:
     ell = field.characteristic
     if ell > COUNT_CAP:
         raise ValueError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
-    if discriminant(model).is_zero():
-        raise SingularModelError("cannot count points on a singular model")
     if any(any(c.coords[1:]) for c in model.coefficients()):
         raise ValueError(f"model is not defined over the prime field F_{ell}")
-    n1 = _count_prime_field(ell, [c.coords[0] for c in model.coefficients()])
+    coeffs = [c.coords[0] for c in model.coefficients()]
+    if discriminant(WeierstrassModel(*coeffs)) % ell == 0:
+        raise SingularModelError("cannot count points on a singular model")
+    n1 = _count_prime_field(ell, coeffs)
     return extension_count(n1, ell, field.degree)
 
 

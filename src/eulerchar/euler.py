@@ -163,7 +163,11 @@ def ramified_places(A: AbelianVarietyInput, p: int, m: int) -> list[Place]:
 def local_data_at(
     model: WeierstrassModel, ell: int, m: int, precision: int | None = None
 ) -> LocalReductionData:
-    """Reduction data of the curve at (any of) the places of Q(mu_m) above ell."""
+    """Reduction data of the curve at (any of) the places of Q(mu_m) above ell.
+
+    The completion comes from the memoized `make_local_field`, so places
+    with the same (ell, e, f) and working precision share one field.
+    """
     sp = splitting(ell, m)
     K = local_field_for(model, ell, f=sp.f, e=sp.e, precision=precision)
     return tate_algorithm(model, K)

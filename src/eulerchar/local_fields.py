@@ -23,6 +23,7 @@ embeddings of Q and exact divisions by powers of pi avoid any inexact step.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from .finite_fields import FqElement, FqField, fq_create
@@ -487,6 +488,7 @@ class LocalElement:
             return f"LocalElement(O(pi^{self.abs_prec}))"
 
 
+@lru_cache(maxsize=128)
 def make_local_field(
     ell: int,
     f: int = 1,
@@ -494,11 +496,14 @@ def make_local_field(
     precision: int | None = None,
     cyclotomic: bool = False,
 ) -> LocalField:
-    """Deterministic local field object.
+    """Deterministic local field object, memoized per argument tuple.
 
     For e > 1 either gcd(e, ell) = 1 (tame, defined by x^e - ell) or the
     cyclotomic flag selects the first layer Q_ell(mu_ell) with e = ell - 1.
-    Wildly ramified non-cyclotomic requests are rejected.
+    Wildly ramified non-cyclotomic requests are rejected.  Every call with
+    the same arguments returns the same field, whose only mutable state is
+    a cache of powers of pi; a precision retry asks for a new precision and
+    so builds a new field.
     """
     if not is_prime(ell):
         raise ValueError(f"residue characteristic must be prime, got {ell}")

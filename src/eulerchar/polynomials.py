@@ -151,17 +151,6 @@ def poly_from_ints(ints, field: FqField | None = None) -> Polynomial:
     return Polynomial([field.from_int(n) for n in ints])
 
 
-def roots_in_field(poly: Polynomial, field: FqField) -> list[FqElement]:
-    """All roots in the given finite field, found by scanning the field.
-
-    Fields where roots are listed explicitly are tiny, so the scan is both
-    simple and fast.  Roots are listed once each, in the field's
-    deterministic element order.
-    """
-    zero = field.zero()
-    return [x for x in field.elements() if poly.evaluate(x) == zero]
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over a coefficient field."""
     while not b.is_zero():
@@ -188,13 +177,10 @@ def _x_power_q_mod(modulus: Polynomial, field: FqField) -> Polynomial:
 
 
 def count_roots_in_field(poly: Polynomial, field: FqField) -> int:
-    """Number of distinct roots of poly in F_q.
-
-    Small fields are scanned; larger ones use deg gcd(poly, x^q - x),
-    which counts exactly the distinct roots rational over F_q.
+    """Number of distinct roots of a nonzero poly in F_q: deg gcd(poly,
+    x^q - x), which counts exactly the distinct roots rational over F_q, at
+    O(log q) polynomial products for any field size.
     """
-    if field.order <= 4096:
-        return len(roots_in_field(poly, field))
     xq = _x_power_q_mod(poly, field)
     xq_minus_x = xq - Polynomial([field.zero(), field.one()])
     g = poly_gcd(poly, xq_minus_x)

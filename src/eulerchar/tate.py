@@ -9,8 +9,16 @@ normalizations, both solved with residue-field square roots: the
 coordinate change before the step-6 cubic uses s with s^2 = a2 mod pi and
 t = pi * sqrt(a6 / pi^2 mod pi); everything else divides only by units.
 Singular points and multiple roots come from closed-form solutions, and
-residue-field root counts scan only small fields (larger ones go through
-deg gcd(P, x^q - x)), so no step is linear in the residue field size.
+residue-field root counts are deg gcd(P, x^q - x), so no step is linear in
+the residue field size.
+
+v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
+the integral rational model: translations leave Delta unchanged and each
+step-11 rescale by pi divides it by pi^12 (Silverman, Advanced Topics,
+IV.9).  A place with v(Delta) = 0 skips the pi-adic field altogether: the
+integral model is reduced straight into the residue field.  At residue
+characteristic >= 5 every result is checked against Ogg's formula
+v(Delta_min) = f_v + m_v - 1.
 
 Every choice above is canonical, so at a place with residue field F_{ell^f}
 the reduced curve of a good place is defined over F_ell.  Its point count is
@@ -31,6 +39,7 @@ from .curves import (
     integral_model,
     invariants,
     model_with_j_invariant,
+    reduce_model,
 )
 from .finite_fields import FqElement, FqField, fq_create
 from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
@@ -68,6 +77,24 @@ class KodairaType:
     @property
     def is_additive(self) -> bool:
         return not (self.is_good or self.is_multiplicative)
+
+    @property
+    def components(self) -> int:
+        """m_v, the number of geometric components of the special fibre."""
+        if self.kind == "In":
+            return self.n
+        if self.kind == "In*":
+            return self.n + 5
+        return _COMPONENTS[self.kind]
+
+    @property
+    def conductor_exponent(self) -> int:
+        """f_v at residue characteristic >= 5: 0 good, 1 multiplicative,
+        2 additive."""
+        return 0 if self.is_good else (1 if self.is_multiplicative else 2)
+
+
+_COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
 
 
 @dataclass(frozen=True)
@@ -285,16 +312,6 @@ def _b_locals(a: list[LocalElement]):
     return b2, b4, b6, b8
 
 
-def _delta_local(a: list[LocalElement]) -> LocalElement:
-    b2, b4, b6, b8 = _b_locals(a)
-    return (
-        -(b2 * b2 * b8)
-        - 8 * (b4 * b4 * b4)
-        - 27 * (b6 * b6)
-        + 9 * (b2 * b4 * b6)
-    )
-
-
 def _res_shift(x: LocalElement, k: int) -> FqElement:
     """Residue of x / pi^k."""
     return x.shift_pi(-k).residue()
@@ -335,17 +352,18 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
     inv = invariants(work)  # also rejects singular models
     k = K.residue_field
     q = k.order
-    a = K.embed_model(work.coefficients())
     vj = vp(inv.j, K.ell)
     potentially_good = vj is PLUS_INFINITY or vj >= 0
 
     place = dict(ell=K.ell, e=K.e, f=K.f, q_v=q, model=model, precision_used=K.precision)
 
-    for _round in range(_delta_local(a).valuation() // 12 + 2):
-        n = _delta_local(a).valuation()
-        if n == 0:
-            return _good_data(a, K, place, potentially_good)
+    # v(Delta) of the current model: translations keep it, rescales drop 12
+    n = K.e * vp(inv.disc, K.ell)
+    if n == 0:
+        return _good_data(reduce_model(work, k), place, potentially_good)
+    a = K.embed_model(work.coefficients())
 
+    for _round in range(n // 12 + 1):
         # Step 2: move the singular point to the origin.
         abar = [x.residue() for x in a]
         x0, y0 = _singular_point(abar, k)
@@ -418,6 +436,10 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
             return _additive(place, KodairaType("II*"), 1, n, potentially_good)
         # Step 11: not minimal, rescale and restart.
         a = _rescale_by_pi(a)
+        n -= 12
+        if n == 0:
+            reduced = WeierstrassModel(*(x.residue() for x in a))
+            return _good_data(reduced, place, potentially_good)
 
     raise AssertionError("tate loop failed to terminate")
 
@@ -515,6 +537,10 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, L, red
     )
     if data.potentially_good and data.c_v > 4:
         raise AssertionError("potentially good reduction forces c_v <= 4")
+    if data.ell >= 5 and v_min_delta != kodaira.conductor_exponent + kodaira.components - 1:
+        raise AssertionError(
+            f"Ogg's formula fails: {kodaira.symbol} with v(Delta_min) = {v_min_delta}"
+        )
     return data
 
 
@@ -532,12 +558,11 @@ def _additive(place, kodaira, c_v, v_min_delta, potentially_good):
     )
 
 
-def _good_data(a, K: LocalField, place, potentially_good) -> LocalReductionData:
-    q = K.residue_field.order
-    reduced = WeierstrassModel(*(x.residue() for x in a))
+def _good_data(reduced: WeierstrassModel, place, potentially_good) -> LocalReductionData:
+    q = place["q_v"]
     N = count_points(reduced)
     trace = q + 1 - N
-    cls = GOOD_SUPERSINGULAR if trace % K.ell == 0 else GOOD_ORDINARY
+    cls = GOOD_SUPERSINGULAR if trace % place["ell"] == 0 else GOOD_ORDINARY
     return _finish(
         place,
         KodairaType("I0"),

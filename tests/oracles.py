@@ -4,11 +4,36 @@
 field F_q, with no reference to Frobenius, so it checks the library's
 F_ell count plus trace recurrence on any model, including those over
 extension fields.  Its cost is O(q) field operations: keep q small.
+
+`roots_in_field` scans F_q for roots, against the library's gcd root count.
+`delta_local` evaluates Delta in the truncated pi-adic field, against the
+library's v(Delta) = e * v_ell(disc).
 """
 
 from __future__ import annotations
 
 from eulerchar.curves import WeierstrassModel
+from eulerchar.finite_fields import FqElement, FqField
+from eulerchar.local_fields import LocalElement
+from eulerchar.polynomials import Polynomial
+
+
+def roots_in_field(poly: Polynomial, field: FqField) -> list[FqElement]:
+    """All roots in the given finite field, found by scanning the field.
+    Roots are listed once each, in the field's deterministic element order."""
+    zero = field.zero()
+    return [x for x in field.elements() if poly.evaluate(x) == zero]
+
+
+def delta_local(a: list[LocalElement]) -> LocalElement:
+    """Delta of embedded coefficients [a1, a2, a3, a4, a6], computed in the
+    local field from the b-invariants."""
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
 
 
 def brute_count(model: WeierstrassModel) -> int:

@@ -141,3 +141,13 @@ def test_precision_cap_respected():
     zero = Q5.embed(0)
     with pytest.raises(PrecisionError):
         zero.val_at_least(zero.abs_prec + 1)
+
+
+def test_make_local_field_is_memoized():
+    K = make_local_field(5, 2, 1, precision=48)
+    assert make_local_field(5, 2, 1, precision=48) is K
+    doubled = make_local_field(5, 2, 1, precision=96)
+    assert doubled is not K and doubled.precision == 96
+    assert make_local_field(5, 1, 4, precision=48, cyclotomic=True) is not make_local_field(
+        5, 1, 4, precision=48
+    )

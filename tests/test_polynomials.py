@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulerchar.finite_fields import fq_create
-from eulerchar.polynomials import Polynomial, poly_from_ints, rational_roots, roots_in_field
+from eulerchar.polynomials import Polynomial, poly_from_ints, rational_roots
+from oracles import roots_in_field
 
 
 def test_rational_roots_anchors():
@@ -65,3 +66,19 @@ def test_roots_in_finite_field():
     assert roots == []
     poly2 = Polynomial([F7.from_int(-1), F7.zero(), F7.one()])  # x^2 - 1
     assert {r.coords[0] for r in roots_in_field(poly2, F7)} == {1, 6}
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_root_count_matches_scan(p, f):
+    """deg gcd(P, x^q - x) against the field scan, on every monic polynomial
+    of degree <= 3 over F_4, F_5, F_7, F_8 and F_9."""
+    from itertools import product
+
+    from eulerchar.polynomials import count_roots_in_field
+
+    F = fq_create(p, f)
+    elements = list(F.elements())
+    for degree in range(4):
+        for low in product(elements, repeat=degree):
+            poly = Polynomial(list(low) + [F.one()])
+            assert count_roots_in_field(poly, F) == len(roots_in_field(poly, F))

@@ -378,3 +378,130 @@ def test_pot_supersingular_matches_direct_count():
         n1 = count_points(reduce_model(integral_model(EJ0), fq_create(p, 1)))
         n2 = extension_count(n1, p, 2)
         assert pot_supersingular(EJ0, p) == (n2 % p == 1)
+
+
+# m_v, the geometric component count (Silverman, Advanced Topics, ch. IV)
+OGG_COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
+
+
+def _ogg_value(kodaira) -> int:
+    """f_v + m_v - 1 at residue characteristic >= 5, from the symbol alone."""
+    if kodaira.kind == "I0":
+        return 0
+    if kodaira.kind == "In":
+        return 1 + kodaira.n - 1
+    m_v = kodaira.n + 5 if kodaira.kind == "In*" else OGG_COMPONENTS[kodaira.kind]
+    return 2 + m_v - 1
+
+
+def test_ogg_formula_over_census_box():
+    """Every census-box curve at every ell in {5, 7, 11, 13} dividing its
+    discriminant, over Q_ell, the unramified quadratic extension, tame
+    x^2 - ell and Q_ell(mu_ell), plus curves of the types the box misses:
+    v(Delta_min) = f_v + m_v - 1, and v(Delta_min) differs from
+    e * v_ell(disc) by a multiple of 12."""
+    from itertools import product
+
+    extra = [
+        [0, 0, 0, 0, 3125],  # II* at 5
+        [0, 0, 0, 125, 0],  # III* at 5
+        [0, 0, 0, -200, -1000],  # I1* at 5
+        [0, 0, 0, -200, -875],  # I2* at 5
+    ]
+    box = range(-5, 6)
+    curves = [list(c) for c in product((0, 1), (-1, 0, 1), (0, 1), box, box)] + extra
+    seen = set()
+    for coeffs in curves:
+        model = WeierstrassModel.from_rationals(coeffs)
+        try:
+            disc = invariants(model).disc
+        except SingularModelError:
+            continue
+        for ell in (5, 7, 11, 13):
+            if disc.numerator % ell:
+                continue
+            for f, e in ((1, 1), (2, 1), (1, 2), (1, ell - 1)):
+                d = run(model, ell, f=f, e=e)
+                assert d.v_min_delta == _ogg_value(d.kodaira), (coeffs, ell, f, e)
+                excess = e * vp(disc, ell) - d.v_min_delta
+                assert excess >= 0 and excess % 12 == 0
+                seen.add(d.kodaira.kind)
+    assert seen == {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
+
+
+def test_finish_rejects_type_contradicting_ogg():
+    from eulerchar.tate import KodairaType, _additive
+
+    place = dict(ell=5, e=1, f=1, q_v=5, model=E294, precision_used=60)
+    assert _additive(place, KodairaType("III"), 2, 3, True).v_min_delta == 3
+    with pytest.raises(AssertionError, match="Ogg"):
+        _additive(place, KodairaType("III"), 2, 4, True)
+    # residue characteristic 2 and 3 allow wild conductor exponents
+    wild = dict(place, ell=3, q_v=3)
+    assert _additive(wild, KodairaType("III"), 2, 6, True).v_min_delta == 6
+
+
+def test_exact_delta_valuation_matches_local_field():
+    """e * v_ell(disc) of an integral model equals the pi-adic valuation of
+    Delta evaluated in the truncated field, and one rescale by pi lowers it
+    by 12; at v(Delta) = 0 the reduced model equals the residues of the
+    embedded coefficients."""
+    from oracles import delta_local
+
+    from eulerchar.curves import transform
+    from eulerchar.local_fields import make_local_field
+    from eulerchar.tate import _rescale_by_pi, default_precision
+
+    fields = [(ell, f, 1, False) for ell in (2, 3, 5, 7) for f in (1, 2, 3)]
+    fields += [(2, 1, 3, False), (3, 1, 2, False), (5, 1, 2, False), (7, 1, 3, False)]
+    fields += [(5, 1, 4, True), (7, 1, 6, True)]
+    rng = random.Random(53)
+    checked = 0
+    while checked < 200:
+        ell, f, e, cyclotomic = fields[checked % len(fields)]
+        coeffs = [rng.randint(-30, 30) * ell ** rng.randint(0, 2) for _ in range(5)]
+        model = WeierstrassModel.from_rationals(coeffs)
+        try:
+            disc = invariants(model).disc
+        except SingularModelError:
+            continue
+        precision = default_precision(model, ell, e)
+        K = make_local_field(ell, f=f, e=e, precision=precision, cyclotomic=cyclotomic)
+        n = K.e * vp(disc, ell)
+        a = K.embed_model(model.coefficients())
+        assert delta_local(a).valuation() == n
+
+        scaled = integral_model(transform(model, Fraction(1, ell), 0, 0, 0))
+        K2 = make_local_field(ell, f=f, e=e, precision=precision + 12 * e, cyclotomic=cyclotomic)
+        b = _rescale_by_pi(K2.embed_model(scaled.coefficients()))
+        assert delta_local(b).valuation() == K2.e * vp(invariants(scaled).disc, ell) - 12
+
+        d = tate_algorithm(model, K)
+        if n == 0:
+            assert d.reduced_model == WeierstrassModel(*(x.residue() for x in a))
+        checked += 1
+
+
+def test_equal_model_objects_give_identical_local_data():
+    """The invariants memo lives on each model object: equal models built
+    separately, with a different model in between, give the same data."""
+    from eulerchar.euler import local_data_at
+
+    coeffs = [0, 0, 0, Fraction(-25, 2), Fraction(-125, 8)]  # I1* at 5 once integral
+    first = WeierstrassModel.from_rationals(coeffs)
+    other = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
+    again = WeierstrassModel.from_rationals(coeffs)
+    assert first == again and first is not again
+    for ell, m in ((5, 1), (5, 5), (2, 1), (7, 7)):
+        d1 = local_data_at(first, ell, m)
+        d_other = local_data_at(other, ell, m)
+        d2 = local_data_at(again, ell, m)
+        assert d1 == d2
+        assert d1.comparable_fields() == d2.comparable_fields()
+        assert d_other.model == other
+    assert invariants(first) is invariants(first)
+    assert invariants(first) is not invariants(again)
+    assert invariants(first) == invariants(again) != invariants(other)
+    assert integral_model(first) is integral_model(first) is not first
+    assert integral_model(first) is not integral_model(again)
+    assert local_data_at(first, 5, 1).kodaira.symbol == "I1*"
