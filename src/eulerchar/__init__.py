@@ -32,20 +32,13 @@ from .euler import (
     tau_p,
 )
 from .finite_fields import FqElement, FqField, fq_create, fq_is_square
-from .local_fields import (
-    LocalElement,
-    LocalField,
-    PrecisionError,
-    local_val_residue,
-    make_local_field,
-)
+from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
 from .polynomials import Polynomial, rational_roots
 from .tate import (
     KodairaType,
     LocalReductionData,
     base_change_rules,
     base_change_unramified,
-    classify_split,
     euler_factor_at_one,
     local_field_for,
     pot_supersingular,

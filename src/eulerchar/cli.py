@@ -16,10 +16,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .curves import (
     WeierstrassModel,
     count_points,
+    extension_count,
     reduce_model,
     torsion_bound_over_F,
 )
@@ -540,17 +542,21 @@ def _cmd_coranks(args, out) -> int:
 
 def _cmd_count(args, out) -> int:
     model = _curve_from_arg(args.curve)
-    field = fq_create(args.ell, args.degree)
-    n = count_points(reduce_model(model, field))
-    doc = {"ell": args.ell, "degree": args.degree, "q": str(field.order), "count": str(n)}
+    n1 = count_points(reduce_model(model, fq_create(args.ell, 1)))
+    n = extension_count(n1, args.ell, args.degree)
+    q = args.ell**args.degree
+    doc = {"ell": args.ell, "degree": args.degree, "q": str(q), "count": str(n)}
     if args.format == "json":
         _emit(doc, "json", out)
     else:
-        out.write(f"#E(F_{field.order}) = {n}\n")
+        out.write(f"#E(F_{q}) = {n}\n")
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: nothing in it depends
+    on the call, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eulerchar",
         description="Euler characteristics of Selmer groups over division towers "

@@ -282,23 +282,15 @@ def _count_prime_field(p: int, coeffs: list[int]) -> int:
             for y in (0, 1)
         )
     inv4 = pow(4, p - 2, p)
-    use_table = p <= 300_000
-    square_table = None
-    if use_table:
-        square_table = bytearray(p)
-        for b in range(p):
-            square_table[b * b % p] = 1
+    square_table = bytearray(p)
+    for b in range(p):
+        square_table[b * b % p] = 1
     count = 1
     for x in range(p):
         h = (a1 * x + a3) % p
         g = (((x + a2) * x + a4) * x + a6) % p
         d = (g + h * h * inv4) % p
-        if d == 0:
-            count += 1
-        elif use_table:
-            count += 2 * square_table[d]
-        elif pow(d, (p - 1) // 2, p) == 1:
-            count += 2
+        count += 1 if d == 0 else 2 * square_table[d]
     return count
 
 

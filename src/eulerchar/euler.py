@@ -165,12 +165,13 @@ def local_data_at(
 ) -> LocalReductionData:
     """Reduction data of the curve at (any of) the places of Q(mu_m) above ell.
 
-    The completion comes from the memoized `make_local_field`, so places
-    with the same (ell, e, f) and working precision share one field.
+    Tate's algorithm runs over the totally ramified field of degree e from
+    the memoized `make_local_field`, so places with the same (ell, e) and
+    working precision share one field; the residue degree f is passed on.
     """
     sp = splitting(ell, m)
-    K = local_field_for(model, ell, f=sp.f, e=sp.e, precision=precision)
-    return tate_algorithm(model, K)
+    K = local_field_for(model, ell, e=sp.e, precision=precision)
+    return tate_algorithm(model, K, f=sp.f)
 
 
 def check_hypotheses(

@@ -1,19 +1,25 @@
-"""Truncated exact arithmetic in finite extensions of Q_ell.
+"""Truncated exact arithmetic in totally ramified extensions of Q_ell.
 
-A field is W[pi]/(g(pi)) where W is the unramified extension of Z_ell with
-residue field F_{ell^f} (modelled as Z_ell[u]/(m(u)) for the deterministic
-lift m of the residue-field modulus) and g is Eisenstein of degree e:
+A field is Z_ell[pi]/(g(pi)) for an Eisenstein g of degree e, with residue
+field F_ell:
 
   * e = 1: g(x) = x - ell,
   * tame e with gcd(e, ell) = 1: g(x) = x^e - ell,
   * the cyclotomic layer e = ell - 1: g(x) = ((1+x)^ell - 1)/x, so that
     pi corresponds to zeta_ell - 1 and the field is Q_ell(mu_ell).
 
-Elements are stored as e coefficient vectors over W, each vector holding f
-integers modulo ell^M, together with a power-of-pi shift and a precision
+There is no unramified layer.  Tate's algorithm runs on a curve over Q and
+every choice it makes is canonical, so each residue it takes lies in F_ell
+whatever the residue degree f of the place; f enters only through
+q = ell^f (see `tate`).
+
+Elements are stored as e integers modulo ell^M, the coefficients of
+1, pi, ..., pi^(e-1), together with a power-of-pi shift and a precision
 marker.  No operation ever reports digits beyond the marker; valuation
 queries that cannot be certified raise PrecisionError (the
 INDISTINGUISHABLE-FROM-ZERO signal), and callers retry at higher precision.
+Fields are memoized per (ell, e, precision, cyclotomic) by
+`make_local_field`.
 
 Key identity used throughout: pi^e = ell * U for the precomputed unit
 U = -(g_0/ell + g_1/ell x + ... + g_{e-1}/ell x^(e-1)), which lets both
@@ -37,21 +43,19 @@ class PrecisionError(ArithmeticError):
 
 
 class LocalField:
-    """A finite extension of Q_ell with residue field F_{ell^f} and
-    ramification index e, at working precision N pi-adic digits."""
+    """A totally ramified extension of Q_ell of degree e, with residue field
+    F_ell, at working precision N pi-adic digits."""
 
-    def __init__(self, ell: int, f: int, e: int, precision: int, cyclotomic: bool):
+    def __init__(self, ell: int, e: int, precision: int, cyclotomic: bool):
         self.ell = ell
-        self.f = f
         self.e = e
         self.precision = precision
         self.cyclotomic = cyclotomic
-        self.residue_field: FqField = fq_create(ell, f)
+        self.residue_field: FqField = fq_create(ell, 1)
         # store M ell-adic digits per coefficient; slack absorbs carries
         self.M = max(-(-precision // e), 2) + 4
         self.modulus = ell**self.M
         self.tprec_max = e * self.M
-        self._m_poly = self.residue_field.modulus  # lifted coefficientwise
 
         if e == 1:
             g = [-ell, 1]
@@ -70,100 +74,43 @@ class LocalField:
             g = [-ell] + [0] * (e - 1) + [1]
         self.eisenstein = tuple(g)
 
-        # x^e = -(g_0 + ... + g_{e-1} x^{e-1}), coefficients as W constants
-        self._x_e = tuple(self._w_const(-g[i]) for i in range(e))
+        # x^e = -(g_0 + ... + g_{e-1} x^{e-1})
+        self._x_e = tuple(-g[i] % self.modulus for i in range(e))
         # pi^e = ell * U with U a unit
-        self._unit_u = tuple(self._w_const(-(g[i] // ell)) for i in range(e))
-        self._monomials = [self._monomial_tensor(r) for r in range(e)]
-        self._pi_tensor = self._monomials[1] if e > 1 else self._int_tensor(ell)
+        self._unit_u = tuple(-(g[i] // ell) % self.modulus for i in range(e))
+        self._pi_tensor = self._monomial_tensor(1) if e > 1 else self._int_tensor(ell)
         self._pi_pow_cache: dict[int, tuple] = {}
         self._unit_u_inv = self._tensor_inv_unit(self._unit_u)
 
-    # -- W (unramified) coefficient arithmetic --------------------------------
-
-    def _w_const(self, n: int) -> tuple[int, ...]:
-        return (n % self.modulus,) + (0,) * (self.f - 1)
-
-    def _w_add(self, a, b):
-        mod = self.modulus
-        return tuple((x + y) % mod for x, y in zip(a, b))
-
-    def _w_neg(self, a):
-        mod = self.modulus
-        return tuple(-x % mod for x in a)
-
-    def _w_mul(self, a, b):
-        f, mod = self.f, self.modulus
-        if f == 1:
-            return (a[0] * b[0] % mod,)
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % mod
-        m = self._m_poly
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(f):
-                    prod[k - f + j] = (prod[k - f + j] - c * m[j]) % mod
-        return tuple(prod[:f])
-
-    def _w_val(self, a) -> int:
-        """ell-adic valuation of a W coefficient vector, _BIG when zero mod ell^M."""
-        best = _BIG
-        for c in a:
-            if c:
-                v = int_valuation(c, self.ell)
-                if v < best:
-                    best = v
-        return best
-
-    # -- tensor (full ring) arithmetic -----------------------------------------
-
-    def _zero_tensor(self):
-        zero_w = (0,) * self.f
-        return (zero_w,) * self.e
+    # -- tensor arithmetic: e integers mod ell^M, coefficients of pi^0..pi^(e-1)
 
     def _monomial_tensor(self, r: int):
-        rows = [self._w_const(0) for _ in range(self.e)]
-        rows[r] = self._w_const(1)
-        return tuple(rows)
+        return tuple(1 if i == r else 0 for i in range(self.e))
 
     def _int_tensor(self, n: int):
-        return tuple([self._w_const(n)] + [self._w_const(0) for _ in range(self.e - 1)])
-
-    def _tensor_from_fq(self, a: FqElement):
-        rows = [tuple(c % self.modulus for c in a.coords)]
-        rows += [self._w_const(0) for _ in range(self.e - 1)]
-        return tuple(rows)
+        return (n % self.modulus,) + (0,) * (self.e - 1)
 
     def _tensor_add(self, A, B):
-        return tuple(self._w_add(a, b) for a, b in zip(A, B))
+        mod = self.modulus
+        return tuple((a + b) % mod for a, b in zip(A, B))
 
     def _tensor_neg(self, A):
-        return tuple(self._w_neg(a) for a in A)
+        mod = self.modulus
+        return tuple(-a % mod for a in A)
 
     def _tensor_mul(self, A, B):
-        e = self.e
-        zero_w = (0,) * self.f
-        rows = [zero_w] * (2 * e - 1)
-        for i, ai in enumerate(A):
-            if any(ai):
-                for j, bj in enumerate(B):
-                    if any(bj):
-                        rows[i + j] = self._w_add(rows[i + j], self._w_mul(ai, bj))
+        e, mod = self.e, self.modulus
+        prod = [0] * (2 * e - 1)
+        for i, a in enumerate(A):
+            if a:
+                for j, b in enumerate(B):
+                    prod[i + j] += a * b
         for k in range(2 * e - 2, e - 1, -1):
-            c = rows[k]
-            if any(c):
-                rows[k] = zero_w
-                for j in range(e):
-                    if any(self._x_e[j]):
-                        rows[k - e + j] = self._w_add(
-                            rows[k - e + j], self._w_mul(c, self._x_e[j])
-                        )
-        return tuple(rows[:e])
+            c = prod[k] % mod
+            if c:
+                for j, x in enumerate(self._x_e):
+                    prod[k - e + j] += c * x
+        return tuple(c % mod for c in prod[:e])
 
     def _tensor_pow(self, A, n: int):
         result = self._monomial_tensor(0)
@@ -178,10 +125,9 @@ class LocalField:
     def _tensor_val(self, A) -> int:
         """pi-adic valuation of a tensor; _BIG when zero mod ell^M."""
         best = _BIG
-        for i, row in enumerate(A):
-            wv = self._w_val(row)
-            if wv != _BIG:
-                v = self.e * wv + i
+        for i, c in enumerate(A):
+            if c:
+                v = self.e * int_valuation(c, self.ell) + i
                 if v < best:
                     best = v
         return best
@@ -199,17 +145,17 @@ class LocalField:
 
     def _tensor_scale_int(self, A, n: int):
         mod = self.modulus
-        return tuple(tuple(c * n % mod for c in row) for row in A)
+        return tuple(c * n % mod for c in A)
 
     def _tensor_sub_from_two(self, A):
         return self._tensor_add(self._int_tensor(2), self._tensor_neg(A))
 
     def _tensor_inv_unit(self, A):
         """Inverse of a unit tensor (valuation 0) by Newton iteration."""
-        res = self._tensor_residue(A)
-        if res.is_zero():
+        res = A[0] % self.ell
+        if res == 0:
             raise PrecisionError("cannot invert an element with zero residue")
-        y = self._tensor_from_fq(res.inverse())
+        y = self._int_tensor(pow(res, -1, self.ell))
         steps, digits = 1, 1
         while digits < self.tprec_max:
             digits *= 2
@@ -221,15 +167,9 @@ class LocalField:
     def _tensor_scale_down(self, A, q: int):
         """Divide every integer entry by ell^q (entries must be divisible)."""
         d = self.ell**q
-        rows = []
-        for row in A:
-            new = []
-            for c in row:
-                if c % d != 0:
-                    raise PrecisionError("inexact division by a power of ell")
-                new.append(c // d)
-            rows.append(tuple(new))
-        return tuple(rows)
+        if any(c % d for c in A):
+            raise PrecisionError("inexact division by a power of ell")
+        return tuple(c // d for c in A)
 
     def _tensor_extract_unit(self, A, tv: int):
         """Tensor of A / pi^tv, given the certified tensor valuation tv."""
@@ -246,13 +186,13 @@ class LocalField:
         return out
 
     def _tensor_residue(self, A) -> FqElement:
-        """Residue of a tensor of valuation 0 in F_{ell^f}."""
-        return self.residue_field.from_coords([c % self.ell for c in A[0]])
+        """Residue of a tensor of valuation 0 in F_ell."""
+        return self.residue_field.from_int(A[0])
 
     # -- element constructors ----------------------------------------------------
 
     def zero(self) -> "LocalElement":
-        return LocalElement(self, self._zero_tensor(), 0, self.tprec_max)
+        return LocalElement(self, (0,) * self.e, 0, self.tprec_max)
 
     def one(self) -> "LocalElement":
         return LocalElement(self, self._monomial_tensor(0), 0, self.tprec_max)
@@ -261,10 +201,10 @@ class LocalField:
         return LocalElement(self, self._pi_tensor, 0, self.tprec_max)
 
     def from_residue(self, a: FqElement) -> "LocalElement":
-        """The coefficientwise lift of a residue-field element."""
+        """The lift of a residue in F_ell to an integer in [0, ell)."""
         if a.field is not self.residue_field:
             raise ValueError("residue element belongs to a different field")
-        return LocalElement(self, self._tensor_from_fq(a), 0, self.tprec_max)
+        return LocalElement(self, self._int_tensor(a.coords[0]), 0, self.tprec_max)
 
     def embed(self, x: Fraction | int) -> "LocalElement":
         """Embedding of Q, exact to working precision; val = e * v_ell(x)."""
@@ -273,9 +213,9 @@ class LocalField:
             return self.zero()
         k = vp(x, self.ell)
         unit = x / Fraction(self.ell) ** k
-        tensor = self._int_tensor(unit.numerator % self.modulus)
+        tensor = self._int_tensor(unit.numerator)
         if unit.denominator != 1:
-            den = self._int_tensor(unit.denominator % self.modulus)
+            den = self._int_tensor(unit.denominator)
             tensor = self._tensor_mul(tensor, self._tensor_inv_unit(den))
         if k > 0:
             # ell^k = pi^(e k) U^(-k)
@@ -289,7 +229,7 @@ class LocalField:
 
     def __repr__(self):
         kind = "cyclotomic" if self.cyclotomic else ("unramified" if self.e == 1 else "tame")
-        return f"LocalField(ell={self.ell}, f={self.f}, e={self.e}, N={self.precision}, {kind})"
+        return f"LocalField(ell={self.ell}, e={self.e}, N={self.precision}, {kind})"
 
 
 class LocalElement:
@@ -448,7 +388,7 @@ class LocalElement:
         return F._tensor_residue(unit)
 
     def residue(self) -> FqElement:
-        """Residue in F_{ell^f} of an integral element."""
+        """Residue in F_ell of an integral element."""
         F = self.field
         if self.is_zero_to_precision():
             if self.abs_prec >= 1:
@@ -461,25 +401,6 @@ class LocalElement:
             return F.residue_field.zero()
         return self.unit_residue()
 
-    def expansion(self, count: int | None = None) -> list[FqElement]:
-        """First pi-adic digits as residue-field representatives."""
-        F = self.field
-        if count is None:
-            count = max(0, min(self.abs_prec, 12))
-        out = []
-        x = self
-        for _ in range(count):
-            if x.is_zero_to_precision() or x.valuation() > 0:
-                out.append(F.residue_field.zero())
-            else:
-                if x.valuation() < 0:
-                    raise ValueError("expansion of a non-integral element")
-                d = x.unit_residue()
-                out.append(d)
-                x = x - F.from_residue(d)
-            x = x.shift_pi(-1)
-        return out
-
     def __repr__(self):
         try:
             v = self.valuation()
@@ -491,7 +412,6 @@ class LocalElement:
 @lru_cache(maxsize=128)
 def make_local_field(
     ell: int,
-    f: int = 1,
     e: int = 1,
     precision: int | None = None,
     cyclotomic: bool = False,
@@ -507,17 +427,10 @@ def make_local_field(
     """
     if not is_prime(ell):
         raise ValueError(f"residue characteristic must be prime, got {ell}")
-    if f < 1 or e < 1:
-        raise ValueError("degrees must be >= 1")
+    if e < 1:
+        raise ValueError("ramification index must be >= 1")
     if precision is None:
         precision = 24 * e
     if precision < 2 * e:
         raise ValueError("precision too small to be useful")
-    return LocalField(ell, f, e, precision, cyclotomic and e > 1)
-
-
-def local_val_residue(x: LocalElement) -> tuple[int, FqElement]:
-    """(pi-adic valuation, residue of x * pi^(-val)); exact for valuations
-    below the element's precision, otherwise raises PrecisionError."""
-    v = x.valuation()
-    return v, x.unit_residue()
+    return LocalField(ell, e, precision, cyclotomic and e > 1)

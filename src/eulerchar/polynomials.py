@@ -161,28 +161,32 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * _invert(a.leading())
 
 
-def _x_power_q_mod(modulus: Polynomial, field: FqField) -> Polynomial:
+def _x_power_q_mod(modulus: Polynomial, q: int) -> Polynomial:
     """x^q modulo the given polynomial, by square and multiply."""
-    one = field.one()
-    zero = field.zero()
-    acc = Polynomial([one])
-    base = Polynomial([zero, one])
-    n = field.order
-    while n:
-        if n & 1:
+    field = modulus.leading().field
+    acc = Polynomial([field.one()])
+    base = Polynomial([field.zero(), field.one()])
+    while q:
+        if q & 1:
             _, acc = (acc * base).divmod(modulus)
         _, base = (base * base).divmod(modulus)
-        n >>= 1
+        q >>= 1
     return acc
 
 
-def count_roots_in_field(poly: Polynomial, field: FqField) -> int:
-    """Number of distinct roots of a nonzero poly in F_q: deg gcd(poly,
-    x^q - x), which counts exactly the distinct roots rational over F_q, at
+def count_roots_in_field(poly: Polynomial, q: int) -> int:
+    """Number of distinct roots in F_q of a nonzero poly over a finite field
+    F_r, for any power q of r: deg gcd(poly, x^q - x), computed in F_r[x],
+    which counts exactly the distinct roots rational over F_q, at
     O(log q) polynomial products for any field size.
     """
-    xq = _x_power_q_mod(poly, field)
-    xq_minus_x = xq - Polynomial([field.zero(), field.one()])
+    field = poly.leading().field
+    power = field.order
+    while power < q:
+        power *= field.order
+    if power != q:
+        raise ValueError(f"{q} is not a power of the coefficient field order {field.order}")
+    xq_minus_x = _x_power_q_mod(poly, q) - Polynomial([field.zero(), field.one()])
     g = poly_gcd(poly, xq_minus_x)
     return max(g.degree, 0)
 

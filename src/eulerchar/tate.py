@@ -20,11 +20,16 @@ integral model is reduced straight into the residue field.  At residue
 characteristic >= 5 every result is checked against Ogg's formula
 v(Delta_min) = f_v + m_v - 1.
 
-Every choice above is canonical, so at a place with residue field F_{ell^f}
-the reduced curve of a good place is defined over F_ell.  Its point count is
-taken over F_ell and extended to F_{ell^f} by the Frobenius recurrence
-(`count_points`), at O(ell) cost for any f.  Potential supersingularity
-above p is read off a_p mod p of a curve over F_p with the reduced j.
+The algorithm runs over the totally ramified field Q_ell(pi) of degree e,
+whose residue field is F_ell, even at a place with residue field F_{ell^f}.
+It takes the curve over Q and every choice above is canonical, so every
+residue it inspects lies in F_ell.  The residue degree f enters only
+through q = ell^f: in q_v, in the number of roots in F_q of each residue
+quadratic or cubic (the split test of the tangent cone included), taken as
+deg gcd(P, x^q - x) in F_ell[x], and in N_v, the F_ell count of the reduced
+curve extended to F_q by the Frobenius recurrence (`extension_count`), at
+O(ell) cost for any f.  Potential supersingularity above p is read off
+a_p mod p of a curve over F_p with the reduced j.
 """
 
 from __future__ import annotations
@@ -149,28 +154,29 @@ def default_precision(model: WeierstrassModel, ell: int, e: int) -> int:
 def local_field_for(
     model: WeierstrassModel,
     ell: int,
-    f: int = 1,
     e: int = 1,
     precision: int | None = None,
 ) -> LocalField:
-    """The completion at a place with the given residue data, with a
+    """The totally ramified field of degree e over Q_ell that Tate's
+    algorithm runs over at a place with ramification index e, with a
     model-aware default precision.  e = ell - 1 selects the cyclotomic layer
     Q_ell(mu_ell); other tame ramification uses the x^e - ell model."""
     if precision is None:
         precision = default_precision(model, ell, e)
     cyclotomic = e == ell - 1 and e > 1
-    return make_local_field(ell, f=f, e=e, precision=precision, cyclotomic=cyclotomic)
+    return make_local_field(ell, e=e, precision=precision, cyclotomic=cyclotomic)
 
 
 # -- residue-field helpers -----------------------------------------------------
 
 
-def _quadratic_data(A: FqElement, B: FqElement, C: FqElement):
-    """(has distinct roots, root count in k, double root) for A X^2 + B X + C."""
+def _quadratic_data(A: FqElement, B: FqElement, C: FqElement, q: int):
+    """(has distinct roots, root count in F_q, double root) for
+    A X^2 + B X + C over k = F_ell."""
     k = A.field
     disc = B * B - 4 * A * C
     if not disc.is_zero():
-        return True, count_roots_in_field(Polynomial([C, B, A]), k), None
+        return True, count_roots_in_field(Polynomial([C, B, A]), q), None
     if k.characteristic == 2:
         double = k.sqrt(C / A)
     else:
@@ -178,10 +184,10 @@ def _quadratic_data(A: FqElement, B: FqElement, C: FqElement):
     return False, 1, double
 
 
-def _cubic_analysis(a: FqElement, b: FqElement, c: FqElement):
-    """Root structure of P = T^3 + a T^2 + b T + c over k.
+def _cubic_analysis(a: FqElement, b: FqElement, c: FqElement, q: int):
+    """Root structure of P = T^3 + a T^2 + b T + c over k = F_ell.
 
-    Returns ("distinct", count of roots in k), ("double", root) or
+    Returns ("distinct", count of roots in F_q), ("double", root) or
     ("triple", root); multiple roots of a cubic are always rational over a
     perfect field.
     """
@@ -191,7 +197,7 @@ def _cubic_analysis(a: FqElement, b: FqElement, c: FqElement):
     )
     poly = Polynomial([c, b, a, k.one()])
     if not disc.is_zero():
-        return "distinct", count_roots_in_field(poly, k)
+        return "distinct", count_roots_in_field(poly, q)
     # the multiple root is rational and has a closed form in every
     # characteristic: it is the sole root of gcd(P, P')
     p = k.characteristic
@@ -277,19 +283,28 @@ def _singular_point(abar: list[FqElement], k: FqField):
 
 
 def _translate(a: list[LocalElement], r=None, s=None, t=None) -> list[LocalElement]:
-    """(x, y) -> (x + r, y + s x + t) on [a1, a2, a3, a4, a6]."""
-    K = a[0].field
-    zero = K.zero()
-    r = zero if r is None else r
-    s = zero if s is None else s
-    t = zero if t is None else t
+    """(x, y) -> (x + r, y + s x + t) on [a1, a2, a3, a4, a6].
+
+    The change is applied as x -> x + r, then y -> y + s x, then y -> y + t,
+    which composes to the same substitution, so only the terms of the
+    shifts actually given are evaluated.
+    """
     a1, a2, a3, a4, a6 = a
-    na1 = a1 + 2 * s
-    na2 = a2 - s * a1 + 3 * r - s * s
-    na3 = a3 + r * a1 + 2 * t
-    na4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-    na6 = a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1
-    return [na1, na2, na3, na4, na6]
+    if r is not None:
+        rr = r * r
+        a6 = a6 + r * a4 + rr * a2 + rr * r
+        a4 = a4 + 2 * r * a2 + 3 * rr
+        a3 = a3 + r * a1
+        a2 = a2 + 3 * r
+    if s is not None:
+        a4 = a4 - s * a3
+        a2 = a2 - s * a1 - s * s
+        a1 = a1 + 2 * s
+    if t is not None:
+        a6 = a6 - t * a3 - t * t
+        a4 = a4 - t * a1
+        a3 = a3 + 2 * t
+    return [a1, a2, a3, a4, a6]
 
 
 def _rescale_by_pi(a: list[LocalElement]) -> list[LocalElement]:
@@ -320,24 +335,26 @@ def _res_shift(x: LocalElement, k: int) -> FqElement:
 # -- the algorithm ----------------------------------------------------------------
 
 
-def tate_algorithm(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
+def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
     """Kodaira type, Tamagawa number, minimal discriminant valuation, and
-    (for good reduction) residue point count of a rational model over K.
+    (for good reduction) residue point count of a rational model at a place
+    with ramification index K.e and residue field F_{ell^f}.
 
     Retries with doubled working precision, at most three times, whenever a
     valuation query cannot be certified.
     """
+    if f < 1:
+        raise ValueError("residue degree must be >= 1")
     attempts = 4
     field = K
     for attempt in range(attempts):
         try:
-            return _tate_run(model, field)
+            return _tate_run(model, field, f)
         except PrecisionError:
             if attempt == attempts - 1:
                 raise
             field = make_local_field(
                 field.ell,
-                f=field.f,
                 e=field.e,
                 precision=2 * field.precision,
                 cyclotomic=field.cyclotomic,
@@ -345,17 +362,17 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField) -> LocalReductionData
     raise AssertionError("unreachable")
 
 
-def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
+def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionData:
     if not model.is_rational():
         raise ValueError("tate_algorithm expects a model over Q")
     work = integral_model(model)
     inv = invariants(work)  # also rejects singular models
     k = K.residue_field
-    q = k.order
+    q = K.ell**f
     vj = vp(inv.j, K.ell)
     potentially_good = vj is PLUS_INFINITY or vj >= 0
 
-    place = dict(ell=K.ell, e=K.e, f=K.f, q_v=q, model=model, precision_used=K.precision)
+    place = dict(ell=K.ell, e=K.e, f=f, q_v=q, model=model, precision_used=K.precision)
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
     n = K.e * vp(inv.disc, K.ell)
@@ -375,7 +392,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
         b2, b4, b6, b8 = _b_locals(a)
         if not b2.val_at_least(1):
             # Type I_n, multiplicative.
-            split = _tangent_splits(a[0].residue(), a[1].residue())
+            split = _tangent_splits(a[0].residue(), a[1].residue(), q)
             c_v = n if split else (2 if n % 2 == 0 else 1)
             if not (vj is not PLUS_INFINITY and vj < 0 and K.e * (-vj) == n):
                 raise AssertionError("multiplicative type contradicts v(j)")
@@ -399,7 +416,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
             return _additive(place, KodairaType("III"), 2, n, potentially_good)
         if not b6.val_at_least(3):
             quad_roots = count_roots_in_field(
-                Polynomial([-_res_shift(a[4], 2), _res_shift(a[2], 1), k.one()]), k
+                Polynomial([-_res_shift(a[4], 2), _res_shift(a[2], 1), k.one()]), q
             )
             c_v = 3 if quad_roots else 1
             return _additive(place, KodairaType("IV"), c_v, n, potentially_good)
@@ -408,7 +425,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
         P_a = _res_shift(a[1], 1)
         P_b = _res_shift(a[3], 2)
         P_c = _res_shift(a[4], 3)
-        shape, info = _cubic_analysis(P_a, P_b, P_c)
+        shape, info = _cubic_analysis(P_a, P_b, P_c, q)
 
         if shape == "distinct":
             c_v = 1 + info
@@ -424,7 +441,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
             if not a[idx].val_at_least(least):
                 raise AssertionError("triple-root translation failed")
         distinct, roots, double = _quadratic_data(
-            k.one(), _res_shift(a[2], 2), -_res_shift(a[4], 4)
+            k.one(), _res_shift(a[2], 2), -_res_shift(a[4], 4), q
         )
         if distinct:
             c_v = 3 if roots else 1
@@ -444,19 +461,11 @@ def _tate_run(model: WeierstrassModel, K: LocalField) -> LocalReductionData:
     raise AssertionError("tate loop failed to terminate")
 
 
-def _tangent_splits(a1bar: FqElement, a2bar: FqElement) -> bool:
-    """Does T^2 + a1 T - a2 split over the residue field?
-
-    Explicit root search in residue characteristic 2 and 3, Euler-criterion
-    squareness of the discriminant otherwise.
-    """
-    k = a1bar.field
-    if k.characteristic in (2, 3):
-        poly = Polynomial([-a2bar, a1bar, k.one()])
-        return count_roots_in_field(poly, k) > 0
-    from .finite_fields import fq_is_square
-
-    return fq_is_square(a1bar * a1bar + 4 * a2bar)
+def _tangent_splits(a1bar: FqElement, a2bar: FqElement, q: int) -> bool:
+    """Does T^2 + a1 T - a2 have a root in F_q?  At a node its roots are
+    distinct, so a root in F_q means it splits there."""
+    poly = Polynomial([-a2bar, a1bar, a1bar.field.one()])
+    return count_roots_in_field(poly, q) > 0
 
 
 def _normalize_for_cubic(a: list[LocalElement], K: LocalField) -> list[LocalElement]:
@@ -485,6 +494,7 @@ def _star_loop(
 ) -> LocalReductionData:
     """The I_n* subtype ladder (one double root in the step-6 cubic)."""
     k = K.residue_field
+    q = place["q_v"]
     if a[1].valuation() != 1:
         raise AssertionError("I_n* entry expects v(a2) = 1")
     for idx, least in ((3, 3), (4, 4)):
@@ -495,7 +505,7 @@ def _star_loop(
         if j % 2 == 1:
             m = (j + 3) // 2
             distinct, roots, double = _quadratic_data(
-                k.one(), _res_shift(a[2], m), -_res_shift(a[4], 2 * m)
+                k.one(), _res_shift(a[2], m), -_res_shift(a[4], 2 * m), q
             )
             if distinct:
                 c_v = 4 if roots else 2
@@ -506,7 +516,7 @@ def _star_loop(
         else:
             m = j // 2 + 2
             distinct, roots, double = _quadratic_data(
-                _res_shift(a[1], 1), _res_shift(a[3], m), _res_shift(a[4], 2 * m - 1)
+                _res_shift(a[1], 1), _res_shift(a[3], m), _res_shift(a[4], 2 * m - 1), q
             )
             if distinct:
                 c_v = 4 if roots else 2
@@ -559,8 +569,10 @@ def _additive(place, kodaira, c_v, v_min_delta, potentially_good):
 
 
 def _good_data(reduced: WeierstrassModel, place, potentially_good) -> LocalReductionData:
+    """Good reduction: reduced is the model over F_ell, counted there and
+    extended to F_q."""
     q = place["q_v"]
-    N = count_points(reduced)
+    N = extension_count(count_points(reduced), place["ell"], place["f"])
     trace = q + 1 - N
     cls = GOOD_SUPERSINGULAR if trace % place["ell"] == 0 else GOOD_ORDINARY
     return _finish(
@@ -579,15 +591,6 @@ def _good_data(reduced: WeierstrassModel, place, potentially_good) -> LocalReduc
 # -- derived operations -------------------------------------------------------------
 
 
-def classify_split(model: WeierstrassModel, K: LocalField) -> str:
-    """MultSplit or MultNonsplit for a model with multiplicative reduction
-    over K; raises ValueError at a non-multiplicative place."""
-    data = tate_algorithm(model, K)
-    if data.reduction_class not in (MULT_SPLIT, MULT_NONSPLIT):
-        raise ValueError("classify_split called at a non-multiplicative place")
-    return data.reduction_class
-
-
 def euler_factor_at_one(data: LocalReductionData) -> Fraction:
     """L_v(E, 1): q/N for good reduction, q/(q-1) split multiplicative,
     q/(q+1) nonsplit multiplicative, 1 additive."""
@@ -602,11 +605,11 @@ def euler_factor_at_one(data: LocalReductionData) -> Fraction:
 
 def base_change_unramified(data: LocalReductionData, f: int) -> LocalReductionData:
     """Reduction data over the unramified extension of degree f, computed
-    authoritatively by rerunning Tate's algorithm over the explicit field."""
+    authoritatively by rerunning Tate's algorithm with residue degree f."""
     if data.e != 1 or data.f != 1:
         raise ValueError("base_change_unramified starts from data over Q_ell")
-    K = local_field_for(data.model, data.ell, f=f, e=1)
-    return tate_algorithm(data.model, K)
+    K = local_field_for(data.model, data.ell)
+    return tate_algorithm(data.model, K, f=f)
 
 
 def base_change_rules(data: LocalReductionData, f: int) -> dict:

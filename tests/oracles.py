@@ -5,6 +5,8 @@ field F_q, with no reference to Frobenius, so it checks the library's
 F_ell count plus trace recurrence on any model, including those over
 extension fields.  Its cost is O(q) field operations: keep q small.
 
+`lift_model` carries a model over F_ell into an extension field, so that
+`brute_count` can count a reduced curve over F_{ell^f} itself.
 `roots_in_field` scans F_q for roots, against the library's gcd root count.
 `delta_local` evaluates Delta in the truncated pi-adic field, against the
 library's v(Delta) = e * v_ell(disc).
@@ -16,6 +18,12 @@ from eulerchar.curves import WeierstrassModel
 from eulerchar.finite_fields import FqElement, FqField
 from eulerchar.local_fields import LocalElement
 from eulerchar.polynomials import Polynomial
+
+
+def lift_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
+    """A model over the prime field F_ell, with its coefficients read as
+    elements of a field of characteristic ell."""
+    return WeierstrassModel(*(field.from_int(c.coords[0]) for c in model.coefficients()))
 
 
 def roots_in_field(poly: Polynomial, field: FqField) -> list[FqElement]:

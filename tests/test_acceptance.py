@@ -38,7 +38,7 @@ from eulerchar.tate import (
     local_field_for,
     tate_algorithm,
 )
-from oracles import brute_count
+from oracles import brute_count, lift_model
 from eulerchar.valuations import euler_phi, is_prime, vp
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
@@ -248,7 +248,7 @@ def test_criterion_8_property_suites():
             if key in rules:
                 assert getattr(rerun, key) == rules[key]
         if rerun.is_good:
-            assert rerun.N_v == brute_count(rerun.reduced_model)
+            assert rerun.N_v == brute_count(lift_model(rerun.reduced_model, fq_create(ell, f)))
         # (d) c_v <= 4 whenever potentially good, on every output seen here
         for data in (base, rerun):
             if data.potentially_good:
@@ -287,10 +287,10 @@ def test_criterion_8_property_suites():
         f = rng.choice([1, 1, 2])
         stability_cases.append((model, ell, f, 1))
     for model, ell, f, e in stability_cases:
-        K = local_field_for(model, ell, f=f, e=e)
-        d1 = tate_algorithm(model, K)
-        K2 = local_field_for(model, ell, f=f, e=e, precision=2 * K.precision)
-        d2 = tate_algorithm(model, K2)
+        K = local_field_for(model, ell, e=e)
+        d1 = tate_algorithm(model, K, f=f)
+        K2 = local_field_for(model, ell, e=e, precision=2 * K.precision)
+        d2 = tate_algorithm(model, K2, f=f)
         assert d1.comparable_fields() == d2.comparable_fields()
 
     _report(8, started, 300)

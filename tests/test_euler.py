@@ -27,7 +27,7 @@ from eulerchar.euler import (
     tau_p,
 )
 from eulerchar.finite_fields import fq_create
-from oracles import brute_count
+from oracles import brute_count, lift_model
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -304,11 +304,9 @@ def test_analyze_large_residue_fields_match_oracle():
     good = {(pl.ell, pl.f): data for pl, data in report.places if data.is_good}
     assert sorted(good) == [(2, 18), (5, 9)]
     for (ell, f), data in good.items():
-        coeffs = [c.coords[0] for c in data.reduced_model.coefficients()]
 
         def over(k):
-            field = fq_create(ell, k)
-            return WeierstrassModel(*(field.from_int(c) for c in coeffs))
+            return lift_model(data.reduced_model, fq_create(ell, k))
 
         n1 = brute_count(over(1))
         for k in (2, 3):

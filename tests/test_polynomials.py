@@ -71,7 +71,8 @@ def test_roots_in_finite_field():
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_root_count_matches_scan(p, f):
     """deg gcd(P, x^q - x) against the field scan, on every monic polynomial
-    of degree <= 3 over F_4, F_5, F_7, F_8 and F_9."""
+    of degree <= 3 over F_4, F_5, F_7, F_8 and F_9, and on every monic
+    polynomial of degree <= 3 over F_p counted in F_{p^f} from F_p[x]."""
     from itertools import product
 
     from eulerchar.polynomials import count_roots_in_field
@@ -81,4 +82,21 @@ def test_root_count_matches_scan(p, f):
     for degree in range(4):
         for low in product(elements, repeat=degree):
             poly = Polynomial(list(low) + [F.one()])
-            assert count_roots_in_field(poly, F) == len(roots_in_field(poly, F))
+            assert count_roots_in_field(poly, F.order) == len(roots_in_field(poly, F))
+    Fp = fq_create(p, 1)
+    for degree in range(4):
+        for low in product(range(p), repeat=degree):
+            ints = list(low) + [1]
+            lifted = poly_from_ints(ints, F)
+            assert count_roots_in_field(poly_from_ints(ints, Fp), F.order) == len(
+                roots_in_field(lifted, F)
+            )
+
+
+def test_root_count_rejects_foreign_field_order():
+    from eulerchar.polynomials import count_roots_in_field
+
+    poly = poly_from_ints([1, 0, 1], fq_create(3, 1))
+    assert count_roots_in_field(poly, 9) == 2  # x^2 + 1 splits over F_9
+    with pytest.raises(ValueError):
+        count_roots_in_field(poly, 6)

@@ -1,6 +1,9 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,6 @@ from eulerchar.tate import (
     MULT_SPLIT,
     base_change_rules,
     base_change_unramified,
-    classify_split,
     euler_factor_at_one,
     local_field_for,
     pot_supersingular,
@@ -32,7 +34,7 @@ EJ0 = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
 
 
 def run(model, ell, f=1, e=1, precision=None):
-    return tate_algorithm(model, local_field_for(model, ell, f=f, e=e, precision=precision))
+    return tate_algorithm(model, local_field_for(model, ell, e=e, precision=precision), f=f)
 
 
 def test_tate_anchor_q2():
@@ -70,11 +72,10 @@ def test_tate_places_of_f_above_2_and_3():
     assert euler_factor_at_one(d3) == Fraction(729, 728)
 
 
-def test_classify_split_anchors():
-    assert classify_split(E294, local_field_for(E294, 2, f=3)) == MULT_SPLIT
-    assert classify_split(E294, local_field_for(E294, 3, f=6)) == MULT_SPLIT
-    with pytest.raises(ValueError):
-        classify_split(E294, local_field_for(E294, 7))  # additive there
+def test_split_classification_anchors():
+    assert run(E294, 2, f=3).reduction_class == MULT_SPLIT
+    assert run(E294, 3, f=6).reduction_class == MULT_SPLIT
+    assert run(E294, 7).reduction_class == ADDITIVE
 
 
 def test_nonsplit_becomes_split_in_even_degree():
@@ -191,7 +192,7 @@ def test_char23_additive_smoke():
 
 def test_tame_ramified_char3():
     """Places above 3 in Q(mu_3) are tame of degree 2; Tate must run there."""
-    d = tate_algorithm(E294, local_field_for(E294, 3, f=1, e=2))
+    d = tate_algorithm(E294, local_field_for(E294, 3, e=2))
     assert d.kodaira.symbol == "I2"  # I_1 over Q_3 ramifies to I_2
     assert d.v_min_delta == 2
 
@@ -264,10 +265,10 @@ def test_precision_doubling_stability():
         (EJ0, 5, 2, 1),
     ]
     for model, ell, f, e in fields:
-        K = local_field_for(model, ell, f=f, e=e)
-        d1 = tate_algorithm(model, K)
-        K2 = local_field_for(model, ell, f=f, e=e, precision=2 * K.precision)
-        d2 = tate_algorithm(model, K2)
+        K = local_field_for(model, ell, e=e)
+        d1 = tate_algorithm(model, K, f=f)
+        K2 = local_field_for(model, ell, e=e, precision=2 * K.precision)
+        d2 = tate_algorithm(model, K2, f=f)
         assert d1.comparable_fields() == d2.comparable_fields()
 
 
@@ -394,14 +395,10 @@ def _ogg_value(kodaira) -> int:
     return 2 + m_v - 1
 
 
-def test_ogg_formula_over_census_box():
-    """Every census-box curve at every ell in {5, 7, 11, 13} dividing its
-    discriminant, over Q_ell, the unramified quadratic extension, tame
-    x^2 - ell and Q_ell(mu_ell), plus curves of the types the box misses:
-    v(Delta_min) = f_v + m_v - 1, and v(Delta_min) differs from
-    e * v_ell(disc) by a multiple of 12."""
-    from itertools import product
-
+def _census_box_curves():
+    """(coefficients, model, disc) of every nonsingular census-box curve
+    (a1, a3 in {0, 1}, a2 in {-1, 0, 1}, |a4|, |a6| <= 5), plus curves of
+    the types the box misses."""
     extra = [
         [0, 0, 0, 0, 3125],  # II* at 5
         [0, 0, 0, 125, 0],  # III* at 5
@@ -410,13 +407,23 @@ def test_ogg_formula_over_census_box():
     ]
     box = range(-5, 6)
     curves = [list(c) for c in product((0, 1), (-1, 0, 1), (0, 1), box, box)] + extra
-    seen = set()
     for coeffs in curves:
         model = WeierstrassModel.from_rationals(coeffs)
         try:
             disc = invariants(model).disc
         except SingularModelError:
             continue
+        yield coeffs, model, disc
+
+
+def test_ogg_formula_over_census_box():
+    """Every census-box curve at every ell in {5, 7, 11, 13} dividing its
+    discriminant, over Q_ell, the unramified quadratic extension, tame
+    x^2 - ell and Q_ell(mu_ell), plus curves of the types the box misses:
+    v(Delta_min) = f_v + m_v - 1, and v(Delta_min) differs from
+    e * v_ell(disc) by a multiple of 12."""
+    seen = set()
+    for coeffs, model, disc in _census_box_curves():
         for ell in (5, 7, 11, 13):
             if disc.numerator % ell:
                 continue
@@ -427,6 +434,36 @@ def test_ogg_formula_over_census_box():
                 assert excess >= 0 and excess % 12 == 0
                 seen.add(d.kodaira.kind)
     assert seen == {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
+
+
+GRID = Path(__file__).parent / "data" / "tate_residue_degree_grid.json"
+
+
+def test_residue_degree_grid_matches_recording():
+    """comparable_fields() over the residue-degree grid equals the recording
+    in tests/data, made while Tate's algorithm still ran over the unramified
+    extension with residue field F_{ell^f}: every census-box curve at every
+    ell in {2, 3, 5, 7, 11, 13} dividing its discriminant, with e in
+    {1, tame, ell - 1} (tame is x^3 - 2 above 2 and x^2 - ell above
+    ell >= 5; e = ell - 1 is the cyclotomic layer, Q_3(mu_3) for e = 2 above
+    3) and f in {1, 2, 3, 4}."""
+    grid = json.loads(GRID.read_text(encoding="utf-8"))
+    rows = iter(grid["rows"])
+    recorded = 0
+    for coeffs, model, disc in _census_box_curves():
+        for ell in (2, 3, 5, 7, 11, 13):
+            if disc.numerator % ell:
+                continue
+            for e in sorted({1, 2 if ell > 2 else 3, ell - 1}):
+                for f in (1, 2, 3, 4):
+                    d = run(model, ell, f=f, e=e)
+                    kod = d.kodaira.symbol
+                    L = f"{d.L_at_1.numerator}/{d.L_at_1.denominator}"
+                    fields = d.comparable_fields()
+                    got = [coeffs, *fields[:3], kod, *fields[4:10], L]
+                    assert got == next(rows)
+                    recorded += 1
+    assert next(rows, None) is None and recorded == 17592
 
 
 def test_finish_rejects_type_contradicting_ogg():
@@ -452,13 +489,13 @@ def test_exact_delta_valuation_matches_local_field():
     from eulerchar.local_fields import make_local_field
     from eulerchar.tate import _rescale_by_pi, default_precision
 
-    fields = [(ell, f, 1, False) for ell in (2, 3, 5, 7) for f in (1, 2, 3)]
-    fields += [(2, 1, 3, False), (3, 1, 2, False), (5, 1, 2, False), (7, 1, 3, False)]
-    fields += [(5, 1, 4, True), (7, 1, 6, True)]
+    fields = [(ell, 1, False) for ell in (2, 3, 5, 7)]
+    fields += [(2, 3, False), (3, 2, False), (5, 2, False), (7, 3, False)]
+    fields += [(5, 4, True), (7, 6, True)]
     rng = random.Random(53)
     checked = 0
     while checked < 200:
-        ell, f, e, cyclotomic = fields[checked % len(fields)]
+        ell, e, cyclotomic = fields[checked % len(fields)]
         coeffs = [rng.randint(-30, 30) * ell ** rng.randint(0, 2) for _ in range(5)]
         model = WeierstrassModel.from_rationals(coeffs)
         try:
@@ -466,13 +503,13 @@ def test_exact_delta_valuation_matches_local_field():
         except SingularModelError:
             continue
         precision = default_precision(model, ell, e)
-        K = make_local_field(ell, f=f, e=e, precision=precision, cyclotomic=cyclotomic)
+        K = make_local_field(ell, e=e, precision=precision, cyclotomic=cyclotomic)
         n = K.e * vp(disc, ell)
         a = K.embed_model(model.coefficients())
         assert delta_local(a).valuation() == n
 
         scaled = integral_model(transform(model, Fraction(1, ell), 0, 0, 0))
-        K2 = make_local_field(ell, f=f, e=e, precision=precision + 12 * e, cyclotomic=cyclotomic)
+        K2 = make_local_field(ell, e=e, precision=precision + 12 * e, cyclotomic=cyclotomic)
         b = _rescale_by_pi(K2.embed_model(scaled.coefficients()))
         assert delta_local(b).valuation() == K2.e * vp(invariants(scaled).disc, ell) - 12
 
