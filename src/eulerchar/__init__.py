@@ -31,7 +31,7 @@ from .euler import (
     rho_p,
     tau_p,
 )
-from .finite_fields import FqElement, FqField, fq_create, fq_is_square
+from .finite_fields import FqElement, FqField, fq_create
 from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
 from .polynomials import Polynomial, rational_roots
 from .tate import (

@@ -388,10 +388,14 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
 
     Rational roots of psi_p are lifted to candidate points and their order
     verified by repeated addition.  Over Q and for p >= 5 the group is
-    trivial or cyclic of order p.
+    trivial or cyclic of order p.  By Mazur's theorem (1977) E(Q) has no
+    point of prime order p >= 11, so those p return 1 without building
+    psi_p, whose degree is (p^2 - 1)/2.
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
+    if p >= 11:
+        return 1
     from .polynomials import rational_roots
 
     psi = division_polynomial(model, p)

@@ -4,6 +4,11 @@ The modulus is pinned deterministically: the first monic irreducible
 polynomial of degree f in increasing integer encoding sum(c_i * ell**i),
 so every run produces bit-identical field models.  For f = 1 the modulus
 is u itself.
+
+The library builds only F_ell = fq_create(ell, 1): every residue of Tate's
+algorithm and every curve it counts lies there, and counts over F_{ell^f}
+follow by the Frobenius recurrence.  The extension fields stay as the
+model the test oracles count and scan over.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .polynomials import _frobenius_minus_x_mod_p, _poly_divmod_mod_p, _poly_gcd_mod_p
 from .valuations import is_prime
 
 
@@ -168,85 +174,8 @@ class FqField:
             raise AssertionError("trace left the prime field")
         return acc.coords[0]
 
-    def sqrt(self, a: FqElement) -> FqElement | None:
-        """A square root of a, or None if a is not a square.
-
-        In characteristic 2 the Frobenius is bijective so the root always
-        exists and equals a**(q/2).
-        """
-        if self.characteristic == 2:
-            return a ** (self.order // 2)
-        if a.is_zero():
-            return self.zero()
-        if not fq_is_square(a):
-            return None
-        # fields here are small; scanning is simple and deterministic
-        for b in self.elements():
-            if b * b == a:
-                return b
-        raise AssertionError("unreachable: square has a root")
-
-    def char_root(self, a: FqElement) -> FqElement:
-        """The unique ell-th root (inverse Frobenius), a**(q/ell)."""
-        return a ** (self.order // self.characteristic)
-
     def __repr__(self):
         return f"FqField({self.characteristic}^{self.degree})"
-
-
-def _poly_divmod_mod_p(num: list[int], den: list[int], p: int):
-    """Quotient/remainder of dense integer polys over F_p; den is monic."""
-    num = [c % p for c in num]
-    dd = len(den) - 1
-    q = [0] * max(1, len(num) - dd)
-    for k in range(len(num) - 1 - dd, -1, -1):
-        c = num[k + dd] % p
-        if c:
-            q[k] = c
-            for j in range(dd + 1):
-                num[k + j] = (num[k + j] - c * den[j]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of dense integer polynomials over F_p."""
-
-    def strip(x):
-        x = [c % p for c in x]
-        while len(x) > 1 and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = strip(a), strip(b)
-    while b != [0]:
-        lead_inv = pow(b[-1], p - 2, p)
-        monic = [c * lead_inv % p for c in b]
-        _, r = _poly_divmod_mod_p(a, monic, p)
-        a, b = monic, strip(r)
-    return a
-
-
-def _poly_mulmod_mod_p(a, b, modulus, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    _, rem = _poly_divmod_mod_p(prod, modulus, p)
-    return rem
-
-
-def _x_powmod_mod_p(exponent: int, modulus: list[int], p: int) -> list[int]:
-    acc = [1]
-    base = [0, 1]
-    while exponent:
-        if exponent & 1:
-            acc = _poly_mulmod_mod_p(acc, base, modulus, p)
-        base = _poly_mulmod_mod_p(base, base, modulus, p)
-        exponent >>= 1
-    return acc
 
 
 def _is_irreducible_mod_p(poly: tuple[int, ...], p: int) -> bool:
@@ -268,20 +197,11 @@ def _is_irreducible_mod_p(poly: tuple[int, ...], p: int) -> bool:
     from .valuations import factorize
 
     modulus = list(poly)
-
-    def frobenius_minus_x(k: int) -> list[int]:
-        h = list(_x_powmod_mod_p(p**k, modulus, p))
-        while len(h) < 2:
-            h.append(0)
-        h[1] = (h[1] - 1) % p
-        while len(h) > 1 and h[-1] == 0:
-            h.pop()
-        return h
-
     for t, _ in factorize(f):
-        if _poly_gcd_mod_p(modulus, frobenius_minus_x(f // t), p) != [1]:
+        h = _frobenius_minus_x_mod_p(p ** (f // t), modulus, p)
+        if _poly_gcd_mod_p(modulus, h, p) != [1]:
             return False
-    return frobenius_minus_x(f) == [0]
+    return _frobenius_minus_x_mod_p(p**f, modulus, p) == [0]
 
 
 @lru_cache(maxsize=None)
@@ -309,19 +229,3 @@ def fq_create(ell: int, f: int) -> FqField:
         if _is_irreducible_mod_p(candidate, ell):
             return FqField(ell, f, candidate)
     raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-def fq_is_square(a: FqElement) -> bool:
-    """True when a is a square in its field.
-
-    Zero counts as a square.  For odd characteristic this is the Euler
-    criterion a**((q-1)/2) == 1; in characteristic 2 every element is a
-    square (explicit root via Frobenius).
-    """
-    if a.is_zero():
-        return True
-    field = a.field
-    if field.characteristic == 2:
-        r = field.sqrt(a)
-        return r * r == a
-    return a ** ((field.order - 1) // 2) == field.one()

@@ -1,7 +1,7 @@
 """Truncated exact arithmetic in totally ramified extensions of Q_ell.
 
 A field is Z_ell[pi]/(g(pi)) for an Eisenstein g of degree e, with residue
-field F_ell:
+field F_ell, whose elements are the integers 0, ..., ell - 1:
 
   * e = 1: g(x) = x - ell,
   * tame e with gcd(e, ell) = 1: g(x) = x^e - ell,
@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .finite_fields import FqElement, FqField, fq_create
 from .valuations import int_valuation, is_prime, vp
 
 _BIG = 1 << 62  # stands in for +infinity in tensor-valuation bookkeeping
@@ -51,7 +50,6 @@ class LocalField:
         self.e = e
         self.precision = precision
         self.cyclotomic = cyclotomic
-        self.residue_field: FqField = fq_create(ell, 1)
         # store M ell-adic digits per coefficient; slack absorbs carries
         self.M = max(-(-precision // e), 2) + 4
         self.modulus = ell**self.M
@@ -185,10 +183,6 @@ class LocalField:
             out = self._tensor_scale_down(out, 1)
         return out
 
-    def _tensor_residue(self, A) -> FqElement:
-        """Residue of a tensor of valuation 0 in F_ell."""
-        return self.residue_field.from_int(A[0])
-
     # -- element constructors ----------------------------------------------------
 
     def zero(self) -> "LocalElement":
@@ -200,11 +194,9 @@ class LocalField:
     def pi(self) -> "LocalElement":
         return LocalElement(self, self._pi_tensor, 0, self.tprec_max)
 
-    def from_residue(self, a: FqElement) -> "LocalElement":
+    def from_residue(self, a: int) -> "LocalElement":
         """The lift of a residue in F_ell to an integer in [0, ell)."""
-        if a.field is not self.residue_field:
-            raise ValueError("residue element belongs to a different field")
-        return LocalElement(self, self._int_tensor(a.coords[0]), 0, self.tprec_max)
+        return LocalElement(self, self._int_tensor(a % self.ell), 0, self.tprec_max)
 
     def embed(self, x: Fraction | int) -> "LocalElement":
         """Embedding of Q, exact to working precision; val = e * v_ell(x)."""
@@ -378,27 +370,26 @@ class LocalElement:
     def is_zero_to_precision(self) -> bool:
         return self.field._tensor_val(self.tensor) >= self.tprec
 
-    def unit_residue(self) -> FqElement:
-        """Residue of x * pi^(-v(x))."""
+    def unit_residue(self) -> int:
+        """Residue of x * pi^(-v(x)), as an integer in [0, ell)."""
         F = self.field
         tv = F._tensor_val(self.tensor)
         if tv >= self.tprec:
             raise PrecisionError("indistinguishable from zero")
-        unit = F._tensor_extract_unit(self.tensor, tv)
-        return F._tensor_residue(unit)
+        return F._tensor_extract_unit(self.tensor, tv)[0] % F.ell
 
-    def residue(self) -> FqElement:
-        """Residue in F_ell of an integral element."""
-        F = self.field
+    def residue(self) -> int:
+        """Residue in F_ell of an integral element, as an integer in
+        [0, ell)."""
         if self.is_zero_to_precision():
             if self.abs_prec >= 1:
-                return F.residue_field.zero()
+                return 0
             raise PrecisionError("residue unknown at this precision")
         v = self.valuation()
         if v < 0:
             raise ValueError("residue of a non-integral element")
         if v > 0:
-            return F.residue_field.zero()
+            return 0
         return self.unit_residue()
 
     def __repr__(self):

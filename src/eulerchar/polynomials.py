@@ -1,22 +1,20 @@
-"""Dense univariate polynomials over the rationals or over a finite field.
+"""Dense univariate polynomials: over the rationals as `Polynomial`, and
+over F_ell as integer coefficient lists.
 
 Degrees in this package stay small (at most (p**2 - 1)/2 for division
 polynomials), so a dense coefficient list is the right representation.
+Over F_ell a polynomial is a list of ints low-to-high; the helpers below
+divide, multiply and take gcds of such lists, and `count_roots_in_field`
+counts the roots in F_q of one of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .finite_fields import FqElement, FqField
-
-
 class Polynomial:
-    """Coefficients low-to-high degree with trailing zeros trimmed.
-
-    Coefficients are either all Fraction or all FqElement of one field;
-    the zero polynomial keeps a single zero coefficient.
-    """
+    """Rational coefficients, low-to-high degree, with trailing zeros
+    trimmed; the zero polynomial keeps a single zero coefficient."""
 
     __slots__ = ("coeffs",)
 
@@ -24,14 +22,14 @@ class Polynomial:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("empty coefficient list")
-        while len(coeffs) > 1 and _is_zero(coeffs[-1]):
+        while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = coeffs
 
     # -- inspection ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and _is_zero(self.coeffs[0])
+        return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
     @property
     def degree(self) -> int:
@@ -68,7 +66,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return Polynomial([self.coeffs[0] * other.coeffs[0]])
+            return Polynomial([Fraction(0)])
         out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -88,23 +86,22 @@ class Polynomial:
             base = base * base
             n >>= 1
         if result is None:
-            one = self.coeffs[0] - self.coeffs[0]
-            return Polynomial([_one_like(self.coeffs[0], one)])
+            return Polynomial([Fraction(1)])
         return result
 
     def divmod(self, other: "Polynomial"):
-        """Division with remainder; coefficient domain must be a field."""
+        """Division with remainder over Q."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = list(self.coeffs)
         d = other.degree
         if self.degree < d:
-            return Polynomial([self.coeffs[0] - self.coeffs[0]]), Polynomial(rem)
-        inv_lead = _invert(other.leading())
-        q = [self.coeffs[0] - self.coeffs[0]] * (len(rem) - d)
+            return Polynomial([Fraction(0)]), Polynomial(rem)
+        inv_lead = 1 / Fraction(other.leading())
+        q = [Fraction(0)] * (len(rem) - d)
         for k in range(len(rem) - 1 - d, -1, -1):
             c = rem[k + d] * inv_lead
-            if not _is_zero(c):
+            if c != 0:
                 q[k] = c
                 for j in range(d + 1):
                     rem[k + j] = rem[k + j] - c * other.coeffs[j]
@@ -116,83 +113,105 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial([self.coeffs[0] - self.coeffs[0]])
-        return Polynomial([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial([fn(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"Polynomial({self.coeffs})"
 
 
-def _is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, FqElement) else c == 0
+def poly_from_ints(ints) -> Polynomial:
+    """Integer coefficients into a polynomial over Q."""
+    return Polynomial([Fraction(n) for n in ints])
 
 
-def _one_like(sample, zero):
-    if isinstance(sample, FqElement):
-        return sample.field.one()
-    return Fraction(1)
+# -- polynomials over F_p as integer lists, low-to-high ---------------------------
 
 
-def _invert(c):
-    if isinstance(c, FqElement):
-        return c.inverse()
-    return Fraction(1) / c
+def _poly_divmod_mod_p(num: list[int], den: list[int], p: int):
+    """Quotient/remainder of dense integer polys over F_p; den is monic."""
+    num = [c % p for c in num]
+    dd = len(den) - 1
+    q = [0] * max(1, len(num) - dd)
+    for k in range(len(num) - 1 - dd, -1, -1):
+        c = num[k + dd] % p
+        if c:
+            q[k] = c
+            for j in range(dd + 1):
+                num[k + j] = (num[k + j] - c * den[j]) % p
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return q, num
 
 
-def poly_from_ints(ints, field: FqField | None = None) -> Polynomial:
-    """Integer coefficients into a polynomial over Q or over a finite field."""
-    if field is None:
-        return Polynomial([Fraction(n) for n in ints])
-    return Polynomial([field.from_int(n) for n in ints])
+def _poly_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of dense integer polynomials over F_p."""
+
+    def strip(x):
+        x = [c % p for c in x]
+        while len(x) > 1 and x[-1] == 0:
+            x.pop()
+        return x
+
+    a, b = strip(a), strip(b)
+    while b != [0]:
+        lead_inv = pow(b[-1], p - 2, p)
+        monic = [c * lead_inv % p for c in b]
+        _, r = _poly_divmod_mod_p(a, monic, p)
+        a, b = monic, strip(r)
+    return a
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over a coefficient field."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * _invert(a.leading())
+def _poly_mulmod_mod_p(a, b, modulus, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    _, rem = _poly_divmod_mod_p(prod, modulus, p)
+    return rem
 
 
-def _x_power_q_mod(modulus: Polynomial, q: int) -> Polynomial:
-    """x^q modulo the given polynomial, by square and multiply."""
-    field = modulus.leading().field
-    acc = Polynomial([field.one()])
-    base = Polynomial([field.zero(), field.one()])
-    while q:
-        if q & 1:
-            _, acc = (acc * base).divmod(modulus)
-        _, base = (base * base).divmod(modulus)
-        q >>= 1
+def _x_powmod_mod_p(exponent: int, modulus: list[int], p: int) -> list[int]:
+    acc = [1]
+    base = [0, 1]
+    while exponent:
+        if exponent & 1:
+            acc = _poly_mulmod_mod_p(acc, base, modulus, p)
+        base = _poly_mulmod_mod_p(base, base, modulus, p)
+        exponent >>= 1
     return acc
 
 
-def count_roots_in_field(poly: Polynomial, q: int) -> int:
-    """Number of distinct roots in F_q of a nonzero poly over a finite field
-    F_r, for any power q of r: deg gcd(poly, x^q - x), computed in F_r[x],
-    which counts exactly the distinct roots rational over F_q, at
-    O(log q) polynomial products for any field size.
+def _frobenius_minus_x_mod_p(q: int, modulus: list[int], p: int) -> list[int]:
+    """x^q - x modulo a monic modulus over F_p, trimmed."""
+    h = _x_powmod_mod_p(q, modulus, p)
+    h += [0] * (2 - len(h))
+    h[1] = (h[1] - 1) % p
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    return h
+
+
+def count_roots_in_field(coeffs: list[int], ell: int, q: int) -> int:
+    """Number of distinct roots in F_q of a polynomial over F_ell, given as
+    integer coefficients low-to-high whose leading one is nonzero mod ell,
+    for any power q of ell: deg gcd(P, x^q - x), computed in F_ell[x], at
+    O(log q) polynomial products.  Raises ValueError for any other q or a
+    leading coefficient divisible by ell.
     """
-    field = poly.leading().field
-    power = field.order
+    power = ell
     while power < q:
-        power *= field.order
+        power *= ell
     if power != q:
-        raise ValueError(f"{q} is not a power of the coefficient field order {field.order}")
-    xq_minus_x = _x_power_q_mod(poly, q) - Polynomial([field.zero(), field.one()])
-    g = poly_gcd(poly, xq_minus_x)
-    return max(g.degree, 0)
+        raise ValueError(f"{q} is not a power of the coefficient field order {ell}")
+    lead = coeffs[-1] % ell
+    if lead == 0:
+        raise ValueError(f"leading coefficient {coeffs[-1]} vanishes mod {ell}")
+    lead_inv = pow(lead, -1, ell)
+    monic = [c * lead_inv % ell for c in coeffs]
+    return len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(q, monic, ell), ell)) - 1
 
 
 def _divisors_abs(n: int) -> list[int]:
-    """Positive divisors of |n| by trial division up to sqrt."""
+    """Positive divisors of |n| by trial division up to its square root."""
     n = abs(n)
     small, large = [], []
     d = 1

@@ -4,13 +4,15 @@ base change, and the potential-supersingularity test.
 
 The algorithm follows the classical step ladder (I0, I_n, II, III, IV,
 I0*, I_n*, IV*, III*, II*, rescale) and works for every residue
-characteristic.  Residue characteristic 2 needs two non-generic
-normalizations, both solved with residue-field square roots: the
-coordinate change before the step-6 cubic uses s with s^2 = a2 mod pi and
-t = pi * sqrt(a6 / pi^2 mod pi); everything else divides only by units.
-Singular points and multiple roots come from closed-form solutions, and
-residue-field root counts are deg gcd(P, x^q - x), so no step is linear in
-the residue field size.
+characteristic.  Residues are integers mod ell, and every division in the
+residue field is an inverse pow(x, -1, ell).  Residue characteristic 2
+needs two non-generic normalizations, both solved by square roots in F_2,
+which Frobenius fixes: the coordinate change before the step-6 cubic uses
+s = a2 mod pi and t = pi * (a6 / pi^2 mod pi); everything else divides only
+by units.  Singular points and multiple roots come from closed-form
+solutions (the cube root in characteristic 3 is the identity on F_3 too),
+and residue-field root counts are deg gcd(P, x^q - x) on integer
+coefficient lists, so no step is linear in the residue field size.
 
 v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
 the integral rational model: translations leave Delta unchanged and each
@@ -28,8 +30,9 @@ through q = ell^f: in q_v, in the number of roots in F_q of each residue
 quadratic or cubic (the split test of the tangent cone included), taken as
 deg gcd(P, x^q - x) in F_ell[x], and in N_v, the F_ell count of the reduced
 curve extended to F_q by the Frobenius recurrence (`extension_count`), at
-O(ell) cost for any f.  Potential supersingularity above p is read off
-a_p mod p of a curve over F_p with the reduced j.
+O(ell) cost for any f, and checked against the Hasse bound.  Potential
+supersingularity above p is read off a_p mod p of a curve over F_p with
+the reduced j.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from fractions import Fraction
 
 from .curves import (
     WeierstrassModel,
+    b_invariants,
     count_points,
     extension_count,
     integral_model,
@@ -46,9 +50,9 @@ from .curves import (
     model_with_j_invariant,
     reduce_model,
 )
-from .finite_fields import FqElement, FqField, fq_create
+from .finite_fields import fq_create
 from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
-from .polynomials import Polynomial, count_roots_in_field
+from .polynomials import count_roots_in_field
 from .valuations import PLUS_INFINITY, vp
 
 GOOD_ORDINARY = "GoodOrdinary"
@@ -167,100 +171,94 @@ def local_field_for(
     return make_local_field(ell, e=e, precision=precision, cyclotomic=cyclotomic)
 
 
-# -- residue-field helpers -----------------------------------------------------
+# -- residue-field helpers: residues are integers mod ell -----------------------
 
 
-def _quadratic_data(A: FqElement, B: FqElement, C: FqElement, q: int):
+def _quadratic_data(A: int, B: int, C: int, ell: int, q: int):
     """(has distinct roots, root count in F_q, double root) for
-    A X^2 + B X + C over k = F_ell."""
-    k = A.field
-    disc = B * B - 4 * A * C
-    if not disc.is_zero():
-        return True, count_roots_in_field(Polynomial([C, B, A]), q), None
-    if k.characteristic == 2:
-        double = k.sqrt(C / A)
+    A X^2 + B X + C over F_ell, with A nonzero mod ell."""
+    if (B * B - 4 * A * C) % ell:
+        return True, count_roots_in_field([C, B, A], ell, q), None
+    if ell == 2:
+        double = C % 2  # the square root of C / A with A = 1; Frobenius fixes F_2
     else:
-        double = -B / (2 * A)
+        double = -B * pow(2 * A, -1, ell) % ell
     return False, 1, double
 
 
-def _cubic_analysis(a: FqElement, b: FqElement, c: FqElement, q: int):
-    """Root structure of P = T^3 + a T^2 + b T + c over k = F_ell.
+def _cubic_analysis(a: int, b: int, c: int, ell: int, q: int):
+    """Root structure of P = T^3 + a T^2 + b T + c over F_ell.
 
     Returns ("distinct", count of roots in F_q), ("double", root) or
     ("triple", root); multiple roots of a cubic are always rational over a
     perfect field.
     """
-    k = a.field
-    disc = (
-        18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
-    )
-    poly = Polynomial([c, b, a, k.one()])
-    if not disc.is_zero():
-        return "distinct", count_roots_in_field(poly, q)
+    disc = 18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
+    if disc % ell:
+        return "distinct", count_roots_in_field([c, b, a, 1], ell, q)
     # the multiple root is rational and has a closed form in every
-    # characteristic: it is the sole root of gcd(P, P')
-    p = k.characteristic
-    if p == 2:
+    # characteristic: it is the sole root of gcd(P, P').  Frobenius fixes
+    # F_ell, so the square roots of characteristic 2 and the cube roots of
+    # characteristic 3 below are the identity.
+    if ell == 2:
         # P' = T^2 + b, so the multiple root squares to b; triple iff b = a^2
-        if (b - a * a).is_zero():
-            kind, r = "triple", a
-        else:
-            kind, r = "double", k.sqrt(b)
+        kind, r = ("triple", a) if (b - a * a) % 2 == 0 else ("double", b)
     else:
         hessian = a * a - 3 * b  # (double root - simple root)^2 when disc = 0
-        if not hessian.is_zero():
-            kind, r = "double", (9 * c - a * b) / (2 * hessian)
-        elif p == 3:
-            kind, r = "triple", k.char_root(-c)
+        if hessian % ell:
+            kind, r = "double", (9 * c - a * b) * pow(2 * hessian, -1, ell)
+        elif ell == 3:
+            kind, r = "triple", -c
         else:
-            kind, r = "triple", -a / k.from_int(3)
-    if not poly.evaluate(r).is_zero():
+            kind, r = "triple", -a * pow(3, -1, ell)
+    r %= ell
+    if (((r + a) * r + b) * r + c) % ell:
         raise AssertionError("cubic multiple-root formulas failed")
     return kind, r
 
 
-def _singular_point(abar: list[FqElement], k: FqField):
-    """The unique singular point of a singular reduced Weierstrass cubic,
-    by closed-form solution of the two vanishing partial derivatives.
+def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
+    """The unique singular point of a singular reduced Weierstrass cubic
+    over F_ell, by closed-form solution of the two vanishing partial
+    derivatives.
 
     Characteristic 2 inverts the y-partial directly (square roots are the
-    Frobenius inverse there); characteristic 3 solves the x-partial, which
-    degenerates to a cube root when its linear coefficient vanishes; odd
-    characteristic >= 5 completes the square and locates the multiple root
-    of the resulting cubic from its coefficients.
+    identity on F_2); characteristic 3 solves the x-partial, which
+    degenerates to a cube root (the identity on F_3) when its linear
+    coefficient vanishes; odd characteristic >= 5 completes the square and
+    locates the multiple root of the resulting cubic from its coefficients.
     """
     a1, a2, a3, a4, a6 = abar
 
     def F(x, y):
-        return y * y + (a1 * x + a3) * y - (((x + a2) * x + a4) * x + a6)
+        return (y * y + (a1 * x + a3) * y - (((x + a2) * x + a4) * x + a6)) % ell
 
     def Fx(x, y):
-        return a1 * y - (3 * x * x + 2 * a2 * x + a4)
+        return (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % ell
 
-    p = k.characteristic
-    if p == 2:
-        if not a1.is_zero():
-            x0 = a3 / a1
-            y0 = (x0 * x0 + a4) / a1
+    if ell == 2:
+        if a1 % 2:
+            x0 = a3
+            y0 = x0 * x0 + a4
         else:
-            if not a3.is_zero():
+            if a3 % 2:
                 raise AssertionError("nonsingular reduction reached singular search")
-            x0 = k.sqrt(a4)
-            y0 = k.sqrt(((x0 + a2) * x0 + a4) * x0 + a6)
-        if not F(x0, y0).is_zero():
+            x0 = a4
+            y0 = ((x0 + a2) * x0 + a4) * x0 + a6
+        x0, y0 = x0 % 2, y0 % 2
+        if F(x0, y0):
             raise AssertionError("char-2 singular point formulas failed")
         return x0, y0
 
-    inv2 = k.from_int(2).inverse()
-    if p == 3:
+    inv2 = pow(2, -1, ell)
+    if ell == 3:
         # F_x(x, y(x)) = (a1^2 + a2) x + (a1 a3 - a4) along 2y = -(a1 x + a3)
         lead = a1 * a1 + a2
-        if not lead.is_zero():
-            x0 = (a4 - a1 * a3) / lead
+        if lead % 3:
+            x0 = (a4 - a1 * a3) * pow(lead, -1, 3)
         else:
-            # then F(x, y(x)) = -(x^3 + a6 + a3^2); Frobenius gives the cube root
-            x0 = k.char_root(-(a6 + a3 * a3))
+            # then F(x, y(x)) = -(x^3 + a6 + a3^2), whose cube root is itself
+            x0 = -(a6 + a3 * a3)
     else:
         # complete the square: eta^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4,
         # and take the multiple root of the right-hand cubic
@@ -268,13 +266,14 @@ def _singular_point(abar: list[FqElement], k: FqField):
         c2 = (a1 * a1 + 4 * a2) * inv4
         c1 = (2 * a4 + a1 * a3) * inv2
         c0 = (a3 * a3 + 4 * a6) * inv4
-        hessian = c2 * c2 - 3 * c1  # equals (double root - simple root)^2
-        if not hessian.is_zero():
-            x0 = (9 * c0 - c2 * c1) / (2 * hessian)
+        hessian = (c2 * c2 - 3 * c1) % ell  # equals (double root - simple root)^2
+        if hessian:
+            x0 = (9 * c0 - c2 * c1) * pow(2 * hessian, -1, ell)
         else:
-            x0 = -c2 / k.from_int(3)
-    y0 = -(a1 * x0 + a3) * inv2
-    if not (F(x0, y0).is_zero() and Fx(x0, y0).is_zero()):
+            x0 = -c2 * pow(3, -1, ell)
+    x0 %= ell
+    y0 = -(a1 * x0 + a3) * inv2 % ell
+    if F(x0, y0) or Fx(x0, y0):
         raise AssertionError("singular point formulas failed")
     return x0, y0
 
@@ -318,16 +317,7 @@ def _rescale_by_pi(a: list[LocalElement]) -> list[LocalElement]:
     ]
 
 
-def _b_locals(a: list[LocalElement]):
-    a1, a2, a3, a4, a6 = a
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return b2, b4, b6, b8
-
-
-def _res_shift(x: LocalElement, k: int) -> FqElement:
+def _res_shift(x: LocalElement, k: int) -> int:
     """Residue of x / pi^k."""
     return x.shift_pi(-k).residue()
 
@@ -367,37 +357,36 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
         raise ValueError("tate_algorithm expects a model over Q")
     work = integral_model(model)
     inv = invariants(work)  # also rejects singular models
-    k = K.residue_field
-    q = K.ell**f
-    vj = vp(inv.j, K.ell)
+    ell = K.ell
+    q = ell**f
+    vj = vp(inv.j, ell)
     potentially_good = vj is PLUS_INFINITY or vj >= 0
 
-    place = dict(ell=K.ell, e=K.e, f=f, q_v=q, model=model, precision_used=K.precision)
+    place = dict(ell=ell, e=K.e, f=f, q_v=q, model=model, precision_used=K.precision)
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
-    n = K.e * vp(inv.disc, K.ell)
+    n = K.e * vp(inv.disc, ell)
     if n == 0:
-        return _good_data(reduce_model(work, k), place, potentially_good)
+        return _good_data(reduce_model(work, fq_create(ell, 1)), place, potentially_good)
     a = K.embed_model(work.coefficients())
 
     for _round in range(n // 12 + 1):
         # Step 2: move the singular point to the origin.
         abar = [x.residue() for x in a]
-        x0, y0 = _singular_point(abar, k)
+        x0, y0 = _singular_point(abar, ell)
         a = _translate(a, r=K.from_residue(x0), t=K.from_residue(y0))
         for idx, least in ((2, 1), (3, 1), (4, 1)):
             if not a[idx].val_at_least(least):
                 raise AssertionError("singular translation failed")
 
-        b2, b4, b6, b8 = _b_locals(a)
+        b2, b4, b6, b8 = b_invariants(WeierstrassModel(*a))
         if not b2.val_at_least(1):
             # Type I_n, multiplicative.
-            split = _tangent_splits(a[0].residue(), a[1].residue(), q)
+            split = _tangent_splits(a[0].residue(), a[1].residue(), ell, q)
             c_v = n if split else (2 if n % 2 == 0 else 1)
             if not (vj is not PLUS_INFINITY and vj < 0 and K.e * (-vj) == n):
                 raise AssertionError("multiplicative type contradicts v(j)")
             cls = MULT_SPLIT if split else MULT_NONSPLIT
-            L = Fraction(q, q - 1) if split else Fraction(q, q + 1)
             return _finish(
                 place,
                 KodairaType("In", n),
@@ -406,7 +395,6 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
                 cls,
                 potentially_good=False,
                 N_v=None,
-                L=L,
                 reduced=None,
             )
 
@@ -416,7 +404,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
             return _additive(place, KodairaType("III"), 2, n, potentially_good)
         if not b6.val_at_least(3):
             quad_roots = count_roots_in_field(
-                Polynomial([-_res_shift(a[4], 2), _res_shift(a[2], 1), k.one()]), q
+                [-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, q
             )
             c_v = 3 if quad_roots else 1
             return _additive(place, KodairaType("IV"), c_v, n, potentially_good)
@@ -425,7 +413,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
         P_a = _res_shift(a[1], 1)
         P_b = _res_shift(a[3], 2)
         P_c = _res_shift(a[4], 3)
-        shape, info = _cubic_analysis(P_a, P_b, P_c, q)
+        shape, info = _cubic_analysis(P_a, P_b, P_c, ell, q)
 
         if shape == "distinct":
             c_v = 1 + info
@@ -441,7 +429,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
             if not a[idx].val_at_least(least):
                 raise AssertionError("triple-root translation failed")
         distinct, roots, double = _quadratic_data(
-            k.one(), _res_shift(a[2], 2), -_res_shift(a[4], 4), q
+            1, _res_shift(a[2], 2), -_res_shift(a[4], 4), ell, q
         )
         if distinct:
             c_v = 3 if roots else 1
@@ -455,33 +443,32 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
         a = _rescale_by_pi(a)
         n -= 12
         if n == 0:
-            reduced = WeierstrassModel(*(x.residue() for x in a))
+            k = fq_create(ell, 1)
+            reduced = WeierstrassModel(*(k.from_int(x.residue()) for x in a))
             return _good_data(reduced, place, potentially_good)
 
     raise AssertionError("tate loop failed to terminate")
 
 
-def _tangent_splits(a1bar: FqElement, a2bar: FqElement, q: int) -> bool:
+def _tangent_splits(a1bar: int, a2bar: int, ell: int, q: int) -> bool:
     """Does T^2 + a1 T - a2 have a root in F_q?  At a node its roots are
     distinct, so a root in F_q means it splits there."""
-    poly = Polynomial([-a2bar, a1bar, a1bar.field.one()])
-    return count_roots_in_field(poly, q) > 0
+    return count_roots_in_field([-a2bar, a1bar, 1], ell, q) > 0
 
 
 def _normalize_for_cubic(a: list[LocalElement], K: LocalField) -> list[LocalElement]:
     """Arrange pi | a1, a2; pi^2 | a3, a4; pi^3 | a6 (entry state of the
     step-6 cubic).  Divisions are by units except in residue characteristic
-    2, where residue square roots replace them."""
-    k = K.residue_field
+    2, where residue square roots replace them: s^2 = a2 and
+    (t / pi)^2 = a6 / pi^2 mod pi, and a square root in F_2 is the residue
+    itself."""
     if K.ell != 2:
         inv2 = K.embed(Fraction(-1, 2))
         a = _translate(a, s=a[0] * inv2)
         a = _translate(a, t=a[2] * inv2)
     else:
-        s = K.from_residue(k.sqrt(a[1].residue()))
-        a = _translate(a, s=s)
-        t = K.from_residue(k.sqrt(_res_shift(a[4], 2))).shift_pi(1)
-        a = _translate(a, t=t)
+        a = _translate(a, s=K.from_residue(a[1].residue()))
+        a = _translate(a, t=K.from_residue(_res_shift(a[4], 2)).shift_pi(1))
     checks = ((0, 1), (1, 1), (2, 2), (3, 2), (4, 3))
     for idx, least in checks:
         if not a[idx].val_at_least(least):
@@ -493,8 +480,7 @@ def _star_loop(
     a: list[LocalElement], K: LocalField, place: dict, n_delta: int, potentially_good: bool
 ) -> LocalReductionData:
     """The I_n* subtype ladder (one double root in the step-6 cubic)."""
-    k = K.residue_field
-    q = place["q_v"]
+    ell, q = K.ell, place["q_v"]
     if a[1].valuation() != 1:
         raise AssertionError("I_n* entry expects v(a2) = 1")
     for idx, least in ((3, 3), (4, 4)):
@@ -505,7 +491,7 @@ def _star_loop(
         if j % 2 == 1:
             m = (j + 3) // 2
             distinct, roots, double = _quadratic_data(
-                k.one(), _res_shift(a[2], m), -_res_shift(a[4], 2 * m), q
+                1, _res_shift(a[2], m), -_res_shift(a[4], 2 * m), ell, q
             )
             if distinct:
                 c_v = 4 if roots else 2
@@ -516,7 +502,11 @@ def _star_loop(
         else:
             m = j // 2 + 2
             distinct, roots, double = _quadratic_data(
-                _res_shift(a[1], 1), _res_shift(a[3], m), _res_shift(a[4], 2 * m - 1), q
+                _res_shift(a[1], 1),
+                _res_shift(a[3], m),
+                _res_shift(a[4], 2 * m - 1),
+                ell,
+                q,
             )
             if distinct:
                 c_v = 4 if roots else 2
@@ -528,7 +518,10 @@ def _star_loop(
     raise AssertionError("I_n* ladder failed to terminate")
 
 
-def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, L, reduced):
+def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, reduced):
+    q = place["q_v"]
+    if N_v is not None and (q + 1 - N_v) ** 2 > 4 * q:
+        raise AssertionError(f"Hasse bound fails: N_v = {N_v} over F_{q}")
     data = LocalReductionData(
         ell=place["ell"],
         e=place["e"],
@@ -536,11 +529,11 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, L, red
         kodaira=kodaira,
         c_v=c_v,
         v_min_delta=v_min_delta,
-        q_v=place["q_v"],
+        q_v=q,
         reduction_class=cls,
         potentially_good=potentially_good,
         N_v=N_v,
-        L_at_1=L,
+        L_at_1=_euler_factor(cls, q, N_v),
         model=place["model"],
         reduced_model=reduced,
         precision_used=place["precision_used"],
@@ -563,7 +556,6 @@ def _additive(place, kodaira, c_v, v_min_delta, potentially_good):
         ADDITIVE,
         potentially_good,
         N_v=None,
-        L=Fraction(1),
         reduced=None,
     )
 
@@ -583,7 +575,6 @@ def _good_data(reduced: WeierstrassModel, place, potentially_good) -> LocalReduc
         cls,
         potentially_good=potentially_good,
         N_v=N,
-        L=Fraction(q, N),
         reduced=reduced,
     )
 
@@ -591,16 +582,21 @@ def _good_data(reduced: WeierstrassModel, place, potentially_good) -> LocalReduc
 # -- derived operations -------------------------------------------------------------
 
 
-def euler_factor_at_one(data: LocalReductionData) -> Fraction:
+def _euler_factor(cls: str, q: int, N: int | None) -> Fraction:
     """L_v(E, 1): q/N for good reduction, q/(q-1) split multiplicative,
     q/(q+1) nonsplit multiplicative, 1 additive."""
-    if data.reduction_class in (GOOD_ORDINARY, GOOD_SUPERSINGULAR):
-        return Fraction(data.q_v, data.N_v)
-    if data.reduction_class == MULT_SPLIT:
-        return Fraction(data.q_v, data.q_v - 1)
-    if data.reduction_class == MULT_NONSPLIT:
-        return Fraction(data.q_v, data.q_v + 1)
+    if cls in (GOOD_ORDINARY, GOOD_SUPERSINGULAR):
+        return Fraction(q, N)
+    if cls == MULT_SPLIT:
+        return Fraction(q, q - 1)
+    if cls == MULT_NONSPLIT:
+        return Fraction(q, q + 1)
     return Fraction(1)
+
+
+def euler_factor_at_one(data: LocalReductionData) -> Fraction:
+    """L_v(E, 1) of a place's reduction data."""
+    return _euler_factor(data.reduction_class, data.q_v, data.N_v)
 
 
 def base_change_unramified(data: LocalReductionData, f: int) -> LocalReductionData:

@@ -186,10 +186,6 @@ def primes_from(start: int):
         n += 1
 
 
-def is_square_int(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None when x is not a square."""
     if x < 0:

@@ -7,7 +7,8 @@ extension fields.  Its cost is O(q) field operations: keep q small.
 
 `lift_model` carries a model over F_ell into an extension field, so that
 `brute_count` can count a reduced curve over F_{ell^f} itself.
-`roots_in_field` scans F_q for roots, against the library's gcd root count.
+`roots_in_field` scans F_q for roots of an integer polynomial, against the
+library's gcd root count.
 `delta_local` evaluates Delta in the truncated pi-adic field, against the
 library's v(Delta) = e * v_ell(disc).
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 from eulerchar.curves import WeierstrassModel
 from eulerchar.finite_fields import FqElement, FqField
 from eulerchar.local_fields import LocalElement
-from eulerchar.polynomials import Polynomial
 
 
 def lift_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
@@ -26,11 +26,19 @@ def lift_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
     return WeierstrassModel(*(field.from_int(c.coords[0]) for c in model.coefficients()))
 
 
-def roots_in_field(poly: Polynomial, field: FqField) -> list[FqElement]:
-    """All roots in the given finite field, found by scanning the field.
-    Roots are listed once each, in the field's deterministic element order."""
-    zero = field.zero()
-    return [x for x in field.elements() if poly.evaluate(x) == zero]
+def roots_in_field(coeffs: list[int], field: FqField) -> list[FqElement]:
+    """All roots in the given finite field of the polynomial with integer
+    coefficients coeffs (low to high), found by scanning the field.  Roots
+    are listed once each, in the field's deterministic element order."""
+    lifted = [field.from_int(c) for c in reversed(coeffs)]
+    roots = []
+    for x in field.elements():
+        acc = field.zero()
+        for c in lifted:
+            acc = acc * x + c
+        if acc.is_zero():
+            roots.append(x)
+    return roots
 
 
 def delta_local(a: list[LocalElement]) -> LocalElement:

@@ -199,16 +199,18 @@ def test_division_polynomial_roots_are_torsion_x():
     exactly the x-coordinates of nonzero n-torsion points."""
     F31 = fq_create(31, 1)
     model = reduce_model(EJ0, F31)
-    psi5 = division_polynomial(EJ0, 5).map_coefficients(
-        lambda c: F31.from_int(c.numerator) / F31.from_int(c.denominator)
-    )
+    psi5 = division_polynomial(EJ0, 5)
     torsion_x = set()
     for x in range(31):
         for y in range(31):
             P = CurvePoint(F31.from_int(x), F31.from_int(y))
             if is_on_curve(model, P) and scalar_mul(model, 5, P).is_infinity and not P.is_infinity:
                 torsion_x.add(F31.from_int(x))
-    roots = {x for x in F31.elements() if psi5.evaluate(x).is_zero()}
+    roots = set()
+    for x in range(31):
+        value = psi5.evaluate(Fraction(x))  # over Q, then reduced mod 31
+        if value.numerator * pow(value.denominator, -1, 31) % 31 == 0:
+            roots.add(F31.from_int(x))
     assert roots == torsion_x
 
 
@@ -226,6 +228,21 @@ def _is_square_frac(x):
     if x < 0:
         return False
     return isqrt(x.numerator) ** 2 == x.numerator and isqrt(x.denominator) ** 2 == x.denominator
+
+
+def test_rational_p_torsion_skips_psi_search_from_eleven(monkeypatch):
+    """By Mazur's theorem E(Q) has no point of prime order p >= 11, so those
+    p return 1 without building psi_p; p = 7 still searches psi_7."""
+
+    def refuse(model, n):
+        raise AssertionError(f"psi_{n} was built")
+
+    monkeypatch.setattr(curves, "division_polynomial", refuse)
+    for model in (EJ0, EPRIME):
+        for p in (11, 13, 101):
+            assert rational_p_torsion_order(model, p) == 1
+    with pytest.raises(AssertionError, match="psi_7"):
+        rational_p_torsion_order(EPRIME, 7)
 
 
 def test_rational_p_torsion_requires_p_at_least_5():

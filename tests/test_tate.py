@@ -282,42 +282,60 @@ def test_pot_supersingular_anchors():
 
 def test_singular_point_formulas_match_scan():
     """The closed-form singular point equals the brute-force scan result
-    (the singular point of a Weierstrass cubic is unique)."""
+    (the singular point of a Weierstrass cubic is unique and rational),
+    over F_p for p in {2, 3, 5, 7, 13}, each with 30 singular cubics."""
     from eulerchar.curves import discriminant
-    from eulerchar.finite_fields import fq_create
     from eulerchar.tate import _singular_point
 
     rng = random.Random(31)
-    tested = 0
-    while tested < 150:
-        p = rng.choice([3, 5, 7, 13])
-        f = rng.choice([1, 1, 2])
-        k = fq_create(p, f)
-        abar = [k.from_coords([rng.randrange(p) for _ in range(f)]) for _ in range(5)]
-        if not discriminant(WeierstrassModel(*abar)).is_zero():
-            continue
-        a1, a2, a3, a4, a6 = abar
+    for p in (2, 3, 5, 7, 13):
+        tested = 0
+        while tested < 30:
+            abar = [rng.randrange(p) for _ in range(5)]
+            if discriminant(WeierstrassModel(*abar)) % p:
+                continue
+            a1, a2, a3, a4, a6 = abar
 
-        def F(x, y):
-            return y * y + (a1 * x + a3) * y - (((x + a2) * x + a4) * x + a6)
+            def F(x, y):
+                return y * y + (a1 * x + a3) * y - (((x + a2) * x + a4) * x + a6)
 
-        def Fx(x, y):
-            return a1 * y - (3 * x * x + 2 * a2 * x + a4)
+            def Fx(x, y):
+                return a1 * y - (3 * x * x + 2 * a2 * x + a4)
 
-        def Fy(x, y):
-            return 2 * y + a1 * x + a3
+            def Fy(x, y):
+                return 2 * y + a1 * x + a3
 
-        scan = [
-            (x, y)
-            for x in k.elements()
-            for y in k.elements()
-            if F(x, y).is_zero() and Fx(x, y).is_zero() and Fy(x, y).is_zero()
-        ]
-        if not scan:
-            continue  # singular only over an extension cannot happen; skip defensively
-        assert len(scan) == 1
-        assert _singular_point(abar, k) == scan[0]
-        tested += 1
+            scan = [
+                (x, y)
+                for x in range(p)
+                for y in range(p)
+                if F(x, y) % p == Fx(x, y) % p == Fy(x, y) % p == 0
+            ]
+            assert len(scan) == 1
+            assert _singular_point(abar, p) == scan[0]
+            tested += 1
+
+
+def test_cubic_multiple_root_formulas_match_scan():
+    """For every monic cubic over F_p, p in {2, 3, 5, 7}, with vanishing
+    discriminant, the closed-form multiple root is the only common root of
+    P and P' in F_p, and it is reported triple exactly when P = (T - r)^3."""
+    from eulerchar.tate import _cubic_analysis
+
+    for p in (2, 3, 5, 7):
+        for a, b, c in product(range(p), repeat=3):
+            disc = 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
+            if disc % p:
+                continue
+            kind, r = _cubic_analysis(a, b, c, p, p)
+            multiple = [
+                x
+                for x in range(p)
+                if (x**3 + a * x * x + b * x + c) % p == (3 * x * x + 2 * a * x + b) % p == 0
+            ]
+            assert multiple == [r]
+            cube = (a + 3 * r) % p == (b - 3 * r * r) % p == (c + r**3) % p == 0
+            assert (kind == "triple") == cube
 
 
 def test_pot_supersingular_small_characteristic():
@@ -478,6 +496,21 @@ def test_finish_rejects_type_contradicting_ogg():
     assert _additive(wild, KodairaType("III"), 2, 6, True).v_min_delta == 6
 
 
+def test_finish_rejects_count_outside_hasse_bound(monkeypatch):
+    """Every N_v is checked against (q + 1 - N_v)^2 <= 4 q, both when the
+    model is good at once and when good reduction follows a step-11
+    rescale."""
+    from eulerchar import tate
+    from eulerchar.curves import transform
+
+    non_minimal = transform(E294, Fraction(1, 5), 0, 0, 0)  # Delta * 5^12
+    assert run(non_minimal, 5).comparable_fields() == run(E294, 5).comparable_fields()
+    monkeypatch.setattr(tate, "extension_count", lambda n1, q, k: 0)
+    for model, f in ((E294, 1), (E294, 2), (non_minimal, 1)):
+        with pytest.raises(AssertionError, match="Hasse"):
+            run(model, 5, f=f)
+
+
 def test_exact_delta_valuation_matches_local_field():
     """e * v_ell(disc) of an integral model equals the pi-adic valuation of
     Delta evaluated in the truncated field, and one rescale by pi lowers it
@@ -515,7 +548,8 @@ def test_exact_delta_valuation_matches_local_field():
 
         d = tate_algorithm(model, K)
         if n == 0:
-            assert d.reduced_model == WeierstrassModel(*(x.residue() for x in a))
+            residues = [c.coords[0] for c in d.reduced_model.coefficients()]
+            assert residues == [x.residue() for x in a]
         checked += 1
 
 
