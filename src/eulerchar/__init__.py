@@ -44,6 +44,6 @@ from .tate import (
     pot_supersingular,
     tate_algorithm,
 )
-from .valuations import PLUS_INFINITY, Valuation, vp
+from .valuations import vp
 
 __version__ = "0.1.0"

@@ -40,6 +40,9 @@ from .finite_fields import fq_create
 from .tate import euler_factor_at_one
 
 SCHEMA_VERSION = 1
+# torsion_bound_over_F samples good primes below 10^4, of which there are
+# 1229: this leaves room for p and up to 228 primes of bad reduction
+MAX_SAMPLES = 1000
 
 
 class RequestError(ValueError):
@@ -70,6 +73,14 @@ def _parse_int(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise RequestError(path, f"expected an integer >= {minimum}, got {value}")
     return value
+
+
+def _parse_samples(value) -> int:
+    """The request's `samples`, or the `--samples` of analyze and torsion."""
+    samples = _parse_int(value, "/samples", minimum=1)
+    if samples > MAX_SAMPLES:
+        raise RequestError("/samples", f"expected an integer <= {MAX_SAMPLES}, got {samples}")
+    return samples
 
 
 def _parse_rational(value, path: str) -> Fraction:
@@ -186,7 +197,7 @@ def parse_request(obj) -> dict:
     target = obj.get("target_chi_sigma_exponent")
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
-    samples = _parse_int(obj.get("samples", 20), "/samples", minimum=1)
+    samples = _parse_samples(obj.get("samples", 20))
     precision = obj.get("precision_digits")
     if precision is not None:
         precision = _parse_int(precision, "/precision_digits", minimum=4)
@@ -416,7 +427,7 @@ def _cmd_analyze(args, out) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.samples is not None:
-        parsed["samples"] = args.samples
+        parsed["samples"] = _parse_samples(args.samples)
     if args.precision_digits is not None:
         parsed["precision_digits"] = args.precision_digits
     try:
@@ -489,7 +500,8 @@ def _cmd_splitting(args, out) -> int:
 
 def _cmd_torsion(args, out) -> int:
     model = _curve_from_arg(args.curve)
-    est = torsion_bound_over_F(model, args.prime, args.conductor, samples=args.samples)
+    samples = _parse_samples(args.samples)
+    est = torsion_bound_over_F(model, args.prime, args.conductor, samples=samples)
     doc = {
         "p": est.p,
         "lower": str(est.lower),

@@ -100,6 +100,12 @@ class CurveInvariants:
     disc: Fraction
     j: Fraction
 
+    def j_pole_order(self, ell: int) -> int:
+        """Exponent of ell in the denominator of j, max(0, -v_ell(j)) and 0
+        at j = 0.  The reduction at ell is potentially good exactly when it
+        is 0, and potentially multiplicative otherwise."""
+        return int_valuation(self.j.denominator, ell)
+
 
 def invariants(model: WeierstrassModel) -> CurveInvariants:
     """All standard invariants of a nonsingular rational model, computed
@@ -449,7 +455,7 @@ def torsion_bound_over_F(
     used = 0
     for ell in primes_from(2):
         if ell > 10_000:
-            raise RuntimeError(f"could not find {samples} usable primes below 10000")
+            raise ValueError(f"could not find {samples} usable primes below 10000")
         if ell == p or vp(disc, ell) != 0:
             continue
         f = splitting(ell, m).f

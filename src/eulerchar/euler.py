@@ -28,7 +28,7 @@ from .tate import (
     pot_supersingular,
     tate_algorithm,
 )
-from .valuations import PLUS_INFINITY, factorize, is_prime, vp
+from .valuations import factorize, is_prime, vp
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -64,13 +64,6 @@ class AbelianVarietyInput:
             if fact.prime == ell:
                 return fact
         return None
-
-    def potentially_good_at(self, ell: int) -> bool:
-        """Reduction tables take precedence over factor curves."""
-        if self.reduction_table:
-            fact = self.table_fact(ell)
-            return True if fact is None else fact.potentially_good
-        return all(vp(invariants(f).j, ell) >= 0 for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,7 @@ def compute_M(A: AbelianVarietyInput, m: int) -> tuple[list[int], list[Place]]:
         if not A.factors:
             raise ValueError("abelian variety has neither factors nor a table")
         for factor in A.factors:
-            # v_ell(j) < 0 exactly at the primes of the reduced denominator
+            # j_pole_order(ell) > 0 exactly at the primes of the denominator
             j = invariants(factor).j
             rational.update(q for q, _ in factorize(j.denominator))
     rational_sorted = sorted(rational)
@@ -308,13 +301,6 @@ def hypotheses_failed(rows: list[HypothesisResult]) -> bool:
 # -- the exponent arithmetic ---------------------------------------------------------
 
 
-def _vp_int(n: int, p: int) -> int:
-    v = vp(Fraction(n), p)
-    if v is PLUS_INFINITY:
-        raise ValueError("valuation of zero requested")
-    return v
-
-
 @dataclass(frozen=True)
 class RhoResult:
     """rho_p = p^exponent, with the audit decomposition of the exponent.
@@ -349,10 +335,10 @@ def rho_p(
     (no torsion machinery, p < 5) the exponent is None and the window
     collapses to the torsion-free sum.
     """
-    sha_exp = _vp_int(ext.sha_p_order, p)
-    tamagawa = sum(_vp_int(data.c_v, p) for _, data in place_data)
+    sha_exp = vp(ext.sha_p_order, p)
+    tamagawa = sum(vp(data.c_v, p) for _, data in place_data)
     counts = 2 * sum(
-        _vp_int(data.N_v, p) for _, data in place_data if data.ell == p and data.is_good
+        vp(data.N_v, p) for _, data in place_data if data.ell == p and data.is_good
     )
     base = sha_exp + tamagawa + counts
 
@@ -362,18 +348,18 @@ def rho_p(
         window = (base, base)
         torsion_term = None
     elif torsion.exact:
-        t_exp = _vp_int(torsion.order, p)
+        t_exp = vp(torsion.order, p)
         exact_exp = base - 2 * t_exp
         window = (exact_exp, exact_exp)
         torsion_term = -2 * t_exp
     elif ext.torsion_p_override is not None:
-        t_exp = _vp_int(ext.torsion_p_override, p)
+        t_exp = vp(ext.torsion_p_override, p)
         exact_exp = base - 2 * t_exp
         window = (exact_exp, exact_exp)
         torsion_term = -2 * t_exp
     else:
-        lo = base - 2 * _vp_int(torsion.upper, p)
-        hi = base - 2 * _vp_int(torsion.lower, p)
+        lo = base - 2 * vp(torsion.upper, p)
+        hi = base - 2 * vp(torsion.lower, p)
         exact_exp = None
         window = (lo, hi)
         torsion_term = None
@@ -403,7 +389,6 @@ def chi_euler(
     p: int,
     rho: RhoResult,
     m_place_data: list[tuple[Place, LocalReductionData]],
-    a_potentially_good: dict[int, bool] | None = None,
 ) -> tuple[int | None, int | None, list[AuditRow]]:
     """(chi_cyc exponent, chi_sigma exponent, per-place audit).
 
@@ -414,12 +399,10 @@ def chi_euler(
     total = 0
     for place, data in m_place_data:
         v = vp(data.L_at_1, p)
-        if v is PLUS_INFINITY:
-            raise AssertionError("Euler factor cannot vanish")
         gamma = None
         if place.ell != p:
-            a_pg = False if a_potentially_good is None else a_potentially_good.get(place.ell, False)
-            gamma = gamma_kernel_exponent(data, a_pg, p)
+            # every place here lies in M, where A is not potentially good
+            gamma = gamma_kernel_exponent(data, False, p)
         rows.append(
             AuditRow(
                 place=place,
@@ -443,18 +426,14 @@ def tau_p(E: WeierstrassModel, p: int, m: int) -> int:
     """Sum of local degrees [F_v : Q_p] over places above p where the
     reduction is potentially supersingular; 0 in the potentially
     multiplicative or potentially ordinary cases."""
-    j = invariants(E).j
-    vj = vp(j, p)
-    if vj is not PLUS_INFINITY and vj < 0:
-        return 0
-    if not pot_supersingular(E, p):
+    if invariants(E).j_pole_order(p) or not pot_supersingular(E, p):
         return 0
     sp = splitting(p, m)
     return sp.g * sp.e * sp.f
 
 
 def gamma_kernel_exponent(
-    e_data: LocalReductionData, a_potentially_good: bool, p: int
+    e_data: LocalReductionData, a_pot_good: bool, p: int
 ) -> int:
     """Exponent k with #ker(gamma_v) = p^k at a place v not dividing p.
 
@@ -464,15 +443,12 @@ def gamma_kernel_exponent(
     """
     if e_data.ell == p:
         raise ValueError("gamma kernel orders are computed away from p")
-    c_exp = _vp_int(e_data.c_v, p)
-    if a_potentially_good and e_data.potentially_good:
+    c_exp = vp(e_data.c_v, p)
+    if a_pot_good and e_data.potentially_good:
         return 0
-    if a_potentially_good:
+    if a_pot_good:
         return c_exp
-    vL = vp(e_data.L_at_1, p)
-    if vL is PLUS_INFINITY:
-        raise AssertionError("Euler factor cannot vanish")
-    return c_exp - vL
+    return c_exp - vp(e_data.L_at_1, p)
 
 
 @dataclass(frozen=True)
@@ -583,8 +559,7 @@ def analyze(
     rho = rho_p(p, place_rows, torsion, ext)
 
     m_place_rows = [(pl, data) for pl, data in place_rows if pl.ell in M_rational]
-    a_pot_good = {ell: A.potentially_good_at(ell) for ell in relevant}
-    chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_place_rows, a_pot_good)
+    chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_place_rows)
 
     suppressed = chi_sigma is None
     reason = None

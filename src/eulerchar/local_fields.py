@@ -4,9 +4,9 @@ A field is Z_ell[pi]/(g(pi)) for an Eisenstein g of degree e, with residue
 field F_ell, whose elements are the integers 0, ..., ell - 1:
 
   * e = 1: g(x) = x - ell,
-  * tame e with gcd(e, ell) = 1: g(x) = x^e - ell,
   * the cyclotomic layer e = ell - 1: g(x) = ((1+x)^ell - 1)/x, so that
-    pi corresponds to zeta_ell - 1 and the field is Q_ell(mu_ell).
+    pi corresponds to zeta_ell - 1 and the field is Q_ell(mu_ell),
+  * any other tame e, gcd(e, ell) = 1: g(x) = x^e - ell.
 
 There is no unramified layer.  Tate's algorithm runs on a curve over Q and
 every choice it makes is canonical, so each residue it takes lies in F_ell
@@ -18,8 +18,7 @@ Elements are stored as e integers modulo ell^M, the coefficients of
 marker.  No operation ever reports digits beyond the marker; valuation
 queries that cannot be certified raise PrecisionError (the
 INDISTINGUISHABLE-FROM-ZERO signal), and callers retry at higher precision.
-Fields are memoized per (ell, e, precision, cyclotomic) by
-`make_local_field`.
+Fields are memoized per (ell, e, precision) by `make_local_field`.
 
 Key identity used throughout: pi^e = ell * U for the precomputed unit
 U = -(g_0/ell + g_1/ell x + ... + g_{e-1}/ell x^(e-1)), which lets both
@@ -45,11 +44,10 @@ class LocalField:
     """A totally ramified extension of Q_ell of degree e, with residue field
     F_ell, at working precision N pi-adic digits."""
 
-    def __init__(self, ell: int, e: int, precision: int, cyclotomic: bool):
+    def __init__(self, ell: int, e: int, precision: int):
         self.ell = ell
         self.e = e
         self.precision = precision
-        self.cyclotomic = cyclotomic
         # store M ell-adic digits per coefficient; slack absorbs carries
         self.M = max(-(-precision // e), 2) + 4
         self.modulus = ell**self.M
@@ -57,19 +55,14 @@ class LocalField:
 
         if e == 1:
             g = [-ell, 1]
-        elif cyclotomic:
-            if e != ell - 1:
-                raise ValueError(
-                    "cyclotomic ramification supports the first layer only "
-                    f"(e = ell - 1); got e={e}, ell={ell}"
-                )
+        elif e == ell - 1:
             g = [comb(ell, k) for k in range(1, ell + 1)]
-        else:
-            if gcd(e, ell) != 1:
-                raise ValueError(
-                    f"wildly ramified non-cyclotomic extension rejected (e={e}, ell={ell})"
-                )
+        elif gcd(e, ell) == 1:
             g = [-ell] + [0] * (e - 1) + [1]
+        else:
+            raise ValueError(
+                f"wildly ramified non-cyclotomic extension rejected (e={e}, ell={ell})"
+            )
         self.eisenstein = tuple(g)
 
         # x^e = -(g_0 + ... + g_{e-1} x^{e-1})
@@ -220,7 +213,11 @@ class LocalField:
         return [self.embed(c) for c in coeffs]
 
     def __repr__(self):
-        kind = "cyclotomic" if self.cyclotomic else ("unramified" if self.e == 1 else "tame")
+        kind = "tame"
+        if self.e == 1:
+            kind = "unramified"
+        elif self.e == self.ell - 1:
+            kind = "cyclotomic"
         return f"LocalField(ell={self.ell}, e={self.e}, N={self.precision}, {kind})"
 
 
@@ -405,16 +402,15 @@ def make_local_field(
     ell: int,
     e: int = 1,
     precision: int | None = None,
-    cyclotomic: bool = False,
 ) -> LocalField:
     """Deterministic local field object, memoized per argument tuple.
 
-    For e > 1 either gcd(e, ell) = 1 (tame, defined by x^e - ell) or the
-    cyclotomic flag selects the first layer Q_ell(mu_ell) with e = ell - 1.
-    Wildly ramified non-cyclotomic requests are rejected.  Every call with
-    the same arguments returns the same field, whose only mutable state is
-    a cache of powers of pi; a precision retry asks for a new precision and
-    so builds a new field.
+    For e > 1, e = ell - 1 is the first cyclotomic layer Q_ell(mu_ell);
+    any other e needs gcd(e, ell) = 1 (tame, defined by x^e - ell), and
+    wildly ramified requests are rejected.  Every call with the same
+    arguments returns the same field, whose only mutable state is a cache
+    of powers of pi; a precision retry asks for a new precision and so
+    builds a new field.
     """
     if not is_prime(ell):
         raise ValueError(f"residue characteristic must be prime, got {ell}")
@@ -424,4 +420,4 @@ def make_local_field(
         precision = 24 * e
     if precision < 2 * e:
         raise ValueError("precision too small to be useful")
-    return LocalField(ell, e, precision, cyclotomic and e > 1)
+    return LocalField(ell, e, precision)

@@ -36,9 +36,6 @@ class Polynomial:
         """Degree, with the convention degree(0) = -1."""
         return -1 if self.is_zero() else len(self.coeffs) - 1
 
-    def leading(self):
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -89,24 +86,6 @@ class Polynomial:
             return Polynomial([Fraction(1)])
         return result
 
-    def divmod(self, other: "Polynomial"):
-        """Division with remainder over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        if self.degree < d:
-            return Polynomial([Fraction(0)]), Polynomial(rem)
-        inv_lead = 1 / Fraction(other.leading())
-        q = [Fraction(0)] * (len(rem) - d)
-        for k in range(len(rem) - 1 - d, -1, -1):
-            c = rem[k + d] * inv_lead
-            if c != 0:
-                q[k] = c
-                for j in range(d + 1):
-                    rem[k + j] = rem[k + j] - c * other.coeffs[j]
-        return Polynomial(q), Polynomial(rem)
-
     def evaluate(self, x):
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
@@ -115,11 +94,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.coeffs})"
-
-
-def poly_from_ints(ints) -> Polynomial:
-    """Integer coefficients into a polynomial over Q."""
-    return Polynomial([Fraction(n) for n in ints])
 
 
 # -- polynomials over F_p as integer lists, low-to-high ---------------------------

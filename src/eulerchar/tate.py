@@ -53,7 +53,7 @@ from .curves import (
 from .finite_fields import fq_create
 from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
 from .polynomials import count_roots_in_field
-from .valuations import PLUS_INFINITY, vp
+from .valuations import vp
 
 GOOD_ORDINARY = "GoodOrdinary"
 GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -82,10 +82,6 @@ class KodairaType:
     @property
     def is_multiplicative(self) -> bool:
         return self.kind == "In"
-
-    @property
-    def is_additive(self) -> bool:
-        return not (self.is_good or self.is_multiplicative)
 
     @property
     def components(self) -> int:
@@ -149,9 +145,7 @@ class LocalReductionData:
 def default_precision(model: WeierstrassModel, ell: int, e: int) -> int:
     """Working pi-adic precision: Tate inspects valuations only up to
     v(Delta) plus bounded slack."""
-    disc = invariants(integral_model(model)).disc
-    vd = vp(disc, ell)
-    vd = 0 if vd is PLUS_INFINITY else max(vd, 0)
+    vd = vp(invariants(integral_model(model)).disc, ell)
     return e * (vd + 12) + 24
 
 
@@ -167,8 +161,7 @@ def local_field_for(
     Q_ell(mu_ell); other tame ramification uses the x^e - ell model."""
     if precision is None:
         precision = default_precision(model, ell, e)
-    cyclotomic = e == ell - 1 and e > 1
-    return make_local_field(ell, e=e, precision=precision, cyclotomic=cyclotomic)
+    return make_local_field(ell, e=e, precision=precision)
 
 
 # -- residue-field helpers: residues are integers mod ell -----------------------
@@ -343,12 +336,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
         except PrecisionError:
             if attempt == attempts - 1:
                 raise
-            field = make_local_field(
-                field.ell,
-                e=field.e,
-                precision=2 * field.precision,
-                cyclotomic=field.cyclotomic,
-            )
+            field = make_local_field(field.ell, e=field.e, precision=2 * field.precision)
     raise AssertionError("unreachable")
 
 
@@ -359,8 +347,8 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
     inv = invariants(work)  # also rejects singular models
     ell = K.ell
     q = ell**f
-    vj = vp(inv.j, ell)
-    potentially_good = vj is PLUS_INFINITY or vj >= 0
+    pole = inv.j_pole_order(ell)
+    potentially_good = pole == 0
 
     place = dict(ell=ell, e=K.e, f=f, q_v=q, model=model, precision_used=K.precision)
 
@@ -384,7 +372,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
             # Type I_n, multiplicative.
             split = _tangent_splits(a[0].residue(), a[1].residue(), ell, q)
             c_v = n if split else (2 if n % 2 == 0 else 1)
-            if not (vj is not PLUS_INFINITY and vj < 0 and K.e * (-vj) == n):
+            if K.e * pole != n:
                 raise AssertionError("multiplicative type contradicts v(j)")
             cls = MULT_SPLIT if split else MULT_NONSPLIT
             return _finish(
@@ -650,8 +638,7 @@ def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     V.3-V.4).
     """
     inv = invariants(model)
-    vj = vp(inv.j, p)
-    if vj is not PLUS_INFINITY and vj < 0:
+    if inv.j_pole_order(p):
         raise ValueError("potentially multiplicative place has no supersingular type")
     num, den = inv.j.numerator, inv.j.denominator
     jbar = num * pow(den, p - 2, p) % p

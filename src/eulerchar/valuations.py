@@ -1,6 +1,9 @@
 """Exact integer and rational arithmetic helpers: p-adic valuations,
 primality, factorization, multiplicative orders.
 
+Valuations are integers: there is no +infinity, and the valuation of 0
+raises ValueError.
+
 Rational numbers are represented by the standard library ``fractions.Fraction``
 throughout the package; it already guarantees the lowest-terms, positive
 denominator normal form required here.
@@ -11,60 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-
-
-class _PlusInfinity:
-    """Distinguished value of the p-adic valuation of zero.
-
-    Compares greater than every integer, absorbs addition, and is a
-    singleton (``PLUS_INFINITY``).
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("PLUS_INFINITY")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if other == 0:
-            raise ArithmeticError("0 * PlusInfinity is undefined")
-        return self
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return "PlusInfinity"
-
-
-PLUS_INFINITY = _PlusInfinity()
-
-#: A p-adic valuation: an integer, or PLUS_INFINITY for the valuation of 0.
-Valuation = int | _PlusInfinity
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -95,10 +44,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def int_valuation(n: int, p: int) -> Valuation:
-    """Exponent of p in n, PLUS_INFINITY for n = 0. p is not checked."""
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of p in a nonzero integer n; p is not checked.  Raises
+    ValueError for n = 0."""
     if n == 0:
-        return PLUS_INFINITY
+        raise ValueError("valuation of zero requested")
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -107,17 +57,16 @@ def int_valuation(n: int, p: int) -> Valuation:
     return v
 
 
-def vp(x: Fraction | int, p: int) -> Valuation:
-    """p-adic valuation of a rational number, normalized so vp(p) = 1.
+def vp(x: Fraction | int, p: int) -> int:
+    """p-adic valuation of a nonzero rational number, normalized so
+    vp(p) = 1.
 
-    vp(0) is PLUS_INFINITY.  The associated absolute value is
-    |x|_p = p**(-vp(x)).  Raises ValueError when p is not prime.
+    The associated absolute value is |x|_p = p**(-vp(x)).  Raises
+    ValueError when x is 0 or p is not prime.
     """
     if not is_prime(p):
         raise ValueError(f"vp requires a prime, got {p}")
     x = Fraction(x)
-    if x == 0:
-        return PLUS_INFINITY
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 

@@ -251,6 +251,26 @@ def test_wildly_ramified_conductor_rejected(monkeypatch, capsys):
     assert "ramified" in err
 
 
+def test_oversized_samples_rejected(monkeypatch, capsys):
+    """More samples than the good primes below 10^4 can supply are
+    rejected at /samples, in a request and in --samples of analyze and
+    torsion, before any analysis starts."""
+    path = "data/requests/analysis_with_factor_curve.json"
+    with open(path, encoding="utf-8") as fh:
+        req = json.load(fh)
+    runs = [
+        (["analyze", "-"], json.dumps({**req, "samples": 2000})),
+        (["analyze", path, "--samples", "2000"], None),
+        (["torsion", "--curve", "1,0,0,-1,-1", "--prime", "7", "--samples", "2000"], None),
+    ]
+    for argv, stdin_text in runs:
+        code, out, err = _run(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1 and out == ""
+        assert "/samples" in err and "<= 1000" in err
+        assert "Traceback" not in err
+    assert parse_request({**req, "samples": 1000})["samples"] == 1000
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["splitting", "--ell", "3", "--conductor", "9"])

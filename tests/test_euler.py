@@ -199,7 +199,7 @@ def test_chi_example_one():
     torsion = TorsionEstimate(p=7, lower=7, upper=7, exact=True)
     rho = rho_p(7, rows, torsion, EXT_FULL)
     m_rows = [(pl, d) for pl, d in rows if pl.ell in (2, 3)]
-    chi_cyc, chi_sigma, audit = chi_euler(7, rho, m_rows, {2: False, 3: False})
+    chi_cyc, chi_sigma, audit = chi_euler(7, rho, m_rows)
     assert chi_cyc == 0
     assert chi_sigma == 3  # 7^3
     assert [row.contribution for row in audit] == [1, 1, 1]
@@ -209,7 +209,7 @@ def test_chi_example_one():
 def test_chi_empty_bad_set():
     torsion = TorsionEstimate(p=7, lower=1, upper=1, exact=True)
     rho = rho_p(7, [], torsion, ExternalArithmetic())
-    chi_cyc, chi_sigma, audit = chi_euler(7, rho, [], {})
+    chi_cyc, chi_sigma, audit = chi_euler(7, rho, [])
     assert chi_cyc == chi_sigma == 0 and audit == []
 
 

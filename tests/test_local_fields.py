@@ -6,7 +6,7 @@ import pytest
 from eulerchar.local_fields import PrecisionError, make_local_field
 from eulerchar.valuations import vp
 
-Q7MU7 = make_local_field(7, 6, precision=120, cyclotomic=True)
+Q7MU7 = make_local_field(7, 6, precision=120)  # e = ell - 1: Q_7(mu_7)
 Q7TAME = make_local_field(7, 2, precision=60)  # x^2 - 7
 Q5 = make_local_field(5, 1, precision=60)
 
@@ -51,7 +51,7 @@ def test_wild_ramification_rejected():
     with pytest.raises(ValueError):
         make_local_field(2, 2, precision=40)  # e = 2, ell = 2, not cyclotomic
     with pytest.raises(ValueError):
-        make_local_field(5, 20, precision=200, cyclotomic=True)  # second layer
+        make_local_field(5, 20, precision=200)  # second layer
 
 
 def test_tame_non_cyclotomic():
@@ -149,6 +149,6 @@ def test_make_local_field_is_memoized():
     assert make_local_field(5, 1, precision=48) is K
     doubled = make_local_field(5, 1, precision=96)
     assert doubled is not K and doubled.precision == 96
-    assert make_local_field(5, 4, precision=48, cyclotomic=True) is not make_local_field(
-        5, 4, precision=48
-    )
+    # the Eisenstein polynomial is a function of (ell, e)
+    assert make_local_field(5, 4, precision=48).eisenstein == (5, 10, 10, 5, 1)
+    assert make_local_field(5, 2, precision=48).eisenstein == (-5, 0, 1)

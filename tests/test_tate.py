@@ -26,7 +26,7 @@ from eulerchar.tate import (
     pot_supersingular,
     tate_algorithm,
 )
-from eulerchar.valuations import PLUS_INFINITY, vp
+from eulerchar.valuations import vp
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -168,8 +168,8 @@ def test_multiplicative_n_matches_j_valuation():
         except SingularModelError:
             continue
         for p in (5, 7, 11, 13):
-            vj = vp(j, p)
-            if vj is not PLUS_INFINITY and vj < 0:
+            vj = vp(j, p) if j else 0
+            if vj < 0:
                 d = run(model, p)
                 assert d.kodaira.is_multiplicative
                 assert d.kodaira.n == -vj == d.v_min_delta
@@ -454,6 +454,20 @@ def test_ogg_formula_over_census_box():
     assert seen == {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
 
 
+def test_j_pole_order_over_census_box():
+    """j_pole_order(ell) = max(0, -v_ell(j)) for every census-box curve at
+    every ell in {2, 3, 5, 7, 11, 13}, and 0 at j = 0, where v_ell(j) is
+    undefined."""
+    j_zero = 0
+    for _, model, _ in _census_box_curves():
+        inv = invariants(model)
+        j_zero += inv.j == 0
+        for ell in (2, 3, 5, 7, 11, 13):
+            expected = 0 if inv.j == 0 else max(0, -vp(inv.j, ell))
+            assert inv.j_pole_order(ell) == expected
+    assert j_zero > 0
+
+
 GRID = Path(__file__).parent / "data" / "tate_residue_degree_grid.json"
 
 
@@ -522,13 +536,12 @@ def test_exact_delta_valuation_matches_local_field():
     from eulerchar.local_fields import make_local_field
     from eulerchar.tate import _rescale_by_pi, default_precision
 
-    fields = [(ell, 1, False) for ell in (2, 3, 5, 7)]
-    fields += [(2, 3, False), (3, 2, False), (5, 2, False), (7, 3, False)]
-    fields += [(5, 4, True), (7, 6, True)]
+    fields = [(ell, 1) for ell in (2, 3, 5, 7)]
+    fields += [(2, 3), (3, 2), (5, 2), (7, 3), (5, 4), (7, 6)]
     rng = random.Random(53)
     checked = 0
     while checked < 200:
-        ell, e, cyclotomic = fields[checked % len(fields)]
+        ell, e = fields[checked % len(fields)]
         coeffs = [rng.randint(-30, 30) * ell ** rng.randint(0, 2) for _ in range(5)]
         model = WeierstrassModel.from_rationals(coeffs)
         try:
@@ -536,13 +549,13 @@ def test_exact_delta_valuation_matches_local_field():
         except SingularModelError:
             continue
         precision = default_precision(model, ell, e)
-        K = make_local_field(ell, e=e, precision=precision, cyclotomic=cyclotomic)
+        K = make_local_field(ell, e=e, precision=precision)
         n = K.e * vp(disc, ell)
         a = K.embed_model(model.coefficients())
         assert delta_local(a).valuation() == n
 
         scaled = integral_model(transform(model, Fraction(1, ell), 0, 0, 0))
-        K2 = make_local_field(ell, e=e, precision=precision + 12 * e, cyclotomic=cyclotomic)
+        K2 = make_local_field(ell, e=e, precision=precision + 12 * e)
         b = _rescale_by_pi(K2.embed_model(scaled.coefficients()))
         assert delta_local(b).valuation() == K2.e * vp(invariants(scaled).disc, ell) - 12
 
