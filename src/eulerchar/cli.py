@@ -83,6 +83,14 @@ def _parse_samples(value) -> int:
     return samples
 
 
+def _parse_precision(value) -> int | None:
+    """The request's `precision_digits`, or the `--precision-digits` of
+    analyze and local; None keeps the default."""
+    if value is None:
+        return None
+    return _parse_int(value, "/precision_digits", minimum=4)
+
+
 def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise RequestError(path, "expected a decimal string or integer")
@@ -162,7 +170,10 @@ def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
             pg, good = row["potentially_good"], row["good"]
             if not isinstance(pg, bool) or not isinstance(good, bool):
                 raise RequestError(rpath, "flags must be booleans")
-            rows.append(ReductionFact(prime, pg, good))
+            try:
+                rows.append(ReductionFact(prime, pg, good))
+            except ValueError as exc:
+                raise RequestError(rpath, str(exc)) from None
         table = tuple(rows)
     if not factors and not table:
         raise RequestError(path, "needs factors or a reduction_table")
@@ -198,9 +209,7 @@ def parse_request(obj) -> dict:
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
     samples = _parse_samples(obj.get("samples", 20))
-    precision = obj.get("precision_digits")
-    if precision is not None:
-        precision = _parse_int(precision, "/precision_digits", minimum=4)
+    precision = _parse_precision(obj.get("precision_digits"))
     return {
         "curve": curve,
         "prime": prime,
@@ -352,11 +361,14 @@ def render_text(doc: dict) -> str:
         lines.append(f"  {h['status']:<8} {h['name']}: {h['detail']}")
     lines.append(f"bad-tower primes: {doc['M_rational']}")
     lines.append("places:")
-    header = f"  {'place':<7}{'q_v':>8}  {'kodaira':<6}{'c_v':>5}  {'class':<18}{'N_v':>8}  L(E,1)"
+    # a place label can fill its column, so q_v widens past its default
+    # only when a value would leave no space before it
+    wq = max([8] + [len(pl["q_v"]) + 1 for pl in doc["places"]])
+    header = f"  {'place':<7}{'q_v':>{wq}}  {'kodaira':<6}{'c_v':>5}  {'class':<18}{'N_v':>8}  L(E,1)"
     lines.append(header)
     for pl in doc["places"]:
         lines.append(
-            f"  {pl['place']:<7}{pl['q_v']:>8}  {pl['kodaira']:<6}{pl['c_v']:>5}  "
+            f"  {pl['place']:<7}{pl['q_v']:>{wq}}  {pl['kodaira']:<6}{pl['c_v']:>5}  "
             f"{pl['reduction_class']:<18}{str(pl['N_v']):>8}  {pl['L_at_1']}"
         )
     t = doc["torsion"]
@@ -429,7 +441,7 @@ def _cmd_analyze(args, out) -> int:
     if args.samples is not None:
         parsed["samples"] = _parse_samples(args.samples)
     if args.precision_digits is not None:
-        parsed["precision_digits"] = args.precision_digits
+        parsed["precision_digits"] = _parse_precision(args.precision_digits)
     try:
         report = analyze(
             parsed["curve"],
@@ -455,7 +467,8 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_local(args, out) -> int:
     model = _curve_from_arg(args.curve)
-    data = local_data_at(model, args.ell, args.conductor, precision=args.precision_digits)
+    precision = _parse_precision(args.precision_digits)
+    data = local_data_at(model, args.ell, args.conductor, precision=precision)
     sp = splitting(args.ell, args.conductor)
     doc = {
         "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},

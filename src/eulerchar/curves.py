@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .cyclotomic import splitting
 from .finite_fields import FqElement, FqField, fq_create
@@ -20,7 +20,11 @@ from .valuations import (
     vp,
 )
 
-COUNT_CAP = 10**7  # largest characteristic ell whose F_ell count is enumerated
+# Largest characteristic counted: one count at 10^18 takes about a second, and
+# past it the O(ell^{1/4}) baby-step table grows into minutes and memory
+COUNT_CAP = 10**18
+# Mestre-Schoof: above this prime, Shanks-Mestre always pins #E(F_ell)
+MESTRE_BOUND = 229
 
 
 class SingularModelError(ValueError):
@@ -255,11 +259,12 @@ def point_order(model: WeierstrassModel, point: CurvePoint, bound: int) -> int |
 
 
 def count_points(model: WeierstrassModel) -> int:
-    """#E(F_q) including infinity, for q = ell^f, at O(ell) cost.
+    """#E(F_q) including infinity, for q = ell^f.
 
     The model must be defined over the prime field F_ell (every coefficient
-    has coords[1:] == 0).  It is counted over F_ell by one pass over the
-    x-fibers and the count over F_q follows from the Frobenius trace
+    has coords[1:] == 0).  It is counted over F_ell (`_count_prime_field`:
+    O(ell^{1/4}) group operations above ell = 229, a pass over the x-fibers
+    at or below) and the count over F_q follows from the Frobenius trace
     recurrence (`extension_count`, which also checks the Hasse bound).  The
     pipeline only builds such models: every choice in Tate's algorithm is
     canonical, so the residue curve is defined over F_ell.  Any other model
@@ -279,7 +284,21 @@ def count_points(model: WeierstrassModel) -> int:
 
 
 def _count_prime_field(p: int, coeffs: list[int]) -> int:
-    """#E(F_p) for a1..a6 given as integers mod p."""
+    """#E(F_p) for a1..a6 given as integers mod p, for a nonsingular model.
+
+    Above MESTRE_BOUND the count is Shanks-Mestre baby-step giant-step
+    (`_count_shanks_mestre`); at or below it, one pass over the x-fibers
+    (`_count_by_squares`).  The bound is where the Mestre-Schoof theorem
+    starts to guarantee that Shanks-Mestre finishes, not a tuning constant.
+    """
+    if p <= MESTRE_BOUND:
+        return _count_by_squares(p, coeffs)
+    return _count_shanks_mestre(p, coeffs)
+
+
+def _count_by_squares(p: int, coeffs: list[int]) -> int:
+    """#E(F_p) by one pass over the x-fibers against a table of squares:
+    O(p) time and memory, exact at every prime p."""
     a1, a2, a3, a4, a6 = coeffs
     if p == 2:
         return 1 + sum(
@@ -298,6 +317,114 @@ def _count_prime_field(p: int, coeffs: list[int]) -> int:
         d = (g + h * h * inv4) % p
         count += 1 if d == 0 else 2 * square_table[d]
     return count
+
+
+def _count_shanks_mestre(p: int, coeffs: list[int]) -> int:
+    """#E(F_p) for a prime p >= 5 by Shanks-Mestre (Cohen, GTM 138, 7.4.3).
+
+    E is isomorphic to y^2 = g(x) = x^3 + a x + b with a = -27 c4 and
+    b = -54 c6.  For x0 = 0, 1, 2, ... with d = g(x0) != 0 the point
+    (d x0, d^2) lies on the twist E_d: Y^2 = X^3 + d^2 a X + d^3 b, which
+    has N = #E(F_p) points when d is a square and 2p + 2 - N when it is
+    not, so no square root is taken.  Every point narrows the values of N
+    in the Hasse interval to those compatible with the multiples of its
+    order that lie there, until one is left.  The answer is exact for every
+    such p; the Mestre-Schoof theorem (Cremona-Sutherland, JTNB 22, 2010)
+    guarantees a unique survivor once p > 229: the group exponent of E or of
+    its twist then has a single multiple in the Hasse interval.
+    """
+    a1, a2, a3, a4, a6 = coeffs
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    a, b = -27 * c4 % p, -54 * c6 % p
+    r = isqrt(4 * p)  # floor(2 sqrt(p)); 4p is never a square
+    lo, hi = p + 1 - r, p + 1 + r
+    candidates = None
+    for x0 in range(p):
+        d = ((x0 * x0 + a) * x0 + b) % p
+        if d == 0:
+            continue
+        twist = pow(d, (p - 1) // 2, p) != 1
+        d2 = d * d % p
+        multiples = _hasse_multiples((d * x0 % p, d2), d2 * a % p, p, lo, hi)
+        if multiples is None:
+            continue
+        found = {2 * p + 2 - m if twist else m for m in multiples}
+        candidates = found if candidates is None else candidates & found
+        if len(candidates) == 1:
+            return candidates.pop()
+    raise AssertionError(f"unreachable for p > {MESTRE_BOUND}: no point pins #E(F_{p})")
+
+
+def _hasse_multiples(P, a: int, p: int, lo: int, hi: int) -> list[int] | None:
+    """Multiples of the order n of the affine point P on Y^2 = X^3 + aX + b
+    over F_p that lie in [lo, hi], by baby steps keyed by x and giant steps
+    of 2w + 1, or None when n <= 2w + 1.
+
+    The baby steps meet O or the negative of an earlier step exactly when
+    n <= 2w + 1.  Such a point is skipped: a point of order the group
+    exponent, at least sqrt(lo) > 2w + 1 for p > 229, exists on E and on its
+    twist.  Otherwise each giant window c - w .. c + w holds at most one
+    multiple, and it is found from c P = +-j P.
+    """
+    w = isqrt((hi - lo) // 2) + 1
+    baby = {}
+    R = None
+    for j in range(1, w + 2):
+        R = _affine_add(R, P, a, p)
+        if R is None or R[0] in baby:
+            return None
+        if j <= w:
+            baby[R[0]] = (j, R[1])
+    step = _affine_mul(2 * w + 1, P, a, p)
+    c = lo + w
+    Q = _affine_mul(c, P, a, p)
+    multiples = []
+    while c - w <= hi:
+        m = None
+        if Q is None:
+            m = c
+        elif Q[0] in baby:
+            j, y = baby[Q[0]]
+            m = c - j if Q[1] == y else c + j
+        if m is not None and lo <= m <= hi:
+            multiples.append(m)
+        Q = _affine_add(Q, step, a, p)
+        c += 2 * w + 1
+    return multiples
+
+
+def _affine_add(P, Q, a: int, p: int):
+    """P + Q on Y^2 = X^3 + aX + b over F_p; points are (x, y) integer
+    pairs and None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _affine_mul(n: int, P, a: int, p: int):
+    """n P for n >= 0 by double-and-add with `_affine_add`."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = _affine_add(acc, P, a, p)
+        P = _affine_add(P, P, a, p)
+        n >>= 1
+    return acc
 
 
 def extension_count(n1: int, q: int, k: int) -> int:

@@ -43,6 +43,10 @@ class ReductionFact:
     potentially_good: bool
     good: bool
 
+    def __post_init__(self):
+        if self.good and not self.potentially_good:
+            raise ValueError(f"table marks {self.prime} good but not potentially good")
+
 
 @dataclass(frozen=True)
 class AbelianVarietyInput:
@@ -127,10 +131,6 @@ def compute_M(A: AbelianVarietyInput, m: int) -> tuple[list[int], list[Place]]:
     if A.reduction_table:
         for fact in A.reduction_table:
             if not fact.potentially_good:
-                if fact.good:
-                    raise ValueError(
-                        f"table marks {fact.prime} good but not potentially good"
-                    )
                 rational.add(fact.prime)
     else:
         if not A.factors:

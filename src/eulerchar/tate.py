@@ -29,8 +29,9 @@ residue it inspects lies in F_ell.  The residue degree f enters only
 through q = ell^f: in q_v, in the number of roots in F_q of each residue
 quadratic or cubic (the split test of the tangent cone included), taken as
 deg gcd(P, x^q - x) in F_ell[x], and in N_v, the F_ell count of the reduced
-curve extended to F_q by the Frobenius recurrence (`extension_count`), at
-O(ell) cost for any f, and checked against the Hasse bound.  Potential
+curve extended to F_q by the Frobenius recurrence (`extension_count`) and
+checked against the Hasse bound; above ell = 229 the F_ell count costs
+O(ell^{1/4}) group operations for any f (`count_points`).  Potential
 supersingularity above p is read off a_p mod p of a curve over F_p with
 the reduced j.
 """

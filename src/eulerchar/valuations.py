@@ -16,11 +16,13 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set is exact for n < 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41, exact for n below
+    psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
+    of them (Sorenson-Webster 2015); above it a True is a probable prime."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -70,32 +72,67 @@ def vp(x: Fraction | int, p: int) -> int:
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
+# prime factors below this are found by trial division, larger ones by rho
+_TRIAL_LIMIT = 256
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
+
+    Trial division finds the prime factors below _TRIAL_LIMIT.  Every
+    cofactor left is tested with `is_prime`, and a composite one is split
+    by Brent's variant of Pollard rho, whose cost grows with the square
+    root of the smallest prime factor rather than of n.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    out = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    d = 5
-    while d * d <= n:
-        for step in (d, d + 2):
-            e = 0
-            while n % step == 0:
-                n //= step
-                e += 1
-            if e:
-                out.append((step, e))
-        d += 6
-    if n > 1:
-        out.append((n, 1))
-    return tuple(sorted(out))
+    out: dict[int, int] = {}
+    for d in (2, *range(3, _TRIAL_LIMIT, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        # a cofactor has no prime factor below the limit
+        if n < _TRIAL_LIMIT**2 or is_prime(n):
+            out[n] = out.get(n, 0) + 1
+            continue
+        c = 1
+        while (d := _brent_factor(n, c)) == n:
+            c += 1
+        stack += [d, n // d]
+    return tuple(sorted(out.items()))
+
+
+def _brent_factor(n: int, c: int) -> int:
+    """A divisor d > 1 of a composite n with no prime factor below
+    _TRIAL_LIMIT, from Brent's cycle search (Brent 1980) on x -> x^2 + c
+    mod n; d = n when this c fails and another must be tried."""
+    batch = 64  # differences multiplied together between two gcds
+    y, r, q, d = 2, 1, 1, 1
+    while d == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and d == 1:
+            ys = y
+            for _ in range(min(batch, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            d = gcd(q, n)
+            k += batch
+        r *= 2
+    if d == n:  # the batch overshot: redo it one gcd at a time
+        d = 1
+        while d == 1:
+            ys = (ys * ys + c) % n
+            d = gcd(x - ys, n)
+    return d
 
 
 def divisors(n: int) -> list[int]:

@@ -11,6 +11,8 @@ extension fields.  Its cost is O(q) field operations: keep q small.
 library's gcd root count.
 `delta_local` evaluates Delta in the truncated pi-adic field, against the
 library's v(Delta) = e * v_ell(disc).
+`trial_factorize` divides by every d up to sqrt(n), against the library's
+trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.
 """
 
 from __future__ import annotations
@@ -90,3 +92,21 @@ def _count_odd(model: WeierstrassModel, field) -> int:
         elif d in squares:
             count += 2
     return count
+
+
+def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs, by
+    trial division up to sqrt(n)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)

@@ -271,6 +271,57 @@ def test_oversized_samples_rejected(monkeypatch, capsys):
     assert parse_request({**req, "samples": 1000})["samples"] == 1000
 
 
+def test_low_precision_rejected(monkeypatch, capsys):
+    """--precision-digits below 4 is rejected at /precision_digits, as the
+    request's precision_digits is, before any analysis starts."""
+    path = "data/requests/analysis_with_factor_curve.json"
+    for argv in (
+        ["analyze", path, "--precision-digits", "1"],
+        ["local", "--curve", "1,0,0,-1,-1", "--ell", "7", "--conductor", "7",
+         "--precision-digits", "1"],
+    ):
+        code, out, err = _run(argv, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1 and out == ""
+        assert "/precision_digits" in err and ">= 4" in err
+        assert "Traceback" not in err
+
+
+def test_good_but_not_potentially_good_row_rejected(monkeypatch, capsys):
+    """A table row marking a prime good but not potentially good is
+    rejected at its own pointer by parse_request."""
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["abelian_variety"]["reduction_table"][1]["good"] = True
+    with pytest.raises(RequestError) as err:
+        parse_request(req)
+    assert err.value.path == "/abelian_variety/reduction_table/1"
+    code, out, err = _run(["analyze", "-"], stdin_text=json.dumps(req),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and out == ""
+    assert "error: /abelian_variety/reduction_table/1: table marks 3 good" in err
+    assert "Traceback" not in err
+
+
+def test_text_columns_widen_for_large_places(monkeypatch, capsys):
+    """A 20-digit place keeps a space between its label and q_v; the
+    discriminant -2^4 * 953 * 284447 * 14855503647295757729 also needs
+    Pollard rho to find that place at all."""
+    big = 14855503647295757729
+    req = {
+        "schema_version": 1,
+        "curve": ["0", "0", "0", "1000000007", "1000000000039"],
+        "prime": 5,
+        "base_field": 1,
+        "abelian_variety": {"dimension": 1, "factors": [["-1", "2", "2", "0", "0"]]},
+    }
+    code, out, _ = _run(["analyze", "-", "--format", "text"], stdin_text=json.dumps(req),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    rows = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()
+    assert rows[-1].startswith(f"  {big}#1 {big}  I1 ")
+    assert rows[1] == "  2#1" + " " * 24 + "2  II        1  Additive              None  1"
+    assert all(row.split()[0].endswith("#1") for row in rows[1:])  # label, then q_v
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["splitting", "--ell", "3", "--conductor", "9"])

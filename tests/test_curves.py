@@ -163,6 +163,118 @@ def test_extension_count_matches_direct():
             assert count_points(modelk) == brute_count(modelk)
 
 
+def _primes_between(lo, hi):
+    return [p for p in range(lo, hi) if _is_prime(p)]
+
+
+def test_shanks_mestre_matches_square_table():
+    """Above the Mestre-Schoof bound the count is Shanks-Mestre; the
+    square-table pass is exact at every p and serves as the reference:
+    twelve random curves at every prime 229 < ell < 2000, and every
+    y^2 = x^3 + b (j = 0) and y^2 = x^3 + bx (j = 1728) with their twists
+    at ell in {233, 239, 241}."""
+    rng = random.Random(229)
+    cases = []
+    for ell in _primes_between(curves.MESTRE_BOUND + 1, 2000):
+        cases += [(ell, [rng.randrange(ell) for _ in range(5)]) for _ in range(12)]
+    for ell in (233, 239, 241):
+        cases += [(ell, [0, 0, 0, 0, b]) for b in range(1, ell)]
+        cases += [(ell, [0, 0, 0, b, 0]) for b in range(1, ell)]
+    checked = 0
+    for ell, coeffs in cases:
+        if curves.discriminant(WeierstrassModel(*coeffs)) % ell == 0:
+            continue
+        assert curves._count_prime_field(ell, coeffs) == curves._count_by_squares(ell, coeffs)
+        checked += 1
+    assert checked > 4000
+
+
+def test_hasse_multiples_match_the_group_law():
+    """Every m in the Hasse interval with m P = O, for every point P on
+    three curves over F_233, against repeated addition over FqField.  These
+    curves have points of order 12 = 2w, whose giant windows c - w .. c + w
+    hold two multiples unless the baby steps detect the small order, and
+    points of orders 15 and 17, just past the skipped orders up to 13."""
+    p = 233
+    F = fq_create(p, 1)
+    r = isqrt(4 * p)
+    lo, hi = p + 1 - r, p + 1 + r
+    for a, b in [(1, 5), (1, 30), (1, 35)]:
+        model = WeierstrassModel(F.zero(), F.zero(), F.zero(), F.from_int(a), F.from_int(b))
+        for x in range(p):
+            for y in range(1, (p + 1) // 2):
+                if (y * y - x**3 - a * x - b) % p == 0:
+                    break
+            else:
+                continue
+            P = CurvePoint(F.from_int(x), F.from_int(y))
+            expected = []
+            acc = scalar_mul(model, lo, P)
+            for m in range(lo, hi + 1):
+                if acc.is_infinity:
+                    expected.append(m)
+                acc = add_points(model, acc, P)
+            multiples = curves._hasse_multiples((x, y), a, p, lo, hi)
+            # w = isqrt(30) + 1 = 6: orders up to 2w + 1 = 13 are skipped
+            small = point_order(model, P, 13) is not None
+            assert (multiples is None) == small
+            assert small or multiples == expected
+
+
+def test_count_above_mestre_bound_matches_brute_count():
+    """Shanks-Mestre against enumeration over FqField, which shares no
+    code with either library count."""
+    rng = random.Random(233)
+    for ell in (233, 251):
+        F = fq_create(ell, 1)
+        for _ in range(4):
+            model = WeierstrassModel(*(F.from_int(rng.randrange(ell)) for _ in range(5)))
+            if curves.discriminant(model).is_zero():
+                continue
+            assert count_points(model) == brute_count(model)
+
+
+def _points(model, F, p, count):
+    """`count` affine points of a model over F_p, p = 3 mod 4, where the
+    square root of a square d is d^((p+1)/4)."""
+    out = []
+    x = 0
+    while len(out) < count:
+        X = F.from_int(x)
+        h = model.y_line(X)
+        d = model.rhs(X) * 4 + h * h  # (2y + h)^2 = d
+        s = d ** ((p + 1) // 4)
+        if not d.is_zero() and s * s == d:
+            out.append(CurvePoint(X, (s - h) / F.from_int(2)))
+        x += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [1000003, 10**12 + 39])
+def test_large_count_annihilates_points(p):
+    """N P = O on E and (2p + 2 - N) P' = O on its twist by -1, checked
+    with the generic group law over FqField, and N within the Hasse bound,
+    at primes where no enumeration is possible."""
+    assert p % 4 == 3 and _is_prime(p)
+    F = fq_create(p, 1)
+    for model in (E294, EJ0, WeierstrassModel.from_rationals([0, 0, 0, 1, 0])):
+        E = reduce_model(model, F)
+        N = count_points(E)
+        assert (p + 1 - N) ** 2 <= 4 * p
+        for P in _points(E, F, p, 10):
+            assert is_on_curve(E, P)
+            assert scalar_mul(E, N, P).is_infinity
+        # y^2 = x^3 - 27 c4 x - 54 c6 is isomorphic to E; -1 is not a square
+        # mod p, so y^2 = x^3 - 27 c4 x + 54 c6 is the quadratic twist
+        inv = invariants(model)
+        twist = WeierstrassModel(
+            F.zero(), F.zero(), F.zero(),
+            F.from_int(int(-27 * inv.c4)), F.from_int(int(54 * inv.c6)),
+        )
+        for P in _points(twist, F, p, 10):
+            assert scalar_mul(twist, 2 * p + 2 - N, P).is_infinity
+
+
 def test_count_rejects_model_outside_prime_field():
     F25 = fq_create(5, 2)
     u = F25.generator()

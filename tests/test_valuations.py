@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from eulerchar.valuations import (
     rational_sqrt,
     vp,
 )
+from oracles import trial_factorize
 
 
 def test_vp_anchors():
@@ -68,6 +70,10 @@ def test_is_prime_small():
     assert primes == sieve
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; base 41 exposes it
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(318665857834031151167461)
 
 
 def test_factorize_divisors_phi():
@@ -75,6 +81,32 @@ def test_factorize_divisors_phi():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert euler_phi(7) == 6
     assert euler_phi(700) == 240
+
+
+def test_factorize_matches_trial_division():
+    """Trial division below the limit plus Pollard rho against trial
+    division up to sqrt(n): every n < 20000, random n < 10^9, products of
+    three 9-10 digit primes, and prime powers, where rho's gcd can return n."""
+    for n in range(1, 20000):
+        assert factorize(n) == trial_factorize(n)
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(1, 10**9)
+        assert factorize(n) == trial_factorize(n)
+    for _ in range(3):
+        primes = []
+        for _ in range(3):
+            q = rng.randrange(10**8, 10**10) | 1
+            while trial_factorize(q) != ((q, 1),):
+                q += 2
+            primes.append(q)
+        expected = tuple(sorted(Counter(primes).items()))
+        assert factorize(primes[0] * primes[1] * primes[2]) == expected
+    for q, e in [(257, 2), (257, 3), (65537, 2), (1000003, 3), (999983, 2)]:
+        assert factorize(q**e) == ((q, e),)
+    assert factorize(2**4 * 953 * 284447 * 14855503647295757729) == (
+        (2, 4), (953, 1), (284447, 1), (14855503647295757729, 1)
+    )
 
 
 def test_multiplicative_order():
