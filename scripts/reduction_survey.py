@@ -13,7 +13,6 @@ from fractions import Fraction
 from eulerchar.curves import WeierstrassModel, invariants
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import bad_primes_of_curve, local_data_at
-from eulerchar.tate import euler_factor_at_one
 from eulerchar.valuations import vp
 
 
@@ -35,7 +34,7 @@ def main() -> int:
     for ell in primes:
         sp = splitting(ell, args.conductor)
         data = local_data_at(model, ell, args.conductor)
-        L = euler_factor_at_one(data)
+        L = data.L_at_1
         exp = -vp(L, args.prime)
         print(
             f"{ell:>5} {f'({sp.e},{sp.f},{sp.g})':>10} {data.q_v:>8} "

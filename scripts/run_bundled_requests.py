@@ -9,8 +9,7 @@ import json
 import pathlib
 import sys
 
-from eulerchar.cli import parse_request, render_text, report_to_dict
-from eulerchar.euler import analyze
+from eulerchar.cli import analyze_request, parse_request, render_text, report_to_dict
 
 REQUEST_DIR = pathlib.Path(__file__).resolve().parent.parent / "data" / "requests"
 
@@ -20,17 +19,7 @@ def main() -> int:
     ap.add_argument("--format", choices=("json", "text"), default="text")
     args = ap.parse_args()
     for path in sorted(REQUEST_DIR.glob("*.json")):
-        parsed = parse_request(json.loads(path.read_text()))
-        report = analyze(
-            parsed["curve"],
-            parsed["prime"],
-            parsed["conductor"],
-            parsed["abelian_variety"],
-            parsed["external"],
-            samples=parsed["samples"],
-            precision=parsed["precision_digits"],
-            target_chi_sigma_exponent=parsed["target_chi_sigma_exponent"],
-        )
+        report = analyze_request(parse_request(json.loads(path.read_text())))
         doc = report_to_dict(report)
         print(f"=== {path.name} ===")
         if args.format == "json":

@@ -27,7 +27,6 @@ from .euler import (
     compute_M,
     corank_report,
     gamma_kernel_exponent,
-    ramified_places,
     rho_p,
     tau_p,
 )
@@ -37,9 +36,6 @@ from .polynomials import Polynomial, rational_roots
 from .tate import (
     KodairaType,
     LocalReductionData,
-    base_change_rules,
-    base_change_unramified,
-    euler_factor_at_one,
     local_field_for,
     pot_supersingular,
     tate_algorithm,

@@ -31,13 +31,14 @@ from .euler import (
     EulerCharReport,
     ExternalArithmetic,
     ReductionFact,
+    TorsionCertificateError,
     analyze,
     corank_report,
     local_data_at,
     tau_p,
 )
 from .finite_fields import fq_create
-from .tate import euler_factor_at_one
+from .valuations import int_valuation, is_prime
 
 SCHEMA_VERSION = 1
 # torsion_bound_over_F samples good primes below 10^4, of which there are
@@ -111,7 +112,7 @@ def _parse_curve(value, path: str) -> WeierstrassModel:
     return WeierstrassModel.from_rationals(coeffs)
 
 
-def _parse_external(obj, path: str) -> ExternalArithmetic:
+def _parse_external(obj, path: str, prime: int) -> ExternalArithmetic:
     allowed = {
         "sha_p_order",
         "selmer_finite",
@@ -132,6 +133,10 @@ def _parse_external(obj, path: str) -> ExternalArithmetic:
     override = obj.get("torsion_p_override")
     if override is not None:
         override = _parse_int(override, f"{path}/torsion_p_override", minimum=1)
+        if prime ** int_valuation(override, prime) != override:
+            raise RequestError(
+                f"{path}/torsion_p_override", f"expected a power of p = {prime}, got {override}"
+            )
     sigma = obj.get("sigma_index_R")
     if sigma is not None:
         sigma = _parse_int(sigma, f"{path}/sigma_index_R", minimum=1)
@@ -202,9 +207,11 @@ def parse_request(obj) -> dict:
         raise RequestError("/schema_version", f"unsupported version {version}")
     curve = _parse_curve(obj["curve"], "/curve")
     prime = _parse_int(obj["prime"], "/prime", minimum=2)
+    if not is_prime(prime):
+        raise RequestError("/prime", f"expected a prime, got {prime}")
     conductor = _parse_int(obj["base_field"], "/base_field", minimum=1)
     variety = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
-    external = _parse_external(obj.get("external", {}), "/external")
+    external = _parse_external(obj.get("external", {}), "/external", prime)
     target = obj.get("target_chi_sigma_exponent")
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
@@ -222,44 +229,25 @@ def parse_request(obj) -> dict:
     }
 
 
-def canonical_request_dict(parsed: dict) -> dict:
-    """The canonical serialized form of a parsed request (idempotent)."""
-    curve = parsed["curve"]
-    variety: AbelianVarietyInput = parsed["abelian_variety"]
-    ext: ExternalArithmetic = parsed["external"]
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "curve": [str(c) for c in curve.coefficients()],
-        "prime": parsed["prime"],
-        "base_field": parsed["conductor"],
-        "abelian_variety": {
-            "dimension": variety.dimension,
-            "factors": [[str(c) for c in f.coefficients()] for f in variety.factors],
-            "reduction_table": [
-                {"prime": r.prime, "potentially_good": r.potentially_good, "good": r.good}
-                for r in variety.reduction_table
-            ],
-        },
-        "external": {
-            "sha_p_order": ext.sha_p_order,
-            "selmer_finite": ext.selmer_finite,
-            "lambda_torsion_certificate": ext.lambda_torsion_certificate,
-            "torsion_p_override": ext.torsion_p_override,
-            "sigma_index_R": ext.sigma_index_R,
-            "no_p_torsion_certificate": ext.no_p_torsion_certificate,
-        },
-        "target_chi_sigma_exponent": parsed["target_chi_sigma_exponent"],
-        "samples": parsed["samples"],
-        "precision_digits": parsed["precision_digits"],
-    }
-    return out
+def analyze_request(parsed: dict) -> EulerCharReport:
+    """`analyze` on the pieces `parse_request` returns.  A torsion
+    certificate outside the computed bracket is reported at its key."""
+    try:
+        return analyze(
+            parsed["curve"],
+            parsed["prime"],
+            parsed["conductor"],
+            parsed["abelian_variety"],
+            parsed["external"],
+            samples=parsed["samples"],
+            precision=parsed["precision_digits"],
+            target_chi_sigma_exponent=parsed["target_chi_sigma_exponent"],
+        )
+    except TorsionCertificateError as exc:
+        raise RequestError("/external/torsion_p_override", str(exc)) from None
 
 
 # -- report serialization --------------------------------------------------------------
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def report_to_dict(report: EulerCharReport) -> dict:
@@ -285,7 +273,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
                 "reduction_class": data.reduction_class,
                 "potentially_good": data.potentially_good,
                 "N_v": None if data.N_v is None else str(data.N_v),
-                "L_at_1": _frac_str(data.L_at_1),
+                "L_at_1": str(data.L_at_1),
             }
         )
     audit = [
@@ -293,7 +281,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
             "place": row.place.label,
             "q_v": str(row.q_v),
             "reduction_class": row.reduction_class,
-            "L_at_1": _frac_str(row.L_at_1),
+            "L_at_1": str(row.L_at_1),
             "vp_L": row.vp_L,
             "contribution": row.contribution,
             "gamma_kernel_exponent": row.gamma_kernel_exponent,
@@ -350,6 +338,16 @@ def report_to_dict(report: EulerCharReport) -> dict:
     }
 
 
+def _column_widths(rows: list[dict], **defaults: int) -> dict:
+    """Each column as wide as the larger of its default and its widest
+    entry, so that every row of a table puts its columns at the same
+    offsets."""
+    return {
+        key: max([width] + [len(str(row[key])) for row in rows])
+        for key, width in defaults.items()
+    }
+
+
 def render_text(doc: dict) -> str:
     lines = []
     lines.append(f"status: {doc['status']}")
@@ -361,15 +359,20 @@ def render_text(doc: dict) -> str:
         lines.append(f"  {h['status']:<8} {h['name']}: {h['detail']}")
     lines.append(f"bad-tower primes: {doc['M_rational']}")
     lines.append("places:")
-    # a place label can fill its column, so q_v widens past its default
-    # only when a value would leave no space before it
-    wq = max([8] + [len(pl["q_v"]) + 1 for pl in doc["places"]])
-    header = f"  {'place':<7}{'q_v':>{wq}}  {'kodaira':<6}{'c_v':>5}  {'class':<18}{'N_v':>8}  L(E,1)"
-    lines.append(header)
+    w = _column_widths(
+        doc["places"],
+        place=7, q_v=7, kodaira=6, c_v=4, reduction_class=17, N_v=8,
+    )
+    lines.append(
+        f"  {'place':<{w['place']}} {'q_v':>{w['q_v']}}  {'kodaira':<{w['kodaira']}} "
+        f"{'c_v':>{w['c_v']}}  {'class':<{w['reduction_class']}} {'N_v':>{w['N_v']}}  L(E,1)"
+    )
     for pl in doc["places"]:
         lines.append(
-            f"  {pl['place']:<7}{pl['q_v']:>{wq}}  {pl['kodaira']:<6}{pl['c_v']:>5}  "
-            f"{pl['reduction_class']:<18}{str(pl['N_v']):>8}  {pl['L_at_1']}"
+            f"  {pl['place']:<{w['place']}} {pl['q_v']:>{w['q_v']}}  "
+            f"{pl['kodaira']:<{w['kodaira']}} {pl['c_v']:>{w['c_v']}}  "
+            f"{pl['reduction_class']:<{w['reduction_class']}} {str(pl['N_v']):>{w['N_v']}}  "
+            f"{pl['L_at_1']}"
         )
     t = doc["torsion"]
     if t is not None:
@@ -386,10 +389,16 @@ def render_text(doc: dict) -> str:
         tgt = doc["target_chi_sigma"]
         lines.append(f"target chi_sigma exponent: {tgt['exponent']} (matches: {tgt['matches']})")
     lines.append("audit (per-place |L_v|_p exponents):")
+    w = _column_widths(
+        doc["audit"],
+        place=7, q_v=7, reduction_class=18, L_at_1=12, vp_L=3, contribution=2,
+    )
     for row in doc["audit"]:
         lines.append(
-            f"  {row['place']:<7} q={row['q_v']:>7}  {row['reduction_class']:<18} "
-            f"L={row['L_at_1']:<12} vp_L={row['vp_L']:>3}  contribution={row['contribution']:>2}"
+            f"  {row['place']:<{w['place']}} q={row['q_v']:>{w['q_v']}}  "
+            f"{row['reduction_class']:<{w['reduction_class']}} "
+            f"L={row['L_at_1']:<{w['L_at_1']}} vp_L={row['vp_L']:>{w['vp_L']}}  "
+            f"contribution={row['contribution']:>{w['contribution']}}"
             f"  gamma_exp={row['gamma_kernel_exponent']}"
         )
     lines.append(f"tau_p: {doc['tau_p']}")
@@ -435,24 +444,14 @@ def _cmd_analyze(args, out) -> int:
         return 1
     try:
         parsed = parse_request(obj)
+        if args.samples is not None:
+            parsed["samples"] = _parse_samples(args.samples)
+        if args.precision_digits is not None:
+            parsed["precision_digits"] = _parse_precision(args.precision_digits)
+        report = analyze_request(parsed)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.samples is not None:
-        parsed["samples"] = _parse_samples(args.samples)
-    if args.precision_digits is not None:
-        parsed["precision_digits"] = _parse_precision(args.precision_digits)
-    try:
-        report = analyze(
-            parsed["curve"],
-            parsed["prime"],
-            parsed["conductor"],
-            parsed["abelian_variety"],
-            parsed["external"],
-            samples=parsed["samples"],
-            precision=parsed["precision_digits"],
-            target_chi_sigma_exponent=parsed["target_chi_sigma_exponent"],
-        )
     except ValueError as exc:
         print(f"error: /: {exc}", file=sys.stderr)
         return 1
@@ -479,7 +478,7 @@ def _cmd_local(args, out) -> int:
         "reduction_class": data.reduction_class,
         "potentially_good": data.potentially_good,
         "N_v": None if data.N_v is None else str(data.N_v),
-        "euler_factor_at_1": _frac_str(euler_factor_at_one(data)),
+        "euler_factor_at_1": str(data.L_at_1),
     }
     if args.format == "json":
         _emit(doc, "json", out)
@@ -651,9 +650,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

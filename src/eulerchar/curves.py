@@ -73,14 +73,23 @@ class WeierstrassModel:
         return _compute_integral_model(self)
 
 
-def b_invariants(model: WeierstrassModel):
-    """(b2, b4, b6, b8) over the model's coefficient domain."""
-    a1, a2, a3, a4, a6 = model.coefficients()
+def b_invariants(coeffs):
+    """(b2, b4, b6, b8) of the a-invariants [a1, a2, a3, a4, a6] over any
+    coefficient ring: rationals, integers mod ell, field or local elements."""
+    a1, a2, a3, a4, a6 = coeffs
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     return b2, b4, b6, b8
+
+
+def c_invariants(b2, b4, b6, b8):
+    """(c4, c6, Delta) from the b-invariants, over the same ring."""
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return c4, c6, disc
 
 
 def discriminant(model: WeierstrassModel):
@@ -89,8 +98,7 @@ def discriminant(model: WeierstrassModel):
     if model.is_rational():
         inv = model._invariants
         return Fraction(0) if inv is None else inv.disc
-    b2, b4, b6, b8 = b_invariants(model)
-    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return c_invariants(*b_invariants(model.coefficients()))[2]
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,8 @@ def invariants(model: WeierstrassModel) -> CurveInvariants:
 
 
 def _compute_invariants(model: WeierstrassModel) -> CurveInvariants | None:
-    b2, b4, b6, b8 = b_invariants(model)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    b2, b4, b6, b8 = b_invariants(model.coefficients())
+    c4, c6, disc = c_invariants(b2, b4, b6, b8)
     if disc == 0:
         return None
     return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, c4**3 / disc)
@@ -277,7 +283,7 @@ def count_points(model: WeierstrassModel) -> int:
     if any(any(c.coords[1:]) for c in model.coefficients()):
         raise ValueError(f"model is not defined over the prime field F_{ell}")
     coeffs = [c.coords[0] for c in model.coefficients()]
-    if discriminant(WeierstrassModel(*coeffs)) % ell == 0:
+    if c_invariants(*b_invariants(coeffs))[2] % ell == 0:
         raise SingularModelError("cannot count points on a singular model")
     n1 = _count_prime_field(ell, coeffs)
     return extension_count(n1, ell, field.degree)
@@ -333,12 +339,7 @@ def _count_shanks_mestre(p: int, coeffs: list[int]) -> int:
     guarantees a unique survivor once p > 229: the group exponent of E or of
     its twist then has a single multiple in the Hasse interval.
     """
-    a1, a2, a3, a4, a6 = coeffs
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    c4, c6, _ = c_invariants(*b_invariants(coeffs))
     a, b = -27 * c4 % p, -54 * c6 % p
     r = isqrt(4 * p)  # floor(2 sqrt(p)); 4p is never a square
     lo, hi = p + 1 - r, p + 1 + r
@@ -451,14 +452,14 @@ def extension_count(n1: int, q: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def _quadratic_term(model: WeierstrassModel) -> Polynomial:
     """B(x) = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    b2, b4, b6, _ = b_invariants(model)
+    b2, b4, b6, _ = b_invariants(model.coefficients())
     return Polynomial([b6, 2 * b4, b2, Fraction(4)])
 
 
 @lru_cache(maxsize=None)
 def _g_poly(model: WeierstrassModel, n: int) -> Polynomial:
     """psi_n as a polynomial in x alone; even indices carry psi_n / psi_2."""
-    b2, b4, b6, b8 = b_invariants(model)
+    b2, b4, b6, b8 = b_invariants(model.coefficients())
     if n == 0:
         return Polynomial([Fraction(0)])
     if n in (1, 2):
@@ -556,11 +557,7 @@ class TorsionEstimate:
 
 
 def torsion_bound_over_F(
-    model: WeierstrassModel,
-    p: int,
-    m: int,
-    samples: int = 20,
-    lower_certificate: int | None = None,
+    model: WeierstrassModel, p: int, m: int, samples: int = 20
 ) -> TorsionEstimate:
     """Bracket the p-primary torsion of E over Q(mu_m).
 
@@ -568,9 +565,9 @@ def torsion_bound_over_F(
     the reduction at good places, so gcd over >= `samples` good rational
     primes ell (ell not dividing p*disc) of the p-part of #E(k_w), with
     k_w = F_{ell^f} read off the splitting of ell in Q(mu_m).  Lower bound:
-    the rational p-torsion order, raised by an optional user certificate.
-    Rational p-torsion injects into the same reductions, so an upper bound
-    of 1 settles the lower bound without a search.
+    the rational p-torsion order.  Rational p-torsion injects into the same
+    reductions, so an upper bound of 1 settles the lower bound without a
+    search.
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
@@ -595,14 +592,6 @@ def torsion_bound_over_F(
             break  # the gcd is monotone; zero exponent cannot recover
     upper = p**upper_exp
     lower = 1 if upper == 1 else rational_p_torsion_order(model, p)
-    if lower_certificate is not None:
-        if lower_certificate < 1 or p ** int_valuation(lower_certificate, p) != lower_certificate:
-            raise ValueError("torsion certificate must be a power of p")
-        lower = max(lower, lower_certificate)
-    if upper % lower != 0:
-        raise ValueError(
-            f"torsion certificate {lower} contradicts the reduction bound {upper}"
-        )
     return TorsionEstimate(p=p, lower=lower, upper=upper, exact=lower == upper)
 
 

@@ -70,6 +70,10 @@ class AbelianVarietyInput:
         return None
 
 
+class TorsionCertificateError(ValueError):
+    """The torsion certificate lies outside the computed torsion bracket."""
+
+
 @dataclass(frozen=True)
 class ExternalArithmetic:
     """Certificates the formula consumes but never computes."""
@@ -77,7 +81,7 @@ class ExternalArithmetic:
     sha_p_order: int = 1
     selmer_finite: bool = False
     lambda_torsion_certificate: bool = False
-    torsion_p_override: int | None = None
+    torsion_p_override: int | None = None  # the certified exact torsion order
     sigma_index_R: int | None = None
     no_p_torsion_certificate: bool = False
 
@@ -144,15 +148,6 @@ def compute_M(A: AbelianVarietyInput, m: int) -> tuple[list[int], list[Place]]:
     return rational_sorted, places
 
 
-def ramified_places(A: AbelianVarietyInput, p: int, m: int) -> list[Place]:
-    """Places of Q(mu_m) ramifying in the division tower: the bad-not-
-    potentially-good set together with every place above p."""
-    rational, places = compute_M(A, m)
-    if p not in rational:
-        places = places + places_above(p, m)
-    return sorted(places, key=lambda pl: (pl.ell, pl.index))
-
-
 def local_data_at(
     model: WeierstrassModel, ell: int, m: int, precision: int | None = None
 ) -> LocalReductionData:
@@ -168,14 +163,14 @@ def local_data_at(
 
 
 def check_hypotheses(
-    E: WeierstrassModel,
     A: AbelianVarietyInput,
     p: int,
     m: int,
     ext: ExternalArithmetic,
-    e_data_at_p: LocalReductionData | None = None,
+    e_data_at_p: LocalReductionData,
 ) -> list[HypothesisResult]:
-    """Audit of every clause the Euler-characteristic formula assumes.
+    """Audit of every clause the Euler-characteristic formula assumes, given
+    the reduction data of E at the places above p.
 
     Statuses: PASS (verified), ASSUMED (user certificate), FAIL.  The table
     is always produced; no clause failure aborts the computation.
@@ -213,8 +208,6 @@ def check_hypotheses(
             )
         )
 
-    if e_data_at_p is None:
-        e_data_at_p = local_data_at(E, p, m)
     if e_data_at_p.reduction_class == GOOD_ORDINARY:
         rows.append(
             HypothesisResult(
@@ -322,47 +315,35 @@ class RhoResult:
 def rho_p(
     p: int,
     place_data: list[tuple[Place, LocalReductionData]],
-    torsion: TorsionEstimate | None,
-    ext: ExternalArithmetic,
+    torsion: tuple[int, int] | None,
+    sha_p_order: int,
 ) -> RhoResult:
     """Exponent k with rho_p = p^k:
 
     k = vp(sha) - 2 vp(#torsion) + sum_v vp(c_v) + 2 sum_{v|p} vp(N_v).
 
-    Torsion enters through the exact order when the estimate is exact, or
-    through the user override certificate; otherwise the result is an
-    exponent window and no single value is fabricated.  With torsion=None
-    (no torsion machinery, p < 5) the exponent is None and the window
-    collapses to the torsion-free sum.
+    `torsion` is the bracket (lower, upper) of the torsion order that rho
+    uses.  When lower == upper that order is exact and so is the exponent;
+    otherwise the result is the exponent window of the bracket and no
+    single value is fabricated.  With torsion=None (no torsion machinery,
+    p < 5) the exponent is None and the window collapses to the
+    torsion-free sum.
     """
-    sha_exp = vp(ext.sha_p_order, p)
+    sha_exp = vp(sha_p_order, p)
     tamagawa = sum(vp(data.c_v, p) for _, data in place_data)
     counts = 2 * sum(
         vp(data.N_v, p) for _, data in place_data if data.ell == p and data.is_good
     )
     base = sha_exp + tamagawa + counts
 
-    exact_exp: int | None
-    if torsion is None:
-        exact_exp = None
-        window = (base, base)
-        torsion_term = None
-    elif torsion.exact:
-        t_exp = vp(torsion.order, p)
-        exact_exp = base - 2 * t_exp
-        window = (exact_exp, exact_exp)
-        torsion_term = -2 * t_exp
-    elif ext.torsion_p_override is not None:
-        t_exp = vp(ext.torsion_p_override, p)
-        exact_exp = base - 2 * t_exp
-        window = (exact_exp, exact_exp)
-        torsion_term = -2 * t_exp
-    else:
-        lo = base - 2 * vp(torsion.upper, p)
-        hi = base - 2 * vp(torsion.lower, p)
-        exact_exp = None
-        window = (lo, hi)
-        torsion_term = None
+    exact_exp = torsion_term = None
+    window = (base, base)
+    if torsion is not None:
+        lower, upper = (vp(t, p) for t in torsion)
+        window = (base - 2 * upper, base - 2 * lower)
+        if lower == upper:
+            torsion_term = -2 * lower
+            exact_exp = base + torsion_term
     breakdown = {
         "sha": sha_exp,
         "torsion": torsion_term,
@@ -543,20 +524,26 @@ def analyze(
         for place in places_above(ell, m):
             place_rows.append((place, data_by_ell[ell]))
 
-    e_data_at_p = data_by_ell[p]
-    hypotheses = check_hypotheses(E, A, p, m, ext, e_data_at_p=e_data_at_p)
+    hypotheses = check_hypotheses(A, p, m, ext, data_by_ell[p])
 
+    # the torsion machinery requires p >= 5; below it the p >= 5 hypothesis
+    # clause has already FAILed, so rho stays undetermined
+    torsion, used, torsion_source = None, None, "unavailable"
     if p >= 5:
-        torsion = torsion_bound_over_F(
-            E, p, m, samples=samples, lower_certificate=ext.torsion_p_override
-        )
-        torsion_source = "certificate" if ext.torsion_p_override is not None else "computed"
-    else:
-        # the torsion machinery requires p >= 5; the p >= 5 hypothesis
-        # clause has already FAILed, so rho stays undetermined
-        torsion = None
-        torsion_source = "unavailable"
-    rho = rho_p(p, place_rows, torsion, ext)
+        torsion = torsion_bound_over_F(E, p, m, samples=samples)
+        used, torsion_source = (torsion.lower, torsion.upper), "computed"
+        certificate = ext.torsion_p_override
+        if certificate is not None:
+            # lower and upper are powers of p, so this admits exactly the
+            # powers of p in the bracket
+            if certificate < torsion.lower or torsion.upper % certificate:
+                raise TorsionCertificateError(
+                    f"certificate {certificate} lies outside the computed "
+                    f"bracket [{torsion.lower}, {torsion.upper}]"
+                )
+            torsion = TorsionEstimate(p, certificate, torsion.upper, certificate == torsion.upper)
+            used, torsion_source = (certificate, certificate), "certificate"
+    rho = rho_p(p, place_rows, used, ext.sha_p_order)
 
     m_place_rows = [(pl, data) for pl, data in place_rows if pl.ell in M_rational]
     chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_place_rows)

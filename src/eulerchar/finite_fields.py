@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .polynomials import _frobenius_minus_x_mod_p, _poly_divmod_mod_p, _poly_gcd_mod_p
+from .polynomials import _frobenius_minus_x_mod_p, _poly_gcd_mod_p
 from .valuations import is_prime
 
 
@@ -96,9 +96,8 @@ class FqElement:
 class FqField:
     """Finite field with ell**f elements.
 
-    Arithmetic is polynomial arithmetic modulo (modulus, ell); the modulus
-    is verified irreducible at construction by trial division against every
-    monic polynomial of degree <= f/2.
+    Arithmetic is polynomial arithmetic modulo (modulus, ell); `fq_create`
+    picks the modulus by the Rabin irreducibility test.
     """
 
     def __init__(self, ell: int, f: int, modulus: tuple[int, ...]):
@@ -119,14 +118,6 @@ class FqField:
         coords = [0] * self.degree
         coords[0] = n % self.characteristic
         return FqElement(self, tuple(coords))
-
-    def from_coords(self, coords) -> FqElement:
-        p = self.characteristic
-        c = [x % p for x in coords]
-        if len(c) > self.degree:
-            raise ValueError("too many coordinates")
-        c += [0] * (self.degree - len(c))
-        return FqElement(self, tuple(c))
 
     def generator(self) -> FqElement:
         """The class of u (only meaningful for f > 1)."""
@@ -179,23 +170,12 @@ class FqField:
 
 
 def _is_irreducible_mod_p(poly: tuple[int, ...], p: int) -> bool:
-    """Irreducibility over F_p: trial division for small degrees, the
-    Rabin criterion (Frobenius fixed-point test) for larger ones."""
-    f = len(poly) - 1
-    if f == 1:
-        return True
-    if poly[0] == 0:  # divisible by u
-        return False
-    if f <= 8:
-        for d in range(1, f // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                den = list(tail) + [1]
-                _, rem = _poly_divmod_mod_p(list(poly), den, p)
-                if rem == [0]:
-                    return False
-        return True
+    """Irreducibility over F_p of a monic polynomial of degree f >= 2, by
+    the Rabin criterion: x^(p^f) = x modulo the polynomial, and
+    x^(p^(f/t)) - x is coprime to it for every prime t | f."""
     from .valuations import factorize
 
+    f = len(poly) - 1
     modulus = list(poly)
     for t, _ in factorize(f):
         h = _frobenius_minus_x_mod_p(p ** (f // t), modulus, p)

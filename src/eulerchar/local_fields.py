@@ -398,11 +398,7 @@ class LocalElement:
 
 
 @lru_cache(maxsize=128)
-def make_local_field(
-    ell: int,
-    e: int = 1,
-    precision: int | None = None,
-) -> LocalField:
+def make_local_field(ell: int, e: int, precision: int) -> LocalField:
     """Deterministic local field object, memoized per argument tuple.
 
     For e > 1, e = ell - 1 is the first cyclotomic layer Q_ell(mu_ell);
@@ -416,8 +412,6 @@ def make_local_field(
         raise ValueError(f"residue characteristic must be prime, got {ell}")
     if e < 1:
         raise ValueError("ramification index must be >= 1")
-    if precision is None:
-        precision = 24 * e
     if precision < 2 * e:
         raise ValueError("precision too small to be useful")
     return LocalField(ell, e, precision)

@@ -1,6 +1,6 @@
 """Tate's algorithm over the supported local fields, reduction
-classification, Tamagawa numbers, local Euler factors at s = 1, unramified
-base change, and the potential-supersingularity test.
+classification, Tamagawa numbers, local Euler factors at s = 1, and the
+potential-supersingularity test.
 
 The algorithm follows the classical step ladder (I0, I_n, II, III, IV,
 I0*, I_n*, IV*, III*, II*, rescale) and works for every residue
@@ -118,7 +118,6 @@ class LocalReductionData:
     potentially_good: bool
     N_v: int | None
     L_at_1: Fraction
-    model: WeierstrassModel
     reduced_model: WeierstrassModel | None
     precision_used: int
 
@@ -127,7 +126,7 @@ class LocalReductionData:
         return self.kodaira.is_good
 
     def comparable_fields(self) -> tuple:
-        """Everything reported, without the carried models and precision."""
+        """Everything reported, without the reduced model and precision."""
         return (
             self.ell,
             self.e,
@@ -351,7 +350,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
     pole = inv.j_pole_order(ell)
     potentially_good = pole == 0
 
-    place = dict(ell=ell, e=K.e, f=f, q_v=q, model=model, precision_used=K.precision)
+    place = dict(ell=ell, e=K.e, f=f, q_v=q, precision_used=K.precision)
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
     n = K.e * vp(inv.disc, ell)
@@ -368,7 +367,7 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
             if not a[idx].val_at_least(least):
                 raise AssertionError("singular translation failed")
 
-        b2, b4, b6, b8 = b_invariants(WeierstrassModel(*a))
+        b2, b4, b6, b8 = b_invariants(a)
         if not b2.val_at_least(1):
             # Type I_n, multiplicative.
             split = _tangent_splits(a[0].residue(), a[1].residue(), ell, q)
@@ -523,7 +522,6 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, reduce
         potentially_good=potentially_good,
         N_v=N_v,
         L_at_1=_euler_factor(cls, q, N_v),
-        model=place["model"],
         reduced_model=reduced,
         precision_used=place["precision_used"],
     )
@@ -581,52 +579,6 @@ def _euler_factor(cls: str, q: int, N: int | None) -> Fraction:
     if cls == MULT_NONSPLIT:
         return Fraction(q, q + 1)
     return Fraction(1)
-
-
-def euler_factor_at_one(data: LocalReductionData) -> Fraction:
-    """L_v(E, 1) of a place's reduction data."""
-    return _euler_factor(data.reduction_class, data.q_v, data.N_v)
-
-
-def base_change_unramified(data: LocalReductionData, f: int) -> LocalReductionData:
-    """Reduction data over the unramified extension of degree f, computed
-    authoritatively by rerunning Tate's algorithm with residue degree f."""
-    if data.e != 1 or data.f != 1:
-        raise ValueError("base_change_unramified starts from data over Q_ell")
-    K = local_field_for(data.model, data.ell)
-    return tate_algorithm(data.model, K, f=f)
-
-
-def base_change_rules(data: LocalReductionData, f: int) -> dict:
-    """Textbook fast path for unramified base change, used as a cross-check:
-    I_n stays I_n, nonsplit becomes split iff f is even, good reduction
-    extends its count along the trace recurrence, potential good reduction
-    is preserved.  Additive component groups are deliberately not ruled."""
-    if data.e != 1 or data.f != 1:
-        raise ValueError("base_change_rules starts from data over Q_ell")
-    q = data.ell**f
-    out = {"potentially_good": data.potentially_good, "q_v": q}
-    if data.is_good:
-        N = extension_count(data.N_v, data.ell, f)
-        trace = q + 1 - N
-        out.update(
-            kodaira=data.kodaira,
-            c_v=1,
-            N_v=N,
-            reduction_class=GOOD_SUPERSINGULAR if trace % data.ell == 0 else GOOD_ORDINARY,
-            L_at_1=Fraction(q, N),
-        )
-    elif data.kodaira.is_multiplicative:
-        n = data.kodaira.n
-        split = data.reduction_class == MULT_SPLIT or f % 2 == 0
-        out.update(
-            kodaira=data.kodaira,
-            c_v=n if split else (2 if n % 2 == 0 else 1),
-            N_v=None,
-            reduction_class=MULT_SPLIT if split else MULT_NONSPLIT,
-            L_at_1=Fraction(q, q - 1) if split else Fraction(q, q + 1),
-        )
-    return out
 
 
 def pot_supersingular(model: WeierstrassModel, p: int) -> bool:

@@ -13,13 +13,24 @@ library's gcd root count.
 library's v(Delta) = e * v_ell(disc).
 `trial_factorize` divides by every d up to sqrt(n), against the library's
 trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.
+`base_change_rules` gives the textbook reduction data over the unramified
+extension of degree f, against Tate's algorithm run with residue degree f.
 """
 
 from __future__ import annotations
 
-from eulerchar.curves import WeierstrassModel
+from fractions import Fraction
+
+from eulerchar.curves import WeierstrassModel, extension_count
 from eulerchar.finite_fields import FqElement, FqField
 from eulerchar.local_fields import LocalElement
+from eulerchar.tate import (
+    GOOD_ORDINARY,
+    GOOD_SUPERSINGULAR,
+    MULT_NONSPLIT,
+    MULT_SPLIT,
+    LocalReductionData,
+)
 
 
 def lift_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
@@ -110,3 +121,36 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def base_change_rules(data: LocalReductionData, f: int) -> dict:
+    """Reduction data over the unramified extension of degree f of Q_ell,
+    from the data over Q_ell by rule: I_n stays I_n, nonsplit becomes split
+    iff f is even, good reduction extends its count along the trace
+    recurrence, potential good reduction is preserved.  Additive component
+    groups are deliberately not ruled."""
+    if data.e != 1 or data.f != 1:
+        raise ValueError("base_change_rules starts from data over Q_ell")
+    q = data.ell**f
+    out = {"potentially_good": data.potentially_good, "q_v": q}
+    if data.is_good:
+        N = extension_count(data.N_v, data.ell, f)
+        trace = q + 1 - N
+        out.update(
+            kodaira=data.kodaira,
+            c_v=1,
+            N_v=N,
+            reduction_class=GOOD_SUPERSINGULAR if trace % data.ell == 0 else GOOD_ORDINARY,
+            L_at_1=Fraction(q, N),
+        )
+    elif data.kodaira.is_multiplicative:
+        n = data.kodaira.n
+        split = data.reduction_class == MULT_SPLIT or f % 2 == 0
+        out.update(
+            kodaira=data.kodaira,
+            c_v=n if split else (2 if n % 2 == 0 else 1),
+            N_v=None,
+            reduction_class=MULT_SPLIT if split else MULT_NONSPLIT,
+            L_at_1=Fraction(q, q - 1) if split else Fraction(q, q + 1),
+        )
+    return out

@@ -1,15 +1,17 @@
 import io
 import json
+import re
 
 import pytest
 
 from eulerchar.cli import (
     RequestError,
+    analyze_request,
     build_parser,
-    canonical_request_dict,
     main,
     parse_request,
     render_text,
+    report_to_dict,
 )
 
 REQ_TABLE = {
@@ -69,12 +71,6 @@ def test_parse_rejects_missing_and_malformed():
     bad3["schema_version"] = 2
     with pytest.raises(RequestError):
         parse_request(bad3)
-
-
-def test_canonical_roundtrip_idempotent():
-    once = canonical_request_dict(parse_request(REQ_TABLE))
-    twice = canonical_request_dict(parse_request(once))
-    assert json.dumps(once, indent=2) == json.dumps(twice, indent=2)
 
 
 def test_analyze_exit_zero(monkeypatch, capsys):
@@ -302,9 +298,10 @@ def test_good_but_not_potentially_good_row_rejected(monkeypatch, capsys):
 
 
 def test_text_columns_widen_for_large_places(monkeypatch, capsys):
-    """A 20-digit place keeps a space between its label and q_v; the
-    discriminant -2^4 * 953 * 284447 * 14855503647295757729 also needs
-    Pollard rho to find that place at all."""
+    """A 20-digit place widens the place and q_v columns of every row and
+    keeps a space between its label and q_v; the discriminant
+    -2^4 * 953 * 284447 * 14855503647295757729 also needs Pollard rho to
+    find that place at all."""
     big = 14855503647295757729
     req = {
         "schema_version": 1,
@@ -318,7 +315,7 @@ def test_text_columns_widen_for_large_places(monkeypatch, capsys):
     assert code == 2
     rows = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()
     assert rows[-1].startswith(f"  {big}#1 {big}  I1 ")
-    assert rows[1] == "  2#1" + " " * 24 + "2  II        1  Additive              None  1"
+    assert rows[1] == "  2#1" + " " * 39 + "2  II        1  Additive              None  1"
     assert all(row.split()[0].endswith("#1") for row in rows[1:])  # label, then q_v
 
 
@@ -333,3 +330,133 @@ def test_bundled_requests_parse():
         with open(f"data/requests/{name}", encoding="utf-8") as fh:
             parsed = parse_request(json.load(fh))
         assert parsed["prime"] == 7
+
+
+def _column_offsets(row: str, aligns: str, token: str) -> list[int]:
+    """Where each column of a text-table row sits: the start of a
+    left-aligned entry, the end of a right-aligned one."""
+    spans = [m.span() for m in re.finditer(token, row)]
+    assert len(spans) == len(aligns), row
+    return [start if a == "l" else end for (start, end), a in zip(spans, aligns)]
+
+
+@pytest.mark.parametrize(
+    "curve,prime,conductor,factor,wide",
+    [
+        (["1", "0", "0", "-1", "-1"], 5, 1, ["1", "0", "0", "0", "10000019"], "149839#1"),
+        (["0", "0", "1", "-1", "0"], 5, 19, ["-1", "2", "2", "0", "0"], "112455406951957393129"),
+    ],
+)
+def test_text_columns_line_up(monkeypatch, capsys, curve, prime, conductor, factor, wide):
+    """Every row of the places and audit tables puts its columns at the
+    same offsets, also when an entry is wider than its column's default."""
+    req = {
+        "schema_version": 1,
+        "curve": curve,
+        "prime": prime,
+        "base_field": conductor,
+        "abelian_variety": {"dimension": 1, "factors": [factor]},
+        "external": {"selmer_finite": True, "lambda_torsion_certificate": True},
+    }
+    code, out, _ = _run(["analyze", "-", "--format", "text"], stdin_text=json.dumps(req),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code in (0, 2)
+    places = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()[1:]
+    audit = out.split("exponents):\n")[1].split("\ntau_p")[0].splitlines()
+    assert any(wide in row for row in places) and any(wide in row for row in audit)
+    for rows, aligns, token in (
+        (places, "lrlrlrl", r"\S+"),
+        # place, q=, q_v, class, L=, L_at_1, vp_L=, vp_L, contribution=, ..., gamma_exp=, ...
+        (audit, "llrllllrlrll", r"[^\s=]+"),
+    ):
+        assert len({tuple(_column_offsets(row, aligns, token)) for row in rows}) == 1
+
+
+def test_text_columns_keep_their_defaults():
+    """Tables whose entries fit the default widths print as they always
+    have."""
+    text = render_text(report_to_dict(analyze_request(parse_request(REQ_TABLE))))
+    assert (
+        "places:\n"
+        "  place       q_v  kodaira  c_v  class                  N_v  L(E,1)\n"
+        "  2#1           8  I1        1  MultSplit             None  8/7\n"
+        "  2#2           8  I1        1  MultSplit             None  8/7\n"
+        "  3#1         729  I1        1  MultSplit             None  729/728\n"
+        "  7#1           7  I0        1  GoodOrdinary             7  1\n"
+    ) in text
+    assert (
+        "audit (per-place |L_v|_p exponents):\n"
+        "  2#1     q=      8  MultSplit          L=8/7          vp_L= -1  contribution= 1"
+        "  gamma_exp=1\n"
+        "  2#2     q=      8  MultSplit          L=8/7          vp_L= -1  contribution= 1"
+        "  gamma_exp=1\n"
+        "  3#1     q=    729  MultSplit          L=729/728      vp_L= -1  contribution= 1"
+        "  gamma_exp=1\n"
+    ) in text
+
+
+E11A = ["0", "-1", "1", "-10", "-20"]  # E(Q) has a point of order 5
+
+
+def _request_11a(**external):
+    return {
+        "schema_version": 1,
+        "curve": E11A,
+        "prime": 5,
+        "base_field": 11,
+        "abelian_variety": {"dimension": 1, "factors": [["-1", "2", "2", "0", "0"]]},
+        "external": {"selmer_finite": True, "lambda_torsion_certificate": True, **external},
+    }
+
+
+@pytest.mark.parametrize("certificate", [1, 125])
+def test_torsion_certificate_outside_bracket_rejected(monkeypatch, capsys, certificate):
+    """11a at p = 5 over Q(mu_11) has the computed bracket [5, 25]: a
+    certificate below or above it is refused at its own pointer."""
+    code, out, err = _run(["analyze", "-"], stdin_text=json.dumps(_request_11a(
+        torsion_p_override=certificate)), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: /external/torsion_p_override: certificate {certificate} lies outside "
+        "the computed bracket [5, 25]\n"
+    )
+
+
+@pytest.mark.parametrize("certificate,exponent", [(5, 8), (25, 6)])
+def test_torsion_certificate_inside_bracket_fixes_rho(monkeypatch, capsys, certificate, exponent):
+    code, out, _ = _run(["analyze", "-", "--format", "json"], stdin_text=json.dumps(
+        _request_11a(torsion_p_override=certificate)), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rho"]["exponent"] == exponent
+    assert (doc["torsion"]["lower"], doc["torsion"]["upper"]) == (str(certificate), "25")
+    assert doc["torsion"]["source"] == "certificate"
+
+
+def test_torsion_certificate_not_a_power_of_p_rejected_at_parse():
+    for certificate in (10, 7, 6):
+        with pytest.raises(RequestError) as err:
+            parse_request(_request_11a(torsion_p_override=certificate))
+        assert err.value.path == "/external/torsion_p_override"
+        assert f"expected a power of p = 5, got {certificate}" in str(err.value)
+
+
+def test_composite_prime_rejected_at_parse(monkeypatch, capsys):
+    """A composite prime is refused at /prime; 2 and 3 are primes outside
+    the formula's range and keep their HYPOTHESIS_FAIL report."""
+    req = json.loads(json.dumps(REQ_TABLE))
+    del req["external"]["torsion_p_override"]
+    for composite in (9, 4, 25):
+        with pytest.raises(RequestError) as err:
+            parse_request({**req, "prime": composite})
+        assert err.value.path == "/prime"
+    code, out, err = _run(["analyze", "-"], stdin_text=json.dumps({**req, "prime": 9}),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "error: /prime: expected a prime, got 9\n"
+    for small in (2, 3):
+        code, out, _ = _run(["analyze", "-", "--format", "json"],
+                            stdin_text=json.dumps({**req, "prime": small}),
+                            monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2
+        assert json.loads(out)["status"] == "HYPOTHESIS_FAIL"

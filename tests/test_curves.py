@@ -53,7 +53,7 @@ small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 @given(st.tuples(small_fracs, small_fracs, small_fracs, small_fracs, small_fracs))
 def test_invariant_identities(coeffs):
     model = WeierstrassModel.from_rationals(coeffs)
-    b2, b4, b6, b8 = b_invariants(model)
+    b2, b4, b6, b8 = b_invariants(model.coefficients())
     assert 4 * b8 == b2 * b6 - b4 * b4
     try:
         inv = invariants(model)
@@ -371,15 +371,26 @@ def test_torsion_bound_anchors():
     est2 = torsion_bound_over_F(EPRIME, 7, 1, samples=10)
     assert est2.upper % rational_p_torsion_order(EPRIME, 7) == 0
 
-    # the certified order-7 point over Q(mu_7)
-    est3 = torsion_bound_over_F(E294, 7, 7, samples=20, lower_certificate=7)
-    assert est3.lower == 7
-    assert est3.upper % 7 == 0
+    # over Q(mu_7) the reductions leave room for the order-7 point
+    est3 = torsion_bound_over_F(E294, 7, 7, samples=20)
+    assert (est3.lower, est3.upper, est3.exact) == (1, 7, False)
 
 
 def test_torsion_bound_rejects_bad_certificate():
-    with pytest.raises(ValueError):
-        torsion_bound_over_F(E294, 7, 7, samples=5, lower_certificate=14)
+    """A certificate outside the computed bracket is refused, whether it
+    lies above the upper bound or below the rational lower bound."""
+    from eulerchar.euler import (
+        AbelianVarietyInput,
+        ExternalArithmetic,
+        TorsionCertificateError,
+        analyze,
+    )
+
+    E11A = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])  # rational 5-torsion
+    A = AbelianVarietyInput(dimension=1, factors=(EPRIME,))
+    for model, p, m, certificate in ((E294, 7, 7, 49), (E11A, 5, 11, 1), (E11A, 5, 11, 125)):
+        with pytest.raises(TorsionCertificateError, match="outside the computed bracket"):
+            analyze(model, p, m, A, ExternalArithmetic(torsion_p_override=certificate))
 
 
 def test_torsion_bound_skips_rational_search_when_upper_is_one(monkeypatch):
@@ -411,10 +422,7 @@ def test_torsion_bound_skips_rational_search_when_upper_is_one(monkeypatch):
         else:
             assert calls == [(integral_model(model), p)]
             seen_upper_above_one += 1
-    # a certificate is still checked against an upper bound of 1
     assert torsion_bound_over_F(EJ0, 7, 1, samples=20).upper == 1
-    with pytest.raises(ValueError):
-        torsion_bound_over_F(EJ0, 7, 1, samples=20, lower_certificate=7)
 
 
 def test_torsion_divides_reduction_sample():
@@ -451,7 +459,7 @@ def test_model_with_j_invariant():
         from eulerchar.curves import discriminant
 
         assert not discriminant(model).is_zero()
-        b2, b4, b6, b8 = b_invariants(model)
+        b2, b4, b6, b8 = b_invariants(model.coefficients())
         c4 = b2 * b2 - 24 * b4
         jm = c4 * c4 * c4 * discriminant(model).inverse()
         assert jm == F13.from_int(j)

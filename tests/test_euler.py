@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.cli import report_to_dict
-from eulerchar.curves import TorsionEstimate, WeierstrassModel, extension_count
+from eulerchar.curves import WeierstrassModel, extension_count
 from eulerchar.euler import (
     ASSUMED,
     FAIL,
@@ -22,7 +22,6 @@ from eulerchar.euler import (
     hypotheses_failed,
     local_data_at,
     places_above,
-    ramified_places,
     rho_p,
     tau_p,
 )
@@ -74,19 +73,8 @@ def test_compute_M_table_precedence():
         )
 
 
-def test_ramified_places():
-    places = ramified_places(AbelianVarietyInput(dimension=1, factors=(EPRIME,)), 7, 7)
-    assert sorted({pl.ell for pl in places}) == [2, 7, 13]
-    places2 = ramified_places(AbelianVarietyInput(dimension=1, factors=(EJ0,)), 7, 7)
-    assert sorted({pl.ell for pl in places2}) == [7]
-    both = ramified_places(
-        AbelianVarietyInput(dimension=2, factors=(E294, EPRIME)), 7, 7
-    )
-    assert sorted({pl.ell for pl in both}) == [2, 3, 7, 13]
-
-
 def test_check_hypotheses_statuses():
-    rows = check_hypotheses(E294, TABLE_23, 7, 7, EXT_FULL)
+    rows = check_hypotheses(TABLE_23, 7, 7, EXT_FULL, local_data_at(E294, 7, 7))
     by_name = {r.name: r for r in rows}
     assert by_name["p_prime_at_least_5"].status == PASS
     # dim = 2: threshold 2*2+1 = 5 and 7 > 5
@@ -98,29 +86,29 @@ def test_check_hypotheses_statuses():
 
 
 def test_check_hypotheses_failures():
-    rows = check_hypotheses(E294, TABLE_23, 3, 7, EXT_FULL)
+    rows = check_hypotheses(TABLE_23, 3, 7, EXT_FULL, local_data_at(E294, 3, 7))
     by_name = {r.name: r for r in rows}
     assert by_name["p_prime_at_least_5"].status == FAIL
     assert hypotheses_failed(rows)
 
     # supersingular at p: y^2 = x^3 + 1 at p = 5
     rows2 = check_hypotheses(
-        EJ0, AbelianVarietyInput(dimension=1, factors=(EJ0,)), 5, 1, EXT_FULL
+        AbelianVarietyInput(dimension=1, factors=(EJ0,)), 5, 1, EXT_FULL, local_data_at(EJ0, 5, 1)
     )
     by_name2 = {r.name: r for r in rows2}
     assert by_name2["E_good_ordinary_above_p"].status == FAIL
 
     # low p against large dimension without certificate
+    at_7 = local_data_at(E294, 7, 7)
     rows3 = check_hypotheses(
-        E294, AbelianVarietyInput(dimension=3, reduction_table=(ReductionFact(2, False, False),)),
-        7, 7, ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True,
-                                 torsion_p_override=7),
+        AbelianVarietyInput(dimension=3, reduction_table=(ReductionFact(2, False, False),)),
+        7, 7, ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True), at_7,
     )
     assert {r.name: r.status for r in rows3}["sigma_no_p_torsion"] == FAIL
     rows4 = check_hypotheses(
-        E294, AbelianVarietyInput(dimension=3, reduction_table=(ReductionFact(2, False, False),)),
+        AbelianVarietyInput(dimension=3, reduction_table=(ReductionFact(2, False, False),)),
         7, 7, ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True,
-                                 torsion_p_override=7, no_p_torsion_certificate=True),
+                                 no_p_torsion_certificate=True), at_7,
     )
     assert {r.name: r.status for r in rows4}["sigma_no_p_torsion"] == ASSUMED
 
@@ -136,8 +124,7 @@ def _place_rows(model, p, m, primes):
 
 def test_rho_reference_configuration():
     rows = _place_rows(E294, 7, 7, [2, 3, 7])
-    torsion = TorsionEstimate(p=7, lower=7, upper=7, exact=True)
-    rho = rho_p(7, rows, torsion, EXT_FULL)
+    rho = rho_p(7, rows, (7, 7), 1)
     assert rho.exponent == 0
     assert rho.breakdown == {
         "sha": 0,
@@ -148,31 +135,39 @@ def test_rho_reference_configuration():
 
 
 def test_rho_trivial_and_sha():
-    torsion = TorsionEstimate(p=7, lower=1, upper=1, exact=True)
-    rho = rho_p(7, [], torsion, ExternalArithmetic(sha_p_order=1))
+    rho = rho_p(7, [], (1, 1), 1)
     assert rho.exponent == 0
-    rho2 = rho_p(7, [], torsion, ExternalArithmetic(sha_p_order=7))
+    rho2 = rho_p(7, [], (1, 1), 7)
     assert rho2.exponent == 1
 
 
 def test_rho_window_when_not_exact():
-    torsion = TorsionEstimate(p=7, lower=1, upper=7, exact=False)
-    rho = rho_p(7, [], torsion, ExternalArithmetic())
+    rho = rho_p(7, [], (1, 7), 1)
     assert rho.exponent is None
     assert rho.window == (-2, 0)
+    assert rho.breakdown["torsion"] is None
 
 
 def test_rho_override_when_not_exact():
-    torsion = TorsionEstimate(p=7, lower=1, upper=7, exact=False)
-    rho = rho_p(7, [], torsion, ExternalArithmetic(torsion_p_override=7))
-    assert rho.exponent == -2
+    """A certificate inside a bracket that is not exact is the one order
+    rho uses; the report keeps the computed upper bound."""
+    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    ext = ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True)
+    computed = analyze(E294, 7, 7, TABLE_23, ext)
+    assert (computed.torsion.lower, computed.torsion.upper) == (1, 7)
+    for certificate, exponent in ((1, 2), (7, 0)):
+        report = analyze(E294, 7, 7, TABLE_23, replace(ext, torsion_p_override=certificate))
+        assert (report.torsion.lower, report.torsion.upper) == (certificate, 7)
+        assert report.torsion_source == "certificate"
+        assert report.rho == rho_p(7, rows, (certificate, certificate), 1)
+        assert report.rho.exponent == exponent
 
 
 def test_rho_without_torsion():
-    """torsion=None (p < 5): no exponent, the window is the torsion-free sum,
-    and the override certificate is not consulted."""
+    """torsion=None (p < 5): no exponent, and the window is the
+    torsion-free sum."""
     rows = _place_rows(E294, 7, 7, [2, 3, 7])
-    rho = rho_p(7, rows, None, EXT_FULL)
+    rho = rho_p(7, rows, None, 1)
     assert rho.exponent is None
     assert rho.window == (2, 2)
     assert rho.breakdown == {
@@ -186,18 +181,16 @@ def test_rho_without_torsion():
 def test_rho_ignores_euler_factors():
     """rho never reads L_at_1: perturbing every Euler factor changes nothing."""
     rows = _place_rows(E294, 7, 7, [2, 3, 7])
-    torsion = TorsionEstimate(p=7, lower=7, upper=7, exact=True)
-    before = rho_p(7, rows, torsion, EXT_FULL).exponent
+    before = rho_p(7, rows, (7, 7), 1).exponent
     perturbed = [
         (pl, replace(data, L_at_1=data.L_at_1 * Fraction(7, 3))) for pl, data in rows
     ]
-    assert rho_p(7, perturbed, torsion, EXT_FULL).exponent == before
+    assert rho_p(7, perturbed, (7, 7), 1).exponent == before
 
 
 def test_chi_example_one():
     rows = _place_rows(E294, 7, 7, [2, 3, 7])
-    torsion = TorsionEstimate(p=7, lower=7, upper=7, exact=True)
-    rho = rho_p(7, rows, torsion, EXT_FULL)
+    rho = rho_p(7, rows, (7, 7), 1)
     m_rows = [(pl, d) for pl, d in rows if pl.ell in (2, 3)]
     chi_cyc, chi_sigma, audit = chi_euler(7, rho, m_rows)
     assert chi_cyc == 0
@@ -207,8 +200,7 @@ def test_chi_example_one():
 
 
 def test_chi_empty_bad_set():
-    torsion = TorsionEstimate(p=7, lower=1, upper=1, exact=True)
-    rho = rho_p(7, [], torsion, ExternalArithmetic())
+    rho = rho_p(7, [], (1, 1), 1)
     chi_cyc, chi_sigma, audit = chi_euler(7, rho, [])
     assert chi_cyc == chi_sigma == 0 and audit == []
 
