@@ -38,7 +38,7 @@ from .euler import (
     tau_p,
 )
 from .finite_fields import fq_create
-from .valuations import int_valuation, is_prime
+from .valuations import factorize, int_valuation, is_prime
 
 SCHEMA_VERSION = 1
 # torsion_bound_over_F samples good primes below 10^4, of which there are
@@ -210,6 +210,13 @@ def parse_request(obj) -> dict:
     if not is_prime(prime):
         raise RequestError("/prime", f"expected a prime, got {prime}")
     conductor = _parse_int(obj["base_field"], "/base_field", minimum=1)
+    wild = [ell for ell, k in factorize(conductor) if k > 1]
+    if wild:
+        # 4 | m or ell^2 | m: Q(mu_m) is wildly ramified above ell
+        raise RequestError(
+            "/base_field",
+            f"{wild[0]}^2 divides {conductor}: wildly ramified conductors are unsupported",
+        )
     variety = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
     external = _parse_external(obj.get("external", {}), "/external", prime)
     target = obj.get("target_chi_sigma_exponent")
@@ -415,8 +422,7 @@ def render_text(doc: dict) -> str:
 
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
     else:
         out.write(render_text(doc) + "\n")
 

@@ -132,11 +132,16 @@ def invariants(model: WeierstrassModel) -> CurveInvariants:
 
 
 def _compute_invariants(model: WeierstrassModel) -> CurveInvariants | None:
-    b2, b4, b6, b8 = b_invariants(model.coefficients())
+    """Invariants on integers: the integral model has a-invariants a_i * d^i
+    for d the lcm of the denominators, so each invariant of weight k is its
+    integer counterpart divided by d^k (j has weight 0)."""
+    d = lcm(*[c.denominator for c in model.coefficients()])
+    b2, b4, b6, b8 = b_invariants([c.numerator for c in integral_model(model).coefficients()])
     c4, c6, disc = c_invariants(b2, b4, b6, b8)
     if disc == 0:
         return None
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, c4**3 / disc)
+    weighted = zip((b2, b4, b6, b8, c4, c6, disc), (2, 4, 6, 8, 4, 6, 12))
+    return CurveInvariants(*(Fraction(x, d**k) for x, k in weighted), Fraction(c4**3, disc))
 
 
 def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:

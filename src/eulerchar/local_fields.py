@@ -28,7 +28,7 @@ embeddings of Q and exact divisions by powers of pi avoid any inexact step.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 from .valuations import int_valuation, is_prime, vp
@@ -71,7 +71,12 @@ class LocalField:
         self._unit_u = tuple(-(g[i] // ell) % self.modulus for i in range(e))
         self._pi_tensor = self._monomial_tensor(1) if e > 1 else self._int_tensor(ell)
         self._pi_pow_cache: dict[int, tuple] = {}
-        self._unit_u_inv = self._tensor_inv_unit(self._unit_u)
+
+    @cached_property
+    def _unit_u_inv(self):
+        """U^(-1), by Newton iteration on first use: a field that serves only
+        good or multiplicative places never divides by pi."""
+        return self._tensor_inv_unit(self._unit_u)
 
     # -- tensor arithmetic: e integers mod ell^M, coefficients of pi^0..pi^(e-1)
 

@@ -17,10 +17,15 @@ coefficient lists, so no step is linear in the residue field size.
 v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
 the integral rational model: translations leave Delta unchanged and each
 step-11 rescale by pi divides it by pi^12 (Silverman, Advanced Topics,
-IV.9).  A place with v(Delta) = 0 skips the pi-adic field altogether: the
-integral model is reduced straight into the residue field.  At residue
-characteristic >= 5 every result is checked against Ogg's formula
-v(Delta_min) = f_v + m_v - 1.
+IV.9).  Good and multiplicative places never embed the model in the pi-adic
+field.  At v(Delta) = 0 the integral model is reduced straight into the
+residue field.  A model is minimal with multiplicative reduction exactly
+when v(c4) = 0, i.e. v(Delta) = -v(j) > 0, and then the type is I_n with
+n = v(Delta); its split test needs only the residues of a1 and of
+a2 + 3 x0 at the singular point (x0, y0) (Silverman, Advanced Topics, IV.9;
+Cremona, Algorithms, 3.2).  Only additive or non-minimal models are embedded,
+translated and walked down the ladder.  At residue characteristic >= 5 every
+result is checked against Ogg's formula v(Delta_min) = f_v + m_v - 1.
 
 The algorithm runs over the totally ramified field Q_ell(pi) of degree e,
 whose residue field is F_ell, even at a place with residue field F_{ell^f}.
@@ -223,11 +228,13 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
     """
     a1, a2, a3, a4, a6 = abar
 
-    def F(x, y):
-        return (y * y + (a1 * x + a3) * y - (((x + a2) * x + a4) * x + a6)) % ell
-
-    def Fx(x, y):
-        return (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % ell
+    def vanishes(x, y):
+        """F, F_x and F_y all vanish at (x, y), in every characteristic, so
+        the translation to (x, y) leaves a6, a4 and a3 divisible by pi."""
+        F = y * y + (a1 * x + a3) * y - (((x + a2) * x + a4) * x + a6)
+        Fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
+        Fy = 2 * y + a1 * x + a3
+        return F % ell == Fx % ell == Fy % ell == 0
 
     if ell == 2:
         if a1 % 2:
@@ -239,7 +246,7 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
             x0 = a4
             y0 = ((x0 + a2) * x0 + a4) * x0 + a6
         x0, y0 = x0 % 2, y0 % 2
-        if F(x0, y0):
+        if not vanishes(x0, y0):
             raise AssertionError("char-2 singular point formulas failed")
         return x0, y0
 
@@ -266,7 +273,7 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
             x0 = -c2 * pow(3, -1, ell)
     x0 %= ell
     y0 = -(a1 * x0 + a3) * inv2 % ell
-    if F(x0, y0) or Fx(x0, y0):
+    if not vanishes(x0, y0):
         raise AssertionError("singular point formulas failed")
     return x0, y0
 
@@ -356,24 +363,23 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
     n = K.e * vp(inv.disc, ell)
     if n == 0:
         return _good_data(reduce_model(work, fq_create(ell, 1)), place, potentially_good)
-    a = K.embed_model(work.coefficients())
+    # the pi-adic model, embedded at the first round that is not multiplicative
+    a = None
+    abar = [c.numerator % ell for c in work.coefficients()]
 
     for _round in range(n // 12 + 1):
-        # Step 2: move the singular point to the origin.
-        abar = [x.residue() for x in a]
+        # Step 2: the singular point, from the residues of the current model.
         x0, y0 = _singular_point(abar, ell)
-        a = _translate(a, r=K.from_residue(x0), t=K.from_residue(y0))
-        for idx, least in ((2, 1), (3, 1), (4, 1)):
-            if not a[idx].val_at_least(least):
-                raise AssertionError("singular translation failed")
-
-        b2, b4, b6, b8 = b_invariants(a)
-        if not b2.val_at_least(1):
-            # Type I_n, multiplicative.
-            split = _tangent_splits(a[0].residue(), a[1].residue(), ell, q)
+        if K.e * pole == n:
+            # Type I_n: a minimal model is multiplicative iff v(c4) = 0, iff
+            # v(Delta) = -v(j).  Translating the node to the origin keeps a1
+            # and turns a2 into a2 + 3 x0, so its tangent cone is
+            # T^2 + a1 T - (a2 + 3 x0) mod pi, and b2 = a1^2 + 4 a2 is a unit.
+            a1bar, a2bar = abar[0], (abar[1] + 3 * x0) % ell
+            if (a1bar * a1bar + 4 * a2bar) % ell == 0:
+                raise AssertionError("multiplicative type has a cusp")
+            split = _tangent_splits(a1bar, a2bar, ell, q)
             c_v = n if split else (2 if n % 2 == 0 else 1)
-            if K.e * pole != n:
-                raise AssertionError("multiplicative type contradicts v(j)")
             cls = MULT_SPLIT if split else MULT_NONSPLIT
             return _finish(
                 place,
@@ -385,6 +391,17 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
                 N_v=None,
                 reduced=None,
             )
+
+        if a is None:
+            a = K.embed_model(work.coefficients())
+        a = _translate(a, r=K.from_residue(x0), t=K.from_residue(y0))
+        for idx, least in ((2, 1), (3, 1), (4, 1)):
+            if not a[idx].val_at_least(least):
+                raise AssertionError("singular translation failed")
+
+        b2, b4, b6, b8 = b_invariants(a)
+        if not b2.val_at_least(1):
+            raise AssertionError("node at a place where v(Delta) != -v(j)")
 
         if not a[4].val_at_least(2):
             return _additive(place, KodairaType("II"), 1, n, potentially_good)
@@ -430,9 +447,10 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
         # Step 11: not minimal, rescale and restart.
         a = _rescale_by_pi(a)
         n -= 12
+        abar = [x.residue() for x in a]
         if n == 0:
             k = fq_create(ell, 1)
-            reduced = WeierstrassModel(*(k.from_int(x.residue()) for x in a))
+            reduced = WeierstrassModel(*(k.from_int(x) for x in abar))
             return _good_data(reduced, place, potentially_good)
 
     raise AssertionError("tate loop failed to terminate")

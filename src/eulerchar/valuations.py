@@ -19,10 +19,12 @@ from math import gcd, isqrt
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the prime bases 2..41, exact for n below
     psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
-    of them (Sorenson-Webster 2015); above it a True is a probable prime."""
+    of them (Sorenson-Webster 2015); above it a True is a probable prime.
+    Memoized: `vp` checks the same few primes on every call."""
     if n < 2:
         return False
     for p in _MR_BASES:

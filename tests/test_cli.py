@@ -245,6 +245,26 @@ def test_wildly_ramified_conductor_rejected(monkeypatch, capsys):
     )
     assert code == 1
     assert "ramified" in err
+    assert "error: /base_field:" in err
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 12, 25, 49 * 3, 2 * 121])
+def test_wild_conductors_rejected_at_parse(m):
+    """4 | m, or ell^2 | m for odd ell, makes the place above ell wildly
+    ramified; parse_request rejects it at /base_field whatever the prime."""
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["base_field"] = m
+    with pytest.raises(RequestError) as err:
+        parse_request(req)
+    assert err.value.path == "/base_field"
+    assert "ramified" in str(err.value)
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 7, 14, 30, 105])
+def test_tame_conductors_accepted_at_parse(m):
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["base_field"] = m
+    assert parse_request(req)["conductor"] == m
 
 
 def test_oversized_samples_rejected(monkeypatch, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from eulerchar import curves
 from eulerchar.curves import (
@@ -12,6 +12,7 @@ from eulerchar.curves import (
     WeierstrassModel,
     add_points,
     b_invariants,
+    c_invariants,
     count_points,
     division_polynomial,
     extension_count,
@@ -61,6 +62,30 @@ def test_invariant_identities(coeffs):
         return
     assert 1728 * inv.disc == inv.c4**3 - inv.c6**2
     assert inv.j == inv.c4**3 / inv.disc
+
+
+mixed_fracs = st.builds(
+    Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12, 25, 49))
+)
+
+
+@given(st.tuples(mixed_fracs, mixed_fracs, mixed_fracs, mixed_fracs, mixed_fracs))
+def test_invariants_on_integers_match_rational_formulas(coeffs):
+    """invariants() works on the integral model a_i * d^i and divides back
+    by d^weight; that gives exactly the b-, c-invariants, Delta and j the
+    formulas give over Fractions."""
+    model = WeierstrassModel.from_rationals(coeffs)
+    assume(any(c.denominator > 1 for c in model.coefficients()))
+    b = b_invariants(model.coefficients())
+    c4, c6, disc = c_invariants(*b)
+    if disc == 0:
+        with pytest.raises(SingularModelError):
+            invariants(model)
+        return
+    inv = invariants(model)
+    got = (inv.b2, inv.b4, inv.b6, inv.b8, inv.c4, inv.c6, inv.disc, inv.j)
+    assert got == (*b, c4, c6, disc, c4**3 / disc)
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_transform_invariance():

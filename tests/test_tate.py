@@ -6,6 +6,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eulerchar.curves import (
     SingularModelError,
@@ -13,6 +14,7 @@ from eulerchar.curves import (
     discriminant,
     integral_model,
     invariants,
+    transform,
 )
 from eulerchar.tate import (
     ADDITIVE,
@@ -588,3 +590,67 @@ def test_equal_model_objects_give_identical_local_data():
     assert integral_model(first) is integral_model(first) is not first
     assert integral_model(first) is not integral_model(again)
     assert local_data_at(first, 5, 1).kodaira.symbol == "I1*"
+
+
+census_box = st.tuples(
+    st.sampled_from((0, 1)),
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from((0, 1)),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(census_box, st.sampled_from((2, 3, 5, 7)), st.sampled_from((1, 2)), st.booleans(),
+       st.sampled_from((1, 2)))
+@example((1, 0, 0, -1, -1), 2, 1, False, 1)  # I1, found after one rescale
+@example((1, 0, 0, -1, -1), 3, 2, True, 2)  # I2 over Q_3(mu_3), after four rescales
+@example((1, 0, 0, -1, -1), 7, 2, True, 1)  # additive, then potentially good
+def test_scaling_by_ell_keeps_local_data(coeffs, ell, k, cyclotomic, f):
+    """A census-box model u-scaled by ell^k has the reduction data of the
+    model itself at every place: Tate's algorithm rescales by pi k*e times
+    and then decides I_n from the residues of the pi-adic model, where the
+    unscaled model decides it from the integral model in the first round."""
+    model = WeierstrassModel.from_rationals(coeffs)
+    try:
+        invariants(model)
+    except SingularModelError:
+        assume(False)
+    e = ell - 1 if cyclotomic else 1
+    scaled = transform(model, Fraction(1, ell**k), 0, 0, 0)
+    got = run(scaled, ell, f=f, e=e).comparable_fields()
+    assert got == run(model, ell, f=f, e=e).comparable_fields()
+
+
+def test_good_and_multiplicative_places_never_embed(monkeypatch):
+    """Good places and minimal multiplicative places are decided on
+    integers: they never embed the model in the pi-adic field, and a field
+    that serves only them never builds its unit inverse.  An additive
+    place does embed."""
+    from eulerchar.local_fields import LocalField
+    from eulerchar.tate import default_precision
+
+    def refuse(self, coeffs):
+        raise AssertionError("embed_model called")
+
+    monkeypatch.setattr(LocalField, "embed_model", refuse)
+    E11A = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])
+    cases = [
+        (E294, 2, 1, "I1"),
+        (E294, 3, 2, "I2"),
+        (EPRIME, 2, 1, "I7"),
+        (EPRIME, 13, 12, "I12"),
+        (E11A, 11, 10, "I50"),
+        (E11A, 11, 1, "I5"),
+        (E294, 5, 4, "I0"),
+        (E11A, 2, 1, "I0"),
+    ]
+    for model, ell, e, symbol in cases:
+        for f in (1, 2):
+            K = LocalField(ell, e, default_precision(model, ell, e))
+            d = tate_algorithm(model, K, f=f)
+            assert d.kodaira.symbol == symbol, (model, ell, e)
+            assert "_unit_u_inv" not in vars(K)
+    with pytest.raises(AssertionError, match="embed_model called"):
+        run(E294, 7)  # type II
