@@ -8,9 +8,9 @@ Example: python scripts/reduction_survey.py --curve 1,0,0,-1,-1 --prime 7 --cond
 
 import argparse
 import sys
-from fractions import Fraction
 
-from eulerchar.curves import WeierstrassModel, invariants
+from eulerchar.cli import RequestError, _parse_conductor, _parse_curve, _parse_prime
+from eulerchar.curves import discriminant, invariants
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import bad_primes_of_curve, local_data_at
 from eulerchar.valuations import vp
@@ -23,19 +23,25 @@ def main() -> int:
     ap.add_argument("--conductor", type=int, default=1)
     args = ap.parse_args()
 
-    model = WeierstrassModel.from_rationals(
-        [Fraction(c) for c in args.curve.split(",")]
-    )
+    try:
+        model = _parse_curve(args.curve.split(","), "/curve")
+        prime = _parse_prime(args.prime, "/prime")
+        conductor = _parse_conductor(args.conductor)
+        if discriminant(model) == 0:
+            raise RequestError("/curve", "discriminant is zero")
+    except RequestError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     inv = invariants(model)
     print(f"curve {args.curve}: disc = {inv.disc}, j = {inv.j}")
-    primes = sorted(set(bad_primes_of_curve(model)) | {args.prime})
+    primes = sorted(set(bad_primes_of_curve(model)) | {prime})
     print(f"{'ell':>5} {'(e,f,g)':>10} {'q_v':>8} {'type':>6} {'c_v':>4} "
           f"{'class':<18} {'N_v':>8}  L(E,1)      |L|_p exp")
     for ell in primes:
-        sp = splitting(ell, args.conductor)
-        data = local_data_at(model, ell, args.conductor)
+        sp = splitting(ell, conductor)
+        data = local_data_at(model, ell, conductor)
         L = data.L_at_1
-        exp = -vp(L, args.prime)
+        exp = -vp(L, prime)
         print(
             f"{ell:>5} {f'({sp.e},{sp.f},{sp.g})':>10} {data.q_v:>8} "
             f"{data.kodaira.symbol:>6} {data.c_v:>4} {data.reduction_class:<18} "

@@ -9,7 +9,7 @@ import json
 import pathlib
 import sys
 
-from eulerchar.cli import analyze_request, parse_request, render_text, report_to_dict
+from eulerchar.cli import _emit, analyze_request, parse_request, render_text, report_to_dict
 
 REQUEST_DIR = pathlib.Path(__file__).resolve().parent.parent / "data" / "requests"
 
@@ -20,12 +20,8 @@ def main() -> int:
     args = ap.parse_args()
     for path in sorted(REQUEST_DIR.glob("*.json")):
         report = analyze_request(parse_request(json.loads(path.read_text())))
-        doc = report_to_dict(report)
         print(f"=== {path.name} ===")
-        if args.format == "json":
-            print(json.dumps(doc, indent=2))
-        else:
-            print(render_text(doc))
+        _emit(report_to_dict(report), "json" if args.format == "json" else render_text, sys.stdout)
         print()
     return 0
 

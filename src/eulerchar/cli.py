@@ -19,8 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import (
+    SingularModelError,
+    TorsionEstimate,
     WeierstrassModel,
     count_points,
+    discriminant,
     extension_count,
     reduce_model,
     torsion_bound_over_F,
@@ -28,6 +31,7 @@ from .curves import (
 from .cyclotomic import field_degree, splitting
 from .euler import (
     AbelianVarietyInput,
+    CorankReport,
     EulerCharReport,
     ExternalArithmetic,
     ReductionFact,
@@ -38,6 +42,7 @@ from .euler import (
     tau_p,
 )
 from .finite_fields import fq_create
+from .tate import LocalReductionData
 from .valuations import factorize, int_valuation, is_prime
 
 SCHEMA_VERSION = 1
@@ -74,6 +79,28 @@ def _parse_int(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise RequestError(path, f"expected an integer >= {minimum}, got {value}")
     return value
+
+
+def _parse_prime(value, path: str) -> int:
+    """The request's `prime`, or the `--prime` or `--ell` of a subcommand."""
+    prime = _parse_int(value, path, minimum=2)
+    if not is_prime(prime):
+        raise RequestError(path, f"expected a prime, got {prime}")
+    return prime
+
+
+def _parse_conductor(value) -> int:
+    """The request's `base_field`, or a subcommand's `--conductor`: a
+    squarefree m >= 1."""
+    conductor = _parse_int(value, "/base_field", minimum=1)
+    wild = [ell for ell, k in factorize(conductor) if k > 1]
+    if wild:
+        # 4 | m or ell^2 | m: Q(mu_m) is wildly ramified above ell
+        raise RequestError(
+            "/base_field",
+            f"{wild[0]}^2 divides {conductor}: wildly ramified conductors are unsupported",
+        )
+    return conductor
 
 
 def _parse_samples(value) -> int:
@@ -206,17 +233,8 @@ def parse_request(obj) -> dict:
     if version != SCHEMA_VERSION:
         raise RequestError("/schema_version", f"unsupported version {version}")
     curve = _parse_curve(obj["curve"], "/curve")
-    prime = _parse_int(obj["prime"], "/prime", minimum=2)
-    if not is_prime(prime):
-        raise RequestError("/prime", f"expected a prime, got {prime}")
-    conductor = _parse_int(obj["base_field"], "/base_field", minimum=1)
-    wild = [ell for ell, k in factorize(conductor) if k > 1]
-    if wild:
-        # 4 | m or ell^2 | m: Q(mu_m) is wildly ramified above ell
-        raise RequestError(
-            "/base_field",
-            f"{wild[0]}^2 divides {conductor}: wildly ramified conductors are unsupported",
-        )
+    prime = _parse_prime(obj["prime"], "/prime")
+    conductor = _parse_conductor(obj["base_field"])
     variety = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
     external = _parse_external(obj.get("external", {}), "/external", prime)
     target = obj.get("target_chi_sigma_exponent")
@@ -238,7 +256,8 @@ def parse_request(obj) -> dict:
 
 def analyze_request(parsed: dict) -> EulerCharReport:
     """`analyze` on the pieces `parse_request` returns.  A torsion
-    certificate outside the computed bracket is reported at its key."""
+    certificate outside the computed bracket is reported at its key, a
+    singular curve at its own pointer."""
     try:
         return analyze(
             parsed["curve"],
@@ -252,9 +271,44 @@ def analyze_request(parsed: dict) -> EulerCharReport:
         )
     except TorsionCertificateError as exc:
         raise RequestError("/external/torsion_p_override", str(exc)) from None
+    except SingularModelError as exc:
+        # looked for only here: parse_request computes no discriminant
+        factors = parsed["abelian_variety"].factors
+        curves = [("/curve", parsed["curve"])]
+        curves += [(f"/abelian_variety/factors/{i}", c) for i, c in enumerate(factors)]
+        path = next((path for path, c in curves if discriminant(c) == 0), "/")
+        raise RequestError(path, str(exc)) from None
 
 
 # -- report serialization --------------------------------------------------------------
+
+
+def _reduction_fields(data: LocalReductionData) -> dict:
+    """The reduction type of E at one place, `q_v` to `N_v`, as a report's
+    place and the `local` subcommand print it."""
+    return {
+        "q_v": str(data.q_v),
+        "kodaira": data.kodaira.symbol,
+        "c_v": str(data.c_v),
+        "v_min_delta": data.v_min_delta,
+        "reduction_class": data.reduction_class,
+        "potentially_good": data.potentially_good,
+        "N_v": None if data.N_v is None else str(data.N_v),
+    }
+
+
+def _torsion_fields(est: TorsionEstimate) -> dict:
+    return {"p": est.p, "lower": str(est.lower), "upper": str(est.upper), "exact": est.exact}
+
+
+def _corank_fields(rep: CorankReport) -> dict:
+    return {
+        "window": list(rep.window),
+        "sigma_index_R": rep.sigma_index_R,
+        "global_corank": rep.global_corank,
+        "local_corank": rep.local_corank,
+        "conjectural_rank": rep.conjectural_rank,
+    }
 
 
 def report_to_dict(report: EulerCharReport) -> dict:
@@ -264,25 +318,18 @@ def report_to_dict(report: EulerCharReport) -> dict:
         status = "NOT_EXACT"
     else:
         status = "OK"
-    places = []
-    for place, data in report.places:
-        places.append(
-            {
-                "place": place.label,
-                "ell": place.ell,
-                "e": place.e,
-                "f": place.f,
-                "g": place.g,
-                "q_v": str(data.q_v),
-                "kodaira": data.kodaira.symbol,
-                "c_v": str(data.c_v),
-                "v_min_delta": data.v_min_delta,
-                "reduction_class": data.reduction_class,
-                "potentially_good": data.potentially_good,
-                "N_v": None if data.N_v is None else str(data.N_v),
-                "L_at_1": str(data.L_at_1),
-            }
-        )
+    places = [
+        {
+            "place": place.label,
+            "ell": place.ell,
+            "e": place.e,
+            "f": place.f,
+            "g": place.g,
+            **_reduction_fields(data),
+            "L_at_1": str(data.L_at_1),
+        }
+        for place, data in report.places
+    ]
     audit = [
         {
             "place": row.place.label,
@@ -303,13 +350,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
         }
     torsion = None
     if report.torsion is not None:
-        torsion = {
-            "p": report.torsion.p,
-            "lower": str(report.torsion.lower),
-            "upper": str(report.torsion.upper),
-            "exact": report.torsion.exact,
-            "source": report.torsion_source,
-        }
+        torsion = {**_torsion_fields(report.torsion), "source": report.torsion_source}
     return {
         "schema_version": SCHEMA_VERSION,
         "status": status,
@@ -334,13 +375,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
         "target_chi_sigma": target,
         "audit": audit,
         "tau_p": report.tau,
-        "corank": {
-            "window": list(report.coranks.window),
-            "sigma_index_R": report.coranks.sigma_index_R,
-            "global_corank": report.coranks.global_corank,
-            "local_corank": report.coranks.local_corank,
-            "conjectural_rank": report.coranks.conjectural_rank,
-        },
+        "corank": _corank_fields(report.coranks),
         "suppression_reason": report.suppression_reason,
     }
 
@@ -420,24 +455,19 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        out.write(render_text(doc) + "\n")
+def _emit(doc: dict, fmt, out) -> None:
+    """Write doc to out: as indented JSON when fmt is "json", else as the
+    text fmt(doc) renders."""
+    out.write((json.dumps(doc, indent=2) if fmt == "json" else fmt(doc)) + "\n")
 
 
 # -- subcommands ------------------------------------------------------------------------
+# Each returns (document, text renderer, exit code).  A flag is checked as the
+# request field it stands for is, at its pointer; --ell and --degree at /ell
+# and /degree.
 
 
-def _curve_from_arg(text: str) -> WeierstrassModel:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise RequestError("/curve", "expected five comma-separated a-invariants")
-    return WeierstrassModel.from_rationals([Fraction(p) for p in parts])
-
-
-def _cmd_analyze(args, out) -> int:
+def _cmd_analyze(args):
     if args.request == "-":
         raw = sys.stdin.read()
     else:
@@ -446,56 +476,36 @@ def _cmd_analyze(args, out) -> int:
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        print(f"error: /: invalid JSON ({exc})", file=sys.stderr)
-        return 1
-    try:
-        parsed = parse_request(obj)
-        if args.samples is not None:
-            parsed["samples"] = _parse_samples(args.samples)
-        if args.precision_digits is not None:
-            parsed["precision_digits"] = _parse_precision(args.precision_digits)
-        report = analyze_request(parsed)
-    except RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: /: {exc}", file=sys.stderr)
-        return 1
-    doc = report_to_dict(report)
-    _emit(doc, args.format, out)
-    if report.failed:
-        return 2
-    if report.suppressed:
-        return 3
-    return 0
+        raise RequestError("/", f"invalid JSON ({exc})") from None
+    parsed = parse_request(obj)
+    if args.samples is not None:
+        parsed["samples"] = _parse_samples(args.samples)
+    if args.precision_digits is not None:
+        parsed["precision_digits"] = _parse_precision(args.precision_digits)
+    report = analyze_request(parsed)
+    code = 2 if report.failed else 3 if report.suppressed else 0
+    return report_to_dict(report), render_text, code
 
 
-def _cmd_local(args, out) -> int:
-    model = _curve_from_arg(args.curve)
+def _cmd_local(args):
+    model = _parse_curve(args.curve.split(","), "/curve")
+    ell = _parse_prime(args.ell, "/ell")
+    conductor = _parse_conductor(args.conductor)
     precision = _parse_precision(args.precision_digits)
-    data = local_data_at(model, args.ell, args.conductor, precision=precision)
-    sp = splitting(args.ell, args.conductor)
+    data = local_data_at(model, ell, conductor, precision=precision)
+    sp = splitting(ell, conductor)
     doc = {
-        "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},
-        "q_v": str(data.q_v),
-        "kodaira": data.kodaira.symbol,
-        "c_v": str(data.c_v),
-        "v_min_delta": data.v_min_delta,
-        "reduction_class": data.reduction_class,
-        "potentially_good": data.potentially_good,
-        "N_v": None if data.N_v is None else str(data.N_v),
+        "place": {"ell": ell, "e": sp.e, "f": sp.f, "g": sp.g},
+        **_reduction_fields(data),
         "euler_factor_at_1": str(data.L_at_1),
     }
-    if args.format == "json":
-        _emit(doc, "json", out)
-    else:
-        for k, v in doc.items():
-            out.write(f"{k}: {v}\n")
-    return 0
+    return doc, lambda d: "\n".join(f"{k}: {v}" for k, v in d.items()), 0
 
 
-def _cmd_splitting(args, out) -> int:
-    sp = splitting(args.ell, args.conductor)
+def _cmd_splitting(args):
+    ell = _parse_prime(args.ell, "/ell")
+    # splitting computes no local data, so any m >= 1 will do
+    sp = splitting(ell, _parse_int(args.conductor, "/base_field", minimum=1))
     doc = {
         "ell": sp.ell,
         "conductor": sp.m,
@@ -506,81 +516,63 @@ def _cmd_splitting(args, out) -> int:
         "local_degree": sp.local_degree,
         "degree": field_degree(sp.m),
     }
-    if args.format == "json":
-        _emit(doc, "json", out)
-    else:
-        out.write(
-            f"{sp.ell} in Q(mu_{sp.m}): e={sp.e} f={sp.f} g={sp.g} "
-            f"(residue field F_{sp.residue_size})\n"
-        )
-    return 0
+    text = (
+        f"{sp.ell} in Q(mu_{sp.m}): e={sp.e} f={sp.f} g={sp.g} "
+        f"(residue field F_{sp.residue_size})"
+    )
+    return doc, lambda _: text, 0
 
 
-def _cmd_torsion(args, out) -> int:
-    model = _curve_from_arg(args.curve)
-    samples = _parse_samples(args.samples)
-    est = torsion_bound_over_F(model, args.prime, args.conductor, samples=samples)
-    doc = {
-        "p": est.p,
-        "lower": str(est.lower),
-        "upper": str(est.upper),
-        "exact": est.exact,
-    }
-    if args.format == "json":
-        _emit(doc, "json", out)
-    else:
-        out.write(
-            f"p-primary torsion over Q(mu_{args.conductor}): lower {est.lower}, "
-            f"upper {est.upper}, exact {est.exact}\n"
-        )
-    return 0
+def _cmd_torsion(args):
+    model = _parse_curve(args.curve.split(","), "/curve")
+    prime = _parse_prime(args.prime, "/prime")
+    conductor = _parse_conductor(args.conductor)
+    est = torsion_bound_over_F(model, prime, conductor, samples=_parse_samples(args.samples))
+    text = (
+        f"p-primary torsion over Q(mu_{conductor}): lower {est.lower}, "
+        f"upper {est.upper}, exact {est.exact}"
+    )
+    return _torsion_fields(est), lambda _: text, 0
 
 
-def _cmd_tau(args, out) -> int:
-    model = _curve_from_arg(args.curve)
-    value = tau_p(model, args.prime, args.conductor)
-    doc = {"p": args.prime, "conductor": args.conductor, "tau_p": value}
-    if args.format == "json":
-        _emit(doc, "json", out)
-    else:
-        out.write(f"tau_{args.prime} over Q(mu_{args.conductor}) = {value}\n")
-    return 0
+def _cmd_tau(args):
+    model = _parse_curve(args.curve.split(","), "/curve")
+    prime = _parse_prime(args.prime, "/prime")
+    conductor = _parse_conductor(args.conductor)
+    value = tau_p(model, prime, conductor)
+    doc = {"p": prime, "conductor": conductor, "tau_p": value}
+    return doc, lambda _: f"tau_{prime} over Q(mu_{conductor}) = {value}", 0
 
 
-def _cmd_coranks(args, out) -> int:
-    model = _curve_from_arg(args.curve)
-    tau = tau_p(model, args.prime, args.conductor)
-    rep = corank_report(field_degree(args.conductor), tau, args.sigma_index)
-    doc = {
-        "tau_p": rep.tau,
-        "degree": rep.degree,
-        "window": list(rep.window),
-        "sigma_index_R": rep.sigma_index_R,
-        "global_corank": rep.global_corank,
-        "local_corank": rep.local_corank,
-        "conjectural_rank": rep.conjectural_rank,
-    }
-    if args.format == "json":
-        _emit(doc, "json", out)
-    else:
-        out.write(
-            f"tau={rep.tau} window={rep.window} global={rep.global_corank} "
-            f"local={rep.local_corank} conjectural={rep.conjectural_rank}\n"
-        )
-    return 0
+def _cmd_coranks(args):
+    model = _parse_curve(args.curve.split(","), "/curve")
+    prime = _parse_prime(args.prime, "/prime")
+    conductor = _parse_conductor(args.conductor)
+    sigma = args.sigma_index
+    if sigma is not None:
+        sigma = _parse_int(sigma, "/external/sigma_index_R", minimum=1)
+    rep = corank_report(field_degree(conductor), tau_p(model, prime, conductor), sigma)
+    text = (
+        f"tau={rep.tau} window={rep.window} global={rep.global_corank} "
+        f"local={rep.local_corank} conjectural={rep.conjectural_rank}"
+    )
+    return {"tau_p": rep.tau, "degree": rep.degree, **_corank_fields(rep)}, lambda _: text, 0
 
 
-def _cmd_count(args, out) -> int:
-    model = _curve_from_arg(args.curve)
-    n1 = count_points(reduce_model(model, fq_create(args.ell, 1)))
-    n = extension_count(n1, args.ell, args.degree)
-    q = args.ell**args.degree
-    doc = {"ell": args.ell, "degree": args.degree, "q": str(q), "count": str(n)}
-    if args.format == "json":
-        _emit(doc, "json", out)
-    else:
-        out.write(f"#E(F_{q}) = {n}\n")
-    return 0
+def _cmd_count(args):
+    model = _parse_curve(args.curve.split(","), "/curve")
+    ell = _parse_prime(args.ell, "/ell")
+    degree = _parse_int(args.degree, "/degree", minimum=1)
+    try:
+        n1 = count_points(reduce_model(model, fq_create(ell, 1)))
+    except SingularModelError:
+        if discriminant(model) == 0:
+            raise
+        raise RequestError("/ell", f"the curve has bad reduction at {ell}") from None
+    n = extension_count(n1, ell, degree)
+    q = ell**degree
+    doc = {"ell": ell, "degree": degree, "q": str(q), "count": str(n)}
+    return doc, lambda _: f"#E(F_{q}) = {n}", 0
 
 
 @lru_cache(maxsize=None)
@@ -595,70 +587,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("json", "text"), default="text")
+        return p
 
-    p = sub.add_parser("analyze", help="run the full pipeline on a JSON request")
+    p = command("analyze", _cmd_analyze, "run the full pipeline on a JSON request")
     p.add_argument("request", help="request file path, or - for stdin")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--precision-digits", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("local", help="Tate data and Euler factor at one place")
+    p = command("local", _cmd_local, "Tate data and Euler factor at one place")
     p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--conductor", type=int, default=1)
     p.add_argument("--precision-digits", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_local)
 
-    p = sub.add_parser("splitting", help="(e, f, g) of a prime in Q(mu_m)")
+    p = command("splitting", _cmd_splitting, "(e, f, g) of a prime in Q(mu_m)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--conductor", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_splitting)
 
-    p = sub.add_parser("torsion", help="p-primary torsion bracket over Q(mu_m)")
+    p = command("torsion", _cmd_torsion, "p-primary torsion bracket over Q(mu_m)")
     p.add_argument("--curve", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--conductor", type=int, default=1)
     p.add_argument("--samples", type=int, default=20)
-    common(p)
-    p.set_defaults(fn=_cmd_torsion)
 
-    p = sub.add_parser("tau", help="sum of local degrees at supersingular places above p")
+    p = command("tau", _cmd_tau, "sum of local degrees at supersingular places above p")
     p.add_argument("--curve", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--conductor", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=_cmd_tau)
 
-    p = sub.add_parser("coranks", help="corank window and tower predictions")
+    p = command("coranks", _cmd_coranks, "corank window and tower predictions")
     p.add_argument("--curve", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--conductor", type=int, default=1)
     p.add_argument("--sigma-index", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_coranks)
 
-    p = sub.add_parser("count", help="raw point count over F_{ell^f}")
+    p = command("count", _cmd_count, "raw point count over F_{ell^f}")
     p.add_argument("--curve", required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--degree", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=_cmd_count)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; malformed input exits 1 with one line
+    `error: <pointer>: <message>`."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        doc, text, code = args.fn(args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, SingularModelError):
+            # analyze_request names the singular curve; a subcommand has one
+            exc = RequestError("/curve", str(exc))
+        elif not isinstance(exc, RequestError):
+            exc = RequestError("/", str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(doc, "json" if args.format == "json" else text, sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

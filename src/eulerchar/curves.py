@@ -552,7 +552,10 @@ class TorsionEstimate:
     p: int
     lower: int
     upper: int
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def order(self) -> int:
@@ -579,7 +582,7 @@ def torsion_bound_over_F(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     model = integral_model(model)
-    disc = discriminant(model)
+    disc = invariants(model).disc
     upper_exp = None
     used = 0
     for ell in primes_from(2):
@@ -597,7 +600,7 @@ def torsion_bound_over_F(
             break  # the gcd is monotone; zero exponent cannot recover
     upper = p**upper_exp
     lower = 1 if upper == 1 else rational_p_torsion_order(model, p)
-    return TorsionEstimate(p=p, lower=lower, upper=upper, exact=lower == upper)
+    return TorsionEstimate(p=p, lower=lower, upper=upper)
 
 
 def model_with_j_invariant(jbar: FqElement) -> WeierstrassModel:

@@ -382,8 +382,7 @@ def chi_euler(
         v = vp(data.L_at_1, p)
         gamma = None
         if place.ell != p:
-            # every place here lies in M, where A is not potentially good
-            gamma = gamma_kernel_exponent(data, False, p)
+            gamma = gamma_kernel_exponent(data, p)
         rows.append(
             AuditRow(
                 place=place,
@@ -413,23 +412,13 @@ def tau_p(E: WeierstrassModel, p: int, m: int) -> int:
     return sp.g * sp.e * sp.f
 
 
-def gamma_kernel_exponent(
-    e_data: LocalReductionData, a_pot_good: bool, p: int
-) -> int:
-    """Exponent k with #ker(gamma_v) = p^k at a place v not dividing p.
-
-    Both potentially good: the restriction map is an isomorphism (k = 0).
-    A potentially good, E not: k = vp(c_v).  A not potentially good:
-    k = vp(c_v / L_v(E,1)).
-    """
+def gamma_kernel_exponent(e_data: LocalReductionData, p: int) -> int:
+    """Exponent k = vp(c_v / L_v(E,1)) with #ker(gamma_v) = p^k at a place
+    v of the bad-tower set M not dividing p; A is not potentially good
+    there, which is what puts v in M."""
     if e_data.ell == p:
         raise ValueError("gamma kernel orders are computed away from p")
-    c_exp = vp(e_data.c_v, p)
-    if a_pot_good and e_data.potentially_good:
-        return 0
-    if a_pot_good:
-        return c_exp
-    return c_exp - vp(e_data.L_at_1, p)
+    return vp(e_data.c_v, p) - vp(e_data.L_at_1, p)
 
 
 @dataclass(frozen=True)
@@ -541,7 +530,7 @@ def analyze(
                     f"certificate {certificate} lies outside the computed "
                     f"bracket [{torsion.lower}, {torsion.upper}]"
                 )
-            torsion = TorsionEstimate(p, certificate, torsion.upper, certificate == torsion.upper)
+            torsion = TorsionEstimate(p, certificate, torsion.upper)
             used, torsion_source = (certificate, certificate), "certificate"
     rho = rho_p(p, place_rows, used, ext.sha_p_order)
 

@@ -207,16 +207,61 @@ def test_subcommands_smoke(capsys):
 
 
 def test_singular_curve_rejected(monkeypatch, capsys):
+    """A singular curve is refused at its own pointer: E at /curve, a
+    factor of A at /abelian_variety/factors/<i>."""
     req = json.loads(json.dumps(REQ_TABLE))
     req["curve"] = ["0", "0", "0", "0", "0"]
-    code, _, err = _run(
+    code, out, err = _run(
         ["analyze", "-"],
         stdin_text=json.dumps(req),
         monkeypatch=monkeypatch,
         capsys=capsys,
     )
-    assert code == 1
-    assert "discriminant" in err
+    assert code == 1 and out == ""
+    assert err == "error: /curve: discriminant is zero\n"
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["abelian_variety"] = {
+        "dimension": 2,
+        "factors": [["-1", "2", "2", "0", "0"], ["0", "0", "0", "0", "0"]],
+    }
+    code, out, err = _run(["analyze", "-"], stdin_text=json.dumps(req),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "error: /abelian_variety/factors/1: discriminant is zero\n"
+
+
+@pytest.mark.parametrize(
+    "argv,pointer",
+    [
+        ("tau --curve 1,0,0,-1,-1 --prime 7 --conductor 25", "/base_field"),
+        ("coranks --curve 1,0,0,-1,-1 --prime 7 --conductor 25", "/base_field"),
+        ("torsion --curve=-1,2,2,0,0 --prime 7 --conductor 49", "/base_field"),
+        ("local --curve 1,0,0,-1,-1 --ell 5 --conductor 25", "/base_field"),
+        ("coranks --curve 1,0,0,-1,-1 --prime 7 --conductor 7 --sigma-index -3",
+         "/external/sigma_index_R"),
+        ("local --curve 1,0,0,-1,x --ell 7", "/curve/4"),
+        ("local --curve 1,0,0,-1,-1 --ell 4", "/ell"),
+        ("tau --curve 1,0,0,-1,-1 --prime 9", "/prime"),
+        ("count --curve 0,0,0,0,1 --ell 5 --degree 0", "/degree"),
+        ("torsion --curve 0,0,0,0,0 --prime 7", "/curve"),
+        ("count --curve 0,0,0,0,0 --ell 5", "/curve"),
+        ("count --curve 1,0,0,-1,-1 --ell 2", "/ell"),  # bad reduction at 2
+    ],
+)
+def test_subcommand_flags_rejected_at_their_pointer(capsys, argv, pointer):
+    """Every subcommand flag is checked as the request field it stands for,
+    and a rejection is one line naming that field's pointer."""
+    code = main(argv.split())
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith(f"error: {pointer}: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
+def test_splitting_accepts_wild_conductors(capsys):
+    """splitting computes no local data, so it keeps every m >= 1."""
+    assert main(["splitting", "--ell", "7", "--conductor", "49"]) == 0
+    assert capsys.readouterr().out == "7 in Q(mu_49): e=42 f=1 g=1 (residue field F_7)\n"
 
 
 def test_numeric_forms():

@@ -214,16 +214,11 @@ def test_tau_anchors():
 
 def test_gamma_kernel_anchors():
     data2 = local_data_at(E294, 2, 7)  # split, c = 1, L = 8/7
-    assert gamma_kernel_exponent(data2, False, 7) == 1
+    assert gamma_kernel_exponent(data2, 7) == 1
     data3 = local_data_at(E294, 3, 7)  # split, c = 1, L = 729/728
-    assert gamma_kernel_exponent(data3, False, 7) == 1
-    # both potentially good: isomorphism
-    data13 = local_data_at(EJ0, 13, 7)
-    assert gamma_kernel_exponent(data13, True, 7) == 0
-    # A potentially good, E not: |c_v|_p
-    assert gamma_kernel_exponent(data2, True, 7) == 0  # c_v = 1
+    assert gamma_kernel_exponent(data3, 7) == 1
     with pytest.raises(ValueError):
-        gamma_kernel_exponent(local_data_at(E294, 7, 7), True, 7)
+        gamma_kernel_exponent(local_data_at(E294, 7, 7), 7)
 
 
 def test_corank_reports():
