@@ -31,15 +31,9 @@ from .euler import (
     tau_p,
 )
 from .finite_fields import FqElement, FqField, fq_create
-from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
+from .local_fields import LocalElement, LocalField, make_local_field
 from .polynomials import Polynomial, rational_roots
-from .tate import (
-    KodairaType,
-    LocalReductionData,
-    local_field_for,
-    pot_supersingular,
-    tate_algorithm,
-)
+from .tate import KodairaType, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import vp
 
 __version__ = "0.1.0"

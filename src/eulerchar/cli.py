@@ -81,9 +81,9 @@ def _parse_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _parse_prime(value, path: str) -> int:
+def _parse_prime(value, path: str, minimum: int = 2) -> int:
     """The request's `prime`, or the `--prime` or `--ell` of a subcommand."""
-    prime = _parse_int(value, path, minimum=2)
+    prime = _parse_int(value, path, minimum=minimum)
     if not is_prime(prime):
         raise RequestError(path, f"expected a prime, got {prime}")
     return prime
@@ -111,12 +111,12 @@ def _parse_samples(value) -> int:
     return samples
 
 
-def _parse_precision(value) -> int | None:
+def _parse_precision(value) -> None:
     """The request's `precision_digits`, or the `--precision-digits` of
-    analyze and local; None keeps the default."""
-    if value is None:
-        return None
-    return _parse_int(value, "/precision_digits", minimum=4)
+    analyze and local: still validated, so that no request breaks, but
+    without effect, as local arithmetic is exact."""
+    if value is not None:
+        _parse_int(value, "/precision_digits", minimum=4)
 
 
 def _parse_rational(value, path: str) -> Fraction:
@@ -241,7 +241,7 @@ def parse_request(obj) -> dict:
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
     samples = _parse_samples(obj.get("samples", 20))
-    precision = _parse_precision(obj.get("precision_digits"))
+    _parse_precision(obj.get("precision_digits"))
     return {
         "curve": curve,
         "prime": prime,
@@ -250,7 +250,6 @@ def parse_request(obj) -> dict:
         "external": external,
         "target_chi_sigma_exponent": target,
         "samples": samples,
-        "precision_digits": precision,
     }
 
 
@@ -266,7 +265,6 @@ def analyze_request(parsed: dict) -> EulerCharReport:
             parsed["abelian_variety"],
             parsed["external"],
             samples=parsed["samples"],
-            precision=parsed["precision_digits"],
             target_chi_sigma_exponent=parsed["target_chi_sigma_exponent"],
         )
     except TorsionCertificateError as exc:
@@ -383,11 +381,17 @@ def report_to_dict(report: EulerCharReport) -> dict:
 def _column_widths(rows: list[dict], **defaults: int) -> dict:
     """Each column as wide as the larger of its default and its widest
     entry, so that every row of a table puts its columns at the same
-    offsets."""
+    offsets; a table with a header passes the header among its rows."""
     return {
         key: max([width] + [len(str(row[key])) for row in rows])
         for key, width in defaults.items()
     }
+
+
+_PLACES_HEADER = dict(
+    place="place", q_v="q_v", kodaira="kodaira", c_v="c_v",
+    reduction_class="class", N_v="N_v", L_at_1="L(E,1)",
+)
 
 
 def render_text(doc: dict) -> str:
@@ -401,15 +405,9 @@ def render_text(doc: dict) -> str:
         lines.append(f"  {h['status']:<8} {h['name']}: {h['detail']}")
     lines.append(f"bad-tower primes: {doc['M_rational']}")
     lines.append("places:")
-    w = _column_widths(
-        doc["places"],
-        place=7, q_v=7, kodaira=6, c_v=4, reduction_class=17, N_v=8,
-    )
-    lines.append(
-        f"  {'place':<{w['place']}} {'q_v':>{w['q_v']}}  {'kodaira':<{w['kodaira']}} "
-        f"{'c_v':>{w['c_v']}}  {'class':<{w['reduction_class']}} {'N_v':>{w['N_v']}}  L(E,1)"
-    )
-    for pl in doc["places"]:
+    places = [_PLACES_HEADER, *doc["places"]]
+    w = _column_widths(places, place=7, q_v=7, kodaira=6, c_v=4, reduction_class=17, N_v=8)
+    for pl in places:
         lines.append(
             f"  {pl['place']:<{w['place']}} {pl['q_v']:>{w['q_v']}}  "
             f"{pl['kodaira']:<{w['kodaira']}} {pl['c_v']:>{w['c_v']}}  "
@@ -466,6 +464,23 @@ def _emit(doc: dict, fmt, out) -> None:
 # request field it stands for is, at its pointer; --ell and --degree at /ell
 # and /degree.
 
+# numeric flags and their pointers: argparse hands each over as text, which
+# `_int_flags` turns into the integer the request field would hold
+_INT_FLAGS = dict(
+    prime="/prime", ell="/ell", conductor="/base_field", degree="/degree", samples="/samples",
+    precision_digits="/precision_digits", sigma_index="/external/sigma_index_R",
+)
+
+
+def _int_flags(args) -> None:
+    for dest, path in _INT_FLAGS.items():
+        text = getattr(args, dest, None)
+        if isinstance(text, str):
+            try:
+                setattr(args, dest, int(text))
+            except ValueError:
+                raise RequestError(path, f"expected an integer, got {text!r}") from None
+
 
 def _cmd_analyze(args):
     if args.request == "-":
@@ -480,8 +495,7 @@ def _cmd_analyze(args):
     parsed = parse_request(obj)
     if args.samples is not None:
         parsed["samples"] = _parse_samples(args.samples)
-    if args.precision_digits is not None:
-        parsed["precision_digits"] = _parse_precision(args.precision_digits)
+    _parse_precision(args.precision_digits)
     report = analyze_request(parsed)
     code = 2 if report.failed else 3 if report.suppressed else 0
     return report_to_dict(report), render_text, code
@@ -491,8 +505,8 @@ def _cmd_local(args):
     model = _parse_curve(args.curve.split(","), "/curve")
     ell = _parse_prime(args.ell, "/ell")
     conductor = _parse_conductor(args.conductor)
-    precision = _parse_precision(args.precision_digits)
-    data = local_data_at(model, ell, conductor, precision=precision)
+    _parse_precision(args.precision_digits)
+    data = local_data_at(model, ell, conductor)
     sp = splitting(ell, conductor)
     doc = {
         "place": {"ell": ell, "e": sp.e, "f": sp.f, "g": sp.g},
@@ -525,7 +539,7 @@ def _cmd_splitting(args):
 
 def _cmd_torsion(args):
     model = _parse_curve(args.curve.split(","), "/curve")
-    prime = _parse_prime(args.prime, "/prime")
+    prime = _parse_prime(args.prime, "/prime", minimum=5)
     conductor = _parse_conductor(args.conductor)
     est = torsion_bound_over_F(model, prime, conductor, samples=_parse_samples(args.samples))
     text = (
@@ -595,40 +609,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("analyze", _cmd_analyze, "run the full pipeline on a JSON request")
     p.add_argument("request", help="request file path, or - for stdin")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--precision-digits", type=int, default=None)
+    p.add_argument("--samples")
+    p.add_argument("--precision-digits")
 
     p = command("local", _cmd_local, "Tate data and Euler factor at one place")
     p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--conductor", type=int, default=1)
-    p.add_argument("--precision-digits", type=int, default=None)
+    p.add_argument("--ell", required=True)
+    p.add_argument("--conductor", default=1)
+    p.add_argument("--precision-digits")
 
     p = command("splitting", _cmd_splitting, "(e, f, g) of a prime in Q(mu_m)")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--conductor", type=int, required=True)
+    p.add_argument("--ell", required=True)
+    p.add_argument("--conductor", required=True)
 
     p = command("torsion", _cmd_torsion, "p-primary torsion bracket over Q(mu_m)")
     p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--conductor", type=int, default=1)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--prime", required=True)
+    p.add_argument("--conductor", default=1)
+    p.add_argument("--samples", default=20)
 
     p = command("tau", _cmd_tau, "sum of local degrees at supersingular places above p")
     p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--conductor", type=int, default=1)
+    p.add_argument("--prime", required=True)
+    p.add_argument("--conductor", default=1)
 
     p = command("coranks", _cmd_coranks, "corank window and tower predictions")
     p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--conductor", type=int, default=1)
-    p.add_argument("--sigma-index", type=int, default=None)
+    p.add_argument("--prime", required=True)
+    p.add_argument("--conductor", default=1)
+    p.add_argument("--sigma-index")
 
     p = command("count", _cmd_count, "raw point count over F_{ell^f}")
     p.add_argument("--curve", required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--ell", required=True)
+    p.add_argument("--degree", default=1)
 
     return parser
 
@@ -638,6 +652,7 @@ def main(argv=None) -> int:
     `error: <pointer>: <message>`."""
     args = build_parser().parse_args(argv)
     try:
+        _int_flags(args)
         doc, text, code = args.fn(args)
     except (ValueError, OSError) as exc:
         if isinstance(exc, SingularModelError):

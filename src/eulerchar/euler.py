@@ -21,13 +21,8 @@ from .curves import (
     torsion_bound_over_F,
 )
 from .cyclotomic import field_degree, splitting
-from .tate import (
-    GOOD_ORDINARY,
-    LocalReductionData,
-    local_field_for,
-    pot_supersingular,
-    tate_algorithm,
-)
+from .local_fields import make_local_field
+from .tate import GOOD_ORDINARY, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import factorize, is_prime, vp
 
 PASS = "PASS"
@@ -148,18 +143,15 @@ def compute_M(A: AbelianVarietyInput, m: int) -> tuple[list[int], list[Place]]:
     return rational_sorted, places
 
 
-def local_data_at(
-    model: WeierstrassModel, ell: int, m: int, precision: int | None = None
-) -> LocalReductionData:
+def local_data_at(model: WeierstrassModel, ell: int, m: int) -> LocalReductionData:
     """Reduction data of the curve at (any of) the places of Q(mu_m) above ell.
 
     Tate's algorithm runs over the totally ramified field of degree e from
-    the memoized `make_local_field`, so places with the same (ell, e) and
-    working precision share one field; the residue degree f is passed on.
+    the memoized `make_local_field`, so places with the same (ell, e) share
+    one field; the residue degree f is passed on.
     """
     sp = splitting(ell, m)
-    K = local_field_for(model, ell, e=sp.e, precision=precision)
-    return tate_algorithm(model, K, f=sp.f)
+    return tate_algorithm(model, make_local_field(ell, sp.e), f=sp.f)
 
 
 def check_hypotheses(
@@ -488,7 +480,6 @@ def analyze(
     A: AbelianVarietyInput,
     ext: ExternalArithmetic,
     samples: int = 20,
-    precision: int | None = None,
     target_chi_sigma_exponent: int | None = None,
 ) -> EulerCharReport:
     """Run the whole pipeline: local data at every relevant place, the
@@ -506,7 +497,7 @@ def analyze(
     relevant = sorted(set(e_bad) | set(M_rational) | {p})
     data_by_ell: dict[int, LocalReductionData] = {}
     for ell in relevant:
-        data_by_ell[ell] = local_data_at(E, ell, m, precision=precision)
+        data_by_ell[ell] = local_data_at(E, ell, m)
 
     place_rows: list[tuple[Place, LocalReductionData]] = []
     for ell in relevant:

@@ -27,6 +27,12 @@ Cremona, Algorithms, 3.2).  Only additive or non-minimal models are embedded,
 translated and walked down the ladder.  At residue characteristic >= 5 every
 result is checked against Ogg's formula v(Delta_min) = f_v + m_v - 1.
 
+The embedded model lives in the exact ring Z[pi] of `local_fields`, for every
+e alike: translations are by integers times powers of pi, the step-6
+normalization multiplies by the integer -(ell + 1)/2 where the textbook
+divides by -2, and each step-11 rescale divides by powers of pi exactly.  No
+digit is truncated, so the algorithm runs once, with no working precision.
+
 The algorithm runs over the totally ramified field Q_ell(pi) of degree e,
 whose residue field is F_ell, even at a place with residue field F_{ell^f}.
 It takes the curve over Q and every choice above is canonical, so every
@@ -57,7 +63,7 @@ from .curves import (
     reduce_model,
 )
 from .finite_fields import fq_create
-from .local_fields import LocalElement, LocalField, PrecisionError, make_local_field
+from .local_fields import LocalElement, LocalField
 from .polynomials import count_roots_in_field
 from .valuations import vp
 
@@ -124,14 +130,18 @@ class LocalReductionData:
     N_v: int | None
     L_at_1: Fraction
     reduced_model: WeierstrassModel | None
-    precision_used: int
+
+    # a class constant, not a field: `bench/tracing.py` reads it with
+    # `LocalField.precision` to count precision retries, of which there are
+    # none; ROADMAP item 1 (the next change to the benchmark) removes both.
+    precision_used = 1
 
     @property
     def is_good(self) -> bool:
         return self.kodaira.is_good
 
     def comparable_fields(self) -> tuple:
-        """Everything reported, without the reduced model and precision."""
+        """Everything reported, without the reduced model."""
         return (
             self.ell,
             self.e,
@@ -145,28 +155,6 @@ class LocalReductionData:
             self.N_v,
             self.L_at_1,
         )
-
-
-def default_precision(model: WeierstrassModel, ell: int, e: int) -> int:
-    """Working pi-adic precision: Tate inspects valuations only up to
-    v(Delta) plus bounded slack."""
-    vd = vp(invariants(integral_model(model)).disc, ell)
-    return e * (vd + 12) + 24
-
-
-def local_field_for(
-    model: WeierstrassModel,
-    ell: int,
-    e: int = 1,
-    precision: int | None = None,
-) -> LocalField:
-    """The totally ramified field of degree e over Q_ell that Tate's
-    algorithm runs over at a place with ramification index e, with a
-    model-aware default precision.  e = ell - 1 selects the cyclotomic layer
-    Q_ell(mu_ell); other tame ramification uses the x^e - ell model."""
-    if precision is None:
-        precision = default_precision(model, ell, e)
-    return make_local_field(ell, e=e, precision=precision)
 
 
 # -- residue-field helpers: residues are integers mod ell -----------------------
@@ -308,13 +296,7 @@ def _translate(a: list[LocalElement], r=None, s=None, t=None) -> list[LocalEleme
 
 def _rescale_by_pi(a: list[LocalElement]) -> list[LocalElement]:
     """u = pi scaling: a_i -> a_i / pi^i."""
-    return [
-        a[0].shift_pi(-1),
-        a[1].shift_pi(-2),
-        a[2].shift_pi(-3),
-        a[3].shift_pi(-4),
-        a[4].shift_pi(-6),
-    ]
+    return [x.shift_pi(-i) for x, i in zip(a, (1, 2, 3, 4, 6))]
 
 
 def _res_shift(x: LocalElement, k: int) -> int:
@@ -328,26 +310,9 @@ def _res_shift(x: LocalElement, k: int) -> int:
 def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
     """Kodaira type, Tamagawa number, minimal discriminant valuation, and
     (for good reduction) residue point count of a rational model at a place
-    with ramification index K.e and residue field F_{ell^f}.
-
-    Retries with doubled working precision, at most three times, whenever a
-    valuation query cannot be certified.
-    """
+    with ramification index K.e and residue field F_{ell^f}."""
     if f < 1:
         raise ValueError("residue degree must be >= 1")
-    attempts = 4
-    field = K
-    for attempt in range(attempts):
-        try:
-            return _tate_run(model, field, f)
-        except PrecisionError:
-            if attempt == attempts - 1:
-                raise
-            field = make_local_field(field.ell, e=field.e, precision=2 * field.precision)
-    raise AssertionError("unreachable")
-
-
-def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionData:
     if not model.is_rational():
         raise ValueError("tate_algorithm expects a model over Q")
     work = integral_model(model)
@@ -355,14 +320,13 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
     ell = K.ell
     q = ell**f
     pole = inv.j_pole_order(ell)
-    potentially_good = pole == 0
 
-    place = dict(ell=ell, e=K.e, f=f, q_v=q, precision_used=K.precision)
+    place = dict(ell=ell, e=K.e, f=f, q_v=q, potentially_good=pole == 0)
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
     n = K.e * vp(inv.disc, ell)
     if n == 0:
-        return _good_data(reduce_model(work, fq_create(ell, 1)), place, potentially_good)
+        return _good_data(reduce_model(work, fq_create(ell, 1)), place)
     # the pi-adic model, embedded at the first round that is not multiplicative
     a = None
     abar = [c.numerator % ell for c in work.coefficients()]
@@ -378,41 +342,30 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
             a1bar, a2bar = abar[0], (abar[1] + 3 * x0) % ell
             if (a1bar * a1bar + 4 * a2bar) % ell == 0:
                 raise AssertionError("multiplicative type has a cusp")
-            split = _tangent_splits(a1bar, a2bar, ell, q)
-            c_v = n if split else (2 if n % 2 == 0 else 1)
-            cls = MULT_SPLIT if split else MULT_NONSPLIT
-            return _finish(
-                place,
-                KodairaType("In", n),
-                c_v,
-                n,
-                cls,
-                potentially_good=False,
-                N_v=None,
-                reduced=None,
-            )
+            # at a node the roots are distinct: one in F_q means it splits there
+            if count_roots_in_field([-a2bar, a1bar, 1], ell, q):
+                return _finish(place, KodairaType("In", n), n, n, MULT_SPLIT)
+            return _finish(place, KodairaType("In", n), 2 - n % 2, n, MULT_NONSPLIT)
 
         if a is None:
             a = K.embed_model(work.coefficients())
-        a = _translate(a, r=K.from_residue(x0), t=K.from_residue(y0))
-        for idx, least in ((2, 1), (3, 1), (4, 1)):
-            if not a[idx].val_at_least(least):
-                raise AssertionError("singular translation failed")
+        a = _translate(a, r=x0, t=y0)
+        _check_valuations(a, ((2, 1), (3, 1), (4, 1)), "singular translation")
 
         b2, b4, b6, b8 = b_invariants(a)
         if not b2.val_at_least(1):
             raise AssertionError("node at a place where v(Delta) != -v(j)")
 
         if not a[4].val_at_least(2):
-            return _additive(place, KodairaType("II"), 1, n, potentially_good)
+            return _additive(place, KodairaType("II"), 1, n)
         if not b8.val_at_least(3):
-            return _additive(place, KodairaType("III"), 2, n, potentially_good)
+            return _additive(place, KodairaType("III"), 2, n)
         if not b6.val_at_least(3):
             quad_roots = count_roots_in_field(
                 [-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, q
             )
             c_v = 3 if quad_roots else 1
-            return _additive(place, KodairaType("IV"), c_v, n, potentially_good)
+            return _additive(place, KodairaType("IV"), c_v, n)
 
         a = _normalize_for_cubic(a, K)
         P_a = _res_shift(a[1], 1)
@@ -422,28 +375,26 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
 
         if shape == "distinct":
             c_v = 1 + info
-            return _additive(place, KodairaType("I0*", 0), c_v, n, potentially_good)
+            return _additive(place, KodairaType("I0*", 0), c_v, n)
 
         if shape == "double":
-            a = _translate(a, r=K.from_residue(info).shift_pi(1))
-            return _star_loop(a, K, place, n, potentially_good)
+            a = _translate(a, r=K.embed(info).shift_pi(1))
+            return _star_loop(a, K, place, n)
 
         # triple root
-        a = _translate(a, r=K.from_residue(info).shift_pi(1))
-        for idx, least in ((1, 2), (3, 3), (4, 4)):
-            if not a[idx].val_at_least(least):
-                raise AssertionError("triple-root translation failed")
+        a = _translate(a, r=K.embed(info).shift_pi(1))
+        _check_valuations(a, ((1, 2), (3, 3), (4, 4)), "triple-root translation")
         distinct, roots, double = _quadratic_data(
             1, _res_shift(a[2], 2), -_res_shift(a[4], 4), ell, q
         )
         if distinct:
             c_v = 3 if roots else 1
-            return _additive(place, KodairaType("IV*"), c_v, n, potentially_good)
-        a = _translate(a, t=K.from_residue(double).shift_pi(2))
+            return _additive(place, KodairaType("IV*"), c_v, n)
+        a = _translate(a, t=K.embed(double).shift_pi(2))
         if not a[3].val_at_least(4):
-            return _additive(place, KodairaType("III*"), 2, n, potentially_good)
+            return _additive(place, KodairaType("III*"), 2, n)
         if not a[4].val_at_least(6):
-            return _additive(place, KodairaType("II*"), 1, n, potentially_good)
+            return _additive(place, KodairaType("II*"), 1, n)
         # Step 11: not minimal, rescale and restart.
         a = _rescale_by_pi(a)
         n -= 12
@@ -451,47 +402,47 @@ def _tate_run(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionD
         if n == 0:
             k = fq_create(ell, 1)
             reduced = WeierstrassModel(*(k.from_int(x) for x in abar))
-            return _good_data(reduced, place, potentially_good)
+            return _good_data(reduced, place)
 
     raise AssertionError("tate loop failed to terminate")
 
 
-def _tangent_splits(a1bar: int, a2bar: int, ell: int, q: int) -> bool:
-    """Does T^2 + a1 T - a2 have a root in F_q?  At a node its roots are
-    distinct, so a root in F_q means it splits there."""
-    return count_roots_in_field([-a2bar, a1bar, 1], ell, q) > 0
+def _check_valuations(a: list[LocalElement], least, step: str) -> None:
+    """Assert v(a[idx]) >= k for every (idx, k) in least."""
+    if not all(a[idx].val_at_least(k) for idx, k in least):
+        raise AssertionError(f"{step} failed")
 
 
 def _normalize_for_cubic(a: list[LocalElement], K: LocalField) -> list[LocalElement]:
     """Arrange pi | a1, a2; pi^2 | a3, a4; pi^3 | a6 (entry state of the
-    step-6 cubic).  Divisions are by units except in residue characteristic
-    2, where residue square roots replace them: s^2 = a2 and
-    (t / pi)^2 = a6 / pi^2 mod pi, and a square root in F_2 is the residue
-    itself."""
+    step-6 cubic).
+
+    In odd residue characteristic s = h a1 and t = h a3 with the integer
+    h = -(ell + 1)/2 = -1/2 mod ell, which makes a1 -ell a1 and a3 -ell a3;
+    a2 and a6 differ from their values under the exact -1/2 by
+    -ell^2 a1^2/4 and -ell^2 a3^2/4, so the checks below still hold.  In
+    residue characteristic 2, residue square roots take the place of the
+    division: s^2 = a2 and (t / pi)^2 = a6 / pi^2 mod pi, and a square root
+    in F_2 is the residue itself."""
     if K.ell != 2:
-        inv2 = K.embed(Fraction(-1, 2))
-        a = _translate(a, s=a[0] * inv2)
-        a = _translate(a, t=a[2] * inv2)
+        h = -(K.ell + 1) // 2
+        a = _translate(a, s=a[0] * h)
+        a = _translate(a, t=a[2] * h)
     else:
-        a = _translate(a, s=K.from_residue(a[1].residue()))
-        a = _translate(a, t=K.from_residue(_res_shift(a[4], 2)).shift_pi(1))
-    checks = ((0, 1), (1, 1), (2, 2), (3, 2), (4, 3))
-    for idx, least in checks:
-        if not a[idx].val_at_least(least):
-            raise AssertionError("step-6 normalization failed")
+        a = _translate(a, s=a[1].residue())
+        a = _translate(a, t=K.embed(_res_shift(a[4], 2)).shift_pi(1))
+    _check_valuations(a, ((0, 1), (1, 1), (2, 2), (3, 2), (4, 3)), "step-6 normalization")
     return a
 
 
 def _star_loop(
-    a: list[LocalElement], K: LocalField, place: dict, n_delta: int, potentially_good: bool
+    a: list[LocalElement], K: LocalField, place: dict, n_delta: int
 ) -> LocalReductionData:
     """The I_n* subtype ladder (one double root in the step-6 cubic)."""
     ell, q = K.ell, place["q_v"]
     if a[1].valuation() != 1:
         raise AssertionError("I_n* entry expects v(a2) = 1")
-    for idx, least in ((3, 3), (4, 4)):
-        if not a[idx].val_at_least(least):
-            raise AssertionError("I_n* entry valuations missing")
+    _check_valuations(a, ((3, 3), (4, 4)), "I_n* entry")
     j = 1
     while j <= n_delta:
         if j % 2 == 1:
@@ -501,10 +452,8 @@ def _star_loop(
             )
             if distinct:
                 c_v = 4 if roots else 2
-                return _additive(
-                    place, KodairaType("In*", j), c_v, n_delta, potentially_good
-                )
-            a = _translate(a, t=K.from_residue(double).shift_pi(m))
+                return _additive(place, KodairaType("In*", j), c_v, n_delta)
+            a = _translate(a, t=K.embed(double).shift_pi(m))
         else:
             m = j // 2 + 2
             distinct, roots, double = _quadratic_data(
@@ -516,15 +465,13 @@ def _star_loop(
             )
             if distinct:
                 c_v = 4 if roots else 2
-                return _additive(
-                    place, KodairaType("In*", j), c_v, n_delta, potentially_good
-                )
-            a = _translate(a, r=K.from_residue(double).shift_pi(m - 1))
+                return _additive(place, KodairaType("In*", j), c_v, n_delta)
+            a = _translate(a, r=K.embed(double).shift_pi(m - 1))
         j += 1
     raise AssertionError("I_n* ladder failed to terminate")
 
 
-def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, reduced):
+def _finish(place, kodaira, c_v, v_min_delta, cls, N_v=None, reduced=None):
     q = place["q_v"]
     if N_v is not None and (q + 1 - N_v) ** 2 > 4 * q:
         raise AssertionError(f"Hasse bound fails: N_v = {N_v} over F_{q}")
@@ -537,11 +484,10 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, reduce
         v_min_delta=v_min_delta,
         q_v=q,
         reduction_class=cls,
-        potentially_good=potentially_good,
+        potentially_good=place["potentially_good"],
         N_v=N_v,
         L_at_1=_euler_factor(cls, q, N_v),
         reduced_model=reduced,
-        precision_used=place["precision_used"],
     )
     if data.potentially_good and data.c_v > 4:
         raise AssertionError("potentially good reduction forces c_v <= 4")
@@ -552,36 +498,18 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, potentially_good, N_v, reduce
     return data
 
 
-def _additive(place, kodaira, c_v, v_min_delta, potentially_good):
-    return _finish(
-        place,
-        kodaira,
-        c_v,
-        v_min_delta,
-        ADDITIVE,
-        potentially_good,
-        N_v=None,
-        reduced=None,
-    )
+def _additive(place, kodaira, c_v, v_min_delta):
+    return _finish(place, kodaira, c_v, v_min_delta, ADDITIVE)
 
 
-def _good_data(reduced: WeierstrassModel, place, potentially_good) -> LocalReductionData:
+def _good_data(reduced: WeierstrassModel, place) -> LocalReductionData:
     """Good reduction: reduced is the model over F_ell, counted there and
     extended to F_q."""
     q = place["q_v"]
     N = extension_count(count_points(reduced), place["ell"], place["f"])
     trace = q + 1 - N
     cls = GOOD_SUPERSINGULAR if trace % place["ell"] == 0 else GOOD_ORDINARY
-    return _finish(
-        place,
-        KodairaType("I0"),
-        1,
-        0,
-        cls,
-        potentially_good=potentially_good,
-        N_v=N,
-        reduced=reduced,
-    )
+    return _finish(place, KodairaType("I0"), 1, 0, cls, N_v=N, reduced=reduced)
 
 
 # -- derived operations -------------------------------------------------------------

@@ -9,7 +9,7 @@ extension fields.  Its cost is O(q) field operations: keep q small.
 `brute_count` can count a reduced curve over F_{ell^f} itself.
 `roots_in_field` scans F_q for roots of an integer polynomial, against the
 library's gcd root count.
-`delta_local` evaluates Delta in the truncated pi-adic field, against the
+`delta_local` evaluates Delta in the exact ring Z[pi], against the
 library's v(Delta) = e * v_ell(disc).
 `trial_factorize` divides by every d up to sqrt(n), against the library's
 trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.

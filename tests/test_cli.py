@@ -246,6 +246,18 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         ("torsion --curve 0,0,0,0,0 --prime 7", "/curve"),
         ("count --curve 0,0,0,0,0 --ell 5", "/curve"),
         ("count --curve 1,0,0,-1,-1 --ell 2", "/ell"),  # bad reduction at 2
+        # numeric flags that are no integers, refused at their pointer, not by argparse
+        ("tau --curve 1,0,0,-1,-1 --prime x", "/prime"),
+        ("local --curve 1,0,0,-1,-1 --ell 7 --conductor 1.5", "/base_field"),
+        ("local --curve 1,0,0,-1,-1 --ell x", "/ell"),
+        ("count --curve 0,0,0,0,1 --ell 5 --degree x", "/degree"),
+        ("torsion --curve 1,0,0,-1,-1 --prime 7 --samples x", "/samples"),
+        ("local --curve 1,0,0,-1,-1 --ell 7 --precision-digits x", "/precision_digits"),
+        ("coranks --curve 1,0,0,-1,-1 --prime 7 --conductor 7 --sigma-index x",
+         "/external/sigma_index_R"),
+        # the torsion bracket needs p >= 5
+        ("torsion --curve 1,0,0,-1,-1 --prime 3", "/prime"),
+        ("torsion --curve 1,0,0,-1,-1 --prime 2", "/prime"),
     ],
 )
 def test_subcommand_flags_rejected_at_their_pointer(capsys, argv, pointer):
@@ -380,7 +392,7 @@ def test_text_columns_widen_for_large_places(monkeypatch, capsys):
     assert code == 2
     rows = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()
     assert rows[-1].startswith(f"  {big}#1 {big}  I1 ")
-    assert rows[1] == "  2#1" + " " * 39 + "2  II        1  Additive              None  1"
+    assert rows[1] == "  2#1" + " " * 39 + "2  II         1  Additive              None  1"
     assert all(row.split()[0].endswith("#1") for row in rows[1:])  # label, then q_v
 
 
@@ -413,8 +425,9 @@ def _column_offsets(row: str, aligns: str, token: str) -> list[int]:
     ],
 )
 def test_text_columns_line_up(monkeypatch, capsys, curve, prime, conductor, factor, wide):
-    """Every row of the places and audit tables puts its columns at the
-    same offsets, also when an entry is wider than its column's default."""
+    """Every row of the places and audit tables, and the header of the
+    places table, puts its columns at the same offsets, also when an entry
+    is wider than its column's default."""
     req = {
         "schema_version": 1,
         "curve": curve,
@@ -426,7 +439,8 @@ def test_text_columns_line_up(monkeypatch, capsys, curve, prime, conductor, fact
     code, out, _ = _run(["analyze", "-", "--format", "text"], stdin_text=json.dumps(req),
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code in (0, 2)
-    places = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()[1:]
+    places = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()
+    assert places[0].split() == ["place", "q_v", "kodaira", "c_v", "class", "N_v", "L(E,1)"]
     audit = out.split("exponents):\n")[1].split("\ntau_p")[0].splitlines()
     assert any(wide in row for row in places) and any(wide in row for row in audit)
     for rows, aligns, token in (
@@ -438,16 +452,17 @@ def test_text_columns_line_up(monkeypatch, capsys, curve, prime, conductor, fact
 
 
 def test_text_columns_keep_their_defaults():
-    """Tables whose entries fit the default widths print as they always
-    have."""
+    """Tables whose entries fit the default widths, and the header labels,
+    print at the default widths; the kodaira label is one wider than its
+    default, so that column is as wide as the label."""
     text = render_text(report_to_dict(analyze_request(parse_request(REQ_TABLE))))
     assert (
         "places:\n"
         "  place       q_v  kodaira  c_v  class                  N_v  L(E,1)\n"
-        "  2#1           8  I1        1  MultSplit             None  8/7\n"
-        "  2#2           8  I1        1  MultSplit             None  8/7\n"
-        "  3#1         729  I1        1  MultSplit             None  729/728\n"
-        "  7#1           7  I0        1  GoodOrdinary             7  1\n"
+        "  2#1           8  I1         1  MultSplit             None  8/7\n"
+        "  2#2           8  I1         1  MultSplit             None  8/7\n"
+        "  3#1         729  I1         1  MultSplit             None  729/728\n"
+        "  7#1           7  I0         1  GoodOrdinary             7  1\n"
     ) in text
     assert (
         "audit (per-place |L_v|_p exponents):\n"

@@ -1,154 +1,175 @@
-import random
-from fractions import Fraction
+from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eulerchar.local_fields import PrecisionError, make_local_field
+from eulerchar.local_fields import make_local_field
 from eulerchar.valuations import vp
 
-Q7MU7 = make_local_field(7, 6, precision=120)  # e = ell - 1: Q_7(mu_7)
-Q7TAME = make_local_field(7, 2, precision=60)  # x^2 - 7
-Q5 = make_local_field(5, 1, precision=60)
+ELLS = (2, 3, 5, 7, 11, 13)
+# a tame e that is neither 1 nor ell - 1 (x^e - ell)
+TAME_E = {2: 3, 3: 4, 5: 2, 7: 3, 11: 2, 13: 5}
+KINDS = {
+    "qp": lambda ell: 1,
+    "ram": lambda ell: ell - 1,  # the cyclotomic layer Q_ell(mu_ell)
+    "tame": lambda ell: TAME_E[ell],
+}
+ALL_FIELDS = [make_local_field(ell, KINDS[kind](ell)) for ell in ELLS for kind in KINDS]
+
+Q7MU7 = make_local_field(7, 6)
+Q7TAME = make_local_field(7, 2)  # x^2 - 7
+Q5 = make_local_field(5, 1)
+
+
+def fields(kind):
+    return st.sampled_from(ELLS).map(lambda ell: make_local_field(ell, KINDS[kind](ell)))
+
+
+def element(K, coeffs):
+    """sum of c_i pi^i, built with the ring operations."""
+    x = K.zero()
+    for i, c in enumerate(coeffs):
+        x = x + K.embed(c) * K.pi() ** i
+    return x
+
+
+def draw_element(data, K):
+    """An element with a spread of valuations: coefficients u * ell^j, then
+    a shift by a few powers of pi."""
+    coeffs = [
+        data.draw(st.integers(-60, 60)) * K.ell ** data.draw(st.integers(0, 3))
+        for _ in range(K.e)
+    ]
+    return element(K, coeffs).shift_pi(data.draw(st.integers(0, 2 * K.e)))
 
 
 def test_field_anchors():
     assert Q7MU7.embed(7).valuation() == 6
     assert Q7TAME.embed(8).residue() == 1 and Q7TAME.embed(-1).residue() == 6
     assert Q7TAME.embed(7).valuation() == 2
-    assert (Q7TAME.pi() ** 2 - Q7TAME.embed(7)).is_zero_to_precision()
-    assert Q5.embed(5).valuation() == 1
+    assert Q7TAME.pi() ** 2 == Q7TAME.embed(7)
+    assert Q5.embed(5).valuation() == 1 and Q5.pi() == 5
 
 
 def test_val_residue_anchors():
     pi = Q7MU7.pi()
-    assert pi.valuation() == 1 and pi.unit_residue() == 1
+    assert pi.valuation() == 1 and pi.shift_pi(-1) == Q7MU7.one()
     x = Q7MU7.one() + Q7MU7.pi()
-    assert x.valuation() == 0 and x.unit_residue() == 1
+    assert x.valuation() == 0 and x.residue() == 1
     assert Q7MU7.embed(7).valuation() == 6
+    assert Q7MU7.zero().valuation() == inf and Q7MU7.zero().val_at_least(10**6)
 
 
 def test_eisenstein_relation():
-    # g(pi) = 0 for the cyclotomic polynomial ((1+x)^7 - 1)/x
-    pi = Q7MU7.pi()
-    val = Q7MU7.zero()
-    power = Q7MU7.one()
-    for c in Q7MU7.eisenstein:
-        val = val + power * c
-        power = power * pi
-    assert val.is_zero_to_precision()
-
-
-def test_indistinguishable_from_zero_signal():
-    zero = Q5.embed(0)
-    with pytest.raises(PrecisionError):
-        zero.valuation()
-    with pytest.raises(PrecisionError):
-        zero.unit_residue()
-    assert zero.val_at_least(1)  # certified up to working precision
+    """g(pi) = 0 and pi^e = ell U for every Eisenstein polynomial in use,
+    the cyclotomic ((1+x)^ell - 1)/x among them."""
+    for K in ALL_FIELDS:
+        pi = K.pi()
+        val = K.zero()
+        power = K.one()
+        for c in K.eisenstein:
+            val = val + power * c
+            power = power * pi
+        assert val == K.zero(), K
+        assert pi**K.e == K.unit() * K.ell
 
 
 def test_wild_ramification_rejected():
     with pytest.raises(ValueError):
-        make_local_field(2, 2, precision=40)  # e = 2, ell = 2, not cyclotomic
+        make_local_field(2, 2)  # e = 2, ell = 2, not cyclotomic
     with pytest.raises(ValueError):
-        make_local_field(5, 20, precision=200)  # second layer
+        make_local_field(5, 20)  # second layer
 
 
 def test_tame_non_cyclotomic():
-    K = make_local_field(5, 3, precision=45)
+    K = make_local_field(5, 3)
     assert K.embed(5).valuation() == 3
-    assert (K.pi() ** 3 - K.embed(5)).is_zero_to_precision()
+    assert K.pi() ** 3 == K.embed(5)
+    assert K.unit() == K.one() == K.unit_inverse()
 
 
-def _random_rational(rng):
-    num = rng.randint(-400, 400)
-    den = rng.randint(1, 400)
-    if num == 0:
-        num = 1
-    return Fraction(num, den)
+@pytest.mark.parametrize("kind", ["ram", "tame", "qp"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_valuation_laws_randomized(kind, data):
+    """v(xy) = v(x) + v(y); v(x + y) >= min(v(x), v(y)), with equality when
+    the two valuations differ."""
+    K = data.draw(fields(kind))
+    x, y = draw_element(data, K), draw_element(data, K)
+    vx, vy = x.valuation(), y.valuation()
+    assert (x * y).valuation() == vx + vy
+    vs = (x + y).valuation()
+    assert vs >= min(vx, vy)
+    if vx != vy:
+        assert vs == min(vx, vy)
 
 
-@pytest.mark.parametrize("field", [Q7MU7, Q7TAME, Q5], ids=["ram", "tame", "qp"])
-def test_valuation_laws_randomized(field):
-    """val(xy) = val(x) + val(y) and the ultrametric law, 10^4 pairs per field."""
-    rng = random.Random(field.ell)
-    pool = [field.embed(_random_rational(rng)) for _ in range(200)]
-    pool.append(field.pi() + field.one())
-    extra = field.pi() * field.pi() - field.embed(field.ell)
-    if extra.is_zero_to_precision():  # pi^2 = ell in the x^2 - ell field
-        extra = field.pi() ** 3 - field.embed(field.ell)
-    pool.append(extra)
-    for _ in range(10_000):
-        x, y = rng.choice(pool), rng.choice(pool)
-        assert (x * y).valuation() == x.valuation() + y.valuation()
-        s = x + y
-        if not s.is_zero_to_precision():
-            assert s.valuation() >= min(x.valuation(), y.valuation())
-
-
-def test_embedding_commutes_with_vp():
-    rng = random.Random(99)
-    for _ in range(1000):
-        r = _random_rational(rng)
-        field = rng.choice([Q7MU7, Q7TAME, Q5])
-        assert field.embed(r).valuation() == field.e * vp(r, field.ell)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_FIELDS), st.integers(-(10**30), 10**30).filter(bool))
+def test_embedding_commutes_with_vp(K, n):
+    assert K.embed(n).valuation() == K.e * vp(n, K.ell)
+    assert K.embed(n).residue() == n % K.ell
 
 
 def test_division_and_inverse():
-    x = Q7MU7.embed(Fraction(-294, 49))
-    assert x.valuation() == 0
-    assert (x / x).residue() == 1
-    y = Q7MU7.embed(Fraction(3, 14))
-    z = x * y / y
-    assert (z - x).is_zero_to_precision()
+    """Division stays in the ring: U U^(-1) = 1, and dividing by a power of
+    pi that divides an element is exact."""
+    for K in ALL_FIELDS:
+        assert K.unit() * K.unit_inverse() == K.one(), K
+        assert K.unit_inverse() * K.pi() ** K.e == K.embed(K.ell)
+        x = K.embed(3) + K.pi() * 5
+        for k in (1, K.e, 2 * K.e + 1):
+            assert (x * K.pi() ** k).shift_pi(-k) == x
+            assert (x * K.ell).shift_pi(-K.e) == x * K.unit_inverse()
 
 
-def test_shift_pi_exactness():
-    x = Q7MU7.embed(49)  # val 12
-    assert x.shift_pi(-12).valuation() == 0
-    assert x.shift_pi(5).valuation() == 17
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_FIELDS), st.data())
+def test_shift_pi_exactness(K, data):
+    """x pi^k pi^(-k) = x; a shift moves the valuation by k; dividing by
+    more than the valuation allows raises."""
+    x = draw_element(data, K)
+    k = data.draw(st.integers(0, 3 * K.e + 2))
+    up = x.shift_pi(k)
+    assert up == x * K.pi() ** k
+    assert up.shift_pi(-k) == x
+    assert up.valuation() == x.valuation() + k
+    if x != K.zero():
+        v = x.valuation()
+        assert x.shift_pi(-v).residue() != 0
+        with pytest.raises(ValueError):
+            x.shift_pi(-(v + data.draw(st.integers(1, 2 * K.e))))
 
 
 def test_expansion_digits():
-    x = Q5.embed(Fraction(26))  # 1 + 0*5 + 5^2
-    assert x.valuation() == 0 and x.unit_residue() == 1
-    assert (x - 1).valuation() == 2 and (x - 1).unit_residue() == 1
-    assert (x - 26).is_zero_to_precision()
+    x = Q5.embed(26)  # 1 + 0*5 + 5^2
+    assert x.valuation() == 0 and x.residue() == 1
+    assert (x - 1).valuation() == 2 and (x - 1).shift_pi(-2).residue() == 1
+    assert x - 26 == Q5.zero() and (x - 26).valuation() == inf
     pi = Q7MU7.pi()  # 0 + 1*pi
     assert pi.residue() == 0
-    assert pi.valuation() == 1 and pi.unit_residue() == 1
+    assert pi.valuation() == 1 and pi.coeffs == (0, 1, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("field", [Q7MU7, Q7TAME, Q5], ids=["ram", "tame", "qp"])
-def test_ring_axioms(field):
-    rng = random.Random(field.ell + 100)
-    pool = [field.embed(_random_rational(rng)) for _ in range(40)]
-    pool += [field.pi(), field.one(), field.pi() * field.pi()]
-    for _ in range(300):
-        x, y, z = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        assert ((x + y) * z - (x * z + y * z)).is_zero_to_precision()
-        assert ((x * y) * z - x * (y * z)).is_zero_to_precision()
-        assert (x + y - (y + x)).is_zero_to_precision()
-        assert (x * y - y * x).is_zero_to_precision()
-
-
-def test_precision_cap_respected():
-    # a certified valuation answers any threshold query...
-    x = Q5.embed(Fraction(1, 3))
-    assert x.abs_prec <= Q5.tprec_max
-    assert not x.val_at_least(x.abs_prec + 1)
-    # ...but an element whose known digits all vanish cannot certify
-    # anything beyond its precision marker
-    zero = Q5.embed(0)
-    with pytest.raises(PrecisionError):
-        zero.val_at_least(zero.abs_prec + 1)
+@pytest.mark.parametrize("kind", ["ram", "tame", "qp"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ring_axioms(kind, data):
+    K = data.draw(fields(kind))
+    x, y, z = (draw_element(data, K) for _ in range(3))
+    assert (x + y) * z == x * z + y * z
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x and x * y == y * x
+    assert x - x == K.zero() and x * K.one() == x and x + K.zero() == x
+    assert -(x - y) == y - x and 3 * x == x + x + x
 
 
 def test_make_local_field_is_memoized():
-    K = make_local_field(5, 1, precision=48)
-    assert make_local_field(5, 1, precision=48) is K
-    doubled = make_local_field(5, 1, precision=96)
-    assert doubled is not K and doubled.precision == 96
+    K = make_local_field(5, 1)
+    assert make_local_field(5, 1) is K
+    assert make_local_field(5, 4) is not K
+    with pytest.raises(TypeError):  # one cache key per (ell, e)
+        make_local_field(5, e=1)
     # the Eisenstein polynomial is a function of (ell, e)
-    assert make_local_field(5, 4, precision=48).eisenstein == (5, 10, 10, 5, 1)
-    assert make_local_field(5, 2, precision=48).eisenstein == (-5, 0, 1)
+    assert make_local_field(5, 4).eisenstein == (5, 10, 10, 5, 1)
+    assert make_local_field(5, 2).eisenstein == (-5, 0, 1)

@@ -16,12 +16,12 @@ from eulerchar.curves import (
     invariants,
     transform,
 )
+from eulerchar.local_fields import make_local_field
 from eulerchar.tate import (
     ADDITIVE,
     GOOD_ORDINARY,
     MULT_NONSPLIT,
     MULT_SPLIT,
-    local_field_for,
     pot_supersingular,
     tate_algorithm,
 )
@@ -32,8 +32,8 @@ EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
 EJ0 = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
 
 
-def run(model, ell, f=1, e=1, precision=None):
-    return tate_algorithm(model, local_field_for(model, ell, e=e, precision=precision), f=f)
+def run(model, ell, f=1, e=1):
+    return tate_algorithm(model, make_local_field(ell, e), f=f)
 
 
 def test_tate_anchor_q2():
@@ -191,7 +191,7 @@ def test_char23_additive_smoke():
 
 def test_tame_ramified_char3():
     """Places above 3 in Q(mu_3) are tame of degree 2; Tate must run there."""
-    d = tate_algorithm(E294, local_field_for(E294, 3, e=2))
+    d = run(E294, 3, e=2)
     assert d.kodaira.symbol == "I2"  # I_1 over Q_3 ramifies to I_2
     assert d.v_min_delta == 2
 
@@ -257,20 +257,25 @@ def test_base_change_examples():
     assert up.is_good
 
 
-def test_precision_doubling_stability():
+def test_coordinate_change_invariance():
+    """Every reported field is an invariant of the curve: an integral change
+    of coordinates (u = 1, random integral r, s, t) keeps it, also over the
+    cyclotomic layer Q_7(mu_7)."""
+    rng = random.Random(260)
     fields = [
         (E294, 2, 1, 1),
         (E294, 7, 1, 6),
         (E294, 3, 6, 1),
         (EPRIME, 2, 1, 1),
+        (EPRIME, 7, 1, 6),
         (EJ0, 5, 2, 1),
     ]
     for model, ell, f, e in fields:
-        K = local_field_for(model, ell, e=e)
-        d1 = tate_algorithm(model, K, f=f)
-        K2 = local_field_for(model, ell, e=e, precision=2 * K.precision)
-        d2 = tate_algorithm(model, K2, f=f)
-        assert d1.comparable_fields() == d2.comparable_fields()
+        base = run(model, ell, f=f, e=e).comparable_fields()
+        for _ in range(4):
+            r, s, t = (rng.randint(-10**6, 10**6) for _ in range(3))
+            moved = transform(model, 1, r, s, t)
+            assert run(moved, ell, f=f, e=e).comparable_fields() == base
 
 
 def test_pot_supersingular_anchors():
@@ -502,13 +507,13 @@ def test_residue_degree_grid_matches_recording():
 def test_finish_rejects_type_contradicting_ogg():
     from eulerchar.tate import KodairaType, _additive
 
-    place = dict(ell=5, e=1, f=1, q_v=5, model=E294, precision_used=60)
-    assert _additive(place, KodairaType("III"), 2, 3, True).v_min_delta == 3
+    place = dict(ell=5, e=1, f=1, q_v=5, potentially_good=True)
+    assert _additive(place, KodairaType("III"), 2, 3).v_min_delta == 3
     with pytest.raises(AssertionError, match="Ogg"):
-        _additive(place, KodairaType("III"), 2, 4, True)
+        _additive(place, KodairaType("III"), 2, 4)
     # residue characteristic 2 and 3 allow wild conductor exponents
     wild = dict(place, ell=3, q_v=3)
-    assert _additive(wild, KodairaType("III"), 2, 6, True).v_min_delta == 6
+    assert _additive(wild, KodairaType("III"), 2, 6).v_min_delta == 6
 
 
 def test_finish_rejects_count_outside_hasse_bound(monkeypatch):
@@ -528,14 +533,12 @@ def test_finish_rejects_count_outside_hasse_bound(monkeypatch):
 
 def test_exact_delta_valuation_matches_local_field():
     """e * v_ell(disc) of an integral model equals the pi-adic valuation of
-    Delta evaluated in the truncated field, and one rescale by pi lowers it
-    by 12; at v(Delta) = 0 the reduced model equals the residues of the
-    embedded coefficients."""
+    Delta evaluated in Z[pi], and one rescale by pi lowers it by 12; at
+    v(Delta) = 0 the reduced model equals the residues of the embedded
+    coefficients."""
     from oracles import delta_local
 
-    from eulerchar.curves import transform
-    from eulerchar.local_fields import make_local_field
-    from eulerchar.tate import _rescale_by_pi, default_precision
+    from eulerchar.tate import _rescale_by_pi
 
     fields = [(ell, 1) for ell in (2, 3, 5, 7)]
     fields += [(2, 3), (3, 2), (5, 2), (7, 3), (5, 4), (7, 6)]
@@ -549,16 +552,14 @@ def test_exact_delta_valuation_matches_local_field():
             disc = invariants(model).disc
         except SingularModelError:
             continue
-        precision = default_precision(model, ell, e)
-        K = make_local_field(ell, e=e, precision=precision)
+        K = make_local_field(ell, e)
         n = K.e * vp(disc, ell)
         a = K.embed_model(model.coefficients())
         assert delta_local(a).valuation() == n
 
         scaled = integral_model(transform(model, Fraction(1, ell), 0, 0, 0))
-        K2 = make_local_field(ell, e=e, precision=precision + 12 * e)
-        b = _rescale_by_pi(K2.embed_model(scaled.coefficients()))
-        assert delta_local(b).valuation() == K2.e * vp(invariants(scaled).disc, ell) - 12
+        b = _rescale_by_pi(K.embed_model(scaled.coefficients()))
+        assert delta_local(b).valuation() == K.e * vp(invariants(scaled).disc, ell) - 12
 
         d = tate_algorithm(model, K)
         if n == 0:
@@ -626,10 +627,9 @@ def test_scaling_by_ell_keeps_local_data(coeffs, ell, k, cyclotomic, f):
 def test_good_and_multiplicative_places_never_embed(monkeypatch):
     """Good places and minimal multiplicative places are decided on
     integers: they never embed the model in the pi-adic field, and a field
-    that serves only them never builds its unit inverse.  An additive
-    place does embed."""
+    that serves only them never builds U^(-1), which costs O(e^2).  An
+    additive place does embed."""
     from eulerchar.local_fields import LocalField
-    from eulerchar.tate import default_precision
 
     def refuse(self, coeffs):
         raise AssertionError("embed_model called")
@@ -648,9 +648,9 @@ def test_good_and_multiplicative_places_never_embed(monkeypatch):
     ]
     for model, ell, e, symbol in cases:
         for f in (1, 2):
-            K = LocalField(ell, e, default_precision(model, ell, e))
+            K = LocalField(ell, e)
             d = tate_algorithm(model, K, f=f)
             assert d.kodaira.symbol == symbol, (model, ell, e)
-            assert "_unit_u_inv" not in vars(K)
+            assert "_unit_inv" not in vars(K)
     with pytest.raises(AssertionError, match="embed_model called"):
         run(E294, 7)  # type II
