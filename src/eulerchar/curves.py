@@ -1,12 +1,13 @@
 """Weierstrass models: invariants, point arithmetic, point counting over
-finite fields, division polynomials, and p-primary torsion bounds.
+finite fields, division polynomials on integers, and p-primary torsion
+bounds, whose rational lower bound lifts the roots of psi_p ell-adically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt, lcm
 
 from .cyclotomic import splitting
@@ -454,58 +455,41 @@ def extension_count(n1: int, q: int, k: int) -> int:
 # -- division polynomials ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _quadratic_term(model: WeierstrassModel) -> Polynomial:
-    """B(x) = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    b2, b4, b6, _ = b_invariants(model.coefficients())
-    return Polynomial([b6, 2 * b4, b2, Fraction(4)])
-
-
-@lru_cache(maxsize=None)
-def _g_poly(model: WeierstrassModel, n: int) -> Polynomial:
-    """psi_n as a polynomial in x alone; even indices carry psi_n / psi_2."""
-    b2, b4, b6, b8 = b_invariants(model.coefficients())
-    if n == 0:
-        return Polynomial([Fraction(0)])
-    if n in (1, 2):
-        return Polynomial([Fraction(1)])
-    if n == 3:
-        return Polynomial([b8, 3 * b6, 3 * b4, b2, Fraction(3)])
-    if n == 4:
-        return Polynomial(
-            [
-                b4 * b8 - b6 * b6,
-                b2 * b8 - b4 * b6,
-                10 * b8,
-                10 * b6,
-                5 * b4,
-                b2,
-                Fraction(2),
-            ]
-        )
-    B = _quadratic_term(model)
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        lhs = _g_poly(model, m + 2) * _g_poly(model, m) ** 3
-        rhs = _g_poly(model, m - 1) * _g_poly(model, m + 1) ** 3
-        if m % 2 == 0:
-            return lhs * (B * B) - rhs
-        return lhs - rhs * (B * B)
-    m = n // 2
-    return _g_poly(model, m) * (
-        _g_poly(model, m + 2) * _g_poly(model, m - 1) ** 2
-        - _g_poly(model, m - 2) * _g_poly(model, m + 1) ** 2
-    )
-
-
 def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
-    """psi_n in x for odd n >= 1; degree (n^2 - 1)/2.
+    """psi_n in x of an integral model, for odd n >= 1: integer
+    coefficients, degree (n^2 - 1)/2 and leading coefficient n.
 
-    Even indices are not exposed (they carry a factor linear in y).
+    The recurrence runs on the integer b-invariants, with B = psi_2^2 =
+    4x^3 + b2 x^2 + 2 b4 x + b6, and memoizes psi_k within the call only;
+    even k carry psi_k / psi_2, so even n is not exposed (psi_n has a factor
+    linear in y).  Raises ValueError for even n or a model with denominators.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("division_polynomial is defined here for odd n >= 1")
-    return _g_poly(model, n)
+    if any(c.denominator != 1 for c in model.coefficients()):
+        raise ValueError("division_polynomial needs an integral model")
+    b2, b4, b6, b8 = b_invariants([c.numerator for c in model.coefficients()])
+    B2 = Polynomial([b6, 2 * b4, b2, 4]) ** 2
+    psi = {
+        0: Polynomial([0]),
+        1: Polynomial([1]),
+        2: Polynomial([1]),
+        3: Polynomial([b8, 3 * b6, 3 * b4, b2, 3]),
+        4: Polynomial([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
+    }
+
+    def g(k: int) -> Polynomial:
+        if k not in psi:
+            m = k // 2
+            if k % 2 == 0:
+                psi[k] = g(m) * (g(m + 2) * g(m - 1) ** 2 - g(m - 2) * g(m + 1) ** 2)
+            elif m % 2 == 0:
+                psi[k] = g(m + 2) * g(m) ** 3 * B2 - g(m - 1) * g(m + 1) ** 3
+            else:
+                psi[k] = g(m + 2) * g(m) ** 3 - g(m - 1) * g(m + 1) ** 3 * B2
+        return psi[k]
+
+    return g(n)
 
 
 # -- torsion ----------------------------------------------------------------------
@@ -525,9 +509,13 @@ def lift_x_to_points(model: WeierstrassModel, x0: Fraction) -> list[CurvePoint]:
 def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     """Exact order of the p-primary torsion of E(Q) for a prime p >= 5.
 
-    Rational roots of psi_p are lifted to candidate points and their order
-    verified by repeated addition.  Over Q and for p >= 5 the group is
-    trivial or cyclic of order p.  By Mazur's theorem (1977) E(Q) has no
+    Rational roots of psi_p of the integral model are found by ell-adic
+    lifting at the smallest prime ell not dividing p * Delta.  There E mod
+    ell is an elliptic curve and ell != p, so psi_p mod ell has leading
+    coefficient p and (p^2 - 1)/2 distinct roots: it is squarefree, as the
+    lifting requires.  Each root is lifted to candidate points and their
+    order verified by repeated addition.  Over Q and for p >= 5 the group
+    is trivial or cyclic of order p.  By Mazur's theorem (1977) E(Q) has no
     point of prime order p >= 11, so those p return 1 without building
     psi_p, whose degree is (p^2 - 1)/2.
     """
@@ -537,8 +525,11 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
         return 1
     from .polynomials import rational_roots
 
+    model = integral_model(model)
+    disc = invariants(model).disc.numerator
+    ell = next(q for q in primes_from(2) if p * disc % q)
     psi = division_polynomial(model, p)
-    for x0 in rational_roots(psi):
+    for x0 in rational_roots(psi, ell):
         for point in lift_x_to_points(model, x0):
             if point_order(model, point, p) == p:
                 return p

@@ -1,20 +1,23 @@
-"""Dense univariate polynomials: over the rationals as `Polynomial`, and
-over F_ell as integer coefficient lists.
+"""Dense univariate polynomials: over the integers or the rationals as
+`Polynomial`, and over F_ell as integer coefficient lists.
 
 Degrees in this package stay small (at most (p**2 - 1)/2 for division
 polynomials), so a dense coefficient list is the right representation.
 Over F_ell a polynomial is a list of ints low-to-high; the helpers below
 divide, multiply and take gcds of such lists, and `count_roots_in_field`
-counts the roots in F_q of one of them.
+counts the roots in F_q of one of them.  `rational_roots` finds the
+rational roots of a `Polynomial` by lifting its roots in F_ell to ell-adic
+precision past Cauchy's bound and testing one candidate per root exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 class Polynomial:
-    """Rational coefficients, low-to-high degree, with trailing zeros
-    trimmed; the zero polynomial keeps a single zero coefficient."""
+    """Integer or rational coefficients, low-to-high degree, with trailing
+    zeros trimmed; the zero polynomial keeps a single zero coefficient."""
 
     __slots__ = ("coeffs",)
 
@@ -62,13 +65,11 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return Polynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Polynomial([Fraction(0)])
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                prod = a * b
-                out[i + j] = prod if out[i + j] is None else out[i + j] + prod
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -83,7 +84,7 @@ class Polynomial:
             base = base * base
             n >>= 1
         if result is None:
-            return Polynomial([Fraction(1)])
+            return Polynomial([1])
         return result
 
     def evaluate(self, x):
@@ -184,28 +185,27 @@ def count_roots_in_field(coeffs: list[int], ell: int, q: int) -> int:
     return len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(q, monic, ell), ell)) - 1
 
 
-def _divisors_abs(n: int) -> list[int]:
-    """Positive divisors of |n| by trial division up to its square root."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
 
 
-def rational_roots(poly: Polynomial) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over Q, each listed once.
+def rational_roots(poly: Polynomial, ell: int) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial over Q, each listed once,
+    in increasing order, by ell-adic lifting (Cohen, GTM 138, 3.5).
 
-    Clears denominators and trials s/t with s dividing the constant term
-    and t dividing the leading coefficient.  Roots at zero are split off
-    first so the divisor trial only sees a nonzero constant term.
-    Candidates are evaluated with pure integer arithmetic,
-    P(s/t) * t^deg = sum c_i s^i t^(deg-i).
+    Roots at zero are split off first.  What is left, with denominators
+    cleared, is P = a_0 + ... + a_n x^n over the integers.  ell must not
+    divide a_n, and P must be squarefree mod ell (gcd(P, P') = 1 in
+    F_ell[x]); otherwise ValueError.  Every rational root then reduces to a
+    simple root of P in F_ell (found by a scan, O(ell n)), and Newton
+    lifting carries that root to r mod ell^k with ell^k > 2B, where
+    B = |a_n| + max_{i<n} |a_i|.  For a rational root x, a_n x is an integer
+    of absolute value at most B (Cauchy's bound), so it is the symmetric
+    residue y of a_n r mod ell^k.  y / a_n is kept when
+    sum a_i y^i a_n^(n-i) = 0, in exact integer arithmetic.
     """
     if poly.is_zero():
         raise ValueError("zero polynomial has every rational as a root")
@@ -213,31 +213,34 @@ def rational_roots(poly: Polynomial) -> list[Fraction]:
     roots = []
     if coeffs[0] == 0:
         roots.append(Fraction(0))
-        while coeffs and coeffs[0] == 0:
+        while coeffs[0] == 0:
             coeffs.pop(0)
-    if len(coeffs) <= 1:
+    if len(coeffs) == 1:
         return roots
-    from math import lcm
-
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
-    a0, an = ints[0], ints[-1]
-    seen = set()
-    for s in _divisors_abs(a0):
-        for t in _divisors_abs(an):
-            for sign in (1, -1):
-                num = sign * s
-                if (num, t) in seen:
-                    continue
-                # evaluate sum c_i num^i t^(n-i) by Horner in num
-                acc = 0
-                tp = 1
-                for c in reversed(ints):
-                    acc = acc * num + c * tp
-                    tp *= t
-                if acc == 0:
-                    cand = Fraction(num, t)
-                    if cand not in roots:
-                        roots.append(cand)
-                        seen.add((num, t))
-    return roots
+    an = ints[-1]
+    if an % ell == 0:
+        raise ValueError(f"leading coefficient {an} vanishes mod {ell}")
+    derivative = [i * c for i, c in enumerate(ints)][1:]
+    if len(_poly_gcd_mod_p(ints, derivative, ell)) > 1:
+        raise ValueError(f"polynomial is not squarefree mod {ell}")
+    bound = 2 * (abs(an) + max(abs(c) for c in ints[:-1]))
+    for r in range(ell):
+        if _eval_mod(ints, r, ell):
+            continue
+        modulus = ell
+        while modulus <= bound:
+            modulus *= modulus
+            step = _eval_mod(ints, r, modulus) * pow(_eval_mod(derivative, r, modulus), -1, modulus)
+            r = (r - step) % modulus
+        y = an * r % modulus
+        if 2 * y > modulus:
+            y -= modulus
+        acc, scale = 0, 1
+        for c in reversed(ints):
+            acc = acc * y + c * scale
+            scale *= an
+        if acc == 0:
+            roots.append(Fraction(y, an))
+    return sorted(roots)

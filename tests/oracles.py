@@ -13,6 +13,9 @@ library's gcd root count.
 library's v(Delta) = e * v_ell(disc).
 `trial_factorize` divides by every d up to sqrt(n), against the library's
 trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.
+`rational_roots_by_divisors` tries every s/t with s dividing the constant
+term and t the leading coefficient, against the library's ell-adic lifting.
+Its divisors come by trial division up to the square root: keep both small.
 `base_change_rules` gives the textbook reduction data over the unramified
 extension of degree f, against Tate's algorithm run with residue degree f.
 """
@@ -20,10 +23,12 @@ extension of degree f, against Tate's algorithm run with residue degree f.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from eulerchar.curves import WeierstrassModel, extension_count
 from eulerchar.finite_fields import FqElement, FqField
 from eulerchar.local_fields import LocalElement
+from eulerchar.polynomials import Polynomial
 from eulerchar.tate import (
     GOOD_ORDINARY,
     GOOD_SUPERSINGULAR,
@@ -121,6 +126,52 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _divisors_abs(n: int) -> list[int]:
+    """Positive divisors of |n| by trial division up to its square root."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def rational_roots_by_divisors(poly: Polynomial) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial over Q, each listed once.
+
+    Clears denominators and tries s/t with s dividing the constant term and
+    t dividing the leading coefficient.  Roots at zero are split off first,
+    so the divisor trial only sees a nonzero constant term.  Candidates are
+    evaluated with pure integer arithmetic, P(s/t) t^n = sum c_i s^i t^(n-i).
+    """
+    if poly.is_zero():
+        raise ValueError("zero polynomial has every rational as a root")
+    coeffs = list(poly.coeffs)
+    roots = []
+    if coeffs[0] == 0:
+        roots.append(Fraction(0))
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+    if len(coeffs) == 1:
+        return roots
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
+    for s in _divisors_abs(ints[0]):
+        for t in _divisors_abs(ints[-1]):
+            for num in (s, -s):
+                acc, tp = 0, 1
+                for c in reversed(ints):
+                    acc = acc * num + c * tp
+                    tp *= t
+                if acc == 0 and Fraction(num, t) not in roots:
+                    roots.append(Fraction(num, t))
+    return roots
 
 
 def base_change_rules(data: LocalReductionData, f: int) -> dict:

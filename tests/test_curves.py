@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eulerchar import curves
 from eulerchar.curves import (
@@ -29,7 +29,7 @@ from eulerchar.curves import (
 )
 from eulerchar.finite_fields import fq_create
 from eulerchar.polynomials import rational_roots
-from oracles import brute_count
+from oracles import brute_count, rational_roots_by_divisors, roots_in_field
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -331,24 +331,106 @@ def test_division_polynomial_degree_window():
         assert division_polynomial(EPRIME, n).degree == expected
 
 
-def test_division_polynomial_roots_are_torsion_x():
-    """Cross-check the recurrence: over F_q the roots of psi_n reduced are
-    exactly the x-coordinates of nonzero n-torsion points."""
-    F31 = fq_create(31, 1)
-    model = reduce_model(EJ0, F31)
-    psi5 = division_polynomial(EJ0, 5)
+@pytest.mark.parametrize(
+    "coeffs", [[0, 0, 0, 0, 1], [1, 0, 0, -1, -1], [0, -1, 1, -10, -20], [1, -1, 1, -1, 0]]
+)
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_division_polynomial_roots_are_torsion_x(coeffs, n):
+    """Cross-check the recurrence: the roots in F_31 of psi_n reduced mod 31
+    are exactly the x in F_31 of the nonzero n-torsion points, whose y lies
+    in F_{31^2}.  psi_n has integer coefficients, leading one n."""
+    model = WeierstrassModel.from_rationals(coeffs)
+    psi = division_polynomial(model, n)
+    assert all(type(c) is int for c in psi.coeffs)
+    assert (psi.degree, psi.coeffs[-1]) == ((n * n - 1) // 2, n)
+    F = fq_create(31, 2)
+    reduced = reduce_model(model, F)
+    a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
     torsion_x = set()
     for x in range(31):
-        for y in range(31):
-            P = CurvePoint(F31.from_int(x), F31.from_int(y))
-            if is_on_curve(model, P) and scalar_mul(model, 5, P).is_infinity and not P.is_infinity:
-                torsion_x.add(F31.from_int(x))
-    roots = set()
-    for x in range(31):
-        value = psi5.evaluate(Fraction(x))  # over Q, then reduced mod 31
-        if value.numerator * pow(value.denominator, -1, 31) % 31 == 0:
-            roots.add(F31.from_int(x))
-    assert roots == torsion_x
+        h, g = a1 * x + a3, ((x + a2) * x + a4) * x + a6
+        for y in roots_in_field([-g, h, 1], F):
+            if scalar_mul(reduced, n, CurvePoint(F.from_int(x), y)).is_infinity:
+                torsion_x.add(x)
+    assert {x for x in range(31) if psi.evaluate(x) % 31 == 0} == torsion_x
+
+
+def test_division_polynomial_refuses_denominators():
+    with pytest.raises(ValueError, match="integral"):
+        division_polynomial(WeierstrassModel.from_rationals([0, 0, 0, Fraction(1, 4), 1]), 3)
+
+
+def tate_normal_form(p, t) -> WeierstrassModel:
+    """E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2, on which (0, 0) has
+    order 5 for b = c = t and order 7 for b = t^3 - t^2, c = t^2 - t."""
+    b, c = (t, t) if p == 5 else (t**3 - t**2, t**2 - t)
+    return WeierstrassModel.from_rationals([1 - c, -b, -b, 0, 0])
+
+
+def _smallest_good_prime(model, p):
+    disc = invariants(model).disc.numerator
+    return next(ell for ell in range(2, 10**4) if _is_prime(ell) and p * disc % ell)
+
+
+census_case = st.tuples(
+    st.tuples(
+        st.sampled_from([0, 1]),
+        st.sampled_from([-1, 0, 1]),
+        st.sampled_from([0, 1]),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+    ).map(WeierstrassModel.from_rationals),
+    st.sampled_from([5, 7]),
+)
+# the divisor oracle is fast on these normal forms and slow on the other
+# 7-torsion ones with |t| <= 6
+tate_case = st.one_of(
+    st.tuples(st.just(5), st.sampled_from([t for t in range(-6, 7) if t])),
+    st.tuples(st.just(7), st.sampled_from([-1, 2])),
+).map(lambda pt: (tate_normal_form(*pt), pt[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(census_case, tate_case))
+def test_rational_roots_of_psi_match_divisor_oracle(case):
+    """ell-adic lifting of psi_p at the smallest prime ell not dividing
+    p * Delta finds the roots that the divisor trial finds."""
+    model, p = case
+    try:
+        invariants(model)
+    except SingularModelError:
+        assume(False)
+    psi = division_polynomial(model, p)
+    assert rational_roots(psi, _smallest_good_prime(model, p)) == sorted(
+        rational_roots_by_divisors(psi)
+    )
+
+
+def test_tate_normal_forms_have_rational_p_torsion():
+    """(0, 0) of every nonsingular E(b, c) with integer |t| <= 40 has order
+    p, which the psi_p search finds however large its coefficients."""
+    checked = 0
+    for t in range(-40, 41):
+        for p in (5, 7):
+            model = tate_normal_form(p, t)
+            try:
+                invariants(model)
+            except SingularModelError:
+                continue
+            assert rational_p_torsion_order(model, p) == p, (p, t)
+            checked += 1
+    assert checked == 159  # t = 0 for both families and t = 1 at 7 are singular
+
+
+@pytest.mark.parametrize(
+    "coeffs,p",
+    [([-41, -294, -294, 0, 0], 7), ([-89, -900, -900, 0, 0], 7), ([-999, -1000, -1000, 0, 0], 5)],
+)
+def test_torsion_bracket_of_large_tate_normal_forms(coeffs, p):
+    """psi_7 at t = 7 and t = 10 and psi_5 at t = 1000 have constant terms
+    of 28 to 53 digits; the bracket over Q is still exactly [p, p]."""
+    est = torsion_bound_over_F(WeierstrassModel.from_rationals(coeffs), p, 1)
+    assert (est.lower, est.upper) == (p, p)
 
 
 def test_rational_p_torsion_anchors():
@@ -356,7 +438,7 @@ def test_rational_p_torsion_anchors():
     assert rational_p_torsion_order(EJ0, 7) == 1
     # psi_7 of y^2 = x^3 + 1 has rational roots but none lifts rationally
     psi7 = division_polynomial(EJ0, 7)
-    for x0 in rational_roots(psi7):
+    for x0 in rational_roots(psi7, 5):
         h = EJ0.y_line(x0)
         assert (h * h + 4 * EJ0.rhs(x0)) < 0 or not _is_square_frac(h * h + 4 * EJ0.rhs(x0))
 

@@ -9,20 +9,40 @@ from oracles import roots_in_field
 
 
 def test_rational_roots_anchors():
-    assert sorted(rational_roots(Polynomial([Fraction(c) for c in [-1, 0, 1]]))) == [-1, 1]
-    assert rational_roots(Polynomial([Fraction(c) for c in [-2, 3]])) == [Fraction(2, 3)]
-    assert rational_roots(Polynomial([Fraction(c) for c in [1, 0, 1]])) == []
+    assert rational_roots(Polynomial([-1, 0, 1]), 3) == [-1, 1]
+    assert rational_roots(Polynomial([Fraction(c) for c in [-2, 3]]), 5) == [Fraction(2, 3)]
+    assert rational_roots(Polynomial([1, 0, 1]), 3) == []
+    # a root of size far past the modulus comes back from its symmetric lift
+    assert rational_roots(Polynomial([10**30 + 7, -1]), 3) == [10**30 + 7]
+    assert rational_roots(Polynomial([Fraction(1, 2), Fraction(-7, 3)]), 5) == [Fraction(3, 14)]
 
 
 def test_rational_roots_rejects_zero():
     with pytest.raises(ValueError):
-        rational_roots(Polynomial([Fraction(0)]))
+        rational_roots(Polynomial([Fraction(0)]), 3)
 
 
 def test_rational_roots_with_zero_root():
-    # x^2 (3x - 2)
+    # x^2 (3x - 2): the zero root is split off before the checks mod ell
     p = Polynomial([Fraction(c) for c in [0, 0, -2, 3]])
-    assert sorted(rational_roots(p)) == [0, Fraction(2, 3)]
+    assert rational_roots(p, 5) == [0, Fraction(2, 3)]
+
+
+def test_rational_roots_refuses_a_bad_ell():
+    with pytest.raises(ValueError, match="leading coefficient"):
+        rational_roots(Polynomial([1, 0, 3]), 3)
+    # (x - 1)(x - 6) has a double root mod 5 and two simple roots mod 7
+    square_mod_5 = Polynomial([6, -7, 1])
+    with pytest.raises(ValueError, match="squarefree"):
+        rational_roots(square_mod_5, 5)
+    assert rational_roots(square_mod_5, 7) == [1, 6]
+
+
+def _smallest_prime_not_dividing(n: int) -> int:
+    ell = 2
+    while n % ell == 0 or any(ell % d == 0 for d in range(2, ell)):
+        ell += 1
+    return ell
 
 
 @given(
@@ -30,16 +50,26 @@ def test_rational_roots_with_zero_root():
         st.fractions(min_value=-20, max_value=20, max_denominator=12),
         min_size=1,
         max_size=4,
+        unique=True,
     ),
     st.integers(min_value=1, max_value=5),
 )
 def test_rational_roots_found_by_construction(roots, extra):
-    """Build prod (x - r) * (x^2 + extra) and recover exactly the r's."""
-    poly = Polynomial([Fraction(c) for c in [extra, 0, 1]])
+    """Build prod (x - r) * (x^2 + extra) over distinct r and recover exactly
+    the r's, lifting from the smallest prime ell that divides no denominator
+    of an r, no difference of two r's, not 2 * extra and no r^2 + extra:
+    the product then has a unit leading coefficient and distinct roots
+    mod ell."""
+    poly = Polynomial([extra, 0, 1])
     for r in roots:
-        poly = poly * Polynomial([-r, Fraction(1)])
-    found = rational_roots(poly)
-    assert sorted(set(found)) == sorted(set(roots))
+        poly = poly * Polynomial([-r, 1])
+    bad = 2 * extra
+    for i, r in enumerate(roots):
+        bad *= r.denominator * (r * r + extra).numerator
+        for other in roots[i + 1 :]:
+            bad *= (r - other).numerator
+    found = rational_roots(poly, _smallest_prime_not_dividing(bad))
+    assert found == sorted(roots)
     for r in found:
         assert poly.evaluate(r) == 0
 
