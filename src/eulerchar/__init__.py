@@ -4,14 +4,12 @@ torsion brackets, and the chi / rho / tau invariants, with a CLI front end.
 """
 
 from .curves import (
-    CurvePoint,
     TorsionEstimate,
     WeierstrassModel,
     count_points,
     division_polynomial,
     extension_count,
     invariants,
-    point_order,
     rational_p_torsion_order,
     torsion_bound_over_F,
 )

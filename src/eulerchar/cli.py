@@ -490,7 +490,7 @@ def _cmd_analyze(args):
             raw = fh.read()
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RequestError("/", f"invalid JSON ({exc})") from None
     parsed = parse_request(obj)
     if args.samples is not None:

@@ -1,6 +1,8 @@
-"""Weierstrass models: invariants, point arithmetic, point counting over
-finite fields, division polynomials on integers, and p-primary torsion
-bounds, whose rational lower bound lifts the roots of psi_p ell-adically.
+"""Weierstrass models: invariants, point counting over finite fields,
+division polynomials on integers, and p-primary torsion bounds.  The
+rational lower bound lifts the roots of psi_p ell-adically and keeps a root
+x0 when the points above it are rational, which is a square test on the
+discriminant of y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
 """
 
 from __future__ import annotations
@@ -145,22 +147,10 @@ def _compute_invariants(model: WeierstrassModel) -> CurveInvariants | None:
     return CurveInvariants(*(Fraction(x, d**k) for x, k in weighted), Fraction(c4**3, disc))
 
 
-def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
-    a1, a2, a3, a4, a6 = model.coefficients()
-    u2 = u * u
-    u3 = u2 * u
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u2
-    na3 = (a3 + r * a1 + 2 * t) / u3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u2 * u2)
-    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / (u3 * u3)
-    return WeierstrassModel(na1, na2, na3, na4, na6)
-
-
 def integral_model(model: WeierstrassModel) -> WeierstrassModel:
-    """Scale a rational model to integral a-invariants (u = 1/d scaling);
-    computed once per model object."""
+    """The rational model with integral a-invariants a_i * d^i, for d the
+    lcm of their denominators (the change of variables x = x'/d^2,
+    y = y'/d^3); computed once per model object."""
     return model._integral
 
 
@@ -168,7 +158,7 @@ def _compute_integral_model(model: WeierstrassModel) -> WeierstrassModel:
     d = lcm(*[c.denominator for c in model.coefficients()])
     if d == 1:
         return model
-    return transform(model, Fraction(1, d), 0, 0, 0)
+    return WeierstrassModel(*(c * d**k for c, k in zip(model.coefficients(), (1, 2, 3, 4, 6))))
 
 
 def reduce_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
@@ -181,90 +171,6 @@ def reduce_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
         return field.from_int(c.numerator * pow(c.denominator, -1, p))
 
     return WeierstrassModel(*(red(c) for c in model.coefficients()))
-
-
-# -- points ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y) or the point at infinity (x = y = None)."""
-
-    x: object = None
-    y: object = None
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls(None, None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-
-def is_on_curve(model: WeierstrassModel, point: CurvePoint) -> bool:
-    if point.is_infinity:
-        return True
-    x, y = point.x, point.y
-    return y * y + model.y_line(x) * y == model.rhs(x)
-
-
-def negate_point(model: WeierstrassModel, point: CurvePoint) -> CurvePoint:
-    if point.is_infinity:
-        return point
-    return CurvePoint(point.x, -point.y - model.y_line(point.x))
-
-
-def add_points(model: WeierstrassModel, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition; exact over Q and over finite fields."""
-    if p1.is_infinity:
-        return p2
-    if p2.is_infinity:
-        return p1
-    a1, a2, a3, a4, a6 = model.coefficients()
-    x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
-    if x1 == x2:
-        if y2 == -y1 - a1 * x1 - a3:
-            return CurvePoint.infinity()
-        denom = 2 * y1 + a1 * x1 + a3
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / denom
-        nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / denom
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return CurvePoint(x3, y3)
-
-
-def scalar_mul(model: WeierstrassModel, n: int, point: CurvePoint) -> CurvePoint:
-    if n < 0:
-        return scalar_mul(model, -n, negate_point(model, point))
-    acc = CurvePoint.infinity()
-    base = point
-    while n:
-        if n & 1:
-            acc = add_points(model, acc, base)
-        base = add_points(model, base, base)
-        n >>= 1
-    return acc
-
-
-def point_order(model: WeierstrassModel, point: CurvePoint, bound: int) -> int | None:
-    """Smallest n <= bound with n*P = infinity, or None if there is none.
-
-    Raises ValueError when the point does not satisfy the curve equation.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if not is_on_curve(model, point):
-        raise ValueError("point is not on the curve")
-    acc = point
-    for n in range(1, bound + 1):
-        if acc.is_infinity:
-            return n
-        acc = add_points(model, acc, point)
-    return None
 
 
 # -- point counting --------------------------------------------------------------
@@ -495,17 +401,6 @@ def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
 # -- torsion ----------------------------------------------------------------------
 
 
-def lift_x_to_points(model: WeierstrassModel, x0: Fraction) -> list[CurvePoint]:
-    """Rational points on the model with the given x-coordinate."""
-    h = model.y_line(x0)
-    disc = h * h + 4 * model.rhs(x0)
-    root = rational_sqrt(disc)
-    if root is None:
-        return []
-    ys = {(-h + root) / 2, (-h - root) / 2}
-    return [CurvePoint(x0, y) for y in sorted(ys)]
-
-
 def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     """Exact order of the p-primary torsion of E(Q) for a prime p >= 5.
 
@@ -513,11 +408,14 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     lifting at the smallest prime ell not dividing p * Delta.  There E mod
     ell is an elliptic curve and ell != p, so psi_p mod ell has leading
     coefficient p and (p^2 - 1)/2 distinct roots: it is squarefree, as the
-    lifting requires.  Each root is lifted to candidate points and their
-    order verified by repeated addition.  Over Q and for p >= 5 the group
-    is trivial or cyclic of order p.  By Mazur's theorem (1977) E(Q) has no
-    point of prime order p >= 11, so those p return 1 without building
-    psi_p, whose degree is (p^2 - 1)/2.
+    lifting requires.  For odd p a point P != O lies in E[p] exactly when
+    psi_p(x(P)) = 0 (Silverman, AEC, Ex. 3.7), so a root x0 is the
+    x-coordinate of a point of order p exactly when a point above it is
+    rational: when (a1 x0 + a3)^2 + 4 (x0^3 + a2 x0^2 + a4 x0 + a6) is a
+    rational square.  Over Q and for p >= 5 the group is trivial or cyclic
+    of order p.  By Mazur's theorem (1977) E(Q) has no point of prime order
+    p >= 11, so those p return 1 without building psi_p, whose degree is
+    (p^2 - 1)/2.
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
@@ -530,9 +428,9 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     ell = next(q for q in primes_from(2) if p * disc % q)
     psi = division_polynomial(model, p)
     for x0 in rational_roots(psi, ell):
-        for point in lift_x_to_points(model, x0):
-            if point_order(model, point, p) == p:
-                return p
+        h = model.y_line(x0)
+        if rational_sqrt(h * h + 4 * model.rhs(x0)) is not None:
+            return p
     return 1
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .polynomials import _frobenius_minus_x_mod_p, _poly_gcd_mod_p
+from .polynomials import _frobenius_minus_x_mod_p, _poly_gcd_mod_p, _poly_mulmod_mod_p
 from .valuations import is_prime
 
 
@@ -140,19 +140,8 @@ class FqField:
         p, f = self.characteristic, self.degree
         if f == 1:
             return (a[0] * b[0] % p,)
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce modulo the monic modulus
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(f):
-                    prod[k - f + j] = (prod[k - f + j] - c * self.modulus[j]) % p
-        return tuple(prod[:f])
+        rem = _poly_mulmod_mod_p(a, b, self.modulus, p)
+        return tuple(rem) + (0,) * (f - len(rem))
 
     def absolute_trace(self, a: FqElement) -> int:
         """Trace down to the prime field, returned as an integer in [0, ell)."""

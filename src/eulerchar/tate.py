@@ -209,10 +209,8 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
     derivatives.
 
     Characteristic 2 inverts the y-partial directly (square roots are the
-    identity on F_2); characteristic 3 solves the x-partial, which
-    degenerates to a cube root (the identity on F_3) when its linear
-    coefficient vanishes; odd characteristic >= 5 completes the square and
-    locates the multiple root of the resulting cubic from its coefficients.
+    identity on F_2); odd characteristic completes the square and takes the
+    multiple root of the resulting cubic from `_cubic_analysis`.
     """
     a1, a2, a3, a4, a6 = abar
 
@@ -238,28 +236,14 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
             raise AssertionError("char-2 singular point formulas failed")
         return x0, y0
 
+    # complete the square: eta^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4,
+    # and take the multiple root of the right-hand cubic
     inv2 = pow(2, -1, ell)
-    if ell == 3:
-        # F_x(x, y(x)) = (a1^2 + a2) x + (a1 a3 - a4) along 2y = -(a1 x + a3)
-        lead = a1 * a1 + a2
-        if lead % 3:
-            x0 = (a4 - a1 * a3) * pow(lead, -1, 3)
-        else:
-            # then F(x, y(x)) = -(x^3 + a6 + a3^2), whose cube root is itself
-            x0 = -(a6 + a3 * a3)
-    else:
-        # complete the square: eta^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4,
-        # and take the multiple root of the right-hand cubic
-        inv4 = inv2 * inv2
-        c2 = (a1 * a1 + 4 * a2) * inv4
-        c1 = (2 * a4 + a1 * a3) * inv2
-        c0 = (a3 * a3 + 4 * a6) * inv4
-        hessian = (c2 * c2 - 3 * c1) % ell  # equals (double root - simple root)^2
-        if hessian:
-            x0 = (9 * c0 - c2 * c1) * pow(2 * hessian, -1, ell)
-        else:
-            x0 = -c2 * pow(3, -1, ell)
-    x0 %= ell
+    inv4 = inv2 * inv2
+    c2 = (a1 * a1 + 4 * a2) * inv4
+    c1 = (2 * a4 + a1 * a3) * inv2
+    c0 = (a3 * a3 + 4 * a6) * inv4
+    _, x0 = _cubic_analysis(c2, c1, c0, ell, ell)
     y0 = -(a1 * x0 + a3) * inv2 % ell
     if not vanishes(x0, y0):
         raise AssertionError("singular point formulas failed")

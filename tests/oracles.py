@@ -18,10 +18,19 @@ term and t the leading coefficient, against the library's ell-adic lifting.
 Its divisors come by trial division up to the square root: keep both small.
 `base_change_rules` gives the textbook reduction data over the unramified
 extension of degree f, against Tate's algorithm run with residue degree f.
+
+The generic chord-tangent group law, exact over Q and over any FqField:
+`CurvePoint`, `is_on_curve`, `negate_point`, `add_points`, `scalar_mul` and
+`point_order`, with `lift_x_to_points` for the rational points above an x.
+It checks Shanks-Mestre, the roots of psi_n and the square test that
+accepts a rational root of psi_p as a point of order p.  `transform` is the
+general coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t, for the
+metamorphic tests of Tate's algorithm and the invariants.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -36,6 +45,7 @@ from eulerchar.tate import (
     MULT_SPLIT,
     LocalReductionData,
 )
+from eulerchar.valuations import rational_sqrt
 
 
 def lift_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
@@ -205,3 +215,111 @@ def base_change_rules(data: LocalReductionData, f: int) -> dict:
             L_at_1=Fraction(q, q - 1) if split else Fraction(q, q + 1),
         )
     return out
+
+
+def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
+    a1, a2, a3, a4, a6 = model.coefficients()
+    u2 = u * u
+    u3 = u2 * u
+    na1 = (a1 + 2 * s) / u
+    na2 = (a2 - s * a1 + 3 * r - s * s) / u2
+    na3 = (a3 + r * a1 + 2 * t) / u3
+    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u2 * u2)
+    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / (u3 * u3)
+    return WeierstrassModel(na1, na2, na3, na4, na6)
+
+
+# -- points ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    """Affine point (x, y) or the point at infinity (x = y = None)."""
+
+    x: object = None
+    y: object = None
+
+    @classmethod
+    def infinity(cls) -> "CurvePoint":
+        return cls(None, None)
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.x is None
+
+
+def is_on_curve(model: WeierstrassModel, point: CurvePoint) -> bool:
+    if point.is_infinity:
+        return True
+    x, y = point.x, point.y
+    return y * y + model.y_line(x) * y == model.rhs(x)
+
+
+def negate_point(model: WeierstrassModel, point: CurvePoint) -> CurvePoint:
+    if point.is_infinity:
+        return point
+    return CurvePoint(point.x, -point.y - model.y_line(point.x))
+
+
+def add_points(model: WeierstrassModel, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
+    """Chord-tangent addition; exact over Q and over finite fields."""
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    a1, a2, a3, a4, a6 = model.coefficients()
+    x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
+    if x1 == x2:
+        if y2 == -y1 - a1 * x1 - a3:
+            return CurvePoint.infinity()
+        denom = 2 * y1 + a1 * x1 + a3
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / denom
+        nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / denom
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+        nu = y1 - lam * x1
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    return CurvePoint(x3, y3)
+
+
+def scalar_mul(model: WeierstrassModel, n: int, point: CurvePoint) -> CurvePoint:
+    if n < 0:
+        return scalar_mul(model, -n, negate_point(model, point))
+    acc = CurvePoint.infinity()
+    base = point
+    while n:
+        if n & 1:
+            acc = add_points(model, acc, base)
+        base = add_points(model, base, base)
+        n >>= 1
+    return acc
+
+
+def point_order(model: WeierstrassModel, point: CurvePoint, bound: int) -> int | None:
+    """Smallest n <= bound with n*P = infinity, or None if there is none.
+
+    Raises ValueError when the point does not satisfy the curve equation.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if not is_on_curve(model, point):
+        raise ValueError("point is not on the curve")
+    acc = point
+    for n in range(1, bound + 1):
+        if acc.is_infinity:
+            return n
+        acc = add_points(model, acc, point)
+    return None
+
+
+def lift_x_to_points(model: WeierstrassModel, x0: Fraction) -> list[CurvePoint]:
+    """Rational points on the model with the given x-coordinate."""
+    h = model.y_line(x0)
+    disc = h * h + 4 * model.rhs(x0)
+    root = rational_sqrt(disc)
+    if root is None:
+        return []
+    ys = {(-h + root) / 2, (-h - root) / 2}
+    return [CurvePoint(x0, y) for y in sorted(ys)]

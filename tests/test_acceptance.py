@@ -15,14 +15,12 @@ from eulerchar.curves import (
     b_invariants,
     count_points,
     discriminant,
+    extension_count,
     integral_model,
     invariants,
-    point_order,
     rational_p_torsion_order,
     reduce_model,
-    transform,
 )
-from eulerchar.curves import CurvePoint, extension_count
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import (
     AbelianVarietyInput,
@@ -35,7 +33,14 @@ from eulerchar.euler import (
 from eulerchar.finite_fields import fq_create
 from eulerchar.local_fields import make_local_field
 from eulerchar.tate import tate_algorithm
-from oracles import base_change_rules, brute_count, lift_model
+from oracles import (
+    CurvePoint,
+    base_change_rules,
+    brute_count,
+    lift_model,
+    point_order,
+    transform,
+)
 from eulerchar.valuations import euler_phi, is_prime, vp
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])

@@ -155,6 +155,13 @@ def test_analyze_exit_one_on_malformed(monkeypatch, capsys):
     )
     assert code2 == 1
     assert "/surprise" in err2
+    # nesting deeper than the decoder's recursion limit is refused, not raised
+    for nested in ("[" * 200_000 + "]" * 200_000, '{"a":' * 5_000 + "1" + "}" * 5_000):
+        code3, _, err3 = _run(
+            ["analyze", "-"], stdin_text=nested, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code3 == 1
+        assert err3.startswith("error: /: invalid JSON (")
 
 
 def test_text_and_json_carry_same_numbers(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -7,10 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eulerchar import curves
 from eulerchar.curves import (
-    CurvePoint,
     SingularModelError,
     WeierstrassModel,
-    add_points,
     b_invariants,
     c_invariants,
     count_points,
@@ -18,18 +17,25 @@ from eulerchar.curves import (
     extension_count,
     integral_model,
     invariants,
-    is_on_curve,
     model_with_j_invariant,
-    point_order,
     rational_p_torsion_order,
     reduce_model,
-    scalar_mul,
     torsion_bound_over_F,
-    transform,
 )
 from eulerchar.finite_fields import fq_create
 from eulerchar.polynomials import rational_roots
-from oracles import brute_count, rational_roots_by_divisors, roots_in_field
+from oracles import (
+    CurvePoint,
+    add_points,
+    brute_count,
+    is_on_curve,
+    lift_x_to_points,
+    point_order,
+    rational_roots_by_divisors,
+    roots_in_field,
+    scalar_mul,
+    transform,
+)
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -420,6 +426,38 @@ def test_tate_normal_forms_have_rational_p_torsion():
             assert rational_p_torsion_order(model, p) == p, (p, t)
             checked += 1
     assert checked == 159  # t = 0 for both families and t = 1 at 7 are singular
+
+
+def test_square_test_matches_point_order_oracle():
+    """A rational root x0 of psi_p is accepted when the points above it are
+    rational; the chord-tangent law confirms that one of them has order p
+    exactly then.  Every nonsingular census-box curve, every nonsingular
+    Tate normal form with |t| <= 40, and E, 11a, 37a and the factor curve,
+    each at p = 5 and 7."""
+    box = product([0, 1], [-1, 0, 1], [0, 1], range(-5, 6), range(-5, 6))
+    tate = [tate_normal_form(p, t).coefficients() for p in (5, 7) for t in range(-40, 41)]
+    named = [E294.coefficients(), EPRIME.coefficients(), (0, -1, 1, -10, -20), (0, 0, 1, -1, 0)]
+    coeffs = {tuple(map(Fraction, c)) for c in [*box, *tate, *named]}
+    curves_checked = orders_p = 0
+    for c in sorted(coeffs):
+        model = WeierstrassModel(*c)
+        try:
+            invariants(model)
+        except SingularModelError:
+            continue
+        curves_checked += 1
+        for p in (5, 7):
+            psi = division_polynomial(model, p)
+            oracle = any(
+                point_order(model, P, p) == p
+                for x0 in rational_roots(psi, _smallest_good_prime(model, p))
+                for P in lift_x_to_points(model, x0)
+            )
+            assert (rational_p_torsion_order(model, p) == p) == oracle, (c, p)
+            orders_p += oracle
+    # E, 37a and the factor curve (t = -1 at p = 7) lie in the box or the
+    # Tate forms, so 1,595 curves are distinct
+    assert (curves_checked, orders_p) == (1595, 165)
 
 
 @pytest.mark.parametrize(
