@@ -62,9 +62,12 @@ class RequestError(ValueError):
 # -- request parsing -----------------------------------------------------------------
 
 
-def _require(obj: dict, path: str, allowed: set[str], required: set[str]):
+def _require(obj: dict, path: str, allowed: set[str], required: tuple[str, ...]):
+    """Refuse anything but an object whose keys lie in allowed and include
+    every key of required; path is "" at the request root.  A missing key is
+    named in the order required lists it, the order of the schema."""
     if not isinstance(obj, dict):
-        raise RequestError(path, "expected an object")
+        raise RequestError(path or "/", "expected an object")
     for key in obj:
         if key not in allowed:
             raise RequestError(f"{path}/{key}", "unknown key")
@@ -148,7 +151,7 @@ def _parse_external(obj, path: str, prime: int) -> ExternalArithmetic:
         "sigma_index_R",
         "no_p_torsion_certificate",
     }
-    _require(obj, path, allowed, set())
+    _require(obj, path, allowed, ())
     def boolean(key, default=False):
         v = obj.get(key, default)
         if not isinstance(v, bool):
@@ -178,7 +181,7 @@ def _parse_external(obj, path: str, prime: int) -> ExternalArithmetic:
 
 
 def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
-    _require(obj, path, {"dimension", "factors", "reduction_table"}, {"dimension"})
+    _require(obj, path, {"dimension", "factors", "reduction_table"}, ("dimension",))
     dim = _parse_int(obj["dimension"], f"{path}/dimension", minimum=1)
     factors = ()
     if "factors" in obj:
@@ -197,7 +200,7 @@ def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
         for i, row in enumerate(raw):
             rpath = f"{path}/reduction_table/{i}"
             _require(row, rpath, {"prime", "potentially_good", "good"},
-                     {"prime", "potentially_good", "good"})
+                     ("prime", "potentially_good", "good"))
             prime = _parse_int(row["prime"], f"{rpath}/prime", minimum=2)
             pg, good = row["potentially_good"], row["good"]
             if not isinstance(pg, bool) or not isinstance(good, bool):
@@ -228,7 +231,7 @@ def parse_request(obj) -> dict:
         "samples",
         "precision_digits",
     }
-    _require(obj, "", allowed, {"schema_version", "curve", "prime", "base_field", "abelian_variety"})
+    _require(obj, "", allowed, ("schema_version", "curve", "prime", "base_field", "abelian_variety"))
     version = _parse_int(obj["schema_version"], "/schema_version")
     if version != SCHEMA_VERSION:
         raise RequestError("/schema_version", f"unsupported version {version}")
@@ -589,68 +592,84 @@ def _cmd_count(args):
     return doc, lambda _: f"#E(F_{q}) = {n}", 0
 
 
+# each subcommand: its handler, its help line, and its arguments as
+# (name or flag, add_argument keywords)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "run the full pipeline on a JSON request", (
+        ("request", dict(help="request file path, or - for stdin")),
+        ("--samples", {}),
+        ("--precision-digits", {}),
+    )),
+    "local": (_cmd_local, "Tate data and Euler factor at one place", (
+        ("--curve", dict(required=True, help="a1,a2,a3,a4,a6")),
+        ("--ell", dict(required=True)),
+        ("--conductor", dict(default=1)),
+        ("--precision-digits", {}),
+    )),
+    "splitting": (_cmd_splitting, "(e, f, g) of a prime in Q(mu_m)", (
+        ("--ell", dict(required=True)),
+        ("--conductor", dict(required=True)),
+    )),
+    "torsion": (_cmd_torsion, "p-primary torsion bracket over Q(mu_m)", (
+        ("--curve", dict(required=True)),
+        ("--prime", dict(required=True)),
+        ("--conductor", dict(default=1)),
+        ("--samples", dict(default=20)),
+    )),
+    "tau": (_cmd_tau, "sum of local degrees at supersingular places above p", (
+        ("--curve", dict(required=True)),
+        ("--prime", dict(required=True)),
+        ("--conductor", dict(default=1)),
+    )),
+    "coranks": (_cmd_coranks, "corank window and tower predictions", (
+        ("--curve", dict(required=True)),
+        ("--prime", dict(required=True)),
+        ("--conductor", dict(default=1)),
+        ("--sigma-index", {}),
+    )),
+    "count": (_cmd_count, "raw point count over F_{ell^f}", (
+        ("--curve", dict(required=True)),
+        ("--ell", dict(required=True)),
+        ("--degree", dict(default=1)),
+    )),
+}
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: nothing in it depends
-    on the call, and parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="eulerchar",
-        description="Euler characteristics of Selmer groups over division towers "
-        "of cyclotomic fields: local reduction data, splitting, torsion, "
-        "tau, coranks, and the full chi pipeline.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        return p
-
-    p = command("analyze", _cmd_analyze, "run the full pipeline on a JSON request")
-    p.add_argument("request", help="request file path, or - for stdin")
-    p.add_argument("--samples")
-    p.add_argument("--precision-digits")
-
-    p = command("local", _cmd_local, "Tate data and Euler factor at one place")
-    p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--conductor", default=1)
-    p.add_argument("--precision-digits")
-
-    p = command("splitting", _cmd_splitting, "(e, f, g) of a prime in Q(mu_m)")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--conductor", required=True)
-
-    p = command("torsion", _cmd_torsion, "p-primary torsion bracket over Q(mu_m)")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--conductor", default=1)
-    p.add_argument("--samples", default=20)
-
-    p = command("tau", _cmd_tau, "sum of local degrees at supersingular places above p")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--conductor", default=1)
-
-    p = command("coranks", _cmd_coranks, "corank window and tower predictions")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--conductor", default=1)
-    p.add_argument("--sigma-index")
-
-    p = command("count", _cmd_count, "raw point count over F_{ell^f}")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--ell", required=True)
-    p.add_argument("--degree", default=1)
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, or with no command the top-level
+    parser that lists them all.  Each is built once per process, and only
+    when asked for: nothing in it depends on the call, and parsing leaves
+    it unchanged."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="eulerchar",
+            description="Euler characteristics of Selmer groups over division towers "
+            "of cyclotomic fields: local reduction data, splitting, torsion, "
+            "tau, coranks, and the full chi pipeline.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (_, summary, _) in _COMMANDS.items():
+            sub.add_parser(name, help=summary)
+        return parser
+    fn, _, arguments = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"eulerchar {command}")
+    parser.set_defaults(fn=fn, command=command)
+    parser.add_argument("--format", choices=("json", "text"), default="text")
+    for name, keywords in arguments:
+        parser.add_argument(name, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand; malformed input exits 1 with one line
     `error: <pointer>: <message>`."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        # no subcommand comes first: the top-level parser prints its help
+        # and exits 0, or a usage error and exits 2
+        build_parser().parse_args(argv)
+    args = build_parser(argv[0]).parse_args(argv[1:])
     try:
         _int_flags(args)
         doc, text, code = args.fn(args)

@@ -4,10 +4,11 @@
 Degrees in this package stay small (at most (p**2 - 1)/2 for division
 polynomials), so a dense coefficient list is the right representation.
 Over F_ell a polynomial is a list of ints low-to-high; the helpers below
-divide, multiply and take gcds of such lists, and `count_roots_in_field`
-counts the roots in F_q of one of them.  `rational_roots` finds the
-rational roots of a `Polynomial` by lifting its roots in F_ell to ell-adic
-precision past Cauchy's bound and testing one candidate per root exactly.
+reduce, multiply and take gcds of such lists, and `count_roots_in_field`
+counts the roots in F_{ell^f} of one of degree at most 3.  `rational_roots`
+finds the rational roots of a `Polynomial` by lifting its roots in F_ell to
+ell-adic precision past Cauchy's bound and testing one candidate per root
+exactly.
 """
 
 from __future__ import annotations
@@ -100,20 +101,18 @@ class Polynomial:
 # -- polynomials over F_p as integer lists, low-to-high ---------------------------
 
 
-def _poly_divmod_mod_p(num: list[int], den: list[int], p: int):
-    """Quotient/remainder of dense integer polys over F_p; den is monic."""
+def _poly_rem_mod_p(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of dense integer polys over F_p, trimmed; den is monic."""
     num = [c % p for c in num]
     dd = len(den) - 1
-    q = [0] * max(1, len(num) - dd)
     for k in range(len(num) - 1 - dd, -1, -1):
-        c = num[k + dd] % p
+        c = num[k + dd]
         if c:
-            q[k] = c
             for j in range(dd + 1):
                 num[k + j] = (num[k + j] - c * den[j]) % p
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return q, num
+    return num
 
 
 def _poly_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
@@ -129,8 +128,7 @@ def _poly_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     while b != [0]:
         lead_inv = pow(b[-1], p - 2, p)
         monic = [c * lead_inv % p for c in b]
-        _, r = _poly_divmod_mod_p(a, monic, p)
-        a, b = monic, strip(r)
+        a, b = monic, strip(_poly_rem_mod_p(a, monic, p))
     return a
 
 
@@ -140,8 +138,7 @@ def _poly_mulmod_mod_p(a, b, modulus, p):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    _, rem = _poly_divmod_mod_p(prod, modulus, p)
-    return rem
+    return _poly_rem_mod_p(prod, modulus, p)
 
 
 def _x_powmod_mod_p(exponent: int, modulus: list[int], p: int) -> list[int]:
@@ -165,24 +162,43 @@ def _frobenius_minus_x_mod_p(q: int, modulus: list[int], p: int) -> list[int]:
     return h
 
 
-def count_roots_in_field(coeffs: list[int], ell: int, q: int) -> int:
-    """Number of distinct roots in F_q of a polynomial over F_ell, given as
-    integer coefficients low-to-high whose leading one is nonzero mod ell,
-    for any power q of ell: deg gcd(P, x^q - x), computed in F_ell[x], at
-    O(log q) polynomial products.  Raises ValueError for any other q or a
-    leading coefficient divisible by ell.
+def count_roots_in_field(coeffs: list[int], ell: int, f: int) -> int:
+    """Number of distinct roots in F_{ell^f}, f >= 1, of a polynomial P of
+    degree at most 3 over F_ell, given as integer coefficients low-to-high
+    whose leading one is nonzero mod ell; otherwise ValueError.
+
+    Let r1 be the number of roots of P in F_ell: for a quadratic in odd
+    characteristic by Euler's criterion on its discriminant, else
+    deg gcd(P, x^ell - x), at O(log ell) polynomial products.  A squarefree
+    P is then r1 linear factors times at most one irreducible factor, of
+    degree k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k
+    divides f.  A repeated factor of P is linear, so when P is not
+    squarefree all its roots lie in F_ell.  The cost is independent of f.
     """
-    power = ell
-    while power < q:
-        power *= ell
-    if power != q:
-        raise ValueError(f"{q} is not a power of the coefficient field order {ell}")
+    if f < 1:
+        raise ValueError(f"residue degree {f} is not positive")
     lead = coeffs[-1] % ell
     if lead == 0:
         raise ValueError(f"leading coefficient {coeffs[-1]} vanishes mod {ell}")
+    degree = len(coeffs) - 1
+    if degree > 3:
+        raise ValueError(f"degree {degree} exceeds 3")
     lead_inv = pow(lead, -1, ell)
     monic = [c * lead_inv % ell for c in coeffs]
-    return len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(q, monic, ell), ell)) - 1
+    if degree == 2 and ell != 2:
+        disc = (monic[1] * monic[1] - 4 * monic[0]) % ell
+        if disc == 0:
+            return 1  # a double root, in F_ell
+        r1 = 2 if pow(disc, (ell - 1) // 2, ell) == 1 else 0
+    else:
+        r1 = len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(ell, monic, ell), ell)) - 1
+    k = degree - r1
+    if k == 0 or f % k:
+        return r1
+    derivative = [i * c for i, c in enumerate(monic)][1:]
+    if len(_poly_gcd_mod_p(monic, derivative, ell)) > 1:
+        return r1
+    return degree
 
 
 def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:

@@ -11,8 +11,9 @@ which Frobenius fixes: the coordinate change before the step-6 cubic uses
 s = a2 mod pi and t = pi * (a6 / pi^2 mod pi); everything else divides only
 by units.  Singular points and multiple roots come from closed-form
 solutions (the cube root in characteristic 3 is the identity on F_3 too),
-and residue-field root counts are deg gcd(P, x^q - x) on integer
-coefficient lists, so no step is linear in the residue field size.
+and residue-field root counts take the roots in F_ell and the residue
+degree f (`count_roots_in_field`), so no step is linear in the residue
+field size.
 
 v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
 the integral rational model: translations leave Delta unchanged and each
@@ -36,11 +37,12 @@ digit is truncated, so the algorithm runs once, with no working precision.
 The algorithm runs over the totally ramified field Q_ell(pi) of degree e,
 whose residue field is F_ell, even at a place with residue field F_{ell^f}.
 It takes the curve over Q and every choice above is canonical, so every
-residue it inspects lies in F_ell.  The residue degree f enters only
-through q = ell^f: in q_v, in the number of roots in F_q of each residue
-quadratic or cubic (the split test of the tangent cone included), taken as
-deg gcd(P, x^q - x) in F_ell[x], and in N_v, the F_ell count of the reduced
-curve extended to F_q by the Frobenius recurrence (`extension_count`) and
+residue it inspects lies in F_ell.  The residue degree f enters only in
+q_v = ell^f, in the number of roots in F_{ell^f} of each residue quadratic
+or cubic (the split test of the tangent cone included), where an
+irreducible factor of degree k over F_ell contributes its k roots exactly
+when k divides f, and in N_v, the F_ell count of the reduced curve
+extended to F_{ell^f} by the Frobenius recurrence (`extension_count`) and
 checked against the Hasse bound; above ell = 229 the F_ell count costs
 O(ell^{1/4}) group operations for any f (`count_points`).  Potential
 supersingularity above p is read off a_p mod p of a curve over F_p with
@@ -160,11 +162,11 @@ class LocalReductionData:
 # -- residue-field helpers: residues are integers mod ell -----------------------
 
 
-def _quadratic_data(A: int, B: int, C: int, ell: int, q: int):
-    """(has distinct roots, root count in F_q, double root) for
+def _quadratic_data(A: int, B: int, C: int, ell: int, f: int):
+    """(has distinct roots, root count in F_{ell^f}, double root) for
     A X^2 + B X + C over F_ell, with A nonzero mod ell."""
     if (B * B - 4 * A * C) % ell:
-        return True, count_roots_in_field([C, B, A], ell, q), None
+        return True, count_roots_in_field([C, B, A], ell, f), None
     if ell == 2:
         double = C % 2  # the square root of C / A with A = 1; Frobenius fixes F_2
     else:
@@ -172,16 +174,16 @@ def _quadratic_data(A: int, B: int, C: int, ell: int, q: int):
     return False, 1, double
 
 
-def _cubic_analysis(a: int, b: int, c: int, ell: int, q: int):
+def _cubic_analysis(a: int, b: int, c: int, ell: int, f: int):
     """Root structure of P = T^3 + a T^2 + b T + c over F_ell.
 
-    Returns ("distinct", count of roots in F_q), ("double", root) or
+    Returns ("distinct", count of roots in F_{ell^f}), ("double", root) or
     ("triple", root); multiple roots of a cubic are always rational over a
     perfect field.
     """
     disc = 18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
     if disc % ell:
-        return "distinct", count_roots_in_field([c, b, a, 1], ell, q)
+        return "distinct", count_roots_in_field([c, b, a, 1], ell, f)
     # the multiple root is rational and has a closed form in every
     # characteristic: it is the sole root of gcd(P, P').  Frobenius fixes
     # F_ell, so the square roots of characteristic 2 and the cube roots of
@@ -243,7 +245,7 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
     c2 = (a1 * a1 + 4 * a2) * inv4
     c1 = (2 * a4 + a1 * a3) * inv2
     c0 = (a3 * a3 + 4 * a6) * inv4
-    _, x0 = _cubic_analysis(c2, c1, c0, ell, ell)
+    _, x0 = _cubic_analysis(c2, c1, c0, ell, 1)
     y0 = -(a1 * x0 + a3) * inv2 % ell
     if not vanishes(x0, y0):
         raise AssertionError("singular point formulas failed")
@@ -327,7 +329,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
             if (a1bar * a1bar + 4 * a2bar) % ell == 0:
                 raise AssertionError("multiplicative type has a cusp")
             # at a node the roots are distinct: one in F_q means it splits there
-            if count_roots_in_field([-a2bar, a1bar, 1], ell, q):
+            if count_roots_in_field([-a2bar, a1bar, 1], ell, f):
                 return _finish(place, KodairaType("In", n), n, n, MULT_SPLIT)
             return _finish(place, KodairaType("In", n), 2 - n % 2, n, MULT_NONSPLIT)
 
@@ -346,7 +348,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
             return _additive(place, KodairaType("III"), 2, n)
         if not b6.val_at_least(3):
             quad_roots = count_roots_in_field(
-                [-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, q
+                [-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, f
             )
             c_v = 3 if quad_roots else 1
             return _additive(place, KodairaType("IV"), c_v, n)
@@ -355,7 +357,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
         P_a = _res_shift(a[1], 1)
         P_b = _res_shift(a[3], 2)
         P_c = _res_shift(a[4], 3)
-        shape, info = _cubic_analysis(P_a, P_b, P_c, ell, q)
+        shape, info = _cubic_analysis(P_a, P_b, P_c, ell, f)
 
         if shape == "distinct":
             c_v = 1 + info
@@ -369,7 +371,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
         a = _translate(a, r=K.embed(info).shift_pi(1))
         _check_valuations(a, ((1, 2), (3, 3), (4, 4)), "triple-root translation")
         distinct, roots, double = _quadratic_data(
-            1, _res_shift(a[2], 2), -_res_shift(a[4], 4), ell, q
+            1, _res_shift(a[2], 2), -_res_shift(a[4], 4), ell, f
         )
         if distinct:
             c_v = 3 if roots else 1
@@ -423,7 +425,7 @@ def _star_loop(
     a: list[LocalElement], K: LocalField, place: dict, n_delta: int
 ) -> LocalReductionData:
     """The I_n* subtype ladder (one double root in the step-6 cubic)."""
-    ell, q = K.ell, place["q_v"]
+    ell, f = K.ell, place["f"]
     if a[1].valuation() != 1:
         raise AssertionError("I_n* entry expects v(a2) = 1")
     _check_valuations(a, ((3, 3), (4, 4)), "I_n* entry")
@@ -432,7 +434,7 @@ def _star_loop(
         if j % 2 == 1:
             m = (j + 3) // 2
             distinct, roots, double = _quadratic_data(
-                1, _res_shift(a[2], m), -_res_shift(a[4], 2 * m), ell, q
+                1, _res_shift(a[2], m), -_res_shift(a[4], 2 * m), ell, f
             )
             if distinct:
                 c_v = 4 if roots else 2
@@ -445,7 +447,7 @@ def _star_loop(
                 _res_shift(a[3], m),
                 _res_shift(a[4], 2 * m - 1),
                 ell,
-                q,
+                f,
             )
             if distinct:
                 c_v = 4 if roots else 2

@@ -164,6 +164,42 @@ def test_analyze_exit_one_on_malformed(monkeypatch, capsys):
         assert err3.startswith("error: /: invalid JSON (")
 
 
+def test_request_shape_refused_at_its_pointer(monkeypatch, capsys):
+    """A request that is not an object is refused at the root, /; missing
+    keys are named in schema order."""
+    row_missing = json.loads(json.dumps(REQ_TABLE))
+    row_missing["abelian_variety"]["reduction_table"][0] = {}
+    for text, message in (
+        ("[]", "error: /: expected an object\n"),
+        ("{}", "error: /schema_version: missing required key\n"),
+        ('{"schema_version": 1}', "error: /curve: missing required key\n"),
+        (json.dumps(row_missing),
+         "error: /abelian_variety/reduction_table/0/prime: missing required key\n"),
+    ):
+        code, out, err = _run(["analyze", "-"], stdin_text=text,
+                              monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (1, "", message)
+
+
+def test_missing_key_diagnostic_ignores_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    errors = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "eulerchar", "analyze", "-"],
+            input="{}", capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        errors.add(done.stderr)
+    assert errors == {"error: /schema_version: missing required key\n"}
+
+
 def test_text_and_json_carry_same_numbers(monkeypatch, capsys):
     code, json_out, _ = _run(
         ["analyze", "-", "--format", "json"],
@@ -404,9 +440,43 @@ def test_text_columns_widen_for_large_places(monkeypatch, capsys):
 
 
 def test_parser_builds():
-    parser = build_parser()
-    args = parser.parse_args(["splitting", "--ell", "3", "--conductor", "9"])
+    parser = build_parser("splitting")
+    args = parser.parse_args(["--ell", "3", "--conductor", "9"])
     assert args.command == "splitting"
+
+
+COMMANDS = ("analyze", "local", "splitting", "torsion", "tau", "coranks", "count")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: eulerchar {command} ")
+
+
+@pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0), (["frobnicate"], 2)])
+def test_top_level_usage_lists_every_command(capsys, argv, code):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == code
+    printed = capsys.readouterr()
+    usage = (printed.out if code == 0 else printed.err).splitlines()[0]
+    assert usage == "usage: eulerchar [-h] {" + ",".join(COMMANDS) + "} ..."
+
+
+def test_usage_error_names_its_subcommand(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["analyze", "-", "--bogus"])
+    assert stop.value.code == 2
+    assert "eulerchar analyze: error: unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_one_call_builds_one_parser(capsys):
+    build_parser.cache_clear()
+    assert main(["splitting", "--ell", "3", "--conductor", "9"]) == 0
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_bundled_requests_parse():

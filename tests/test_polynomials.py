@@ -86,10 +86,12 @@ def test_roots_in_finite_field():
     assert {r.coords[0] for r in roots_in_field([-1, 0, 1], F7)} == {1, 6}  # x^2 - 1
 
 
-@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (3, 3), (5, 2), (2, 6)]
+)
 def test_root_count_matches_scan(p, f):
-    """deg gcd(P, x^q - x) against the scan of F_{p^f}, on every monic
-    polynomial of degree <= 3 over F_p, and on its multiple by -1."""
+    """The root count in F_{p^f} against the scan of that field, on every
+    monic polynomial of degree <= 3 over F_p, and on its multiple by -1."""
     from itertools import product
 
     from eulerchar.polynomials import count_roots_in_field
@@ -99,16 +101,24 @@ def test_root_count_matches_scan(p, f):
         for low in product(range(p), repeat=degree):
             ints = list(low) + [1]
             expected = len(roots_in_field(ints, F))
-            assert count_roots_in_field(ints, p, F.order) == expected
-            assert count_roots_in_field([-c for c in ints], p, F.order) == expected
+            assert count_roots_in_field(ints, p, f) == expected
+            assert count_roots_in_field([-c for c in ints], p, f) == expected
 
 
-def test_root_count_rejects_foreign_field_order():
+def test_root_count_at_large_degree_and_refusals():
     from eulerchar.polynomials import count_roots_in_field
 
-    assert count_roots_in_field([1, 0, 1], 3, 9) == 2  # x^2 + 1 splits over F_9
-    assert count_roots_in_field([1, 0, 4], 3, 9) == 2  # the same polynomial mod 3
+    assert count_roots_in_field([1, 0, 1], 3, 2) == 2  # x^2 + 1 splits over F_9
+    assert count_roots_in_field([1, 0, 4], 3, 2) == 2  # the same polynomial mod 3
+    # an irreducible factor of degree k adds its k roots exactly when k | f
+    assert count_roots_in_field([1, 0, 1], 3, 1_000_002) == 2
+    assert count_roots_in_field([1, 0, 1], 3, 1_000_001) == 0
+    assert count_roots_in_field([1, 1, 0, 1], 2, 999_999) == 3  # x^3 + x + 1
+    assert count_roots_in_field([1, 1, 0, 1], 2, 1_000_001) == 0
+    for f in (0, -1):
+        with pytest.raises(ValueError):
+            count_roots_in_field([1, 0, 1], 3, f)
     with pytest.raises(ValueError):
-        count_roots_in_field([1, 0, 1], 3, 6)
+        count_roots_in_field([1, 1, 3], 3, 2)  # leading coefficient 0 mod 3
     with pytest.raises(ValueError):
-        count_roots_in_field([1, 1, 3], 3, 9)  # leading coefficient 0 mod 3
+        count_roots_in_field([1, 0, 0, 0, 1], 3, 1)  # degree 4

@@ -332,7 +332,7 @@ def test_cubic_multiple_root_formulas_match_scan():
             disc = 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
             if disc % p:
                 continue
-            kind, r = _cubic_analysis(a, b, c, p, p)
+            kind, r = _cubic_analysis(a, b, c, p, 1)
             multiple = [
                 x
                 for x in range(p)
