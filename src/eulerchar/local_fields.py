@@ -1,17 +1,23 @@
 """Exact arithmetic in the integers of totally ramified extensions of Q_ell.
 
-A field is Q_ell(pi) for a root pi of an Eisenstein polynomial g of degree
-e, with residue field F_ell, whose elements are the integers 0, ..., ell - 1:
+Every field is Q_ell(pi) for a root pi of one Eisenstein shape,
 
-  * e = 1: g(x) = x - ell,
-  * the cyclotomic layer e = ell - 1: g(x) = ((1+x)^ell - 1)/x, so that
-    pi corresponds to zeta_ell - 1 and the field is Q_ell(mu_ell),
-  * any other tame e, gcd(e, ell) = 1: g(x) = x^e - ell.
+    g(x) = x^e - c,    pi^e = c,
 
-There is no unramified layer.  Tate's algorithm runs on a curve over Q and
-every choice it makes is canonical, so each residue it takes lies in F_ell
-whatever the residue degree f of the place; f enters only through
-q = ell^f (see `tate`).
+with residue field F_ell, whose elements are the integers 0, ..., ell - 1.
+c = -ell at the cyclotomic layer e = ell - 1 > 1, and c = ell for e = 1
+and every other tame e, gcd(e, ell) = 1.  Wildly ramified fields are
+rejected.  There is no unramified layer.  Tate's algorithm runs on a curve
+over Q and every choice it makes is canonical, so each residue it takes
+lies in F_ell whatever the residue degree f of the place; f enters only
+through q = ell^f (see `tate`).
+
+x^(ell-1) + ell defines Q_ell(mu_ell): for zeta a primitive ell-th root
+of unity, (zeta - 1)^(ell-1) / (-ell) is a unit congruent to 1 mod
+zeta - 1, so it has an (ell-1)-th root by Hensel's lemma, and
+Q_ell(mu_ell) = Q_ell((-ell)^(1/(ell-1))) (Washington, *Cyclotomic
+Fields*; ell x + x^ell is the [ell]-series of a Lubin-Tate group).  Local
+data depends only on the field, so this pi serves as well as zeta - 1.
 
 Elements live in the global ring Z[pi] = Z[x]/(g): a tuple of e Python
 integers, the coefficients of 1, pi, ..., pi^(e-1).  Nothing is truncated.
@@ -19,27 +25,24 @@ The powers pi^i, 0 <= i < e, have distinct valuations mod e, so
 
     v(c_0 + c_1 pi + ... + c_(e-1) pi^(e-1)) = min(e v_ell(c_i) + i)
 
-holds exactly, and zero alone has infinite valuation.  pi^e = ell U for
-the unit U = -(g_0 + g_1 pi + ... + g_(e-1) pi^(e-1)) / ell of Z[pi],
-whose inverse ell / pi^e is integral too (1 for x - ell and x^e - ell, a
-cyclotomic unit for the cyclotomic layer), so an exact division by pi^k
-keeps integer coefficients: the q e part of k is a product with U^(-q)
-and a division of every coefficient by ell^q, and each further step
-divides the constant term by g_0 = +-ell.  Fields are memoized per
+holds exactly, and zero alone has infinite valuation.  A product folds its
+high half back through pi^e = c.  A shift by pi^k, k = q e + r with
+0 <= r < e, is a rotation of the coefficients by r, the wrapped ones
+multiplied by c, then a scaling by c^q = (+-ell)^q, which for q < 0 is an
+exact division once pi^(-k) is known to divide.  Fields are memoized per
 (ell, e) by `make_local_field`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, inf
 
 from .valuations import int_valuation, is_prime
 
 
 class LocalField:
-    """Z[pi]/(g(pi)) for the Eisenstein polynomial g of degree e over Q_ell
-    chosen above."""
+    """Z[pi]/(pi^e - c) for the Eisenstein polynomial chosen above."""
 
     # `bench/tracing.py` reads `K.precision` and `precision_used` to count
     # retries at doubled precision, of which there are none; ROADMAP item 1
@@ -47,42 +50,16 @@ class LocalField:
     precision = 1
 
     def __init__(self, ell: int, e: int):
-        self.ell = ell
-        self.e = e
-        if e == 1:
-            g = [-ell, 1]
-        elif e == ell - 1:
-            # C(ell, k) for k = 1..ell, each from the last by one product and one
-            # exact division, not by ell separate binomial evaluations
-            g = [ell]
-            for k in range(1, ell):
-                g.append(g[-1] * (ell - k) // (k + 1))
-        elif gcd(e, ell) == 1:
-            g = [-ell] + [0] * (e - 1) + [1]
-        else:
+        if gcd(e, ell) != 1:
             raise ValueError(
                 f"wildly ramified non-cyclotomic extension rejected (e={e}, ell={ell})"
             )
-        self.eisenstein = tuple(g)
-        # pi^e = -(g_0 + ... + g_(e-1) pi^(e-1)) = ell * U
-        self._low = self.eisenstein[:e]
+        self.ell = ell
+        self.e = e
+        # pi^e = c
+        self.c = -ell if e == ell - 1 > 1 else ell
+        self.eisenstein = (-self.c,) + (0,) * (e - 1) + (1,)
         self._one = (1,) + (0,) * (e - 1)
-        self._unit_is_one = g[0] == -ell and not any(g[1:e])
-
-    @cached_property
-    def _unit(self) -> tuple:
-        """U = pi^e / ell."""
-        return tuple(-c // self.ell for c in self._low)
-
-    @cached_property
-    def _unit_inv(self) -> tuple:
-        """ell / pi^e, by e exact divisions of ell by pi.  Built on first use,
-        in O(e^2): a field that serves only good or multiplicative places,
-        such as Q_ell(mu_ell) for a large ell, never divides by pi^e."""
-        unit_inv = (self.ell,) + (0,) * (self.e - 1)
-        for _ in range(self.e):
-            unit_inv = self._div_pi(unit_inv)
-        return unit_inv
 
     # -- coefficient tuples: c_0 + c_1 pi + ... + c_(e-1) pi^(e-1) ----------------
 
@@ -90,17 +67,13 @@ class LocalField:
         e = self.e
         if e == 1:
             return (A[0] * B[0],)
-        prod = [0] * (2 * e - 1)
+        prod = [0] * (2 * e)
         for i, a in enumerate(A):
             if a:
                 for j, b in enumerate(B):
                     prod[i + j] += a * b
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k]
-            if c:
-                for j, x in enumerate(self._low):
-                    prod[k - e + j] -= c * x
-        return tuple(prod[:e])
+        c = self.c
+        return tuple(prod[k] + c * prod[k + e] for k in range(e))
 
     def _power(self, A, n: int) -> tuple:
         result = self._one
@@ -124,23 +97,6 @@ class LocalField:
                 return False
         return True
 
-    def _times_pi(self, A) -> tuple:
-        """A * pi, with the top coefficient folded back through pi^e."""
-        top = A[-1]
-        return tuple(
-            (A[i - 1] if i else 0) - top * x for i, x in enumerate(self._low)
-        )
-
-    def _div_pi(self, A) -> tuple:
-        """A / pi for ell | c_0, from c_0 / pi = -(c_0 / g_0)(g_1 + ... + pi^(e-1))."""
-        g = self.eisenstein
-        h, rem = divmod(A[0], g[0])
-        if rem:
-            raise AssertionError("division by pi of an element of valuation 0")
-        return tuple(
-            (A[i + 1] if i + 1 < self.e else 0) - h * g[i + 1] for i in range(self.e)
-        )
-
     # -- element constructors ----------------------------------------------------
 
     def zero(self) -> "LocalElement":
@@ -150,15 +106,7 @@ class LocalField:
         return LocalElement(self, self._one)
 
     def pi(self) -> "LocalElement":
-        return LocalElement(self, self._times_pi(self._one))
-
-    def unit(self) -> "LocalElement":
-        """U = pi^e / ell."""
-        return LocalElement(self, self._unit)
-
-    def unit_inverse(self) -> "LocalElement":
-        """U^(-1) = ell / pi^e, an integral element."""
-        return LocalElement(self, self._unit_inv)
+        return self.one().shift_pi(1)
 
     def embed(self, n: int) -> "LocalElement":
         """The image of a rational integer; v = e * v_ell(n)."""
@@ -221,22 +169,22 @@ class LocalElement:
         return isinstance(other, (int, LocalElement)) and self.coeffs == self._coerce(other)
 
     def shift_pi(self, k: int) -> "LocalElement":
-        """Exact multiplication by pi^k.  For k < 0 the element must be
-        divisible by pi^(-k)."""
+        """Exact multiplication by pi^k = c^q pi^r, k = q e + r, 0 <= r < e.
+        For k < 0 the element must be divisible by pi^(-k); then the rotation
+        leaves every coefficient divisible by ell^(-q)."""
         F = self.field
         A = self.coeffs
         if k < 0 and not F._val_at_least(A, -k):
             raise ValueError(f"not divisible by pi^{-k}")
-        q, r = divmod(abs(k), F.e)
-        if q:
-            # pi^(q e) = ell^q U^q
-            if not F._unit_is_one:
-                A = F._mul(A, F._power(F._unit if k > 0 else F._unit_inv, q))
-            scale = F.ell**q
-            A = tuple(c * scale if k > 0 else c // scale for c in A)
-        step = F._times_pi if k > 0 else F._div_pi
-        for _ in range(r):
-            A = step(A)
+        q, r = divmod(k, F.e)
+        c = F.c
+        A = tuple(c * a for a in A[F.e - r :]) + A[: F.e - r]
+        if q > 0:
+            scale = c**q
+            A = tuple(a * scale for a in A)
+        elif q < 0:
+            scale = c**-q
+            A = tuple(a // scale for a in A)
         return LocalElement(F, A)
 
     # -- valuation and residue ---------------------------------------------------
@@ -261,9 +209,10 @@ def make_local_field(ell: int, e: int, /) -> LocalField:
     """Deterministic local field object, memoized per (ell, e): both are
     positional, so every call for a pair hits the same cache entry.
 
-    For e > 1, e = ell - 1 is the first cyclotomic layer Q_ell(mu_ell);
-    any other e needs gcd(e, ell) = 1 (tame, defined by x^e - ell), and
-    wildly ramified requests are rejected.  A field holds no mutable state.
+    For e > 1, e = ell - 1 is the first cyclotomic layer Q_ell(mu_ell),
+    defined by x^(ell-1) + ell; any other e needs gcd(e, ell) = 1 (tame,
+    defined by x^e - ell), and wildly ramified requests are rejected.  A
+    field holds no mutable state.
     """
     if not is_prime(ell):
         raise ValueError(f"residue characteristic must be prime, got {ell}")

@@ -219,6 +219,27 @@ def test_text_and_json_carry_same_numbers(monkeypatch, capsys):
         assert row["L_at_1"] in text
 
 
+def _twist_curve(d):
+    """E_d = [0, 0, 0, -1323 d^2, -42714 d^3]: additive at d, good over Q_d(mu_d)."""
+    return f"0,0,0,{-1323 * d**2},{-42714 * d**3}"
+
+
+@pytest.mark.parametrize(
+    "d, conductor, expected",
+    [
+        # e = d - 1: over Q_211(mu_211) the minimal model takes 105 rescales
+        (101, 101, {"kodaira": "I0", "v_min_delta": 0, "N_v": "112"}),
+        (211, 211, {"kodaira": "I0", "v_min_delta": 0, "N_v": "214"}),
+        (101, 1, {"kodaira": "I0*", "c_v": "4", "v_min_delta": 6}),
+    ],
+)
+def test_local_at_large_ramification(capsys, d, conductor, expected):
+    assert main(["local", f"--curve={_twist_curve(d)}", "--ell", str(d),
+                 "--conductor", str(conductor), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: doc[key] for key in expected} == expected
+
+
 def test_subcommands_smoke(capsys):
     assert main(["splitting", "--ell", "2", "--conductor", "7", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -61,8 +61,8 @@ def test_val_residue_anchors():
 
 
 def test_eisenstein_relation():
-    """g(pi) = 0 and pi^e = ell U for every Eisenstein polynomial in use,
-    the cyclotomic ((1+x)^ell - 1)/x among them."""
+    """g(pi) = 0 and pi^e = c for every Eisenstein polynomial in use, the
+    cyclotomic x^(ell-1) + ell among them."""
     for K in ALL_FIELDS:
         pi = K.pi()
         val = K.zero()
@@ -71,7 +71,20 @@ def test_eisenstein_relation():
             val = val + power * c
             power = power * pi
         assert val == K.zero(), K
-        assert pi**K.e == K.unit() * K.ell
+        assert pi**K.e == K.embed(K.c)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_cyclotomic_layer_contains_mu_ell(ell):
+    """Q_ell((-ell)^(1/(ell-1))) = Q_ell(mu_ell), by Krasner's lemma.  The
+    ell - 1 roots zeta^i - 1 of Phi_ell(1 + x) are pairwise at valuation 1,
+    so v(Phi_ell(1 + z)) = sum of v(z - root) > ell - 1 puts z closer to
+    one root than that root is to the others, and the root lies in K."""
+    K = make_local_field(ell, ell - 1)
+    pi = K.pi()
+    z = pi + pi**2 * ((ell + 1) // 2)
+    phi = sum(((z + 1) ** k for k in range(ell)), K.zero())
+    assert phi.valuation() > ell - 1
 
 
 def test_wild_ramification_rejected():
@@ -85,7 +98,6 @@ def test_tame_non_cyclotomic():
     K = make_local_field(5, 3)
     assert K.embed(5).valuation() == 3
     assert K.pi() ** 3 == K.embed(5)
-    assert K.unit() == K.one() == K.unit_inverse()
 
 
 @pytest.mark.parametrize("kind", ["ram", "tame", "qp"])
@@ -112,15 +124,13 @@ def test_embedding_commutes_with_vp(K, n):
 
 
 def test_division_and_inverse():
-    """Division stays in the ring: U U^(-1) = 1, and dividing by a power of
-    pi that divides an element is exact."""
+    """Division stays in the ring: dividing by a power of pi that divides
+    an element is exact, and ell / pi^e = ell / c = +-1."""
     for K in ALL_FIELDS:
-        assert K.unit() * K.unit_inverse() == K.one(), K
-        assert K.unit_inverse() * K.pi() ** K.e == K.embed(K.ell)
         x = K.embed(3) + K.pi() * 5
         for k in (1, K.e, 2 * K.e + 1):
             assert (x * K.pi() ** k).shift_pi(-k) == x
-            assert (x * K.ell).shift_pi(-K.e) == x * K.unit_inverse()
+        assert (x * K.ell).shift_pi(-K.e) == x * (K.ell // K.c), K
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,5 +181,5 @@ def test_make_local_field_is_memoized():
     with pytest.raises(TypeError):  # one cache key per (ell, e)
         make_local_field(5, e=1)
     # the Eisenstein polynomial is a function of (ell, e)
-    assert make_local_field(5, 4).eisenstein == (5, 10, 10, 5, 1)
+    assert make_local_field(5, 4).eisenstein == (5, 0, 0, 0, 1)
     assert make_local_field(5, 2).eisenstein == (-5, 0, 1)
