@@ -28,7 +28,7 @@ from .curves import (
     reduce_model,
     torsion_bound_over_F,
 )
-from .cyclotomic import field_degree, splitting
+from .cyclotomic import CyclotomicSplitting, field_degree, splitting
 from .euler import (
     AbelianVarietyInput,
     CorankReport,
@@ -312,6 +312,12 @@ def _corank_fields(rep: CorankReport) -> dict:
     }
 
 
+def _conjugate_rows(sp: CyclotomicSplitting, row: dict) -> list[dict]:
+    """The rows ell#1 ... ell#g of the g places above sp.ell: E is defined
+    over Q, so the conjugate places share one record."""
+    return [{"place": f"{sp.ell}#{i}", **row} for i in range(1, sp.g + 1)]
+
+
 def report_to_dict(report: EulerCharReport) -> dict:
     if report.failed:
         status = "HYPOTHESIS_FAIL"
@@ -319,30 +325,25 @@ def report_to_dict(report: EulerCharReport) -> dict:
         status = "NOT_EXACT"
     else:
         status = "OK"
-    places = [
-        {
-            "place": place.label,
-            "ell": place.ell,
-            "e": place.e,
-            "f": place.f,
-            "g": place.g,
+    places, audit = [], []
+    for sp, data in report.places:
+        places += _conjugate_rows(sp, {
+            "ell": sp.ell,
+            "e": sp.e,
+            "f": sp.f,
+            "g": sp.g,
             **_reduction_fields(data),
             "L_at_1": str(data.L_at_1),
-        }
-        for place, data in report.places
-    ]
-    audit = [
-        {
-            "place": row.place.label,
-            "q_v": str(row.q_v),
-            "reduction_class": row.reduction_class,
-            "L_at_1": str(row.L_at_1),
-            "vp_L": row.vp_L,
-            "contribution": row.contribution,
-            "gamma_kernel_exponent": row.gamma_kernel_exponent,
-        }
-        for row in report.audit
-    ]
+        })
+    for r in report.audit:
+        audit += _conjugate_rows(r.splitting, {
+            "q_v": str(r.data.q_v),
+            "reduction_class": r.data.reduction_class,
+            "L_at_1": str(r.data.L_at_1),
+            "vp_L": r.vp_L,
+            "contribution": r.contribution,
+            "gamma_kernel_exponent": r.gamma_kernel_exponent,
+        })
     target = None
     if report.target_chi_sigma_exponent is not None:
         target = {

@@ -341,21 +341,28 @@ def _affine_mul(n: int, P, a: int, p: int):
 
 
 def extension_count(n1: int, q: int, k: int) -> int:
-    """#E(F_{q^k}) from #E(F_q), via the Frobenius trace recurrence.
+    """#E(F_{q^k}) from #E(F_q), in O(log k) steps.
 
-    With a = q + 1 - n1 the traces satisfy a_j = a*a_{j-1} - q*a_{j-2},
-    a_0 = 2, a_1 = a, and the count over F_{q^k} is q^k + 1 - a_k.
-    Rejects n1 outside the Hasse window.
+    With a = q + 1 - n1 the traces V_j = alpha^j + beta^j of Frobenius
+    (alpha + beta = a, alpha beta = q) satisfy V_0 = 2, V_1 = a and
+
+        V_2n = V_n^2 - 2 q^n,    V_2n+1 = V_n V_n+1 - a q^n,
+
+    so the pair (V_n, V_n+1) doubles along the bits of k; the count over
+    F_{q^k} is q^k + 1 - V_k.  Rejects n1 outside the Hasse window.
     """
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     a = q + 1 - n1
     if a * a > 4 * q:
         raise ValueError(f"count {n1} violates the Hasse bound for q={q}")
-    prev, cur = 2, a
-    for _ in range(k - 1):
-        prev, cur = cur, a * cur - q * prev
-    return q**k + 1 - cur
+    v, w, qn = 2, a, 1  # V_n, V_n+1, q^n at n = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":  # n -> 2n + 1
+            v, w, qn = v * w - a * qn, w * w - 2 * q * qn, qn * qn * q
+        else:  # n -> 2n
+            v, w, qn = v * v - 2 * qn, v * w - a * qn, qn * qn
+    return qn + 1 - v
 
 
 # -- division polynomials ---------------------------------------------------------

@@ -30,10 +30,6 @@ class CyclotomicSplitting:
     def local_degree(self) -> int:
         return self.e * self.f
 
-    @property
-    def ramified(self) -> bool:
-        return self.e > 1
-
 
 @lru_cache(maxsize=None)
 def splitting(ell: int, m: int) -> CyclotomicSplitting:

@@ -5,12 +5,17 @@ tower, tau_p, local restriction-kernel orders, and corank predictions.
 
 Everything here is exact integer arithmetic on p-adic valuation exponents;
 chi values are only ever (base p, exponent) pairs.
+
+E is defined over Q and Q(mu_m)/Q is Galois, so the g places above a
+rational prime ell are conjugate and share their local data.  The pipeline
+keeps one (CyclotomicSplitting, LocalReductionData) pair per relevant
+prime and weights that prime's terms by g; only the serialized report
+lists the places one by one (`cli.report_to_dict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curves import (
     TorsionEstimate,
@@ -20,7 +25,7 @@ from .curves import (
     invariants,
     torsion_bound_over_F,
 )
-from .cyclotomic import field_degree, splitting
+from .cyclotomic import CyclotomicSplitting, field_degree, splitting
 from .local_fields import make_local_field
 from .tate import GOOD_ORDINARY, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import factorize, is_prime, vp
@@ -82,35 +87,10 @@ class ExternalArithmetic:
 
 
 @dataclass(frozen=True)
-class Place:
-    """One place of Q(mu_m), identified by its rational prime and an index
-    among the g conjugate places (which all share (e, f))."""
-
-    ell: int
-    e: int
-    f: int
-    index: int
-    g: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.ell}#{self.index}"
-
-    @property
-    def q_v(self) -> int:
-        return self.ell**self.f
-
-
-@dataclass(frozen=True)
 class HypothesisResult:
     name: str
     status: str
     detail: str
-
-
-def places_above(ell: int, m: int) -> list[Place]:
-    sp = splitting(ell, m)
-    return [Place(ell, sp.e, sp.f, i + 1, sp.g) for i in range(sp.g)]
 
 
 def bad_primes_of_curve(model: WeierstrassModel) -> list[int]:
@@ -119,9 +99,9 @@ def bad_primes_of_curve(model: WeierstrassModel) -> list[int]:
     return [p for p, _ in factorize(abs(disc.numerator))]
 
 
-def compute_M(A: AbelianVarietyInput, m: int) -> tuple[list[int], list[Place]]:
-    """Rational primes (and the places of Q(mu_m) above them) where the
-    abelian variety has bad and not potentially good reduction.
+def compute_M(A: AbelianVarietyInput) -> list[int]:
+    """The sorted rational primes where the abelian variety has bad and not
+    potentially good reduction; M is the set of places of Q(mu_m) above them.
 
     For factor curves the criterion is v_ell(j) < 0 for some factor; a
     reduction table takes precedence when supplied.
@@ -138,17 +118,15 @@ def compute_M(A: AbelianVarietyInput, m: int) -> tuple[list[int], list[Place]]:
             # j_pole_order(ell) > 0 exactly at the primes of the denominator
             j = invariants(factor).j
             rational.update(q for q, _ in factorize(j.denominator))
-    rational_sorted = sorted(rational)
-    places = [pl for ell in rational_sorted for pl in places_above(ell, m)]
-    return rational_sorted, places
+    return sorted(rational)
 
 
 def local_data_at(model: WeierstrassModel, ell: int, m: int) -> LocalReductionData:
-    """Reduction data of the curve at (any of) the places of Q(mu_m) above ell.
+    """Reduction data of the curve at each of the g conjugate places of
+    Q(mu_m) above ell: E is defined over Q, so they all share it.
 
-    Tate's algorithm runs over the totally ramified field of degree e from
-    the memoized `make_local_field`, so places with the same (ell, e) share
-    one field; the residue degree f is passed on.
+    Tate's algorithm runs over the totally ramified field of degree e that
+    `make_local_field` builds; the residue degree f is passed on.
     """
     sp = splitting(ell, m)
     return tate_algorithm(model, make_local_field(ell, sp.e), f=sp.f)
@@ -306,7 +284,7 @@ class RhoResult:
 
 def rho_p(
     p: int,
-    place_data: list[tuple[Place, LocalReductionData]],
+    prime_data: list[tuple[CyclotomicSplitting, LocalReductionData]],
     torsion: tuple[int, int] | None,
     sha_p_order: int,
 ) -> RhoResult:
@@ -314,17 +292,19 @@ def rho_p(
 
     k = vp(sha) - 2 vp(#torsion) + sum_v vp(c_v) + 2 sum_{v|p} vp(N_v).
 
-    `torsion` is the bracket (lower, upper) of the torsion order that rho
-    uses.  When lower == upper that order is exact and so is the exponent;
-    otherwise the result is the exponent window of the bracket and no
-    single value is fabricated.  With torsion=None (no torsion machinery,
-    p < 5) the exponent is None and the window collapses to the
+    `prime_data` holds one (splitting, local data) pair per rational prime;
+    the g places above it share that data, so each of its terms counts g
+    times.  `torsion` is the bracket (lower, upper) of the torsion order
+    that rho uses.  When lower == upper that order is exact and so is the
+    exponent; otherwise the result is the exponent window of the bracket
+    and no single value is fabricated.  With torsion=None (no torsion
+    machinery, p < 5) the exponent is None and the window collapses to the
     torsion-free sum.
     """
     sha_exp = vp(sha_p_order, p)
-    tamagawa = sum(vp(data.c_v, p) for _, data in place_data)
+    tamagawa = sum(sp.g * vp(data.c_v, p) for sp, data in prime_data)
     counts = 2 * sum(
-        vp(data.N_v, p) for _, data in place_data if data.ell == p and data.is_good
+        sp.g * vp(data.N_v, p) for sp, data in prime_data if sp.ell == p and data.is_good
     )
     base = sha_exp + tamagawa + counts
 
@@ -347,61 +327,55 @@ def rho_p(
 
 @dataclass(frozen=True)
 class AuditRow:
-    """Per-place contribution to |prod L_v(E,1)|_p over the bad-tower set."""
+    """|L_v(E,1)|_p at each of the g places above one rational prime of the
+    bad-tower set; the places are conjugate and share the row."""
 
-    place: Place
-    q_v: int
-    reduction_class: str
-    L_at_1: Fraction
+    splitting: CyclotomicSplitting
+    data: LocalReductionData
     vp_L: int
-    contribution: int  # -vp_L, the exponent this place adds to chi_sigma
     gamma_kernel_exponent: int | None
+
+    @property
+    def contribution(self) -> int:
+        """-vp_L, the exponent each place adds to chi_sigma."""
+        return -self.vp_L
 
 
 def chi_euler(
     p: int,
     rho: RhoResult,
-    m_place_data: list[tuple[Place, LocalReductionData]],
+    m_prime_data: list[tuple[CyclotomicSplitting, LocalReductionData]],
 ) -> tuple[int | None, int | None, list[AuditRow]]:
-    """(chi_cyc exponent, chi_sigma exponent, per-place audit).
+    """(chi_cyc exponent, chi_sigma exponent, audit rows, one per prime).
 
     chi_cyc equals the rho exponent; chi_sigma adds -vp(L_v(E,1)) at every
-    place of the bad-tower set.  Both are None when rho is not exact.
+    place of the bad-tower set, g times for the g places above a prime.
+    Both are None when rho is not exact.
     """
-    rows: list[AuditRow] = []
-    total = 0
-    for place, data in m_place_data:
-        v = vp(data.L_at_1, p)
-        gamma = None
-        if place.ell != p:
-            gamma = gamma_kernel_exponent(data, p)
-        rows.append(
-            AuditRow(
-                place=place,
-                q_v=data.q_v,
-                reduction_class=data.reduction_class,
-                L_at_1=data.L_at_1,
-                vp_L=v,
-                contribution=-v,
-                gamma_kernel_exponent=gamma,
-            )
+    rows = [
+        AuditRow(
+            splitting=sp,
+            data=data,
+            vp_L=vp(data.L_at_1, p),
+            gamma_kernel_exponent=None if sp.ell == p else gamma_kernel_exponent(data, p),
         )
-        total += -v
+        for sp, data in m_prime_data
+    ]
     if not rho.exact:
         return None, None, rows
     chi_cyc = rho.exponent
-    chi_sigma = chi_cyc + total
+    chi_sigma = chi_cyc + sum(row.splitting.g * row.contribution for row in rows)
     return chi_cyc, chi_sigma, rows
 
 
 def tau_p(E: WeierstrassModel, p: int, m: int) -> int:
     """Sum of local degrees [F_v : Q_p] over places above p where the
     reduction is potentially supersingular; 0 in the potentially
-    multiplicative or potentially ordinary cases."""
+    multiplicative or potentially ordinary cases.  The g places above p
+    have degree e*f each, so the sum is e*f*g = [F : Q]."""
     if invariants(E).j_pole_order(p) or not pot_supersingular(E, p):
         return 0
-    sp = splitting(p, m)
-    return sp.g * sp.e * sp.f
+    return field_degree(m)
 
 
 def gamma_kernel_exponent(e_data: LocalReductionData, p: int) -> int:
@@ -455,7 +429,7 @@ class EulerCharReport:
     degree: int
     hypotheses: list[HypothesisResult]
     M_rational: list[int]
-    places: list[tuple[Place, LocalReductionData]]
+    places: list[tuple[CyclotomicSplitting, LocalReductionData]]  # one per prime
     torsion: TorsionEstimate | None
     torsion_source: str
     rho: RhoResult
@@ -482,7 +456,7 @@ def analyze(
     samples: int = 20,
     target_chi_sigma_exponent: int | None = None,
 ) -> EulerCharReport:
-    """Run the whole pipeline: local data at every relevant place, the
+    """Run the whole pipeline: local data at every relevant prime, the
     hypothesis audit, torsion bracketing, rho_p, both Euler-characteristic
     exponents, tau_p and the corank window."""
     if m < 1:
@@ -491,20 +465,12 @@ def analyze(
         raise ValueError("p must be prime")
     invariants(E)  # reject singular input with a clear diagnostic
 
-    M_rational, M_places = compute_M(A, m)
+    M_rational = compute_M(A)
+    relevant = sorted(set(bad_primes_of_curve(E)) | set(M_rational) | {p})
+    prime_rows = [(splitting(ell, m), local_data_at(E, ell, m)) for ell in relevant]
 
-    e_bad = bad_primes_of_curve(E)
-    relevant = sorted(set(e_bad) | set(M_rational) | {p})
-    data_by_ell: dict[int, LocalReductionData] = {}
-    for ell in relevant:
-        data_by_ell[ell] = local_data_at(E, ell, m)
-
-    place_rows: list[tuple[Place, LocalReductionData]] = []
-    for ell in relevant:
-        for place in places_above(ell, m):
-            place_rows.append((place, data_by_ell[ell]))
-
-    hypotheses = check_hypotheses(A, p, m, ext, data_by_ell[p])
+    data_at_p = next(data for sp, data in prime_rows if sp.ell == p)
+    hypotheses = check_hypotheses(A, p, m, ext, data_at_p)
 
     # the torsion machinery requires p >= 5; below it the p >= 5 hypothesis
     # clause has already FAILed, so rho stays undetermined
@@ -523,10 +489,10 @@ def analyze(
                 )
             torsion = TorsionEstimate(p, certificate, torsion.upper)
             used, torsion_source = (certificate, certificate), "certificate"
-    rho = rho_p(p, place_rows, used, ext.sha_p_order)
+    rho = rho_p(p, prime_rows, used, ext.sha_p_order)
 
-    m_place_rows = [(pl, data) for pl, data in place_rows if pl.ell in M_rational]
-    chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_place_rows)
+    m_prime_rows = [(sp, data) for sp, data in prime_rows if sp.ell in M_rational]
+    chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_prime_rows)
 
     suppressed = chi_sigma is None
     reason = None
@@ -548,8 +514,8 @@ def analyze(
         conductor=m,
         degree=field_degree(m),
         hypotheses=hypotheses,
-        M_rational=list(M_rational),
-        places=place_rows,
+        M_rational=M_rational,
+        places=prime_rows,
         torsion=torsion,
         torsion_source=torsion_source,
         rho=rho,

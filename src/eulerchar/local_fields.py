@@ -29,13 +29,13 @@ holds exactly, and zero alone has infinite valuation.  A product folds its
 high half back through pi^e = c.  A shift by pi^k, k = q e + r with
 0 <= r < e, is a rotation of the coefficients by r, the wrapped ones
 multiplied by c, then a scaling by c^q = (+-ell)^q, which for q < 0 is an
-exact division once pi^(-k) is known to divide.  Fields are memoized per
-(ell, e) by `make_local_field`.
+exact division once pi^(-k) is known to divide.  A field holds only ell,
+e, c and the tuple of 1, so `make_local_field` builds one afresh on every
+call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, inf
 
 from .valuations import int_valuation, is_prime
@@ -58,7 +58,6 @@ class LocalField:
         self.e = e
         # pi^e = c
         self.c = -ell if e == ell - 1 > 1 else ell
-        self.eisenstein = (-self.c,) + (0,) * (e - 1) + (1,)
         self._one = (1,) + (0,) * (e - 1)
 
     # -- coefficient tuples: c_0 + c_1 pi + ... + c_(e-1) pi^(e-1) ----------------
@@ -204,10 +203,8 @@ class LocalElement:
         return f"LocalElement({self.coeffs}, val={self.valuation()})"
 
 
-@lru_cache(maxsize=128)
-def make_local_field(ell: int, e: int, /) -> LocalField:
-    """Deterministic local field object, memoized per (ell, e): both are
-    positional, so every call for a pair hits the same cache entry.
+def make_local_field(ell: int, e: int) -> LocalField:
+    """The local field of residue characteristic ell and ramification e.
 
     For e > 1, e = ell - 1 is the first cyclotomic layer Q_ell(mu_ell),
     defined by x^(ell-1) + ell; any other e needs gcd(e, ell) = 1 (tame,

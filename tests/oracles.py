@@ -5,6 +5,9 @@ field F_q, with no reference to Frobenius, so it checks the library's
 F_ell count plus trace recurrence on any model, including those over
 extension fields.  Its cost is O(q) field operations: keep q small.
 
+`extension_count_linear` steps the Frobenius trace recurrence once per
+degree, against the library's O(log k) doubling in `extension_count`.
+
 `lift_model` carries a model over F_ell into an extension field, so that
 `brute_count` can count a reduced curve over F_{ell^f} itself.
 `roots_in_field` scans F_q for roots of an integer polynomial, against the
@@ -118,6 +121,16 @@ def _count_odd(model: WeierstrassModel, field) -> int:
         elif d in squares:
             count += 2
     return count
+
+
+def extension_count_linear(n1: int, q: int, k: int) -> int:
+    """#E(F_{q^k}) from #E(F_q) by the trace recurrence a_j = a a_(j-1) -
+    q a_(j-2), a_0 = 2, a_1 = a = q + 1 - n1, in k - 1 steps."""
+    a = q + 1 - n1
+    prev, cur = 2, a
+    for _ in range(k - 1):
+        prev, cur = cur, a * cur - q * prev
+    return q**k + 1 - cur
 
 
 def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -13,6 +14,8 @@ from eulerchar.cli import (
     render_text,
     report_to_dict,
 )
+from eulerchar.cyclotomic import splitting
+from eulerchar.valuations import vp
 
 REQ_TABLE = {
     "schema_version": 1,
@@ -198,6 +201,61 @@ def test_missing_key_diagnostic_ignores_hash_seed():
         assert done.returncode == 1
         errors.add(done.stderr)
     assert errors == {"error: /schema_version: missing required key\n"}
+
+
+# E over Q(mu_91) at p = 5, with A bad at 2 and 3: 6 places above 2 and
+# above 5, 12 above 3 and 1 above 7
+REQ_M91 = {
+    "schema_version": 1,
+    "curve": ["1", "0", "0", "-1", "-1"],
+    "prime": 5,
+    "base_field": 91,
+    "abelian_variety": {
+        "dimension": 1,
+        "reduction_table": [
+            {"prime": 2, "potentially_good": False, "good": False},
+            {"prime": 3, "potentially_good": False, "good": False},
+        ],
+    },
+    "external": {"selmer_finite": True, "lambda_torsion_certificate": True},
+}
+
+
+def test_conjugate_places_share_one_record(monkeypatch, capsys):
+    """The report lists each of the g conjugate places above a prime as
+    ell#1 ... ell#g with identical fields, and rho and chi_sigma are the sums
+    over those rows.  The JSON is byte-identical to the one made when the
+    library still kept a record per place."""
+    code, out, _ = _run(["analyze", "-", "--format", "json"], json.dumps(REQ_M91),
+                        monkeypatch, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f0610688dc22726673d8777a9e14335cd8f968559cdce4505258d02a0802e1dc"
+    )
+    doc = json.loads(out)
+    g = {2: 6, 3: 12, 5: 6, 7: 1}
+    assert g == {ell: splitting(ell, 91).g for ell in g}
+    assert (len(doc["places"]), len(doc["audit"])) == (25, 18)
+    for table, primes in ((doc["places"], [2, 3, 5, 7]), (doc["audit"], [2, 3])):
+        by_ell = {}
+        for row in table:
+            by_ell.setdefault(int(row["place"].split("#")[0]), []).append(row)
+        assert list(by_ell) == primes
+        for ell, rows in by_ell.items():
+            assert [row["place"] for row in rows] == [f"{ell}#{i}" for i in range(1, g[ell] + 1)]
+            shared = [{k: v for k, v in row.items() if k != "place"} for row in rows]
+            assert all(fields == shared[0] for fields in shared)
+    assert all(row["g"] == g[row["ell"]] for row in doc["places"])
+
+    breakdown = doc["rho"]["breakdown"]
+    assert breakdown["tamagawa"] == sum(vp(int(row["c_v"]), 5) for row in doc["places"])
+    assert breakdown["reduction_counts"] == 12 == 2 * sum(
+        vp(int(row["N_v"]), 5) for row in doc["places"] if row["ell"] == 5
+    )
+    assert doc["rho"]["exponent"] == sum(breakdown.values())
+    assert doc["chi_sigma"]["exponent"] == 18 == doc["chi_cyc"]["exponent"] + sum(
+        row["contribution"] for row in doc["audit"]
+    )
 
 
 def test_text_and_json_carry_same_numbers(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from oracles import (
     CurvePoint,
     add_points,
     brute_count,
+    extension_count_linear,
     is_on_curve,
     lift_x_to_points,
     point_order,
@@ -170,6 +171,19 @@ def test_extension_count_anchors():
     assert extension_count(14, 13, 1) == 14
     with pytest.raises(ValueError):
         extension_count(30, 13, 2)  # Hasse violation
+
+
+def test_extension_count_matches_linear_recurrence():
+    """The doubling formulas against the step-by-step trace recurrence, on
+    every degree up to 200 across the Hasse window, and at k = 10^5."""
+    for q in (2, 3, 5, 7, 13, 101):
+        bound = isqrt(4 * q)
+        for n1 in {q + 1 - bound, q, q + 1, q + 2, q + 1 + bound}:
+            for k in range(1, 201):
+                assert extension_count(n1, q, k) == extension_count_linear(n1, q, k), (n1, q, k)
+    assert extension_count(4, 5, 10**5) == extension_count_linear(4, 5, 10**5)
+    with pytest.raises(ValueError):
+        extension_count(4, 5, 0)
 
 
 def test_extension_count_matches_direct():

@@ -23,8 +23,6 @@ def test_residue_and_local_degree():
     sp = splitting(2, 7)
     assert sp.residue_size == 8
     assert sp.local_degree == 3
-    assert not sp.ramified
-    assert splitting(7, 7).ramified
 
 
 def test_rejects_bad_input():

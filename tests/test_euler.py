@@ -6,6 +6,7 @@ import pytest
 
 from eulerchar.cli import report_to_dict
 from eulerchar.curves import WeierstrassModel, extension_count
+from eulerchar.cyclotomic import splitting
 from eulerchar.euler import (
     ASSUMED,
     FAIL,
@@ -21,7 +22,6 @@ from eulerchar.euler import (
     gamma_kernel_exponent,
     hypotheses_failed,
     local_data_at,
-    places_above,
     rho_p,
     tau_p,
 )
@@ -31,6 +31,7 @@ from oracles import brute_count, lift_model
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
 EJ0 = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
+E11A = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])
 
 TABLE_23 = AbelianVarietyInput(
     dimension=2,
@@ -45,31 +46,24 @@ EXT_FULL = ExternalArithmetic(
 
 
 def test_compute_M_factor_curve():
-    rational, places = compute_M(AbelianVarietyInput(dimension=1, factors=(EPRIME,)), 7)
+    rational = compute_M(AbelianVarietyInput(dimension=1, factors=(EPRIME,)))
     assert rational == [2, 13]
-    by_ell = {}
-    for pl in places:
-        by_ell.setdefault(pl.ell, []).append(pl)
-    assert len(by_ell[2]) == 2  # two places of F above 2
-    assert len(by_ell[13]) == 3  # three places above 13
-    rational_e, _ = compute_M(AbelianVarietyInput(dimension=1, factors=(E294,)), 7)
-    assert rational_e == [2, 3]
+    # two places of F = Q(mu_7) above 2, three above 13
+    assert [splitting(ell, 7).g for ell in rational] == [2, 3]
+    assert compute_M(AbelianVarietyInput(dimension=1, factors=(E294,))) == [2, 3]
 
 
 def test_compute_M_everywhere_potentially_good():
-    rational, places = compute_M(AbelianVarietyInput(dimension=1, factors=(EJ0,)), 7)
-    assert rational == [] and places == []
+    assert compute_M(AbelianVarietyInput(dimension=1, factors=(EJ0,))) == []
 
 
 def test_compute_M_table_precedence():
-    rational, _ = compute_M(TABLE_23, 7)
-    assert rational == [2, 3]
+    assert compute_M(TABLE_23) == [2, 3]
     with pytest.raises(ValueError):
         compute_M(
             AbelianVarietyInput(
                 dimension=1, reduction_table=(ReductionFact(2, False, True),)
-            ),
-            7,
+            )
         )
 
 
@@ -113,17 +107,12 @@ def test_check_hypotheses_failures():
     assert {r.name: r.status for r in rows4}["sigma_no_p_torsion"] == ASSUMED
 
 
-def _place_rows(model, p, m, primes):
-    rows = []
-    for ell in primes:
-        data = local_data_at(model, ell, m)
-        for pl in places_above(ell, m):
-            rows.append((pl, data))
-    return rows
+def _prime_rows(model, m, primes):
+    return [(splitting(ell, m), local_data_at(model, ell, m)) for ell in primes]
 
 
 def test_rho_reference_configuration():
-    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    rows = _prime_rows(E294, 7, [2, 3, 7])
     rho = rho_p(7, rows, (7, 7), 1)
     assert rho.exponent == 0
     assert rho.breakdown == {
@@ -132,6 +121,23 @@ def test_rho_reference_configuration():
         "tamagawa": 0,
         "reduction_counts": 2,
     }
+
+
+def test_rho_weights_each_prime_by_g():
+    """Over Q(mu_55) 11a has g = 4 places above 11, each I50 with c_v = 50,
+    and g = 2 good places above 5, each with N_v = 3025 = 5^2 11^2: every
+    place adds its own term."""
+    rows = _prime_rows(E11A, 55, [5, 11])
+    assert [(sp.ell, sp.g) for sp, _ in rows] == [(5, 2), (11, 4)]
+    assert [(data.c_v, data.N_v) for _, data in rows] == [(1, 3025), (50, None)]
+    rho = rho_p(5, rows, (5, 5), 1)
+    assert rho.breakdown == {
+        "sha": 0,
+        "torsion": -2,
+        "tamagawa": 4 * 2,
+        "reduction_counts": 2 * (2 * 2),
+    }
+    assert rho.exponent == 14
 
 
 def test_rho_trivial_and_sha():
@@ -151,7 +157,7 @@ def test_rho_window_when_not_exact():
 def test_rho_override_when_not_exact():
     """A certificate inside a bracket that is not exact is the one order
     rho uses; the report keeps the computed upper bound."""
-    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    rows = _prime_rows(E294, 7, [2, 3, 7])
     ext = ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True)
     computed = analyze(E294, 7, 7, TABLE_23, ext)
     assert (computed.torsion.lower, computed.torsion.upper) == (1, 7)
@@ -166,7 +172,7 @@ def test_rho_override_when_not_exact():
 def test_rho_without_torsion():
     """torsion=None (p < 5): no exponent, and the window is the
     torsion-free sum."""
-    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    rows = _prime_rows(E294, 7, [2, 3, 7])
     rho = rho_p(7, rows, None, 1)
     assert rho.exponent is None
     assert rho.window == (2, 2)
@@ -180,23 +186,27 @@ def test_rho_without_torsion():
 
 def test_rho_ignores_euler_factors():
     """rho never reads L_at_1: perturbing every Euler factor changes nothing."""
-    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    rows = _prime_rows(E294, 7, [2, 3, 7])
     before = rho_p(7, rows, (7, 7), 1).exponent
     perturbed = [
-        (pl, replace(data, L_at_1=data.L_at_1 * Fraction(7, 3))) for pl, data in rows
+        (sp, replace(data, L_at_1=data.L_at_1 * Fraction(7, 3))) for sp, data in rows
     ]
     assert rho_p(7, perturbed, (7, 7), 1).exponent == before
 
 
 def test_chi_example_one():
-    rows = _place_rows(E294, 7, 7, [2, 3, 7])
+    rows = _prime_rows(E294, 7, [2, 3, 7])
     rho = rho_p(7, rows, (7, 7), 1)
-    m_rows = [(pl, d) for pl, d in rows if pl.ell in (2, 3)]
+    m_rows = [(sp, d) for sp, d in rows if sp.ell in (2, 3)]
     chi_cyc, chi_sigma, audit = chi_euler(7, rho, m_rows)
     assert chi_cyc == 0
     assert chi_sigma == 3  # 7^3
-    assert [row.contribution for row in audit] == [1, 1, 1]
-    assert chi_sigma - chi_cyc == sum(r.contribution for r in audit)
+    # one row per prime: the g = 2 places above 2 each contribute 1
+    assert [(r.splitting.ell, r.splitting.g, r.contribution) for r in audit] == [
+        (2, 2, 1),
+        (3, 1, 1),
+    ]
+    assert chi_sigma - chi_cyc == sum(r.splitting.g * r.contribution for r in audit)
 
 
 def test_chi_empty_bad_set():
@@ -209,6 +219,7 @@ def test_tau_anchors():
     assert tau_p(E294, 7, 7) == 0
     assert tau_p(EJ0, 5, 1) == 1
     assert tau_p(EJ0, 5, 5) == 4  # unique totally ramified place, e*f = phi(5)
+    assert tau_p(EJ0, 5, 11) == 10  # g = 2 places of degree f = 5
     assert tau_p(E294, 2, 7) == 0  # potentially multiplicative: the zero branch
 
 
@@ -252,14 +263,12 @@ def test_analyze_example_two_audit():
         target_chi_sigma_exponent=2,
     )
     assert report.M_rational == [2, 13]
-    above2 = [r for r in report.audit if r.place.ell == 2]
-    above13 = [r for r in report.audit if r.place.ell == 13]
-    assert sum(r.contribution for r in above2) == 2
-    assert len(above13) == 3
-    for row in above13:
-        assert row.q_v == 169
-        assert row.L_at_1 == Fraction(169, row.L_at_1.denominator)
-        assert row.L_at_1.denominator == 196  # genuine F_169 count
+    above2, above13 = report.audit
+    assert (above2.splitting.ell, above2.splitting.g) == (2, 2)
+    assert above2.splitting.g * above2.contribution == 2
+    assert (above13.splitting.ell, above13.splitting.g) == (13, 3)
+    assert above13.data.q_v == 169
+    assert above13.data.L_at_1 == Fraction(169, 196)  # genuine F_169 count
     assert report.target_chi_sigma_exponent == 2
 
 
@@ -288,7 +297,7 @@ def test_analyze_large_residue_fields_match_oracle():
     bad_at_2 = AbelianVarietyInput(dimension=1, reduction_table=(ReductionFact(2, False, False),))
     ext = ExternalArithmetic(selmer_finite=True, lambda_torsion_certificate=True)
     report = analyze(e37, 5, 19, bad_at_2, ext)
-    good = {(pl.ell, pl.f): data for pl, data in report.places if data.is_good}
+    good = {(sp.ell, sp.f): data for sp, data in report.places if data.is_good}
     assert sorted(good) == [(2, 18), (5, 9)]
     for (ell, f), data in good.items():
 

@@ -61,17 +61,14 @@ def test_val_residue_anchors():
 
 
 def test_eisenstein_relation():
-    """g(pi) = 0 and pi^e = c for every Eisenstein polynomial in use, the
-    cyclotomic x^(ell-1) + ell among them."""
+    """pi^e = c for every Eisenstein polynomial in use: c = -ell at the
+    cyclotomic layer x^(ell-1) + ell, e = ell - 1 > 1, and c = ell for
+    x^e - ell otherwise."""
     for K in ALL_FIELDS:
-        pi = K.pi()
-        val = K.zero()
-        power = K.one()
-        for c in K.eisenstein:
-            val = val + power * c
-            power = power * pi
-        assert val == K.zero(), K
-        assert pi**K.e == K.embed(K.c)
+        assert K.pi() ** K.e == K.embed(K.c), K
+    assert [make_local_field(5, e).c for e in (1, 2, 4)] == [5, 5, -5]
+    assert [make_local_field(ell, ell - 1).c for ell in (2, 3, 7)] == [2, -3, -7]
+    assert make_local_field(7, 3).c == 7
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
@@ -174,12 +171,13 @@ def test_ring_axioms(kind, data):
     assert -(x - y) == y - x and 3 * x == x + x + x
 
 
-def test_make_local_field_is_memoized():
-    K = make_local_field(5, 1)
-    assert make_local_field(5, 1) is K
-    assert make_local_field(5, 4) is not K
-    with pytest.raises(TypeError):  # one cache key per (ell, e)
-        make_local_field(5, e=1)
-    # the Eisenstein polynomial is a function of (ell, e)
-    assert make_local_field(5, 4).eisenstein == (5, 0, 0, 0, 1)
-    assert make_local_field(5, 2).eisenstein == (-5, 0, 1)
+def test_make_local_field():
+    """A field is a function of (ell, e), however the call names them; a
+    composite ell and e < 1 are refused."""
+    K = make_local_field(5, e=4)
+    assert (K.ell, K.e, K.c) == (5, 4, -5)
+    assert K.pi() ** 4 == -5 and K.embed(5).valuation() == 4
+    with pytest.raises(ValueError):
+        make_local_field(6, 1)
+    with pytest.raises(ValueError):
+        make_local_field(5, 0)
