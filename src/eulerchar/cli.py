@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, log10
 
 from .curves import (
     SingularModelError,
@@ -359,10 +360,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
         "p": report.p,
         "conductor": report.conductor,
         "degree": report.degree,
-        "hypotheses": [
-            {"name": h.name, "status": h.status, "detail": h.detail}
-            for h in report.hypotheses
-        ],
+        "hypotheses": [h._asdict() for h in report.hypotheses],
         "M_rational": report.M_rational,
         "places": places,
         "torsion": torsion,
@@ -581,6 +579,14 @@ def _cmd_count(args):
     model = _parse_curve(args.curve.split(","), "/curve")
     ell = _parse_prime(args.ell, "/ell")
     degree = _parse_int(args.degree, "/degree", minimum=1)
+    # the count prints in decimal: refuse when its Hasse bound q + 1 + 2 sqrt(q),
+    # q = ell^degree, would not; q >= 2^(4 limit) > 10^limit is seen without q
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and (degree * (ell.bit_length() - 1) >= 4 * limit
+                  or (q := ell**degree) + 1 + isqrt(4 * q) >= 10**limit):
+        digits = int(degree * log10(ell)) + 1
+        raise RequestError("/degree", f"{ell}^{degree} has about {digits} digits: the count over "
+                           f"that field can pass the {limit}-digit limit on printing an integer")
     try:
         n1 = count_points(reduce_model(model, fq_create(ell, 1)))
     except SingularModelError:

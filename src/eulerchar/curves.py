@@ -7,10 +7,10 @@ discriminant of y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .cyclotomic import splitting
 from .finite_fields import FqElement, FqField, fq_create
@@ -34,21 +34,24 @@ class SingularModelError(ValueError):
     """Raised when a model has vanishing discriminant."""
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
-    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
-
-    Coefficients are Fractions for curves over Q, or FqElements for
-    reductions over a finite field.  `invariants` and `integral_model` are
-    computed once per model object and memoized on it, so equal models built
-    separately never share a memo and nothing outlives the model.
-    """
-
+class _Coefficients(NamedTuple):
     a1: object
     a2: object
     a3: object
     a4: object
     a6: object
+
+
+class WeierstrassModel(_Coefficients):
+    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
+
+    Coefficients are Fractions for curves over Q, or FqElements for
+    reductions over a finite field.  The model is an immutable tuple of the
+    five; `invariants` and `integral_model` are computed once per model
+    object and memoized in its instance dict (this subclass declares no
+    `__slots__` for that), so equal models built separately never share a
+    memo and nothing outlives the model.
+    """
 
     @classmethod
     def from_rationals(cls, coeffs) -> "WeierstrassModel":
@@ -56,7 +59,7 @@ class WeierstrassModel:
         return cls(a1, a2, a3, a4, a6)
 
     def coefficients(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     def is_rational(self) -> bool:
         return isinstance(self.a1, Fraction)
@@ -104,8 +107,7 @@ def discriminant(model: WeierstrassModel):
     return c_invariants(*b_invariants(model.coefficients()))[2]
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     b2: Fraction
     b4: Fraction
     b6: Fraction
@@ -441,8 +443,7 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class TorsionEstimate:
+class TorsionEstimate(NamedTuple):
     """Certified bracket lower | #E(F)(p) | upper, both powers of p."""
 
     p: int

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .valuations import euler_phi, int_valuation, is_prime, multiplicative_order
 
 
-@dataclass(frozen=True)
-class CyclotomicSplitting:
+class CyclotomicSplitting(NamedTuple):
     """Decomposition data (e, f, g) of a rational prime in Q(mu_m).
 
     e = phi(ell^a) for ell^a exactly dividing m, f = multiplicative order

@@ -15,7 +15,7 @@ lists the places one by one (`cli.report_to_dict`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import (
     TorsionEstimate,
@@ -35,33 +35,45 @@ FAIL = "FAIL"
 ASSUMED = "ASSUMED"
 
 
-@dataclass(frozen=True)
-class ReductionFact:
-    """User-supplied reduction behaviour of the abelian variety at a prime."""
-
+class _ReductionFields(NamedTuple):
     prime: int
     potentially_good: bool
     good: bool
 
-    def __post_init__(self):
-        if self.good and not self.potentially_good:
-            raise ValueError(f"table marks {self.prime} good but not potentially good")
+
+class ReductionFact(_ReductionFields):
+    """User-supplied reduction behaviour of the abelian variety at a prime."""
+
+    __slots__ = ()
+
+    def __new__(cls, prime: int, potentially_good: bool, good: bool):
+        if good and not potentially_good:
+            raise ValueError(f"table marks {prime} good but not potentially good")
+        return super().__new__(cls, prime, potentially_good, good)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
 
-@dataclass(frozen=True)
-class AbelianVarietyInput:
+class _VarietyFields(NamedTuple):
+    dimension: int
+    factors: tuple[WeierstrassModel, ...]
+    reduction_table: tuple[ReductionFact, ...]
+
+
+class AbelianVarietyInput(_VarietyFields):
     """The variety whose division tower is adjoined: either an explicit
     product of elliptic-curve factors, or a table covering every bad prime."""
 
-    dimension: int
-    factors: tuple[WeierstrassModel, ...] = ()
-    reduction_table: tuple[ReductionFact, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.factors and self.dimension != len(self.factors):
+    def __new__(cls, dimension: int, factors=(), reduction_table=()):
+        if factors and dimension != len(factors):
             raise ValueError("dimension must equal the number of factors")
-        if not self.factors and not self.reduction_table and self.dimension < 1:
+        if not factors and not reduction_table and dimension < 1:
             raise ValueError("abelian variety input is empty")
+        return super().__new__(cls, dimension, factors, reduction_table)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
     def table_fact(self, ell: int) -> ReductionFact | None:
         for fact in self.reduction_table:
@@ -74,8 +86,7 @@ class TorsionCertificateError(ValueError):
     """The torsion certificate lies outside the computed torsion bracket."""
 
 
-@dataclass(frozen=True)
-class ExternalArithmetic:
+class ExternalArithmetic(NamedTuple):
     """Certificates the formula consumes but never computes."""
 
     sha_p_order: int = 1
@@ -86,8 +97,7 @@ class ExternalArithmetic:
     no_p_torsion_certificate: bool = False
 
 
-@dataclass(frozen=True)
-class HypothesisResult:
+class HypothesisResult(NamedTuple):
     name: str
     status: str
     detail: str
@@ -264,8 +274,7 @@ def hypotheses_failed(rows: list[HypothesisResult]) -> bool:
 # -- the exponent arithmetic ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RhoResult:
+class RhoResult(NamedTuple):
     """rho_p = p^exponent, with the audit decomposition of the exponent.
 
     When the torsion input is not exact the exponent is None and the window
@@ -325,8 +334,7 @@ def rho_p(
     return RhoResult(p=p, exponent=exact_exp, window=window, breakdown=breakdown)
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     """|L_v(E,1)|_p at each of the g places above one rational prime of the
     bad-tower set; the places are conjugate and share the row."""
 
@@ -387,8 +395,7 @@ def gamma_kernel_exponent(e_data: LocalReductionData, p: int) -> int:
     return vp(e_data.c_v, p) - vp(e_data.L_at_1, p)
 
 
-@dataclass(frozen=True)
-class CorankReport:
+class CorankReport(NamedTuple):
     """Window and (when the tower index is certified) absolute predictions
     for the normalized rank of the dual Selmer module."""
 
@@ -422,8 +429,7 @@ def corank_report(degree: int, tau: int, sigma_index_R: int | None) -> CorankRep
 # -- full pipeline --------------------------------------------------------------------
 
 
-@dataclass
-class EulerCharReport:
+class EulerCharReport(NamedTuple):
     p: int
     conductor: int
     degree: int

@@ -51,8 +51,8 @@ the reduced j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import (
     WeierstrassModel,
@@ -76,8 +76,7 @@ MULT_NONSPLIT = "MultNonsplit"
 ADDITIVE = "Additive"
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(NamedTuple):
     kind: str  # I0, In, II, III, IV, I0*, In*, IV*, III*, II*
     n: int = 0
 
@@ -116,8 +115,7 @@ class KodairaType:
 _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
 
 
-@dataclass(frozen=True)
-class LocalReductionData:
+class LocalReductionData(NamedTuple):
     """Per-place output of Tate's algorithm."""
 
     ell: int
@@ -143,20 +141,8 @@ class LocalReductionData:
         return self.kodaira.is_good
 
     def comparable_fields(self) -> tuple:
-        """Everything reported, without the reduced model."""
-        return (
-            self.ell,
-            self.e,
-            self.f,
-            self.kodaira,
-            self.c_v,
-            self.v_min_delta,
-            self.q_v,
-            self.reduction_class,
-            self.potentially_good,
-            self.N_v,
-            self.L_at_1,
-        )
+        """Everything reported: every field but the last, the reduced model."""
+        return self[:-1]
 
 
 # -- residue-field helpers: residues are integers mod ell -----------------------

@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from eulerchar import cli
 from eulerchar.cli import (
     RequestError,
     analyze_request,
@@ -184,13 +189,11 @@ def test_request_shape_refused_at_its_pointer(monkeypatch, capsys):
         assert (code, out, err) == (1, "", message)
 
 
-def test_missing_key_diagnostic_ignores_hash_seed():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+ROOT = Path(__file__).resolve().parent.parent
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
+
+def test_missing_key_diagnostic_ignores_hash_seed():
+    src = str(ROOT / "src")
     errors = set()
     for seed in range(6):
         env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
@@ -496,6 +499,15 @@ def test_good_but_not_potentially_good_row_rejected(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_dimension_disagreeing_with_factors_rejected(monkeypatch, capsys):
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["abelian_variety"] = {"dimension": 2, "factors": [["-1", "2", "2", "0", "0"]]}
+    code, out, err = _run(["analyze", "-"], stdin_text=json.dumps(req),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: /abelian_variety: dimension must equal the number of factors\n"
+
+
 def test_text_columns_widen_for_large_places(monkeypatch, capsys):
     """A 20-digit place widens the place and q_v columns of every row and
     keeps a space between its label and q_v; the discriminant
@@ -550,6 +562,95 @@ def test_usage_error_names_its_subcommand(capsys):
         main(["analyze", "-", "--bogus"])
     assert stop.value.code == 2
     assert "eulerchar analyze: error: unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """A fresh `eulerchar` process builds its records without importing
+    `dataclasses`, or `inspect`, which it pulls in."""
+    probe = (
+        "import sys; before = set(sys.modules); import eulerchar.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
+    )
+    added = set(done.stdout.split())
+    assert "eulerchar.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def _assert_json_native(value, path=""):
+    assert type(value) in (dict, list, str, int, bool, type(None)), (path, type(value))
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, (path, key)
+            _assert_json_native(item, f"{path}/{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _assert_json_native(item, f"{path}/{i}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"analyze {ROOT}/data/requests/analysis_with_reduction_table.json",
+        f"analyze {ROOT}/data/requests/analysis_with_factor_curve.json",
+        "local --curve 1,0,0,-1,-1 --ell 7 --conductor 7",
+        "splitting --ell 2 --conductor 7",
+        "torsion --curve=-1,2,2,0,0 --prime 7 --conductor 7",
+        "tau --curve 0,0,0,0,1 --prime 5 --conductor 5",
+        "coranks --curve 1,0,0,-1,-1 --prime 7 --conductor 7 --sigma-index 2",
+        "count --curve 0,0,0,0,1 --ell 5 --degree 3",
+    ],
+)
+def test_documents_are_json_native(monkeypatch, capsys, argv):
+    """Every value of the document a subcommand emits has a JSON type
+    exactly: a record, being a tuple, would print as a list and no error."""
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt, out: (docs.append(doc), emit(doc, fmt, out)))
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(docs) == 1
+    _assert_json_native(docs[0])
+
+
+def test_count_degree_refused_past_printable_digits(monkeypatch, capsys):
+    """A degree whose Hasse bound q + 1 + 2 sqrt(q), q = ell^degree, would
+    print past the interpreter's digit limit is refused at /degree before
+    anything is counted; a limit of 0 lifts the refusal."""
+
+    def refuse(*args):
+        raise AssertionError("counted")
+
+    argv = ["count", "--curve", "0,0,0,0,1", "--ell", "5", "--degree"]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        monkeypatch.setattr(cli, "count_points", refuse)
+        monkeypatch.setattr(cli, "extension_count", refuse)
+        assert main([*argv, "100000"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: /degree: 5^100000 has about 69898 digits: the count over that "
+            "field can pass the 4300-digit limit on printing an integer\n"
+        )
+        # refused from the bits of ell alone: 5^(10^20) is never computed
+        assert main([*argv, str(10**20)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: /degree: 5^{10**20} has about ")
+        monkeypatch.undo()
+        # 5^915 has 640 digits and 5^916 has 641
+        sys.set_int_max_str_digits(640)
+        assert main([*argv, "915"]) == 0
+        assert main([*argv, "916"]) == 1
+        assert capsys.readouterr().err.startswith("error: /degree: 5^916 has about 641 digits")
+        sys.set_int_max_str_digits(0)
+        assert main([*argv, "916", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["q"]) == 641
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_one_call_builds_one_parser(capsys):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -65,6 +64,29 @@ def test_compute_M_table_precedence():
                 dimension=1, reduction_table=(ReductionFact(2, False, True),)
             )
         )
+
+
+def test_records_validate_at_construction():
+    """The checks of a table row and of a variety run whenever one is
+    built, by `_replace` too."""
+    with pytest.raises(ValueError, match="table marks 2 good but not potentially good"):
+        ReductionFact(2, False, True)
+    with pytest.raises(ValueError, match="table marks 2 good but not potentially good"):
+        ReductionFact(2, False, False)._replace(good=True)
+    with pytest.raises(ValueError, match="dimension must equal the number of factors"):
+        AbelianVarietyInput(dimension=2, factors=(E294,))
+    with pytest.raises(ValueError, match="dimension must equal the number of factors"):
+        AbelianVarietyInput(dimension=1, factors=(E294,))._replace(dimension=2)
+    with pytest.raises(ValueError, match="abelian variety input is empty"):
+        AbelianVarietyInput(dimension=0)
+
+
+def test_records_are_immutable():
+    report = analyze(E294, 7, 7, TABLE_23, EXT_FULL)
+    _, data = report.places[0]
+    for record, field in ((E294, "a1"), (data.kodaira, "n"), (data, "c_v"), (report, "tau")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_check_hypotheses_statuses():
@@ -162,7 +184,7 @@ def test_rho_override_when_not_exact():
     computed = analyze(E294, 7, 7, TABLE_23, ext)
     assert (computed.torsion.lower, computed.torsion.upper) == (1, 7)
     for certificate, exponent in ((1, 2), (7, 0)):
-        report = analyze(E294, 7, 7, TABLE_23, replace(ext, torsion_p_override=certificate))
+        report = analyze(E294, 7, 7, TABLE_23, ext._replace(torsion_p_override=certificate))
         assert (report.torsion.lower, report.torsion.upper) == (certificate, 7)
         assert report.torsion_source == "certificate"
         assert report.rho == rho_p(7, rows, (certificate, certificate), 1)
@@ -189,7 +211,7 @@ def test_rho_ignores_euler_factors():
     rows = _prime_rows(E294, 7, [2, 3, 7])
     before = rho_p(7, rows, (7, 7), 1).exponent
     perturbed = [
-        (sp, replace(data, L_at_1=data.L_at_1 * Fraction(7, 3))) for sp, data in rows
+        (sp, data._replace(L_at_1=data.L_at_1 * Fraction(7, 3))) for sp, data in rows
     ]
     assert rho_p(7, perturbed, (7, 7), 1).exponent == before
 
