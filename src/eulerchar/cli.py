@@ -8,16 +8,22 @@ lose precision; exponents stay small and remain JSON numbers.
 Exit codes: 0 hypotheses all PASS/ASSUMED, 1 malformed input (with a
 JSON-pointer diagnostic), 2 some hypothesis FAILed (report still emitted),
 3 chi suppressed because the torsion input is not exact.
+
+The command line is read straight off the `_COMMANDS` table when it has
+the plain form `COMMAND [positional] --flag VALUE ...` with exact flag
+names; argparse is imported, and one subcommand's parser built, only for
+what else argparse accepts (abbreviated flags, values starting with `-`,
+`--`) and for help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log10
+from types import SimpleNamespace
 
 from .curves import (
     SingularModelError,
@@ -124,15 +130,23 @@ def _parse_precision(value) -> None:
 
 
 def _parse_rational(value, path: str) -> Fraction:
+    """An integer, or a string of the grammar `[+-]digits[/digits]` in
+    ASCII digits: the same spellings on every Python, where `Fraction(str)`
+    also takes spaces, decimal points, exponents, underscores (from 3.11)
+    and non-ASCII digits."""
     if isinstance(value, bool):
         raise RequestError(path, "expected a decimal string or integer")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise RequestError(path, f"not a rational number: {value!r}") from None
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError):  # past int's digit limit, or p/0
+                pass
+        raise RequestError(path, f"not a rational number: {value!r}")
     raise RequestError(path, f"expected a decimal string, got {value!r}")
 
 
@@ -466,8 +480,8 @@ def _emit(doc: dict, fmt, out) -> None:
 # request field it stands for is, at its pointer; --ell and --degree at /ell
 # and /degree.
 
-# numeric flags and their pointers: argparse hands each over as text, which
-# `_int_flags` turns into the integer the request field would hold
+# numeric flags and their pointers: the command line hands each over as
+# text, which `_int_flags` turns into the integer the request field would hold
 _INT_FLAGS = dict(
     prime="/prime", ell="/ell", conductor="/base_field", degree="/degree", samples="/samples",
     precision_digits="/precision_digits", sigma_index="/external/sigma_index_R",
@@ -640,6 +654,45 @@ _COMMANDS = {
         ("--degree", dict(default=1)),
     )),
 }
+# every subcommand's output format, ahead of its own arguments
+_FORMAT = ("--format", dict(choices=("json", "text"), default="text"))
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser(argv[0]).parse_args(argv[1:])` returns,
+    read off `_COMMANDS` without argparse, when argv is a command followed
+    by its positionals and by flags named in full, each as `--flag VALUE`
+    (VALUE not starting with `-`) or `--flag=VALUE`, with every required
+    flag given and every value among its choices; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, arguments = _COMMANDS[argv[0]]
+    flags = {name: keywords for name, keywords in (_FORMAT, *arguments) if name.startswith("--")}
+    positionals = [name for name, _ in arguments if not name.startswith("--")]
+    given, values = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+            if not eq:
+                value = next(tokens, "-")  # a flag that ends argv has no value
+            # argparse reads `--flag=--` as no value at all, and checks the
+            # choices of a repeated flag each time
+            if (name not in flags or value == "--" or (value.startswith("-") and not eq)
+                    or value not in flags[name].get("choices", (value,))):
+                return None
+            given[name] = value
+        elif token.startswith("-") and token != "-":
+            return None
+        else:
+            values.append(token)
+    required = {name for name, keywords in flags.items() if keywords.get("required")}
+    if len(values) != len(positionals) or not required <= given.keys():
+        return None
+    args = SimpleNamespace(fn=fn, command=argv[0], **dict(zip(positionals, values)))
+    for name, keywords in flags.items():
+        setattr(args, name[2:].replace("-", "_"), given.get(name, keywords.get("default")))
+    return args
 
 
 @lru_cache(maxsize=None)
@@ -648,6 +701,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser that lists them all.  Each is built once per process, and only
     when asked for: nothing in it depends on the call, and parsing leaves
     it unchanged."""
+    import argparse
+
     if command is None:
         parser = argparse.ArgumentParser(
             prog="eulerchar",
@@ -662,8 +717,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     fn, _, arguments = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"eulerchar {command}")
     parser.set_defaults(fn=fn, command=command)
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    for name, keywords in arguments:
+    for name, keywords in (_FORMAT, *arguments):
         parser.add_argument(name, **keywords)
     return parser
 
@@ -672,11 +726,13 @@ def main(argv=None) -> int:
     """Run one subcommand; malformed input exits 1 with one line
     `error: <pointer>: <message>`."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in _COMMANDS:
-        # no subcommand comes first: the top-level parser prints its help
-        # and exits 0, or a usage error and exits 2
-        build_parser().parse_args(argv)
-    args = build_parser(argv[0]).parse_args(argv[1:])
+    args = _read_argv(argv)
+    if args is None:
+        if not argv or argv[0] not in _COMMANDS:
+            # no subcommand comes first: the top-level parser prints its help
+            # and exits 0, or a usage error and exits 2
+            build_parser().parse_args(argv)
+        args = build_parser(argv[0]).parse_args(argv[1:])
     try:
         _int_flags(args)
         doc, text, code = args.fn(args)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -5,9 +6,11 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerchar import cli
 from eulerchar.cli import (
@@ -411,6 +414,38 @@ def test_numeric_forms():
         parse_request(req)
 
 
+RATIONAL_SPELLINGS = [
+    ("0", "0"), ("-1", "-1"), ("+3", "3"), ("007", "7"), ("7/2", "7/2"),
+    ("-7/2", "-7/2"), ("+14/4", "7/2"), ("0/5", "0"), ("-10/-2", None), ("1/+2", None),
+    ("1_0", None), ("-1_0", None), (" 5", None), ("5 ", None), ("1.5", None), ("5.", None),
+    (".5", None), ("1e3", None), ("\u0663", None), ("\uff11", None), ("1/0", None), ("", None),
+    ("+", None), ("-", None), ("--1", None), ("/2", None), ("1/", None), ("1/2/3", None),
+    ("0x10", None), ("nan", None), ("inf", None),
+]
+
+
+@pytest.mark.parametrize("text,value", RATIONAL_SPELLINGS)
+def test_rational_spellings(capsys, text, value):
+    """A coefficient string is [+-]digits[/digits] in ASCII digits, with a
+    nonzero denominator, on every Python: anything else is refused at its
+    pointer, in a request and in a --curve piece alike."""
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["curve"] = ["1", "0", "0", text, "-1"]
+    argv = ["local", f"--curve=1,0,0,{text},-1", "--ell", "7"]
+    if value is None:
+        with pytest.raises(RequestError) as caught:
+            parse_request(req)
+        assert str(caught.value) == f"/curve/3: not a rational number: {text!r}"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: /curve/3: not a rational number: {text!r}\n"
+    else:
+        assert parse_request(req)["curve"].a4 == Fraction(value)
+        code = main(argv)
+        printed = capsys.readouterr()
+        assert main(["local", f"--curve=1,0,0,{value},-1", "--ell", "7"]) == code
+        assert capsys.readouterr() == printed
+
+
 def test_wildly_ramified_conductor_rejected(monkeypatch, capsys):
     """p^2 | m needs the second cyclotomic layer, which is out of scope;
     the request is rejected cleanly instead of producing wrong numbers."""
@@ -564,20 +599,29 @@ def test_usage_error_names_its_subcommand(capsys):
     assert "eulerchar analyze: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def test_import_and_plain_calls_load_no_dataclasses_or_argparse():
     """A fresh `eulerchar` process builds its records without importing
-    `dataclasses`, or `inspect`, which it pulls in."""
+    `dataclasses`, or `inspect`, which it pulls in; and reads a well-formed
+    command line without importing `argparse`, or `gettext`, which it
+    pulls in."""
+    request = ROOT / "data" / "requests" / "analysis_with_reduction_table.json"
     probe = (
         "import sys; before = set(sys.modules); import eulerchar.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr); "
+        "eulerchar.cli.main(['splitting', '--ell', '7', '--conductor', '7']); "
+        "eulerchar.cli.main(['local', '--curve=-1,2,2,0,0', '--ell', '7', '--format', 'json']); "
+        f"eulerchar.cli.main(['analyze', {str(request)!r}, '--format=json']); "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
     )
-    added = set(done.stdout.split())
-    assert "eulerchar.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    imported, called = (set(line.split()) for line in done.stderr.splitlines())
+    assert "eulerchar.cli" in imported
+    assert done.stdout.startswith("7 in Q(mu_7): e=6 f=1 g=1")
+    for added in (imported, called):
+        assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 def _assert_json_native(value, path=""):
@@ -653,10 +697,116 @@ def test_count_degree_refused_past_printable_digits(monkeypatch, capsys):
         sys.set_int_max_str_digits(saved)
 
 
-def test_one_call_builds_one_parser(capsys):
+def test_only_the_fallback_builds_a_parser(capsys):
+    """A well-formed call is read off the command table and builds no
+    parser; an abbreviated flag builds the one parser of its subcommand,
+    which reads it as the full flag."""
     build_parser.cache_clear()
     assert main(["splitting", "--ell", "3", "--conductor", "9"]) == 0
+    assert build_parser.cache_info().currsize == 0
+    full = capsys.readouterr()
+    assert main(["splitting", "--ell", "3", "--cond", "9"]) == 0
     assert build_parser.cache_info().currsize == 1
+    assert capsys.readouterr() == full
+
+
+def _argparse_vars(argv):
+    """vars() of what argparse makes of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0]).parse_args(argv[1:]))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze -",
+        "analyze --format json req.json",
+        "analyze req.json --samples 5 --precision-digits=x --format=text",
+        "local --curve=-1,2,2,0,0 --ell 7 --ell 5",
+        "splitting --conductor 9 --ell 3",
+        "coranks --curve 1,0,0,-1,-1 --prime 7 --sigma-index=-3",
+        "count --curve= --ell 5 --degree 3 --format=json",
+    ],
+)
+def test_read_argv_matches_argparse(argv):
+    args = cli._read_argv(argv.split())
+    assert args is not None
+    assert vars(args) == _argparse_vars(argv.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["splitting", "--ell", "7", "--cond", "7"],  # an abbreviation
+        ["splitting", "--ell", "7", "--conductor=7", "--form", "json"],
+        ["coranks", "--curve", "1,0,0,-1,-1", "--prime", "7", "--sigma-index", "-3"],
+        ["local", "--curve", "-1,2,2,0,0", "--ell", "7"],
+        ["analyze", "--", "req.json"],
+        ["splitting", "--ell", "7", "--conductor", "7", "-h"],
+        ["splitting", "--help"],
+        ["splitting", "--ell", "7"],  # --conductor is required
+        ["splitting", "--ell", "7", "--conductor"],
+        ["splitting", "--ell", "7", "--conductor", "7", "--format", "xml"],
+        # argparse checks every --format, not only the last
+        ["splitting", "--ell", "7", "--conductor", "7", "--format=xml", "--format", "json"],
+        ["analyze", "a.json", "b.json"],
+        ["analyze"],
+        ["splitting", "7", "--ell", "7", "--conductor", "7"],
+        ["analyze", "-x"],
+        # argparse drops a `--` value, leaving none
+        ["splitting", "--ell=--", "--conductor", "7"],
+    ],
+)
+def test_read_argv_leaves_the_rest_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+_FLAGS = sorted({name for _, _, arguments in cli._COMMANDS.values()
+                 for name, _ in (cli._FORMAT, *arguments) if name.startswith("--")})
+_WORDS = [*COMMANDS, *_FLAGS, "--form", "--cond", "-h", "--help", "--", "-", "-3",
+          "json", "text", "xml", "x", "", "--curve=-1,2,2,0,0", "1,0,0,-1,-1"]
+_word = st.sampled_from(_WORDS)
+# a value is mostly one that may follow its flag as a separate word, and
+# one of --format mostly json or text
+_value = st.one_of(st.sampled_from([w for w in _WORDS if not w.startswith("-")]), _word)
+_format = st.one_of(st.sampled_from(("json", "text")), _value)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, each of its arguments absent, once (most often) or twice,
+    in the `--flag VALUE` or the `--flag=VALUE` form, and up to two stray
+    words, all in any order: words and values from `_WORDS`."""
+    command = draw(st.sampled_from([*COMMANDS, "-h", "x"]))
+    arguments = cli._COMMANDS[command][2] if command in cli._COMMANDS else ()
+    items = []
+    for name, _ in (*arguments, cli._FORMAT):
+        for _ in range(draw(st.sampled_from((1, 1, 1, 0, 2)))):
+            value = draw(_format if name == "--format" else _value)
+            if not name.startswith("--"):
+                items.append([value])
+            elif draw(st.booleans()):
+                items.append([f"{name}={value}"])
+            else:
+                items.append([name, value])
+    strays = draw(st.sampled_from((0, 0, 1, 2)))
+    items += draw(st.lists(_word.map(lambda word: [word]), min_size=strays, max_size=strays))
+    return [command, *(word for item in draw(st.permutations(items)) for word in item)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_read_argv_agrees_with_argparse(argv):
+    """Whatever the reader accepts, argparse accepts, into the same
+    namespace."""
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv)
 
 
 def test_bundled_requests_parse():
