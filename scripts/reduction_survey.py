@@ -9,8 +9,8 @@ Example: python scripts/reduction_survey.py --curve 1,0,0,-1,-1 --prime 7 --cond
 import argparse
 import sys
 
-from eulerchar.cli import RequestError, _parse_conductor, _parse_curve, _parse_prime
-from eulerchar.curves import discriminant, invariants
+from eulerchar.cli import RequestError, _read_conductor, _read_curve, _read_prime
+from eulerchar.curves import invariants
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import bad_primes_of_curve, local_data_at
 from eulerchar.valuations import vp
@@ -19,16 +19,15 @@ from eulerchar.valuations import vp
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
-    ap.add_argument("--prime", type=int, required=True)
-    ap.add_argument("--conductor", type=int, default=1)
+    ap.add_argument("--prime", required=True)
+    ap.add_argument("--conductor", default=1)
     args = ap.parse_args()
 
+    # each flag is checked as the `eulerchar` subcommands check it, in order
     try:
-        model = _parse_curve(args.curve.split(","), "/curve")
-        prime = _parse_prime(args.prime, "/prime")
-        conductor = _parse_conductor(args.conductor)
-        if discriminant(model) == 0:
-            raise RequestError("/curve", "discriminant is zero")
+        model = _read_curve(args.curve)
+        prime = _read_prime(args.prime)
+        conductor = _read_conductor(args.conductor)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,9 @@ The command line is read straight off the `_COMMANDS` table when it has
 the plain form `COMMAND [positional] --flag VALUE ...` with exact flag
 names; argparse is imported, and one subcommand's parser built, only for
 what else argparse accepts (abbreviated flags, values starting with `-`,
-`--`) and for help and usage errors.
+`--`) and for help and usage errors.  Each argument's row also names the
+reader that checks its value as the request field it stands for; `main`
+runs the readers in row order, before a request file is read.
 """
 
 from __future__ import annotations
@@ -99,34 +101,34 @@ def _parse_prime(value, path: str, minimum: int = 2) -> int:
     return prime
 
 
-def _parse_conductor(value) -> int:
+def _parse_conductor(value, path: str) -> int:
     """The request's `base_field`, or a subcommand's `--conductor`: a
     squarefree m >= 1."""
-    conductor = _parse_int(value, "/base_field", minimum=1)
+    conductor = _parse_int(value, path, minimum=1)
     wild = [ell for ell, k in factorize(conductor) if k > 1]
     if wild:
         # 4 | m or ell^2 | m: Q(mu_m) is wildly ramified above ell
         raise RequestError(
-            "/base_field",
+            path,
             f"{wild[0]}^2 divides {conductor}: wildly ramified conductors are unsupported",
         )
     return conductor
 
 
-def _parse_samples(value) -> int:
+def _parse_samples(value, path: str) -> int:
     """The request's `samples`, or the `--samples` of analyze and torsion."""
-    samples = _parse_int(value, "/samples", minimum=1)
+    samples = _parse_int(value, path, minimum=1)
     if samples > MAX_SAMPLES:
-        raise RequestError("/samples", f"expected an integer <= {MAX_SAMPLES}, got {samples}")
+        raise RequestError(path, f"expected an integer <= {MAX_SAMPLES}, got {samples}")
     return samples
 
 
-def _parse_precision(value) -> None:
+def _parse_precision(value, path: str) -> None:
     """The request's `precision_digits`, or the `--precision-digits` of
     analyze and local: still validated, so that no request breaks, but
     without effect, as local arithmetic is exact."""
     if value is not None:
-        _parse_int(value, "/precision_digits", minimum=4)
+        _parse_int(value, path, minimum=4)
 
 
 def _parse_rational(value, path: str) -> Fraction:
@@ -252,14 +254,14 @@ def parse_request(obj) -> dict:
         raise RequestError("/schema_version", f"unsupported version {version}")
     curve = _parse_curve(obj["curve"], "/curve")
     prime = _parse_prime(obj["prime"], "/prime")
-    conductor = _parse_conductor(obj["base_field"])
+    conductor = _parse_conductor(obj["base_field"], "/base_field")
     variety = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
     external = _parse_external(obj.get("external", {}), "/external", prime)
     target = obj.get("target_chi_sigma_exponent")
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
-    samples = _parse_samples(obj.get("samples", 20))
-    _parse_precision(obj.get("precision_digits"))
+    samples = _parse_samples(obj.get("samples", 20), "/samples")
+    _parse_precision(obj.get("precision_digits"), "/precision_digits")
     return {
         "curve": curve,
         "prime": prime,
@@ -476,26 +478,42 @@ def _emit(doc: dict, fmt, out) -> None:
 
 
 # -- subcommands ------------------------------------------------------------------------
-# Each returns (document, text renderer, exit code).  A flag is checked as the
-# request field it stands for is, at its pointer; --ell and --degree at /ell
-# and /degree.
-
-# numeric flags and their pointers: the command line hands each over as
-# text, which `_int_flags` turns into the integer the request field would hold
-_INT_FLAGS = dict(
-    prime="/prime", ell="/ell", conductor="/base_field", degree="/degree", samples="/samples",
-    precision_digits="/precision_digits", sigma_index="/external/sigma_index_R",
-)
+# Each argument's reader takes its value as the command line hands it over
+# (text, the row's default, or the [] argparse makes of `--flag=--`) and returns
+# it checked as the request field the flag stands for, at that field's pointer;
+# --ell and --degree at /ell and /degree.  A handler computes on checked values
+# and returns (document, text renderer, exit code).
 
 
-def _int_flags(args) -> None:
-    for dest, path in _INT_FLAGS.items():
-        text = getattr(args, dest, None)
-        if isinstance(text, str):
+def _integer(path: str, parse=_parse_int, **bounds):
+    """The reader of a numeric flag: its text as the integer the request
+    field at path would hold, checked by parse(value, path, **bounds); an
+    optional flag not given stays None."""
+    def read(value):
+        if value is None:
+            return None
+        if isinstance(value, str):
             try:
-                setattr(args, dest, int(text))
+                value = int(value)
             except ValueError:
-                raise RequestError(path, f"expected an integer, got {text!r}") from None
+                raise RequestError(path, f"expected an integer, got {value!r}") from None
+        return parse(value, path, **bounds)
+    return read
+
+
+def _read_curve(value) -> WeierstrassModel:
+    """`--curve a1,a2,a3,a4,a6`, read as the request's `curve`; a singular
+    curve is refused here, and its invariants stay memoized on the model."""
+    model = _parse_curve(value.split(",") if isinstance(value, str) else value, "/curve")
+    if discriminant(model) == 0:
+        raise RequestError("/curve", "discriminant is zero")
+    return model
+
+
+_read_prime = _integer("/prime", _parse_prime)
+_read_conductor = _integer("/base_field", _parse_conductor)
+_read_samples = _integer("/samples", _parse_samples)
+_read_precision = _integer("/precision_digits", _parse_precision)
 
 
 def _cmd_analyze(args):
@@ -510,22 +528,17 @@ def _cmd_analyze(args):
         raise RequestError("/", f"invalid JSON ({exc})") from None
     parsed = parse_request(obj)
     if args.samples is not None:
-        parsed["samples"] = _parse_samples(args.samples)
-    _parse_precision(args.precision_digits)
+        parsed["samples"] = args.samples
     report = analyze_request(parsed)
     code = 2 if report.failed else 3 if report.suppressed else 0
     return report_to_dict(report), render_text, code
 
 
 def _cmd_local(args):
-    model = _parse_curve(args.curve.split(","), "/curve")
-    ell = _parse_prime(args.ell, "/ell")
-    conductor = _parse_conductor(args.conductor)
-    _parse_precision(args.precision_digits)
-    data = local_data_at(model, ell, conductor)
-    sp = splitting(ell, conductor)
+    data = local_data_at(args.curve, args.ell, args.conductor)
+    sp = splitting(args.ell, args.conductor)
     doc = {
-        "place": {"ell": ell, "e": sp.e, "f": sp.f, "g": sp.g},
+        "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},
         **_reduction_fields(data),
         "euler_factor_at_1": str(data.L_at_1),
     }
@@ -533,9 +546,7 @@ def _cmd_local(args):
 
 
 def _cmd_splitting(args):
-    ell = _parse_prime(args.ell, "/ell")
-    # splitting computes no local data, so any m >= 1 will do
-    sp = splitting(ell, _parse_int(args.conductor, "/base_field", minimum=1))
+    sp = splitting(args.ell, args.conductor)
     doc = {
         "ell": sp.ell,
         "conductor": sp.m,
@@ -554,34 +565,23 @@ def _cmd_splitting(args):
 
 
 def _cmd_torsion(args):
-    model = _parse_curve(args.curve.split(","), "/curve")
-    prime = _parse_prime(args.prime, "/prime", minimum=5)
-    conductor = _parse_conductor(args.conductor)
-    est = torsion_bound_over_F(model, prime, conductor, samples=_parse_samples(args.samples))
+    est = torsion_bound_over_F(args.curve, args.prime, args.conductor, samples=args.samples)
     text = (
-        f"p-primary torsion over Q(mu_{conductor}): lower {est.lower}, "
+        f"p-primary torsion over Q(mu_{args.conductor}): lower {est.lower}, "
         f"upper {est.upper}, exact {est.exact}"
     )
     return _torsion_fields(est), lambda _: text, 0
 
 
 def _cmd_tau(args):
-    model = _parse_curve(args.curve.split(","), "/curve")
-    prime = _parse_prime(args.prime, "/prime")
-    conductor = _parse_conductor(args.conductor)
-    value = tau_p(model, prime, conductor)
-    doc = {"p": prime, "conductor": conductor, "tau_p": value}
-    return doc, lambda _: f"tau_{prime} over Q(mu_{conductor}) = {value}", 0
+    value = tau_p(args.curve, args.prime, args.conductor)
+    doc = {"p": args.prime, "conductor": args.conductor, "tau_p": value}
+    return doc, lambda _: f"tau_{args.prime} over Q(mu_{args.conductor}) = {value}", 0
 
 
 def _cmd_coranks(args):
-    model = _parse_curve(args.curve.split(","), "/curve")
-    prime = _parse_prime(args.prime, "/prime")
-    conductor = _parse_conductor(args.conductor)
-    sigma = args.sigma_index
-    if sigma is not None:
-        sigma = _parse_int(sigma, "/external/sigma_index_R", minimum=1)
-    rep = corank_report(field_degree(conductor), tau_p(model, prime, conductor), sigma)
+    tau = tau_p(args.curve, args.prime, args.conductor)
+    rep = corank_report(field_degree(args.conductor), tau, args.sigma_index)
     text = (
         f"tau={rep.tau} window={rep.window} global={rep.global_corank} "
         f"local={rep.local_corank} conjectural={rep.conjectural_rank}"
@@ -590,9 +590,7 @@ def _cmd_coranks(args):
 
 
 def _cmd_count(args):
-    model = _parse_curve(args.curve.split(","), "/curve")
-    ell = _parse_prime(args.ell, "/ell")
-    degree = _parse_int(args.degree, "/degree", minimum=1)
+    ell, degree = args.ell, args.degree
     # the count prints in decimal: refuse when its Hasse bound q + 1 + 2 sqrt(q),
     # q = ell^degree, would not; q >= 2^(4 limit) > 10^limit is seen without q
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -602,10 +600,8 @@ def _cmd_count(args):
         raise RequestError("/degree", f"{ell}^{degree} has about {digits} digits: the count over "
                            f"that field can pass the {limit}-digit limit on printing an integer")
     try:
-        n1 = count_points(reduce_model(model, fq_create(ell, 1)))
+        n1 = count_points(reduce_model(args.curve, fq_create(ell, 1)))
     except SingularModelError:
-        if discriminant(model) == 0:
-            raise
         raise RequestError("/ell", f"the curve has bad reduction at {ell}") from None
     n = extension_count(n1, ell, degree)
     q = ell**degree
@@ -614,48 +610,49 @@ def _cmd_count(args):
 
 
 # each subcommand: its handler, its help line, and its arguments as
-# (name or flag, add_argument keywords)
+# (name or flag, add_argument keywords, reader)
 _COMMANDS = {
     "analyze": (_cmd_analyze, "run the full pipeline on a JSON request", (
-        ("request", dict(help="request file path, or - for stdin")),
-        ("--samples", {}),
-        ("--precision-digits", {}),
+        ("request", dict(help="request file path, or - for stdin"), str),
+        ("--samples", {}, _read_samples),
+        ("--precision-digits", {}, _read_precision),
     )),
     "local": (_cmd_local, "Tate data and Euler factor at one place", (
-        ("--curve", dict(required=True, help="a1,a2,a3,a4,a6")),
-        ("--ell", dict(required=True)),
-        ("--conductor", dict(default=1)),
-        ("--precision-digits", {}),
+        ("--curve", dict(required=True, help="a1,a2,a3,a4,a6"), _read_curve),
+        ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
+        ("--conductor", dict(default=1), _read_conductor),
+        ("--precision-digits", {}, _read_precision),
     )),
     "splitting": (_cmd_splitting, "(e, f, g) of a prime in Q(mu_m)", (
-        ("--ell", dict(required=True)),
-        ("--conductor", dict(required=True)),
+        ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
+        # splitting computes no local data, so any m >= 1 will do
+        ("--conductor", dict(required=True), _integer("/base_field", minimum=1)),
     )),
     "torsion": (_cmd_torsion, "p-primary torsion bracket over Q(mu_m)", (
-        ("--curve", dict(required=True)),
-        ("--prime", dict(required=True)),
-        ("--conductor", dict(default=1)),
-        ("--samples", dict(default=20)),
+        ("--curve", dict(required=True), _read_curve),
+        ("--prime", dict(required=True), _integer("/prime", _parse_prime, minimum=5)),
+        ("--conductor", dict(default=1), _read_conductor),
+        ("--samples", dict(default=20), _read_samples),
     )),
     "tau": (_cmd_tau, "sum of local degrees at supersingular places above p", (
-        ("--curve", dict(required=True)),
-        ("--prime", dict(required=True)),
-        ("--conductor", dict(default=1)),
+        ("--curve", dict(required=True), _read_curve),
+        ("--prime", dict(required=True), _read_prime),
+        ("--conductor", dict(default=1), _read_conductor),
     )),
     "coranks": (_cmd_coranks, "corank window and tower predictions", (
-        ("--curve", dict(required=True)),
-        ("--prime", dict(required=True)),
-        ("--conductor", dict(default=1)),
-        ("--sigma-index", {}),
+        ("--curve", dict(required=True), _read_curve),
+        ("--prime", dict(required=True), _read_prime),
+        ("--conductor", dict(default=1), _read_conductor),
+        ("--sigma-index", {}, _integer("/external/sigma_index_R", minimum=1)),
     )),
     "count": (_cmd_count, "raw point count over F_{ell^f}", (
-        ("--curve", dict(required=True)),
-        ("--ell", dict(required=True)),
-        ("--degree", dict(default=1)),
+        ("--curve", dict(required=True), _read_curve),
+        ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
+        ("--degree", dict(default=1), _integer("/degree", minimum=1)),
     )),
 }
 # every subcommand's output format, ahead of its own arguments
-_FORMAT = ("--format", dict(choices=("json", "text"), default="text"))
+_FORMAT = ("--format", dict(choices=("json", "text"), default="text"), str)
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -667,8 +664,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _COMMANDS:
         return None
     fn, _, arguments = _COMMANDS[argv[0]]
-    flags = {name: keywords for name, keywords in (_FORMAT, *arguments) if name.startswith("--")}
-    positionals = [name for name, _ in arguments if not name.startswith("--")]
+    flags = {name: keywords for name, keywords, _ in (_FORMAT, *arguments) if name.startswith("--")}
+    positionals = [name for name, _, _ in arguments if not name.startswith("--")]
     given, values = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -691,8 +688,12 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         return None
     args = SimpleNamespace(fn=fn, command=argv[0], **dict(zip(positionals, values)))
     for name, keywords in flags.items():
-        setattr(args, name[2:].replace("-", "_"), given.get(name, keywords.get("default")))
+        setattr(args, _dest(name), given.get(name, keywords.get("default")))
     return args
+
+
+def _dest(name: str) -> str:  # an argument's attribute, as argparse names it
+    return name.lstrip("-").replace("-", "_")
 
 
 @lru_cache(maxsize=None)
@@ -717,7 +718,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     fn, _, arguments = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"eulerchar {command}")
     parser.set_defaults(fn=fn, command=command)
-    for name, keywords in (_FORMAT, *arguments):
+    for name, keywords, _ in (_FORMAT, *arguments):
         parser.add_argument(name, **keywords)
     return parser
 
@@ -734,13 +735,11 @@ def main(argv=None) -> int:
             build_parser().parse_args(argv)
         args = build_parser(argv[0]).parse_args(argv[1:])
     try:
-        _int_flags(args)
+        for name, _, read in (_FORMAT, *_COMMANDS[args.command][2]):
+            setattr(args, _dest(name), read(getattr(args, _dest(name))))
         doc, text, code = args.fn(args)
     except (ValueError, OSError) as exc:
-        if isinstance(exc, SingularModelError):
-            # analyze_request names the singular curve; a subcommand has one
-            exc = RequestError("/curve", str(exc))
-        elif not isinstance(exc, RequestError):
+        if not isinstance(exc, RequestError):
             exc = RequestError("/", str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -386,6 +386,20 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         # the torsion bracket needs p >= 5
         ("torsion --curve 1,0,0,-1,-1 --prime 3", "/prime"),
         ("torsion --curve 1,0,0,-1,-1 --prime 2", "/prime"),
+        # argparse hands `--flag=--` over as [], refused at the flag's pointer
+        *((f"{command} --curve=-- --{flag} 7", "/curve") for command, flag in
+          (("local", "ell"), ("torsion", "prime"), ("tau", "prime"), ("coranks", "prime"),
+           ("count", "ell"))),
+        ("splitting --ell=-- --conductor 7", "/ell"),
+        ("splitting --ell 7 --conductor=--", "/base_field"),
+        ("local --curve 1,0,0,-1,-1 --ell 7 --conductor=--", "/base_field"),
+        ("torsion --curve 1,0,0,-1,-1 --prime 7 --samples=--", "/samples"),
+        ("count --curve 0,0,0,0,1 --ell 5 --degree=--", "/degree"),
+        ("coranks --curve 1,0,0,-1,-1 --prime 7 --sigma-index=--", "/external/sigma_index_R"),
+        # flags are checked in the order their subcommand lists them, before
+        # a request file is read
+        ("local --curve 1,0,0,-1,x --ell x", "/curve/4"),
+        ("analyze missing.json --samples 0", "/samples"),
     ],
 )
 def test_subcommand_flags_rejected_at_their_pointer(capsys, argv, pointer):
@@ -396,6 +410,29 @@ def test_subcommand_flags_rejected_at_their_pointer(capsys, argv, pointer):
     assert code == 1 and out.out == ""
     assert out.err.startswith(f"error: {pointer}: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def _schema_flag_pointers() -> dict:
+    """Each flag of the "Subcommand arguments" table of docs/schema.md, and
+    the pointers its row lists."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "schema.md").read_text("utf-8")
+    rows = re.findall(r"^\| `(--[a-z-]+)[^`]*` \| ([^|]*) \|", text, re.M)
+    return {flag: re.findall(r"`([^`]+)`", pointers) for flag, pointers in rows}
+
+
+@pytest.mark.parametrize(
+    "command,flag,read",
+    [(command, name, read) for command, (_, _, arguments) in cli._COMMANDS.items()
+     for name, _, read in arguments if name.startswith("--")],
+)
+def test_flag_table_names_each_readers_pointer(command, flag, read):
+    """docs/schema.md lists every subcommand flag, at the pointer where its
+    reader refuses a value."""
+    table = _schema_flag_pointers()
+    assert flag in table
+    with pytest.raises(RequestError) as exc:
+        read("x")
+    assert exc.value.path in table[flag]
 
 
 def test_splitting_accepts_wild_conductors(capsys):
@@ -767,7 +804,7 @@ def test_read_argv_leaves_the_rest_to_argparse(argv):
 
 
 _FLAGS = sorted({name for _, _, arguments in cli._COMMANDS.values()
-                 for name, _ in (cli._FORMAT, *arguments) if name.startswith("--")})
+                 for name, _, _ in (cli._FORMAT, *arguments) if name.startswith("--")})
 _WORDS = [*COMMANDS, *_FLAGS, "--form", "--cond", "-h", "--help", "--", "-", "-3",
           "json", "text", "xml", "x", "", "--curve=-1,2,2,0,0", "1,0,0,-1,-1"]
 _word = st.sampled_from(_WORDS)
@@ -785,7 +822,7 @@ def _command_lines(draw):
     command = draw(st.sampled_from([*COMMANDS, "-h", "x"]))
     arguments = cli._COMMANDS[command][2] if command in cli._COMMANDS else ()
     items = []
-    for name, _ in (*arguments, cli._FORMAT):
+    for name, _, _ in (*arguments, cli._FORMAT):
         for _ in range(draw(st.sampled_from((1, 1, 1, 0, 2)))):
             value = draw(_format if name == "--format" else _value)
             if not name.startswith("--"):
