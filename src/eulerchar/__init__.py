@@ -28,7 +28,6 @@ from .euler import (
     rho_p,
     tau_p,
 )
-from .finite_fields import FqElement, FqField, fq_create
 from .local_fields import LocalElement, LocalField, make_local_field
 from .polynomials import Polynomial, rational_roots
 from .tate import KodairaType, LocalReductionData, pot_supersingular, tate_algorithm

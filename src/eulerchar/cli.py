@@ -33,7 +33,6 @@ from .curves import (
     WeierstrassModel,
     count_points,
     discriminant,
-    extension_count,
     reduce_model,
     torsion_bound_over_F,
 )
@@ -50,7 +49,6 @@ from .euler import (
     local_data_at,
     tau_p,
 )
-from .finite_fields import fq_create
 from .tate import LocalReductionData
 from .valuations import factorize, int_valuation, is_prime
 
@@ -131,23 +129,31 @@ def _parse_precision(value, path: str) -> None:
         _parse_int(value, path, minimum=4)
 
 
+def _ascii_int(text: str, signed: bool = True) -> int | None:
+    """The integer that text spells in the grammar `[+-]digits` (`digits`
+    when not signed) with ASCII digits; None for any other text, and past
+    int's digit limit.  `int(str)` also takes spaces, underscores and
+    non-ASCII digits."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    try:
+        return int(text) if text.isascii() and digits.isdigit() else None
+    except ValueError:  # past int's digit limit
+        return None
+
+
 def _parse_rational(value, path: str) -> Fraction:
     """An integer, or a string of the grammar `[+-]digits[/digits]` in
-    ASCII digits: the same spellings on every Python, where `Fraction(str)`
-    also takes spaces, decimal points, exponents, underscores (from 3.11)
-    and non-ASCII digits."""
+    ASCII digits (`_ascii_int`), where `Fraction(str)` also takes decimal
+    points and exponents."""
     if isinstance(value, bool):
         raise RequestError(path, "expected a decimal string or integer")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            try:
-                return Fraction(int(num), int(den) if slash else 1)
-            except (ValueError, ZeroDivisionError):  # past int's digit limit, or p/0
-                pass
+        n, d = _ascii_int(num), _ascii_int(den, signed=False) if slash else 1
+        if n is not None and d:  # d is 0 for p/0
+            return Fraction(n, d)
         raise RequestError(path, f"not a rational number: {value!r}")
     raise RequestError(path, f"expected a decimal string, got {value!r}")
 
@@ -486,17 +492,18 @@ def _emit(doc: dict, fmt, out) -> None:
 
 
 def _integer(path: str, parse=_parse_int, **bounds):
-    """The reader of a numeric flag: its text as the integer the request
-    field at path would hold, checked by parse(value, path, **bounds); an
-    optional flag not given stays None."""
+    """The reader of a numeric flag: its text, in the grammar `[+-]digits`
+    of `_ascii_int`, as the integer the request field at path would hold,
+    checked by parse(value, path, **bounds); an optional flag not given
+    stays None."""
     def read(value):
         if value is None:
             return None
         if isinstance(value, str):
-            try:
-                value = int(value)
-            except ValueError:
-                raise RequestError(path, f"expected an integer, got {value!r}") from None
+            number = _ascii_int(value)
+            if number is None:
+                raise RequestError(path, f"expected an integer, got {value!r}")
+            value = number
         return parse(value, path, **bounds)
     return read
 
@@ -600,10 +607,9 @@ def _cmd_count(args):
         raise RequestError("/degree", f"{ell}^{degree} has about {digits} digits: the count over "
                            f"that field can pass the {limit}-digit limit on printing an integer")
     try:
-        n1 = count_points(reduce_model(args.curve, fq_create(ell, 1)))
+        n = count_points(reduce_model(args.curve, ell), degree)
     except SingularModelError:
         raise RequestError("/ell", f"the curve has bad reduction at {ell}") from None
-    n = extension_count(n1, ell, degree)
     q = ell**degree
     doc = {"ell": ell, "degree": degree, "q": str(q), "count": str(n)}
     return doc, lambda _: f"#E(F_{q}) = {n}", 0

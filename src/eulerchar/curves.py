@@ -13,7 +13,7 @@ from math import isqrt, lcm
 from typing import NamedTuple
 
 from .cyclotomic import splitting
-from .finite_fields import FqElement, FqField, fq_create
+from .finite_fields import fq_create
 from .polynomials import Polynomial
 from .valuations import (
     int_valuation,
@@ -45,8 +45,8 @@ class _Coefficients(NamedTuple):
 class WeierstrassModel(_Coefficients):
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
 
-    Coefficients are Fractions for curves over Q, or FqElements for
-    reductions over a finite field.  The model is an immutable tuple of the
+    Coefficients are Fractions for curves over Q, or elements of F_ell for
+    a reduction (`reduce_model`).  The model is an immutable tuple of the
     five; `invariants` and `integral_model` are computed once per model
     object and memoized in its instance dict (this subclass declares no
     `__slots__` for that), so equal models built separately never share a
@@ -98,13 +98,11 @@ def c_invariants(b2, b4, b6, b8):
     return c4, c6, disc
 
 
-def discriminant(model: WeierstrassModel):
-    """Delta over the model's coefficient domain; 0 for a singular model.
-    A rational model reads it from its memoized invariants."""
-    if model.is_rational():
-        inv = model._invariants
-        return Fraction(0) if inv is None else inv.disc
-    return c_invariants(*b_invariants(model.coefficients()))[2]
+def discriminant(model: WeierstrassModel) -> Fraction:
+    """Delta of a rational model, read from its memoized invariants; 0 for
+    a singular model."""
+    inv = model._invariants
+    return Fraction(0) if inv is None else inv.disc
 
 
 class CurveInvariants(NamedTuple):
@@ -163,14 +161,16 @@ def _compute_integral_model(model: WeierstrassModel) -> WeierstrassModel:
     return WeierstrassModel(*(c * d**k for c, k in zip(model.coefficients(), (1, 2, 3, 4, 6))))
 
 
-def reduce_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
-    """Reduce an integral rational model modulo the field characteristic."""
-    p = field.characteristic
+def reduce_model(model: WeierstrassModel, ell: int) -> WeierstrassModel:
+    """The model over F_ell of a rational model integral at the prime ell.
+    This is the library's one constructor of F_ell: it builds every curve
+    the library counts."""
+    field = fq_create(ell, 1)
 
-    def red(c: Fraction) -> FqElement:
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} is not integral at {p}")
-        return field.from_int(c.numerator * pow(c.denominator, -1, p))
+    def red(c: Fraction):
+        if c.denominator % ell == 0:
+            raise ValueError(f"coefficient {c} is not integral at {ell}")
+        return field.from_int(c.numerator * pow(c.denominator, -1, ell))
 
     return WeierstrassModel(*(red(c) for c in model.coefficients()))
 
@@ -178,29 +178,28 @@ def reduce_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
 # -- point counting --------------------------------------------------------------
 
 
-def count_points(model: WeierstrassModel) -> int:
-    """#E(F_q) including infinity, for q = ell^f.
+def count_points(model: WeierstrassModel, f: int = 1) -> int:
+    """#E(F_{ell^f}) including infinity, for a model over F_ell from
+    `reduce_model`.
 
-    The model must be defined over the prime field F_ell (every coefficient
-    has coords[1:] == 0).  It is counted over F_ell (`_count_prime_field`:
-    O(ell^{1/4}) group operations above ell = 229, a pass over the x-fibers
-    at or below) and the count over F_q follows from the Frobenius trace
-    recurrence (`extension_count`, which also checks the Hasse bound).  The
-    pipeline only builds such models: every choice in Tate's algorithm is
-    canonical, so the residue curve is defined over F_ell.  Any other model
-    raises ValueError, as does ell > COUNT_CAP or a singular model.
+    It is counted over F_ell (`_count_prime_field`: O(ell^{1/4}) group
+    operations above ell = 229, a pass over the x-fibers at or below), and
+    the count over F_{ell^f} follows from the Frobenius trace recurrence
+    (`extension_count`, which also checks the Hasse bound).  Every curve the
+    pipeline counts is defined over F_ell, since every choice in Tate's
+    algorithm is canonical.  A model over an extension field raises
+    ValueError, as do ell > COUNT_CAP and a singular model.
     """
     field = model.a1.field
     ell = field.characteristic
+    if field.degree != 1:
+        raise ValueError(f"model is over F_{ell}^{field.degree}, not the prime field F_{ell}")
     if ell > COUNT_CAP:
         raise ValueError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
-    if any(any(c.coords[1:]) for c in model.coefficients()):
-        raise ValueError(f"model is not defined over the prime field F_{ell}")
     coeffs = [c.coords[0] for c in model.coefficients()]
     if c_invariants(*b_invariants(coeffs))[2] % ell == 0:
         raise SingularModelError("cannot count points on a singular model")
-    n1 = _count_prime_field(ell, coeffs)
-    return extension_count(n1, ell, field.degree)
+    return extension_count(_count_prime_field(ell, coeffs), ell, f)
 
 
 def _count_prime_field(p: int, coeffs: list[int]) -> int:
@@ -487,9 +486,7 @@ def torsion_bound_over_F(
             raise ValueError(f"could not find {samples} usable primes below 10000")
         if ell == p or vp(disc, ell) != 0:
             continue
-        f = splitting(ell, m).f
-        n1 = count_points(reduce_model(model, fq_create(ell, 1)))
-        nf = extension_count(n1, ell, f)
+        nf = count_points(reduce_model(model, ell), splitting(ell, m).f)
         e = int_valuation(nf, p)
         upper_exp = e if upper_exp is None else min(upper_exp, e)
         used += 1
@@ -500,20 +497,16 @@ def torsion_bound_over_F(
     return TorsionEstimate(p=p, lower=lower, upper=upper)
 
 
-def model_with_j_invariant(jbar: FqElement) -> WeierstrassModel:
-    """Some model over the field of jbar with that j-invariant (char >= 5)."""
-    field = jbar.field
-    if field.characteristic < 5:
+def model_with_j_invariant(jbar: int, p: int) -> WeierstrassModel:
+    """Some model over F_p with j-invariant jbar mod p, for a prime p >= 5."""
+    if p < 5:
         raise ValueError("construction requires characteristic >= 5")
-    if jbar.is_zero():
-        return WeierstrassModel(
-            field.zero(), field.zero(), field.zero(), field.zero(), field.one()
-        )
-    if jbar == field.from_int(1728):
-        return WeierstrassModel(
-            field.zero(), field.zero(), field.zero(), field.one(), field.zero()
-        )
-    c = (jbar - field.from_int(1728)).inverse()
-    return WeierstrassModel(
-        field.one(), field.zero(), field.zero(), field.from_int(-36) * c, -c
-    )
+    jbar %= p
+    if jbar == 0:
+        coeffs = (0, 0, 0, 0, 1)
+    elif jbar == 1728 % p:
+        coeffs = (0, 0, 0, 1, 0)
+    else:
+        c = pow(jbar - 1728, -1, p)
+        coeffs = (1, 0, 0, -36 * c, -c)
+    return reduce_model(WeierstrassModel.from_rationals(coeffs), p)

@@ -5,9 +5,9 @@ polynomial of degree f in increasing integer encoding sum(c_i * ell**i),
 so every run produces bit-identical field models.  For f = 1 the modulus
 is u itself.
 
-The library builds only F_ell = fq_create(ell, 1): every residue of Tate's
-algorithm and every curve it counts lies there, and counts over F_{ell^f}
-follow by the Frobenius recurrence.  The extension fields stay as the
+The library builds only F_ell = fq_create(ell, 1), in its one call,
+`curves.reduce_model`: every curve it counts lies there, and counts over
+F_{ell^f} follow by the Frobenius recurrence.  The extension fields stay as the
 model the test oracles count and scan over.
 """
 

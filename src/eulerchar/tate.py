@@ -19,8 +19,8 @@ v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
 the integral rational model: translations leave Delta unchanged and each
 step-11 rescale by pi divides it by pi^12 (Silverman, Advanced Topics,
 IV.9).  Good and multiplicative places never embed the model in the pi-adic
-field.  At v(Delta) = 0 the integral model is reduced straight into the
-residue field.  A model is minimal with multiplicative reduction exactly
+field.  At v(Delta) = 0 the residues of the integral model are those of
+the reduced curve.  A model is minimal with multiplicative reduction exactly
 when v(c4) = 0, i.e. v(Delta) = -v(j) > 0, and then the type is I_n with
 n = v(Delta); its split test needs only the residues of a1 and of
 a2 + 3 x0 at the singular point (x0, y0) (Silverman, Advanced Topics, IV.9;
@@ -41,12 +41,11 @@ residue it inspects lies in F_ell.  The residue degree f enters only in
 q_v = ell^f, in the number of roots in F_{ell^f} of each residue quadratic
 or cubic (the split test of the tangent cone included), where an
 irreducible factor of degree k over F_ell contributes its k roots exactly
-when k divides f, and in N_v, the F_ell count of the reduced curve
-extended to F_{ell^f} by the Frobenius recurrence (`extension_count`) and
-checked against the Hasse bound; above ell = 229 the F_ell count costs
-O(ell^{1/4}) group operations for any f (`count_points`).  Potential
-supersingularity above p is read off a_p mod p of a curve over F_p with
-the reduced j.
+when k divides f, and in N_v = #E(F_{ell^f}), which `count_points` takes
+of the reduced curve over F_ell and which is checked against the Hasse
+bound.  Potential supersingularity above p is read off a_p mod p of a
+curve over F_p with the reduced j.  Both curves over F_ell come from
+`curves.reduce_model`; this module handles residues as integers only.
 """
 
 from __future__ import annotations
@@ -58,13 +57,11 @@ from .curves import (
     WeierstrassModel,
     b_invariants,
     count_points,
-    extension_count,
     integral_model,
     invariants,
     model_with_j_invariant,
     reduce_model,
 )
-from .finite_fields import fq_create
 from .local_fields import LocalElement, LocalField
 from .polynomials import count_roots_in_field
 from .valuations import vp
@@ -129,7 +126,6 @@ class LocalReductionData(NamedTuple):
     potentially_good: bool
     N_v: int | None
     L_at_1: Fraction
-    reduced_model: WeierstrassModel | None
 
     # a class constant, not a field: `bench/tracing.py` reads it with
     # `LocalField.precision` to count precision retries, of which there are
@@ -139,10 +135,6 @@ class LocalReductionData(NamedTuple):
     @property
     def is_good(self) -> bool:
         return self.kodaira.is_good
-
-    def comparable_fields(self) -> tuple:
-        """Everything reported: every field but the last, the reduced model."""
-        return self[:-1]
 
 
 # -- residue-field helpers: residues are integers mod ell -----------------------
@@ -297,11 +289,11 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
     n = K.e * vp(inv.disc, ell)
+    abar = [c.numerator % ell for c in work.coefficients()]
     if n == 0:
-        return _good_data(reduce_model(work, fq_create(ell, 1)), place)
+        return _good_data(abar, place)
     # the pi-adic model, embedded at the first round that is not multiplicative
     a = None
-    abar = [c.numerator % ell for c in work.coefficients()]
 
     for _round in range(n // 12 + 1):
         # Step 2: the singular point, from the residues of the current model.
@@ -372,9 +364,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
         n -= 12
         abar = [x.residue() for x in a]
         if n == 0:
-            k = fq_create(ell, 1)
-            reduced = WeierstrassModel(*(k.from_int(x) for x in abar))
-            return _good_data(reduced, place)
+            return _good_data(abar, place)
 
     raise AssertionError("tate loop failed to terminate")
 
@@ -443,7 +433,7 @@ def _star_loop(
     raise AssertionError("I_n* ladder failed to terminate")
 
 
-def _finish(place, kodaira, c_v, v_min_delta, cls, N_v=None, reduced=None):
+def _finish(place, kodaira, c_v, v_min_delta, cls, N_v=None):
     q = place["q_v"]
     if N_v is not None and (q + 1 - N_v) ** 2 > 4 * q:
         raise AssertionError(f"Hasse bound fails: N_v = {N_v} over F_{q}")
@@ -459,7 +449,6 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, N_v=None, reduced=None):
         potentially_good=place["potentially_good"],
         N_v=N_v,
         L_at_1=_euler_factor(cls, q, N_v),
-        reduced_model=reduced,
     )
     if data.potentially_good and data.c_v > 4:
         raise AssertionError("potentially good reduction forces c_v <= 4")
@@ -474,14 +463,13 @@ def _additive(place, kodaira, c_v, v_min_delta):
     return _finish(place, kodaira, c_v, v_min_delta, ADDITIVE)
 
 
-def _good_data(reduced: WeierstrassModel, place) -> LocalReductionData:
-    """Good reduction: reduced is the model over F_ell, counted there and
-    extended to F_q."""
-    q = place["q_v"]
-    N = extension_count(count_points(reduced), place["ell"], place["f"])
-    trace = q + 1 - N
-    cls = GOOD_SUPERSINGULAR if trace % place["ell"] == 0 else GOOD_ORDINARY
-    return _finish(place, KodairaType("I0"), 1, 0, cls, N_v=N, reduced=reduced)
+def _good_data(abar: list[int], place) -> LocalReductionData:
+    """Good reduction: abar are the residues of a minimal model, whose
+    curve over F_ell is counted over F_q."""
+    ell, q = place["ell"], place["q_v"]
+    N = count_points(reduce_model(WeierstrassModel.from_rationals(abar), ell), place["f"])
+    cls = GOOD_SUPERSINGULAR if (q + 1 - N) % ell == 0 else GOOD_ORDINARY
+    return _finish(place, KodairaType("I0"), 1, 0, cls, N_v=N)
 
 
 # -- derived operations -------------------------------------------------------------
@@ -515,5 +503,4 @@ def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     jbar = num * pow(den, p - 2, p) % p
     if p <= 3:
         return jbar == 0  # the supersingular locus in characteristic 2 and 3
-    N = count_points(model_with_j_invariant(fq_create(p, 1).from_int(jbar)))
-    return N % p == 1
+    return count_points(model_with_j_invariant(jbar, p)) % p == 1

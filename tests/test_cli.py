@@ -400,16 +400,43 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         # a request file is read
         ("local --curve 1,0,0,-1,x --ell x", "/curve/4"),
         ("analyze missing.json --samples 0", "/samples"),
+        # a numeric flag is `[+-]digits` in ASCII digits, as a coefficient is,
+        # where int() also reads underscores, surrounding spaces and the
+        # digits of other scripts
+        ("splitting --ell 1_1 --conductor 7", "/ell"),
+        ("local --curve 1,0,0,-1,-1 --ell \u0667", "/ell"),  # Arabic-Indic 7
+        (["splitting", "--ell", "11", "--conductor", " 7"], "/base_field"),
+        (["count", "--curve", "0,0,0,0,1", "--ell", "5", "--degree", "3\n"], "/degree"),
+        ("torsion --curve 1,0,0,-1,-1 --prime 7 --samples 2_0", "/samples"),
     ],
 )
 def test_subcommand_flags_rejected_at_their_pointer(capsys, argv, pointer):
     """Every subcommand flag is checked as the request field it stands for,
     and a rejection is one line naming that field's pointer."""
-    code = main(argv.split())
+    code = main(argv.split() if isinstance(argv, str) else argv)
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err.startswith(f"error: {pointer}: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def test_numeric_flags_take_a_sign_and_leading_zeros(capsys):
+    """`[+-]digits` admits a plus sign and leading zeros."""
+    assert main(["splitting", "--ell", "+7", "--conductor", "07"]) == 0
+    assert capsys.readouterr().out == "7 in Q(mu_7): e=6 f=1 g=1 (residue field F_7)\n"
+
+
+def test_survey_reads_flags_with_the_subcommand_grammar():
+    """scripts/reduction_survey.py reads --prime with the reader of the
+    subcommands, so `1_1` is refused at /prime rather than read as 11."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reduction_survey.py"),
+         "--curve", "1,0,0,-1,-1", "--prime", "1_1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: /prime: expected an integer, got '1_1'\n"
 
 
 def _schema_flag_pointers() -> dict:
@@ -710,7 +737,6 @@ def test_count_degree_refused_past_printable_digits(monkeypatch, capsys):
     try:
         sys.set_int_max_str_digits(4300)
         monkeypatch.setattr(cli, "count_points", refuse)
-        monkeypatch.setattr(cli, "extension_count", refuse)
         assert main([*argv, "100000"]) == 1
         out = capsys.readouterr()
         assert out.out == ""

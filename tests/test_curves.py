@@ -30,6 +30,7 @@ from oracles import (
     brute_count,
     extension_count_linear,
     is_on_curve,
+    lift_model,
     lift_x_to_points,
     point_order,
     rational_roots_by_divisors,
@@ -124,14 +125,13 @@ def test_point_arithmetic_group_law():
 
 
 def test_count_anchors():
-    F5 = fq_create(5, 1)
     # enumeration oracle: fibers of y^2 = x^3 + 1 at x = 0..4 give 2+0+2+0+1
     fiber = []
     for x in range(5):
         rhs = (x**3 + 1) % 5
         fiber.append(len([y for y in range(5) if (y * y - rhs) % 5 == 0]))
     assert fiber == [2, 0, 2, 0, 1]
-    assert count_points(reduce_model(EJ0, F5)) == sum(fiber) + 1 == 6
+    assert count_points(reduce_model(EJ0, 5)) == sum(fiber) + 1 == 6
 
     F2 = fq_create(2, 1)
     curve = WeierstrassModel(F2.zero(), F2.zero(), F2.one(), F2.zero(), F2.zero())
@@ -152,16 +152,34 @@ def test_count_rejects_singular():
 
 def test_count_char2_extension_field():
     F8 = fq_create(2, 3)
-    curve = reduce_model(WeierstrassModel.from_rationals([0, 0, 1, 0, 0]), F8)
-    n = count_points(curve)
+    curve = reduce_model(WeierstrassModel.from_rationals([0, 0, 1, 0, 0]), 2)
+    n = count_points(curve, 3)
     # brute force over all of F_8 x F_8, and the fiber oracle
     brute = 1
     for x in F8.elements():
         for y in F8.elements():
             if y * y + y == x * x * x:
                 brute += 1
-    assert n == brute == brute_count(curve)
+    assert n == brute == brute_count(lift_model(curve, F8))
     assert abs(8 + 1 - n) <= 2 * isqrt(8)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_count_points_over_extension_matches_brute_count(ell, f):
+    """count_points(model, f) of a model over F_ell is the count over
+    F_{ell^f}, against enumerating that field, for 11a, 37a and y^2 = x^3 + 1
+    at every ell in {2, 3, 5, 7} where they have good reduction."""
+    e11a = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])
+    e37a = WeierstrassModel.from_rationals([0, 0, 1, -1, 0])
+    counted = 0
+    for E in (e11a, e37a, EJ0):
+        if invariants(E).disc.numerator % ell == 0:
+            continue
+        reduced = reduce_model(E, ell)
+        assert count_points(reduced, f) == brute_count(lift_model(reduced, fq_create(ell, f)))
+        counted += 1
+    assert counted >= 2
 
 
 def test_extension_count_anchors():
@@ -205,7 +223,7 @@ def test_extension_count_matches_direct():
             modelk = WeierstrassModel(*(Fk.from_int(c) for c in coeffs))
             assert n1 == brute_count(model1)
             assert extension_count(n1, ell, k) == brute_count(modelk)
-            assert count_points(modelk) == brute_count(modelk)
+            assert count_points(model1, k) == brute_count(modelk)
 
 
 def _primes_between(lo, hi):
@@ -271,12 +289,12 @@ def test_count_above_mestre_bound_matches_brute_count():
     code with either library count."""
     rng = random.Random(233)
     for ell in (233, 251):
-        F = fq_create(ell, 1)
         for _ in range(4):
-            model = WeierstrassModel(*(F.from_int(rng.randrange(ell)) for _ in range(5)))
-            if curves.discriminant(model).is_zero():
+            model = WeierstrassModel.from_rationals([rng.randrange(ell) for _ in range(5)])
+            if curves.discriminant(model) % ell == 0:
                 continue
-            assert count_points(model) == brute_count(model)
+            reduced = reduce_model(model, ell)
+            assert count_points(reduced) == brute_count(reduced)
 
 
 def _points(model, F, p, count):
@@ -303,7 +321,7 @@ def test_large_count_annihilates_points(p):
     assert p % 4 == 3 and _is_prime(p)
     F = fq_create(p, 1)
     for model in (E294, EJ0, WeierstrassModel.from_rationals([0, 0, 0, 1, 0])):
-        E = reduce_model(model, F)
+        E = reduce_model(model, p)
         N = count_points(E)
         assert (p + 1 - N) ** 2 <= 4 * p
         for P in _points(E, F, p, 10):
@@ -321,12 +339,16 @@ def test_large_count_annihilates_points(p):
 
 
 def test_count_rejects_model_outside_prime_field():
+    """A model over an extension field is refused, even one whose
+    coefficients all lie in the prime field: the degree goes in f."""
     F25 = fq_create(5, 2)
     u = F25.generator()
     model = WeierstrassModel(F25.zero(), F25.zero(), F25.zero(), u, F25.one())
-    assert not curves.discriminant(model).is_zero()
+    assert not c_invariants(*b_invariants(model.coefficients()))[2].is_zero()
     with pytest.raises(ValueError, match="prime field"):
         count_points(model)
+    with pytest.raises(ValueError, match="prime field"):
+        count_points(lift_model(reduce_model(EJ0, 5), F25))
 
 
 def test_division_polynomial_anchors():
@@ -364,7 +386,7 @@ def test_division_polynomial_roots_are_torsion_x(coeffs, n):
     assert all(type(c) is int for c in psi.coeffs)
     assert (psi.degree, psi.coeffs[-1]) == ((n * n - 1) // 2, n)
     F = fq_create(31, 2)
-    reduced = reduce_model(model, F)
+    reduced = lift_model(reduce_model(model, 31), F)
     a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
     torsion_x = set()
     for x in range(31):
@@ -599,7 +621,7 @@ def test_torsion_divides_reduction_sample():
         used = 0
         while used < 3:
             if disc.numerator % ell and ell != p:
-                n = count_points(reduce_model(integral_model(model), fq_create(ell, 1)))
+                n = count_points(reduce_model(integral_model(model), ell))
                 assert n % order == 0
                 used += 1
             ell += 1
@@ -613,12 +635,11 @@ def _is_prime(n):
 
 def test_model_with_j_invariant():
     F13 = fq_create(13, 1)
-    for j in range(13):
-        model = model_with_j_invariant(F13.from_int(j))
-        from eulerchar.curves import discriminant
-
-        assert not discriminant(model).is_zero()
-        b2, b4, b6, b8 = b_invariants(model.coefficients())
-        c4 = b2 * b2 - 24 * b4
-        jm = c4 * c4 * c4 * discriminant(model).inverse()
-        assert jm == F13.from_int(j)
+    for j in range(-13, 26):
+        model = model_with_j_invariant(j, 13)
+        assert model.a1.field is F13
+        c4, _, disc = c_invariants(*b_invariants(model.coefficients()))
+        assert not disc.is_zero()
+        assert c4 * c4 * c4 * disc.inverse() == F13.from_int(j)
+    with pytest.raises(ValueError):
+        model_with_j_invariant(0, 3)
