@@ -31,9 +31,7 @@ from .curves import (
     SingularModelError,
     TorsionEstimate,
     WeierstrassModel,
-    count_points,
     discriminant,
-    reduce_model,
     torsion_bound_over_F,
 )
 from .cyclotomic import CyclotomicSplitting, field_degree, splitting
@@ -49,13 +47,17 @@ from .euler import (
     local_data_at,
     tau_p,
 )
-from .tate import LocalReductionData
+from .local_fields import make_local_field
+from .tate import LocalReductionData, tate_algorithm
 from .valuations import factorize, int_valuation, is_prime
 
 SCHEMA_VERSION = 1
 # torsion_bound_over_F samples good primes below 10^4, of which there are
 # 1229: this leaves room for p and up to 228 primes of bad reduction
 MAX_SAMPLES = 1000
+# deepest nesting of arrays and objects in a request: the schema's is 4, and
+# the JSON decoder raises RecursionError near 1000 on CPython 3.10-3.12 only
+MAX_NESTING = 100
 
 
 class RequestError(ValueError):
@@ -239,6 +241,18 @@ def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
         return AbelianVarietyInput(dimension=dim, factors=factors, reduction_table=table)
     except ValueError as exc:
         raise RequestError(path, str(exc)) from None
+
+
+def _nests_deeper(doc, limit: int) -> bool:
+    """Whether arrays and objects nest in doc more than limit levels deep,
+    found level by level, without recursion."""
+    level = [doc]
+    for _ in range(limit):
+        level = [v for c in level if isinstance(c, (list, dict))
+                 for v in (c.values() if isinstance(c, dict) else c)]
+        if not level:
+            return False
+    return any(isinstance(c, (list, dict)) for c in level)
 
 
 def parse_request(obj) -> dict:
@@ -531,8 +545,13 @@ def _cmd_analyze(args):
             raw = fh.read()
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        deep = _nests_deeper(obj, MAX_NESTING)
+    except json.JSONDecodeError as exc:
         raise RequestError("/", f"invalid JSON ({exc})") from None
+    except RecursionError:
+        deep = True
+    if deep:
+        raise RequestError("/", f"invalid JSON (nesting deeper than {MAX_NESTING})")
     parsed = parse_request(obj)
     if args.samples is not None:
         parsed["samples"] = args.samples
@@ -606,10 +625,10 @@ def _cmd_count(args):
         digits = int(degree * log10(ell)) + 1
         raise RequestError("/degree", f"{ell}^{degree} has about {digits} digits: the count over "
                            f"that field can pass the {limit}-digit limit on printing an integer")
-    try:
-        n = count_points(reduce_model(args.curve, ell), degree)
-    except SingularModelError:
-        raise RequestError("/ell", f"the curve has bad reduction at {ell}") from None
+    # the count of the reduction of a minimal model at ell, whatever the model given
+    n = tate_algorithm(args.curve, make_local_field(ell, 1), f=degree).N_v
+    if n is None:
+        raise RequestError("/ell", f"the curve has bad reduction at {ell}")
     q = ell**degree
     doc = {"ell": ell, "degree": degree, "q": str(q), "count": str(n)}
     return doc, lambda _: f"#E(F_{q}) = {n}", 0

@@ -45,8 +45,9 @@ class _Coefficients(NamedTuple):
 class WeierstrassModel(_Coefficients):
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
 
-    Coefficients are Fractions for curves over Q, or elements of F_ell for
-    a reduction (`reduce_model`).  The model is an immutable tuple of the
+    Coefficients are Fractions for curves over Q, or residues in F_ell for
+    a reduction (`reduce_model`), which carry no arithmetic: only
+    `count_points` reads them.  The model is an immutable tuple of the
     five; `invariants` and `integral_model` are computed once per model
     object and memoized in its instance dict (this subclass declares no
     `__slots__` for that), so equal models built separately never share a
@@ -165,7 +166,7 @@ def reduce_model(model: WeierstrassModel, ell: int) -> WeierstrassModel:
     """The model over F_ell of a rational model integral at the prime ell.
     This is the library's one constructor of F_ell: it builds every curve
     the library counts."""
-    field = fq_create(ell, 1)
+    field = fq_create(ell)
 
     def red(c: Fraction):
         if c.denominator % ell == 0:
@@ -187,8 +188,9 @@ def count_points(model: WeierstrassModel, f: int = 1) -> int:
     the count over F_{ell^f} follows from the Frobenius trace recurrence
     (`extension_count`, which also checks the Hasse bound).  Every curve the
     pipeline counts is defined over F_ell, since every choice in Tate's
-    algorithm is canonical.  A model over an extension field raises
-    ValueError, as do ell > COUNT_CAP and a singular model.
+    algorithm is canonical.  A model over an extension field (the test
+    oracles build them) raises ValueError, as do ell > COUNT_CAP and a
+    singular model.
     """
     field = model.a1.field
     ell = field.characteristic
@@ -452,12 +454,6 @@ class TorsionEstimate(NamedTuple):
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-    @property
-    def order(self) -> int:
-        if not self.exact:
-            raise ValueError("torsion order is not exact")
-        return self.lower
 
 
 def torsion_bound_over_F(

@@ -43,9 +43,6 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

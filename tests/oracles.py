@@ -1,5 +1,13 @@
 """Brute-force oracles for the tests.
 
+`finite_field(ell, f)` builds F_{ell^f} = F_ell[u]/(modulus) with its
+arithmetic: the reference field the counts, root scans and group-law checks
+below run on.  The library builds only F_ell, without arithmetic, in
+`curves.reduce_model`.  The modulus is pinned deterministically: the first
+monic irreducible polynomial of degree f in increasing integer encoding
+sum(c_i * ell**i), found by the Rabin test, so every run builds the same
+field.  For f = 1 the modulus is u itself.
+
 `brute_count` enumerates the x-fibers of a Weierstrass model over its whole
 field F_q, with no reference to Frobenius, so it checks the library's
 F_ell count plus trace recurrence on any model, including those over
@@ -22,7 +30,7 @@ Its divisors come by trial division up to the square root: keep both small.
 `base_change_rules` gives the textbook reduction data over the unramified
 extension of degree f, against Tate's algorithm run with residue degree f.
 
-The generic chord-tangent group law, exact over Q and over any FqField:
+The generic chord-tangent group law, exact over Q and over any FiniteField:
 `CurvePoint`, `is_on_curve`, `negate_point`, `add_points`, `scalar_mul` and
 `point_order`, with `lift_x_to_points` for the rational points above an x.
 It checks Shanks-Mestre, the roots of psi_n and the square test that
@@ -33,14 +41,20 @@ metamorphic tests of Tate's algorithm and the invariants.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from eulerchar.curves import WeierstrassModel, extension_count
-from eulerchar.finite_fields import FqElement, FqField
 from eulerchar.local_fields import LocalElement
-from eulerchar.polynomials import Polynomial
+from eulerchar.polynomials import (
+    Polynomial,
+    _frobenius_minus_x_mod_p,
+    _poly_gcd_mod_p,
+    _poly_mulmod_mod_p,
+)
 from eulerchar.tate import (
     GOOD_ORDINARY,
     GOOD_SUPERSINGULAR,
@@ -48,16 +62,193 @@ from eulerchar.tate import (
     MULT_SPLIT,
     LocalReductionData,
 )
-from eulerchar.valuations import rational_sqrt
+from eulerchar.valuations import factorize, is_prime, rational_sqrt
 
 
-def lift_model(model: WeierstrassModel, field: FqField) -> WeierstrassModel:
-    """A model over the prime field F_ell, with its coefficients read as
-    elements of a field of characteristic ell."""
+# -- finite fields ----------------------------------------------------------------
+
+
+class FieldElement:
+    """Element of a FiniteField, stored as f coefficients in {0, ..., ell-1}."""
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: "FiniteField", coords: tuple[int, ...]):
+        self.field = field
+        self.coords = coords
+
+    def _check(self, other: "FieldElement"):
+        if self.field is not other.field:
+            raise ValueError("elements belong to different fields")
+
+    def __add__(self, other):
+        self._check(other)
+        p = self.field.characteristic
+        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        p = self.field.characteristic
+        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        p = self.field.characteristic
+        return FieldElement(self.field, tuple(-a % p for a in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            p = self.field.characteristic
+            return FieldElement(self.field, tuple(a * other % p for a in self.coords))
+        self._check(other)
+        return FieldElement(self.field, self.field._mul(self.coords, other.coords))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def inverse(self) -> "FieldElement":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.field.order - 2)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self.coords)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FieldElement)
+            and self.field is other.field
+            and self.coords == other.coords
+        )
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return f"GF({self.field.characteristic}^{self.field.degree}){list(self.coords)}"
+
+
+class FiniteField:
+    """Finite field with ell**f elements: polynomial arithmetic modulo
+    (modulus, ell), with the modulus `finite_field` picks."""
+
+    def __init__(self, ell: int, f: int, modulus: tuple[int, ...]):
+        self.characteristic = ell
+        self.degree = f
+        self.order = ell**f
+        self.modulus = modulus  # length f+1, monic, low-to-high degree
+
+    def zero(self) -> FieldElement:
+        return FieldElement(self, (0,) * self.degree)
+
+    def one(self) -> FieldElement:
+        return self.from_int(1)
+
+    def from_int(self, n: int) -> FieldElement:
+        coords = [0] * self.degree
+        coords[0] = n % self.characteristic
+        return FieldElement(self, tuple(coords))
+
+    def generator(self) -> FieldElement:
+        """The class of u (only meaningful for f > 1)."""
+        coords = [0] * self.degree
+        if self.degree > 1:
+            coords[1] = 1
+        else:
+            coords[0] = 1
+        return FieldElement(self, tuple(coords))
+
+    def elements(self):
+        """Iterate over all q elements, in deterministic coordinate order."""
+        p = self.characteristic
+        for coords in itertools.product(range(p), repeat=self.degree):
+            yield FieldElement(self, coords)
+
+    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        p, f = self.characteristic, self.degree
+        if f == 1:
+            return (a[0] * b[0] % p,)
+        rem = _poly_mulmod_mod_p(a, b, self.modulus, p)
+        return tuple(rem) + (0,) * (f - len(rem))
+
+    def absolute_trace(self, a: FieldElement) -> int:
+        """Trace down to the prime field, returned as an integer in [0, ell)."""
+        acc = self.zero()
+        x = a
+        for _ in range(self.degree):
+            acc = acc + x
+            x = x**self.characteristic
+        if any(c != 0 for c in acc.coords[1:]):
+            raise AssertionError("trace left the prime field")
+        return acc.coords[0]
+
+    def __repr__(self):
+        return f"FiniteField({self.characteristic}^{self.degree})"
+
+
+def _is_irreducible_mod_p(poly: tuple[int, ...], p: int) -> bool:
+    """Irreducibility over F_p of a monic polynomial of degree f >= 2, by
+    the Rabin criterion: x^(p^f) = x modulo the polynomial, and
+    x^(p^(f/t)) - x is coprime to it for every prime t | f."""
+    f = len(poly) - 1
+    modulus = list(poly)
+    for t, _ in factorize(f):
+        h = _frobenius_minus_x_mod_p(p ** (f // t), modulus, p)
+        if _poly_gcd_mod_p(modulus, h, p) != [1]:
+            return False
+    return _frobenius_minus_x_mod_p(p**f, modulus, p) == [0]
+
+
+@lru_cache(maxsize=None)
+def finite_field(ell: int, f: int) -> FiniteField:
+    """The finite field with ell**f elements, with deterministic modulus.
+
+    The modulus is the first monic irreducible of degree f when monic
+    polynomials are enumerated by increasing integer encoding
+    sum(c_i * ell**i) of their non-leading coefficients.
+    Raises ValueError for composite ell or f < 1.
+    """
+    if not is_prime(ell):
+        raise ValueError(f"characteristic must be prime, got {ell}")
+    if f < 1:
+        raise ValueError(f"degree must be >= 1, got {f}")
+    if f == 1:
+        return FiniteField(ell, 1, (0, 1))  # modulus u
+    for code in range(ell**f):
+        coeffs = []
+        c = code
+        for _ in range(f):
+            coeffs.append(c % ell)
+            c //= ell
+        candidate = tuple(coeffs) + (1,)
+        if _is_irreducible_mod_p(candidate, ell):
+            return FiniteField(ell, f, candidate)
+    raise AssertionError("unreachable: irreducibles of every degree exist")
+
+
+# -- counts, roots and local checks -------------------------------------------------
+
+
+def lift_model(model: WeierstrassModel, field: FiniteField) -> WeierstrassModel:
+    """A model over the library's F_ell (a `curves.reduce_model` result),
+    with its coefficients read as elements of a field of characteristic ell."""
     return WeierstrassModel(*(field.from_int(c.coords[0]) for c in model.coefficients()))
 
 
-def roots_in_field(coeffs: list[int], field: FqField) -> list[FqElement]:
+def roots_in_field(coeffs: list[int], field: FiniteField) -> list[FieldElement]:
     """All roots in the given finite field of the polynomial with integer
     coefficients coeffs (low to high), found by scanning the field.  Roots
     are listed once each, in the field's deterministic element order."""

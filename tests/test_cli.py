@@ -334,6 +334,40 @@ def test_subcommands_smoke(capsys):
     assert doc["window"] == [0, 6] and doc["global_corank"] == 12
 
 
+@pytest.mark.parametrize(
+    "curve,ell,degree,count",
+    [
+        ("1,0,0,-1,-1", 5, 1, 7),
+        # E by x = 25 x', y = 125 y' and by x = x'/25, y = y'/125: one model is
+        # not integral at 5, the other not minimal, and both count E mod 5
+        ("1/5,0,0,-1/625,-1/15625", 5, 1, 7),
+        ("5,0,0,-625,-15625", 5, 1, 7),
+        ("0,0,0,0,1", 5, 3, 126),
+        ("1,0,0,-1,-1", 10000019, 1, 9997855),
+    ],
+)
+def test_count_takes_the_reduction_of_a_minimal_model(capsys, curve, ell, degree, count):
+    argv = ["count", "--curve", curve, "--ell", str(ell), "--degree", str(degree)]
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"ell": ell, "degree": degree, "q": str(ell**degree), "count": str(count)}
+
+
+def test_nesting_refused_past_its_limit(monkeypatch, capsys):
+    """Arrays and objects nested past MAX_NESTING are refused at / with one
+    text, whether or not the decoder reaches the recursion limit first; at
+    the limit the request is read on."""
+    n = cli.MAX_NESTING
+    refusal = f"error: /: invalid JSON (nesting deeper than {n})\n"
+    for text, err in (
+        ('{"a":' * n + "1" + "}" * n, "error: /a: unknown key\n"),
+        ('{"a":' * (n + 1) + "1" + "}" * (n + 1), refusal),
+        ('{"a":' * 5_000 + "1" + "}" * 5_000, refusal),
+        ("[" * 200_000 + "]" * 200_000, refusal),
+    ):
+        assert _run(["analyze", "-"], text, monkeypatch, capsys) == (1, "", err)
+
+
 def test_singular_curve_rejected(monkeypatch, capsys):
     """A singular curve is refused at its own pointer: E at /curve, a
     factor of A at /abelian_variety/factors/<i>."""
@@ -374,6 +408,7 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         ("torsion --curve 0,0,0,0,0 --prime 7", "/curve"),
         ("count --curve 0,0,0,0,0 --ell 5", "/curve"),
         ("count --curve 1,0,0,-1,-1 --ell 2", "/ell"),  # bad reduction at 2
+        ("count --curve 0,-1,1,-10,-20 --ell 11", "/ell"),  # 11a, split at 11
         # numeric flags that are no integers, refused at their pointer, not by argparse
         ("tau --curve 1,0,0,-1,-1 --prime x", "/prime"),
         ("local --curve 1,0,0,-1,-1 --ell 7 --conductor 1.5", "/base_field"),
@@ -736,7 +771,7 @@ def test_count_degree_refused_past_printable_digits(monkeypatch, capsys):
     saved = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
-        monkeypatch.setattr(cli, "count_points", refuse)
+        monkeypatch.setattr(cli, "tate_algorithm", refuse)
         assert main([*argv, "100000"]) == 1
         out = capsys.readouterr()
         assert out.out == ""

@@ -24,8 +24,7 @@ from eulerchar.euler import (
     rho_p,
     tau_p,
 )
-from eulerchar.finite_fields import fq_create
-from oracles import brute_count, lift_model
+from oracles import brute_count, finite_field, lift_model
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -326,7 +325,7 @@ def test_analyze_large_residue_fields_match_oracle():
     for (ell, f), data in good.items():
 
         def over(k):
-            return lift_model(reduce_model(e37, ell), fq_create(ell, k))
+            return lift_model(reduce_model(e37, ell), finite_field(ell, k))
 
         n1 = brute_count(over(1))
         for k in (2, 3):

@@ -4,6 +4,7 @@ import pytest
 
 from eulerchar.finite_fields import fq_create
 from eulerchar.valuations import is_prime
+from oracles import finite_field
 
 
 def _irreducible_by_enumeration(ell, f):
@@ -47,18 +48,30 @@ def _irreducible_by_enumeration(ell, f):
 
 
 def test_modulus_anchors():
-    assert fq_create(7, 1).modulus == (0, 1)
-    assert fq_create(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
-    assert fq_create(13, 2).modulus == _irreducible_by_enumeration(13, 2)
-    assert fq_create(2, 3).modulus == _irreducible_by_enumeration(2, 3)
-    assert fq_create(3, 4).modulus == _irreducible_by_enumeration(3, 4)
+    assert finite_field(7, 1).modulus == (0, 1)
+    assert finite_field(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
+    assert finite_field(13, 2).modulus == _irreducible_by_enumeration(13, 2)
+    assert finite_field(2, 3).modulus == _irreducible_by_enumeration(2, 3)
+    assert finite_field(3, 4).modulus == _irreducible_by_enumeration(3, 4)
 
 
 def test_create_rejects_bad_input():
     with pytest.raises(ValueError):
-        fq_create(6, 1)
+        finite_field(6, 1)
     with pytest.raises(ValueError):
-        fq_create(5, 0)
+        finite_field(5, 0)
+    with pytest.raises(ValueError):
+        fq_create(6)
+
+
+def test_library_builds_only_the_prime_field():
+    """The library's F_ell: one object per prime, of degree 1 and order
+    ell, whose residues are read back from `coords`."""
+    F = fq_create(7)
+    assert F is fq_create(7)
+    assert (F.characteristic, F.degree, F.order) == (7, 1, 7)
+    assert F.from_int(-1).coords == (6,)
+    assert F.from_int(15).field is F
 
 
 def test_frobenius_identity_exhaustive():
@@ -69,7 +82,7 @@ def test_frobenius_identity_exhaustive():
             continue
         f = 1
         while ell**f <= 1024:
-            field = fq_create(ell, f)
+            field = finite_field(ell, f)
             q = field.order
             for a in field.elements():
                 assert a**q == a
@@ -79,14 +92,14 @@ def test_frobenius_identity_exhaustive():
 
 
 def test_char2_sqrt_and_trace():
-    F8 = fq_create(2, 3)
+    F8 = finite_field(2, 3)
     for a in F8.elements():
         assert F8.absolute_trace(a) in (0, 1)
     assert sum(F8.absolute_trace(a) for a in F8.elements()) == 4  # half the field
 
 
 def test_inverse_and_division():
-    F169 = fq_create(13, 2)
+    F169 = finite_field(13, 2)
     for a in list(F169.elements())[1:30]:
         assert a * a.inverse() == F169.one()
         assert (a / a) == F169.one()

@@ -1,0 +1,40 @@
+"""Golden reports: each row of tests/data/golden.json runs in-process
+through `cli.main`, and the sha256 of what it prints on stdout and on
+stderr, and its exit code, must match the row.
+
+The rows are the bundled requests in JSON and text, the CLI examples of CI,
+the rows that finish from the ROADMAP baseline, the exit-3 rows and the
+refusals whose text is the program's own; help and usage errors are left
+out, as their text is argparse's and changes between CPython releases.  The
+digests are data with no way to rewrite them here: a change that moves one
+names the row and its reason in CHANGES.md.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from eulerchar.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+ROWS = json.loads((ROOT / "tests" / "data" / "golden.json").read_text(encoding="utf-8"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_reports(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)  # the bundled requests are named by relative path
+    mismatched = []
+    for row in ROWS:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(row["stdin"]))
+        code = main(row["argv"])
+        out = capsys.readouterr()
+        expected = (row["stdout_sha256"], row["stderr_sha256"], row["exit_code"])
+        if (_sha256(out.out), _sha256(out.err), code) != expected:
+            mismatched.append(row["name"])
+    assert mismatched == []
+    assert len(ROWS) >= 60

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerchar.finite_fields import fq_create
 from eulerchar.polynomials import Polynomial, rational_roots
-from oracles import roots_in_field
+from oracles import finite_field, roots_in_field
 
 
 def test_rational_roots_anchors():
@@ -80,7 +79,7 @@ def test_derivative_and_eval():
 
 
 def test_roots_in_finite_field():
-    F7 = fq_create(7, 1)
+    F7 = finite_field(7, 1)
     # x^2 + 1 over F_7 splits only when -1 is a QR; squares mod 7 are {0,1,2,4}
     assert roots_in_field([1, 0, 1], F7) == []
     assert {r.coords[0] for r in roots_in_field([-1, 0, 1], F7)} == {1, 6}  # x^2 - 1
@@ -96,7 +95,7 @@ def test_root_count_matches_scan(p, f):
 
     from eulerchar.polynomials import count_roots_in_field
 
-    F = fq_create(p, f)
+    F = finite_field(p, f)
     for degree in range(4):
         for low in product(range(p), repeat=degree):
             ints = list(low) + [1]

@@ -365,9 +365,8 @@ def test_pot_supersingular_matches_quadratic_field_oracle():
     """The F_p test against the definition it replaces: a curve over F_{p^2}
     with the reduced j is supersingular iff its count is 1 mod p."""
     from eulerchar.curves import model_with_j_invariant
-    from eulerchar.finite_fields import fq_create
     from eulerchar.valuations import is_prime
-    from oracles import brute_count, lift_model
+    from oracles import brute_count, finite_field, lift_model
 
     rng = random.Random(140)
     outcomes = set()
@@ -382,7 +381,7 @@ def test_pot_supersingular_matches_quadratic_field_oracle():
                 c = Fraction(1, j - 1728)
                 model = WeierstrassModel.from_rationals([1, 0, 0, -36 * c, -c])
             assert invariants(model).j % p == j % p  # the model's j is an integer
-            over_p2 = lift_model(model_with_j_invariant(j, p), fq_create(p, 2))
+            over_p2 = lift_model(model_with_j_invariant(j, p), finite_field(p, 2))
             oracle = brute_count(over_p2) % p == 1
             assert pot_supersingular(model, p) == oracle
             outcomes.add(oracle)
@@ -531,7 +530,7 @@ def test_exact_delta_valuation_matches_local_field():
     Delta evaluated in Z[pi], and one rescale by pi lowers it by 12; at
     v(Delta) = 0 the model reduced mod ell has the residues of the embedded
     coefficients, and its brute-force count is N_v."""
-    from oracles import brute_count, delta_local
+    from oracles import brute_count, delta_local, finite_field, lift_model
 
     from eulerchar.curves import reduce_model
     from eulerchar.tate import _rescale_by_pi
@@ -561,7 +560,7 @@ def test_exact_delta_valuation_matches_local_field():
         if n == 0:
             reduced = reduce_model(model, ell)
             assert [c.coords[0] for c in reduced.coefficients()] == [x.residue() for x in a]
-            assert d.N_v == brute_count(reduced)
+            assert d.N_v == brute_count(lift_model(reduced, finite_field(ell, 1)))
         checked += 1
 
 
