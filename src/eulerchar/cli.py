@@ -24,10 +24,12 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from math import isqrt, log10
 from types import SimpleNamespace
 
 from .curves import (
+    CountCapError,
     SingularModelError,
     TorsionEstimate,
     WeierstrassModel,
@@ -491,15 +493,43 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _to_json(value, indent: str = "\n") -> str:
+    """value as `json.dumps(value, indent=2)` writes it, for the JSON-native
+    values a document holds; that encoder runs in pure Python whenever it
+    indents.  indent is the newline and indentation that precede value's
+    closing bracket.  Any other type, a float or a tuple say, and a non-str
+    key raise TypeError."""
+    kind = type(value)  # the exact type: a bool is no int, a record no list
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # _quote raises TypeError on a non-str key
+        return f"{{{inner}" + f",{inner}".join(
+            [f"{_quote(k)}: {_to_json(v, inner)}" for k, v in value.items()]) + f"{indent}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return f"[{inner}" + f",{inner}".join([_to_json(v, inner) for v in value]) + f"{indent}]"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"a {kind.__name__} has no place in a JSON document")
+
+
 def _emit(doc: dict, fmt, out) -> None:
     """Write doc to out: as indented JSON when fmt is "json", else as the
     text fmt(doc) renders."""
-    out.write((json.dumps(doc, indent=2) if fmt == "json" else fmt(doc)) + "\n")
+    out.write((_to_json(doc) if fmt == "json" else fmt(doc)) + "\n")
 
 
 # -- subcommands ------------------------------------------------------------------------
 # Each argument's reader takes its value as the command line hands it over
-# (text, the row's default, or the [] argparse makes of `--flag=--`) and returns
+# (its text, `--` for `--flag=--`, or the row's default) and returns
 # it checked as the request field the flag stands for, at that field's pointer;
 # --ell and --degree at /ell and /degree.  A handler computes on checked values
 # and returns (document, text renderer, exit code).
@@ -561,7 +591,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_local(args):
-    data = local_data_at(args.curve, args.ell, args.conductor)
+    try:
+        data = local_data_at(args.curve, args.ell, args.conductor)
+    except CountCapError as exc:
+        raise RequestError("/ell", str(exc)) from None
     sp = splitting(args.ell, args.conductor)
     doc = {
         "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},
@@ -626,7 +659,10 @@ def _cmd_count(args):
         raise RequestError("/degree", f"{ell}^{degree} has about {digits} digits: the count over "
                            f"that field can pass the {limit}-digit limit on printing an integer")
     # the count of the reduction of a minimal model at ell, whatever the model given
-    n = tate_algorithm(args.curve, make_local_field(ell, 1), f=degree).N_v
+    try:
+        n = tate_algorithm(args.curve, make_local_field(ell, 1), f=degree).N_v
+    except CountCapError as exc:
+        raise RequestError("/ell", str(exc)) from None
     if n is None:
         raise RequestError("/ell", f"the curve has bad reduction at {ell}")
     q = ell**degree
@@ -759,6 +795,9 @@ def main(argv=None) -> int:
             # and exits 0, or a usage error and exits 2
             build_parser().parse_args(argv)
         args = build_parser(argv[0]).parse_args(argv[1:])
+        # argparse hands `--flag=--` over as [] before 3.13 and as "--" from
+        # 3.13 on: every reader sees the text, on every interpreter
+        vars(args).update({k: "--" for k, v in vars(args).items() if v == []})
     try:
         for name, _, read in (_FORMAT, *_COMMANDS[args.command][2]):
             setattr(args, _dest(name), read(getattr(args, _dest(name))))

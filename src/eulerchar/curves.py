@@ -34,6 +34,10 @@ class SingularModelError(ValueError):
     """Raised when a model has vanishing discriminant."""
 
 
+class CountCapError(ValueError):
+    """Raised when a count is asked for in a characteristic past COUNT_CAP."""
+
+
 class _Coefficients(NamedTuple):
     a1: object
     a2: object
@@ -189,15 +193,15 @@ def count_points(model: WeierstrassModel, f: int = 1) -> int:
     (`extension_count`, which also checks the Hasse bound).  Every curve the
     pipeline counts is defined over F_ell, since every choice in Tate's
     algorithm is canonical.  A model over an extension field (the test
-    oracles build them) raises ValueError, as do ell > COUNT_CAP and a
-    singular model.
+    oracles build them) raises ValueError, as does a singular model;
+    ell > COUNT_CAP raises CountCapError.
     """
     field = model.a1.field
     ell = field.characteristic
     if field.degree != 1:
         raise ValueError(f"model is over F_{ell}^{field.degree}, not the prime field F_{ell}")
     if ell > COUNT_CAP:
-        raise ValueError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
+        raise CountCapError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
     coeffs = [c.coords[0] for c in model.coefficients()]
     if c_invariants(*b_invariants(coeffs))[2] % ell == 0:
         raise SingularModelError("cannot count points on a singular model")

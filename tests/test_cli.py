@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -409,6 +410,9 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         ("count --curve 0,0,0,0,0 --ell 5", "/curve"),
         ("count --curve 1,0,0,-1,-1 --ell 2", "/ell"),  # bad reduction at 2
         ("count --curve 0,-1,1,-10,-20 --ell 11", "/ell"),  # 11a, split at 11
+        # past the counting cap, refused at the flag that names the characteristic
+        ("count --curve 1,0,0,-1,-1 --ell 1000000000000000003", "/ell"),
+        ("local --curve 1,0,0,-1,-1 --ell 1000000000000000003", "/ell"),
         # numeric flags that are no integers, refused at their pointer, not by argparse
         ("tau --curve 1,0,0,-1,-1 --prime x", "/prime"),
         ("local --curve 1,0,0,-1,-1 --ell 7 --conductor 1.5", "/base_field"),
@@ -421,7 +425,8 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         # the torsion bracket needs p >= 5
         ("torsion --curve 1,0,0,-1,-1 --prime 3", "/prime"),
         ("torsion --curve 1,0,0,-1,-1 --prime 2", "/prime"),
-        # argparse hands `--flag=--` over as [], refused at the flag's pointer
+        # `--flag=--` reaches the reader as the text `--` (argparse hands it over
+        # as [] before 3.13), refused at the flag's pointer
         *((f"{command} --curve=-- --{flag} 7", "/curve") for command, flag in
           (("local", "ell"), ("torsion", "prime"), ("tau", "prime"), ("coranks", "prime"),
            ("count", "ell"))),
@@ -749,7 +754,8 @@ def _assert_json_native(value, path=""):
 )
 def test_documents_are_json_native(monkeypatch, capsys, argv):
     """Every value of the document a subcommand emits has a JSON type
-    exactly: a record, being a tuple, would print as a list and no error."""
+    exactly, and the document prints as `json.dumps(doc, indent=2)` does:
+    there, a record, being a tuple, would print as a list and no error."""
     docs = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda doc, fmt, out: (docs.append(doc), emit(doc, fmt, out)))
@@ -757,6 +763,53 @@ def test_documents_are_json_native(monkeypatch, capsys, argv):
     capsys.readouterr()
     assert len(docs) == 1
     _assert_json_native(docs[0])
+    assert cli._to_json(docs[0]) == json.dumps(docs[0], indent=2)
+
+
+# JSON-native trees: text with the characters the encoder must escape, and
+# ints past 64 bits beside bools
+_json_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", "[1, 2]", '{"a": 1}', ",", "\x00\x1f\x7f", "\ud800",
+                     "\u00e9\u4e2d\U0001f600", ""]),
+)
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), _json_text,
+    st.integers(), st.integers(min_value=-10**40, max_value=10**40),
+)
+
+
+def _json_trees(depth: int):
+    """JSON-native trees nesting at most depth containers deep."""
+    if depth == 0:
+        return _json_leaf
+    children = _json_trees(depth - 1)
+    return st.one_of(_json_leaf, st.lists(children, max_size=4),
+                     st.dictionaries(_json_text, children, max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_trees(5))
+def test_report_encoder_matches_the_stdlib(tree):
+    """A JSON report is what `json.dumps(tree, indent=2)` writes, and a
+    newline."""
+    out = io.StringIO()
+    cli._emit(tree, "json", out)
+    assert out.getvalue() == json.dumps(tree, indent=2) + "\n"
+
+
+class _Record(NamedTuple):
+    a: int
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"x": 0.0}, (1, 2), [_Record(1)], {1: "a"}, {"a": {None: 1}}, {True: 1}],
+)
+def test_report_encoder_refuses_what_no_document_holds(value):
+    """A float, a tuple, a record or a non-str key in a document is a bug:
+    the encoder raises TypeError, where json.dumps would print something."""
+    with pytest.raises(TypeError):
+        cli._to_json(value)
 
 
 def test_count_degree_refused_past_printable_digits(monkeypatch, capsys):
