@@ -30,7 +30,6 @@ from types import SimpleNamespace
 
 from .curves import (
     CountCapError,
-    SingularModelError,
     TorsionEstimate,
     WeierstrassModel,
     discriminant,
@@ -163,10 +162,15 @@ def _parse_rational(value, path: str) -> Fraction:
 
 
 def _parse_curve(value, path: str) -> WeierstrassModel:
+    """Five a-invariants of a nonsingular curve; a singular one is refused
+    at path, and the invariants stay memoized on the model."""
     if not isinstance(value, list) or len(value) != 5:
         raise RequestError(path, "expected a list of five a-invariants")
     coeffs = [_parse_rational(v, f"{path}/{i}") for i, v in enumerate(value)]
-    return WeierstrassModel.from_rationals(coeffs)
+    model = WeierstrassModel.from_rationals(coeffs)
+    if discriminant(model) == 0:
+        raise RequestError(path, "discriminant is zero")
+    return model
 
 
 def _parse_external(obj, path: str, prime: int) -> ExternalArithmetic:
@@ -297,8 +301,7 @@ def parse_request(obj) -> dict:
 
 def analyze_request(parsed: dict) -> EulerCharReport:
     """`analyze` on the pieces `parse_request` returns.  A torsion
-    certificate outside the computed bracket is reported at its key, a
-    singular curve at its own pointer."""
+    certificate outside the computed bracket is reported at its key."""
     try:
         return analyze(
             parsed["curve"],
@@ -311,13 +314,6 @@ def analyze_request(parsed: dict) -> EulerCharReport:
         )
     except TorsionCertificateError as exc:
         raise RequestError("/external/torsion_p_override", str(exc)) from None
-    except SingularModelError as exc:
-        # looked for only here: parse_request computes no discriminant
-        factors = parsed["abelian_variety"].factors
-        curves = [("/curve", parsed["curve"])]
-        curves += [(f"/abelian_variety/factors/{i}", c) for i, c in enumerate(factors)]
-        path = next((path for path, c in curves if discriminant(c) == 0), "/")
-        raise RequestError(path, str(exc)) from None
 
 
 # -- report serialization --------------------------------------------------------------
@@ -553,12 +549,8 @@ def _integer(path: str, parse=_parse_int, **bounds):
 
 
 def _read_curve(value) -> WeierstrassModel:
-    """`--curve a1,a2,a3,a4,a6`, read as the request's `curve`; a singular
-    curve is refused here, and its invariants stay memoized on the model."""
-    model = _parse_curve(value.split(",") if isinstance(value, str) else value, "/curve")
-    if discriminant(model) == 0:
-        raise RequestError("/curve", "discriminant is zero")
-    return model
+    """`--curve a1,a2,a3,a4,a6`, read as the request's `curve`."""
+    return _parse_curve(value.split(",") if isinstance(value, str) else value, "/curve")
 
 
 _read_prime = _integer("/prime", _parse_prime)
@@ -794,9 +786,13 @@ def main(argv=None) -> int:
             # no subcommand comes first: the top-level parser prints its help
             # and exits 0, or a usage error and exits 2
             build_parser().parse_args(argv)
-        args = build_parser(argv[0]).parse_args(argv[1:])
+        parser = build_parser(argv[0])
+        args = parser.parse_args(argv[1:])
         # argparse hands `--flag=--` over as [] before 3.13 and as "--" from
-        # 3.13 on: every reader sees the text, on every interpreter
+        # 3.13 on, where it refuses it as a --format: every reader sees the
+        # text, and every interpreter refuses the format
+        if args.format == []:
+            parser.error("argument --format: invalid choice: '--' (choose from 'json', 'text')")
         vars(args).update({k: "--" for k, v in vars(args).items() if v == []})
     try:
         for name, _, read in (_FORMAT, *_COMMANDS[args.command][2]):

@@ -80,7 +80,7 @@ class WeierstrassModel(_Coefficients):
         return _compute_invariants(self)
 
     @cached_property
-    def _integral(self) -> "WeierstrassModel":
+    def _integral(self) -> "WeierstrassModel | None":
         return _compute_integral_model(self)
 
 
@@ -156,13 +156,15 @@ def integral_model(model: WeierstrassModel) -> WeierstrassModel:
     """The rational model with integral a-invariants a_i * d^i, for d the
     lcm of their denominators (the change of variables x = x'/d^2,
     y = y'/d^3); computed once per model object."""
-    return model._integral
+    return model._integral or model
 
 
-def _compute_integral_model(model: WeierstrassModel) -> WeierstrassModel:
+def _compute_integral_model(model: WeierstrassModel) -> WeierstrassModel | None:
+    """None for an integral model, which a memo of itself would put in a
+    reference cycle."""
     d = lcm(*[c.denominator for c in model.coefficients()])
     if d == 1:
-        return model
+        return None
     return WeierstrassModel(*(c * d**k for c, k in zip(model.coefficients(), (1, 2, 3, 4, 6))))
 
 
@@ -397,19 +399,24 @@ def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
         3: Polynomial([b8, 3 * b6, 3 * b4, b2, 3]),
         4: Polynomial([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
     }
+    return _psi(n, psi, B2)
 
-    def g(k: int) -> Polynomial:
-        if k not in psi:
-            m = k // 2
-            if k % 2 == 0:
-                psi[k] = g(m) * (g(m + 2) * g(m - 1) ** 2 - g(m - 2) * g(m + 1) ** 2)
-            elif m % 2 == 0:
-                psi[k] = g(m + 2) * g(m) ** 3 * B2 - g(m - 1) * g(m + 1) ** 3
-            else:
-                psi[k] = g(m + 2) * g(m) ** 3 - g(m - 1) * g(m + 1) ** 3 * B2
-        return psi[k]
 
-    return g(n)
+def _psi(k: int, psi: dict, B2: Polynomial) -> Polynomial:
+    """psi_k by the division-polynomial recurrence, memoized in psi; a
+    module-level function, since a closure that calls itself outlives its
+    call in a reference cycle."""
+    if k not in psi:
+        m = k // 2
+        # psi_{m-1}, psi_m, psi_{m+1}, psi_{m+2}
+        m1, m0, p1, p2 = (_psi(i, psi, B2) for i in range(m - 1, m + 3))
+        if k % 2 == 0:
+            psi[k] = m0 * (p2 * m1**2 - _psi(m - 2, psi, B2) * p1**2)
+        elif m % 2 == 0:
+            psi[k] = p2 * m0**3 * B2 - m1 * p1**3
+        else:
+            psi[k] = p2 * m0**3 - m1 * p1**3 * B2
+    return psi[k]
 
 
 # -- torsion ----------------------------------------------------------------------

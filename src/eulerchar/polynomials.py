@@ -4,11 +4,11 @@
 Degrees in this package stay small (at most (p**2 - 1)/2 for division
 polynomials), so a dense coefficient list is the right representation.
 Over F_ell a polynomial is a list of ints low-to-high; the helpers below
-reduce, multiply and take gcds of such lists, and `count_roots_in_field`
-counts the roots in F_{ell^f} of one of degree at most 3.  `rational_roots`
-finds the rational roots of a `Polynomial` by lifting its roots in F_ell to
-ell-adic precision past Cauchy's bound and testing one candidate per root
-exactly.
+reduce, multiply and take gcds of such lists, and `residue_roots` counts
+the roots in F_{ell^f} of one of degree at most 3 and finds its multiple
+root.  `rational_roots` finds the rational roots of a `Polynomial` by
+lifting its roots in F_ell to ell-adic precision past Cauchy's bound and
+testing one candidate per root exactly.
 """
 
 from __future__ import annotations
@@ -159,18 +159,21 @@ def _frobenius_minus_x_mod_p(q: int, modulus: list[int], p: int) -> list[int]:
     return h
 
 
-def count_roots_in_field(coeffs: list[int], ell: int, f: int) -> int:
-    """Number of distinct roots in F_{ell^f}, f >= 1, of a polynomial P of
-    degree at most 3 over F_ell, given as integer coefficients low-to-high
-    whose leading one is nonzero mod ell; otherwise ValueError.
+def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]:
+    """(roots, multiple) of a polynomial P over F_ell of degree at most 3,
+    given as integer coefficients low-to-high whose leading one is nonzero
+    mod ell, with f >= 1; otherwise ValueError.  roots counts the distinct
+    roots of P in F_{ell^f}; multiple is P's multiple root in [0, ell), or
+    None when P is squarefree, i.e. its discriminant is nonzero mod ell.
 
-    Let r1 be the number of roots of P in F_ell: for a quadratic in odd
-    characteristic by Euler's criterion on its discriminant, else
-    deg gcd(P, x^ell - x), at O(log ell) polynomial products.  A squarefree
-    P is then r1 linear factors times at most one irreducible factor, of
-    degree k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k
-    divides f.  A repeated factor of P is linear, so when P is not
-    squarefree all its roots lie in F_ell.  The cost is independent of f.
+    A squarefree P has r1 roots in F_ell (Euler's criterion for a quadratic
+    in odd characteristic, else deg gcd(P, x^ell - x), at O(log ell)
+    polynomial products) and at most one irreducible factor, of degree
+    k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k divides f.
+    A multiple root lies in the perfect field F_ell, as the sole root of
+    gcd(P, P'), and has a closed form in every characteristic: Frobenius
+    fixes F_ell, so the square roots of characteristic 2 and the cube roots
+    of characteristic 3 below are the identity.  The cost is independent of f.
     """
     if f < 1:
         raise ValueError(f"residue degree {f} is not positive")
@@ -180,22 +183,42 @@ def count_roots_in_field(coeffs: list[int], ell: int, f: int) -> int:
     degree = len(coeffs) - 1
     if degree > 3:
         raise ValueError(f"degree {degree} exceeds 3")
+    if degree < 2:
+        return degree, None
     lead_inv = pow(lead, -1, ell)
     monic = [c * lead_inv % ell for c in coeffs]
+    if degree == 2:
+        c, b = monic[0], monic[1]
+        disc = b * b - 4 * c
+        if disc % ell == 0:
+            # the double root squares to c in characteristic 2, else it is -b/2
+            return 1, c if ell == 2 else -b * pow(2, -1, ell) % ell
+    else:
+        c, b, a = monic[:3]
+        disc = 18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
+        if disc % ell == 0:
+            # a double root leaves 2 distinct roots, a triple one 1
+            if ell == 2:
+                # P' = T^2 + b, so the multiple root squares to b; triple iff b = a^2
+                roots, r = (1, a) if (b - a * a) % 2 == 0 else (2, b)
+            else:
+                hessian = a * a - 3 * b  # (double root - simple root)^2 when disc = 0
+                if hessian % ell:
+                    roots, r = 2, (9 * c - a * b) * pow(2 * hessian, -1, ell)
+                elif ell == 3:
+                    roots, r = 1, -c
+                else:
+                    roots, r = 1, -a * pow(3, -1, ell)
+            r %= ell
+            if (((r + a) * r + b) * r + c) % ell:
+                raise AssertionError("cubic multiple-root formulas failed")
+            return roots, r
     if degree == 2 and ell != 2:
-        disc = (monic[1] * monic[1] - 4 * monic[0]) % ell
-        if disc == 0:
-            return 1  # a double root, in F_ell
         r1 = 2 if pow(disc, (ell - 1) // 2, ell) == 1 else 0
     else:
         r1 = len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(ell, monic, ell), ell)) - 1
     k = degree - r1
-    if k == 0 or f % k:
-        return r1
-    derivative = [i * c for i, c in enumerate(monic)][1:]
-    if len(_poly_gcd_mod_p(monic, derivative, ell)) > 1:
-        return r1
-    return degree
+    return (degree if k and f % k == 0 else r1), None
 
 
 def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:

@@ -11,9 +11,9 @@ which Frobenius fixes: the coordinate change before the step-6 cubic uses
 s = a2 mod pi and t = pi * (a6 / pi^2 mod pi); everything else divides only
 by units.  Singular points and multiple roots come from closed-form
 solutions (the cube root in characteristic 3 is the identity on F_3 too),
-and residue-field root counts take the roots in F_ell and the residue
-degree f (`count_roots_in_field`), so no step is linear in the residue
-field size.
+and each residue quadratic or cubic is read by one call to
+`polynomials.residue_roots`: its root count in F_{ell^f} and its multiple
+root, so no step is linear in the residue field size.
 
 v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
 the integral rational model: translations leave Delta unchanged and each
@@ -39,13 +39,12 @@ whose residue field is F_ell, even at a place with residue field F_{ell^f}.
 It takes the curve over Q and every choice above is canonical, so every
 residue it inspects lies in F_ell.  The residue degree f enters only in
 q_v = ell^f, in the number of roots in F_{ell^f} of each residue quadratic
-or cubic (the split test of the tangent cone included), where an
-irreducible factor of degree k over F_ell contributes its k roots exactly
-when k divides f, and in N_v = #E(F_{ell^f}), which `count_points` takes
-of the reduced curve over F_ell and which is checked against the Hasse
-bound.  Potential supersingularity above p is read off a_p mod p of a
-curve over F_p with the reduced j.  Both curves over F_ell come from
-`curves.reduce_model`; this module handles residues as integers only.
+or cubic (the split test of the tangent cone included), and in
+N_v = #E(F_{ell^f}), which `count_points` takes of the reduced curve over
+F_ell and which is checked against the Hasse bound.  Potential
+supersingularity above p is read off a_p mod p of a curve over F_p with the
+reduced j.  Both curves over F_ell come from `curves.reduce_model`; this
+module handles residues as integers only.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .curves import (
     reduce_model,
 )
 from .local_fields import LocalElement, LocalField
-from .polynomials import count_roots_in_field
+from .polynomials import residue_roots
 from .valuations import vp
 
 GOOD_ORDINARY = "GoodOrdinary"
@@ -140,57 +139,15 @@ class LocalReductionData(NamedTuple):
 # -- residue-field helpers: residues are integers mod ell -----------------------
 
 
-def _quadratic_data(A: int, B: int, C: int, ell: int, f: int):
-    """(has distinct roots, root count in F_{ell^f}, double root) for
-    A X^2 + B X + C over F_ell, with A nonzero mod ell."""
-    if (B * B - 4 * A * C) % ell:
-        return True, count_roots_in_field([C, B, A], ell, f), None
-    if ell == 2:
-        double = C % 2  # the square root of C / A with A = 1; Frobenius fixes F_2
-    else:
-        double = -B * pow(2 * A, -1, ell) % ell
-    return False, 1, double
-
-
-def _cubic_analysis(a: int, b: int, c: int, ell: int, f: int):
-    """Root structure of P = T^3 + a T^2 + b T + c over F_ell.
-
-    Returns ("distinct", count of roots in F_{ell^f}), ("double", root) or
-    ("triple", root); multiple roots of a cubic are always rational over a
-    perfect field.
-    """
-    disc = 18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
-    if disc % ell:
-        return "distinct", count_roots_in_field([c, b, a, 1], ell, f)
-    # the multiple root is rational and has a closed form in every
-    # characteristic: it is the sole root of gcd(P, P').  Frobenius fixes
-    # F_ell, so the square roots of characteristic 2 and the cube roots of
-    # characteristic 3 below are the identity.
-    if ell == 2:
-        # P' = T^2 + b, so the multiple root squares to b; triple iff b = a^2
-        kind, r = ("triple", a) if (b - a * a) % 2 == 0 else ("double", b)
-    else:
-        hessian = a * a - 3 * b  # (double root - simple root)^2 when disc = 0
-        if hessian % ell:
-            kind, r = "double", (9 * c - a * b) * pow(2 * hessian, -1, ell)
-        elif ell == 3:
-            kind, r = "triple", -c
-        else:
-            kind, r = "triple", -a * pow(3, -1, ell)
-    r %= ell
-    if (((r + a) * r + b) * r + c) % ell:
-        raise AssertionError("cubic multiple-root formulas failed")
-    return kind, r
-
-
 def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
     """The unique singular point of a singular reduced Weierstrass cubic
     over F_ell, by closed-form solution of the two vanishing partial
     derivatives.
 
     Characteristic 2 inverts the y-partial directly (square roots are the
-    identity on F_2); odd characteristic completes the square and takes the
-    multiple root of the resulting cubic from `_cubic_analysis`.
+    identity on F_2); odd characteristic completes the square,
+    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and takes the
+    multiple root of the right-hand cubic.
     """
     a1, a2, a3, a4, a6 = abar
 
@@ -216,15 +173,11 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
             raise AssertionError("char-2 singular point formulas failed")
         return x0, y0
 
-    # complete the square: eta^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4,
-    # and take the multiple root of the right-hand cubic
-    inv2 = pow(2, -1, ell)
-    inv4 = inv2 * inv2
-    c2 = (a1 * a1 + 4 * a2) * inv4
-    c1 = (2 * a4 + a1 * a3) * inv2
-    c0 = (a3 * a3 + 4 * a6) * inv4
-    _, x0 = _cubic_analysis(c2, c1, c0, ell, 1)
-    y0 = -(a1 * x0 + a3) * inv2 % ell
+    b2, b4, b6, _ = b_invariants(abar)
+    _, x0 = residue_roots([b6, 2 * b4, b2, 4], ell, 1)
+    if x0 is None:
+        raise AssertionError("nonsingular reduction reached singular search")
+    y0 = -(a1 * x0 + a3) * pow(2, -1, ell) % ell
     if not vanishes(x0, y0):
         raise AssertionError("singular point formulas failed")
     return x0, y0
@@ -303,11 +256,11 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
             # v(Delta) = -v(j).  Translating the node to the origin keeps a1
             # and turns a2 into a2 + 3 x0, so its tangent cone is
             # T^2 + a1 T - (a2 + 3 x0) mod pi, and b2 = a1^2 + 4 a2 is a unit.
-            a1bar, a2bar = abar[0], (abar[1] + 3 * x0) % ell
-            if (a1bar * a1bar + 4 * a2bar) % ell == 0:
+            roots, cusp = residue_roots([-abar[1] - 3 * x0, abar[0], 1], ell, f)
+            if cusp is not None:
                 raise AssertionError("multiplicative type has a cusp")
             # at a node the roots are distinct: one in F_q means it splits there
-            if count_roots_in_field([-a2bar, a1bar, 1], ell, f):
+            if roots:
                 return _finish(place, KodairaType("In", n), n, n, MULT_SPLIT)
             return _finish(place, KodairaType("In", n), 2 - n % 2, n, MULT_NONSPLIT)
 
@@ -325,35 +278,23 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
         if not b8.val_at_least(3):
             return _additive(place, KodairaType("III"), 2, n)
         if not b6.val_at_least(3):
-            quad_roots = count_roots_in_field(
-                [-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, f
-            )
-            c_v = 3 if quad_roots else 1
-            return _additive(place, KodairaType("IV"), c_v, n)
+            roots, _ = residue_roots([-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, f)
+            return _additive(place, KodairaType("IV"), 3 if roots else 1, n)
 
         a = _normalize_for_cubic(a, K)
-        P_a = _res_shift(a[1], 1)
-        P_b = _res_shift(a[3], 2)
-        P_c = _res_shift(a[4], 3)
-        shape, info = _cubic_analysis(P_a, P_b, P_c, ell, f)
-
-        if shape == "distinct":
-            c_v = 1 + info
-            return _additive(place, KodairaType("I0*", 0), c_v, n)
-
-        if shape == "double":
-            a = _translate(a, r=K.embed(info).shift_pi(1))
+        cubic = [_res_shift(a[4], 3), _res_shift(a[3], 2), _res_shift(a[1], 1), 1]
+        roots, multiple = residue_roots(cubic, ell, f)
+        if multiple is None:
+            return _additive(place, KodairaType("I0*", 0), 1 + roots, n)
+        a = _translate(a, r=K.embed(multiple).shift_pi(1))
+        if roots == 2:  # a double root
             return _star_loop(a, K, place, n)
 
-        # triple root
-        a = _translate(a, r=K.embed(info).shift_pi(1))
+        # a triple root
         _check_valuations(a, ((1, 2), (3, 3), (4, 4)), "triple-root translation")
-        distinct, roots, double = _quadratic_data(
-            1, _res_shift(a[2], 2), -_res_shift(a[4], 4), ell, f
-        )
-        if distinct:
-            c_v = 3 if roots else 1
-            return _additive(place, KodairaType("IV*"), c_v, n)
+        roots, double = residue_roots([-_res_shift(a[4], 4), _res_shift(a[2], 2), 1], ell, f)
+        if double is None:
+            return _additive(place, KodairaType("IV*"), 3 if roots else 1, n)
         a = _translate(a, t=K.embed(double).shift_pi(2))
         if not a[3].val_at_least(4):
             return _additive(place, KodairaType("III*"), 2, n)
@@ -409,25 +350,16 @@ def _star_loop(
     while j <= n_delta:
         if j % 2 == 1:
             m = (j + 3) // 2
-            distinct, roots, double = _quadratic_data(
-                1, _res_shift(a[2], m), -_res_shift(a[4], 2 * m), ell, f
-            )
-            if distinct:
-                c_v = 4 if roots else 2
-                return _additive(place, KodairaType("In*", j), c_v, n_delta)
-            a = _translate(a, t=K.embed(double).shift_pi(m))
+            quadratic = [-_res_shift(a[4], 2 * m), _res_shift(a[2], m), 1]
         else:
             m = j // 2 + 2
-            distinct, roots, double = _quadratic_data(
-                _res_shift(a[1], 1),
-                _res_shift(a[3], m),
-                _res_shift(a[4], 2 * m - 1),
-                ell,
-                f,
-            )
-            if distinct:
-                c_v = 4 if roots else 2
-                return _additive(place, KodairaType("In*", j), c_v, n_delta)
+            quadratic = [_res_shift(a[4], 2 * m - 1), _res_shift(a[3], m), _res_shift(a[1], 1)]
+        roots, double = residue_roots(quadratic, ell, f)
+        if double is None:
+            return _additive(place, KodairaType("In*", j), 4 if roots else 2, n_delta)
+        if j % 2 == 1:
+            a = _translate(a, t=K.embed(double).shift_pi(m))
+        else:
             a = _translate(a, r=K.embed(double).shift_pi(m - 1))
         j += 1
     raise AssertionError("I_n* ladder failed to terminate")

@@ -370,18 +370,20 @@ def test_nesting_refused_past_its_limit(monkeypatch, capsys):
 
 
 def test_singular_curve_rejected(monkeypatch, capsys):
-    """A singular curve is refused at its own pointer: E at /curve, a
-    factor of A at /abelian_variety/factors/<i>."""
+    """A singular curve is refused at its own pointer, at parse time: E at
+    /curve, ahead of the keys after it, a factor of A at
+    /abelian_variety/factors/<i>."""
     req = json.loads(json.dumps(REQ_TABLE))
     req["curve"] = ["0", "0", "0", "0", "0"]
-    code, out, err = _run(
-        ["analyze", "-"],
-        stdin_text=json.dumps(req),
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert code == 1 and out == ""
-    assert err == "error: /curve: discriminant is zero\n"
+    for prime in (7, 4):
+        code, out, err = _run(
+            ["analyze", "-"],
+            stdin_text=json.dumps({**req, "prime": prime}),
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: /curve: discriminant is zero\n"
     req = json.loads(json.dumps(REQ_TABLE))
     req["abelian_variety"] = {
         "dimension": 2,
@@ -694,6 +696,35 @@ def test_top_level_usage_lists_every_command(capsys, argv, code):
     printed = capsys.readouterr()
     usage = (printed.out if code == 0 else printed.err).splitlines()[0]
     assert usage == "usage: eulerchar [-h] {" + ",".join(COMMANDS) + "} ..."
+
+
+def test_format_dash_dash_is_a_usage_error(capsys):
+    """`--format=--` is an invalid choice on every interpreter: argparse
+    refuses it from 3.13 on, and hands it over as [] before."""
+    with pytest.raises(SystemExit) as stop:
+        main(["splitting", "--ell", "7", "--conductor", "7", "--format=--"])
+    assert stop.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith(
+        "eulerchar splitting: error: argument --format: invalid choice"
+    )
+
+
+def test_reports_leave_no_cyclic_garbage():
+    """With the cyclic collector off, the bundled requests and a p = 7
+    torsion row (psi_7) leave nothing that only it could free."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        for path in sorted((ROOT / "data" / "requests").glob("*.json")):
+            assert main(["analyze", str(path), "--format", "json"]) == 0
+        assert main(["torsion", "--curve=-1,2,2,0,0", "--prime", "7", "--conductor", "7"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_usage_error_names_its_subcommand(capsys):

@@ -89,35 +89,89 @@ def test_roots_in_finite_field():
     "p,f", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (3, 3), (5, 2), (2, 6)]
 )
 def test_root_count_matches_scan(p, f):
-    """The root count in F_{p^f} against the scan of that field, on every
-    monic polynomial of degree <= 3 over F_p, and on its multiple by -1."""
+    """residue_roots against the scan of F_{p^f}, on every monic polynomial
+    of degree <= 3 over F_p times every leading coefficient in F_p^* (and
+    -1 and p + 1 as integers): the distinct roots in F_{p^f}, and the
+    multiple root, the common root of P and P' in F_p, or None."""
     from itertools import product
 
-    from eulerchar.polynomials import count_roots_in_field
+    from eulerchar.polynomials import residue_roots
 
     F = finite_field(p, f)
     for degree in range(4):
         for low in product(range(p), repeat=degree):
             ints = list(low) + [1]
             expected = len(roots_in_field(ints, F))
-            assert count_roots_in_field(ints, p, f) == expected
-            assert count_roots_in_field([-c for c in ints], p, f) == expected
+            derivative = [i * c for i, c in enumerate(ints)][1:]
+            common = [x for x in range(p)
+                      if _eval(ints, x) % p == _eval(derivative, x) % p == 0]
+            assert len(common) <= 1
+            multiple = common[0] if common else None
+            for lead in (*range(1, p), -1, p + 1):
+                scaled = [lead * c for c in ints]
+                assert residue_roots(scaled, p, f) == (expected, multiple), (scaled, p, f)
+
+
+def _eval(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _product(*factors):
+    """The integer coefficients, low-to-high, of a product of polynomials
+    given low-to-high."""
+    out = Polynomial([1])
+    for factor in factors:
+        out = out * Polynomial(factor)
+    return out.coeffs
+
+
+@pytest.mark.parametrize("ell", [10**9 + 7, 2**61 - 1])
+def test_residue_roots_of_constructed_factorizations(ell):
+    """Products of known factors at a large ell, with leading coefficients
+    1, 7 and -1, give the roots and multiple root the factors predict."""
+    from eulerchar.polynomials import residue_roots
+
+    nonresidue = next(n for n in range(2, 100) if pow(n, (ell - 1) // 2, ell) == ell - 1)
+    r, s, t = 3, ell - 5, 10**6 + 3
+    for lead in (1, 7, -1):
+        for f in (1, 2, 3, 6):
+            cases = [
+                (_product([-r, 1], [-s, 1], [-t, 1]), 3, None),
+                (_product([-r, 1], [-r, 1], [-s, 1]), 2, r),
+                (_product([-s, 1], [-s, 1], [-s, 1]), 1, s),
+                (_product([-r, 1], [-s, 1]), 2, None),
+                (_product([-t, 1], [-t, 1]), 1, t),
+                # an irreducible quadratic adds its 2 roots exactly when 2 | f
+                (_product([-nonresidue, 0, 1]), 0 if f % 2 else 2, None),
+                (_product([-r, 1], [-nonresidue, 0, 1]), 1 if f % 2 else 3, None),
+                ([lead], 0, None),
+                ([-r, 1], 1, None),
+            ]
+            if ell % 3 == 1:  # x^3 - c is irreducible when c is not a cube
+                noncube = next(c for c in range(2, 100) if pow(c, (ell - 1) // 3, ell) != 1)
+                cases.append(([-noncube, 0, 0, 1], 0 if f % 3 else 3, None))
+            for coeffs, roots, multiple in cases:
+                scaled = [lead * c for c in coeffs]
+                assert residue_roots(scaled, ell, f) == (roots, multiple), (coeffs, f)
 
 
 def test_root_count_at_large_degree_and_refusals():
-    from eulerchar.polynomials import count_roots_in_field
+    from eulerchar.polynomials import residue_roots
 
-    assert count_roots_in_field([1, 0, 1], 3, 2) == 2  # x^2 + 1 splits over F_9
-    assert count_roots_in_field([1, 0, 4], 3, 2) == 2  # the same polynomial mod 3
+    assert residue_roots([1, 0, 1], 3, 2) == (2, None)  # x^2 + 1 splits over F_9
+    assert residue_roots([1, 0, 4], 3, 2) == (2, None)  # the same polynomial mod 3
     # an irreducible factor of degree k adds its k roots exactly when k | f
-    assert count_roots_in_field([1, 0, 1], 3, 1_000_002) == 2
-    assert count_roots_in_field([1, 0, 1], 3, 1_000_001) == 0
-    assert count_roots_in_field([1, 1, 0, 1], 2, 999_999) == 3  # x^3 + x + 1
-    assert count_roots_in_field([1, 1, 0, 1], 2, 1_000_001) == 0
+    assert residue_roots([1, 0, 1], 3, 1_000_002) == (2, None)
+    assert residue_roots([1, 0, 1], 3, 1_000_001) == (0, None)
+    assert residue_roots([1, 1, 0, 1], 2, 999_999) == (3, None)  # x^3 + x + 1
+    assert residue_roots([1, 1, 0, 1], 2, 1_000_001) == (0, None)
     for f in (0, -1):
         with pytest.raises(ValueError):
-            count_roots_in_field([1, 0, 1], 3, f)
+            residue_roots([1, 0, 1], 3, f)
     with pytest.raises(ValueError):
-        count_roots_in_field([1, 1, 3], 3, 2)  # leading coefficient 0 mod 3
+        residue_roots([1, 1, 3], 3, 2)  # leading coefficient 0 mod 3
     with pytest.raises(ValueError):
-        count_roots_in_field([1, 0, 0, 0, 1], 3, 1)  # degree 4
+        residue_roots([1, 0, 0, 0, 1], 3, 1)  # degree 4

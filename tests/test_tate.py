@@ -324,15 +324,18 @@ def test_singular_point_formulas_match_scan():
 def test_cubic_multiple_root_formulas_match_scan():
     """For every monic cubic over F_p, p in {2, 3, 5, 7}, with vanishing
     discriminant, the closed-form multiple root is the only common root of
-    P and P' in F_p, and it is reported triple exactly when P = (T - r)^3."""
-    from eulerchar.tate import _cubic_analysis
+    P and P' in F_p, and it is reported triple (1 distinct root) exactly
+    when P = (T - r)^3, else double (2 distinct roots).  Every quadratic
+    with vanishing discriminant, at every leading coefficient, has one
+    distinct root, its double root."""
+    from eulerchar.polynomials import residue_roots
 
     for p in (2, 3, 5, 7):
         for a, b, c in product(range(p), repeat=3):
             disc = 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
             if disc % p:
                 continue
-            kind, r = _cubic_analysis(a, b, c, p, 1)
+            roots, r = residue_roots([c, b, a, 1], p, 1)
             multiple = [
                 x
                 for x in range(p)
@@ -340,7 +343,15 @@ def test_cubic_multiple_root_formulas_match_scan():
             ]
             assert multiple == [r]
             cube = (a + 3 * r) % p == (b - 3 * r * r) % p == (c + r**3) % p == 0
-            assert (kind == "triple") == cube
+            assert roots == (1 if cube else 2)
+        for lead, b, c in product(range(1, p), range(p), range(p)):
+            if (b * b - 4 * lead * c) % p:
+                continue
+            double = [
+                x for x in range(p) if (lead * x * x + b * x + c) % p == (2 * lead * x + b) % p == 0
+            ]
+            assert len(double) == 1
+            assert residue_roots([c, b, lead], p, 1) == (1, double[0])
 
 
 def test_pot_supersingular_small_characteristic():
