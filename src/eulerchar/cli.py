@@ -5,9 +5,15 @@ schema_version 1; the schema is described in docs/schema.md.  All big
 integers in reports are serialized as decimal strings so no consumer can
 lose precision; exponents stay small and remain JSON numbers.
 
-Exit codes: 0 hypotheses all PASS/ASSUMED, 1 malformed input (with a
-JSON-pointer diagnostic), 2 some hypothesis FAILed (report still emitted),
-3 chi suppressed because the torsion input is not exact.
+`parse_request` checks a request and returns it as the keyword arguments
+of `euler.analyze`, taking the keys and defaults of `external` from
+`ExternalArithmetic` and leaving the rules of a variety to
+`AbelianVarietyInput`, whose refusals it reports at `/abelian_variety`.
+
+Exit codes follow the report's `status` (`EulerCharReport.status`): 0 OK,
+hypotheses all PASS/ASSUMED; 2 HYPOTHESIS_FAIL, some hypothesis FAILed
+(report still emitted); 3 NOT_EXACT, chi suppressed because the torsion
+input is not exact.  Malformed input exits 1 with a JSON-pointer diagnostic.
 
 The command line is read straight off the `_COMMANDS` table when it has
 the plain form `COMMAND [positional] --flag VALUE ...` with exact flag
@@ -29,6 +35,7 @@ from math import isqrt, log10
 from types import SimpleNamespace
 
 from .curves import (
+    DEFAULT_SAMPLES,
     CountCapError,
     TorsionEstimate,
     WeierstrassModel,
@@ -72,7 +79,7 @@ class RequestError(ValueError):
 # -- request parsing -----------------------------------------------------------------
 
 
-def _require(obj: dict, path: str, allowed: set[str], required: tuple[str, ...]):
+def _require(obj: dict, path: str, allowed, required: tuple[str, ...]):
     """Refuse anything but an object whose keys lie in allowed and include
     every key of required; path is "" at the request root.  A missing key is
     named in the order required lists it, the order of the schema."""
@@ -174,41 +181,24 @@ def _parse_curve(value, path: str) -> WeierstrassModel:
 
 
 def _parse_external(obj, path: str, prime: int) -> ExternalArithmetic:
-    allowed = {
-        "sha_p_order",
-        "selmer_finite",
-        "lambda_torsion_certificate",
-        "torsion_p_override",
-        "sigma_index_R",
-        "no_p_torsion_certificate",
-    }
-    _require(obj, path, allowed, ())
-    def boolean(key, default=False):
-        v = obj.get(key, default)
-        if not isinstance(v, bool):
-            raise RequestError(f"{path}/{key}", "expected a boolean")
-        return v
-
-    sha = obj.get("sha_p_order", 1)
-    sha = _parse_int(sha, f"{path}/sha_p_order", minimum=1)
-    override = obj.get("torsion_p_override")
-    if override is not None:
-        override = _parse_int(override, f"{path}/torsion_p_override", minimum=1)
-        if prime ** int_valuation(override, prime) != override:
-            raise RequestError(
-                f"{path}/torsion_p_override", f"expected a power of p = {prime}, got {override}"
-            )
-    sigma = obj.get("sigma_index_R")
-    if sigma is not None:
-        sigma = _parse_int(sigma, f"{path}/sigma_index_R", minimum=1)
-    return ExternalArithmetic(
-        sha_p_order=sha,
-        selmer_finite=boolean("selmer_finite"),
-        lambda_torsion_certificate=boolean("lambda_torsion_certificate"),
-        torsion_p_override=override,
-        sigma_index_R=sigma,
-        no_p_torsion_certificate=boolean("no_p_torsion_certificate"),
-    )
+    """The keys and defaults of `ExternalArithmetic`: a certificate is a
+    boolean, any other key an integer >= 1, and null only where the default
+    is null.  A torsion certificate must be a power of p."""
+    defaults = ExternalArithmetic._field_defaults
+    _require(obj, path, ExternalArithmetic._fields, ())
+    fields = {**defaults, **obj}
+    for key, value in fields.items():
+        if type(defaults[key]) is bool:
+            if not isinstance(value, bool):
+                raise RequestError(f"{path}/{key}", "expected a boolean")
+        elif value is not None or defaults[key] is not None:
+            fields[key] = _parse_int(value, f"{path}/{key}", minimum=1)
+    override = fields["torsion_p_override"]
+    if override is not None and prime ** int_valuation(override, prime) != override:
+        raise RequestError(
+            f"{path}/torsion_p_override", f"expected a power of p = {prime}, got {override}"
+        )
+    return ExternalArithmetic(**fields)
 
 
 def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
@@ -241,8 +231,6 @@ def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
             except ValueError as exc:
                 raise RequestError(rpath, str(exc)) from None
         table = tuple(rows)
-    if not factors and not table:
-        raise RequestError(path, "needs factors or a reduction_table")
     try:
         return AbelianVarietyInput(dimension=dim, factors=factors, reduction_table=table)
     except ValueError as exc:
@@ -262,7 +250,9 @@ def _nests_deeper(doc, limit: int) -> bool:
 
 
 def parse_request(obj) -> dict:
-    """Validate a raw analysis request; returns the parsed pieces."""
+    """Validate a raw analysis request, refusing it with a RequestError at
+    the pointer of its first bad key; returns the keyword arguments of
+    `analyze`: E, p, m, A, ext, samples and target_chi_sigma_exponent."""
     allowed = {
         "schema_version",
         "curve",
@@ -278,42 +268,17 @@ def parse_request(obj) -> dict:
     version = _parse_int(obj["schema_version"], "/schema_version")
     if version != SCHEMA_VERSION:
         raise RequestError("/schema_version", f"unsupported version {version}")
-    curve = _parse_curve(obj["curve"], "/curve")
-    prime = _parse_prime(obj["prime"], "/prime")
-    conductor = _parse_conductor(obj["base_field"], "/base_field")
-    variety = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
-    external = _parse_external(obj.get("external", {}), "/external", prime)
+    E = _parse_curve(obj["curve"], "/curve")
+    p = _parse_prime(obj["prime"], "/prime")
+    m = _parse_conductor(obj["base_field"], "/base_field")
+    A = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
+    ext = _parse_external(obj.get("external", {}), "/external", p)
     target = obj.get("target_chi_sigma_exponent")
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
-    samples = _parse_samples(obj.get("samples", 20), "/samples")
+    samples = _parse_samples(obj.get("samples", DEFAULT_SAMPLES), "/samples")
     _parse_precision(obj.get("precision_digits"), "/precision_digits")
-    return {
-        "curve": curve,
-        "prime": prime,
-        "conductor": conductor,
-        "abelian_variety": variety,
-        "external": external,
-        "target_chi_sigma_exponent": target,
-        "samples": samples,
-    }
-
-
-def analyze_request(parsed: dict) -> EulerCharReport:
-    """`analyze` on the pieces `parse_request` returns.  A torsion
-    certificate outside the computed bracket is reported at its key."""
-    try:
-        return analyze(
-            parsed["curve"],
-            parsed["prime"],
-            parsed["conductor"],
-            parsed["abelian_variety"],
-            parsed["external"],
-            samples=parsed["samples"],
-            target_chi_sigma_exponent=parsed["target_chi_sigma_exponent"],
-        )
-    except TorsionCertificateError as exc:
-        raise RequestError("/external/torsion_p_override", str(exc)) from None
+    return dict(E=E, p=p, m=m, A=A, ext=ext, samples=samples, target_chi_sigma_exponent=target)
 
 
 # -- report serialization --------------------------------------------------------------
@@ -354,12 +319,6 @@ def _conjugate_rows(sp: CyclotomicSplitting, row: dict) -> list[dict]:
 
 
 def report_to_dict(report: EulerCharReport) -> dict:
-    if report.failed:
-        status = "HYPOTHESIS_FAIL"
-    elif report.suppressed:
-        status = "NOT_EXACT"
-    else:
-        status = "OK"
     places, audit = [], []
     for sp, data in report.places:
         places += _conjugate_rows(sp, {
@@ -390,7 +349,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
         torsion = {**_torsion_fields(report.torsion), "source": report.torsion_source}
     return {
         "schema_version": SCHEMA_VERSION,
-        "status": status,
+        "status": report.status,
         "p": report.p,
         "conductor": report.conductor,
         "degree": report.degree,
@@ -559,6 +518,10 @@ _read_samples = _integer("/samples", _parse_samples)
 _read_precision = _integer("/precision_digits", _parse_precision)
 
 
+# the exit code of `analyze` for each report status
+_EXIT_CODES = {"OK": 0, "HYPOTHESIS_FAIL": 2, "NOT_EXACT": 3}
+
+
 def _cmd_analyze(args):
     if args.request == "-":
         raw = sys.stdin.read()
@@ -577,9 +540,11 @@ def _cmd_analyze(args):
     parsed = parse_request(obj)
     if args.samples is not None:
         parsed["samples"] = args.samples
-    report = analyze_request(parsed)
-    code = 2 if report.failed else 3 if report.suppressed else 0
-    return report_to_dict(report), render_text, code
+    try:
+        report = analyze(**parsed)
+    except TorsionCertificateError as exc:
+        raise RequestError("/external/torsion_p_override", str(exc)) from None
+    return report_to_dict(report), render_text, _EXIT_CODES[report.status]
 
 
 def _cmd_local(args):
@@ -685,7 +650,7 @@ _COMMANDS = {
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _integer("/prime", _parse_prime, minimum=5)),
         ("--conductor", dict(default=1), _read_conductor),
-        ("--samples", dict(default=20), _read_samples),
+        ("--samples", dict(default=DEFAULT_SAMPLES), _read_samples),
     )),
     "tau": (_cmd_tau, "sum of local degrees at supersingular places above p", (
         ("--curve", dict(required=True), _read_curve),

@@ -28,6 +28,8 @@ from .valuations import (
 COUNT_CAP = 10**18
 # Mestre-Schoof: above this prime, Shanks-Mestre always pins #E(F_ell)
 MESTRE_BOUND = 229
+# good primes torsion_bound_over_F reduces at unless told otherwise
+DEFAULT_SAMPLES = 20
 
 
 class SingularModelError(ValueError):
@@ -468,7 +470,7 @@ class TorsionEstimate(NamedTuple):
 
 
 def torsion_bound_over_F(
-    model: WeierstrassModel, p: int, m: int, samples: int = 20
+    model: WeierstrassModel, p: int, m: int, samples: int = DEFAULT_SAMPLES
 ) -> TorsionEstimate:
     """Bracket the p-primary torsion of E over Q(mu_m).
 

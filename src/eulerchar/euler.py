@@ -11,6 +11,10 @@ rational prime ell are conjugate and share their local data.  The pipeline
 keeps one (CyclotomicSplitting, LocalReductionData) pair per relevant
 prime and weights that prime's terms by g; only the serialized report
 lists the places one by one (`cli.report_to_dict`).
+
+`AbelianVarietyInput` holds the rules of a variety, and
+`EulerCharReport.status` decides a report's status; the CLI reports the
+first's refusals at `/abelian_variety` and exits by the second.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .curves import (
+    DEFAULT_SAMPLES,
     TorsionEstimate,
     WeierstrassModel,
     discriminant,
@@ -61,25 +66,22 @@ class _VarietyFields(NamedTuple):
 
 
 class AbelianVarietyInput(_VarietyFields):
-    """The variety whose division tower is adjoined: either an explicit
-    product of elliptic-curve factors, or a table covering every bad prime."""
+    """The variety whose division tower is adjoined, of dimension >= 1: a
+    product of elliptic-curve factors, a table covering every bad prime, or
+    both, as `compute_M` and `check_hypotheses` read them."""
 
     __slots__ = ()
 
     def __new__(cls, dimension: int, factors=(), reduction_table=()):
+        if dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {dimension}")
+        if not factors and not reduction_table:
+            raise ValueError("needs factors or a reduction_table")
         if factors and dimension != len(factors):
             raise ValueError("dimension must equal the number of factors")
-        if not factors and not reduction_table and dimension < 1:
-            raise ValueError("abelian variety input is empty")
         return super().__new__(cls, dimension, factors, reduction_table)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
-
-    def table_fact(self, ell: int) -> ReductionFact | None:
-        for fact in self.reduction_table:
-            if fact.prime == ell:
-                return fact
-        return None
 
 
 class TorsionCertificateError(ValueError):
@@ -122,8 +124,6 @@ def compute_M(A: AbelianVarietyInput) -> list[int]:
             if not fact.potentially_good:
                 rational.add(fact.prime)
     else:
-        if not A.factors:
-            raise ValueError("abelian variety has neither factors nor a table")
         for factor in A.factors:
             # j_pole_order(ell) > 0 exactly at the primes of the denominator
             j = invariants(factor).j
@@ -205,7 +205,12 @@ def check_hypotheses(
             )
         )
 
-    if A.factors:
+    # a table row marking p bad fails the clause, whatever the factors say
+    if any(fact.prime == p and not fact.good for fact in A.reduction_table):
+        rows.append(
+            HypothesisResult("A_good_ordinary_above_p", FAIL, f"table marks {p} as bad")
+        )
+    elif A.factors:
         bad = []
         for i, factor in enumerate(A.factors):
             data = local_data_at(factor, p, m)
@@ -220,21 +225,11 @@ def check_hypotheses(
                 )
             )
     else:
-        fact = A.table_fact(p)
-        if fact is not None and not fact.good:
-            rows.append(
-                HypothesisResult(
-                    "A_good_ordinary_above_p", FAIL, f"table marks {p} as bad"
-                )
+        rows.append(
+            HypothesisResult(
+                "A_good_ordinary_above_p", ASSUMED, "reduction table cannot certify ordinariness"
             )
-        else:
-            rows.append(
-                HypothesisResult(
-                    "A_good_ordinary_above_p",
-                    ASSUMED,
-                    "reduction table cannot certify ordinariness",
-                )
-            )
+        )
 
     rows.append(
         HypothesisResult(
@@ -265,10 +260,6 @@ def check_hypotheses(
         )
     )
     return rows
-
-
-def hypotheses_failed(rows: list[HypothesisResult]) -> bool:
-    return any(r.status == FAIL for r in rows)
 
 
 # -- the exponent arithmetic ---------------------------------------------------------
@@ -450,7 +441,12 @@ class EulerCharReport(NamedTuple):
 
     @property
     def failed(self) -> bool:
-        return hypotheses_failed(self.hypotheses)
+        return any(h.status == FAIL for h in self.hypotheses)
+
+    @property
+    def status(self) -> str:
+        """HYPOTHESIS_FAIL if a clause FAILed, else NOT_EXACT if chi is suppressed, else OK."""
+        return "HYPOTHESIS_FAIL" if self.failed else "NOT_EXACT" if self.suppressed else "OK"
 
 
 def analyze(
@@ -459,7 +455,7 @@ def analyze(
     m: int,
     A: AbelianVarietyInput,
     ext: ExternalArithmetic,
-    samples: int = 20,
+    samples: int = DEFAULT_SAMPLES,
     target_chi_sigma_exponent: int | None = None,
 ) -> EulerCharReport:
     """Run the whole pipeline: local data at every relevant prime, the

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from eulerchar import cli
 from eulerchar.cli import (
     RequestError,
-    analyze_request,
+    analyze,
     build_parser,
     main,
     parse_request,
@@ -24,6 +24,7 @@ from eulerchar.cli import (
     report_to_dict,
 )
 from eulerchar.cyclotomic import splitting
+from eulerchar.euler import ExternalArithmetic
 from eulerchar.valuations import vp
 
 REQ_TABLE = {
@@ -514,7 +515,7 @@ def test_numeric_forms():
     req = json.loads(json.dumps(REQ_TABLE))
     req["curve"] = [1, 0, 0, -1, -1]  # plain integers accepted
     parsed = parse_request(req)
-    assert parsed["curve"].a4 == -1
+    assert parsed["E"].a4 == -1
     req["curve"] = [1.0, 0, 0, -1, -1]  # floats rejected
     with pytest.raises(RequestError):
         parse_request(req)
@@ -545,7 +546,7 @@ def test_rational_spellings(capsys, text, value):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: /curve/3: not a rational number: {text!r}\n"
     else:
-        assert parse_request(req)["curve"].a4 == Fraction(value)
+        assert parse_request(req)["E"].a4 == Fraction(value)
         code = main(argv)
         printed = capsys.readouterr()
         assert main(["local", f"--curve=1,0,0,{value},-1", "--ell", "7"]) == code
@@ -587,7 +588,7 @@ def test_wild_conductors_rejected_at_parse(m):
 def test_tame_conductors_accepted_at_parse(m):
     req = json.loads(json.dumps(REQ_TABLE))
     req["base_field"] = m
-    assert parse_request(req)["conductor"] == m
+    assert parse_request(req)["m"] == m
 
 
 def test_oversized_samples_rejected(monkeypatch, capsys):
@@ -995,7 +996,84 @@ def test_bundled_requests_parse():
     for name in ("analysis_with_reduction_table.json", "analysis_with_factor_curve.json"):
         with open(f"data/requests/{name}", encoding="utf-8") as fh:
             parsed = parse_request(json.load(fh))
-        assert parsed["prime"] == 7
+        assert parsed["p"] == 7
+
+
+# the JSON example of docs/schema.md
+SCHEMA_EXAMPLE = re.search(
+    r"```json\n(.*?)```", (ROOT / "docs" / "schema.md").read_text(encoding="utf-8"), re.S
+).group(1)
+
+
+def _bundled_request(name: str) -> str:
+    return (ROOT / "data" / "requests" / f"{name}.json").read_text(encoding="utf-8")
+
+
+def _golden_stdin(name: str) -> str:
+    rows = json.loads((ROOT / "tests" / "data" / "golden.json").read_text(encoding="utf-8"))
+    return next(row["stdin"] for row in rows if row["name"] == name)
+
+
+def test_schema_example_is_a_valid_request(monkeypatch, capsys):
+    code, out, err = _run(["analyze", "-"], stdin_text=SCHEMA_EXAMPLE,
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code in (0, 2, 3), err
+    assert out.startswith("status: ")
+
+
+@pytest.mark.parametrize("text", [
+    _bundled_request("analysis_with_factor_curve"),
+    _bundled_request("analysis_with_reduction_table"),
+    SCHEMA_EXAMPLE,
+])
+def test_parsed_request_is_the_arguments_of_analyze(text):
+    """parse_request returns every parameter of analyze, and nothing else."""
+    import inspect
+
+    parsed = parse_request(json.loads(text))
+    signature = inspect.signature(analyze)
+    signature.bind(**parsed)
+    assert parsed.keys() == signature.parameters.keys()
+
+
+def test_external_keys_and_defaults_are_those_of_the_record():
+    """`external` takes the keys and defaults of ExternalArithmetic; null
+    stands for a default only where the default is null."""
+    req = {k: v for k, v in REQ_TABLE.items() if k != "external"}
+    assert parse_request(req)["ext"] == ExternalArithmetic()
+    nulls = {"torsion_p_override": None, "sigma_index_R": None}
+    assert parse_request({**req, "external": nulls})["ext"] == ExternalArithmetic()
+    for key, value, message in (
+        ("sha_p_order", None, "expected an integer, got None"),
+        ("selmer_finite", None, "expected a boolean"),
+        ("no_p_torsion_certificate", 1, "expected a boolean"),
+        ("sigma_index_R", 0, "expected an integer >= 1, got 0"),
+        ("torsion_p_override", True, "expected an integer, got True"),
+    ):
+        with pytest.raises(RequestError) as err:
+            parse_request({**req, "external": {key: value}})
+        assert str(err.value) == f"/external/{key}: {message}"
+
+
+P3_REQUEST = {
+    **{k: v for k, v in REQ_TABLE.items() if k != "target_chi_sigma_exponent"},
+    "prime": 3,
+    "external": {"selmer_finite": True, "lambda_torsion_certificate": True},
+}
+
+
+@pytest.mark.parametrize("text,status,code", [
+    (_bundled_request("analysis_with_factor_curve"), "OK", 0),
+    (json.dumps(P3_REQUEST), "HYPOTHESIS_FAIL", 2),
+    (_golden_stdin("exit3/E/p7/m7"), "NOT_EXACT", 3),
+])
+def test_report_status_sets_the_exit_code(monkeypatch, capsys, text, status, code):
+    report = analyze(**parse_request(json.loads(text)))
+    assert report.status == status
+    assert report_to_dict(report)["status"] == report.status
+    got, out, _ = _run(["analyze", "-", "--format", "json"], stdin_text=text,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert (got, json.loads(out)["status"]) == (code, status)
 
 
 def _column_offsets(row: str, aligns: str, token: str) -> list[int]:
@@ -1044,7 +1122,7 @@ def test_text_columns_keep_their_defaults():
     """Tables whose entries fit the default widths, and the header labels,
     print at the default widths; the kodaira label is one wider than its
     default, so that column is as wide as the label."""
-    text = render_text(report_to_dict(analyze_request(parse_request(REQ_TABLE))))
+    text = render_text(report_to_dict(analyze(**parse_request(REQ_TABLE))))
     assert (
         "places:\n"
         "  place       q_v  kodaira  c_v  class                  N_v  L(E,1)\n"

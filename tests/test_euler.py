@@ -19,7 +19,6 @@ from eulerchar.euler import (
     compute_M,
     corank_report,
     gamma_kernel_exponent,
-    hypotheses_failed,
     local_data_at,
     rho_p,
     tau_p,
@@ -76,8 +75,47 @@ def test_records_validate_at_construction():
         AbelianVarietyInput(dimension=2, factors=(E294,))
     with pytest.raises(ValueError, match="dimension must equal the number of factors"):
         AbelianVarietyInput(dimension=1, factors=(E294,))._replace(dimension=2)
-    with pytest.raises(ValueError, match="abelian variety input is empty"):
+    with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
         AbelianVarietyInput(dimension=0)
+
+
+def test_variety_needs_a_dimension_of_at_least_one_and_some_input():
+    """A variety of dimension < 1 is refused whatever else it is given, by
+    `_replace` too; so is one with neither factors nor a table."""
+    table = (ReductionFact(2, False, False),)
+    for dimension in (0, -1):
+        with pytest.raises(ValueError, match=f"dimension must be at least 1, got {dimension}"):
+            AbelianVarietyInput(dimension=dimension, reduction_table=table)
+    with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
+        AbelianVarietyInput(dimension=1, reduction_table=table)._replace(dimension=0)
+    with pytest.raises(ValueError, match="needs factors or a reduction_table"):
+        AbelianVarietyInput(dimension=1)
+    with pytest.raises(ValueError, match="needs factors or a reduction_table"):
+        TABLE_23._replace(reduction_table=())
+
+
+def test_table_marking_p_bad_outranks_the_factors():
+    """With factors and a table, a table row marking p bad FAILs
+    A_good_ordinary_above_p though every factor is good ordinary above p;
+    without such a row the factors decide, and with no factors the clause
+    is ASSUMED.  The table decides the bad-tower set."""
+    rows_2_7 = (ReductionFact(2, False, False), ReductionFact(7, False, False))
+    both = AbelianVarietyInput(dimension=1, factors=(EPRIME,), reduction_table=rows_2_7)
+    data = local_data_at(E294, 7, 7)
+
+    def clause(A):
+        rows = check_hypotheses(A, 7, 7, EXT_FULL, data)
+        return next((r.status, r.detail) for r in rows if r.name == "A_good_ordinary_above_p")
+
+    assert clause(both) == (FAIL, "table marks 7 as bad")
+    assert clause(both._replace(reduction_table=rows_2_7[:1])) == (
+        PASS, "all factors good ordinary")
+    assert clause(AbelianVarietyInput(dimension=1, reduction_table=rows_2_7[:1]))[0] == ASSUMED
+    assert clause(AbelianVarietyInput(dimension=1, reduction_table=rows_2_7)) == (
+        FAIL, "table marks 7 as bad")
+    report = analyze(E294, 7, 7, both, EXT_FULL)
+    assert report.M_rational == [2, 7]
+    assert report.status == "HYPOTHESIS_FAIL"
 
 
 def test_records_are_immutable():
@@ -97,14 +135,14 @@ def test_check_hypotheses_statuses():
     assert by_name["E_good_ordinary_above_p"].status == PASS
     assert by_name["selmer_finite"].status == ASSUMED
     assert by_name["dual_selmer_lambda_torsion"].status == ASSUMED
-    assert not hypotheses_failed(rows)
+    assert all(r.status != FAIL for r in rows)
 
 
 def test_check_hypotheses_failures():
     rows = check_hypotheses(TABLE_23, 3, 7, EXT_FULL, local_data_at(E294, 3, 7))
     by_name = {r.name: r for r in rows}
     assert by_name["p_prime_at_least_5"].status == FAIL
-    assert hypotheses_failed(rows)
+    assert any(r.status == FAIL for r in rows)
 
     # supersingular at p: y^2 = x^3 + 1 at p = 5
     rows2 = check_hypotheses(
