@@ -3,12 +3,20 @@ division polynomials on integers, and p-primary torsion bounds.  The
 rational lower bound lifts the roots of psi_p ell-adically and keeps a root
 x0 when the points above it are rational, which is a square test on the
 discriminant of y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
+
+Every count goes through `count_residues`, which takes the a-invariants as
+integers mod ell; `count_points` hands it the residues of a model from
+`reduce_model`.  A curve held fixed while the conductor climbs a tower keeps
+#E(F_ell) and E(Q)[p], so both are memoized in bounded module-level
+`functools.lru_cache`s, as are the square-root tables of the O(ell) counting
+kernel; the *_MEMO_SIZE constants bound them.  Every value is immutable, and
+a call that raises stores nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt, lcm
 from typing import NamedTuple
 
@@ -20,7 +28,6 @@ from .valuations import (
     is_prime,
     primes_from,
     rational_sqrt,
-    vp,
 )
 
 # Largest characteristic counted: one count at 10^18 takes about a second, and
@@ -30,6 +37,14 @@ COUNT_CAP = 10**18
 MESTRE_BOUND = 229
 # good primes torsion_bound_over_F reduces at unless told otherwise
 DEFAULT_SAMPLES = 20
+
+# Memo sizes.  #E(F_ell) by (ell, residues): a tower pass counts 53 distinct
+# curves, and residues mod small ell recur across census curves
+COUNT_MEMO_SIZE = 256
+# square-root tables, one per prime up to MESTRE_BOUND: there are 50
+SQUARE_TABLE_MEMO_SIZE = 64
+# rational p-torsion orders by (integral model, p): a tower pass needs 2
+TORSION_MEMO_SIZE = 64
 
 
 class SingularModelError(ValueError):
@@ -56,8 +71,9 @@ class WeierstrassModel(_Coefficients):
     `count_points` reads them.  The model is an immutable tuple of the
     five; `invariants` and `integral_model` are computed once per model
     object and memoized in its instance dict (this subclass declares no
-    `__slots__` for that), so equal models built separately never share a
-    memo and nothing outlives the model.
+    `__slots__` for that), so equal models built separately never share
+    them.  An integral model outlives its request only as a key of the
+    bounded rational-torsion memo (`_rational_torsion`).
     """
 
     @classmethod
@@ -189,45 +205,62 @@ def reduce_model(model: WeierstrassModel, ell: int) -> WeierstrassModel:
 
 def count_points(model: WeierstrassModel, f: int = 1) -> int:
     """#E(F_{ell^f}) including infinity, for a model over F_ell from
-    `reduce_model`.
+    `reduce_model`: `count_residues` of its residues.  A model over an
+    extension field (the test oracles build them) raises ValueError; the
+    degree goes in f.
+    """
+    field = model.a1.field
+    ell = field.characteristic
+    if field.degree != 1:
+        raise ValueError(f"model is over F_{ell}^{field.degree}, not the prime field F_{ell}")
+    return count_residues([c.coords[0] for c in model.coefficients()], ell, f)
+
+
+def count_residues(coeffs, ell: int, f: int = 1) -> int:
+    """#E(F_{ell^f}) including infinity, for the curve over F_ell whose
+    a-invariants are the integers coeffs mod ell: the library's one
+    counting entry.
 
     It is counted over F_ell (`_count_prime_field`: O(ell^{1/4}) group
     operations above ell = 229, a pass over the x-fibers at or below), and
     the count over F_{ell^f} follows from the Frobenius trace recurrence
     (`extension_count`, which also checks the Hasse bound).  Every curve the
     pipeline counts is defined over F_ell, since every choice in Tate's
-    algorithm is canonical.  A model over an extension field (the test
-    oracles build them) raises ValueError, as does a singular model;
-    ell > COUNT_CAP raises CountCapError.
+    algorithm is canonical.  ell > COUNT_CAP raises CountCapError, and a
+    singular model SingularModelError.
     """
-    field = model.a1.field
-    ell = field.characteristic
-    if field.degree != 1:
-        raise ValueError(f"model is over F_{ell}^{field.degree}, not the prime field F_{ell}")
     if ell > COUNT_CAP:
         raise CountCapError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
-    coeffs = [c.coords[0] for c in model.coefficients()]
-    if c_invariants(*b_invariants(coeffs))[2] % ell == 0:
-        raise SingularModelError("cannot count points on a singular model")
-    return extension_count(_count_prime_field(ell, coeffs), ell, f)
+    return extension_count(_count_prime_field(ell, tuple([c % ell for c in coeffs])), ell, f)
 
 
-def _count_prime_field(p: int, coeffs: list[int]) -> int:
-    """#E(F_p) for a1..a6 given as integers mod p, for a nonsingular model.
+@lru_cache(maxsize=COUNT_MEMO_SIZE)
+def _count_prime_field(p: int, coeffs: tuple[int, ...]) -> int:
+    """#E(F_p) for a1..a6 given as a tuple of residues mod p; memoized by
+    (p, residues), so a curve met again, at another residue degree f or in
+    another request, is neither checked nor counted again.  A singular
+    model raises SingularModelError, which stores nothing.
 
     Above MESTRE_BOUND the count is Shanks-Mestre baby-step giant-step
     (`_count_shanks_mestre`); at or below it, one pass over the x-fibers
     (`_count_by_squares`).  The bound is where the Mestre-Schoof theorem
     starts to guarantee that Shanks-Mestre finishes, not a tuning constant.
     """
+    if c_invariants(*b_invariants(coeffs))[2] % p == 0:
+        raise SingularModelError("cannot count points on a singular model")
     if p <= MESTRE_BOUND:
         return _count_by_squares(p, coeffs)
     return _count_shanks_mestre(p, coeffs)
 
 
-def _count_by_squares(p: int, coeffs: list[int]) -> int:
-    """#E(F_p) by one pass over the x-fibers against a table of squares:
-    O(p) time and memory, exact at every prime p."""
+def _count_by_squares(p: int, coeffs) -> int:
+    """#E(F_p) by one pass over the x-fibers: O(p) time and memory, exact
+    at every prime p.
+
+    For odd p the fiber over x is (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 +
+    2 b4 x + b6, so it holds as many points as its right-hand side has
+    square roots, which `_square_root_counts` tabulates.
+    """
     a1, a2, a3, a4, a6 = coeffs
     if p == 2:
         return 1 + sum(
@@ -235,17 +268,20 @@ def _count_by_squares(p: int, coeffs: list[int]) -> int:
             for x in (0, 1)
             for y in (0, 1)
         )
-    inv4 = pow(4, p - 2, p)
-    square_table = bytearray(p)
-    for b in range(p):
-        square_table[b * b % p] = 1
-    count = 1
-    for x in range(p):
-        h = (a1 * x + a3) % p
-        g = (((x + a2) * x + a4) * x + a6) % p
-        d = (g + h * h * inv4) % p
-        count += 1 if d == 0 else 2 * square_table[d]
-    return count
+    b2, b4, b6, _ = b_invariants(coeffs)
+    b4 *= 2
+    roots = _square_root_counts(p)
+    return 1 + sum([roots[(((4 * x + b2) * x + b4) * x + b6) % p] for x in range(p)])
+
+
+@lru_cache(maxsize=SQUARE_TABLE_MEMO_SIZE)
+def _square_root_counts(p: int) -> bytes:
+    """For each d in F_p, the number of y in F_p with y^2 = d: 1 at d = 0,
+    2 at a nonzero square, 0 otherwise."""
+    counts = bytearray(p)
+    for y in range(p):
+        counts[y * y % p] += 1
+    return bytes(counts)
 
 
 def _count_shanks_mestre(p: int, coeffs: list[int]) -> int:
@@ -444,9 +480,15 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
         raise ValueError("p must be a prime >= 5")
     if p >= 11:
         return 1
+    return _rational_torsion(integral_model(model), p)
+
+
+@lru_cache(maxsize=TORSION_MEMO_SIZE)
+def _rational_torsion(model: WeierstrassModel, p: int) -> int:
+    """`rational_p_torsion_order` of an integral model at p in {5, 7},
+    memoized by (model, p)."""
     from .polynomials import rational_roots
 
-    model = integral_model(model)
     disc = invariants(model).disc.numerator
     ell = next(q for q in primes_from(2) if p * disc % q)
     psi = division_polynomial(model, p)
@@ -487,15 +529,16 @@ def torsion_bound_over_F(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     model = integral_model(model)
-    disc = invariants(model).disc
+    disc = invariants(model).disc.numerator
+    coeffs = [c.numerator for c in model.coefficients()]
     upper_exp = None
     used = 0
     for ell in primes_from(2):
         if ell > 10_000:
             raise ValueError(f"could not find {samples} usable primes below 10000")
-        if ell == p or vp(disc, ell) != 0:
+        if ell == p or disc % ell == 0:
             continue
-        nf = count_points(reduce_model(model, ell), splitting(ell, m).f)
+        nf = count_residues(coeffs, ell, splitting(ell, m).f)
         e = int_valuation(nf, p)
         upper_exp = e if upper_exp is None else min(upper_exp, e)
         used += 1

@@ -30,7 +30,12 @@ class CyclotomicSplitting(NamedTuple):
         return self.e * self.f
 
 
-@lru_cache(maxsize=None)
+# splittings kept: a census pass asks for about 370 distinct (ell, m), a
+# tower pass about 140
+SPLITTING_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=SPLITTING_MEMO_SIZE)
 def splitting(ell: int, m: int) -> CyclotomicSplitting:
     """Splitting data of the prime ell in Q(mu_m); m >= 1."""
     if not is_prime(ell):

@@ -2,9 +2,13 @@
 
 `curves.reduce_model` is the only caller of `fq_create`, and
 `curves.count_points` reads back each residue from `coords` and the field's
-characteristic, degree and order.  Counts over F_{ell^f} follow from the
-count over F_ell by the Frobenius recurrence, so no extension field and no
-field arithmetic lives here; `tests/oracles.py` keeps both as a reference.
+characteristic and degree (`bench/tracing.py` reads its order too).  The
+library counts such a curve only in `tate.pot_supersingular`, through
+`curves.model_with_j_invariant`: Tate's algorithm and the torsion bound hand
+residues to `curves.count_residues` as integers and build no field.  Counts
+over F_{ell^f} follow from the count over F_ell by the Frobenius recurrence,
+so no extension field and no field arithmetic lives here; `tests/oracles.py`
+keeps both as a reference.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ class FqField:
         return FqElement(self, (n % self.characteristic,))
 
 
-@lru_cache(maxsize=None)
+# fields kept: `pot_supersingular` builds one per prime p it is asked about
+FQ_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=FQ_MEMO_SIZE)
 def fq_create(ell: int) -> FqField:
     """F_ell, one object per prime ell.  Raises ValueError for composite ell."""
     if not is_prime(ell):

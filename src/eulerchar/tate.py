@@ -40,11 +40,11 @@ It takes the curve over Q and every choice above is canonical, so every
 residue it inspects lies in F_ell.  The residue degree f enters only in
 q_v = ell^f, in the number of roots in F_{ell^f} of each residue quadratic
 or cubic (the split test of the tangent cone included), and in
-N_v = #E(F_{ell^f}), which `count_points` takes of the reduced curve over
-F_ell and which is checked against the Hasse bound.  Potential
+N_v = #E(F_{ell^f}), which `curves.count_residues` takes of the residues of
+the minimal model and which is checked against the Hasse bound.  Potential
 supersingularity above p is read off a_p mod p of a curve over F_p with the
-reduced j.  Both curves over F_ell come from `curves.reduce_model`; this
-module handles residues as integers only.
+reduced j, which `curves.model_with_j_invariant` builds and `count_points`
+counts; this module handles residues as integers only.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ from .curves import (
     WeierstrassModel,
     b_invariants,
     count_points,
+    count_residues,
     integral_model,
     invariants,
     model_with_j_invariant,
-    reduce_model,
 )
 from .local_fields import LocalElement, LocalField
 from .polynomials import residue_roots
@@ -399,7 +399,7 @@ def _good_data(abar: list[int], place) -> LocalReductionData:
     """Good reduction: abar are the residues of a minimal model, whose
     curve over F_ell is counted over F_q."""
     ell, q = place["ell"], place["q_v"]
-    N = count_points(reduce_model(WeierstrassModel.from_rationals(abar), ell), place["f"])
+    N = count_residues(abar, ell, place["f"])
     cls = GOOD_SUPERSINGULAR if (q + 1 - N) % ell == 0 else GOOD_ORDINARY
     return _finish(place, KodairaType("I0"), 1, 0, cls, N_v=N)
 

@@ -244,9 +244,27 @@ def test_shanks_mestre_matches_square_table():
     for ell, coeffs in cases:
         if curves.discriminant(WeierstrassModel(*coeffs)) % ell == 0:
             continue
-        assert curves._count_prime_field(ell, coeffs) == curves._count_by_squares(ell, coeffs)
+        assert curves._count_prime_field(ell, tuple(coeffs)) == curves._count_by_squares(ell, coeffs)
         checked += 1
     assert checked > 4000
+
+
+def test_square_root_kernel_matches_brute_count():
+    """The O(p) kernel against enumeration over FiniteField at every prime
+    up to MESTRE_BOUND, on random nonsingular models with a1 and a3 nonzero,
+    so that the y-line enters every fiber."""
+    rng = random.Random(2)
+    for ell in _primes_between(2, curves.MESTRE_BOUND + 1):
+        F = finite_field(ell, 1)
+        checked = 0
+        while checked < 3:
+            a1, a3 = rng.randrange(1, ell), rng.randrange(1, ell)
+            coeffs = (a1, rng.randrange(ell), a3, rng.randrange(ell), rng.randrange(ell))
+            if c_invariants(*b_invariants(coeffs))[2] % ell == 0:
+                continue
+            model = WeierstrassModel(*(F.from_int(c) for c in coeffs))
+            assert curves._count_by_squares(ell, coeffs) == brute_count(model), (ell, coeffs)
+            checked += 1
 
 
 def test_hasse_multiples_match_the_group_law():

@@ -26,15 +26,35 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_golden_reports(monkeypatch, capsys):
+def _replay(rows, monkeypatch, capsys, before_each=lambda: None) -> list:
+    """Names of the rows whose output or exit code moved."""
     monkeypatch.chdir(ROOT)  # the bundled requests are named by relative path
     mismatched = []
-    for row in ROWS:
+    for row in rows:
+        before_each()
         monkeypatch.setattr(sys, "stdin", io.StringIO(row["stdin"]))
         code = main(row["argv"])
         out = capsys.readouterr()
         expected = (row["stdout_sha256"], row["stderr_sha256"], row["exit_code"])
         if (_sha256(out.out), _sha256(out.err), code) != expected:
             mismatched.append(row["name"])
-    assert mismatched == []
+    return mismatched
+
+
+def test_golden_reports(monkeypatch, capsys):
+    assert _replay(ROWS, monkeypatch, capsys) == []
     assert len(ROWS) >= 60
+
+
+def test_memos_never_change_a_report(monkeypatch, capsys, library_caches):
+    """One process replays the rows in file order, then in reverse order,
+    then with every library memo emptied before each row: a memo filled by
+    one request answers for the next, and no order moves a digest."""
+
+    def clear():
+        for fn in library_caches.values():
+            fn.cache_clear()
+
+    assert _replay(ROWS, monkeypatch, capsys) == []
+    assert _replay(ROWS[::-1], monkeypatch, capsys) == []
+    assert _replay(ROWS, monkeypatch, capsys, before_each=clear) == []
