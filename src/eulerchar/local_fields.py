@@ -10,7 +10,10 @@ and every other tame e, gcd(e, ell) = 1.  Wildly ramified fields are
 rejected.  There is no unramified layer.  Tate's algorithm runs on a curve
 over Q and every choice it makes is canonical, so each residue it takes
 lies in F_ell whatever the residue degree f of the place; f enters only
-through q = ell^f (see `tate`).
+through q = ell^f (see `tate`).  Tate's algorithm walks its step ladder
+in these rings at residue characteristic 2 and 3 only; above that it reads
+valuations of rational integers, and the ladder over general e serves the
+tests as its oracle.
 
 x^(ell-1) + ell defines Q_ell(mu_ell): for zeta a primitive ell-th root
 of unity, (zeta - 1)^(ell-1) / (-ell) is a unit congruent to 1 mod

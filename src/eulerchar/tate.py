@@ -2,9 +2,32 @@
 classification, Tamagawa numbers, local Euler factors at s = 1, and the
 potential-supersingularity test.
 
-The algorithm follows the classical step ladder (I0, I_n, II, III, IV,
-I0*, I_n*, IV*, III*, II*, rescale) and works for every residue
-characteristic.  Residues are integers mod ell, and every division in the
+The place is Q_ell(pi), pi^e = c (see `local_fields`), with residue field
+F_{ell^f}.  v(Delta) is never evaluated in the pi-adic field: every
+rational integer x = ell^v u has v(x) = e v, so v(Delta) = e * v_ell(disc)
+of the integral rational model.  At every ell, v(Delta) = 0 means good
+reduction, and the residues of the integral model are those of the
+reduced curve.  Past that, the residue characteristic picks the route.
+
+Residue characteristic >= 5: a closed form, with no step that grows with e
+(Papadopoulos 1993; Silverman, Advanced Topics, IV.9).  The short model
+y^2 = x^3 - 27 c4 x - 54 c6 of the integral model is scaled by pi^k,
+k = min(floor(v(c4)/4), floor(v(c6)/6)), which makes it minimal, with
+v(Delta_min) = v(Delta) - 12 k.  A potentially multiplicative place, where
+j has a pole of order n/e, is I_n at v(Delta_min) = n and I_n* at n + 6;
+at a potentially good place v(Delta_min) fixes the type.  Each c_v is a
+square test, or a root count of the I0* cubic, on residues of c4, c6 and
+Delta over powers of pi, as in PARI's `elllocalred` at p >= 5.  As
+pi^(e v) = c^v, the residue of x / pi^(e v) is u (ell/c)^v mod ell, a
+sign (-1)^v at the cyclotomic layer e = ell - 1 > 1, where c = -ell.  A
+nonzero residue is a square in F_{ell^f} whenever f is even; for odd f,
+Euler's criterion decides.  A place that is good after the scaling is
+counted from the residues of the scaled short model.
+
+Residue characteristic 2 and 3: the classical step ladder (I0, I_n, II,
+III, IV, I0*, I_n*, IV*, III*, II*, rescale), which works at every residue
+characteristic and serves the tests as the oracle of the closed form at
+ell >= 5.  Residues are integers mod ell, and every division in the
 residue field is an inverse pow(x, -1, ell).  Residue characteristic 2
 needs two non-generic normalizations, both solved by square roots in F_2,
 which Frobenius fixes: the coordinate change before the step-6 cubic uses
@@ -13,38 +36,33 @@ by units.  Singular points and multiple roots come from closed-form
 solutions (the cube root in characteristic 3 is the identity on F_3 too),
 and each residue quadratic or cubic is read by one call to
 `polynomials.residue_roots`: its root count in F_{ell^f} and its multiple
-root, so no step is linear in the residue field size.
+root, so no step is linear in the residue field size.  Translations leave
+Delta unchanged and each step-11 rescale by pi divides it by pi^12.
 
-v(Delta) is never evaluated in the pi-adic field.  It is e * v_ell(disc) of
-the integral rational model: translations leave Delta unchanged and each
-step-11 rescale by pi divides it by pi^12 (Silverman, Advanced Topics,
-IV.9).  Good and multiplicative places never embed the model in the pi-adic
-field.  At v(Delta) = 0 the residues of the integral model are those of
-the reduced curve.  A model is minimal with multiplicative reduction exactly
-when v(c4) = 0, i.e. v(Delta) = -v(j) > 0, and then the type is I_n with
+The ladder never embeds a good or multiplicative place in the pi-adic
+field.  A model is minimal with multiplicative reduction exactly when
+v(c4) = 0, i.e. v(Delta) = -v(j) > 0, and then the type is I_n with
 n = v(Delta); its split test needs only the residues of a1 and of
 a2 + 3 x0 at the singular point (x0, y0) (Silverman, Advanced Topics, IV.9;
-Cremona, Algorithms, 3.2).  Only additive or non-minimal models are embedded,
-translated and walked down the ladder.  At residue characteristic >= 5 every
-result is checked against Ogg's formula v(Delta_min) = f_v + m_v - 1.
+Cremona, Algorithms, 3.2).  Only additive or non-minimal models are
+embedded, translated and walked down the ladder, in the exact ring Z[pi]
+of `local_fields`: translations are by integers times powers of pi, the
+step-6 normalization multiplies by the integer -(ell + 1)/2 where the
+textbook divides by -2, and each step-11 rescale divides by powers of pi
+exactly.  No digit is truncated, so the algorithm runs once, with no
+working precision.
 
-The embedded model lives in the exact ring Z[pi] of `local_fields`, for every
-e alike: translations are by integers times powers of pi, the step-6
-normalization multiplies by the integer -(ell + 1)/2 where the textbook
-divides by -2, and each step-11 rescale divides by powers of pi exactly.  No
-digit is truncated, so the algorithm runs once, with no working precision.
-
-The algorithm runs over the totally ramified field Q_ell(pi) of degree e,
-whose residue field is F_ell, even at a place with residue field F_{ell^f}.
-It takes the curve over Q and every choice above is canonical, so every
-residue it inspects lies in F_ell.  The residue degree f enters only in
-q_v = ell^f, in the number of roots in F_{ell^f} of each residue quadratic
-or cubic (the split test of the tangent cone included), and in
+Both routes take the curve over Q, and every choice they make is
+canonical, so every residue they inspect lies in F_ell.  The residue
+degree f enters only in q_v = ell^f, in square tests and in the number of
+roots in F_{ell^f} of each residue quadratic or cubic, and in
 N_v = #E(F_{ell^f}), which `curves.count_residues` takes of the residues of
-the minimal model and which is checked against the Hasse bound.  Potential
-supersingularity above p is read off a_p mod p of a curve over F_p with the
-reduced j, which `curves.model_with_j_invariant` builds and `count_points`
-counts; this module handles residues as integers only.
+a minimal model and which is checked against the Hasse bound.  At residue
+characteristic >= 5 every result is checked against Ogg's formula
+v(Delta_min) = f_v + m_v - 1.  Potential supersingularity above p is read
+off a_p mod p of a curve over F_p with the reduced j, which
+`curves.model_with_j_invariant` builds and `count_points` counts; this
+module handles residues as integers only.
 """
 
 from __future__ import annotations
@@ -63,7 +81,7 @@ from .curves import (
 )
 from .local_fields import LocalElement, LocalField
 from .polynomials import residue_roots
-from .valuations import vp
+from .valuations import int_valuation
 
 GOOD_ORDINARY = "GoodOrdinary"
 GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -227,21 +245,134 @@ def _res_shift(x: LocalElement, k: int) -> int:
 def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
     """Kodaira type, Tamagawa number, minimal discriminant valuation, and
     (for good reduction) residue point count of a rational model at a place
-    with ramification index K.e and residue field F_{ell^f}."""
+    with ramification index K.e and residue field F_{ell^f}: the closed form
+    at ell >= 5, the step ladder at ell in {2, 3}."""
+    if K.ell < 5:
+        return _ladder(model, K, f)
+    work, inv, place = _place(model, K, f)
+    ell = K.ell
+    D = K.e * int_valuation(inv.disc.numerator, ell)
+    if D == 0:
+        return _good_data([c.numerator % ell for c in work.coefficients()], place)
+    return _closed_form(inv, D, K, place)
+
+
+def _place(model: WeierstrassModel, K: LocalField, f: int):
+    """The integral model, its invariants and the fields of the place."""
     if f < 1:
         raise ValueError("residue degree must be >= 1")
     if not model.is_rational():
         raise ValueError("tate_algorithm expects a model over Q")
     work = integral_model(model)
     inv = invariants(work)  # also rejects singular models
-    ell = K.ell
-    q = ell**f
+    pole = inv.j_pole_order(K.ell)
+    place = dict(ell=K.ell, e=K.e, f=f, q_v=K.ell**f, potentially_good=pole == 0)
+    return work, inv, place
+
+
+# -- the closed form at residue characteristic >= 5 ------------------------------
+
+# Kodaira type by v(Delta_min) at a potentially good place, with c_v where
+# the type alone fixes it (Papadopoulos 1993)
+_POTENTIALLY_GOOD = {
+    2: ("II", 1),
+    3: ("III", 2),
+    4: ("IV", None),
+    6: ("I0*", None),
+    8: ("IV*", None),
+    9: ("III*", 2),
+    10: ("II*", 1),
+}
+
+
+def _closed_form(inv, D: int, K: LocalField, place: dict) -> LocalReductionData:
+    """Local data at ell >= 5 off the valuations over K of the integral
+    model's c4, c6 and Delta = (c4^3 - c6^2)/1728, v(Delta) = D > 0.
+
+    The short model y^2 = x^3 - 27 c4 x - 54 c6 scaled by pi^k,
+    k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal; its invariants are
+    c4/pi^4k, c6/pi^6k and Delta/pi^12k.  Every c_v test follows PARI's
+    `elllocalred` at p >= 5 with pi in place of p."""
+    ell, e, f = K.ell, K.e, place["f"]
+    c4, c6 = inv.c4.numerator, inv.c6.numerator
+    k = min(e * int_valuation(x, ell) // w for x, w in ((c4, 4), (c6, 6)) if x)
+    D_min = D - 12 * k
     pole = inv.j_pole_order(ell)
 
-    place = dict(ell=ell, e=K.e, f=f, q_v=q, potentially_good=pole == 0)
+    def residue(x: int, w: int) -> int:
+        return _residue_over_pi(x, w, K)
+
+    def square(r: int) -> bool:
+        return _is_square(r, ell, f)
+
+    if pole:
+        n = e * pole
+        if D_min == n:
+            kodaira = KodairaType("In", n)
+            if square(-residue(c6, 6 * k)):
+                return _finish(place, kodaira, n, n, MULT_SPLIT)
+            return _finish(place, kodaira, 2 - n % 2, n, MULT_NONSPLIT)
+        if D_min != n + 6:
+            raise AssertionError(f"v(Delta_min) = {D_min} fits neither I{n} nor I{n}*")
+        d = residue(inv.disc.numerator, D)
+        if n % 2:
+            d *= residue(c6, 6 * k + 3)
+        return _additive(place, KodairaType("In*", n), 4 if square(d) else 2, D_min)
+
+    if D_min == 0:
+        r4, r6 = residue(c4, 4 * k), residue(c6, 6 * k)
+        return _good_data([0, 0, 0, -27 * r4, -54 * r6], place)
+    if D_min not in _POTENTIALLY_GOOD:
+        raise AssertionError(f"no potentially good type has v(Delta_min) = {D_min}")
+    kind, c_v = _POTENTIALLY_GOOD[D_min]
+    if kind in ("IV", "IV*"):
+        c_v = 3 if square(-6 * residue(c6, 6 * k + D_min // 2)) else 1
+    elif kind == "I0*":
+        cubic = [-2 * residue(c6, 6 * k + 3), -3 * residue(c4, 4 * k + 2), 0, 1]
+        roots, multiple = residue_roots(cubic, ell, f)
+        if multiple is not None:
+            raise AssertionError("I0* cubic has a multiple root")
+        c_v = 1 + roots
+    return _additive(place, KodairaType(kind), c_v, D_min)
+
+
+def _residue_over_pi(x: int, w: int, K: LocalField) -> int:
+    """Residue of the rational integer x divided by pi^w, which must divide
+    it: 0 when v(x) > w; else x = ell^v u with w = e v, pi^w = c^v and the
+    residue is u (ell/c)^v, where ell/c = -1 at the cyclotomic layer."""
+    ell = K.ell
+    if x == 0:
+        return 0
+    v = int_valuation(x, ell)
+    if K.e * v < w:
+        raise AssertionError(f"pi^{w} does not divide {x}")
+    if K.e * v > w:
+        return 0
+    sign = -1 if K.c < 0 and v % 2 else 1
+    return sign * (x // ell**v) % ell
+
+
+def _is_square(r: int, ell: int, f: int) -> bool:
+    """Is the nonzero residue r a square in F_{ell^f}?  Every element of
+    F_ell is one when f is even; for odd f, Euler's criterion."""
+    if r % ell == 0:
+        raise AssertionError("square test of a zero residue")
+    return f % 2 == 0 or pow(r, (ell - 1) // 2, ell) == 1
+
+
+# -- the step ladder: residue characteristic 2 and 3, and the oracle ----------------
+
+
+def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
+    """Tate's step ladder over Z[pi], valid at every residue characteristic:
+    `tate_algorithm`'s route at ell in {2, 3}, and the oracle of the closed
+    form at ell >= 5."""
+    work, inv, place = _place(model, K, f)
+    ell = K.ell
+    pole = inv.j_pole_order(ell)
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
-    n = K.e * vp(inv.disc, ell)
+    n = K.e * int_valuation(inv.disc.numerator, ell)
     abar = [c.numerator % ell for c in work.coefficients()]
     if n == 0:
         return _good_data(abar, place)

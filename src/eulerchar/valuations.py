@@ -1,5 +1,6 @@
 """Exact integer and rational arithmetic helpers: p-adic valuations,
-primality, factorization, multiplicative orders.
+primality, factorization, multiplicative orders (by prime descent from
+phi(n), so no divisor list is built).
 
 Valuations are integers: there is no +infinity, and the valuation of 0
 raises ValueError.
@@ -140,14 +141,6 @@ def _brent_factor(n: int, c: int) -> int:
     return d
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1 in increasing order."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def euler_phi(n: int) -> int:
     """Euler totient of n >= 1."""
     phi = 1
@@ -157,15 +150,20 @@ def euler_phi(n: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n; requires gcd(a, n) = 1.  Order modulo 1 is 1."""
+    """Order of a modulo n; requires gcd(a, n) = 1.  Order modulo 1 is 1.
+
+    Prime descent (Cohen, GTM 138, Alg. 1.4.3): start from phi(n), a
+    multiple of the order, and for each prime q dividing it divide by q
+    while a^(order/q) is still 1."""
     if n == 1:
         return 1
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    for d in divisors(euler_phi(n)):
-        if pow(a, d, n) == 1:
-            return d
-    raise AssertionError("unreachable: order divides euler_phi(n)")
+    order = euler_phi(n)
+    for q, _ in factorize(order):
+        while order % q == 0 and pow(a, order // q, n) == 1:
+            order //= q
+    return order
 
 
 def primes_from(start: int):

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,7 @@ from eulerchar.curves import (
     SingularModelError,
     WeierstrassModel,
     discriminant,
+    extension_count,
     integral_model,
     invariants,
 )
@@ -19,6 +20,7 @@ from eulerchar.local_fields import make_local_field
 from eulerchar.tate import (
     ADDITIVE,
     GOOD_ORDINARY,
+    GOOD_SUPERSINGULAR,
     MULT_NONSPLIT,
     MULT_SPLIT,
     pot_supersingular,
@@ -484,6 +486,26 @@ def test_j_pole_order_over_census_box():
 GRID = Path(__file__).parent / "data" / "tate_residue_degree_grid.json"
 
 
+def _grid_places():
+    """(coeffs, model, ell, e, f) of every row of the residue-degree grid,
+    in the order of its recording."""
+    for coeffs, model, disc in _census_box_curves():
+        for ell in (2, 3, 5, 7, 11, 13):
+            if disc.numerator % ell:
+                continue
+            for e in sorted({1, 2 if ell > 2 else 3, ell - 1}):
+                for f in (1, 2, 3, 4):
+                    yield coeffs, model, ell, e, f
+
+
+def _grid_row(coeffs, model, ell, e, f) -> list:
+    """The row of the grid recording for one place: every field of the
+    local data, with the Kodaira symbol and L_at_1 as strings."""
+    d = run(model, ell, f=f, e=e)
+    L = f"{d.L_at_1.numerator}/{d.L_at_1.denominator}"
+    return [coeffs, *d[:3], d.kodaira.symbol, *d[4:10], L]
+
+
 def test_residue_degree_grid_matches_recording():
     """Every field of the local data over the residue-degree grid equals
     the recording in tests/data, made while Tate's algorithm still ran over
@@ -492,21 +514,11 @@ def test_residue_degree_grid_matches_recording():
     with e in {1, tame, ell - 1} (tame is x^3 - 2 above 2 and x^2 - ell
     above ell >= 5; e = ell - 1 is the cyclotomic layer, Q_3(mu_3) for
     e = 2 above 3) and f in {1, 2, 3, 4}."""
-    grid = json.loads(GRID.read_text(encoding="utf-8"))
-    rows = iter(grid["rows"])
+    rows = iter(json.loads(GRID.read_text(encoding="utf-8"))["rows"])
     recorded = 0
-    for coeffs, model, disc in _census_box_curves():
-        for ell in (2, 3, 5, 7, 11, 13):
-            if disc.numerator % ell:
-                continue
-            for e in sorted({1, 2 if ell > 2 else 3, ell - 1}):
-                for f in (1, 2, 3, 4):
-                    d = run(model, ell, f=f, e=e)
-                    kod = d.kodaira.symbol
-                    L = f"{d.L_at_1.numerator}/{d.L_at_1.denominator}"
-                    got = [coeffs, *d[:3], kod, *d[4:10], L]
-                    assert got == next(rows)
-                    recorded += 1
+    for place in _grid_places():
+        assert _grid_row(*place) == next(rows)
+        recorded += 1
     assert next(rows, None) is None and recorded == 17592
 
 
@@ -629,11 +641,22 @@ def test_scaling_by_ell_keeps_local_data(coeffs, ell, k, cyclotomic, f):
     assert run(scaled, ell, f=f, e=e) == run(model, ell, f=f, e=e)
 
 
-def test_good_and_multiplicative_places_never_embed(monkeypatch):
+def test_good_and_multiplicative_places_never_embed(monkeypatch, capsys):
     """Good places and minimal multiplicative places are decided on
     integers: they never embed the model in the pi-adic field.  An additive
-    place does embed."""
+    place above 2 or 3 does embed.  At ell >= 5 no place embeds: with
+    embedding refused there, every golden row and every grid row at
+    ell >= 5 still gives its recorded result."""
+    from test_golden import ROWS, _replay
+
     from eulerchar.local_fields import LocalField
+
+    embed_model = LocalField.embed_model
+
+    def refuse_from_5(self, coeffs):
+        if self.ell >= 5:
+            raise AssertionError("embed_model called")
+        return embed_model(self, coeffs)
 
     def refuse(self, coeffs):
         raise AssertionError("embed_model called")
@@ -649,11 +672,139 @@ def test_good_and_multiplicative_places_never_embed(monkeypatch):
         (E11A, 11, 1, "I5"),
         (E294, 5, 4, "I0"),
         (E11A, 2, 1, "I0"),
+        (E294, 7, 1, "II"),
     ]
     for model, ell, e, symbol in cases:
         for f in (1, 2):
             K = LocalField(ell, e)
             d = tate_algorithm(model, K, f=f)
             assert d.kodaira.symbol == symbol, (model, ell, e)
-    with pytest.raises(AssertionError, match="embed_model called"):
-        run(E294, 7)  # type II
+    for model, ell in ((WeierstrassModel.from_rationals([0, 0, 0, 0, 4]), 2),
+                       (WeierstrassModel.from_rationals([0, 0, 0, 3, 0]), 3)):
+        with pytest.raises(AssertionError, match="embed_model called"):
+            run(model, ell)  # additive
+
+    monkeypatch.setattr(LocalField, "embed_model", refuse_from_5)
+    assert _replay(ROWS, monkeypatch, capsys) == []
+    rows = json.loads(GRID.read_text(encoding="utf-8"))["rows"]
+    above_5 = [(place, row) for place, row in zip(_grid_places(), rows) if place[2] >= 5]
+    assert len(above_5) > 5000
+    for place, row in above_5:
+        assert _grid_row(*place) == row
+
+
+ORACLE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+
+
+def _tate_normal_form(p: int, t: Fraction) -> WeierstrassModel:
+    """y^2 + (1 - c) x y - b y = x^3 - b x^2, with a rational point of order
+    p in {5, 7} (Kubert 1976)."""
+    b, c = (t, t) if p == 5 else (t**3 - t**2, t**2 - t)
+    return WeierstrassModel.from_rationals([1 - c, -b, -b, 0, 0])
+
+
+def _twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
+    """The quadratic twist by d, in short form y^2 = x^3 - 27 c4 d^2 x - 54 c6 d^3."""
+    inv = invariants(model)
+    return WeierstrassModel.from_rationals([0, 0, 0, -27 * inv.c4 * d**2, -54 * inv.c6 * d**3])
+
+
+def _oracle_curves(ell: int, rng: random.Random):
+    """Models with additive or multiplicative reduction at ell: census-box
+    curves and Tate normal forms with ell | Delta, quadratic twists by ell of
+    census-box curves, y^2 = x^3 + u ell^k and y^2 = x^3 + u ell^k x, and
+    scalings by ell^k of these, some of them good after rescaling."""
+    box = [model for _, model, _ in _census_box_curves()]
+    bad = [m for m in box if invariants(m).disc.numerator % ell == 0]
+    normal_forms = []
+    while len(normal_forms) < 4:
+        t = Fraction(ell * rng.randint(-3, 3) or 1, rng.randint(1, 3)) + rng.choice((0, 1))
+        try:
+            model = _tate_normal_form(rng.choice((5, 7)), t)
+            disc = invariants(integral_model(model)).disc
+        except SingularModelError:
+            continue
+        if disc.numerator % ell == 0:
+            normal_forms.append(model)
+    twists = [_twist(m, ell) for m in rng.sample(box, 6)]
+    j0_1728 = [WeierstrassModel.from_rationals([0, 0, 0, 0, rng.randint(1, ell - 1) * ell**k])
+               for k in (1, 2, 4, 5)]
+    j0_1728 += [WeierstrassModel.from_rationals([0, 0, 0, rng.randint(1, ell - 1) * ell**k, 0])
+                for k in (1, 3)]
+    base = rng.sample(bad, min(4, len(bad))) + normal_forms + twists + j0_1728
+    scaled = [transform(m, Fraction(1, ell ** rng.randint(1, 2)), 0, 0, 0)
+              for m in rng.sample(box, 2) + rng.sample(base, 3)]
+    return base + scaled
+
+
+def test_closed_form_matches_the_ladder():
+    """At ell >= 5 Tate's algorithm reads the local data off v(c4), v(c6)
+    and v(Delta); the step ladder over Z[pi] is its oracle, field by field,
+    over e in {1, 2, ell - 1} and a tame e up to 30, and f in {1, 2, 3, 4}."""
+    from eulerchar.tate import _ladder
+
+    rng = random.Random(28)
+    kinds, classes, compared = set(), set(), 0
+    for ell in ORACLE_PRIMES:
+        tame = [e for e in range(3, 31) if gcd(e, ell) == 1 and e != ell - 1]
+        for model in _oracle_curves(ell, rng):
+            for e in sorted({1, 2, ell - 1, rng.choice(tame)}):
+                K = make_local_field(ell, e)
+                for f in (1, 2, 3, 4) if e <= 2 else rng.sample((1, 2, 3, 4), 2):
+                    d = tate_algorithm(model, K, f)
+                    assert d == _ladder(model, K, f), (model, ell, e, f)
+                    kinds.add(d.kodaira.kind)
+                    classes.add(d.reduction_class)
+                    compared += 1
+    assert kinds == {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
+    assert classes == {GOOD_ORDINARY, GOOD_SUPERSINGULAR, MULT_SPLIT, MULT_NONSPLIT, ADDITIVE}
+    assert compared > 1000
+
+
+def _squarefree(n: int) -> bool:
+    return all(n % (q * q) for q in range(2, isqrt(n) + 1))
+
+
+def _assert_tower_laws(lower, upper, where) -> None:
+    """The laws of local data at one prime over Q(mu_m) and Q(mu_m'), m | m'."""
+    k_e, k_f = upper.e // lower.e, upper.f // lower.f
+    assert upper.e == k_e * lower.e and upper.f == k_f * lower.f, where
+    assert upper.q_v == lower.q_v**k_f and upper.potentially_good == lower.potentially_good
+    if k_e == 1:
+        assert (upper.kodaira, upper.v_min_delta) == (lower.kodaira, lower.v_min_delta), where
+    if lower.is_good:
+        assert upper.is_good, where
+        assert upper.N_v == extension_count(lower.N_v, lower.q_v, k_f), where
+    elif lower.kodaira.is_multiplicative:
+        assert upper.kodaira.symbol == f"I{k_e * lower.kodaira.n}", where
+        split = lower.reduction_class == MULT_SPLIT or k_f % 2 == 0
+        assert upper.reduction_class == (MULT_SPLIT if split else MULT_NONSPLIT), where
+    elif lower.potentially_good and lower.ell >= 5:
+        assert (upper.v_min_delta - k_e * lower.v_min_delta) % 12 == 0, where
+
+
+def test_local_data_obeys_the_tower_laws():
+    """For m | m', the local data at a prime over Q(mu_m') follows from the
+    data over Q(mu_m) by the base-change laws, with no oracle: census-box
+    curves at their bad primes and at 5 and 7 over squarefree m | m' <= 105,
+    and the twists E_d at ell = d over Q(mu_d), e = d - 1, against Q."""
+    from eulerchar.euler import bad_primes_of_curve, local_data_at
+
+    conductors = [m for m in range(1, 106) if _squarefree(m)]
+    rng = random.Random(10)
+    box = list(_census_box_curves())
+    pairs = 0
+    for coeffs, model, _ in rng.sample(box, 40):
+        for ell in sorted(set(bad_primes_of_curve(model)) | {5, 7}):
+            data = {m: local_data_at(model, ell, m) for m in conductors}
+            for m in conductors:
+                for m2 in conductors[conductors.index(m) + 1:]:
+                    if m2 % m == 0:
+                        _assert_tower_laws(data[m], data[m2], (coeffs, ell, m, m2))
+                        pairs += 1
+    for d in (53, 211, 1009, 2003):
+        twist = WeierstrassModel.from_rationals([0, 0, 0, -1323 * d**2, -42714 * d**3])
+        lower, upper = local_data_at(twist, d, 1), local_data_at(twist, d, d)
+        assert (lower.e, upper.e) == (1, d - 1) and lower.potentially_good
+        _assert_tower_laws(lower, upper, d)
+    assert pairs > 20000

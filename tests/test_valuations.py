@@ -1,12 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from eulerchar.valuations import (
-    divisors,
     euler_phi,
     factorize,
     int_valuation,
@@ -78,7 +78,6 @@ def test_is_prime_small():
 
 def test_factorize_divisors_phi():
     assert factorize(294) == ((2, 1), (3, 1), (7, 2))
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert euler_phi(7) == 6
     assert euler_phi(700) == 240
 
@@ -116,6 +115,15 @@ def test_multiplicative_order():
     assert multiplicative_order(5, 1) == 1
     with pytest.raises(ValueError):
         multiplicative_order(6, 9)
+    # prime descent against the least k >= 1 with a^k = 1, by brute force
+    for n in range(2, 301):
+        for a in range(1, n + 1):
+            if gcd(a, n) != 1:
+                continue
+            k, power = 1, a % n
+            while power != 1:
+                k, power = k + 1, power * a % n
+            assert multiplicative_order(a, n) == k, (a, n)
 
 
 def test_int_valuation():
