@@ -151,26 +151,28 @@ def _ascii_int(text: str, signed: bool = True) -> int | None:
         return None
 
 
-def _parse_rational(value, path: str) -> Fraction:
+def _parse_rational(value, path: str) -> int | Fraction:
     """An integer, or a string of the grammar `[+-]digits[/digits]` in
     ASCII digits (`_ascii_int`), where `Fraction(str)` also takes decimal
-    points and exponents."""
+    points and exponents.  An integer value is an int, and only p/q with
+    q > 1 in lowest terms a Fraction."""
     if isinstance(value, bool):
         raise RequestError(path, "expected a decimal string or integer")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         n, d = _ascii_int(num), _ascii_int(den, signed=False) if slash else 1
         if n is not None and d:  # d is 0 for p/0
-            return Fraction(n, d)
+            return n // d if n % d == 0 else Fraction(n, d)
         raise RequestError(path, f"not a rational number: {value!r}")
     raise RequestError(path, f"expected a decimal string, got {value!r}")
 
 
 def _parse_curve(value, path: str) -> WeierstrassModel:
-    """Five a-invariants of a nonsingular curve; a singular one is refused
-    at path, and the invariants stay memoized on the model."""
+    """Five rational a-invariants of a nonsingular curve, as its integral
+    model (`WeierstrassModel.from_rationals`); a singular one is refused at
+    path, and the invariants stay memoized on the model."""
     if not isinstance(value, list) or len(value) != 5:
         raise RequestError(path, "expected a list of five a-invariants")
     coeffs = [_parse_rational(v, f"{path}/{i}") for i, v in enumerate(value)]

@@ -1,5 +1,8 @@
 """Weierstrass models: invariants, point counting over finite fields,
-division polynomials on integers, and p-primary torsion bounds.  The
+division polynomials on integers, and p-primary torsion bounds.  A curve
+over Q is read from rational a-invariants and carried as its integral model
+a_i * d^i, d the lcm of their denominators: every coefficient and every
+b-, c-invariant and Delta is an int, and j is the one Fraction.  The
 rational lower bound lifts the roots of psi_p ell-adically and keeps a root
 x0 when the points above it are rational, which is a square test on the
 discriminant of y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
@@ -43,7 +46,7 @@ DEFAULT_SAMPLES = 20
 COUNT_MEMO_SIZE = 256
 # square-root tables, one per prime up to MESTRE_BOUND: there are 50
 SQUARE_TABLE_MEMO_SIZE = 64
-# rational p-torsion orders by (integral model, p): a tower pass needs 2
+# rational p-torsion orders by (model, p): a tower pass needs 2
 TORSION_MEMO_SIZE = 64
 
 
@@ -66,26 +69,32 @@ class _Coefficients(NamedTuple):
 class WeierstrassModel(_Coefficients):
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
 
-    Coefficients are Fractions for curves over Q, or residues in F_ell for
-    a reduction (`reduce_model`), which carry no arithmetic: only
-    `count_points` reads them.  The model is an immutable tuple of the
-    five; `invariants` and `integral_model` are computed once per model
-    object and memoized in its instance dict (this subclass declares no
-    `__slots__` for that), so equal models built separately never share
-    them.  An integral model outlives its request only as a key of the
-    bounded rational-torsion memo (`_rational_torsion`).
+    Coefficients are ints for curves over Q (`from_rationals` clears the
+    denominators of rational input), or residues in F_ell for a reduction
+    (`reduce_model`), which carry no arithmetic: only `count_points` reads
+    them.  The model is an immutable tuple of the five; `invariants` are
+    computed once per model object and memoized in its instance dict (this
+    subclass declares no `__slots__` for that), so equal models built
+    separately never share them.  A model outlives its request only as a
+    key of the bounded rational-torsion memo (`_rational_torsion`).
     """
 
     @classmethod
     def from_rationals(cls, coeffs) -> "WeierstrassModel":
-        a1, a2, a3, a4, a6 = (Fraction(c) for c in coeffs)
-        return cls(a1, a2, a3, a4, a6)
+        """The integral model a_i * d^i of rational a-invariants a_i, d the
+        lcm of their denominators (the change of variables x = x'/d^2,
+        y = y'/d^3).  Ints and Fractions are read as they are, anything
+        else through Fraction."""
+        rationals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        d = lcm(*[c.denominator for c in rationals])
+        return cls(*(c.numerator * (d**k // c.denominator)
+                     for c, k in zip(rationals, (1, 2, 3, 4, 6))))
 
     def coefficients(self):
         return tuple(self)
 
     def is_rational(self) -> bool:
-        return isinstance(self.a1, Fraction)
+        return isinstance(self.a1, int)
 
     def rhs(self, x):
         return ((x + self.a2) * x + self.a4) * x + self.a6
@@ -96,10 +105,6 @@ class WeierstrassModel(_Coefficients):
     @cached_property
     def _invariants(self) -> "CurveInvariants | None":
         return _compute_invariants(self)
-
-    @cached_property
-    def _integral(self) -> "WeierstrassModel | None":
-        return _compute_integral_model(self)
 
 
 def b_invariants(coeffs):
@@ -121,21 +126,21 @@ def c_invariants(b2, b4, b6, b8):
     return c4, c6, disc
 
 
-def discriminant(model: WeierstrassModel) -> Fraction:
-    """Delta of a rational model, read from its memoized invariants; 0 for
-    a singular model."""
+def discriminant(model: WeierstrassModel) -> int:
+    """Delta of a model over Q, read from its memoized invariants; 0 for a
+    singular model."""
     inv = model._invariants
-    return Fraction(0) if inv is None else inv.disc
+    return 0 if inv is None else inv.disc
 
 
 class CurveInvariants(NamedTuple):
-    b2: Fraction
-    b4: Fraction
-    b6: Fraction
-    b8: Fraction
-    c4: Fraction
-    c6: Fraction
-    disc: Fraction
+    b2: int
+    b4: int
+    b6: int
+    b8: int
+    c4: int
+    c6: int
+    disc: int
     j: Fraction
 
     def j_pole_order(self, ell: int) -> int:
@@ -146,7 +151,7 @@ class CurveInvariants(NamedTuple):
 
 
 def invariants(model: WeierstrassModel) -> CurveInvariants:
-    """All standard invariants of a nonsingular rational model, computed
+    """All standard invariants of a nonsingular model over Q, computed
     once per model object.
 
     Raises SingularModelError when the discriminant vanishes.
@@ -158,46 +163,20 @@ def invariants(model: WeierstrassModel) -> CurveInvariants:
 
 
 def _compute_invariants(model: WeierstrassModel) -> CurveInvariants | None:
-    """Invariants on integers: the integral model has a-invariants a_i * d^i
-    for d the lcm of the denominators, so each invariant of weight k is its
-    integer counterpart divided by d^k (j has weight 0)."""
-    d = lcm(*[c.denominator for c in model.coefficients()])
-    b2, b4, b6, b8 = b_invariants([c.numerator for c in integral_model(model).coefficients()])
+    """Invariants of a model over Q, on its integer coefficients; None when
+    Delta = 0."""
+    b2, b4, b6, b8 = b_invariants(model)
     c4, c6, disc = c_invariants(b2, b4, b6, b8)
     if disc == 0:
         return None
-    weighted = zip((b2, b4, b6, b8, c4, c6, disc), (2, 4, 6, 8, 4, 6, 12))
-    return CurveInvariants(*(Fraction(x, d**k) for x, k in weighted), Fraction(c4**3, disc))
-
-
-def integral_model(model: WeierstrassModel) -> WeierstrassModel:
-    """The rational model with integral a-invariants a_i * d^i, for d the
-    lcm of their denominators (the change of variables x = x'/d^2,
-    y = y'/d^3); computed once per model object."""
-    return model._integral or model
-
-
-def _compute_integral_model(model: WeierstrassModel) -> WeierstrassModel | None:
-    """None for an integral model, which a memo of itself would put in a
-    reference cycle."""
-    d = lcm(*[c.denominator for c in model.coefficients()])
-    if d == 1:
-        return None
-    return WeierstrassModel(*(c * d**k for c, k in zip(model.coefficients(), (1, 2, 3, 4, 6))))
+    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
 
 def reduce_model(model: WeierstrassModel, ell: int) -> WeierstrassModel:
-    """The model over F_ell of a rational model integral at the prime ell.
-    This is the library's one constructor of F_ell: it builds every curve
-    the library counts."""
+    """The model over F_ell of a model over Q.  This is the library's one
+    constructor of F_ell: it builds every curve the library counts."""
     field = fq_create(ell)
-
-    def red(c: Fraction):
-        if c.denominator % ell == 0:
-            raise ValueError(f"coefficient {c} is not integral at {ell}")
-        return field.from_int(c.numerator * pow(c.denominator, -1, ell))
-
-    return WeierstrassModel(*(red(c) for c in model.coefficients()))
+    return WeierstrassModel(*(field.from_int(c) for c in model))
 
 
 # -- point counting --------------------------------------------------------------
@@ -416,19 +395,19 @@ def extension_count(n1: int, q: int, k: int) -> int:
 
 
 def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
-    """psi_n in x of an integral model, for odd n >= 1: integer
+    """psi_n in x of a model over Q, for odd n >= 1: integer
     coefficients, degree (n^2 - 1)/2 and leading coefficient n.
 
     The recurrence runs on the integer b-invariants, with B = psi_2^2 =
     4x^3 + b2 x^2 + 2 b4 x + b6, and memoizes psi_k within the call only;
     even k carry psi_k / psi_2, so even n is not exposed (psi_n has a factor
-    linear in y).  Raises ValueError for even n or a model with denominators.
+    linear in y).  Raises ValueError for even n or a model over F_ell.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("division_polynomial is defined here for odd n >= 1")
-    if any(c.denominator != 1 for c in model.coefficients()):
-        raise ValueError("division_polynomial needs an integral model")
-    b2, b4, b6, b8 = b_invariants([c.numerator for c in model.coefficients()])
+    if not model.is_rational():
+        raise ValueError("division_polynomial needs a model over Q")
+    b2, b4, b6, b8 = b_invariants(model)
     B2 = Polynomial([b6, 2 * b4, b2, 4]) ** 2
     psi = {
         0: Polynomial([0]),
@@ -463,11 +442,10 @@ def _psi(k: int, psi: dict, B2: Polynomial) -> Polynomial:
 def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     """Exact order of the p-primary torsion of E(Q) for a prime p >= 5.
 
-    Rational roots of psi_p of the integral model are found by ell-adic
-    lifting at the smallest prime ell not dividing p * Delta.  There E mod
-    ell is an elliptic curve and ell != p, so psi_p mod ell has leading
-    coefficient p and (p^2 - 1)/2 distinct roots: it is squarefree, as the
-    lifting requires.  For odd p a point P != O lies in E[p] exactly when
+    Rational roots of psi_p are found by ell-adic lifting at the smallest
+    prime ell not dividing p * Delta.  There E mod ell is an elliptic curve
+    and ell != p, so psi_p mod ell has leading coefficient p and
+    (p^2 - 1)/2 distinct roots: it is squarefree, as the lifting requires.  For odd p a point P != O lies in E[p] exactly when
     psi_p(x(P)) = 0 (Silverman, AEC, Ex. 3.7), so a root x0 is the
     x-coordinate of a point of order p exactly when a point above it is
     rational: when (a1 x0 + a3)^2 + 4 (x0^3 + a2 x0^2 + a4 x0 + a6) is a
@@ -480,16 +458,15 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
         raise ValueError("p must be a prime >= 5")
     if p >= 11:
         return 1
-    return _rational_torsion(integral_model(model), p)
+    return _rational_torsion(model, p)
 
 
 @lru_cache(maxsize=TORSION_MEMO_SIZE)
 def _rational_torsion(model: WeierstrassModel, p: int) -> int:
-    """`rational_p_torsion_order` of an integral model at p in {5, 7},
-    memoized by (model, p)."""
+    """`rational_p_torsion_order` at p in {5, 7}, memoized by (model, p)."""
     from .polynomials import rational_roots
 
-    disc = invariants(model).disc.numerator
+    disc = invariants(model).disc
     ell = next(q for q in primes_from(2) if p * disc % q)
     psi = division_polynomial(model, p)
     for x0 in rational_roots(psi, ell):
@@ -528,9 +505,7 @@ def torsion_bound_over_F(
         raise ValueError("p must be a prime >= 5")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    model = integral_model(model)
-    disc = invariants(model).disc.numerator
-    coeffs = [c.numerator for c in model.coefficients()]
+    disc = invariants(model).disc
     upper_exp = None
     used = 0
     for ell in primes_from(2):
@@ -538,7 +513,7 @@ def torsion_bound_over_F(
             raise ValueError(f"could not find {samples} usable primes below 10000")
         if ell == p or disc % ell == 0:
             continue
-        nf = count_residues(coeffs, ell, splitting(ell, m).f)
+        nf = count_residues(model, ell, splitting(ell, m).f)
         e = int_valuation(nf, p)
         upper_exp = e if upper_exp is None else min(upper_exp, e)
         used += 1
@@ -561,4 +536,4 @@ def model_with_j_invariant(jbar: int, p: int) -> WeierstrassModel:
     else:
         c = pow(jbar - 1728, -1, p)
         coeffs = (1, 0, 0, -36 * c, -c)
-    return reduce_model(WeierstrassModel.from_rationals(coeffs), p)
+    return reduce_model(WeierstrassModel(*coeffs), p)

@@ -26,7 +26,6 @@ from .curves import (
     TorsionEstimate,
     WeierstrassModel,
     discriminant,
-    integral_model,
     invariants,
     torsion_bound_over_F,
 )
@@ -106,9 +105,9 @@ class HypothesisResult(NamedTuple):
 
 
 def bad_primes_of_curve(model: WeierstrassModel) -> list[int]:
-    """Primes where the given integral model has positive disc valuation."""
-    disc = discriminant(integral_model(model))
-    return [p for p, _ in factorize(abs(disc.numerator))]
+    """Primes where the given model, which is integral, has positive disc
+    valuation."""
+    return [p for p, _ in factorize(abs(discriminant(model)))]
 
 
 def compute_M(A: AbelianVarietyInput) -> list[int]:

@@ -115,10 +115,8 @@ class LocalField:
         return LocalElement(self, (n,) + (0,) * (self.e - 1))
 
     def embed_model(self, coeffs) -> list["LocalElement"]:
-        """The a-invariants of an integral model over Q."""
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValueError("embed_model expects an integral model")
-        return [self.embed(c.numerator) for c in coeffs]
+        """The a-invariants of a model over Q, which are integers."""
+        return [self.embed(c) for c in coeffs]
 
     def __repr__(self):
         return f"LocalField(ell={self.ell}, e={self.e})"

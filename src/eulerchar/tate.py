@@ -5,13 +5,13 @@ potential-supersingularity test.
 The place is Q_ell(pi), pi^e = c (see `local_fields`), with residue field
 F_{ell^f}.  v(Delta) is never evaluated in the pi-adic field: every
 rational integer x = ell^v u has v(x) = e v, so v(Delta) = e * v_ell(disc)
-of the integral rational model.  At every ell, v(Delta) = 0 means good
-reduction, and the residues of the integral model are those of the
-reduced curve.  Past that, the residue characteristic picks the route.
+of the model over Q, which is integral.  At every ell, v(Delta) = 0 means
+good reduction, and the residues of the model are those of the reduced
+curve.  Past that, the residue characteristic picks the route.
 
 Residue characteristic >= 5: a closed form, with no step that grows with e
 (Papadopoulos 1993; Silverman, Advanced Topics, IV.9).  The short model
-y^2 = x^3 - 27 c4 x - 54 c6 of the integral model is scaled by pi^k,
+y^2 = x^3 - 27 c4 x - 54 c6 of the model is scaled by pi^k,
 k = min(floor(v(c4)/4), floor(v(c6)/6)), which makes it minimal, with
 v(Delta_min) = v(Delta) - 12 k.  A potentially multiplicative place, where
 j has a pole of order n/e, is I_n at v(Delta_min) = n and I_n* at n + 6;
@@ -75,7 +75,6 @@ from .curves import (
     b_invariants,
     count_points,
     count_residues,
-    integral_model,
     invariants,
     model_with_j_invariant,
 )
@@ -244,30 +243,29 @@ def _res_shift(x: LocalElement, k: int) -> int:
 
 def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
     """Kodaira type, Tamagawa number, minimal discriminant valuation, and
-    (for good reduction) residue point count of a rational model at a place
+    (for good reduction) residue point count of a model over Q at a place
     with ramification index K.e and residue field F_{ell^f}: the closed form
     at ell >= 5, the step ladder at ell in {2, 3}."""
     if K.ell < 5:
         return _ladder(model, K, f)
-    work, inv, place = _place(model, K, f)
+    inv, place = _place(model, K, f)
     ell = K.ell
-    D = K.e * int_valuation(inv.disc.numerator, ell)
+    D = K.e * int_valuation(inv.disc, ell)
     if D == 0:
-        return _good_data([c.numerator % ell for c in work.coefficients()], place)
+        return _good_data([c % ell for c in model], place)
     return _closed_form(inv, D, K, place)
 
 
 def _place(model: WeierstrassModel, K: LocalField, f: int):
-    """The integral model, its invariants and the fields of the place."""
+    """The model's invariants and the fields of the place."""
     if f < 1:
         raise ValueError("residue degree must be >= 1")
     if not model.is_rational():
         raise ValueError("tate_algorithm expects a model over Q")
-    work = integral_model(model)
-    inv = invariants(work)  # also rejects singular models
+    inv = invariants(model)  # also rejects singular models
     pole = inv.j_pole_order(K.ell)
     place = dict(ell=K.ell, e=K.e, f=f, q_v=K.ell**f, potentially_good=pole == 0)
-    return work, inv, place
+    return inv, place
 
 
 # -- the closed form at residue characteristic >= 5 ------------------------------
@@ -286,15 +284,15 @@ _POTENTIALLY_GOOD = {
 
 
 def _closed_form(inv, D: int, K: LocalField, place: dict) -> LocalReductionData:
-    """Local data at ell >= 5 off the valuations over K of the integral
-    model's c4, c6 and Delta = (c4^3 - c6^2)/1728, v(Delta) = D > 0.
+    """Local data at ell >= 5 off the valuations over K of the model's c4,
+    c6 and Delta = (c4^3 - c6^2)/1728, v(Delta) = D > 0.
 
     The short model y^2 = x^3 - 27 c4 x - 54 c6 scaled by pi^k,
     k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal; its invariants are
     c4/pi^4k, c6/pi^6k and Delta/pi^12k.  Every c_v test follows PARI's
     `elllocalred` at p >= 5 with pi in place of p."""
     ell, e, f = K.ell, K.e, place["f"]
-    c4, c6 = inv.c4.numerator, inv.c6.numerator
+    c4, c6 = inv.c4, inv.c6
     k = min(e * int_valuation(x, ell) // w for x, w in ((c4, 4), (c6, 6)) if x)
     D_min = D - 12 * k
     pole = inv.j_pole_order(ell)
@@ -314,7 +312,7 @@ def _closed_form(inv, D: int, K: LocalField, place: dict) -> LocalReductionData:
             return _finish(place, kodaira, 2 - n % 2, n, MULT_NONSPLIT)
         if D_min != n + 6:
             raise AssertionError(f"v(Delta_min) = {D_min} fits neither I{n} nor I{n}*")
-        d = residue(inv.disc.numerator, D)
+        d = residue(inv.disc, D)
         if n % 2:
             d *= residue(c6, 6 * k + 3)
         return _additive(place, KodairaType("In*", n), 4 if square(d) else 2, D_min)
@@ -367,13 +365,13 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductio
     """Tate's step ladder over Z[pi], valid at every residue characteristic:
     `tate_algorithm`'s route at ell in {2, 3}, and the oracle of the closed
     form at ell >= 5."""
-    work, inv, place = _place(model, K, f)
+    inv, place = _place(model, K, f)
     ell = K.ell
     pole = inv.j_pole_order(ell)
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
-    n = K.e * int_valuation(inv.disc.numerator, ell)
-    abar = [c.numerator % ell for c in work.coefficients()]
+    n = K.e * int_valuation(inv.disc, ell)
+    abar = [c % ell for c in model]
     if n == 0:
         return _good_data(abar, place)
     # the pi-adic model, embedded at the first round that is not multiplicative
@@ -396,7 +394,7 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductio
             return _finish(place, KodairaType("In", n), 2 - n % 2, n, MULT_NONSPLIT)
 
         if a is None:
-            a = K.embed_model(work.coefficients())
+            a = K.embed_model(model)
         a = _translate(a, r=x0, t=y0)
         _check_valuations(a, ((2, 1), (3, 1), (4, 1)), "singular translation")
 

@@ -5,8 +5,8 @@ phi(n), so no divisor list is built).
 Valuations are integers: there is no +infinity, and the valuation of 0
 raises ValueError.
 
-Rational numbers are represented by the standard library ``fractions.Fraction``
-throughout the package; it already guarantees the lowest-terms, positive
+Integers are ints, and other rational numbers are the standard library's
+``fractions.Fraction``, which already guarantees the lowest-terms, positive
 denominator normal form required here.
 """
 
@@ -71,7 +71,8 @@ def vp(x: Fraction | int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"vp requires a prime, got {p}")
-    x = Fraction(x)
+    if isinstance(x, int):
+        return int_valuation(x, p)
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 

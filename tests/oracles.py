@@ -422,8 +422,10 @@ def base_change_rules(data: LocalReductionData, f: int) -> dict:
 
 
 def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
-    a1, a2, a3, a4, a6 = model.coefficients()
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t, computed
+    on Fractions and returned as its integral model (`from_rationals`)."""
+    a1, a2, a3, a4, a6 = (Fraction(c) for c in model.coefficients())
+    u, r, s, t = (Fraction(x) for x in (u, r, s, t))
     u2 = u * u
     u3 = u2 * u
     na1 = (a1 + 2 * s) / u
@@ -431,7 +433,7 @@ def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
     na3 = (a3 + r * a1 + 2 * t) / u3
     na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u2 * u2)
     na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / (u3 * u3)
-    return WeierstrassModel(na1, na2, na3, na4, na6)
+    return WeierstrassModel.from_rationals([na1, na2, na3, na4, na6])
 
 
 # -- points ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ from eulerchar.cli import (
     render_text,
     report_to_dict,
 )
+from eulerchar.curves import WeierstrassModel
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import ExternalArithmetic
 from eulerchar.valuations import vp
@@ -521,6 +522,46 @@ def test_numeric_forms():
         parse_request(req)
 
 
+def test_parse_request_carries_integer_models_with_their_invariants(monkeypatch):
+    """parse_request leaves every curve as its integral model, with int
+    a-invariants, int b2..Delta and j a Fraction, and the invariants
+    memoized on the model: analyze computes no invariant again.  Checked on
+    the bundled requests and on every census-box curve."""
+    from itertools import product
+
+    from eulerchar import curves
+
+    requests = [json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted((ROOT / "data" / "requests").glob("*.json"))]
+    box = product((0, 1), (-1, 0, 1), (0, 1), range(-5, 6), range(-5, 6))
+    census = []
+    for i, a in enumerate(box):
+        curve = [str(c) for c in a]
+        census.append({"schema_version": 1, "curve": curve, "prime": (5, 7)[i % 2],
+                       "base_field": 1, "abelian_variety": {"dimension": 1, "factors": [curve]},
+                       "external": {"selmer_finite": True, "lambda_torsion_certificate": True}})
+    parsed_census = []
+    for req in requests + census:
+        try:
+            parsed = parse_request(req)
+        except RequestError as exc:
+            assert exc.path == "/curve" and str(exc).endswith("discriminant is zero")
+            continue
+        for model in (parsed["E"], *parsed["A"].factors):
+            assert all(type(c) is int for c in model)
+            inv = model.__dict__["_invariants"]  # memoized by parse_request
+            assert all(type(x) is int for x in inv[:7]) and type(inv.j) is Fraction
+        parsed_census.append(parsed)
+    assert len(parsed_census) == len(requests) + 1435  # 17 box curves are singular
+
+    def computed_again(model):
+        raise AssertionError(f"invariants of {model} computed after parsing")
+
+    monkeypatch.setattr(curves, "_compute_invariants", computed_again)
+    for parsed in parsed_census[:len(requests) + 40]:
+        analyze(**parsed)
+
+
 RATIONAL_SPELLINGS = [
     ("0", "0"), ("-1", "-1"), ("+3", "3"), ("007", "7"), ("7/2", "7/2"),
     ("-7/2", "-7/2"), ("+14/4", "7/2"), ("0/5", "0"), ("-10/-2", None), ("1/+2", None),
@@ -535,7 +576,9 @@ RATIONAL_SPELLINGS = [
 def test_rational_spellings(capsys, text, value):
     """A coefficient string is [+-]digits[/digits] in ASCII digits, with a
     nonzero denominator, on every Python: anything else is refused at its
-    pointer, in a request and in a --curve piece alike."""
+    pointer, in a request and in a --curve piece alike.  An integer value
+    is read as an int, anything else as a Fraction, and the model is the
+    integral one."""
     req = json.loads(json.dumps(REQ_TABLE))
     req["curve"] = ["1", "0", "0", text, "-1"]
     argv = ["local", f"--curve=1,0,0,{text},-1", "--ell", "7"]
@@ -546,7 +589,11 @@ def test_rational_spellings(capsys, text, value):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: /curve/3: not a rational number: {text!r}\n"
     else:
-        assert parse_request(req)["E"].a4 == Fraction(value)
+        parsed = cli._parse_rational(text, "/curve/3")
+        assert parsed == Fraction(value)
+        assert type(parsed) is (int if Fraction(value).denominator == 1 else Fraction)
+        model = WeierstrassModel.from_rationals([1, 0, 0, Fraction(value), -1])
+        assert parse_request(req)["E"] == model
         code = main(argv)
         printed = capsys.readouterr()
         assert main(["local", f"--curve=1,0,0,{value},-1", "--ell", "7"]) == code

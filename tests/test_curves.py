@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +15,6 @@ from eulerchar.curves import (
     count_points,
     division_polynomial,
     extension_count,
-    integral_model,
     invariants,
     model_with_j_invariant,
     rational_p_torsion_order,
@@ -70,7 +69,7 @@ def test_invariant_identities(coeffs):
     except SingularModelError:
         return
     assert 1728 * inv.disc == inv.c4**3 - inv.c6**2
-    assert inv.j == inv.c4**3 / inv.disc
+    assert inv.j == Fraction(inv.c4) ** 3 / inv.disc
 
 
 mixed_fracs = st.builds(
@@ -80,29 +79,60 @@ mixed_fracs = st.builds(
 
 @given(st.tuples(mixed_fracs, mixed_fracs, mixed_fracs, mixed_fracs, mixed_fracs))
 def test_invariants_on_integers_match_rational_formulas(coeffs):
-    """invariants() works on the integral model a_i * d^i and divides back
-    by d^weight; that gives exactly the b-, c-invariants, Delta and j the
-    formulas give over Fractions."""
+    """from_rationals carries a_i as the integral model a_i * d^i, d the lcm
+    of the denominators, so each invariant of weight k is the formula's
+    value over Fractions times d^k, an int, and j is the same Fraction."""
+    d = lcm(*[c.denominator for c in coeffs])
+    assume(d > 1)
     model = WeierstrassModel.from_rationals(coeffs)
-    assume(any(c.denominator > 1 for c in model.coefficients()))
-    b = b_invariants(model.coefficients())
+    assert model == tuple(c * d**k for c, k in zip(coeffs, (1, 2, 3, 4, 6)))
+    assert all(type(c) is int for c in model)
+    b = b_invariants(coeffs)
     c4, c6, disc = c_invariants(*b)
     if disc == 0:
         with pytest.raises(SingularModelError):
             invariants(model)
         return
     inv = invariants(model)
-    got = (inv.b2, inv.b4, inv.b6, inv.b8, inv.c4, inv.c6, inv.disc, inv.j)
-    assert got == (*b, c4, c6, disc, c4**3 / disc)
-    assert all(type(x) is Fraction for x in got)
+    weighted = zip((*b, c4, c6, disc), (2, 4, 6, 8, 4, 6, 12))
+    assert tuple(inv)[:7] == tuple(x * d**k for x, k in weighted)
+    assert all(type(x) is int for x in tuple(inv)[:7])
+    assert type(inv.j) is Fraction and inv.j == c4**3 / disc
+
+
+def test_from_rationals_clears_the_reduced_denominators():
+    """a_i / d^i for integers a_i read as the tuple a_i * d'^i of ints, d'
+    the lcm of the denominators of a_i / d^i in lowest terms: d' = d only
+    when no cancellation shortens them."""
+    rng = random.Random(29)
+    for _ in range(2000):
+        a = [rng.randint(-40, 40) for _ in range(5)]
+        d = rng.choice((1, 2, 3, 4, 5, 6, 7, 10, 12))
+        given = [Fraction(x, d**k) for x, k in zip(a, (1, 2, 3, 4, 6))]
+        reduced = lcm(*[x.denominator for x in given])
+        expected = tuple(x * reduced**k for x, k in zip(given, (1, 2, 3, 4, 6)))
+        for spelling in (given, [str(x) for x in given]):
+            model = WeierstrassModel.from_rationals(spelling)
+            assert model == expected
+            assert all(type(c) is int for c in model)
+    # E as a_i / 2^i: d' = 64, the lcm of 2, 16 and 64
+    e_over_2 = WeierstrassModel.from_rationals(["1/2", 0, 0, "-1/16", "-1/64"])
+    assert e_over_2 == (32, 0, 0, -(2**20), -(2**30))
+    assert WeierstrassModel.from_rationals([1, 0, 0, -1, -1]) == E294 == (1, 0, 0, -1, -1)
 
 
 def test_transform_invariance():
+    """A change of variables with scaling u divides Delta by u^12 and keeps
+    j.  transform returns the integral model: at u = 1/2 no denominator
+    arises, and at u = 2 d = 64, the lcm of the denominators, clears them
+    and multiplies Delta by d^12."""
     inv = invariants(E294)
-    moved = transform(E294, Fraction(2), Fraction(1), Fraction(3), Fraction(-2))
-    inv2 = invariants(moved)
-    assert inv2.disc == inv.disc / Fraction(2) ** 12
-    assert inv2.j == inv.j
+    halved = transform(E294, Fraction(1, 2), Fraction(1), Fraction(3), Fraction(-2))
+    assert invariants(halved).disc == inv.disc * 2**12
+    doubled = transform(E294, Fraction(2), Fraction(1), Fraction(3), Fraction(-2))
+    assert doubled.a1 == Fraction(1 + 2 * 3, 2) * 64
+    assert invariants(doubled).disc == inv.disc * Fraction(64, 2) ** 12
+    assert invariants(halved).j == invariants(doubled).j == inv.j
 
 
 def test_point_order_anchors():
@@ -173,7 +203,7 @@ def test_count_points_over_extension_matches_brute_count(ell, f):
     e37a = WeierstrassModel.from_rationals([0, 0, 1, -1, 0])
     counted = 0
     for E in (e11a, e37a, EJ0):
-        if invariants(E).disc.numerator % ell == 0:
+        if invariants(E).disc % ell == 0:
             continue
         reduced = reduce_model(E, ell)
         assert count_points(reduced, f) == brute_count(lift_model(reduced, finite_field(ell, f)))
@@ -413,9 +443,9 @@ def test_division_polynomial_roots_are_torsion_x(coeffs, n):
     assert {x for x in range(31) if psi.evaluate(x) % 31 == 0} == torsion_x
 
 
-def test_division_polynomial_refuses_denominators():
-    with pytest.raises(ValueError, match="integral"):
-        division_polynomial(WeierstrassModel.from_rationals([0, 0, 0, Fraction(1, 4), 1]), 3)
+def test_division_polynomial_refuses_a_model_over_F_ell():
+    with pytest.raises(ValueError, match="over Q"):
+        division_polynomial(reduce_model(EJ0, 5), 3)
 
 
 def tate_normal_form(p, t) -> WeierstrassModel:
@@ -426,7 +456,7 @@ def tate_normal_form(p, t) -> WeierstrassModel:
 
 
 def _smallest_good_prime(model, p):
-    disc = invariants(model).disc.numerator
+    disc = invariants(model).disc
     return next(ell for ell in range(2, 10**4) if _is_prime(ell) and p * disc % ell)
 
 
@@ -489,7 +519,7 @@ def test_square_test_matches_point_order_oracle():
     box = product([0, 1], [-1, 0, 1], [0, 1], range(-5, 6), range(-5, 6))
     tate = [tate_normal_form(p, t).coefficients() for p in (5, 7) for t in range(-40, 41)]
     named = [E294.coefficients(), EPRIME.coefficients(), (0, -1, 1, -10, -20), (0, 0, 1, -1, 0)]
-    coeffs = {tuple(map(Fraction, c)) for c in [*box, *tate, *named]}
+    coeffs = {tuple(map(int, c)) for c in [*box, *tate, *named]}
     curves_checked = orders_p = 0
     for c in sorted(coeffs):
         model = WeierstrassModel(*c)
@@ -617,7 +647,7 @@ def test_torsion_bound_skips_rational_search_when_upper_is_one(monkeypatch):
             assert calls == []
             seen_upper_one += 1
         else:
-            assert calls == [(integral_model(model), p)]
+            assert calls == [(model, p)]
             seen_upper_above_one += 1
     assert torsion_bound_over_F(EJ0, 7, 1, samples=20).upper == 1
 
@@ -636,8 +666,8 @@ def test_torsion_divides_reduction_sample():
         ell = 2
         used = 0
         while used < 3:
-            if disc.numerator % ell and ell != p:
-                n = count_points(reduce_model(integral_model(model), ell))
+            if disc % ell and ell != p:
+                n = count_points(reduce_model(model, ell))
                 assert n % order == 0
                 used += 1
             ell += 1

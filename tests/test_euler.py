@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from eulerchar.cli import report_to_dict
+from eulerchar.cli import main, report_to_dict
 from eulerchar.curves import WeierstrassModel, extension_count, invariants, reduce_model
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import (
@@ -369,3 +370,42 @@ def test_analyze_large_residue_fields_match_oracle():
         for k in (2, 3):
             assert brute_count(over(k)) == extension_count(n1, ell, k)
         assert data.N_v == extension_count(n1, ell, f)
+
+
+TOWER_CONDUCTORS = (1, 3, 5, 7, 11, 13, 15, 21, 33, 35, 39, 55, 77, 105)
+
+
+def test_reports_obey_the_tower_laws(capsys):
+    """Along m | m', the tau and torsion reports of one curve obey the
+    tower laws: tau_p is [F:Q] or 0 whatever m, so it scales by
+    [Q(mu_m'):Q(mu_m)], and neither torsion bound falls, as E(F)[p^oo]
+    only grows with F.  y^2 = x^3 + 1 is supersingular at 5 and
+    y^2 = x^3 + x at 7, so tau_p is not always 0."""
+    curves = ("0,0,0,0,1", "0,0,0,1,0", "1,0,0,-1,-1", "0,-1,1,-10,-20", "0,0,1,-1,0")
+
+    def report(command, curve, p, m):
+        assert main([command, f"--curve={curve}", "--prime", str(p),
+                     "--conductor", str(m), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def phi(n):
+        return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+    pairs, supersingular, violations = 0, 0, []
+    for curve in curves:
+        for p in (5, 7):
+            tau = {m: report("tau", curve, p, m)["tau_p"] for m in TOWER_CONDUCTORS}
+            torsion = {m: report("torsion", curve, p, m) for m in TOWER_CONDUCTORS}
+            supersingular += tau[1] > 0
+            for m in TOWER_CONDUCTORS:
+                for m2 in TOWER_CONDUCTORS:
+                    if m2 == m or m2 % m:
+                        continue
+                    pairs += 1
+                    if tau[m2] * phi(m) != tau[m] * phi(m2):
+                        violations.append(("tau", curve, p, m, m2))
+                    for bound in ("lower", "upper"):
+                        if int(torsion[m2][bound]) < int(torsion[m][bound]):
+                            violations.append((bound, curve, p, m, m2))
+    assert (pairs, supersingular) == (330, 2)
+    assert violations == []

@@ -36,11 +36,12 @@ def test_count_memo_is_keyed_by_residues_without_the_degree():
 
 
 def test_torsion_memo_is_keyed_by_the_integral_model():
-    """[-1, 2, 2, 0, 0] with a_i / 2^i has a point of order 7; it and its
-    integral model, with a_i * 4^i, ask the memo one question."""
+    """[-1, 2, 2, 0, 0] with a_i / 2^i has a point of order 7; read from
+    rationals it is the integral model a_i * 4^i, and it and that model
+    given in integers, two model objects, ask the memo one question."""
     scaled = WeierstrassModel.from_rationals(["-1/2", "1/2", "1/4", 0, 0])
-    integral = curves.integral_model(scaled)
-    assert integral == WeierstrassModel.from_rationals([-2, 8, 16, 0, 0])
+    integral = WeierstrassModel.from_rationals([-2, 8, 16, 0, 0])
+    assert scaled == integral and scaled is not integral
     assert rational_p_torsion_order(scaled, 7) == rational_p_torsion_order(integral, 7) == 7
     assert curves._rational_torsion.cache_info()[:2] == (1, 1)
 

@@ -37,6 +37,32 @@ def test_vp_rejects_composite():
         vp(Fraction(1, 2), 6)
 
 
+def _brute_valuation(n: int, d: int, p: int) -> int:
+    """v_p(n/d) by counting the multiples of p^k that divide n and d."""
+    return (sum(1 for k in range(1, 64) if n % p**k == 0)
+            - sum(1 for k in range(1, 64) if d % p**k == 0))
+
+
+def test_vp_matches_brute_force_on_ints_and_fractions():
+    """vp takes an int as it is and a Fraction by its numerator and
+    denominator; it refuses 0, as an int or a Fraction, and composite p."""
+    for n in range(-300, 301):
+        for p in (2, 3, 5, 7):
+            if n == 0:
+                for zero in (0, Fraction(0)):
+                    with pytest.raises(ValueError):
+                        vp(zero, p)
+                continue
+            assert vp(n, p) == _brute_valuation(n, 1, p)
+            for d in (1, 4, 9, 25, 98, 375):
+                assert vp(Fraction(n, d), p) == _brute_valuation(n * d, d * d, p)
+    for composite in (1, 4, 6, 9, 15, 49):
+        with pytest.raises(ValueError):
+            vp(7, composite)
+        with pytest.raises(ValueError):
+            vp(Fraction(1, 7), composite)
+
+
 nonzero_rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**6
 ).filter(lambda x: x != 0)
