@@ -2,12 +2,15 @@
 through `cli.main`, and the sha256 of what it prints on stdout and on
 stderr, and its exit code, must match the row.
 
-The rows are the bundled requests in JSON and text, the CLI examples of CI,
-the rows that finish from the ROADMAP baseline, the exit-3 rows and the
-refusals whose text is the program's own; help and usage errors are left
-out, as their text is argparse's and changes between CPython releases.  The
-digests are data with no way to rewrite them here: a change that moves one
-names the row and its reason in CHANGES.md.
+The corpus is the CLI examples: the bundled requests in JSON and text, the
+rows that finish from the ROADMAP baseline, the exit-3 rows, the refusals
+whose text is the program's own, and a row for each branch and request
+setting no other row reaches.  CI replays every row through
+`python -m eulerchar`, each in a fresh process, against the same digests.
+Help and usage errors are left out, as their text is argparse's and changes
+between CPython releases; every row is one that `cli.main` returns from.
+The digests are data with no way to rewrite them here: a change that moves
+one names the row and its reason in CHANGES.md.
 """
 
 import hashlib
@@ -43,7 +46,7 @@ def _replay(rows, monkeypatch, capsys, before_each=lambda: None) -> list:
 
 def test_golden_reports(monkeypatch, capsys):
     assert _replay(ROWS, monkeypatch, capsys) == []
-    assert len(ROWS) >= 60
+    assert len(ROWS) >= 88
 
 
 def test_memos_never_change_a_report(monkeypatch, capsys, library_caches):
