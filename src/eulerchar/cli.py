@@ -42,7 +42,7 @@ from .curves import (
     discriminant,
     torsion_bound_over_F,
 )
-from .cyclotomic import CyclotomicSplitting, field_degree, splitting
+from .cyclotomic import field_degree, splitting
 from .euler import (
     AbelianVarietyInput,
     CorankReport,
@@ -287,8 +287,9 @@ def parse_request(obj) -> dict:
 
 
 def _reduction_fields(data: LocalReductionData) -> dict:
-    """The reduction type of E at one place, `q_v` to `N_v`, as a report's
-    place and the `local` subcommand print it."""
+    """The reduction type of E at one place, `q_v` to `N_v`, as the `local`
+    subcommand prints it; a report's place rows hold the same keys
+    (`report_to_dict`)."""
     return {
         "q_v": str(data.q_v),
         "kodaira": data.kodaira.symbol,
@@ -314,32 +315,32 @@ def _corank_fields(rep: CorankReport) -> dict:
     }
 
 
-def _conjugate_rows(sp: CyclotomicSplitting, row: dict) -> list[dict]:
-    """The rows ell#1 ... ell#g of the g places above sp.ell: E is defined
-    over Q, so the conjugate places share one record."""
-    return [{"place": f"{sp.ell}#{i}", **row} for i in range(1, sp.g + 1)]
-
-
 def report_to_dict(report: EulerCharReport) -> dict:
+    # the g places above one prime are conjugate and share one record (E is
+    # defined over Q), so its values are converted once, and each of the
+    # rows ell#1 ... ell#g is one dict literal
     places, audit = [], []
     for sp, data in report.places:
-        places += _conjugate_rows(sp, {
-            "ell": sp.ell,
-            "e": sp.e,
-            "f": sp.f,
-            "g": sp.g,
-            **_reduction_fields(data),
-            "L_at_1": str(data.L_at_1),
-        })
+        ell, e, f, g = sp.ell, sp.e, sp.f, sp.g
+        q_v, kodaira, c_v = str(data.q_v), data.kodaira.symbol, str(data.c_v)
+        v_min_delta, cls, pg = data.v_min_delta, data.reduction_class, data.potentially_good
+        N_v = None if data.N_v is None else str(data.N_v)
+        L = str(data.L_at_1)
+        for i in range(1, g + 1):
+            places.append({
+                "place": f"{ell}#{i}", "ell": ell, "e": e, "f": f, "g": g,
+                "q_v": q_v, "kodaira": kodaira, "c_v": c_v, "v_min_delta": v_min_delta,
+                "reduction_class": cls, "potentially_good": pg, "N_v": N_v, "L_at_1": L,
+            })
     for r in report.audit:
-        audit += _conjugate_rows(r.splitting, {
-            "q_v": str(r.data.q_v),
-            "reduction_class": r.data.reduction_class,
-            "L_at_1": str(r.data.L_at_1),
-            "vp_L": r.vp_L,
-            "contribution": r.contribution,
-            "gamma_kernel_exponent": r.gamma_kernel_exponent,
-        })
+        ell, data = r.splitting.ell, r.data
+        q_v, cls, L = str(data.q_v), data.reduction_class, str(data.L_at_1)
+        vp_L, contribution, gamma = r.vp_L, r.contribution, r.gamma_kernel_exponent
+        for i in range(1, r.splitting.g + 1):
+            audit.append({
+                "place": f"{ell}#{i}", "q_v": q_v, "reduction_class": cls, "L_at_1": L,
+                "vp_L": vp_L, "contribution": contribution, "gamma_kernel_exponent": gamma,
+            })
     target = None
     if report.target_chi_sigma_exponent is not None:
         target = {
@@ -355,7 +356,9 @@ def report_to_dict(report: EulerCharReport) -> dict:
         "p": report.p,
         "conductor": report.conductor,
         "degree": report.degree,
-        "hypotheses": [h._asdict() for h in report.hypotheses],
+        "hypotheses": [
+            {"name": h.name, "status": h.status, "detail": h.detail} for h in report.hypotheses
+        ],
         "M_rational": report.M_rational,
         "places": places,
         "torsion": torsion,
@@ -455,24 +458,37 @@ def _to_json(value, indent: str = "\n") -> str:
     values a document holds; that encoder runs in pure Python whenever it
     indents.  indent is the newline and indentation that precede value's
     closing bracket.  Any other type, a float or a tuple say, and a non-str
-    key raise TypeError."""
+    key raise TypeError.
+
+    A container writes its leaves inline, by the same exact-type tests as
+    the value itself, and recurses only into the containers it holds."""
     kind = type(value)  # the exact type: a bool is no int, a record no list
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        is_dict = kind is dict
+        items = []
+        # a list item stands in as its own key, which only a dict's items use
+        for key, v in value.items() if is_dict else zip(value, value):
+            leaf = type(v)
+            if leaf is str:
+                v = _quote(v)
+            elif leaf is int:
+                v = int.__repr__(v)
+            elif v is None or leaf is bool:
+                v = "null" if v is None else "true" if v else "false"
+            else:
+                v = _to_json(v, inner)
+            # _quote raises TypeError on a non-str key
+            items.append(f"{_quote(key)}: {v}" if is_dict else v)
+        if is_dict:
+            return f"{{{inner}" + f",{inner}".join(items) + f"{indent}}}"
+        return f"[{inner}" + f",{inner}".join(items) + f"{indent}]"
     if kind is str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        # _quote raises TypeError on a non-str key
-        return f"{{{inner}" + f",{inner}".join(
-            [f"{_quote(k)}: {_to_json(v, inner)}" for k, v in value.items()]) + f"{indent}}}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return f"[{inner}" + f",{inner}".join([_to_json(v, inner) for v in value]) + f"{indent}]"
     if value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"
     raise TypeError(f"a {kind.__name__} has no place in a JSON document")

@@ -225,16 +225,18 @@ def _count_prime_field(p: int, coeffs: tuple[int, ...]) -> int:
     (`_count_by_squares`).  The bound is where the Mestre-Schoof theorem
     starts to guarantee that Shanks-Mestre finishes, not a tuning constant.
     """
-    if c_invariants(*b_invariants(coeffs))[2] % p == 0:
+    b = b_invariants(coeffs)
+    c4, c6, disc = c_invariants(*b)
+    if disc % p == 0:
         raise SingularModelError("cannot count points on a singular model")
     if p <= MESTRE_BOUND:
-        return _count_by_squares(p, coeffs)
-    return _count_shanks_mestre(p, coeffs)
+        return _count_by_squares(p, coeffs, b)
+    return _count_shanks_mestre(p, c4, c6)
 
 
-def _count_by_squares(p: int, coeffs) -> int:
+def _count_by_squares(p: int, coeffs, b) -> int:
     """#E(F_p) by one pass over the x-fibers: O(p) time and memory, exact
-    at every prime p.
+    at every prime p; b holds the b-invariants of coeffs.
 
     For odd p the fiber over x is (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 +
     2 b4 x + b6, so it holds as many points as its right-hand side has
@@ -247,7 +249,7 @@ def _count_by_squares(p: int, coeffs) -> int:
             for x in (0, 1)
             for y in (0, 1)
         )
-    b2, b4, b6, _ = b_invariants(coeffs)
+    b2, b4, b6, _ = b
     b4 *= 2
     roots = _square_root_counts(p)
     return 1 + sum([roots[(((4 * x + b2) * x + b4) * x + b6) % p] for x in range(p)])
@@ -263,8 +265,9 @@ def _square_root_counts(p: int) -> bytes:
     return bytes(counts)
 
 
-def _count_shanks_mestre(p: int, coeffs: list[int]) -> int:
-    """#E(F_p) for a prime p >= 5 by Shanks-Mestre (Cohen, GTM 138, 7.4.3).
+def _count_shanks_mestre(p: int, c4: int, c6: int) -> int:
+    """#E(F_p) for a prime p >= 5 by Shanks-Mestre (Cohen, GTM 138, 7.4.3),
+    from the invariants c4 and c6 of the curve.
 
     E is isomorphic to y^2 = g(x) = x^3 + a x + b with a = -27 c4 and
     b = -54 c6.  For x0 = 0, 1, 2, ... with d = g(x0) != 0 the point
@@ -277,7 +280,6 @@ def _count_shanks_mestre(p: int, coeffs: list[int]) -> int:
     guarantees a unique survivor once p > 229: the group exponent of E or of
     its twist then has a single multiple in the Hasse interval.
     """
-    c4, c6, _ = c_invariants(*b_invariants(coeffs))
     a, b = -27 * c4 % p, -54 * c6 % p
     r = isqrt(4 * p)  # floor(2 sqrt(p)); 4p is never a square
     lo, hi = p + 1 - r, p + 1 + r

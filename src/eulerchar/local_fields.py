@@ -15,6 +15,13 @@ in these rings at residue characteristic 2 and 3 only; above that it reads
 valuations of rational integers, and the ladder over general e serves the
 tests as its oracle.
 
+The ladder computes on values of the ring through the field: `embed`,
+`embed_model`, `shift`, `val_at_least`, `valuation` and `residue`.  At
+e = 1, where pi = ell and Z[pi] = Z, a value is a plain int and each of
+these is one integer operation; only at e > 1 is it a `LocalElement`.
+A value is never both: the field's `embed` picks the representation, and
+ring operations between values and ints keep it.
+
 x^(ell-1) + ell defines Q_ell(mu_ell): for zeta a primitive ell-th root
 of unity, (zeta - 1)^(ell-1) / (-ell) is a unit congruent to 1 mod
 zeta - 1, so it has an (ell-1)-th root by Hensel's lemma, and
@@ -34,7 +41,9 @@ high half back through pi^e = c.  A shift by pi^k, k = q e + r with
 multiplied by c, then a scaling by c^q = (+-ell)^q, which for q < 0 is an
 exact division once pi^(-k) is known to divide.  A field holds only ell,
 e, c and the tuple of 1, so `make_local_field` builds one afresh on every
-call.
+call.  The `LocalElement`s of Z[pi] at e = 1 stay reachable through
+`zero`, `one` and `pi`, and the tests run the ladder on them as the oracle
+of its integer values.
 """
 
 from __future__ import annotations
@@ -110,13 +119,42 @@ class LocalField:
     def pi(self) -> "LocalElement":
         return self.one().shift_pi(1)
 
-    def embed(self, n: int) -> "LocalElement":
-        """The image of a rational integer; v = e * v_ell(n)."""
-        return LocalElement(self, (n,) + (0,) * (self.e - 1))
+    # -- values: ints at e = 1, LocalElements at e > 1 ----------------------------
 
-    def embed_model(self, coeffs) -> list["LocalElement"]:
-        """The a-invariants of a model over Q, which are integers."""
+    def embed(self, n: int):
+        """The value of a rational integer; v = e * v_ell(n)."""
+        return n if self.e == 1 else LocalElement(self, (n,) + (0,) * (self.e - 1))
+
+    def embed_model(self, coeffs) -> list:
+        """The values of the a-invariants of a model over Q, which are
+        integers."""
         return [self.embed(c) for c in coeffs]
+
+    def shift(self, x, k: int):
+        """x pi^k, exact; for k < 0, pi^(-k) must divide x."""
+        if type(x) is not int:
+            return x.shift_pi(k)
+        if k >= 0:
+            return x * self.ell**k
+        if x % self.ell**-k:
+            raise ValueError(f"not divisible by pi^{-k}")
+        return x // self.ell**-k
+
+    def val_at_least(self, x, k: int) -> bool:
+        """v(x) >= k."""
+        if type(x) is not int:
+            return x.val_at_least(k)
+        return k <= 0 or x % self.ell**k == 0
+
+    def valuation(self, x) -> int | float:
+        """pi-adic valuation; math.inf for zero."""
+        if type(x) is not int:
+            return x.valuation()
+        return int_valuation(x, self.ell) if x else inf
+
+    def residue(self, x) -> int:
+        """Residue in F_ell, as an integer in [0, ell)."""
+        return x % self.ell if type(x) is int else x.residue()
 
     def __repr__(self):
         return f"LocalField(ell={self.ell}, e={self.e})"

@@ -167,7 +167,8 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
     None when P is squarefree, i.e. its discriminant is nonzero mod ell.
 
     A squarefree P has r1 roots in F_ell (Euler's criterion for a quadratic
-    in odd characteristic, else deg gcd(P, x^ell - x), at O(log ell)
+    in odd characteristic, P(0) = P(1) = c for a monic T^2 + b T + c in
+    characteristic 2, else deg gcd(P, x^ell - x), at O(log ell)
     polynomial products) and at most one irreducible factor, of degree
     k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k divides f.
     A multiple root lies in the perfect field F_ell, as the sole root of
@@ -213,7 +214,10 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
             if (((r + a) * r + b) * r + c) % ell:
                 raise AssertionError("cubic multiple-root formulas failed")
             return roots, r
-    if degree == 2 and ell != 2:
+    if degree == 2 and ell == 2:
+        # b is odd, as P is squarefree, so P(0) = P(1) = c
+        r1 = 0 if c % 2 else 2
+    elif degree == 2:
         r1 = 2 if pow(disc, (ell - 1) // 2, ell) == 1 else 0
     else:
         r1 = len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(ell, monic, ell), ell)) - 1

@@ -50,7 +50,10 @@ of `local_fields`: translations are by integers times powers of pi, the
 step-6 normalization multiplies by the integer -(ell + 1)/2 where the
 textbook divides by -2, and each step-11 rescale divides by powers of pi
 exactly.  No digit is truncated, so the algorithm runs once, with no
-working precision.
+working precision.  The ladder reads and shifts its values through the
+field (`K.shift`, `K.val_at_least`, `K.residue`), so at e = 1, where
+Z[pi] = Z, it is integer arithmetic on plain ints, and it builds
+`LocalElement`s only at e > 1.
 
 Both routes take the curve over Q, and every choice they make is
 canonical, so every residue they inspect lies in F_ell.  The residue
@@ -78,7 +81,7 @@ from .curves import (
     invariants,
     model_with_j_invariant,
 )
-from .local_fields import LocalElement, LocalField
+from .local_fields import LocalField
 from .polynomials import residue_roots
 from .valuations import int_valuation
 
@@ -126,6 +129,8 @@ class KodairaType(NamedTuple):
 
 
 _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
+# the types without an index, each one shared record
+_KODAIRA = {kind: KodairaType(kind) for kind in _COMPONENTS}
 
 
 class LocalReductionData(NamedTuple):
@@ -203,7 +208,7 @@ def _singular_point(abar: list[int], ell: int) -> tuple[int, int]:
 # -- coordinate changes over the local field ------------------------------------
 
 
-def _translate(a: list[LocalElement], r=None, s=None, t=None) -> list[LocalElement]:
+def _translate(a: list, r=None, s=None, t=None) -> list:
     """(x, y) -> (x + r, y + s x + t) on [a1, a2, a3, a4, a6].
 
     The change is applied as x -> x + r, then y -> y + s x, then y -> y + t,
@@ -228,14 +233,14 @@ def _translate(a: list[LocalElement], r=None, s=None, t=None) -> list[LocalEleme
     return [a1, a2, a3, a4, a6]
 
 
-def _rescale_by_pi(a: list[LocalElement]) -> list[LocalElement]:
+def _rescale_by_pi(K: LocalField, a: list) -> list:
     """u = pi scaling: a_i -> a_i / pi^i."""
-    return [x.shift_pi(-i) for x, i in zip(a, (1, 2, 3, 4, 6))]
+    return [K.shift(x, -i) for x, i in zip(a, (1, 2, 3, 4, 6))]
 
 
-def _res_shift(x: LocalElement, k: int) -> int:
+def _res_shift(K: LocalField, x, k: int) -> int:
     """Residue of x / pi^k."""
-    return x.shift_pi(-k).residue()
+    return K.residue(K.shift(x, -k))
 
 
 # -- the algorithm ----------------------------------------------------------------
@@ -248,24 +253,31 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
     at ell >= 5, the step ladder at ell in {2, 3}."""
     if K.ell < 5:
         return _ladder(model, K, f)
-    inv, place = _place(model, K, f)
-    ell = K.ell
-    D = K.e * int_valuation(inv.disc, ell)
-    if D == 0:
-        return _good_data([c % ell for c in model], place)
-    return _closed_form(inv, D, K, place)
+    inv, v_disc, v_c4, pole, place = _place(model, K, f)
+    if not v_disc:
+        return _good_data([c % K.ell for c in model], place)
+    return _closed_form(inv, v_disc, v_c4, pole, K, place)
 
 
 def _place(model: WeierstrassModel, K: LocalField, f: int):
-    """The model's invariants and the fields of the place."""
+    """The model's invariants, v_ell(Delta), v_ell(c4), the pole order of
+    j at ell, and the place (ell, e, f, q_v, potentially_good).  Each
+    valuation is taken once.  j = c4^3 / Delta, so its pole order is
+    max(0, v_ell(Delta) - 3 v_ell(c4)); at v_ell(Delta) = 0 or c4 = 0 it is
+    0, and v_ell(c4) is left None."""
     if f < 1:
         raise ValueError("residue degree must be >= 1")
     if not model.is_rational():
         raise ValueError("tate_algorithm expects a model over Q")
     inv = invariants(model)  # also rejects singular models
-    pole = inv.j_pole_order(K.ell)
-    place = dict(ell=K.ell, e=K.e, f=f, q_v=K.ell**f, potentially_good=pole == 0)
-    return inv, place
+    ell = K.ell
+    v_disc = int_valuation(inv.disc, ell)
+    v_c4, pole = None, 0
+    if v_disc and inv.c4:
+        v_c4 = int_valuation(inv.c4, ell)
+        pole = max(0, v_disc - 3 * v_c4)
+    place = (ell, K.e, f, ell**f, pole == 0)
+    return inv, v_disc, v_c4, pole, place
 
 
 # -- the closed form at residue characteristic >= 5 ------------------------------
@@ -283,22 +295,25 @@ _POTENTIALLY_GOOD = {
 }
 
 
-def _closed_form(inv, D: int, K: LocalField, place: dict) -> LocalReductionData:
+def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
+                 place: tuple) -> LocalReductionData:
     """Local data at ell >= 5 off the valuations over K of the model's c4,
-    c6 and Delta = (c4^3 - c6^2)/1728, v(Delta) = D > 0.
+    c6 and Delta = (c4^3 - c6^2)/1728, given v_ell(Delta) > 0, v_ell(c4)
+    (None when c4 = 0) and the pole order of j.
 
     The short model y^2 = x^3 - 27 c4 x - 54 c6 scaled by pi^k,
     k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal; its invariants are
     c4/pi^4k, c6/pi^6k and Delta/pi^12k.  Every c_v test follows PARI's
     `elllocalred` at p >= 5 with pi in place of p."""
-    ell, e, f = K.ell, K.e, place["f"]
+    ell, e, f = K.ell, K.e, place[2]
     c4, c6 = inv.c4, inv.c6
-    k = min(e * int_valuation(x, ell) // w for x, w in ((c4, 4), (c6, 6)) if x)
+    v_c6 = int_valuation(c6, ell) if c6 else None
+    D = e * v_disc
+    k = min(e * v // w for v, w in ((v_c4, 4), (v_c6, 6)) if v is not None)
     D_min = D - 12 * k
-    pole = inv.j_pole_order(ell)
 
-    def residue(x: int, w: int) -> int:
-        return _residue_over_pi(x, w, K)
+    def residue(x: int, v: int | None, w: int) -> int:
+        return _residue_over_pi(x, v, w, K)
 
     def square(r: int) -> bool:
         return _is_square(r, ell, f)
@@ -307,45 +322,45 @@ def _closed_form(inv, D: int, K: LocalField, place: dict) -> LocalReductionData:
         n = e * pole
         if D_min == n:
             kodaira = KodairaType("In", n)
-            if square(-residue(c6, 6 * k)):
+            if square(-residue(c6, v_c6, 6 * k)):
                 return _finish(place, kodaira, n, n, MULT_SPLIT)
             return _finish(place, kodaira, 2 - n % 2, n, MULT_NONSPLIT)
         if D_min != n + 6:
             raise AssertionError(f"v(Delta_min) = {D_min} fits neither I{n} nor I{n}*")
-        d = residue(inv.disc, D)
+        d = residue(inv.disc, v_disc, D)
         if n % 2:
-            d *= residue(c6, 6 * k + 3)
+            d *= residue(c6, v_c6, 6 * k + 3)
         return _additive(place, KodairaType("In*", n), 4 if square(d) else 2, D_min)
 
     if D_min == 0:
-        r4, r6 = residue(c4, 4 * k), residue(c6, 6 * k)
+        r4, r6 = residue(c4, v_c4, 4 * k), residue(c6, v_c6, 6 * k)
         return _good_data([0, 0, 0, -27 * r4, -54 * r6], place)
     if D_min not in _POTENTIALLY_GOOD:
         raise AssertionError(f"no potentially good type has v(Delta_min) = {D_min}")
     kind, c_v = _POTENTIALLY_GOOD[D_min]
     if kind in ("IV", "IV*"):
-        c_v = 3 if square(-6 * residue(c6, 6 * k + D_min // 2)) else 1
+        c_v = 3 if square(-6 * residue(c6, v_c6, 6 * k + D_min // 2)) else 1
     elif kind == "I0*":
-        cubic = [-2 * residue(c6, 6 * k + 3), -3 * residue(c4, 4 * k + 2), 0, 1]
+        cubic = [-2 * residue(c6, v_c6, 6 * k + 3), -3 * residue(c4, v_c4, 4 * k + 2), 0, 1]
         roots, multiple = residue_roots(cubic, ell, f)
         if multiple is not None:
             raise AssertionError("I0* cubic has a multiple root")
         c_v = 1 + roots
-    return _additive(place, KodairaType(kind), c_v, D_min)
+    return _additive(place, _KODAIRA[kind], c_v, D_min)
 
 
-def _residue_over_pi(x: int, w: int, K: LocalField) -> int:
-    """Residue of the rational integer x divided by pi^w, which must divide
-    it: 0 when v(x) > w; else x = ell^v u with w = e v, pi^w = c^v and the
-    residue is u (ell/c)^v, where ell/c = -1 at the cyclotomic layer."""
-    ell = K.ell
-    if x == 0:
+def _residue_over_pi(x: int, v: int | None, w: int, K: LocalField) -> int:
+    """Residue of the rational integer x, of ell-adic valuation v (None for
+    x = 0), divided by pi^w, which must divide it: 0 when e v > w; else
+    x = ell^v u with w = e v, pi^w = c^v and the residue is u (ell/c)^v,
+    where ell/c = -1 at the cyclotomic layer."""
+    if v is None:
         return 0
-    v = int_valuation(x, ell)
     if K.e * v < w:
         raise AssertionError(f"pi^{w} does not divide {x}")
     if K.e * v > w:
         return 0
+    ell = K.ell
     sign = -1 if K.c < 0 and v % 2 else 1
     return sign * (x // ell**v) % ell
 
@@ -364,13 +379,13 @@ def _is_square(r: int, ell: int, f: int) -> bool:
 def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
     """Tate's step ladder over Z[pi], valid at every residue characteristic:
     `tate_algorithm`'s route at ell in {2, 3}, and the oracle of the closed
-    form at ell >= 5."""
-    inv, place = _place(model, K, f)
-    ell = K.ell
-    pole = inv.j_pole_order(ell)
+    form at ell >= 5.  Values are K's: ints at e = 1, elements of Z[pi]
+    above."""
+    _, v_disc, _, pole, place = _place(model, K, f)
+    ell, e = K.ell, K.e
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
-    n = K.e * int_valuation(inv.disc, ell)
+    n = e * v_disc
     abar = [c % ell for c in model]
     if n == 0:
         return _good_data(abar, place)
@@ -380,7 +395,7 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductio
     for _round in range(n // 12 + 1):
         # Step 2: the singular point, from the residues of the current model.
         x0, y0 = _singular_point(abar, ell)
-        if K.e * pole == n:
+        if e * pole == n:
             # Type I_n: a minimal model is multiplicative iff v(c4) = 0, iff
             # v(Delta) = -v(j).  Translating the node to the origin keeps a1
             # and turns a2 into a2 + 3 x0, so its tangent cone is
@@ -396,56 +411,56 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductio
         if a is None:
             a = K.embed_model(model)
         a = _translate(a, r=x0, t=y0)
-        _check_valuations(a, ((2, 1), (3, 1), (4, 1)), "singular translation")
+        _check_valuations(K, a, ((2, 1), (3, 1), (4, 1)), "singular translation")
 
         b2, b4, b6, b8 = b_invariants(a)
-        if not b2.val_at_least(1):
+        if not K.val_at_least(b2, 1):
             raise AssertionError("node at a place where v(Delta) != -v(j)")
 
-        if not a[4].val_at_least(2):
-            return _additive(place, KodairaType("II"), 1, n)
-        if not b8.val_at_least(3):
-            return _additive(place, KodairaType("III"), 2, n)
-        if not b6.val_at_least(3):
-            roots, _ = residue_roots([-_res_shift(a[4], 2), _res_shift(a[2], 1), 1], ell, f)
-            return _additive(place, KodairaType("IV"), 3 if roots else 1, n)
+        if not K.val_at_least(a[4], 2):
+            return _additive(place, _KODAIRA["II"], 1, n)
+        if not K.val_at_least(b8, 3):
+            return _additive(place, _KODAIRA["III"], 2, n)
+        if not K.val_at_least(b6, 3):
+            roots, _ = residue_roots([-_res_shift(K, a[4], 2), _res_shift(K, a[2], 1), 1], ell, f)
+            return _additive(place, _KODAIRA["IV"], 3 if roots else 1, n)
 
         a = _normalize_for_cubic(a, K)
-        cubic = [_res_shift(a[4], 3), _res_shift(a[3], 2), _res_shift(a[1], 1), 1]
+        cubic = [_res_shift(K, a[4], 3), _res_shift(K, a[3], 2), _res_shift(K, a[1], 1), 1]
         roots, multiple = residue_roots(cubic, ell, f)
         if multiple is None:
-            return _additive(place, KodairaType("I0*", 0), 1 + roots, n)
-        a = _translate(a, r=K.embed(multiple).shift_pi(1))
+            return _additive(place, _KODAIRA["I0*"], 1 + roots, n)
+        a = _translate(a, r=K.shift(K.embed(multiple), 1))
         if roots == 2:  # a double root
             return _star_loop(a, K, place, n)
 
         # a triple root
-        _check_valuations(a, ((1, 2), (3, 3), (4, 4)), "triple-root translation")
-        roots, double = residue_roots([-_res_shift(a[4], 4), _res_shift(a[2], 2), 1], ell, f)
+        _check_valuations(K, a, ((1, 2), (3, 3), (4, 4)), "triple-root translation")
+        roots, double = residue_roots([-_res_shift(K, a[4], 4), _res_shift(K, a[2], 2), 1], ell, f)
         if double is None:
-            return _additive(place, KodairaType("IV*"), 3 if roots else 1, n)
-        a = _translate(a, t=K.embed(double).shift_pi(2))
-        if not a[3].val_at_least(4):
-            return _additive(place, KodairaType("III*"), 2, n)
-        if not a[4].val_at_least(6):
-            return _additive(place, KodairaType("II*"), 1, n)
+            return _additive(place, _KODAIRA["IV*"], 3 if roots else 1, n)
+        a = _translate(a, t=K.shift(K.embed(double), 2))
+        if not K.val_at_least(a[3], 4):
+            return _additive(place, _KODAIRA["III*"], 2, n)
+        if not K.val_at_least(a[4], 6):
+            return _additive(place, _KODAIRA["II*"], 1, n)
         # Step 11: not minimal, rescale and restart.
-        a = _rescale_by_pi(a)
+        a = _rescale_by_pi(K, a)
         n -= 12
-        abar = [x.residue() for x in a]
+        abar = [K.residue(x) for x in a]
         if n == 0:
             return _good_data(abar, place)
 
     raise AssertionError("tate loop failed to terminate")
 
 
-def _check_valuations(a: list[LocalElement], least, step: str) -> None:
+def _check_valuations(K: LocalField, a: list, least, step: str) -> None:
     """Assert v(a[idx]) >= k for every (idx, k) in least."""
-    if not all(a[idx].val_at_least(k) for idx, k in least):
+    if not all(K.val_at_least(a[idx], k) for idx, k in least):
         raise AssertionError(f"{step} failed")
 
 
-def _normalize_for_cubic(a: list[LocalElement], K: LocalField) -> list[LocalElement]:
+def _normalize_for_cubic(a: list, K: LocalField) -> list:
     """Arrange pi | a1, a2; pi^2 | a3, a4; pi^3 | a6 (entry state of the
     step-6 cubic).
 
@@ -461,63 +476,50 @@ def _normalize_for_cubic(a: list[LocalElement], K: LocalField) -> list[LocalElem
         a = _translate(a, s=a[0] * h)
         a = _translate(a, t=a[2] * h)
     else:
-        a = _translate(a, s=a[1].residue())
-        a = _translate(a, t=K.embed(_res_shift(a[4], 2)).shift_pi(1))
-    _check_valuations(a, ((0, 1), (1, 1), (2, 2), (3, 2), (4, 3)), "step-6 normalization")
+        a = _translate(a, s=K.residue(a[1]))
+        a = _translate(a, t=K.shift(K.embed(_res_shift(K, a[4], 2)), 1))
+    _check_valuations(K, a, ((0, 1), (1, 1), (2, 2), (3, 2), (4, 3)), "step-6 normalization")
     return a
 
 
-def _star_loop(
-    a: list[LocalElement], K: LocalField, place: dict, n_delta: int
-) -> LocalReductionData:
+def _star_loop(a: list, K: LocalField, place: tuple, n_delta: int) -> LocalReductionData:
     """The I_n* subtype ladder (one double root in the step-6 cubic)."""
-    ell, f = K.ell, place["f"]
-    if a[1].valuation() != 1:
+    ell, f = K.ell, place[2]
+    if K.valuation(a[1]) != 1:
         raise AssertionError("I_n* entry expects v(a2) = 1")
-    _check_valuations(a, ((3, 3), (4, 4)), "I_n* entry")
+    _check_valuations(K, a, ((3, 3), (4, 4)), "I_n* entry")
     j = 1
     while j <= n_delta:
         if j % 2 == 1:
             m = (j + 3) // 2
-            quadratic = [-_res_shift(a[4], 2 * m), _res_shift(a[2], m), 1]
+            quadratic = [-_res_shift(K, a[4], 2 * m), _res_shift(K, a[2], m), 1]
         else:
             m = j // 2 + 2
-            quadratic = [_res_shift(a[4], 2 * m - 1), _res_shift(a[3], m), _res_shift(a[1], 1)]
+            quadratic = [_res_shift(K, a[4], 2 * m - 1), _res_shift(K, a[3], m),
+                         _res_shift(K, a[1], 1)]
         roots, double = residue_roots(quadratic, ell, f)
         if double is None:
             return _additive(place, KodairaType("In*", j), 4 if roots else 2, n_delta)
         if j % 2 == 1:
-            a = _translate(a, t=K.embed(double).shift_pi(m))
+            a = _translate(a, t=K.shift(K.embed(double), m))
         else:
-            a = _translate(a, r=K.embed(double).shift_pi(m - 1))
+            a = _translate(a, r=K.shift(K.embed(double), m - 1))
         j += 1
     raise AssertionError("I_n* ladder failed to terminate")
 
 
 def _finish(place, kodaira, c_v, v_min_delta, cls, N_v=None):
-    q = place["q_v"]
+    ell, e, f, q, potentially_good = place
     if N_v is not None and (q + 1 - N_v) ** 2 > 4 * q:
         raise AssertionError(f"Hasse bound fails: N_v = {N_v} over F_{q}")
-    data = LocalReductionData(
-        ell=place["ell"],
-        e=place["e"],
-        f=place["f"],
-        kodaira=kodaira,
-        c_v=c_v,
-        v_min_delta=v_min_delta,
-        q_v=q,
-        reduction_class=cls,
-        potentially_good=place["potentially_good"],
-        N_v=N_v,
-        L_at_1=_euler_factor(cls, q, N_v),
-    )
-    if data.potentially_good and data.c_v > 4:
+    if potentially_good and c_v > 4:
         raise AssertionError("potentially good reduction forces c_v <= 4")
-    if data.ell >= 5 and v_min_delta != kodaira.conductor_exponent + kodaira.components - 1:
+    if ell >= 5 and v_min_delta != kodaira.conductor_exponent + kodaira.components - 1:
         raise AssertionError(
             f"Ogg's formula fails: {kodaira.symbol} with v(Delta_min) = {v_min_delta}"
         )
-    return data
+    return LocalReductionData(ell, e, f, kodaira, c_v, v_min_delta, q, cls, potentially_good,
+                              N_v, _euler_factor(cls, q, N_v))
 
 
 def _additive(place, kodaira, c_v, v_min_delta):
@@ -527,13 +529,17 @@ def _additive(place, kodaira, c_v, v_min_delta):
 def _good_data(abar: list[int], place) -> LocalReductionData:
     """Good reduction: abar are the residues of a minimal model, whose
     curve over F_ell is counted over F_q."""
-    ell, q = place["ell"], place["q_v"]
-    N = count_residues(abar, ell, place["f"])
+    ell, _, f, q, _ = place
+    N = count_residues(abar, ell, f)
     cls = GOOD_SUPERSINGULAR if (q + 1 - N) % ell == 0 else GOOD_ORDINARY
-    return _finish(place, KodairaType("I0"), 1, 0, cls, N_v=N)
+    return _finish(place, _KODAIRA["I0"], 1, 0, cls, N_v=N)
 
 
 # -- derived operations -------------------------------------------------------------
+
+
+# L_v(E, 1) at every additive place, one shared value
+_ONE = Fraction(1)
 
 
 def _euler_factor(cls: str, q: int, N: int | None) -> Fraction:
@@ -545,7 +551,7 @@ def _euler_factor(cls: str, q: int, N: int | None) -> Fraction:
         return Fraction(q, q - 1)
     if cls == MULT_NONSPLIT:
         return Fraction(q, q + 1)
-    return Fraction(1)
+    return _ONE
 
 
 def pot_supersingular(model: WeierstrassModel, p: int) -> bool:

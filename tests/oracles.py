@@ -22,6 +22,9 @@ degree, against the library's O(log k) doubling in `extension_count`.
 library's gcd root count.
 `delta_local` evaluates Delta in the exact ring Z[pi], against the
 library's v(Delta) = e * v_ell(disc).
+`RingField` is the library's `LocalField` with values in Z[pi] at every e:
+at e = 1 its values are `LocalElement`s where the library's are plain ints,
+so Tate's ladder run on it is the oracle of the integer ladder.
 `trial_factorize` divides by every d up to sqrt(n), against the library's
 trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.
 `rational_roots_by_divisors` tries every s/t with s dividing the constant
@@ -36,7 +39,9 @@ The generic chord-tangent group law, exact over Q and over any FiniteField:
 It checks Shanks-Mestre, the roots of psi_n and the square test that
 accepts a rational root of psi_p as a point of order p.  `transform` is the
 general coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t, for the
-metamorphic tests of Tate's algorithm and the invariants.
+metamorphic tests of Tate's algorithm and the invariants.  `velu_isogenous`
+gives the curve isogenous to a model by Velu's formulas, for the test that
+isogenous curves share their isogeny-invariant local data.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from eulerchar.curves import WeierstrassModel, extension_count
-from eulerchar.local_fields import LocalElement
+from eulerchar.curves import WeierstrassModel, extension_count, invariants
+from eulerchar.local_fields import LocalElement, LocalField
 from eulerchar.polynomials import (
     Polynomial,
     _frobenius_minus_x_mod_p,
@@ -263,7 +268,16 @@ def roots_in_field(coeffs: list[int], field: FiniteField) -> list[FieldElement]:
     return roots
 
 
-def delta_local(a: list[LocalElement]) -> LocalElement:
+class RingField(LocalField):
+    """Q_ell(pi) whose values are elements of Z[pi] = Z[x]/(x^e - c) at
+    every e, e = 1 included: every value the ladder computes is then a
+    `LocalElement`, and each field operation is the ring's own."""
+
+    def embed(self, n: int) -> LocalElement:
+        return LocalElement(self, (n,) + (0,) * (self.e - 1))
+
+
+def delta_local(a: list) -> object:
     """Delta of embedded coefficients [a1, a2, a3, a4, a6], computed in the
     local field from the b-invariants."""
     a1, a2, a3, a4, a6 = a
@@ -434,6 +448,29 @@ def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
     na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u2 * u2)
     na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / (u3 * u3)
     return WeierstrassModel.from_rationals([na1, na2, na3, na4, na6])
+
+
+def velu_isogenous(model: WeierstrassModel, kernel_xs) -> WeierstrassModel:
+    """The codomain of the isogeny over Q whose kernel is a finite subgroup
+    of model: kernel_xs holds the x-coordinates on model of its nonzero
+    points, one for each pair +-Q, and must be Galois-stable as a set.
+
+    Velu's formulas (Velu 1971; Washington, Elliptic Curves, 12.16) on the
+    short model Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6, where
+    X = 36 x + 3 b2: each Q has g = 3 X^2 + A and u = 4 (X^3 + A X + B);
+    it adds v_Q = g at a point of order 2 (u = 0) and 2 g otherwise, and
+    u + X v_Q to w; the codomain is Y^2 = X^3 + (A - 5 v) X + (B - 7 w)."""
+    inv = invariants(model)
+    A, B = -27 * inv.c4, -54 * inv.c6
+    v = w = 0
+    for x in kernel_xs:
+        X = 36 * Fraction(x) + 3 * inv.b2
+        g = 3 * X * X + A
+        u = 4 * (X**3 + A * X + B)
+        v_Q = g if u == 0 else 2 * g
+        v += v_Q
+        w += u + X * v_Q
+    return WeierstrassModel.from_rationals([0, 0, 0, A - 5 * v, B - 7 * w])
 
 
 # -- points ---------------------------------------------------------------------

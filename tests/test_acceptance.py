@@ -98,7 +98,7 @@ def test_criterion_2_rho_decomposition():
     assert data7.N_v == 7
     inv = invariants(E294)
     short = K.embed_model([0, 0, 0, -27 * inv.c4, -54 * inv.c6])
-    residues = [x.residue() for x in _rescale_by_pi(short)]
+    residues = [x.residue() for x in _rescale_by_pi(K, short)]
     reduced = reduce_model(WeierstrassModel.from_rationals(residues), 7)
     assert brute_count(lift_model(reduced, finite_field(7, 1))) == 7
     _report(2, started, 30)

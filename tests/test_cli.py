@@ -881,12 +881,24 @@ class _Record(NamedTuple):
     a: int
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 @pytest.mark.parametrize(
-    "value", [1.5, {"x": 0.0}, (1, 2), [_Record(1)], {1: "a"}, {"a": {None: 1}}, {True: 1}],
+    "value",
+    [1.5, {"x": 0.0}, (1, 2), [_Record(1)], {1: "a"}, {"a": {None: 1}}, {True: 1},
+     {"a": _Int(1)}, [_Str("x")], {"a": [1.5]}, _Int(1), _Str("x"), [True, _Int(0)]],
 )
 def test_report_encoder_refuses_what_no_document_holds(value):
-    """A float, a tuple, a record or a non-str key in a document is a bug:
-    the encoder raises TypeError, where json.dumps would print something."""
+    """A float, a tuple, a record, a subclass of int or str, or a non-str
+    key in a document is a bug, at the top or as a leaf inside a container,
+    which encodes its leaves inline: the encoder raises TypeError, where
+    json.dumps would print something."""
     with pytest.raises(TypeError):
         cli._to_json(value)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerchar.local_fields import make_local_field
 from eulerchar.valuations import vp
+from oracles import RingField
 
 ELLS = (2, 3, 5, 7, 11, 13)
 # a tame e that is neither 1 nor ell - 1 (x^e - ell)
@@ -14,15 +15,16 @@ KINDS = {
     "ram": lambda ell: ell - 1,  # the cyclotomic layer Q_ell(mu_ell)
     "tame": lambda ell: TAME_E[ell],
 }
-ALL_FIELDS = [make_local_field(ell, KINDS[kind](ell)) for ell in ELLS for kind in KINDS]
+# the ring Z[pi] at every e: the library's values are plain ints at e = 1
+ALL_FIELDS = [RingField(ell, KINDS[kind](ell)) for ell in ELLS for kind in KINDS]
 
 Q7MU7 = make_local_field(7, 6)
 Q7TAME = make_local_field(7, 2)  # x^2 - 7
-Q5 = make_local_field(5, 1)
+Q5 = RingField(5, 1)
 
 
 def fields(kind):
-    return st.sampled_from(ELLS).map(lambda ell: make_local_field(ell, KINDS[kind](ell)))
+    return st.sampled_from(ELLS).map(lambda ell: RingField(ell, KINDS[kind](ell)))
 
 
 def element(K, coeffs):
@@ -118,6 +120,29 @@ def test_valuation_laws_randomized(kind, data):
 def test_embedding_commutes_with_vp(K, n):
     assert K.embed(n).valuation() == K.e * vp(n, K.ell)
     assert K.embed(n).residue() == n % K.ell
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ELLS), st.integers(-(10**30), 10**30), st.integers(-8, 8),
+       st.integers(-3, 12))
+def test_integer_values_match_the_ring_at_e_1(ell, n, k, least):
+    """At e = 1 the library's values are ints; each value operation gives
+    what the ring Z[pi] = Z of LocalElements gives: embed, shift by pi^k
+    (refusing an inexact division alike), v >= least, valuation, residue."""
+    K, ring = make_local_field(ell, 1), RingField(ell, 1)
+    x, y = K.embed(n), ring.embed(n)
+    assert type(x) is int and x == y
+    assert K.val_at_least(x, least) == ring.val_at_least(y, least)
+    assert K.valuation(x) == ring.valuation(y) == y.valuation()
+    assert K.residue(x) == ring.residue(y) == y.residue()
+    try:
+        expected = y.shift_pi(k)
+    except ValueError:
+        with pytest.raises(ValueError, match="not divisible"):
+            K.shift(x, k)
+    else:
+        shifted = K.shift(x, k)
+        assert type(shifted) is int and shifted == expected
 
 
 def test_division_and_inverse():

@@ -447,6 +447,32 @@ def _census_box_curves():
         yield coeffs, model, disc
 
 
+def test_integer_ladder_matches_the_ring_at_e_1():
+    """At e = 1 the ladder computes on plain ints; on the ring Z[pi] of
+    `LocalElement`s (`oracles.RingField`) it gives every field of the
+    local data alike: every census-box curve, and its scaling by ell, which
+    the ladder rescales once, at ell in {2, 3} and f in {1, 2}; the box has
+    no II* at 2 or 3, so one II* at 2 joins it."""
+    from oracles import RingField
+
+    from eulerchar.tate import _ladder
+
+    curves = [model for _, model, _ in _census_box_curves()]
+    curves.append(WeierstrassModel.from_rationals([0, -1, 0, 11, -3]))  # II* at 2
+    kinds, compared = set(), 0
+    for model in curves:
+        for ell in (2, 3):
+            scaled = transform(model, Fraction(1, ell), 0, 0, 0)
+            for curve in (model, scaled):
+                for f in (1, 2):
+                    d = _ladder(curve, make_local_field(ell, 1), f)
+                    assert d == _ladder(curve, RingField(ell, 1), f), (curve, ell, f)
+                    kinds.add(d.kodaira.kind)
+                    compared += 1
+    assert kinds == {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
+    assert compared == 4 * 2 * 1440
+
+
 def test_ogg_formula_over_census_box():
     """Every census-box curve at every ell in {5, 7, 11, 13} dividing its
     discriminant, over Q_ell, the unramified quadratic extension, tame
@@ -470,7 +496,8 @@ def test_ogg_formula_over_census_box():
 def test_j_pole_order_over_census_box():
     """j_pole_order(ell) = max(0, -v_ell(j)) for every census-box curve at
     every ell in {2, 3, 5, 7, 11, 13}, and 0 at j = 0, where v_ell(j) is
-    undefined."""
+    undefined; Tate's algorithm, which reads the pole off v_ell(Delta) and
+    v_ell(c4), calls the place potentially good exactly when it is 0."""
     j_zero = 0
     for _, model, _ in _census_box_curves():
         inv = invariants(model)
@@ -478,6 +505,7 @@ def test_j_pole_order_over_census_box():
         for ell in (2, 3, 5, 7, 11, 13):
             expected = 0 if inv.j == 0 else max(0, -vp(inv.j, ell))
             assert inv.j_pole_order(ell) == expected
+            assert run(model, ell).potentially_good == (expected == 0)
     assert j_zero > 0
 
 
@@ -523,12 +551,12 @@ def test_residue_degree_grid_matches_recording():
 def test_finish_rejects_type_contradicting_ogg():
     from eulerchar.tate import KodairaType, _additive
 
-    place = dict(ell=5, e=1, f=1, q_v=5, potentially_good=True)
+    place = (5, 1, 1, 5, True)  # ell, e, f, q_v, potentially_good
     assert _additive(place, KodairaType("III"), 2, 3).v_min_delta == 3
     with pytest.raises(AssertionError, match="Ogg"):
         _additive(place, KodairaType("III"), 2, 4)
     # residue characteristic 2 and 3 allow wild conductor exponents
-    wild = dict(place, ell=3, q_v=3)
+    wild = (3, 1, 1, 3, True)
     assert _additive(wild, KodairaType("III"), 2, 6).v_min_delta == 6
 
 
@@ -551,7 +579,7 @@ def test_exact_delta_valuation_matches_local_field():
     Delta evaluated in Z[pi], and one rescale by pi lowers it by 12; at
     v(Delta) = 0 the model reduced mod ell has the residues of the embedded
     coefficients, and its brute-force count is N_v."""
-    from oracles import brute_count, delta_local, finite_field, lift_model
+    from oracles import RingField, brute_count, delta_local, finite_field, lift_model
 
     from eulerchar.curves import reduce_model
     from eulerchar.tate import _rescale_by_pi
@@ -568,20 +596,21 @@ def test_exact_delta_valuation_matches_local_field():
             disc = invariants(model).disc
         except SingularModelError:
             continue
-        K = make_local_field(ell, e)
-        n = K.e * vp(disc, ell)
-        a = K.embed_model(model.coefficients())
-        assert delta_local(a).valuation() == n
+        # the library's values (ints at e = 1) and the ring's
+        for K in (make_local_field(ell, e), RingField(ell, e)):
+            n = K.e * vp(disc, ell)
+            a = K.embed_model(model.coefficients())
+            assert K.valuation(delta_local(a)) == n
 
-        scaled = transform(model, Fraction(1, ell), 0, 0, 0)
-        b = _rescale_by_pi(K.embed_model(scaled.coefficients()))
-        assert delta_local(b).valuation() == K.e * vp(invariants(scaled).disc, ell) - 12
+            scaled = transform(model, Fraction(1, ell), 0, 0, 0)
+            b = _rescale_by_pi(K, K.embed_model(scaled.coefficients()))
+            assert K.valuation(delta_local(b)) == K.e * vp(invariants(scaled).disc, ell) - 12
 
-        d = tate_algorithm(model, K)
-        if n == 0:
-            reduced = reduce_model(model, ell)
-            assert [c.coords[0] for c in reduced.coefficients()] == [x.residue() for x in a]
-            assert d.N_v == brute_count(lift_model(reduced, finite_field(ell, 1)))
+            d = tate_algorithm(model, K)
+            if n == 0:
+                reduced = reduce_model(model, ell)
+                assert [c.coords[0] for c in reduced.coefficients()] == [K.residue(x) for x in a]
+                assert d.N_v == brute_count(lift_model(reduced, finite_field(ell, 1)))
         checked += 1
 
 
@@ -733,6 +762,79 @@ def _oracle_curves(ell: int, rng: random.Random):
     scaled = [transform(m, Fraction(1, ell ** rng.randint(1, 2)), 0, 0, 0)
               for m in rng.sample(box, 2) + rng.sample(base, 3)]
     return base + scaled
+
+
+def _isogeny_invariants(d) -> tuple:
+    """What isogenous curves over Q share at a place: e, f, q_v, N_v (None
+    at a bad place), the reduction class, potentially_good, and at
+    ell >= 5 the conductor exponent."""
+    conductor = d.kodaira.conductor_exponent if d.ell >= 5 else None
+    return d.e, d.f, d.q_v, d.N_v, d.reduction_class, d.potentially_good, conductor
+
+
+def _isogenous_pairs():
+    """(E, E') related by a rational isogeny from Velu's formulas: Tate
+    normal forms with |t| <= 25, whose (0, 0) has order 5 or 7, over their
+    cyclic kernels; y^2 = x^3 + a x^2 + b x over its 2-torsion point
+    (0, 0); and the quadratic twists of both by -1 and 3, which twist the
+    isogeny with them."""
+    from oracles import CurvePoint, scalar_mul, velu_isogenous
+
+    origin = CurvePoint(Fraction(0), Fraction(0))
+    pairs = []
+    for p, t in product((5, 7), range(-25, 26)):
+        model = _tate_normal_form(p, Fraction(t))
+        try:
+            invariants(model)
+        except SingularModelError:
+            continue
+        assert scalar_mul(model, p, origin).is_infinity
+        kernel = [scalar_mul(model, k, origin).x for k in range(1, (p + 1) // 2)]
+        pairs.append((model, velu_isogenous(model, kernel)))
+    for a, b in product(range(-4, 5), range(-6, 7)):
+        if b == 0 or a * a == 4 * b:  # singular
+            continue
+        model = WeierstrassModel.from_rationals([0, a, 0, b, 0])
+        pairs.append((model, velu_isogenous(model, [0])))
+    twists = [(_twist(E, d), _twist(E2, d)) for E, E2 in pairs for d in (-1, 3)]
+    return pairs + twists
+
+
+def _shared_place_disagreements(E, E2, fields) -> int:
+    """The places among fields = (ell, e, f) at which E and E2 differ in
+    what isogenous curves share."""
+    return sum(
+        _isogeny_invariants(run(E, ell, f=f, e=e)) != _isogeny_invariants(run(E2, ell, f=f, e=e))
+        for ell, e, f in fields
+    )
+
+
+def test_isogenous_curves_share_local_invariants():
+    """An isogeny over Q preserves #E(F_q) at good places, the reduction
+    class (split and nonsplit included), potential good reduction and the
+    conductor, but not c_v, the I_n index or the model: an oracle of the
+    local data that does not come from Tate's algorithm.  Each pair is
+    compared at every prime of bad reduction of either model and at every
+    ell <= 13, over Q_ell, Q_ell(mu_ell) and the tame x^2 - ell, with f in
+    {1, 2}.  Control:
+    11a and 37a, not isogenous, differ at most of the same places."""
+    from eulerchar.valuations import factorize
+
+    pairs = _isogenous_pairs()
+    compared = other_j = 0
+    for E, E2 in pairs:
+        other_j += invariants(E).j != invariants(E2).j  # equal only by CM
+        primes = {q for model in (E, E2) for q, _ in factorize(abs(invariants(model).disc))}
+        fields = [(ell, e, f) for ell in sorted(primes | {2, 3, 5, 7, 11, 13})
+                  for e in sorted({1, ell - 1, 2 if ell > 2 else 1}) for f in (1, 2)]
+        assert _shared_place_disagreements(E, E2, fields) == 0, (E, E2)
+        compared += len(fields)
+    assert len(pairs) > 600 and other_j > 0.9 * len(pairs) and compared > 20000
+
+    E11A = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])
+    E37A = WeierstrassModel.from_rationals([0, 0, 1, -1, 0])
+    fields = [(ell, 1, f) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) for f in (1, 2)]
+    assert _shared_place_disagreements(E11A, E37A, fields) >= 20
 
 
 def test_closed_form_matches_the_ladder():
