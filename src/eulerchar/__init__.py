@@ -28,9 +28,8 @@ from .euler import (
     rho_p,
     tau_p,
 )
-from .local_fields import LocalElement, LocalField, make_local_field
 from .polynomials import Polynomial, rational_roots
-from .tate import KodairaType, LocalReductionData, pot_supersingular, tate_algorithm
+from .tate import KodairaType, LocalField, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import vp
 
 __version__ = "0.1.0"

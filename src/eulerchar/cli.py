@@ -55,8 +55,7 @@ from .euler import (
     local_data_at,
     tau_p,
 )
-from .local_fields import make_local_field
-from .tate import LocalReductionData, tate_algorithm
+from .tate import LocalField, LocalReductionData, tate_algorithm
 from .valuations import factorize, int_valuation, is_prime
 
 SCHEMA_VERSION = 1
@@ -635,7 +634,7 @@ def _cmd_count(args):
                            f"that field can pass the {limit}-digit limit on printing an integer")
     # the count of the reduction of a minimal model at ell, whatever the model given
     try:
-        n = tate_algorithm(args.curve, make_local_field(ell, 1), f=degree).N_v
+        n = tate_algorithm(args.curve, LocalField(ell, 1), f=degree).N_v
     except CountCapError as exc:
         raise RequestError("/ell", str(exc)) from None
     if n is None:

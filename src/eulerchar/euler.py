@@ -30,8 +30,7 @@ from .curves import (
     torsion_bound_over_F,
 )
 from .cyclotomic import CyclotomicSplitting, field_degree, splitting
-from .local_fields import make_local_field
-from .tate import GOOD_ORDINARY, LocalReductionData, pot_supersingular, tate_algorithm
+from .tate import GOOD_ORDINARY, LocalField, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import factorize, is_prime, vp
 
 PASS = "PASS"
@@ -135,10 +134,10 @@ def local_data_at(model: WeierstrassModel, ell: int, m: int) -> LocalReductionDa
     Q(mu_m) above ell: E is defined over Q, so they all share it.
 
     Tate's algorithm runs over the totally ramified field of degree e that
-    `make_local_field` builds; the residue degree f is passed on.
+    `LocalField(ell, e)` is; the residue degree f is passed on.
     """
     sp = splitting(ell, m)
-    return tate_algorithm(model, make_local_field(ell, sp.e), f=sp.f)
+    return tate_algorithm(model, LocalField(ell, sp.e), f=sp.f)
 
 
 def check_hypotheses(

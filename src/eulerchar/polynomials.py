@@ -85,12 +85,6 @@ class Polynomial:
             return Polynomial([1])
         return result
 
-    def evaluate(self, x):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"Polynomial({self.coeffs})"
 

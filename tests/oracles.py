@@ -24,7 +24,11 @@ library's gcd root count.
 library's v(Delta) = e * v_ell(disc).
 `RingField` is the library's `LocalField` with values in Z[pi] at every e:
 at e = 1 its values are `LocalElement`s where the library's are plain ints,
-so Tate's ladder run on it is the oracle of the integer ladder.
+so Tate's ladder run on it is the oracle of the integer ladder.  `pi` and
+`power` build pi^k and other powers by repeated multiplication, on the
+values of either field.
+`evaluate` is Horner's rule for a `Polynomial`, at any value that adds and
+multiplies with its coefficients.
 `trial_factorize` divides by every d up to sqrt(n), against the library's
 trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.
 `rational_roots_by_divisors` tries every s/t with s dividing the constant
@@ -53,7 +57,6 @@ from functools import lru_cache
 from math import lcm
 
 from eulerchar.curves import WeierstrassModel, extension_count, invariants
-from eulerchar.local_fields import LocalElement, LocalField
 from eulerchar.polynomials import (
     Polynomial,
     _frobenius_minus_x_mod_p,
@@ -65,6 +68,8 @@ from eulerchar.tate import (
     GOOD_SUPERSINGULAR,
     MULT_NONSPLIT,
     MULT_SPLIT,
+    LocalElement,
+    LocalField,
     LocalReductionData,
 )
 from eulerchar.valuations import factorize, is_prime, rational_sqrt
@@ -277,6 +282,19 @@ class RingField(LocalField):
         return LocalElement(self, (n,) + (0,) * (self.e - 1))
 
 
+def pi(K: LocalField):
+    """The uniformizer, as a value of K: 1 shifted once."""
+    return K.shift(K.embed(1), 1)
+
+
+def power(K: LocalField, x, n: int):
+    """x^n, n >= 0, as a product of n factors x."""
+    result = K.embed(1)
+    for _ in range(n):
+        result = result * x
+    return result
+
+
 def delta_local(a: list) -> object:
     """Delta of embedded coefficients [a1, a2, a3, a4, a6], computed in the
     local field from the b-invariants."""
@@ -285,7 +303,15 @@ def delta_local(a: list) -> object:
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
+    return 9 * (b2 * b4 * b6) - b2 * b2 * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6)
+
+
+def evaluate(poly: Polynomial, x):
+    """poly(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def brute_count(model: WeierstrassModel) -> int:

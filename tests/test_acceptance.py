@@ -28,8 +28,7 @@ from eulerchar.euler import (
     corank_report,
     tau_p,
 )
-from eulerchar.local_fields import make_local_field
-from eulerchar.tate import _rescale_by_pi, tate_algorithm
+from eulerchar.tate import LocalField, _rescale_by_pi, tate_algorithm
 from oracles import (
     CurvePoint,
     base_change_rules,
@@ -93,12 +92,12 @@ def test_criterion_2_rho_decomposition():
     # N_v = 7 is verified by counting a reduced minimal model directly: over
     # Q_7(mu_7), e = 6, the short model y^2 = x^3 - 27 c4 x - 54 c6 has
     # v(Delta) = 12, and rescaled by pi it has good reduction
-    K = make_local_field(7, 6)
+    K = LocalField(7, 6)
     data7 = tate_algorithm(E294, K)
     assert data7.N_v == 7
     inv = invariants(E294)
     short = K.embed_model([0, 0, 0, -27 * inv.c4, -54 * inv.c6])
-    residues = [x.residue() for x in _rescale_by_pi(K, short)]
+    residues = [K.residue(x) for x in _rescale_by_pi(K, short)]
     reduced = reduce_model(WeierstrassModel.from_rationals(residues), 7)
     assert brute_count(lift_model(reduced, finite_field(7, 1))) == 7
     _report(2, started, 30)
@@ -260,11 +259,11 @@ def test_criterion_8_property_suites():
         ell = rng.choice([5, 7, 11, 13])
         f = rng.choice([2, 3])
         try:
-            base = tate_algorithm(model, make_local_field(ell, 1))
+            base = tate_algorithm(model, LocalField(ell, 1))
         except SingularModelError:
             continue
         rules = base_change_rules(base, f)
-        rerun = tate_algorithm(model, make_local_field(ell, 1), f=f)
+        rerun = tate_algorithm(model, LocalField(ell, 1), f=f)
         assert rerun.potentially_good == rules["potentially_good"]
         for key in ("kodaira", "c_v", "N_v", "reduction_class", "L_at_1"):
             if key in rules:
@@ -311,7 +310,7 @@ def test_criterion_8_property_suites():
         f = rng.choice([1, 1, 2])
         invariance_cases.append((model, ell, f, 1))
     for model, ell, f, e in invariance_cases:
-        K = make_local_field(ell, e)
+        K = LocalField(ell, e)
         d1 = tate_algorithm(model, K, f=f)
         r, s, t = (rng.randint(-1000, 1000) for _ in range(3))
         d2 = tate_algorithm(transform(model, 1, r, s, t), K, f=f)

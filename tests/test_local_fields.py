@@ -3,9 +3,9 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerchar.local_fields import make_local_field
+from eulerchar.tate import LocalField
 from eulerchar.valuations import vp
-from oracles import RingField
+from oracles import RingField, pi, power
 
 ELLS = (2, 3, 5, 7, 11, 13)
 # a tame e that is neither 1 nor ell - 1 (x^e - ell)
@@ -15,23 +15,27 @@ KINDS = {
     "ram": lambda ell: ell - 1,  # the cyclotomic layer Q_ell(mu_ell)
     "tame": lambda ell: TAME_E[ell],
 }
-# the ring Z[pi] at every e: the library's values are plain ints at e = 1
-ALL_FIELDS = [RingField(ell, KINDS[kind](ell)) for ell in ELLS for kind in KINDS]
+# the library's fields, whose values are plain ints at e = 1, and the ring
+# Z[pi] at every e
+FIELD_CLASSES = (LocalField, RingField)
+ALL_FIELDS = [cls(ell, KINDS[kind](ell)) for cls in FIELD_CLASSES for ell in ELLS
+              for kind in KINDS]
 
-Q7MU7 = make_local_field(7, 6)
-Q7TAME = make_local_field(7, 2)  # x^2 - 7
+Q7MU7 = RingField(7, 6)
+Q7TAME = RingField(7, 2)  # x^2 - 7
 Q5 = RingField(5, 1)
 
 
 def fields(kind):
-    return st.sampled_from(ELLS).map(lambda ell: RingField(ell, KINDS[kind](ell)))
+    return st.tuples(st.sampled_from(FIELD_CLASSES), st.sampled_from(ELLS)).map(
+        lambda drawn: drawn[0](drawn[1], KINDS[kind](drawn[1])))
 
 
 def element(K, coeffs):
     """sum of c_i pi^i, built with the ring operations."""
-    x = K.zero()
+    x = K.embed(0)
     for i, c in enumerate(coeffs):
-        x = x + K.embed(c) * K.pi() ** i
+        x = x + K.embed(c) * power(K, pi(K), i)
     return x
 
 
@@ -42,24 +46,25 @@ def draw_element(data, K):
         data.draw(st.integers(-60, 60)) * K.ell ** data.draw(st.integers(0, 3))
         for _ in range(K.e)
     ]
-    return element(K, coeffs).shift_pi(data.draw(st.integers(0, 2 * K.e)))
+    return K.shift(element(K, coeffs), data.draw(st.integers(0, 2 * K.e)))
 
 
 def test_field_anchors():
-    assert Q7MU7.embed(7).valuation() == 6
-    assert Q7TAME.embed(8).residue() == 1 and Q7TAME.embed(-1).residue() == 6
-    assert Q7TAME.embed(7).valuation() == 2
-    assert Q7TAME.pi() ** 2 == Q7TAME.embed(7)
-    assert Q5.embed(5).valuation() == 1 and Q5.pi() == 5
+    assert Q7MU7.valuation(Q7MU7.embed(7)) == 6
+    assert Q7TAME.residue(Q7TAME.embed(8)) == 1 and Q7TAME.residue(Q7TAME.embed(-1)) == 6
+    assert Q7TAME.valuation(Q7TAME.embed(7)) == 2
+    assert power(Q7TAME, pi(Q7TAME), 2) == Q7TAME.embed(7)
+    assert Q5.valuation(Q5.embed(5)) == 1 and pi(Q5) == 5
+    assert pi(LocalField(5, 1)) == 5 and LocalField(7, 6).valuation(LocalField(7, 6).embed(7)) == 6
 
 
 def test_val_residue_anchors():
-    pi = Q7MU7.pi()
-    assert pi.valuation() == 1 and pi.shift_pi(-1) == Q7MU7.one()
-    x = Q7MU7.one() + Q7MU7.pi()
-    assert x.valuation() == 0 and x.residue() == 1
-    assert Q7MU7.embed(7).valuation() == 6
-    assert Q7MU7.zero().valuation() == inf and Q7MU7.zero().val_at_least(10**6)
+    K = Q7MU7
+    assert K.valuation(pi(K)) == 1 and K.shift(pi(K), -1) == K.embed(1)
+    x = K.embed(1) + pi(K)
+    assert K.valuation(x) == 0 and K.residue(x) == 1
+    assert K.valuation(K.embed(7)) == 6
+    assert K.valuation(K.embed(0)) == inf and K.val_at_least(K.embed(0), 10**6)
 
 
 def test_eisenstein_relation():
@@ -67,10 +72,10 @@ def test_eisenstein_relation():
     cyclotomic layer x^(ell-1) + ell, e = ell - 1 > 1, and c = ell for
     x^e - ell otherwise."""
     for K in ALL_FIELDS:
-        assert K.pi() ** K.e == K.embed(K.c), K
-    assert [make_local_field(5, e).c for e in (1, 2, 4)] == [5, 5, -5]
-    assert [make_local_field(ell, ell - 1).c for ell in (2, 3, 7)] == [2, -3, -7]
-    assert make_local_field(7, 3).c == 7
+        assert power(K, pi(K), K.e) == K.embed(K.c), (K.ell, K.e)
+    assert [LocalField(5, e).c for e in (1, 2, 4)] == [5, 5, -5]
+    assert [LocalField(ell, ell - 1).c for ell in (2, 3, 7)] == [2, -3, -7]
+    assert LocalField(7, 3).c == 7
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
@@ -79,24 +84,22 @@ def test_cyclotomic_layer_contains_mu_ell(ell):
     ell - 1 roots zeta^i - 1 of Phi_ell(1 + x) are pairwise at valuation 1,
     so v(Phi_ell(1 + z)) = sum of v(z - root) > ell - 1 puts z closer to
     one root than that root is to the others, and the root lies in K."""
-    K = make_local_field(ell, ell - 1)
-    pi = K.pi()
-    z = pi + pi**2 * ((ell + 1) // 2)
-    phi = sum(((z + 1) ** k for k in range(ell)), K.zero())
-    assert phi.valuation() > ell - 1
+    K = LocalField(ell, ell - 1)
+    z = pi(K) + power(K, pi(K), 2) * ((ell + 1) // 2)
+    phi = sum((power(K, z + 1, k) for k in range(ell)), K.embed(0))
+    assert K.valuation(phi) > ell - 1
 
 
 def test_wild_ramification_rejected():
-    with pytest.raises(ValueError):
-        make_local_field(2, 2)  # e = 2, ell = 2, not cyclotomic
-    with pytest.raises(ValueError):
-        make_local_field(5, 20)  # second layer
+    for ell, e in ((2, 2), (3, 3), (5, 20)):  # ell | e, and not the first layer
+        with pytest.raises(ValueError, match="wildly ramified"):
+            LocalField(ell, e)
 
 
 def test_tame_non_cyclotomic():
-    K = make_local_field(5, 3)
-    assert K.embed(5).valuation() == 3
-    assert K.pi() ** 3 == K.embed(5)
+    K = LocalField(5, 3)
+    assert K.valuation(K.embed(5)) == 3
+    assert power(K, pi(K), 3) == K.embed(5)
 
 
 @pytest.mark.parametrize("kind", ["ram", "tame", "qp"])
@@ -107,9 +110,9 @@ def test_valuation_laws_randomized(kind, data):
     the two valuations differ."""
     K = data.draw(fields(kind))
     x, y = draw_element(data, K), draw_element(data, K)
-    vx, vy = x.valuation(), y.valuation()
-    assert (x * y).valuation() == vx + vy
-    vs = (x + y).valuation()
+    vx, vy = K.valuation(x), K.valuation(y)
+    assert K.valuation(x * y) == vx + vy
+    vs = K.valuation(x + y)
     assert vs >= min(vx, vy)
     if vx != vy:
         assert vs == min(vx, vy)
@@ -118,8 +121,8 @@ def test_valuation_laws_randomized(kind, data):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ALL_FIELDS), st.integers(-(10**30), 10**30).filter(bool))
 def test_embedding_commutes_with_vp(K, n):
-    assert K.embed(n).valuation() == K.e * vp(n, K.ell)
-    assert K.embed(n).residue() == n % K.ell
+    assert K.valuation(K.embed(n)) == K.e * vp(n, K.ell)
+    assert K.residue(K.embed(n)) == n % K.ell
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,14 +132,14 @@ def test_integer_values_match_the_ring_at_e_1(ell, n, k, least):
     """At e = 1 the library's values are ints; each value operation gives
     what the ring Z[pi] = Z of LocalElements gives: embed, shift by pi^k
     (refusing an inexact division alike), v >= least, valuation, residue."""
-    K, ring = make_local_field(ell, 1), RingField(ell, 1)
+    K, ring = LocalField(ell, 1), RingField(ell, 1)
     x, y = K.embed(n), ring.embed(n)
     assert type(x) is int and x == y
     assert K.val_at_least(x, least) == ring.val_at_least(y, least)
-    assert K.valuation(x) == ring.valuation(y) == y.valuation()
-    assert K.residue(x) == ring.residue(y) == y.residue()
+    assert K.valuation(x) == ring.valuation(y)
+    assert K.residue(x) == ring.residue(y)
     try:
-        expected = y.shift_pi(k)
+        expected = ring.shift(y, k)
     except ValueError:
         with pytest.raises(ValueError, match="not divisible"):
             K.shift(x, k)
@@ -149,10 +152,10 @@ def test_division_and_inverse():
     """Division stays in the ring: dividing by a power of pi that divides
     an element is exact, and ell / pi^e = ell / c = +-1."""
     for K in ALL_FIELDS:
-        x = K.embed(3) + K.pi() * 5
+        x = K.embed(3) + pi(K) * 5
         for k in (1, K.e, 2 * K.e + 1):
-            assert (x * K.pi() ** k).shift_pi(-k) == x
-        assert (x * K.ell).shift_pi(-K.e) == x * (K.ell // K.c), K
+            assert K.shift(x * power(K, pi(K), k), -k) == x
+        assert K.shift(x * K.ell, -K.e) == x * (K.ell // K.c), (K.ell, K.e)
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,25 +165,25 @@ def test_shift_pi_exactness(K, data):
     more than the valuation allows raises."""
     x = draw_element(data, K)
     k = data.draw(st.integers(0, 3 * K.e + 2))
-    up = x.shift_pi(k)
-    assert up == x * K.pi() ** k
-    assert up.shift_pi(-k) == x
-    assert up.valuation() == x.valuation() + k
-    if x != K.zero():
-        v = x.valuation()
-        assert x.shift_pi(-v).residue() != 0
-        with pytest.raises(ValueError):
-            x.shift_pi(-(v + data.draw(st.integers(1, 2 * K.e))))
+    up = K.shift(x, k)
+    assert up == x * power(K, pi(K), k)
+    assert K.shift(up, -k) == x
+    assert K.valuation(up) == K.valuation(x) + k
+    if x != K.embed(0):
+        v = K.valuation(x)
+        assert K.residue(K.shift(x, -v)) != 0
+        with pytest.raises(ValueError, match="not divisible"):
+            K.shift(x, -(v + data.draw(st.integers(1, 2 * K.e))))
 
 
 def test_expansion_digits():
     x = Q5.embed(26)  # 1 + 0*5 + 5^2
-    assert x.valuation() == 0 and x.residue() == 1
-    assert (x - 1).valuation() == 2 and (x - 1).shift_pi(-2).residue() == 1
-    assert x - 26 == Q5.zero() and (x - 26).valuation() == inf
-    pi = Q7MU7.pi()  # 0 + 1*pi
-    assert pi.residue() == 0
-    assert pi.valuation() == 1 and pi.coeffs == (0, 1, 0, 0, 0, 0)
+    assert Q5.valuation(x) == 0 and Q5.residue(x) == 1
+    assert Q5.valuation(x - 1) == 2 and Q5.residue(Q5.shift(x - 1, -2)) == 1
+    assert x - 26 == Q5.embed(0) and Q5.valuation(x - 26) == inf
+    p = pi(Q7MU7)  # 0 + 1*pi
+    assert Q7MU7.residue(p) == 0
+    assert Q7MU7.valuation(p) == 1 and p.coeffs == (0, 1, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("kind", ["ram", "tame", "qp"])
@@ -189,20 +192,21 @@ def test_expansion_digits():
 def test_ring_axioms(kind, data):
     K = data.draw(fields(kind))
     x, y, z = (draw_element(data, K) for _ in range(3))
+    zero, one = K.embed(0), K.embed(1)
     assert (x + y) * z == x * z + y * z
     assert (x * y) * z == x * (y * z)
     assert x + y == y + x and x * y == y * x
-    assert x - x == K.zero() and x * K.one() == x and x + K.zero() == x
-    assert -(x - y) == y - x and 3 * x == x + x + x
+    assert x - x == zero and x * one == x and x + zero == x
+    assert (x - y) * -1 == y - x and 3 * x == x + x + x
 
 
-def test_make_local_field():
+def test_local_field_checks():
     """A field is a function of (ell, e), however the call names them; a
     composite ell and e < 1 are refused."""
-    K = make_local_field(5, e=4)
+    K = LocalField(5, e=4)
     assert (K.ell, K.e, K.c) == (5, 4, -5)
-    assert K.pi() ** 4 == -5 and K.embed(5).valuation() == 4
-    with pytest.raises(ValueError):
-        make_local_field(6, 1)
-    with pytest.raises(ValueError):
-        make_local_field(5, 0)
+    assert power(K, pi(K), 4) == -5 and K.valuation(K.embed(5)) == 4
+    with pytest.raises(ValueError, match="must be prime"):
+        LocalField(6, 1)
+    with pytest.raises(ValueError, match="ramification index"):
+        LocalField(5, 0)

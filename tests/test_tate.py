@@ -15,13 +15,13 @@ from eulerchar.curves import (
     extension_count,
     invariants,
 )
-from eulerchar.local_fields import make_local_field
 from eulerchar.tate import (
     ADDITIVE,
     GOOD_ORDINARY,
     GOOD_SUPERSINGULAR,
     MULT_NONSPLIT,
     MULT_SPLIT,
+    LocalField,
     pot_supersingular,
     tate_algorithm,
 )
@@ -34,7 +34,7 @@ EJ0 = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
 
 
 def run(model, ell, f=1, e=1):
-    return tate_algorithm(model, make_local_field(ell, e), f=f)
+    return tate_algorithm(model, LocalField(ell, e), f=f)
 
 
 def test_tate_anchor_q2():
@@ -447,15 +447,25 @@ def _census_box_curves():
         yield coeffs, model, disc
 
 
-def test_integer_ladder_matches_the_ring_at_e_1():
-    """At e = 1 the ladder computes on plain ints; on the ring Z[pi] of
+def test_integer_ladder_matches_the_ring_at_e_1(monkeypatch):
+    """At e = 1 the ladder computes on plain ints, and builds no
+    `LocalElement` on the library's field; on the ring Z[pi] of
     `LocalElement`s (`oracles.RingField`) it gives every field of the
     local data alike: every census-box curve, and its scaling by ell, which
     the ladder rescales once, at ell in {2, 3} and f in {1, 2}; the box has
     no II* at 2 or 3, so one II* at 2 joins it."""
     from oracles import RingField
 
-    from eulerchar.tate import _ladder
+    from eulerchar.tate import LocalElement, _ladder
+
+    init = LocalElement.__init__
+
+    def ring_only(self, field, coeffs):
+        if type(field) is not RingField:
+            raise AssertionError("the e = 1 ladder built a LocalElement")
+        init(self, field, coeffs)
+
+    monkeypatch.setattr(LocalElement, "__init__", ring_only)
 
     curves = [model for _, model, _ in _census_box_curves()]
     curves.append(WeierstrassModel.from_rationals([0, -1, 0, 11, -3]))  # II* at 2
@@ -465,7 +475,7 @@ def test_integer_ladder_matches_the_ring_at_e_1():
             scaled = transform(model, Fraction(1, ell), 0, 0, 0)
             for curve in (model, scaled):
                 for f in (1, 2):
-                    d = _ladder(curve, make_local_field(ell, 1), f)
+                    d = _ladder(curve, LocalField(ell, 1), f)
                     assert d == _ladder(curve, RingField(ell, 1), f), (curve, ell, f)
                     kinds.add(d.kodaira.kind)
                     compared += 1
@@ -597,7 +607,7 @@ def test_exact_delta_valuation_matches_local_field():
         except SingularModelError:
             continue
         # the library's values (ints at e = 1) and the ring's
-        for K in (make_local_field(ell, e), RingField(ell, e)):
+        for K in (LocalField(ell, e), RingField(ell, e)):
             n = K.e * vp(disc, ell)
             a = K.embed_model(model.coefficients())
             assert K.valuation(delta_local(a)) == n
@@ -675,8 +685,6 @@ def test_good_and_multiplicative_places_never_embed(monkeypatch, capsys):
     embedding refused there, every golden row and every grid row at
     ell >= 5 still gives its recorded result."""
     from test_golden import ROWS, _replay
-
-    from eulerchar.local_fields import LocalField
 
     embed_model = LocalField.embed_model
 
@@ -849,7 +857,7 @@ def test_closed_form_matches_the_ladder():
         tame = [e for e in range(3, 31) if gcd(e, ell) == 1 and e != ell - 1]
         for model in _oracle_curves(ell, rng):
             for e in sorted({1, 2, ell - 1, rng.choice(tame)}):
-                K = make_local_field(ell, e)
+                K = LocalField(ell, e)
                 for f in (1, 2, 3, 4) if e <= 2 else rng.sample((1, 2, 3, 4), 2):
                     d = tate_algorithm(model, K, f)
                     assert d == _ladder(model, K, f), (model, ell, e, f)
