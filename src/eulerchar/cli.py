@@ -287,7 +287,7 @@ def parse_request(obj) -> dict:
 
 def _reduction_fields(data: LocalReductionData) -> dict:
     """The reduction type of E at one place, `q_v` to `N_v`, as the `local`
-    subcommand prints it; a report's place rows hold the same keys
+    subcommand prints it and a report's place rows hold it
     (`report_to_dict`)."""
     return {
         "q_v": str(data.q_v),
@@ -316,21 +316,15 @@ def _corank_fields(rep: CorankReport) -> dict:
 
 def report_to_dict(report: EulerCharReport) -> dict:
     # the g places above one prime are conjugate and share one record (E is
-    # defined over Q), so its values are converted once, and each of the
-    # rows ell#1 ... ell#g is one dict literal
+    # defined over Q), so its values are converted once for the rows
+    # ell#1 ... ell#g
     places, audit = [], []
     for sp, data in report.places:
         ell, e, f, g = sp.ell, sp.e, sp.f, sp.g
-        q_v, kodaira, c_v = str(data.q_v), data.kodaira.symbol, str(data.c_v)
-        v_min_delta, cls, pg = data.v_min_delta, data.reduction_class, data.potentially_good
-        N_v = None if data.N_v is None else str(data.N_v)
-        L = str(data.L_at_1)
+        fields = _reduction_fields(data)
+        fields["L_at_1"] = str(data.L_at_1)
         for i in range(1, g + 1):
-            places.append({
-                "place": f"{ell}#{i}", "ell": ell, "e": e, "f": f, "g": g,
-                "q_v": q_v, "kodaira": kodaira, "c_v": c_v, "v_min_delta": v_min_delta,
-                "reduction_class": cls, "potentially_good": pg, "N_v": N_v, "L_at_1": L,
-            })
+            places.append({"place": f"{ell}#{i}", "ell": ell, "e": e, "f": f, "g": g, **fields})
     for r in report.audit:
         ell, data = r.splitting.ell, r.data
         q_v, cls, L = str(data.q_v), data.reduction_class, str(data.L_at_1)

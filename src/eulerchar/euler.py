@@ -140,6 +140,23 @@ def local_data_at(model: WeierstrassModel, ell: int, m: int) -> LocalReductionDa
     return tate_algorithm(model, LocalField(ell, sp.e), f=sp.f)
 
 
+def _certificate(given: bool) -> tuple[str, str]:
+    """A clause that only a user certificate vouches for."""
+    return (ASSUMED, "user certificate") if given else (FAIL, "no certificate supplied")
+
+
+def _factors_ordinary(A: AbelianVarietyInput, p: int, m: int) -> tuple[str, str]:
+    """A is good ordinary above p.  A table row marking p bad fails the
+    clause, whatever the factors say; a table alone cannot certify it."""
+    if any(fact.prime == p and not fact.good for fact in A.reduction_table):
+        return FAIL, f"table marks {p} as bad"
+    if not A.factors:
+        return ASSUMED, "reduction table cannot certify ordinariness"
+    classes = [local_data_at(factor, p, m).reduction_class for factor in A.factors]
+    bad = [f"factor {i}: {cls}" for i, cls in enumerate(classes, 1) if cls != GOOD_ORDINARY]
+    return (FAIL, "; ".join(bad)) if bad else (PASS, "all factors good ordinary")
+
+
 def check_hypotheses(
     A: AbelianVarietyInput,
     p: int,
@@ -148,116 +165,31 @@ def check_hypotheses(
     e_data_at_p: LocalReductionData,
 ) -> list[HypothesisResult]:
     """Audit of every clause the Euler-characteristic formula assumes, given
-    the reduction data of E at the places above p.
+    the reduction data of E at the places above p, one row per clause in
+    the order of the table below.
 
     Statuses: PASS (verified), ASSUMED (user certificate), FAIL.  The table
     is always produced; no clause failure aborts the computation.
     """
-    rows: list[HypothesisResult] = []
-
-    if is_prime(p) and p >= 5:
-        rows.append(HypothesisResult("p_prime_at_least_5", PASS, f"p = {p}"))
-    else:
-        rows.append(
-            HypothesisResult("p_prime_at_least_5", FAIL, f"p = {p} is not a prime >= 5")
-        )
-
     threshold = 2 * A.dimension + 1
-    if p > threshold:
-        rows.append(
-            HypothesisResult(
-                "sigma_no_p_torsion",
-                PASS,
-                f"p = {p} > 2*dim(A) + 1 = {threshold}",
-            )
-        )
-    elif ext.no_p_torsion_certificate:
-        rows.append(
-            HypothesisResult(
-                "sigma_no_p_torsion", ASSUMED, "certified by no_p_torsion_certificate"
-            )
-        )
-    else:
-        rows.append(
-            HypothesisResult(
-                "sigma_no_p_torsion",
-                FAIL,
-                f"p = {p} <= {threshold} and no certificate supplied",
-            )
-        )
-
-    if e_data_at_p.reduction_class == GOOD_ORDINARY:
-        rows.append(
-            HypothesisResult(
-                "E_good_ordinary_above_p",
-                PASS,
-                f"class {e_data_at_p.reduction_class}, N_v = {e_data_at_p.N_v}",
-            )
-        )
-    else:
-        rows.append(
-            HypothesisResult(
-                "E_good_ordinary_above_p",
-                FAIL,
-                f"class {e_data_at_p.reduction_class} at the place above {p}",
-            )
-        )
-
-    # a table row marking p bad fails the clause, whatever the factors say
-    if any(fact.prime == p and not fact.good for fact in A.reduction_table):
-        rows.append(
-            HypothesisResult("A_good_ordinary_above_p", FAIL, f"table marks {p} as bad")
-        )
-    elif A.factors:
-        bad = []
-        for i, factor in enumerate(A.factors):
-            data = local_data_at(factor, p, m)
-            if data.reduction_class != GOOD_ORDINARY:
-                bad.append(f"factor {i + 1}: {data.reduction_class}")
-        if bad:
-            rows.append(HypothesisResult("A_good_ordinary_above_p", FAIL, "; ".join(bad)))
-        else:
-            rows.append(
-                HypothesisResult(
-                    "A_good_ordinary_above_p", PASS, "all factors good ordinary"
-                )
-            )
-    else:
-        rows.append(
-            HypothesisResult(
-                "A_good_ordinary_above_p", ASSUMED, "reduction table cannot certify ordinariness"
-            )
-        )
-
-    rows.append(
-        HypothesisResult(
-            "selmer_finite",
-            ASSUMED if ext.selmer_finite else FAIL,
-            "user certificate" if ext.selmer_finite else "no certificate supplied",
-        )
-    )
-    rows.append(
-        HypothesisResult(
-            "dual_selmer_lambda_torsion",
-            ASSUMED if ext.lambda_torsion_certificate else FAIL,
-            "user certificate" if ext.lambda_torsion_certificate else "no certificate supplied",
-        )
-    )
-    rows.append(
-        HypothesisResult(
-            "finitely_many_ramified_primes",
-            PASS,
-            "ramification is confined to bad-not-potentially-good places and p",
-        )
-    )
-    rows.append(
-        HypothesisResult(
-            "contains_cyclotomic_tower",
-            PASS,
-            "automatic from the Weil pairing on the division points",
-        )
-    )
-    return rows
+    cls = e_data_at_p.reduction_class
+    clauses = {
+        "p_prime_at_least_5": (PASS, f"p = {p}") if is_prime(p) and p >= 5
+        else (FAIL, f"p = {p} is not a prime >= 5"),
+        "sigma_no_p_torsion": (PASS, f"p = {p} > 2*dim(A) + 1 = {threshold}") if p > threshold
+        else (ASSUMED, "certified by no_p_torsion_certificate") if ext.no_p_torsion_certificate
+        else (FAIL, f"p = {p} <= {threshold} and no certificate supplied"),
+        "E_good_ordinary_above_p": (PASS, f"class {cls}, N_v = {e_data_at_p.N_v}")
+        if cls == GOOD_ORDINARY else (FAIL, f"class {cls} at the place above {p}"),
+        "A_good_ordinary_above_p": _factors_ordinary(A, p, m),
+        "selmer_finite": _certificate(ext.selmer_finite),
+        "dual_selmer_lambda_torsion": _certificate(ext.lambda_torsion_certificate),
+        "finitely_many_ramified_primes": (
+            PASS, "ramification is confined to bad-not-potentially-good places and p"),
+        "contains_cyclotomic_tower": (
+            PASS, "automatic from the Weil pairing on the division points"),
+    }
+    return [HypothesisResult(name, *clause) for name, clause in clauses.items()]
 
 
 # -- the exponent arithmetic ---------------------------------------------------------
@@ -270,7 +202,6 @@ class RhoResult(NamedTuple):
     carries the two exponents obtained from the torsion bracket.
     """
 
-    p: int
     exponent: int | None
     window: tuple[int, int]
     breakdown: dict
@@ -320,7 +251,7 @@ def rho_p(
         "tamagawa": tamagawa,
         "reduction_counts": counts,
     }
-    return RhoResult(p=p, exponent=exact_exp, window=window, breakdown=breakdown)
+    return RhoResult(exact_exp, window, breakdown)
 
 
 class AuditRow(NamedTuple):
@@ -434,8 +365,12 @@ class EulerCharReport(NamedTuple):
     tau: int
     coranks: CorankReport
     target_chi_sigma_exponent: int | None
-    suppressed: bool
     suppression_reason: dict | None
+
+    @property
+    def suppressed(self) -> bool:
+        """chi is not exact, as `chi_euler` decided."""
+        return self.chi_sigma_exponent is None
 
     @property
     def failed(self) -> bool:
@@ -494,11 +429,10 @@ def analyze(
     m_prime_rows = [(sp, data) for sp, data in prime_rows if sp.ell in M_rational]
     chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_prime_rows)
 
-    suppressed = chi_sigma is None
     reason = None
-    if suppressed and torsion is None:
+    if chi_sigma is None and torsion is None:
         reason = {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": p}
-    elif suppressed:
+    elif chi_sigma is None:
         reason = {
             "code": "TORSION_NOT_EXACT",
             "lower": torsion.lower,
@@ -507,12 +441,13 @@ def analyze(
         }
 
     tau = tau_p(E, p, m)
-    coranks = corank_report(field_degree(m), tau, ext.sigma_index_R)
+    degree = field_degree(m)
+    coranks = corank_report(degree, tau, ext.sigma_index_R)
 
     return EulerCharReport(
         p=p,
         conductor=m,
-        degree=field_degree(m),
+        degree=degree,
         hypotheses=hypotheses,
         M_rational=M_rational,
         places=prime_rows,
@@ -525,6 +460,5 @@ def analyze(
         tau=tau,
         coranks=coranks,
         target_chi_sigma_exponent=target_chi_sigma_exponent,
-        suppressed=suppressed,
         suppression_reason=reason,
     )

@@ -273,10 +273,15 @@ class LocalElement:
         self.field = field
         self.coeffs = coeffs
 
+    def _same_field(self, other: "LocalElement") -> bool:
+        # (ell, e) fixes c, so two fields built with the same pair are one
+        F, G = self.field, other.field
+        return F is G or (F.ell, F.e) == (G.ell, G.e)
+
     def _coerce(self, other) -> tuple:
         if isinstance(other, int):
             return (other,) + (0,) * (self.field.e - 1)
-        if other.field is not self.field:
+        if not self._same_field(other):
             raise ValueError("elements of different local fields")
         return other.coeffs
 
@@ -305,7 +310,9 @@ class LocalElement:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, (int, LocalElement)) and self.coeffs == self._coerce(other)
+        if isinstance(other, LocalElement):
+            return self._same_field(other) and self.coeffs == other.coeffs
+        return isinstance(other, int) and self.coeffs == self._coerce(other)
 
 
 # -- residue-field helpers: residues are integers mod ell -----------------------

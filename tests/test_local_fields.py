@@ -1,3 +1,4 @@
+import operator
 from math import inf
 
 import pytest
@@ -210,3 +211,21 @@ def test_local_field_checks():
         LocalField(6, 1)
     with pytest.raises(ValueError, match="ramification index"):
         LocalField(5, 0)
+
+
+def test_fields_with_one_ell_and_e_share_their_values():
+    """Each `euler.local_data_at` call builds its own field.  (ell, e) fixes
+    c, so values of two fields with the same pair compare and combine by
+    their coefficients; a value of a field with another pair is unequal to
+    them and combines with none."""
+    K, L = LocalField(3, 2), LocalField(3, 2)
+    x, y = K.embed(1) + pi(K), L.embed(1) + pi(L)
+    assert K is not L and x == y and not x != y
+    assert x + y == K.embed(2) + pi(K) * 2 and x - y == K.embed(0)
+    assert x * y == K.embed(1 + K.c) + pi(K) * 2
+    for other in (LocalField(5, 2), LocalField(7, 2), LocalField(3, 4)):
+        z = other.embed(1)
+        assert x != z and z != x and K.embed(1) != z
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="different local fields"):
+                op(x, z)
