@@ -24,7 +24,6 @@ from .euler import (
     chi_euler,
     compute_M,
     corank_report,
-    gamma_kernel_exponent,
     rho_p,
     tau_p,
 )

@@ -101,7 +101,8 @@ def _parse_int(value, path: str, minimum: int | None = None) -> int:
 
 
 def _parse_prime(value, path: str, minimum: int = 2) -> int:
-    """The request's `prime`, or the `--prime` or `--ell` of a subcommand."""
+    """The request's `prime`, a `reduction_table` row's `prime`, or the
+    `--prime` or `--ell` of a subcommand."""
     prime = _parse_int(value, path, minimum=minimum)
     if not is_prime(prime):
         raise RequestError(path, f"expected a prime, got {prime}")
@@ -223,7 +224,7 @@ def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
             rpath = f"{path}/reduction_table/{i}"
             _require(row, rpath, {"prime", "potentially_good", "good"},
                      ("prime", "potentially_good", "good"))
-            prime = _parse_int(row["prime"], f"{rpath}/prime", minimum=2)
+            prime = _parse_prime(row["prime"], f"{rpath}/prime")
             pg, good = row["potentially_good"], row["good"]
             if not isinstance(pg, bool) or not isinstance(good, bool):
                 raise RequestError(rpath, "flags must be booleans")
@@ -317,23 +318,19 @@ def _corank_fields(rep: CorankReport) -> dict:
 def report_to_dict(report: EulerCharReport) -> dict:
     # the g places above one prime are conjugate and share one record (E is
     # defined over Q), so its values are converted once for the rows
-    # ell#1 ... ell#g
-    places, audit = [], []
+    # ell#1 ... ell#g, and its audit rows reuse them
+    places, audit, fields_at = [], [], {}
     for sp, data in report.places:
-        ell, e, f, g = sp.ell, sp.e, sp.f, sp.g
-        fields = _reduction_fields(data)
-        fields["L_at_1"] = str(data.L_at_1)
-        for i in range(1, g + 1):
-            places.append({"place": f"{ell}#{i}", "ell": ell, "e": e, "f": f, "g": g, **fields})
+        ell, g = sp.ell, sp.g
+        fields = fields_at[ell] = {"ell": ell, "e": sp.e, "f": sp.f, "g": g,
+                                   **_reduction_fields(data), "L_at_1": str(data.L_at_1)}
+        places += [{"place": f"{ell}#{i}", **fields} for i in range(1, g + 1)]
     for r in report.audit:
-        ell, data = r.splitting.ell, r.data
-        q_v, cls, L = str(data.q_v), data.reduction_class, str(data.L_at_1)
-        vp_L, contribution, gamma = r.vp_L, r.contribution, r.gamma_kernel_exponent
-        for i in range(1, r.splitting.g + 1):
-            audit.append({
-                "place": f"{ell}#{i}", "q_v": q_v, "reduction_class": cls, "L_at_1": L,
-                "vp_L": vp_L, "contribution": contribution, "gamma_kernel_exponent": gamma,
-            })
+        fields = fields_at[r.ell]
+        row = {"q_v": fields["q_v"], "reduction_class": fields["reduction_class"],
+               "L_at_1": fields["L_at_1"], "vp_L": r.vp_L, "contribution": r.contribution,
+               "gamma_kernel_exponent": r.gamma_kernel_exponent}
+        audit += [{"place": f"{r.ell}#{i}", **row} for i in range(1, fields["g"] + 1)]
     target = None
     if report.target_chi_sigma_exponent is not None:
         target = {
@@ -348,7 +345,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
         "status": report.status,
         "p": report.p,
         "conductor": report.conductor,
-        "degree": report.degree,
+        "degree": report.coranks.degree,
         "hypotheses": [
             {"name": h.name, "status": h.status, "detail": h.detail} for h in report.hypotheses
         ],
@@ -361,11 +358,11 @@ def report_to_dict(report: EulerCharReport) -> dict:
             "window": list(report.rho.window),
             "breakdown": report.rho.breakdown,
         },
-        "chi_cyc": {"base": report.p, "exponent": report.chi_cyc_exponent},
+        "chi_cyc": {"base": report.p, "exponent": report.rho.exponent},
         "chi_sigma": {"base": report.p, "exponent": report.chi_sigma_exponent},
         "target_chi_sigma": target,
         "audit": audit,
-        "tau_p": report.tau,
+        "tau_p": report.coranks.tau,
         "corank": _corank_fields(report.coranks),
         "suppression_reason": report.suppression_reason,
     }

@@ -206,10 +206,6 @@ class RhoResult(NamedTuple):
     window: tuple[int, int]
     breakdown: dict
 
-    @property
-    def exact(self) -> bool:
-        return self.exponent is not None
-
 
 def rho_p(
     p: int,
@@ -255,11 +251,13 @@ def rho_p(
 
 
 class AuditRow(NamedTuple):
-    """|L_v(E,1)|_p at each of the g places above one rational prime of the
-    bad-tower set; the places are conjugate and share the row."""
+    """|L_v(E,1)|_p = p^-vp_L at each of the g places above the rational
+    prime ell of the bad-tower set; the places are conjugate and share the
+    row.  Away from p, #ker(gamma_v) = p^k with k = gamma_kernel_exponent =
+    vp(c_v) - vp_L; A is not potentially good at v, which is what puts v in
+    M.  At p it is None."""
 
-    splitting: CyclotomicSplitting
-    data: LocalReductionData
+    ell: int
     vp_L: int
     gamma_kernel_exponent: int | None
 
@@ -273,27 +271,19 @@ def chi_euler(
     p: int,
     rho: RhoResult,
     m_prime_data: list[tuple[CyclotomicSplitting, LocalReductionData]],
-) -> tuple[int | None, int | None, list[AuditRow]]:
-    """(chi_cyc exponent, chi_sigma exponent, audit rows, one per prime).
+) -> tuple[int | None, list[AuditRow]]:
+    """(chi_sigma exponent, audit rows, one per prime).
 
-    chi_cyc equals the rho exponent; chi_sigma adds -vp(L_v(E,1)) at every
-    place of the bad-tower set, g times for the g places above a prime.
-    Both are None when rho is not exact.
+    chi_cyc is rho_p, so chi_sigma is the rho exponent plus -vp(L_v(E,1))
+    at every place of the bad-tower set, g times for the g places above a
+    prime; it is None when the rho exponent is.
     """
-    rows = [
-        AuditRow(
-            splitting=sp,
-            data=data,
-            vp_L=vp(data.L_at_1, p),
-            gamma_kernel_exponent=None if sp.ell == p else gamma_kernel_exponent(data, p),
-        )
-        for sp, data in m_prime_data
-    ]
-    if not rho.exact:
-        return None, None, rows
-    chi_cyc = rho.exponent
-    chi_sigma = chi_cyc + sum(row.splitting.g * row.contribution for row in rows)
-    return chi_cyc, chi_sigma, rows
+    rows, contributions = [], 0
+    for sp, data in m_prime_data:
+        vp_L = vp(data.L_at_1, p)
+        rows.append(AuditRow(sp.ell, vp_L, None if sp.ell == p else vp(data.c_v, p) - vp_L))
+        contributions -= sp.g * vp_L
+    return None if rho.exponent is None else rho.exponent + contributions, rows
 
 
 def tau_p(E: WeierstrassModel, p: int, m: int) -> int:
@@ -306,71 +296,71 @@ def tau_p(E: WeierstrassModel, p: int, m: int) -> int:
     return field_degree(m)
 
 
-def gamma_kernel_exponent(e_data: LocalReductionData, p: int) -> int:
-    """Exponent k = vp(c_v / L_v(E,1)) with #ker(gamma_v) = p^k at a place
-    v of the bad-tower set M not dividing p; A is not potentially good
-    there, which is what puts v in M."""
-    if e_data.ell == p:
-        raise ValueError("gamma kernel orders are computed away from p")
-    return vp(e_data.c_v, p) - vp(e_data.L_at_1, p)
-
-
 class CorankReport(NamedTuple):
-    """Window and (when the tower index is certified) absolute predictions
-    for the normalized rank of the dual Selmer module."""
+    """Window and (when the tower index R is certified) absolute predictions
+    for the normalized rank of the dual Selmer module, with degree = [F:Q]."""
 
     tau: int
     degree: int
     sigma_index_R: int | None
-    global_corank: int | None
-    local_corank: int | None
-    conjectural_rank: int | None
 
     @property
     def window(self) -> tuple[int, int]:
         return (self.tau, self.degree)
 
+    def _times_R(self, n: int) -> int | None:
+        return None if self.sigma_index_R is None else self.sigma_index_R * n
+
+    global_corank = property(lambda self: self._times_R(self.degree))
+    local_corank = property(lambda self: self._times_R(self.degree - self.tau))
+    conjectural_rank = property(lambda self: self._times_R(self.tau))
+
 
 def corank_report(degree: int, tau: int, sigma_index_R: int | None) -> CorankReport:
     if tau > degree:
         raise AssertionError("tau exceeds the field degree")
-    if sigma_index_R is None:
-        return CorankReport(tau, degree, None, None, None, None)
-    return CorankReport(
-        tau,
-        degree,
-        sigma_index_R,
-        sigma_index_R * degree,
-        sigma_index_R * (degree - tau),
-        sigma_index_R * tau,
-    )
+    return CorankReport(tau, degree, sigma_index_R)
 
 
 # -- full pipeline --------------------------------------------------------------------
 
 
 class EulerCharReport(NamedTuple):
+    """One request's results; chi_cyc is `rho.exponent`, and tau and [F:Q]
+    are `coranks.tau` and `coranks.degree`."""
+
     p: int
     conductor: int
-    degree: int
     hypotheses: list[HypothesisResult]
     M_rational: list[int]
     places: list[tuple[CyclotomicSplitting, LocalReductionData]]  # one per prime
     torsion: TorsionEstimate | None
     torsion_source: str
     rho: RhoResult
-    chi_cyc_exponent: int | None
     chi_sigma_exponent: int | None
     audit: list[AuditRow]
-    tau: int
     coranks: CorankReport
     target_chi_sigma_exponent: int | None
-    suppression_reason: dict | None
 
     @property
     def suppressed(self) -> bool:
         """chi is not exact, as `chi_euler` decided."""
         return self.chi_sigma_exponent is None
+
+    @property
+    def suppression_reason(self) -> dict | None:
+        """Why chi is suppressed: no torsion bracket below p = 5, or one that
+        is not exact; None when it is not."""
+        if not self.suppressed:
+            return None
+        if self.torsion is None:
+            return {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": self.p}
+        return {
+            "code": "TORSION_NOT_EXACT",
+            "lower": self.torsion.lower,
+            "upper": self.torsion.upper,
+            "hint": "supply torsion_p_override or raise samples",
+        }
 
     @property
     def failed(self) -> bool:
@@ -427,38 +417,19 @@ def analyze(
     rho = rho_p(p, prime_rows, used, ext.sha_p_order)
 
     m_prime_rows = [(sp, data) for sp, data in prime_rows if sp.ell in M_rational]
-    chi_cyc, chi_sigma, audit = chi_euler(p, rho, m_prime_rows)
-
-    reason = None
-    if chi_sigma is None and torsion is None:
-        reason = {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": p}
-    elif chi_sigma is None:
-        reason = {
-            "code": "TORSION_NOT_EXACT",
-            "lower": torsion.lower,
-            "upper": torsion.upper,
-            "hint": "supply torsion_p_override or raise samples",
-        }
-
-    tau = tau_p(E, p, m)
-    degree = field_degree(m)
-    coranks = corank_report(degree, tau, ext.sigma_index_R)
+    chi_sigma, audit = chi_euler(p, rho, m_prime_rows)
 
     return EulerCharReport(
         p=p,
         conductor=m,
-        degree=degree,
         hypotheses=hypotheses,
         M_rational=M_rational,
         places=prime_rows,
         torsion=torsion,
         torsion_source=torsion_source,
         rho=rho,
-        chi_cyc_exponent=chi_cyc,
         chi_sigma_exponent=chi_sigma,
         audit=audit,
-        tau=tau,
-        coranks=coranks,
+        coranks=corank_report(field_degree(m), tau_p(E, p, m), ext.sigma_index_R),
         target_chi_sigma_exponent=target_chi_sigma_exponent,
-        suppression_reason=reason,
     )

@@ -36,6 +36,9 @@ term and t the leading coefficient, against the library's ell-adic lifting.
 Its divisors come by trial division up to the square root: keep both small.
 `base_change_rules` gives the textbook reduction data over the unramified
 extension of degree f, against Tate's algorithm run with residue degree f.
+`tate_normal_form(p, t)` is Kubert's family of curves with a rational point
+of order p in {5, 7}, and `smallest_prime_not_dividing(n)` the good prime
+that a root lifting or a reduction starts from.
 
 The generic chord-tangent group law, exact over Q and over any FiniteField:
 `CurvePoint`, `is_on_curve`, `negate_point`, `add_points`, `scalar_mul` and
@@ -581,6 +584,21 @@ def point_order(model: WeierstrassModel, point: CurvePoint, bound: int) -> int |
             return n
         acc = add_points(model, acc, point)
     return None
+
+
+def tate_normal_form(p: int, t) -> WeierstrassModel:
+    """E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2, on which (0, 0) has order
+    5 for b = c = t and order 7 for b = t^3 - t^2, c = t^2 - t (Kubert 1976)."""
+    b, c = (t, t) if p == 5 else (t**3 - t**2, t**2 - t)
+    return WeierstrassModel.from_rationals([1 - c, -b, -b, 0, 0])
+
+
+def smallest_prime_not_dividing(n: int) -> int:
+    """The least prime not dividing n != 0, by trial division."""
+    ell = 2
+    while n % ell == 0 or any(ell % d == 0 for d in range(2, ell)):
+        ell += 1
+    return ell
 
 
 def lift_x_to_points(model: WeierstrassModel, x0: Fraction) -> list[CurvePoint]:

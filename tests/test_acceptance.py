@@ -169,7 +169,7 @@ def test_criterion_6_second_example_audit():
         assert Fraction(row["L_at_1"]) == Fraction(169, n169)
         assert row["contribution"] == -vp(Fraction(169, n169), 7)
     # the computed total is reported side by side with the target
-    assert report.chi_sigma_exponent == report.chi_cyc_exponent + sum(
+    assert report.chi_sigma_exponent == report.rho.exponent + sum(
         r["contribution"] for r in audit
     )
     _report(6, started, 60)

@@ -688,6 +688,19 @@ def test_good_but_not_potentially_good_row_rejected(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("potentially_good", [False, True])
+def test_composite_table_prime_rejected(potentially_good):
+    """A table row's prime must be prime, whatever its flags say."""
+    req = json.loads(json.dumps(REQ_TABLE))
+    req["abelian_variety"]["reduction_table"][0] = {
+        "prime": 4, "potentially_good": potentially_good, "good": False}
+    with pytest.raises(RequestError) as err:
+        parse_request(req)
+    assert (err.value.path, str(err.value)) == (
+        "/abelian_variety/reduction_table/0/prime",
+        "/abelian_variety/reduction_table/0/prime: expected a prime, got 4")
+
+
 def test_dimension_disagreeing_with_factors_rejected(monkeypatch, capsys):
     req = json.loads(json.dumps(REQ_TABLE))
     req["abelian_variety"] = {"dimension": 2, "factors": [["-1", "2", "2", "0", "0"]]}
@@ -786,7 +799,8 @@ def test_import_and_plain_calls_load_no_dataclasses_or_argparse():
     """A fresh `eulerchar` process builds its records without importing
     `dataclasses`, or `inspect`, which it pulls in; and reads a well-formed
     command line without importing `argparse`, or `gettext`, which it
-    pulls in."""
+    pulls in.  Every module it loads is its own or the standard library's:
+    the package has no runtime dependencies."""
     request = ROOT / "data" / "requests" / "analysis_with_reduction_table.json"
     probe = (
         "import sys; before = set(sys.modules); import eulerchar.cli; "
@@ -805,6 +819,9 @@ def test_import_and_plain_calls_load_no_dataclasses_or_argparse():
     assert done.stdout.startswith("7 in Q(mu_7): e=6 f=1 g=1")
     for added in (imported, called):
         assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
+        outside = {name for name in added if name.partition(".")[0] != "eulerchar"
+                   and name.partition(".")[0] not in sys.stdlib_module_names}
+        assert not outside
 
 
 def _assert_json_native(value, path=""):

@@ -37,6 +37,8 @@ from oracles import (
     rational_roots_by_divisors,
     roots_in_field,
     scalar_mul,
+    smallest_prime_not_dividing,
+    tate_normal_form,
     transform,
 )
 
@@ -451,18 +453,6 @@ def test_division_polynomial_refuses_a_model_over_F_ell():
         division_polynomial(reduce_model(EJ0, 5), 3)
 
 
-def tate_normal_form(p, t) -> WeierstrassModel:
-    """E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2, on which (0, 0) has
-    order 5 for b = c = t and order 7 for b = t^3 - t^2, c = t^2 - t."""
-    b, c = (t, t) if p == 5 else (t**3 - t**2, t**2 - t)
-    return WeierstrassModel.from_rationals([1 - c, -b, -b, 0, 0])
-
-
-def _smallest_good_prime(model, p):
-    disc = invariants(model).disc
-    return next(ell for ell in range(2, 10**4) if _is_prime(ell) and p * disc % ell)
-
-
 census_case = st.tuples(
     st.tuples(
         st.sampled_from([0, 1]),
@@ -492,7 +482,8 @@ def test_rational_roots_of_psi_match_divisor_oracle(case):
     except SingularModelError:
         assume(False)
     psi = division_polynomial(model, p)
-    assert rational_roots(psi, _smallest_good_prime(model, p)) == sorted(
+    good = smallest_prime_not_dividing(p * invariants(model).disc)
+    assert rational_roots(psi, good) == sorted(
         rational_roots_by_divisors(psi)
     )
 
@@ -527,7 +518,7 @@ def test_square_test_matches_point_order_oracle():
     for c in sorted(coeffs):
         model = WeierstrassModel(*c)
         try:
-            invariants(model)
+            disc = invariants(model).disc
         except SingularModelError:
             continue
         curves_checked += 1
@@ -535,7 +526,7 @@ def test_square_test_matches_point_order_oracle():
             psi = division_polynomial(model, p)
             oracle = any(
                 point_order(model, P, p) == p
-                for x0 in rational_roots(psi, _smallest_good_prime(model, p))
+                for x0 in rational_roots(psi, smallest_prime_not_dividing(p * disc))
                 for P in lift_x_to_points(model, x0)
             )
             assert (rational_p_torsion_order(model, p) == p) == oracle, (c, p)

@@ -19,11 +19,11 @@ from eulerchar.euler import (
     chi_euler,
     compute_M,
     corank_report,
-    gamma_kernel_exponent,
     local_data_at,
     rho_p,
     tau_p,
 )
+from eulerchar.valuations import vp
 from oracles import brute_count, finite_field, lift_model
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
@@ -258,21 +258,19 @@ def test_chi_example_one():
     rows = _prime_rows(E294, 7, [2, 3, 7])
     rho = rho_p(7, rows, (7, 7), 1)
     m_rows = [(sp, d) for sp, d in rows if sp.ell in (2, 3)]
-    chi_cyc, chi_sigma, audit = chi_euler(7, rho, m_rows)
-    assert chi_cyc == 0
+    chi_sigma, audit = chi_euler(7, rho, m_rows)
+    assert rho.exponent == 0  # chi_cyc
     assert chi_sigma == 3  # 7^3
     # one row per prime: the g = 2 places above 2 each contribute 1
-    assert [(r.splitting.ell, r.splitting.g, r.contribution) for r in audit] == [
-        (2, 2, 1),
-        (3, 1, 1),
-    ]
-    assert chi_sigma - chi_cyc == sum(r.splitting.g * r.contribution for r in audit)
+    g = {sp.ell: sp.g for sp, _ in m_rows}
+    assert [(r.ell, g[r.ell], r.contribution) for r in audit] == [(2, 2, 1), (3, 1, 1)]
+    assert chi_sigma - rho.exponent == sum(g[r.ell] * r.contribution for r in audit)
 
 
 def test_chi_empty_bad_set():
     rho = rho_p(7, [], (1, 1), 1)
-    chi_cyc, chi_sigma, audit = chi_euler(7, rho, [])
-    assert chi_cyc == chi_sigma == 0 and audit == []
+    chi_sigma, audit = chi_euler(7, rho, [])
+    assert rho.exponent == chi_sigma == 0 and audit == []
 
 
 def test_tau_anchors():
@@ -284,32 +282,36 @@ def test_tau_anchors():
 
 
 def test_gamma_kernel_anchors():
-    data2 = local_data_at(E294, 2, 7)  # split, c = 1, L = 8/7
-    assert gamma_kernel_exponent(data2, 7) == 1
-    data3 = local_data_at(E294, 3, 7)  # split, c = 1, L = 729/728
-    assert gamma_kernel_exponent(data3, 7) == 1
-    with pytest.raises(ValueError):
-        gamma_kernel_exponent(local_data_at(E294, 7, 7), 7)
+    """#ker(gamma_v) = p^(vp(c_v) - vp(L_v)) away from p, and None at p."""
+    # split at 2 and 3 with c = 1, L = 8/7 and L = 729/728
+    rows = _prime_rows(E294, 7, [2, 3, 7])
+    _, audit = chi_euler(7, rho_p(7, rows, (7, 7), 1), rows)
+    assert [(r.ell, r.gamma_kernel_exponent) for r in audit] == [(2, 1), (3, 1), (7, None)]
 
 
 def test_corank_reports():
     rep = corank_report(6, 0, None)
     assert rep.window == (0, 6)
-    assert rep.global_corank is None
+    assert (rep.global_corank, rep.local_corank, rep.conjectural_rank) == (None, None, None)
     pinned = corank_report(4, 4, None)
     assert pinned.window == (4, 4)
     full = corank_report(1, 1, 48)
     assert (full.global_corank, full.local_corank, full.conjectural_rank) == (48, 0, 48)
+    # R [F:Q], R ([F:Q] - tau) and R tau
+    split = corank_report(6, 2, 3)
+    assert (split.global_corank, split.local_corank, split.conjectural_rank) == (18, 12, 6)
+    with pytest.raises(AssertionError):
+        corank_report(1, 2, None)
 
 
 def test_analyze_example_one_end_to_end():
     report = analyze(E294, 7, 7, TABLE_23, EXT_FULL)
     assert report.chi_sigma_exponent == 3
-    assert report.chi_cyc_exponent == 0
-    assert report.rho.exponent == 0
+    assert report.rho.exponent == 0  # chi_cyc
     assert not report.failed and not report.suppressed
+    assert report.suppression_reason is None
     assert report.M_rational == [2, 3]
-    assert report.tau == 0
+    assert (report.coranks.tau, report.coranks.degree) == (0, 6)
     assert report.coranks.window == (0, 6)
 
 
@@ -324,11 +326,14 @@ def test_analyze_example_two_audit():
     )
     assert report.M_rational == [2, 13]
     above2, above13 = report.audit
-    assert (above2.splitting.ell, above2.splitting.g) == (2, 2)
-    assert above2.splitting.g * above2.contribution == 2
-    assert (above13.splitting.ell, above13.splitting.g) == (13, 3)
-    assert above13.data.q_v == 169
-    assert above13.data.L_at_1 == Fraction(169, 196)  # genuine F_169 count
+    places = {sp.ell: (sp, data) for sp, data in report.places}
+    assert (above2.ell, places[2][0].g) == (2, 2)
+    assert places[2][0].g * above2.contribution == 2
+    sp13, data13 = places[13]
+    assert (above13.ell, sp13.g) == (13, 3)
+    assert data13.q_v == 169
+    assert data13.L_at_1 == Fraction(169, 196)  # genuine F_169 count
+    assert above13.vp_L == vp(data13.L_at_1, 7) == -2
     assert report.target_chi_sigma_exponent == 2
 
 
@@ -339,7 +344,16 @@ def test_analyze_not_exact_suppression():
     assert report.chi_sigma_exponent is None
     assert report.rho.exponent is None
     assert report.rho.window == (0, 2)
-    assert report.suppression_reason["code"] == "TORSION_NOT_EXACT"
+    assert report.suppression_reason == {
+        "code": "TORSION_NOT_EXACT",
+        "lower": 1,
+        "upper": 7,
+        "hint": "supply torsion_p_override or raise samples",
+    }
+    # below p = 5 no torsion bracket is computed, and the reason names p
+    small = analyze(E294, 3, 1, TABLE_23, EXT_FULL)
+    assert small.torsion is None and small.suppressed
+    assert small.suppression_reason == {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": 3}
 
 
 def test_report_determinism():

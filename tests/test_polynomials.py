@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulerchar.polynomials import Polynomial, rational_roots
-from oracles import evaluate, finite_field, roots_in_field
+from oracles import evaluate, finite_field, roots_in_field, smallest_prime_not_dividing
 
 
 def test_rational_roots_anchors():
@@ -37,13 +37,6 @@ def test_rational_roots_refuses_a_bad_ell():
     assert rational_roots(square_mod_5, 7) == [1, 6]
 
 
-def _smallest_prime_not_dividing(n: int) -> int:
-    ell = 2
-    while n % ell == 0 or any(ell % d == 0 for d in range(2, ell)):
-        ell += 1
-    return ell
-
-
 @given(
     st.lists(
         st.fractions(min_value=-20, max_value=20, max_denominator=12),
@@ -67,7 +60,7 @@ def test_rational_roots_found_by_construction(roots, extra):
         bad *= r.denominator * (r * r + extra).numerator
         for other in roots[i + 1 :]:
             bad *= (r - other).numerator
-    found = rational_roots(poly, _smallest_prime_not_dividing(bad))
+    found = rational_roots(poly, smallest_prime_not_dividing(bad))
     assert found == sorted(roots)
     for r in found:
         assert evaluate(poly, r) == 0

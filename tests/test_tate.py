@@ -26,7 +26,7 @@ from eulerchar.tate import (
     tate_algorithm,
 )
 from eulerchar.valuations import vp
-from oracles import transform
+from oracles import tate_normal_form, transform
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -731,13 +731,6 @@ def test_good_and_multiplicative_places_never_embed(monkeypatch, capsys):
 ORACLE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
 
-def _tate_normal_form(p: int, t: Fraction) -> WeierstrassModel:
-    """y^2 + (1 - c) x y - b y = x^3 - b x^2, with a rational point of order
-    p in {5, 7} (Kubert 1976)."""
-    b, c = (t, t) if p == 5 else (t**3 - t**2, t**2 - t)
-    return WeierstrassModel.from_rationals([1 - c, -b, -b, 0, 0])
-
-
 def _twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
     """The quadratic twist by d, in short form y^2 = x^3 - 27 c4 d^2 x - 54 c6 d^3."""
     inv = invariants(model)
@@ -755,7 +748,7 @@ def _oracle_curves(ell: int, rng: random.Random):
     while len(normal_forms) < 4:
         t = Fraction(ell * rng.randint(-3, 3) or 1, rng.randint(1, 3)) + rng.choice((0, 1))
         try:
-            model = _tate_normal_form(rng.choice((5, 7)), t)
+            model = tate_normal_form(rng.choice((5, 7)), t)
             disc = invariants(model).disc
         except SingularModelError:
             continue
@@ -791,7 +784,7 @@ def _isogenous_pairs():
     origin = CurvePoint(Fraction(0), Fraction(0))
     pairs = []
     for p, t in product((5, 7), range(-25, 26)):
-        model = _tate_normal_form(p, Fraction(t))
+        model = tate_normal_form(p, Fraction(t))
         try:
             invariants(model)
         except SingularModelError:
