@@ -31,7 +31,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from math import isqrt, log10
 from types import SimpleNamespace
 
 from .curves import (
@@ -42,7 +41,7 @@ from .curves import (
     discriminant,
     torsion_bound_over_F,
 )
-from .cyclotomic import field_degree, splitting
+from .cyclotomic import UnprintableFieldError, field_degree, printable, splitting
 from .euler import (
     AbelianVarietyInput,
     CorankReport,
@@ -204,7 +203,9 @@ def _parse_external(obj, path: str, prime: int) -> ExternalArithmetic:
 
 
 def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
-    _require(obj, path, {"dimension", "factors", "reduction_table"}, ("dimension",))
+    """The keys of `AbelianVarietyInput`, of which `dimension` is required,
+    with each `reduction_table` row holding every key of `ReductionFact`."""
+    _require(obj, path, AbelianVarietyInput._fields, ("dimension",))
     dim = _parse_int(obj["dimension"], f"{path}/dimension", minimum=1)
     factors = ()
     if "factors" in obj:
@@ -222,10 +223,9 @@ def _parse_abelian_variety(obj, path: str) -> AbelianVarietyInput:
         rows = []
         for i, row in enumerate(raw):
             rpath = f"{path}/reduction_table/{i}"
-            _require(row, rpath, {"prime", "potentially_good", "good"},
-                     ("prime", "potentially_good", "good"))
-            prime = _parse_prime(row["prime"], f"{rpath}/prime")
-            pg, good = row["potentially_good"], row["good"]
+            _require(row, rpath, ReductionFact._fields, ReductionFact._fields)
+            prime, pg, good = (row[key] for key in ReductionFact._fields)
+            prime = _parse_prime(prime, f"{rpath}/prime")
             if not isinstance(pg, bool) or not isinstance(good, bool):
                 raise RequestError(rpath, "flags must be booleans")
             try:
@@ -251,22 +251,16 @@ def _nests_deeper(doc, limit: int) -> bool:
     return any(isinstance(c, (list, dict)) for c in level)
 
 
+# a request's keys, in the order of the schema
+_REQUIRED_KEYS = ("schema_version", "curve", "prime", "base_field", "abelian_variety")
+_OPTIONAL_KEYS = ("external", "target_chi_sigma_exponent", "samples", "precision_digits")
+
+
 def parse_request(obj) -> dict:
     """Validate a raw analysis request, refusing it with a RequestError at
     the pointer of its first bad key; returns the keyword arguments of
     `analyze`: E, p, m, A, ext, samples and target_chi_sigma_exponent."""
-    allowed = {
-        "schema_version",
-        "curve",
-        "prime",
-        "base_field",
-        "abelian_variety",
-        "external",
-        "target_chi_sigma_exponent",
-        "samples",
-        "precision_digits",
-    }
-    _require(obj, "", allowed, ("schema_version", "curve", "prime", "base_field", "abelian_variety"))
+    _require(obj, "", _REQUIRED_KEYS + _OPTIONAL_KEYS, _REQUIRED_KEYS)
     version = _parse_int(obj["schema_version"], "/schema_version")
     if version != SCHEMA_VERSION:
         raise RequestError("/schema_version", f"unsupported version {version}")
@@ -552,15 +546,24 @@ def _cmd_analyze(args):
         report = analyze(**parsed)
     except TorsionCertificateError as exc:
         raise RequestError("/external/torsion_p_override", str(exc)) from None
+    except UnprintableFieldError as exc:
+        raise RequestError("/base_field", str(exc)) from None
     return report_to_dict(report), render_text, _EXIT_CODES[report.status]
 
 
+def _check_printable(ell: int, f: int, path: str) -> None:
+    """Refuse at path a residue field F_{ell^f} whose counts could not print."""
+    if not printable(ell, f):
+        raise RequestError(path, str(UnprintableFieldError(ell, f)))
+
+
 def _cmd_local(args):
+    sp = splitting(args.ell, args.conductor)
+    _check_printable(sp.ell, sp.f, "/base_field")
     try:
         data = local_data_at(args.curve, args.ell, args.conductor)
     except CountCapError as exc:
         raise RequestError("/ell", str(exc)) from None
-    sp = splitting(args.ell, args.conductor)
     doc = {
         "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},
         **_reduction_fields(data),
@@ -571,6 +574,7 @@ def _cmd_local(args):
 
 def _cmd_splitting(args):
     sp = splitting(args.ell, args.conductor)
+    _check_printable(sp.ell, sp.f, "/base_field")
     doc = {
         "ell": sp.ell,
         "conductor": sp.m,
@@ -615,14 +619,7 @@ def _cmd_coranks(args):
 
 def _cmd_count(args):
     ell, degree = args.ell, args.degree
-    # the count prints in decimal: refuse when its Hasse bound q + 1 + 2 sqrt(q),
-    # q = ell^degree, would not; q >= 2^(4 limit) > 10^limit is seen without q
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and (degree * (ell.bit_length() - 1) >= 4 * limit
-                  or (q := ell**degree) + 1 + isqrt(4 * q) >= 10**limit):
-        digits = int(degree * log10(ell)) + 1
-        raise RequestError("/degree", f"{ell}^{degree} has about {digits} digits: the count over "
-                           f"that field can pass the {limit}-digit limit on printing an integer")
+    _check_printable(ell, degree, "/degree")
     # the count of the reduction of a minimal model at ell, whatever the model given
     try:
         n = tate_algorithm(args.curve, LocalField(ell, 1), f=degree).N_v

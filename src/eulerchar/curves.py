@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .cyclotomic import splitting
 from .finite_fields import fq_create
-from .polynomials import Polynomial
+from .polynomials import Polynomial, is_square
 from .valuations import (
     int_valuation,
     is_prime,
@@ -288,7 +288,7 @@ def _count_shanks_mestre(p: int, c4: int, c6: int) -> int:
         d = ((x0 * x0 + a) * x0 + b) % p
         if d == 0:
             continue
-        twist = pow(d, (p - 1) // 2, p) != 1
+        twist = not is_square(d, p)
         d2 = d * d % p
         multiples = _hasse_multiples((d * x0 % p, d2), d2 * a % p, p, lo, hi)
         if multiples is None:

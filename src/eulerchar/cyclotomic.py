@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
+from math import isqrt, log10
 from typing import NamedTuple
 
 from .valuations import euler_phi, int_valuation, is_prime, multiplicative_order
@@ -53,3 +55,30 @@ def splitting(ell: int, m: int) -> CyclotomicSplitting:
 def field_degree(m: int) -> int:
     """[Q(mu_m) : Q] = phi(m)."""
     return euler_phi(m)
+
+
+def printable(ell: int, f: int) -> bool:
+    """Whether every count over F_q, q = ell^f, prints in decimal: its Hasse
+    bound q + 1 + 2 sqrt(q) has fewer digits than the interpreter's limit on
+    printing an integer (`sys.get_int_max_str_digits()`; 0, or no such
+    limit, prints any).  Bit lengths decide away from that limit: q below
+    2^(3 limit) keeps the bound under 10^limit, for every limit CPython
+    allows (0 or at least 640), and q from 2^(4 limit) on puts it above;
+    q and 10^limit are built only in between."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = f * ell.bit_length()  # 2^(bits - f) <= q < 2^bits
+    if not limit or bits <= 3 * limit:
+        return True
+    if bits - f >= 4 * limit:
+        return False
+    q = ell**f
+    return q + 1 + isqrt(4 * q) < 10**limit
+
+
+class UnprintableFieldError(ValueError):
+    """A residue field F_{ell^f} past `printable`."""
+
+    def __init__(self, ell: int, f: int):
+        super().__init__(f"{ell}^{f} has about {int(f * log10(ell)) + 1} digits: the count over "
+                         f"that field can pass the {sys.get_int_max_str_digits()}-digit limit "
+                         "on printing an integer")

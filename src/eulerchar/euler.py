@@ -29,7 +29,7 @@ from .curves import (
     invariants,
     torsion_bound_over_F,
 )
-from .cyclotomic import CyclotomicSplitting, field_degree, splitting
+from .cyclotomic import CyclotomicSplitting, UnprintableFieldError, field_degree, printable, splitting
 from .tate import GOOD_ORDINARY, LocalField, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import factorize, is_prime, vp
 
@@ -103,10 +103,18 @@ class HypothesisResult(NamedTuple):
     detail: str
 
 
-def bad_primes_of_curve(model: WeierstrassModel) -> list[int]:
-    """Primes where the given model, which is integral, has positive disc
-    valuation."""
-    return [p for p, _ in factorize(abs(discriminant(model)))]
+def plan(E: WeierstrassModel, p: int, m: int, M=()) -> list[CyclotomicSplitting]:
+    """The splitting in Q(mu_m) of every relevant prime, in increasing order:
+    the primes of the discriminant of the integral model E, the primes of M,
+    and p.  A report covers these primes and no others; a residue field
+    whose counts could not print is refused here (`UnprintableFieldError`),
+    before any local data is computed."""
+    primes = {ell for ell, _ in factorize(abs(discriminant(E)))}.union(M, (p,))
+    rows = [splitting(ell, m) for ell in sorted(primes)]
+    for sp in rows:
+        if not printable(sp.ell, sp.f):
+            raise UnprintableFieldError(sp.ell, sp.f)
+    return rows
 
 
 def compute_M(A: AbelianVarietyInput) -> list[int]:
@@ -381,7 +389,7 @@ def analyze(
     samples: int = DEFAULT_SAMPLES,
     target_chi_sigma_exponent: int | None = None,
 ) -> EulerCharReport:
-    """Run the whole pipeline: local data at every relevant prime, the
+    """Run the whole pipeline: local data at every prime of the `plan`, the
     hypothesis audit, torsion bracketing, rho_p, both Euler-characteristic
     exponents, tau_p and the corank window."""
     if m < 1:
@@ -391,8 +399,7 @@ def analyze(
     invariants(E)  # reject singular input with a clear diagnostic
 
     M_rational = compute_M(A)
-    relevant = sorted(set(bad_primes_of_curve(E)) | set(M_rational) | {p})
-    prime_rows = [(splitting(ell, m), local_data_at(E, ell, m)) for ell in relevant]
+    prime_rows = [(sp, local_data_at(E, sp.ell, m)) for sp in plan(E, p, m, M_rational)]
 
     data_at_p = next(data for sp, data in prime_rows if sp.ell == p)
     hypotheses = check_hypotheses(A, p, m, ext, data_at_p)

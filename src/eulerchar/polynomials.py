@@ -153,6 +153,13 @@ def _frobenius_minus_x_mod_p(q: int, modulus: list[int], p: int) -> list[int]:
     return h
 
 
+def is_square(r: int, ell: int, f: int = 1) -> bool:
+    """Is the residue r, nonzero mod the prime ell, a square in F_{ell^f}?
+    Every element of F_ell is one when f is even; for odd f, Euler's
+    criterion, whose exponent is 0 at ell = 2, where every element is one."""
+    return f % 2 == 0 or pow(r, (ell - 1) // 2, ell) == 1
+
+
 def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]:
     """(roots, multiple) of a polynomial P over F_ell of degree at most 3,
     given as integer coefficients low-to-high whose leading one is nonzero
@@ -160,11 +167,13 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
     roots of P in F_{ell^f}; multiple is P's multiple root in [0, ell), or
     None when P is squarefree, i.e. its discriminant is nonzero mod ell.
 
-    A squarefree P has r1 roots in F_ell (Euler's criterion for a quadratic
-    in odd characteristic, P(0) = P(1) = c for a monic T^2 + b T + c in
-    characteristic 2, else deg gcd(P, x^ell - x), at O(log ell)
-    polynomial products) and at most one irreducible factor, of degree
-    k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k divides f.
+    A squarefree quadratic in odd characteristic has 2 roots in F_{ell^f}
+    when its discriminant is a square there (`is_square`) and 0 otherwise.
+    Any other squarefree P has r1 roots in F_ell (P(0) = P(1) = c for a
+    monic T^2 + b T + c in characteristic 2, else deg gcd(P, x^ell - x),
+    at O(log ell) polynomial products) and at most one irreducible factor,
+    of degree k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k
+    divides f.
     A multiple root lies in the perfect field F_ell, as the sole root of
     gcd(P, P'), and has a closed form in every characteristic: Frobenius
     fixes F_ell, so the square roots of characteristic 2 and the cube roots
@@ -208,11 +217,11 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
             if (((r + a) * r + b) * r + c) % ell:
                 raise AssertionError("cubic multiple-root formulas failed")
             return roots, r
-    if degree == 2 and ell == 2:
+    if degree == 2 and ell > 2:
+        return (2 if is_square(disc, ell, f) else 0), None
+    if degree == 2:
         # b is odd, as P is squarefree, so P(0) = P(1) = c
         r1 = 0 if c % 2 else 2
-    elif degree == 2:
-        r1 = 2 if pow(disc, (ell - 1) // 2, ell) == 1 else 0
     else:
         r1 = len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(ell, monic, ell), ell)) - 1
     k = degree - r1

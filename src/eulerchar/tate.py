@@ -114,7 +114,7 @@ from .curves import (
     invariants,
     model_with_j_invariant,
 )
-from .polynomials import residue_roots
+from .polynomials import is_square, residue_roots
 from .valuations import int_valuation, is_prime
 
 GOOD_ORDINARY = "GoodOrdinary"
@@ -472,14 +472,11 @@ def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
     def residue(x: int, v: int | None, w: int) -> int:
         return _residue_over_pi(x, v, w, K)
 
-    def square(r: int) -> bool:
-        return _is_square(r, ell, f)
-
     if pole:
         n = e * pole
         if D_min == n:
             kodaira = KodairaType("In", n)
-            if square(-residue(c6, v_c6, 6 * k)):
+            if is_square(-residue(c6, v_c6, 6 * k), ell, f):
                 return _finish(place, kodaira, n, n, MULT_SPLIT)
             return _finish(place, kodaira, 2 - n % 2, n, MULT_NONSPLIT)
         if D_min != n + 6:
@@ -487,7 +484,7 @@ def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
         d = residue(inv.disc, v_disc, D)
         if n % 2:
             d *= residue(c6, v_c6, 6 * k + 3)
-        return _additive(place, KodairaType("In*", n), 4 if square(d) else 2, D_min)
+        return _additive(place, KodairaType("In*", n), 4 if is_square(d, ell, f) else 2, D_min)
 
     if D_min == 0:
         r4, r6 = residue(c4, v_c4, 4 * k), residue(c6, v_c6, 6 * k)
@@ -496,7 +493,7 @@ def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
         raise AssertionError(f"no potentially good type has v(Delta_min) = {D_min}")
     kind, c_v = _POTENTIALLY_GOOD[D_min]
     if kind in ("IV", "IV*"):
-        c_v = 3 if square(-6 * residue(c6, v_c6, 6 * k + D_min // 2)) else 1
+        c_v = 3 if is_square(-6 * residue(c6, v_c6, 6 * k + D_min // 2), ell, f) else 1
     elif kind == "I0*":
         cubic = [-2 * residue(c6, v_c6, 6 * k + 3), -3 * residue(c4, v_c4, 4 * k + 2), 0, 1]
         roots, multiple = residue_roots(cubic, ell, f)
@@ -520,14 +517,6 @@ def _residue_over_pi(x: int, v: int | None, w: int, K: LocalField) -> int:
     ell = K.ell
     sign = -1 if K.c < 0 and v % 2 else 1
     return sign * (x // ell**v) % ell
-
-
-def _is_square(r: int, ell: int, f: int) -> bool:
-    """Is the nonzero residue r a square in F_{ell^f}?  Every element of
-    F_ell is one when f is even; for odd f, Euler's criterion."""
-    if r % ell == 0:
-        raise AssertionError("square test of a zero residue")
-    return f % 2 == 0 or pow(r, (ell - 1) // 2, ell) == 1
 
 
 # -- the step ladder: residue characteristic 2 and 3, and the oracle ----------------

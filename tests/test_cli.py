@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -483,6 +484,36 @@ def test_survey_reads_flags_with_the_subcommand_grammar():
     assert done.stderr == "error: /prime: expected an integer, got '1_1'\n"
 
 
+@pytest.mark.parametrize("curve,p,m", [
+    ("1,0,0,-1,-1", 7, 7), ("1,0,0,-1,-1", 5, 91), ("0,-1,1,-10,-20", 5, 33),
+    ("0,0,1,-1,0", 5, 19), ("1/2,0,0,-1/16,-1/64", 5, 7),
+])
+def test_survey_rows_match_the_report_places(curve, p, m, monkeypatch, capsys):
+    """scripts/reduction_survey.py covers the primes of `euler.plan`, as
+    `analyze` does: with a reduction table that puts no prime in M, its row
+    for each prime shows the (e, f, g), type, c_v, class and N_v of that
+    prime's place rows in the report."""
+    spec = importlib.util.spec_from_file_location(
+        "reduction_survey", ROOT / "scripts" / "reduction_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    monkeypatch.setattr(sys, "argv", ["reduction_survey.py", "--curve", curve,
+                                      "--prime", str(p), "--conductor", str(m)])
+    assert survey.main() == 0
+    shown = {}
+    for line in capsys.readouterr().out.splitlines()[2:]:
+        ell, efg, _, kodaira, c_v, cls, n_v, *_ = line.split()
+        shown[int(ell)] = (efg, kodaira, c_v, cls, n_v)
+    table = [{"prime": 2, "potentially_good": True, "good": False}]
+    request = {"schema_version": 1, "curve": curve.split(","), "prime": p, "base_field": m,
+               "abelian_variety": {"dimension": 1, "reduction_table": table}}
+    doc = report_to_dict(analyze(**parse_request(request)))
+    assert doc["M_rational"] == []
+    places = {row["ell"]: (f"({row['e']},{row['f']},{row['g']})", row["kodaira"], row["c_v"],
+                           row["reduction_class"], str(row["N_v"])) for row in doc["places"]}
+    assert shown == places
+
+
 def _schema_flag_pointers() -> dict:
     """Each flag of the "Subcommand arguments" table of docs/schema.md, and
     the pointers its row lists."""
@@ -952,6 +983,35 @@ def test_count_degree_refused_past_printable_digits(monkeypatch, capsys):
         sys.set_int_max_str_digits(0)
         assert main([*argv, "916", "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["q"]) == 641
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_unprintable_residue_field_refused_before_local_data(monkeypatch, capsys):
+    """A conductor at which a relevant prime has a residue field whose
+    counts could not print is refused at /base_field, from the plan, before
+    any local data is computed: above 5 in Q(mu_10007), f = 10006.  `local`
+    and `splitting` check their one place the same way."""
+
+    def refuse(*args):
+        raise AssertionError("local data computed")
+
+    from eulerchar import euler
+
+    monkeypatch.setattr(euler, "local_data_at", refuse)
+    monkeypatch.setattr(cli, "local_data_at", refuse)
+    request = {"schema_version": 1, "curve": ["1", "0", "0", "-1", "-1"], "prime": 5,
+               "base_field": 10007,
+               "abelian_variety": {"dimension": 1, "factors": [["-1", "2", "2", "0", "0"]]}}
+    message = ("error: /base_field: 5^10006 has about 6994 digits: the count over that "
+               "field can pass the 4300-digit limit on printing an integer\n")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for argv in (["analyze", "-"],
+                     ["local", "--curve", "1,0,0,-1,-1", "--ell", "5", "--conductor", "10007"],
+                     ["splitting", "--ell", "5", "--conductor", "10007"]):
+            assert _run(argv, json.dumps(request), monkeypatch, capsys) == (1, "", message)
     finally:
         sys.set_int_max_str_digits(saved)
 

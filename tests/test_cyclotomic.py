@@ -1,7 +1,10 @@
+import sys
+from math import isqrt, log10
+
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerchar.cyclotomic import field_degree, splitting
+from eulerchar.cyclotomic import field_degree, printable, splitting
 from eulerchar.valuations import euler_phi, is_prime
 
 
@@ -48,3 +51,30 @@ def test_field_degree():
     assert field_degree(7) == 6
     assert field_degree(1) == 1
     assert field_degree(12) == 4
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_printable_agrees_with_the_exact_rule(limit):
+    """`printable` decides by bit lengths away from the digit limit, yet
+    agrees with the exact rule q + 1 + isqrt(4 q) < 10^limit, q = ell^f: at f
+    on both sides of the edge, and on both sides of each bit-length
+    threshold; a limit of 0 prints any count."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(limit)
+        for ell in (2, 3, 5, 7, 1000003):
+            bits = ell.bit_length()
+            edge = int(limit / log10(ell))
+            near = [edge, 3 * limit // bits, -(-4 * limit // (bits - 1))]
+            degrees = {1, 2, *(f + d for f in near for d in range(-2, 3) if f + d >= 1)}
+            verdicts = set()
+            for f in sorted(degrees):
+                q, verdict = ell**f, printable(ell, f)
+                assert verdict == (q + 1 + isqrt(4 * q) < 10**limit), (ell, f)
+                verdicts.add(verdict)
+            assert verdicts == {True, False}  # the edge lies among the degrees
+            assert not printable(ell, 10**20)
+        sys.set_int_max_str_digits(0)
+        assert printable(3, 10**20) and printable(2, 1)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -889,14 +889,14 @@ def test_local_data_obeys_the_tower_laws():
     data over Q(mu_m) by the base-change laws, with no oracle: census-box
     curves at their bad primes and at 5 and 7 over squarefree m | m' <= 105,
     and the twists E_d at ell = d over Q(mu_d), e = d - 1, against Q."""
-    from eulerchar.euler import bad_primes_of_curve, local_data_at
+    from eulerchar.euler import local_data_at, plan
 
     conductors = [m for m in range(1, 106) if _squarefree(m)]
     rng = random.Random(10)
     box = list(_census_box_curves())
     pairs = 0
     for coeffs, model, _ in rng.sample(box, 40):
-        for ell in sorted(set(bad_primes_of_curve(model)) | {5, 7}):
+        for ell in (sp.ell for sp in plan(model, 5, 1, M=(7,))):
             data = {m: local_data_at(model, ell, m) for m in conductors}
             for m in conductors:
                 for m2 in conductors[conductors.index(m) + 1:]:
