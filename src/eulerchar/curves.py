@@ -2,10 +2,13 @@
 division polynomials on integers, and p-primary torsion bounds.  A curve
 over Q is read from rational a-invariants and carried as its integral model
 a_i * d^i, d the lcm of their denominators: every coefficient and every
-b-, c-invariant and Delta is an int, and j is the one Fraction.  The
-rational lower bound lifts the roots of psi_p ell-adically and keeps a root
-x0 when the points above it are rational, which is a square test on the
-discriminant of y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
+b-, c-invariant and Delta is an int, and j is the one Fraction.  psi_n is
+built in the one polynomial format of `polynomials`, dense integer lists
+low to high, and handed out as the `Polynomial` record that
+`rational_roots` reads.  The rational lower bound lifts the roots of psi_p
+ell-adically and keeps a root x0 when the points above it are rational,
+which is a square test on the discriminant of
+y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
 
 Every count goes through `count_residues`, which takes the a-invariants as
 integers mod ell; `count_points` hands it the residues of a model from
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 from .cyclotomic import splitting
 from .finite_fields import fq_create
-from .polynomials import Polynomial, is_square
+from .polynomials import Polynomial, is_square, poly_mul, poly_sub
 from .valuations import (
     int_valuation,
     is_prime,
@@ -410,31 +413,30 @@ def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
     if not model.is_rational():
         raise ValueError("division_polynomial needs a model over Q")
     b2, b4, b6, b8 = b_invariants(model)
-    B2 = Polynomial([b6, 2 * b4, b2, 4]) ** 2
+    B = [b6, 2 * b4, b2, 4]
     psi = {
-        0: Polynomial([0]),
-        1: Polynomial([1]),
-        2: Polynomial([1]),
-        3: Polynomial([b8, 3 * b6, 3 * b4, b2, 3]),
-        4: Polynomial([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
+        1: [1],
+        2: [1],
+        3: [b8, 3 * b6, 3 * b4, b2, 3],
+        4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
     }
-    return _psi(n, psi, B2)
+    return Polynomial(_psi(n, psi, poly_mul(B, B)))
 
 
-def _psi(k: int, psi: dict, B2: Polynomial) -> Polynomial:
-    """psi_k by the division-polynomial recurrence, memoized in psi; a
-    module-level function, since a closure that calls itself outlives its
-    call in a reference cycle."""
+def _psi(k: int, psi: dict, B2: list[int]) -> list[int]:
+    """psi_k by the division-polynomial recurrence, as integer coefficients
+    low-to-high, memoized in psi; a module-level function, since a closure
+    that calls itself outlives its call in a reference cycle."""
     if k not in psi:
         m = k // 2
         # psi_{m-1}, psi_m, psi_{m+1}, psi_{m+2}
         m1, m0, p1, p2 = (_psi(i, psi, B2) for i in range(m - 1, m + 3))
         if k % 2 == 0:
-            psi[k] = m0 * (p2 * m1**2 - _psi(m - 2, psi, B2) * p1**2)
+            psi[k] = poly_mul(m0, poly_sub(poly_mul(p2, m1, m1), poly_mul(_psi(m - 2, psi, B2), p1, p1)))
         elif m % 2 == 0:
-            psi[k] = p2 * m0**3 * B2 - m1 * p1**3
+            psi[k] = poly_sub(poly_mul(p2, m0, m0, m0, B2), poly_mul(m1, p1, p1, p1))
         else:
-            psi[k] = p2 * m0**3 - m1 * p1**3 * B2
+            psi[k] = poly_sub(poly_mul(p2, m0, m0, m0), poly_mul(m1, p1, p1, p1, B2))
     return psi[k]
 
 

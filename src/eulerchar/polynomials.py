@@ -1,14 +1,17 @@
-"""Dense univariate polynomials: over the integers or the rationals as
-`Polynomial`, and over F_ell as integer coefficient lists.
+"""Dense univariate polynomials in one format: lists of coefficients, low
+to high.
 
 Degrees in this package stay small (at most (p**2 - 1)/2 for division
 polynomials), so a dense coefficient list is the right representation.
-Over F_ell a polynomial is a list of ints low-to-high; the helpers below
-reduce, multiply and take gcds of such lists, and `residue_roots` counts
-the roots in F_{ell^f} of one of degree at most 3 and finds its multiple
-root.  `rational_roots` finds the rational roots of a `Polynomial` by
-lifting its roots in F_ell to ell-adic precision past Cauchy's bound and
-testing one candidate per root exactly.
+A list of ints is a polynomial over the integers, such as psi_n of an
+integral model, and, read mod ell, one over F_ell: `poly_mul` and
+`poly_sub` compute in Z (or Q), and the helpers below reduce them and take
+gcds over F_ell.  `residue_roots` counts the roots in F_{ell^f} of a
+polynomial of degree at most 3 and finds its multiple root.
+`rational_roots` finds the rational roots of a `Polynomial`, the record
+that holds a trimmed list with its degree, by lifting its roots in F_ell to
+ell-adic precision past Cauchy's bound and testing one candidate per root
+exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+
+# `bench/tracing.py` reads `.degree` off the first argument of
+# `rational_roots`, so this record stays until ROADMAP item 1 (the next
+# change to the benchmark); it has no arithmetic.
 class Polynomial:
     """Integer or rational coefficients, low-to-high degree, with trailing
     zeros trimmed; the zero polynomial keeps a single zero coefficient."""
@@ -26,73 +33,50 @@ class Polynomial:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("empty coefficient list")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    # -- inspection ------------------------------------------------------------
+        self.coeffs = _trim(coeffs)
 
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        return self.coeffs == [0]
 
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
         return -1 if self.is_zero() else len(self.coeffs) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
-    # -- arithmetic ------------------------------------------------------------
+def _trim(coeffs: list) -> list:
+    """coeffs without its trailing zeros, in place; one coefficient stays."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return Polynomial([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+def poly_mul(*factors) -> list:
+    """The product of dense polynomials given low-to-high, trimmed; [1] for
+    no factors."""
+    out = [1]
+    for b in factors:
+        prod = [0] * (len(out) + len(b) - 1)
+        for i, a in enumerate(out):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+                for j, c in enumerate(b):
+                    prod[i + j] += a * c
+        out = prod
+    return _trim(out)
 
-    __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base
-            n >>= 1
-        if result is None:
-            return Polynomial([1])
-        return result
-
-    def __repr__(self):
-        return f"Polynomial({self.coeffs})"
+def poly_sub(a, b) -> list:
+    """a - b of dense polynomials given low-to-high, trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
 
 
 # -- polynomials over F_p as integer lists, low-to-high ---------------------------
 
 
-def _poly_rem_mod_p(num: list[int], den: list[int], p: int) -> list[int]:
+def _poly_rem_mod_p(num, den: list[int], p: int) -> list[int]:
     """Remainder of dense integer polys over F_p, trimmed; den is monic."""
     num = [c % p for c in num]
     dd = len(den) - 1
@@ -101,56 +85,29 @@ def _poly_rem_mod_p(num: list[int], den: list[int], p: int) -> list[int]:
         if c:
             for j in range(dd + 1):
                 num[k + j] = (num[k + j] - c * den[j]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
+    return _trim(num)
 
 
 def _poly_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd of dense integer polynomials over F_p."""
-
-    def strip(x):
-        x = [c % p for c in x]
-        while len(x) > 1 and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = strip(a), strip(b)
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
     while b != [0]:
-        lead_inv = pow(b[-1], p - 2, p)
+        lead_inv = pow(b[-1], -1, p)
         monic = [c * lead_inv % p for c in b]
-        a, b = monic, strip(_poly_rem_mod_p(a, monic, p))
+        a, b = monic, _poly_rem_mod_p(a, monic, p)
     return a
 
 
-def _poly_mulmod_mod_p(a, b, modulus, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem_mod_p(prod, modulus, p)
-
-
-def _x_powmod_mod_p(exponent: int, modulus: list[int], p: int) -> list[int]:
-    acc = [1]
-    base = [0, 1]
-    while exponent:
-        if exponent & 1:
-            acc = _poly_mulmod_mod_p(acc, base, modulus, p)
-        base = _poly_mulmod_mod_p(base, base, modulus, p)
-        exponent >>= 1
-    return acc
-
-
 def _frobenius_minus_x_mod_p(q: int, modulus: list[int], p: int) -> list[int]:
-    """x^q - x modulo a monic modulus over F_p, trimmed."""
-    h = _x_powmod_mod_p(q, modulus, p)
-    h += [0] * (2 - len(h))
-    h[1] = (h[1] - 1) % p
-    while len(h) > 1 and h[-1] == 0:
-        h.pop()
-    return h
+    """x^q - x modulo a monic modulus over F_p, trimmed, by square and
+    multiply."""
+    h, base = [1], [0, 1]
+    while q:
+        if q & 1:
+            h = _poly_rem_mod_p(poly_mul(h, base), modulus, p)
+        base = _poly_rem_mod_p(poly_mul(base, base), modulus, p)
+        q >>= 1
+    return _poly_rem_mod_p(poly_sub(h, [0, 1]), modulus, p)
 
 
 def is_square(r: int, ell: int, f: int = 1) -> bool:

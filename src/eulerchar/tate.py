@@ -713,7 +713,7 @@ def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     if inv.j_pole_order(p):
         raise ValueError("potentially multiplicative place has no supersingular type")
     num, den = inv.j.numerator, inv.j.denominator
-    jbar = num * pow(den, p - 2, p) % p
+    jbar = num * pow(den, -1, p) % p
     if p <= 3:
         return jbar == 0  # the supersingular locus in characteristic 2 and 3
     return count_points(model_with_j_invariant(jbar, p)) % p == 1

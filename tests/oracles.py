@@ -64,7 +64,8 @@ from eulerchar.polynomials import (
     Polynomial,
     _frobenius_minus_x_mod_p,
     _poly_gcd_mod_p,
-    _poly_mulmod_mod_p,
+    _poly_rem_mod_p,
+    poly_mul,
 )
 from eulerchar.tate import (
     GOOD_ORDINARY,
@@ -194,7 +195,7 @@ class FiniteField:
         p, f = self.characteristic, self.degree
         if f == 1:
             return (a[0] * b[0] % p,)
-        rem = _poly_mulmod_mod_p(a, b, self.modulus, p)
+        rem = _poly_rem_mod_p(poly_mul(a, b), self.modulus, p)
         return tuple(rem) + (0,) * (f - len(rem))
 
     def absolute_trace(self, a: FieldElement) -> int:

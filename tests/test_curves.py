@@ -45,6 +45,7 @@ from oracles import (
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
 EJ0 = WeierstrassModel.from_rationals([0, 0, 0, 0, 1])
+E11A = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])  # rational 5-torsion
 
 
 def test_invariant_anchors():
@@ -202,10 +203,9 @@ def test_count_points_over_extension_matches_brute_count(ell, f):
     """count_points(model, f) of a model over F_ell is the count over
     F_{ell^f}, against enumerating that field, for 11a, 37a and y^2 = x^3 + 1
     at every ell in {2, 3, 5, 7} where they have good reduction."""
-    e11a = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])
     e37a = WeierstrassModel.from_rationals([0, 0, 1, -1, 0])
     counted = 0
-    for E in (e11a, e37a, EJ0):
+    for E in (E11A, e37a, EJ0):
         if invariants(E).disc % ell == 0:
             continue
         reduced = reduce_model(E, ell)
@@ -410,7 +410,25 @@ def test_division_polynomial_anchors():
         model = WeierstrassModel.from_rationals([0, 0, 0, a, b])
         expected = [Fraction(-a * a), Fraction(12 * b), Fraction(6 * a), Fraction(0), Fraction(3)]
         assert division_polynomial(model, 3).coeffs == expected
+    # psi_5 and psi_7 of E294 and 11a in full, so that a wrong term that
+    # vanishes mod 31 cannot hide behind the roots test below
+    for model, n, expected in [
+        (E294, 5, [-184, -400, 200, 1700, 1800, 750, 210, 60, -390, -400, -61, 5, 5]),
+        (E294, 7, [29120, 154112, 576128, 1686720, 2842784, 1523312, -3176768, -6850872,
+                   -5051256, -57344, 2169664, 87808, -2229696, -1432760, 719194, 1283198,
+                   559314, 62832, -21952, -10780, -9898, -4179, -301, 14, 7]),
+        (E11A, 5, [-36319600, -45811705, -20139775, 7328555, 6603415, 1460614, 59145,
+                   54960, 12015, -6705, -604, -20, 5]),
+        (E11A, 7, [1231304971422901, 2207441511783053, 1924425933574200, 1971107655528095,
+                   2102478673401246, 1454186532446830, 485186846433310, -7461931423076,
+                   -72473101287118, -27761952047459, -3175274068554, 1159329892504,
+                   411564567554, -51609873084, -41918431596, -1763681332, 1440959653,
+                   241893694, -3375841, 125216, 243138, -68518, -2968, -56, 7]),
+    ]:
+        assert division_polynomial(model, n).coeffs == expected, (model, n)
     assert division_polynomial(E294, 7).degree == 24  # (49 - 1) / 2
+    psi13 = division_polynomial(E294, 13)
+    assert (psi13.degree, psi13.coeffs[-1]) == (84, 13)
 
 
 def test_division_polynomial_rejects_even():
@@ -607,7 +625,6 @@ def test_torsion_bound_rejects_bad_certificate():
         analyze,
     )
 
-    E11A = WeierstrassModel.from_rationals([0, -1, 1, -10, -20])  # rational 5-torsion
     A = AbelianVarietyInput(dimension=1, factors=(EPRIME,))
     for model, p, m, certificate in ((E294, 7, 7, 49), (E11A, 5, 11, 1), (E11A, 5, 11, 125)):
         with pytest.raises(TorsionCertificateError, match="outside the computed bracket"):

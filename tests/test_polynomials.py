@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerchar.polynomials import Polynomial, rational_roots
+from eulerchar.polynomials import Polynomial, poly_mul, poly_sub, rational_roots
 from oracles import evaluate, finite_field, roots_in_field, smallest_prime_not_dividing
 
 
@@ -52,9 +52,7 @@ def test_rational_roots_found_by_construction(roots, extra):
     of an r, no difference of two r's, not 2 * extra and no r^2 + extra:
     the product then has a unit leading coefficient and distinct roots
     mod ell."""
-    poly = Polynomial([extra, 0, 1])
-    for r in roots:
-        poly = poly * Polynomial([-r, 1])
+    poly = Polynomial(poly_mul([extra, 0, 1], *[[-r, 1] for r in roots]))
     bad = 2 * extra
     for i, r in enumerate(roots):
         bad *= r.denominator * (r * r + extra).numerator
@@ -112,13 +110,18 @@ def _eval(coeffs, x):
     return acc
 
 
-def _product(*factors):
-    """The integer coefficients, low-to-high, of a product of polynomials
-    given low-to-high."""
-    out = Polynomial([1])
-    for factor in factors:
-        out = out * Polynomial(factor)
-    return out.coeffs
+coefficient_lists = st.one_of(
+    st.just([0]), st.lists(st.integers(-50, 50), min_size=1, max_size=6)
+)
+
+
+@given(coefficient_lists, coefficient_lists, st.integers(-6, 6))
+def test_list_product_and_difference_agree_with_values(a, b, x):
+    """At an integer point, the product and the difference of two dense
+    lists evaluate to the product and the difference of their values; the
+    draws include [0], single coefficients and unequal lengths."""
+    assert _eval(poly_mul(a, b), x) == _eval(a, x) * _eval(b, x)
+    assert _eval(poly_sub(a, b), x) == _eval(a, x) - _eval(b, x)
 
 
 @pytest.mark.parametrize("ell", [10**9 + 7, 2**61 - 1])
@@ -132,14 +135,14 @@ def test_residue_roots_of_constructed_factorizations(ell):
     for lead in (1, 7, -1):
         for f in (1, 2, 3, 6):
             cases = [
-                (_product([-r, 1], [-s, 1], [-t, 1]), 3, None),
-                (_product([-r, 1], [-r, 1], [-s, 1]), 2, r),
-                (_product([-s, 1], [-s, 1], [-s, 1]), 1, s),
-                (_product([-r, 1], [-s, 1]), 2, None),
-                (_product([-t, 1], [-t, 1]), 1, t),
+                (poly_mul([-r, 1], [-s, 1], [-t, 1]), 3, None),
+                (poly_mul([-r, 1], [-r, 1], [-s, 1]), 2, r),
+                (poly_mul([-s, 1], [-s, 1], [-s, 1]), 1, s),
+                (poly_mul([-r, 1], [-s, 1]), 2, None),
+                (poly_mul([-t, 1], [-t, 1]), 1, t),
                 # an irreducible quadratic adds its 2 roots exactly when 2 | f
-                (_product([-nonresidue, 0, 1]), 0 if f % 2 else 2, None),
-                (_product([-r, 1], [-nonresidue, 0, 1]), 1 if f % 2 else 3, None),
+                (poly_mul([-nonresidue, 0, 1]), 0 if f % 2 else 2, None),
+                (poly_mul([-r, 1], [-nonresidue, 0, 1]), 1 if f % 2 else 3, None),
                 ([lead], 0, None),
                 ([-r, 1], 1, None),
             ]
