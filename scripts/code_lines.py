@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Count code lines per module of src/eulerchar, with totals for
-src/eulerchar and tests.  A code line is one that is not blank and not
-only a comment or a docstring (the string that opens a module, class or
-function body).
+"""Count raw lines and code lines per module of src/eulerchar, with both
+totals for src/eulerchar and tests.  A code line is one that is not blank
+and not only a comment or a docstring (the string that opens a module,
+class or function body); the raw count is every line of the file, which is
+what the interpreter reads and compiles at start-up when no bytecode is
+cached (PYTHONDONTWRITEBYTECODE=1).
 
 Example: python scripts/code_lines.py
 """
@@ -30,18 +32,22 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def count(directory: Path) -> dict[str, int]:
-    return {str(path.relative_to(ROOT)): code_lines(path.read_text(encoding="utf-8"))
-            for path in sorted(directory.rglob("*.py"))}
+def count(directory: Path) -> dict[str, tuple[int, int]]:
+    """(raw lines, code lines) of each .py file under directory."""
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted(directory.rglob("*.py"))}
+    return {name: (len(source.splitlines()), code_lines(source))
+            for name, source in sources.items()}
 
 
 def main() -> None:
     library, tests = count(ROOT / "src" / "eulerchar"), count(ROOT / "tests")
-    width = max(map(len, library)) + 2
-    for name, n in library.items():
-        print(f"{name:<{width}}{n:>6}")
-    print(f"{'src/eulerchar':<{width}}{sum(library.values()):>6}")
-    print(f"{'tests':<{width}}{sum(tests.values()):>6}")
+    rows = [*library.items(), ("src/eulerchar", tuple(map(sum, zip(*library.values())))),
+            ("tests", tuple(map(sum, zip(*tests.values()))))]
+    width = max(len(name) for name, _ in rows) + 2
+    print(f"{'':<{width}}{'raw':>6}{'code':>6}")
+    for name, (raw, code) in rows:
+        print(f"{name:<{width}}{raw:>6}{code:>6}")
 
 
 if __name__ == "__main__":

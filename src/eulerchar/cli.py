@@ -36,9 +36,10 @@ from types import SimpleNamespace
 from .curves import (
     DEFAULT_SAMPLES,
     CountCapError,
+    SingularModelError,
     TorsionEstimate,
     WeierstrassModel,
-    discriminant,
+    invariants,
     torsion_bound_over_F,
 )
 from .cyclotomic import UnprintableFieldError, field_degree, printable, splitting
@@ -176,8 +177,10 @@ def _parse_curve(value, path: str) -> WeierstrassModel:
         raise RequestError(path, "expected a list of five a-invariants")
     coeffs = [_parse_rational(v, f"{path}/{i}") for i, v in enumerate(value)]
     model = WeierstrassModel.from_rationals(coeffs)
-    if discriminant(model) == 0:
-        raise RequestError(path, "discriminant is zero")
+    try:
+        invariants(model)
+    except SingularModelError as exc:
+        raise RequestError(path, str(exc)) from None
     return model
 
 
@@ -362,20 +365,30 @@ def report_to_dict(report: EulerCharReport) -> dict:
     }
 
 
-def _column_widths(rows: list[dict], **defaults: int) -> dict:
-    """Each column as wide as the larger of its default and its widest
-    entry, so that every row of a table puts its columns at the same
-    offsets; a table with a header passes the header among its rows."""
-    return {
-        key: max([width] + [len(str(row[key])) for row in rows])
-        for key, width in defaults.items()
-    }
+def _table(rows: list[dict], columns) -> list[str]:
+    """One line per row: each column is (prefix, key, align, width), and its
+    entry is str(row[key]) after prefix, padded by align ("<" or ">") to the
+    larger of width and its widest entry, so that every row puts the column
+    at the same offset; a width of None leaves the entry unpadded.  A table
+    with a header passes the header among its rows."""
+    widths = [width and max([width] + [len(str(row[key])) for row in rows])
+              for _, key, _, width in columns]
+    return ["".join(f"{prefix}{str(row[key]):{align}{w or ''}}"
+                    for (prefix, key, align, _), w in zip(columns, widths))
+            for row in rows]
 
 
 _PLACES_HEADER = dict(
     place="place", q_v="q_v", kodaira="kodaira", c_v="c_v",
     reduction_class="class", N_v="N_v", L_at_1="L(E,1)",
 )
+_PLACES_COLUMNS = (("  ", "place", "<", 7), (" ", "q_v", ">", 7), ("  ", "kodaira", "<", 6),
+                   (" ", "c_v", ">", 4), ("  ", "reduction_class", "<", 17),
+                   (" ", "N_v", ">", 8), ("  ", "L_at_1", "<", None))
+_AUDIT_COLUMNS = (("  ", "place", "<", 7), (" q=", "q_v", ">", 7),
+                  ("  ", "reduction_class", "<", 18), (" L=", "L_at_1", "<", 12),
+                  (" vp_L=", "vp_L", ">", 3), ("  contribution=", "contribution", ">", 2),
+                  ("  gamma_exp=", "gamma_kernel_exponent", "<", None))
 
 
 def render_text(doc: dict) -> str:
@@ -389,15 +402,7 @@ def render_text(doc: dict) -> str:
         lines.append(f"  {h['status']:<8} {h['name']}: {h['detail']}")
     lines.append(f"bad-tower primes: {doc['M_rational']}")
     lines.append("places:")
-    places = [_PLACES_HEADER, *doc["places"]]
-    w = _column_widths(places, place=7, q_v=7, kodaira=6, c_v=4, reduction_class=17, N_v=8)
-    for pl in places:
-        lines.append(
-            f"  {pl['place']:<{w['place']}} {pl['q_v']:>{w['q_v']}}  "
-            f"{pl['kodaira']:<{w['kodaira']}} {pl['c_v']:>{w['c_v']}}  "
-            f"{pl['reduction_class']:<{w['reduction_class']}} {str(pl['N_v']):>{w['N_v']}}  "
-            f"{pl['L_at_1']}"
-        )
+    lines += _table([_PLACES_HEADER, *doc["places"]], _PLACES_COLUMNS)
     t = doc["torsion"]
     if t is not None:
         lines.append(
@@ -413,18 +418,7 @@ def render_text(doc: dict) -> str:
         tgt = doc["target_chi_sigma"]
         lines.append(f"target chi_sigma exponent: {tgt['exponent']} (matches: {tgt['matches']})")
     lines.append("audit (per-place |L_v|_p exponents):")
-    w = _column_widths(
-        doc["audit"],
-        place=7, q_v=7, reduction_class=18, L_at_1=12, vp_L=3, contribution=2,
-    )
-    for row in doc["audit"]:
-        lines.append(
-            f"  {row['place']:<{w['place']}} q={row['q_v']:>{w['q_v']}}  "
-            f"{row['reduction_class']:<{w['reduction_class']}} "
-            f"L={row['L_at_1']:<{w['L_at_1']}} vp_L={row['vp_L']:>{w['vp_L']}}  "
-            f"contribution={row['contribution']:>{w['contribution']}}"
-            f"  gamma_exp={row['gamma_kernel_exponent']}"
-        )
+    lines += _table(doc["audit"], _AUDIT_COLUMNS)
     lines.append(f"tau_p: {doc['tau_p']}")
     cor = doc["corank"]
     lines.append(

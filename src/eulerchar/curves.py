@@ -4,10 +4,10 @@ over Q is read from rational a-invariants and carried as its integral model
 a_i * d^i, d the lcm of their denominators: every coefficient and every
 b-, c-invariant and Delta is an int, and j is the one Fraction.  psi_n is
 built in the one polynomial format of `polynomials`, dense integer lists
-low to high, and handed out as the `Polynomial` record that
-`rational_roots` reads.  The rational lower bound lifts the roots of psi_p
-ell-adically and keeps a root x0 when the points above it are rational,
-which is a square test on the discriminant of
+low to high, and reaches `rational_roots` as such a list.  The rational
+lower bound lifts the roots of psi_p ell-adically and keeps a root x0 when
+the points above it are rational, which is a square test on the
+discriminant of
 y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
 
 Every count goes through `count_residues`, which takes the a-invariants as
@@ -75,11 +75,12 @@ class WeierstrassModel(_Coefficients):
     Coefficients are ints for curves over Q (`from_rationals` clears the
     denominators of rational input), or residues in F_ell for a reduction
     (`reduce_model`), which carry no arithmetic: only `count_points` reads
-    them.  The model is an immutable tuple of the five; `invariants` are
-    computed once per model object and memoized in its instance dict (this
-    subclass declares no `__slots__` for that), so equal models built
-    separately never share them.  A model outlives its request only as a
-    key of the bounded rational-torsion memo (`_rational_torsion`).
+    them.  The model is an immutable tuple of the five; its `invariants` are
+    memoized in its instance dict once computed (this subclass declares no
+    `__slots__` for that), so equal models built separately never share
+    them, and a singular model raises SingularModelError and stores
+    nothing.  A model outlives its request only as a key of the bounded
+    rational-torsion memo (`_rational_torsion`).
     """
 
     @classmethod
@@ -106,7 +107,7 @@ class WeierstrassModel(_Coefficients):
         return self.a1 * x + self.a3
 
     @cached_property
-    def _invariants(self) -> "CurveInvariants | None":
+    def _invariants(self) -> "CurveInvariants":
         return _compute_invariants(self)
 
 
@@ -129,18 +130,7 @@ def c_invariants(b2, b4, b6, b8):
     return c4, c6, disc
 
 
-def discriminant(model: WeierstrassModel) -> int:
-    """Delta of a model over Q, read from its memoized invariants; 0 for a
-    singular model."""
-    inv = model._invariants
-    return 0 if inv is None else inv.disc
-
-
 class CurveInvariants(NamedTuple):
-    b2: int
-    b4: int
-    b6: int
-    b8: int
     c4: int
     c6: int
     disc: int
@@ -154,25 +144,21 @@ class CurveInvariants(NamedTuple):
 
 
 def invariants(model: WeierstrassModel) -> CurveInvariants:
-    """All standard invariants of a nonsingular model over Q, computed
-    once per model object.
+    """(c4, c6, Delta, j) of a nonsingular model over Q, computed once per
+    model object.
 
     Raises SingularModelError when the discriminant vanishes.
     """
-    inv = model._invariants
-    if inv is None:
-        raise SingularModelError("discriminant is zero")
-    return inv
+    return model._invariants
 
 
-def _compute_invariants(model: WeierstrassModel) -> CurveInvariants | None:
-    """Invariants of a model over Q, on its integer coefficients; None when
-    Delta = 0."""
-    b2, b4, b6, b8 = b_invariants(model)
-    c4, c6, disc = c_invariants(b2, b4, b6, b8)
+def _compute_invariants(model: WeierstrassModel) -> CurveInvariants:
+    """(c4, c6, Delta, j) of a model over Q, on its integer coefficients;
+    SingularModelError when Delta = 0."""
+    c4, c6, disc = c_invariants(*b_invariants(model))
     if disc == 0:
-        return None
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
+        raise SingularModelError("discriminant is zero")
+    return CurveInvariants(c4, c6, disc, Fraction(c4**3, disc))
 
 
 def reduce_model(model: WeierstrassModel, ell: int) -> WeierstrassModel:

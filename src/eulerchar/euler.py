@@ -25,7 +25,6 @@ from .curves import (
     DEFAULT_SAMPLES,
     TorsionEstimate,
     WeierstrassModel,
-    discriminant,
     invariants,
     torsion_bound_over_F,
 )
@@ -109,7 +108,7 @@ def plan(E: WeierstrassModel, p: int, m: int, M=()) -> list[CyclotomicSplitting]
     and p.  A report covers these primes and no others; a residue field
     whose counts could not print is refused here (`UnprintableFieldError`),
     before any local data is computed."""
-    primes = {ell for ell, _ in factorize(abs(discriminant(E)))}.union(M, (p,))
+    primes = {ell for ell, _ in factorize(abs(invariants(E).disc))}.union(M, (p,))
     rows = [splitting(ell, m) for ell in sorted(primes)]
     for sp in rows:
         if not printable(sp.ell, sp.f):

@@ -5,11 +5,10 @@ Degrees in this package stay small (at most (p**2 - 1)/2 for division
 polynomials), so a dense coefficient list is the right representation.
 A list of ints is a polynomial over the integers, such as psi_n of an
 integral model, and, read mod ell, one over F_ell: `poly_mul` and
-`poly_sub` compute in Z (or Q), and the helpers below reduce them and take
-gcds over F_ell.  `residue_roots` counts the roots in F_{ell^f} of a
-polynomial of degree at most 3 and finds its multiple root.
-`rational_roots` finds the rational roots of a `Polynomial`, the record
-that holds a trimmed list with its degree, by lifting its roots in F_ell to
+`poly_sub` compute in Z, and the helpers below reduce them and take gcds
+over F_ell.  `residue_roots` counts the roots in F_{ell^f} of a polynomial
+of degree at most 3 and finds its multiple root.  `rational_roots` finds
+the rational roots of an integer list by lifting its roots in F_ell to
 ell-adic precision past Cauchy's bound and testing one candidate per root
 exactly.
 """
@@ -17,31 +16,17 @@ exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 
 # `bench/tracing.py` reads `.degree` off the first argument of
-# `rational_roots`, so this record stays until ROADMAP item 1 (the next
-# change to the benchmark); it has no arithmetic.
-class Polynomial:
-    """Integer or rational coefficients, low-to-high degree, with trailing
-    zeros trimmed; the zero polynomial keeps a single zero coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("empty coefficient list")
-        self.coeffs = _trim(coeffs)
-
-    def is_zero(self) -> bool:
-        return self.coeffs == [0]
+# `rational_roots`, so psi_n keeps this list subclass until ROADMAP item 1
+# (the next change to the benchmark).
+class Polynomial(list):
+    """A trimmed integer coefficient list, low to high, with its degree."""
 
     @property
     def degree(self) -> int:
-        """Degree, with the convention degree(0) = -1."""
-        return -1 if self.is_zero() else len(self.coeffs) - 1
+        return len(self) - 1
 
 
 def _trim(coeffs: list) -> list:
@@ -192,33 +177,32 @@ def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:
     return acc
 
 
-def rational_roots(poly: Polynomial, ell: int) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over Q, each listed once,
-    in increasing order, by ell-adic lifting (Cohen, GTM 138, 3.5).
+def rational_roots(coeffs: list[int], ell: int) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial with integer coefficients
+    coeffs, low to high, each listed once, in increasing order, by ell-adic
+    lifting (Cohen, GTM 138, 3.5); an empty or zero list raises ValueError.
 
-    Roots at zero are split off first.  What is left, with denominators
-    cleared, is P = a_0 + ... + a_n x^n over the integers.  ell must not
-    divide a_n, and P must be squarefree mod ell (gcd(P, P') = 1 in
-    F_ell[x]); otherwise ValueError.  Every rational root then reduces to a
-    simple root of P in F_ell (found by a scan, O(ell n)), and Newton
-    lifting carries that root to r mod ell^k with ell^k > 2B, where
-    B = |a_n| + max_{i<n} |a_i|.  For a rational root x, a_n x is an integer
-    of absolute value at most B (Cauchy's bound), so it is the symmetric
-    residue y of a_n r mod ell^k.  y / a_n is kept when
-    sum a_i y^i a_n^(n-i) = 0, in exact integer arithmetic.
+    Roots at zero are split off first.  What is left is
+    P = a_0 + ... + a_n x^n.  ell must not divide a_n, and P must be
+    squarefree mod ell (gcd(P, P') = 1 in F_ell[x]); otherwise ValueError.
+    Every rational root then reduces to a simple root of P in F_ell (found
+    by a scan, O(ell n)), and Newton lifting carries that root to r mod
+    ell^k with ell^k > 2B, where B = |a_n| + max_{i<n} |a_i|.  For a
+    rational root x, a_n x is an integer of absolute value at most B
+    (Cauchy's bound), so it is the symmetric residue y of a_n r mod ell^k.
+    y / a_n is kept when sum a_i y^i a_n^(n-i) = 0, in exact integer
+    arithmetic.
     """
-    if poly.is_zero():
+    if not any(coeffs):
         raise ValueError("zero polynomial has every rational as a root")
-    coeffs = list(poly.coeffs)
+    ints = _trim(list(coeffs))
     roots = []
-    if coeffs[0] == 0:
+    if ints[0] == 0:
         roots.append(Fraction(0))
-        while coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) == 1:
+        while ints[0] == 0:
+            ints.pop(0)
+    if len(ints) == 1:
         return roots
-    den = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
     an = ints[-1]
     if an % ell == 0:
         raise ValueError(f"leading coefficient {an} vanishes mod {ell}")

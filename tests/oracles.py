@@ -27,8 +27,10 @@ at e = 1 its values are `LocalElement`s where the library's are plain ints,
 so Tate's ladder run on it is the oracle of the integer ladder.  `pi` and
 `power` build pi^k and other powers by repeated multiplication, on the
 values of either field.
-`evaluate` is Horner's rule for a `Polynomial`, at any value that adds and
-multiplies with its coefficients.
+`discriminant` is Delta of an integer model, 0 when it is singular, for
+the scans that skip the models whose Delta some ell divides.
+`evaluate` is Horner's rule for a coefficient list, low to high, at any
+value that adds and multiplies with its coefficients.
 `trial_factorize` divides by every d up to sqrt(n), against the library's
 trial division plus Pollard rho.  Its cost is O(sqrt(n)): keep n small.
 `rational_roots_by_divisors` tries every s/t with s dividing the constant
@@ -57,11 +59,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from eulerchar.curves import WeierstrassModel, extension_count, invariants
+from eulerchar.curves import (
+    WeierstrassModel,
+    b_invariants,
+    c_invariants,
+    extension_count,
+    invariants,
+)
 from eulerchar.polynomials import (
-    Polynomial,
     _frobenius_minus_x_mod_p,
     _poly_gcd_mod_p,
     _poly_rem_mod_p,
@@ -310,10 +316,16 @@ def delta_local(a: list) -> object:
     return 9 * (b2 * b4 * b6) - b2 * b2 * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6)
 
 
-def evaluate(poly: Polynomial, x):
-    """poly(x) by Horner's rule."""
+def discriminant(model: WeierstrassModel) -> int:
+    """Delta of a model with integer coefficients; 0 when it is singular."""
+    return c_invariants(*b_invariants(model))[2]
+
+
+def evaluate(coeffs: list, x):
+    """The polynomial with coefficients coeffs, low to high, at x, by
+    Horner's rule."""
     acc = 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -400,26 +412,27 @@ def _divisors_abs(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def rational_roots_by_divisors(poly: Polynomial) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over Q, each listed once.
+def rational_roots_by_divisors(coeffs: list[int]) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial with integer coefficients
+    coeffs, low to high, each listed once.
 
-    Clears denominators and tries s/t with s dividing the constant term and
-    t dividing the leading coefficient.  Roots at zero are split off first,
-    so the divisor trial only sees a nonzero constant term.  Candidates are
-    evaluated with pure integer arithmetic, P(s/t) t^n = sum c_i s^i t^(n-i).
+    Tries s/t with s dividing the constant term and t dividing the leading
+    coefficient.  Roots at zero are split off first, so the divisor trial
+    only sees a nonzero constant term.  Candidates are evaluated with pure
+    integer arithmetic, P(s/t) t^n = sum c_i s^i t^(n-i).
     """
-    if poly.is_zero():
+    if not any(coeffs):
         raise ValueError("zero polynomial has every rational as a root")
-    coeffs = list(poly.coeffs)
+    ints = list(coeffs)
+    while ints[-1] == 0:
+        ints.pop()
     roots = []
-    if coeffs[0] == 0:
+    if ints[0] == 0:
         roots.append(Fraction(0))
-        while coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) == 1:
+        while ints[0] == 0:
+            ints.pop(0)
+    if len(ints) == 1:
         return roots
-    den = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
     for s in _divisors_abs(ints[0]):
         for t in _divisors_abs(ints[-1]):
             for num in (s, -s):
@@ -490,11 +503,11 @@ def velu_isogenous(model: WeierstrassModel, kernel_xs) -> WeierstrassModel:
     X = 36 x + 3 b2: each Q has g = 3 X^2 + A and u = 4 (X^3 + A X + B);
     it adds v_Q = g at a point of order 2 (u = 0) and 2 g otherwise, and
     u + X v_Q to w; the codomain is Y^2 = X^3 + (A - 5 v) X + (B - 7 w)."""
-    inv = invariants(model)
+    inv, b2 = invariants(model), b_invariants(model)[0]
     A, B = -27 * inv.c4, -54 * inv.c6
     v = w = 0
     for x in kernel_xs:
-        X = 36 * Fraction(x) + 3 * inv.b2
+        X = 36 * Fraction(x) + 3 * b2
         g = 3 * X * X + A
         u = 4 * (X**3 + A * X + B)
         v_Q = g if u == 0 else 2 * g

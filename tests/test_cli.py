@@ -555,7 +555,7 @@ def test_numeric_forms():
 
 def test_parse_request_carries_integer_models_with_their_invariants(monkeypatch):
     """parse_request leaves every curve as its integral model, with int
-    a-invariants, int b2..Delta and j a Fraction, and the invariants
+    a-invariants, int c4, c6 and Delta and j a Fraction, and the invariants
     memoized on the model: analyze computes no invariant again.  Checked on
     the bundled requests and on every census-box curve."""
     from itertools import product
@@ -581,7 +581,9 @@ def test_parse_request_carries_integer_models_with_their_invariants(monkeypatch)
         for model in (parsed["E"], *parsed["A"].factors):
             assert all(type(c) is int for c in model)
             inv = model.__dict__["_invariants"]  # memoized by parse_request
-            assert all(type(x) is int for x in inv[:7]) and type(inv.j) is Fraction
+            assert inv._fields == ("c4", "c6", "disc", "j")
+            assert all(type(x) is int for x in inv[:3]) and type(inv.j) is Fraction
+            assert 1728 * inv.disc == inv.c4**3 - inv.c6**2 and inv.j == Fraction(inv.c4**3, inv.disc)
         parsed_census.append(parsed)
     assert len(parsed_census) == len(requests) + 1435  # 17 box curves are singular
 

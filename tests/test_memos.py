@@ -11,6 +11,7 @@ from eulerchar.curves import (
     WeierstrassModel,
     count_residues,
     extension_count,
+    invariants,
     rational_p_torsion_order,
 )
 from eulerchar.euler import local_data_at
@@ -55,3 +56,10 @@ def test_a_call_that_raises_stores_nothing():
         rational_p_torsion_order(WeierstrassModel.from_rationals([0, 0, 0, 0, 0]), 7)
     for fn in (curves._count_prime_field, curves._rational_torsion):
         assert fn.cache_info().currsize == 0
+    # a model's invariants are memoized in its instance dict once computed,
+    # and a singular model raises again on every call
+    singular = WeierstrassModel.from_rationals([0, 0, 0, 0, 0])
+    for _ in range(2):
+        with pytest.raises(SingularModelError):
+            invariants(singular)
+    assert "_invariants" not in singular.__dict__

@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eulerchar.curves import (
     SingularModelError,
     WeierstrassModel,
-    discriminant,
     extension_count,
     invariants,
 )
@@ -26,7 +25,7 @@ from eulerchar.tate import (
     tate_algorithm,
 )
 from eulerchar.valuations import vp
-from oracles import tate_normal_form, transform
+from oracles import discriminant, tate_normal_form, transform
 
 E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 EPRIME = WeierstrassModel.from_rationals([-1, 2, 2, 0, 0])
@@ -291,7 +290,6 @@ def test_singular_point_formulas_match_scan():
     """The closed-form singular point equals the brute-force scan result
     (the singular point of a Weierstrass cubic is unique and rational), on
     every singular model over F_p for p in {2, 3, 5, 7}."""
-    from eulerchar.curves import discriminant
     from eulerchar.tate import _singular_point
 
     tested = 0
