@@ -42,7 +42,7 @@ from .curves import (
     invariants,
     torsion_bound_over_F,
 )
-from .cyclotomic import UnprintableFieldError, field_degree, printable, splitting
+from .cyclotomic import UnprintableFieldError, check_printable, field_degree, splitting
 from .euler import (
     AbelianVarietyInput,
     CorankReport,
@@ -483,7 +483,8 @@ def _emit(doc: dict, fmt, out) -> None:
 # (its text, `--` for `--flag=--`, or the row's default) and returns
 # it checked as the request field the flag stands for, at that field's pointer;
 # --ell and --degree at /ell and /degree.  A handler computes on checked values
-# and returns (document, text renderer, exit code).
+# and returns (document, text renderer, exit code); a library refusal passes
+# through it to `main`, which reports it at the pointer of the command's row.
 
 
 def _integer(path: str, parse=_parse_int, **bounds):
@@ -536,28 +537,14 @@ def _cmd_analyze(args):
     parsed = parse_request(obj)
     if args.samples is not None:
         parsed["samples"] = args.samples
-    try:
-        report = analyze(**parsed)
-    except TorsionCertificateError as exc:
-        raise RequestError("/external/torsion_p_override", str(exc)) from None
-    except UnprintableFieldError as exc:
-        raise RequestError("/base_field", str(exc)) from None
+    report = analyze(**parsed)
     return report_to_dict(report), render_text, _EXIT_CODES[report.status]
-
-
-def _check_printable(ell: int, f: int, path: str) -> None:
-    """Refuse at path a residue field F_{ell^f} whose counts could not print."""
-    if not printable(ell, f):
-        raise RequestError(path, str(UnprintableFieldError(ell, f)))
 
 
 def _cmd_local(args):
     sp = splitting(args.ell, args.conductor)
-    _check_printable(sp.ell, sp.f, "/base_field")
-    try:
-        data = local_data_at(args.curve, args.ell, args.conductor)
-    except CountCapError as exc:
-        raise RequestError("/ell", str(exc)) from None
+    check_printable(sp.ell, sp.f)
+    data = local_data_at(args.curve, args.ell, args.conductor)
     doc = {
         "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},
         **_reduction_fields(data),
@@ -568,7 +555,7 @@ def _cmd_local(args):
 
 def _cmd_splitting(args):
     sp = splitting(args.ell, args.conductor)
-    _check_printable(sp.ell, sp.f, "/base_field")
+    check_printable(sp.ell, sp.f)
     doc = {
         "ell": sp.ell,
         "conductor": sp.m,
@@ -613,12 +600,9 @@ def _cmd_coranks(args):
 
 def _cmd_count(args):
     ell, degree = args.ell, args.degree
-    _check_printable(ell, degree, "/degree")
+    check_printable(ell, degree)
     # the count of the reduction of a minimal model at ell, whatever the model given
-    try:
-        n = tate_algorithm(args.curve, LocalField(ell, 1), f=degree).N_v
-    except CountCapError as exc:
-        raise RequestError("/ell", str(exc)) from None
+    n = tate_algorithm(args.curve, LocalField(ell, 1), f=degree).N_v
     if n is None:
         raise RequestError("/ell", f"the curve has bad reduction at {ell}")
     q = ell**degree
@@ -626,47 +610,49 @@ def _cmd_count(args):
     return doc, lambda _: f"#E(F_{q}) = {n}", 0
 
 
-# each subcommand: its handler, its help line, and its arguments as
-# (name or flag, add_argument keywords, reader)
+# each subcommand: its handler, its help line, its arguments as
+# (name or flag, add_argument keywords, reader), and the pointer at which it
+# reports each library refusal; `main` reports any other refusal at /
 _COMMANDS = {
     "analyze": (_cmd_analyze, "run the full pipeline on a JSON request", (
         ("request", dict(help="request file path, or - for stdin"), str),
         ("--samples", {}, _read_samples),
         ("--precision-digits", {}, _read_precision),
-    )),
+    ), {TorsionCertificateError: "/external/torsion_p_override",
+        UnprintableFieldError: "/base_field"}),
     "local": (_cmd_local, "Tate data and Euler factor at one place", (
         ("--curve", dict(required=True, help="a1,a2,a3,a4,a6"), _read_curve),
         ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
         ("--conductor", dict(default=1), _read_conductor),
         ("--precision-digits", {}, _read_precision),
-    )),
+    ), {UnprintableFieldError: "/base_field", CountCapError: "/ell"}),
     "splitting": (_cmd_splitting, "(e, f, g) of a prime in Q(mu_m)", (
         ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
         # splitting computes no local data, so any m >= 1 will do
         ("--conductor", dict(required=True), _integer("/base_field", minimum=1)),
-    )),
+    ), {UnprintableFieldError: "/base_field"}),
     "torsion": (_cmd_torsion, "p-primary torsion bracket over Q(mu_m)", (
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _integer("/prime", _parse_prime, minimum=5)),
         ("--conductor", dict(default=1), _read_conductor),
         ("--samples", dict(default=DEFAULT_SAMPLES), _read_samples),
-    )),
+    ), {}),
     "tau": (_cmd_tau, "sum of local degrees at supersingular places above p", (
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _read_prime),
         ("--conductor", dict(default=1), _read_conductor),
-    )),
+    ), {}),
     "coranks": (_cmd_coranks, "corank window and tower predictions", (
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _read_prime),
         ("--conductor", dict(default=1), _read_conductor),
         ("--sigma-index", {}, _integer("/external/sigma_index_R", minimum=1)),
-    )),
+    ), {}),
     "count": (_cmd_count, "raw point count over F_{ell^f}", (
         ("--curve", dict(required=True), _read_curve),
         ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
         ("--degree", dict(default=1), _integer("/degree", minimum=1)),
-    )),
+    ), {UnprintableFieldError: "/degree", CountCapError: "/ell"}),
 }
 # every subcommand's output format, ahead of its own arguments
 _FORMAT = ("--format", dict(choices=("json", "text"), default="text"), str)
@@ -680,7 +666,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     flag given and every value among its choices; else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    fn, _, arguments = _COMMANDS[argv[0]]
+    fn, _, arguments, _ = _COMMANDS[argv[0]]
     flags = {name: keywords for name, keywords, _ in (_FORMAT, *arguments) if name.startswith("--")}
     positionals = [name for name, _, _ in arguments if not name.startswith("--")]
     given, values = {}, []
@@ -729,10 +715,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "tau, coranks, and the full chi pipeline.",
         )
         sub = parser.add_subparsers(dest="command", required=True)
-        for name, (_, summary, _) in _COMMANDS.items():
+        for name, (_, summary, _, _) in _COMMANDS.items():
             sub.add_parser(name, help=summary)
         return parser
-    fn, _, arguments = _COMMANDS[command]
+    fn, _, arguments, _ = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"eulerchar {command}")
     parser.set_defaults(fn=fn, command=command)
     for name, keywords, _ in (_FORMAT, *arguments):
@@ -758,13 +744,14 @@ def main(argv=None) -> int:
         if args.format == []:
             parser.error("argument --format: invalid choice: '--' (choose from 'json', 'text')")
         vars(args).update({k: "--" for k, v in vars(args).items() if v == []})
+    _, _, arguments, refused_at = _COMMANDS[args.command]
     try:
-        for name, _, read in (_FORMAT, *_COMMANDS[args.command][2]):
+        for name, _, read in (_FORMAT, *arguments):
             setattr(args, _dest(name), read(getattr(args, _dest(name))))
         doc, text, code = args.fn(args)
     except (ValueError, OSError) as exc:
         if not isinstance(exc, RequestError):
-            exc = RequestError("/", str(exc))
+            exc = RequestError(refused_at.get(type(exc), "/"), str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(doc, "json" if args.format == "json" else text, sys.stdout)

@@ -82,3 +82,9 @@ class UnprintableFieldError(ValueError):
         super().__init__(f"{ell}^{f} has about {int(f * log10(ell)) + 1} digits: the count over "
                          f"that field can pass the {sys.get_int_max_str_digits()}-digit limit "
                          "on printing an integer")
+
+
+def check_printable(ell: int, f: int) -> None:
+    """Refuse a residue field F_{ell^f} past `printable`."""
+    if not printable(ell, f):
+        raise UnprintableFieldError(ell, f)

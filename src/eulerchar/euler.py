@@ -28,7 +28,7 @@ from .curves import (
     invariants,
     torsion_bound_over_F,
 )
-from .cyclotomic import CyclotomicSplitting, UnprintableFieldError, field_degree, printable, splitting
+from .cyclotomic import CyclotomicSplitting, check_printable, field_degree, splitting
 from .tate import GOOD_ORDINARY, LocalField, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import factorize, is_prime, vp
 
@@ -111,8 +111,7 @@ def plan(E: WeierstrassModel, p: int, m: int, M=()) -> list[CyclotomicSplitting]
     primes = {ell for ell, _ in factorize(abs(invariants(E).disc))}.union(M, (p,))
     rows = [splitting(ell, m) for ell in sorted(primes)]
     for sp in rows:
-        if not printable(sp.ell, sp.f):
-            raise UnprintableFieldError(sp.ell, sp.f)
+        check_printable(sp.ell, sp.f)
     return rows
 
 

@@ -484,6 +484,15 @@ def test_survey_reads_flags_with_the_subcommand_grammar():
     assert done.stderr == "error: /prime: expected an integer, got '1_1'\n"
 
 
+def _survey():
+    """scripts/reduction_survey.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "reduction_survey", ROOT / "scripts" / "reduction_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    return survey
+
+
 @pytest.mark.parametrize("curve,p,m", [
     ("1,0,0,-1,-1", 7, 7), ("1,0,0,-1,-1", 5, 91), ("0,-1,1,-10,-20", 5, 33),
     ("0,0,1,-1,0", 5, 19), ("1/2,0,0,-1/16,-1/64", 5, 7),
@@ -493,13 +502,9 @@ def test_survey_rows_match_the_report_places(curve, p, m, monkeypatch, capsys):
     `analyze` does: with a reduction table that puts no prime in M, its row
     for each prime shows the (e, f, g), type, c_v, class and N_v of that
     prime's place rows in the report."""
-    spec = importlib.util.spec_from_file_location(
-        "reduction_survey", ROOT / "scripts" / "reduction_survey.py")
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
     monkeypatch.setattr(sys, "argv", ["reduction_survey.py", "--curve", curve,
                                       "--prime", str(p), "--conductor", str(m)])
-    assert survey.main() == 0
+    assert _survey().main() == 0
     shown = {}
     for line in capsys.readouterr().out.splitlines()[2:]:
         ell, efg, _, kodaira, c_v, cls, n_v, *_ = line.split()
@@ -514,17 +519,43 @@ def test_survey_rows_match_the_report_places(curve, p, m, monkeypatch, capsys):
     assert shown == places
 
 
+SCHEMA = (ROOT / "docs" / "schema.md").read_text("utf-8")
+
+
 def _schema_flag_pointers() -> dict:
     """Each flag of the "Subcommand arguments" table of docs/schema.md, and
     the pointers its row lists."""
-    text = (Path(__file__).resolve().parent.parent / "docs" / "schema.md").read_text("utf-8")
-    rows = re.findall(r"^\| `(--[a-z-]+)[^`]*` \| ([^|]*) \|", text, re.M)
+    rows = re.findall(r"^\| `(--[a-z-]+)[^`]*` \| ([^|]*) \|", SCHEMA, re.M)
     return {flag: re.findall(r"`([^`]+)`", pointers) for flag, pointers in rows}
+
+
+def _schema_refusal_pointers() -> dict:
+    """Each row of the "Library refusals" table of docs/schema.md, as
+    refusal -> {subcommand: pointer}."""
+    table = re.search(r"(^\|.*\|\n)+", SCHEMA.partition("## Library refusals")[2], re.M)
+    head, _, *rows = table[0].splitlines()
+    commands = re.findall(r"`([a-z]+)`", head)
+    cells = ([re.sub(r"`(.*)`", r"\1", cell.strip()) for cell in row.split("|")[1:-1]]
+             for row in rows)
+    return {name: dict(zip(commands, pointers)) for name, *pointers in cells}
+
+
+def test_refusal_table_names_each_commands_pointer():
+    """docs/schema.md gives, for each library refusal some command row
+    maps, the pointer at which every subcommand reports it: its row's
+    pointer, or / where the row maps none."""
+    errors = {error.__name__: error for *_, refused_at in cli._COMMANDS.values()
+              for error in refused_at}
+    assert _schema_refusal_pointers() == {
+        name: {command: refused_at.get(error, "/")
+               for command, (*_, refused_at) in cli._COMMANDS.items()}
+        for name, error in errors.items()
+    }
 
 
 @pytest.mark.parametrize(
     "command,flag,read",
-    [(command, name, read) for command, (_, _, arguments) in cli._COMMANDS.items()
+    [(command, name, read) for command, (_, _, arguments, _) in cli._COMMANDS.items()
      for name, _, read in arguments if name.startswith("--")],
 )
 def test_flag_table_names_each_readers_pointer(command, flag, read):
@@ -828,6 +859,18 @@ def test_usage_error_names_its_subcommand(capsys):
     assert "eulerchar analyze: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
+def test_package_root_loads_no_submodule():
+    """A fresh `import eulerchar` loads none of its modules: the root
+    re-exports nothing, and callers import from the submodules."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, eulerchar; "
+         "print(*sorted(name for name in sys.modules if name.startswith('eulerchar.')))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
+    )
+    assert done.stdout == "\n"
+
+
 def test_import_and_plain_calls_load_no_dataclasses_or_argparse():
     """A fresh `eulerchar` process builds its records without importing
     `dataclasses`, or `inspect`, which it pulls in; and reads a well-formed
@@ -993,7 +1036,8 @@ def test_unprintable_residue_field_refused_before_local_data(monkeypatch, capsys
     """A conductor at which a relevant prime has a residue field whose
     counts could not print is refused at /base_field, from the plan, before
     any local data is computed: above 5 in Q(mu_10007), f = 10006.  `local`
-    and `splitting` check their one place the same way."""
+    and `splitting` check their one place the same way, and
+    scripts/reduction_survey.py refuses its plan with the same bytes."""
 
     def refuse(*args):
         raise AssertionError("local data computed")
@@ -1014,6 +1058,10 @@ def test_unprintable_residue_field_refused_before_local_data(monkeypatch, capsys
                      ["local", "--curve", "1,0,0,-1,-1", "--ell", "5", "--conductor", "10007"],
                      ["splitting", "--ell", "5", "--conductor", "10007"]):
             assert _run(argv, json.dumps(request), monkeypatch, capsys) == (1, "", message)
+        monkeypatch.setattr(sys, "argv", ["reduction_survey.py", "--curve", "1,0,0,-1,-1",
+                                          "--prime", "5", "--conductor", "10007"])
+        assert _survey().main() == 1
+        assert capsys.readouterr() == ("", message)
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -1087,7 +1135,7 @@ def test_read_argv_leaves_the_rest_to_argparse(argv):
     assert cli._read_argv(argv) is None
 
 
-_FLAGS = sorted({name for _, _, arguments in cli._COMMANDS.values()
+_FLAGS = sorted({name for _, _, arguments, _ in cli._COMMANDS.values()
                  for name, _, _ in (cli._FORMAT, *arguments) if name.startswith("--")})
 _WORDS = [*COMMANDS, *_FLAGS, "--form", "--cond", "-h", "--help", "--", "-", "-3",
           "json", "text", "xml", "x", "", "--curve=-1,2,2,0,0", "1,0,0,-1,-1"]
