@@ -556,20 +556,18 @@ def _cmd_local(args):
 def _cmd_splitting(args):
     sp = splitting(args.ell, args.conductor)
     check_printable(sp.ell, sp.f)
+    q = sp.ell**sp.f
     doc = {
         "ell": sp.ell,
         "conductor": sp.m,
         "e": sp.e,
         "f": sp.f,
         "g": sp.g,
-        "residue_field_size": str(sp.residue_size),
-        "local_degree": sp.local_degree,
+        "residue_field_size": str(q),
+        "local_degree": sp.e * sp.f,
         "degree": field_degree(sp.m),
     }
-    text = (
-        f"{sp.ell} in Q(mu_{sp.m}): e={sp.e} f={sp.f} g={sp.g} "
-        f"(residue field F_{sp.residue_size})"
-    )
+    text = f"{sp.ell} in Q(mu_{sp.m}): e={sp.e} f={sp.f} g={sp.g} (residue field F_{q})"
     return doc, lambda _: text, 0
 
 
@@ -641,13 +639,13 @@ _COMMANDS = {
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _read_prime),
         ("--conductor", dict(default=1), _read_conductor),
-    ), {}),
+    ), {CountCapError: "/prime"}),
     "coranks": (_cmd_coranks, "corank window and tower predictions", (
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _read_prime),
         ("--conductor", dict(default=1), _read_conductor),
         ("--sigma-index", {}, _integer("/external/sigma_index_R", minimum=1)),
-    ), {}),
+    ), {CountCapError: "/prime"}),
     "count": (_cmd_count, "raw point count over F_{ell^f}", (
         ("--curve", dict(required=True), _read_curve),
         ("--ell", dict(required=True), _integer("/ell", _parse_prime)),

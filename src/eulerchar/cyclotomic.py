@@ -23,14 +23,6 @@ class CyclotomicSplitting(NamedTuple):
     f: int
     g: int
 
-    @property
-    def residue_size(self) -> int:
-        return self.ell**self.f
-
-    @property
-    def local_degree(self) -> int:
-        return self.e * self.f
-
 
 # splittings kept: a census pass asks for about 370 distinct (ell, m), a
 # tower pass about 140

@@ -105,9 +105,10 @@ class HypothesisResult(NamedTuple):
 def plan(E: WeierstrassModel, p: int, m: int, M=()) -> list[CyclotomicSplitting]:
     """The splitting in Q(mu_m) of every relevant prime, in increasing order:
     the primes of the discriminant of the integral model E, the primes of M,
-    and p.  A report covers these primes and no others; a residue field
-    whose counts could not print is refused here (`UnprintableFieldError`),
-    before any local data is computed."""
+    and p.  A report covers these primes and no others.  Before any local
+    data is computed, `invariants` refuses a singular E, `splitting` refuses
+    m < 1 and a composite p, and a residue field whose counts could not
+    print is refused (`UnprintableFieldError`)."""
     primes = {ell for ell, _ in factorize(abs(invariants(E).disc))}.union(M, (p,))
     rows = [splitting(ell, m) for ell in sorted(primes)]
     for sp in rows:
@@ -297,9 +298,7 @@ def tau_p(E: WeierstrassModel, p: int, m: int) -> int:
     reduction is potentially supersingular; 0 in the potentially
     multiplicative or potentially ordinary cases.  The g places above p
     have degree e*f each, so the sum is e*f*g = [F : Q]."""
-    if invariants(E).j_pole_order(p) or not pot_supersingular(E, p):
-        return 0
-    return field_degree(m)
+    return field_degree(m) if pot_supersingular(E, p) else 0
 
 
 class CorankReport(NamedTuple):
@@ -390,12 +389,6 @@ def analyze(
     """Run the whole pipeline: local data at every prime of the `plan`, the
     hypothesis audit, torsion bracketing, rho_p, both Euler-characteristic
     exponents, tau_p and the corank window."""
-    if m < 1:
-        raise ValueError("conductor must be >= 1")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    invariants(E)  # reject singular input with a clear diagnostic
-
     M_rational = compute_M(A)
     prime_rows = [(sp, local_data_at(E, sp.ell, m)) for sp in plan(E, p, m, M_rational)]
 

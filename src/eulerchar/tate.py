@@ -94,10 +94,10 @@ roots in F_{ell^f} of each residue quadratic or cubic, and in
 N_v = #E(F_{ell^f}), which `curves.count_residues` takes of the residues of
 a minimal model and which is checked against the Hasse bound.  At residue
 characteristic >= 5 every result is checked against Ogg's formula
-v(Delta_min) = f_v + m_v - 1.  Potential supersingularity above p is read
-off a_p mod p of a curve over F_p with the reduced j, which
-`curves.model_with_j_invariant` builds and `count_points` counts; this
-module handles residues as integers only.
+v(Delta_min) = f_v + m_v - 1, with f_v read off the reduction class.
+Potential supersingularity above p is read off a_p mod p of a curve over
+F_p with the reduced j, which `curves.model_with_j_invariant` builds and
+`count_points` counts; this module handles residues as integers only.
 """
 
 from __future__ import annotations
@@ -137,14 +137,6 @@ class KodairaType(NamedTuple):
         return self.kind
 
     @property
-    def is_good(self) -> bool:
-        return self.kind == "I0"
-
-    @property
-    def is_multiplicative(self) -> bool:
-        return self.kind == "In"
-
-    @property
     def components(self) -> int:
         """m_v, the number of geometric components of the special fibre."""
         if self.kind == "In":
@@ -152,12 +144,6 @@ class KodairaType(NamedTuple):
         if self.kind == "In*":
             return self.n + 5
         return _COMPONENTS[self.kind]
-
-    @property
-    def conductor_exponent(self) -> int:
-        """f_v at residue characteristic >= 5: 0 good, 1 multiplicative,
-        2 additive."""
-        return 0 if self.is_good else (1 if self.is_multiplicative else 2)
 
 
 _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
@@ -187,7 +173,7 @@ class LocalReductionData(NamedTuple):
 
     @property
     def is_good(self) -> bool:
-        return self.kodaira.is_good
+        return self.N_v is not None
 
 
 # -- the place Q_ell(pi), pi^e = c, and its ring Z[pi] ---------------------------
@@ -410,18 +396,16 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
     at ell >= 5, the step ladder at ell in {2, 3}."""
     if K.ell < 5:
         return _ladder(model, K, f)
-    inv, v_disc, v_c4, pole, place = _place(model, K, f)
+    inv, v_disc, pole, place = _place(model, K, f)
     if not v_disc:
         return _good_data([c % K.ell for c in model], place)
-    return _closed_form(inv, v_disc, v_c4, pole, K, place)
+    return _closed_form(inv, v_disc, pole, K, place)
 
 
 def _place(model: WeierstrassModel, K: LocalField, f: int):
-    """The model's invariants, v_ell(Delta), v_ell(c4), the pole order of
-    j at ell, and the place (ell, e, f, q_v, potentially_good).  Each
-    valuation is taken once.  j = c4^3 / Delta, so its pole order is
-    max(0, v_ell(Delta) - 3 v_ell(c4)); at v_ell(Delta) = 0 or c4 = 0 it is
-    0, and v_ell(c4) is left None."""
+    """The model's invariants, v_ell(Delta), the pole order of j at ell
+    (`CurveInvariants.j_pole_order`), and the place
+    (ell, e, f, q_v, potentially_good)."""
     if f < 1:
         raise ValueError("residue degree must be >= 1")
     if not model.is_rational():
@@ -429,12 +413,9 @@ def _place(model: WeierstrassModel, K: LocalField, f: int):
     inv = invariants(model)  # also rejects singular models
     ell = K.ell
     v_disc = int_valuation(inv.disc, ell)
-    v_c4, pole = None, 0
-    if v_disc and inv.c4:
-        v_c4 = int_valuation(inv.c4, ell)
-        pole = max(0, v_disc - 3 * v_c4)
+    pole = inv.j_pole_order(ell)
     place = (ell, K.e, f, ell**f, pole == 0)
-    return inv, v_disc, v_c4, pole, place
+    return inv, v_disc, pole, place
 
 
 # -- the closed form at residue characteristic >= 5 ------------------------------
@@ -452,11 +433,10 @@ _POTENTIALLY_GOOD = {
 }
 
 
-def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
-                 place: tuple) -> LocalReductionData:
+def _closed_form(inv, v_disc: int, pole: int, K: LocalField, place: tuple) -> LocalReductionData:
     """Local data at ell >= 5 off the valuations over K of the model's c4,
-    c6 and Delta = (c4^3 - c6^2)/1728, given v_ell(Delta) > 0, v_ell(c4)
-    (None when c4 = 0) and the pole order of j.
+    c6 and Delta = (c4^3 - c6^2)/1728, given v_ell(Delta) > 0 and the pole
+    order of j.
 
     The short model y^2 = x^3 - 27 c4 x - 54 c6 scaled by pi^k,
     k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal; its invariants are
@@ -464,6 +444,7 @@ def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
     `elllocalred` at p >= 5 with pi in place of p."""
     ell, e, f = K.ell, K.e, place[2]
     c4, c6 = inv.c4, inv.c6
+    v_c4 = int_valuation(c4, ell) if c4 else None
     v_c6 = int_valuation(c6, ell) if c6 else None
     D = e * v_disc
     k = min(e * v // w for v, w in ((v_c4, 4), (v_c6, 6)) if v is not None)
@@ -475,10 +456,7 @@ def _closed_form(inv, v_disc: int, v_c4: int | None, pole: int, K: LocalField,
     if pole:
         n = e * pole
         if D_min == n:
-            kodaira = KodairaType("In", n)
-            if is_square(-residue(c6, v_c6, 6 * k), ell, f):
-                return _finish(place, kodaira, n, n, MULT_SPLIT)
-            return _finish(place, kodaira, 2 - n % 2, n, MULT_NONSPLIT)
+            return _multiplicative(place, n, is_square(-residue(c6, v_c6, 6 * k), ell, f))
         if D_min != n + 6:
             raise AssertionError(f"v(Delta_min) = {D_min} fits neither I{n} nor I{n}*")
         d = residue(inv.disc, v_disc, D)
@@ -527,7 +505,7 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductio
     `tate_algorithm`'s route at ell in {2, 3}, and the oracle of the closed
     form at ell >= 5.  Values are K's: ints at e = 1, elements of Z[pi]
     above."""
-    _, v_disc, _, pole, place = _place(model, K, f)
+    _, v_disc, pole, place = _place(model, K, f)
     ell, e = K.ell, K.e
 
     # v(Delta) of the current model: translations keep it, rescales drop 12
@@ -550,9 +528,7 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductio
             if cusp is not None:
                 raise AssertionError("multiplicative type has a cusp")
             # at a node the roots are distinct: one in F_q means it splits there
-            if roots:
-                return _finish(place, KodairaType("In", n), n, n, MULT_SPLIT)
-            return _finish(place, KodairaType("In", n), 2 - n % 2, n, MULT_NONSPLIT)
+            return _multiplicative(place, n, roots > 0)
 
         if a is None:
             a = K.embed_model(model)
@@ -660,12 +636,21 @@ def _finish(place, kodaira, c_v, v_min_delta, cls, N_v=None):
         raise AssertionError(f"Hasse bound fails: N_v = {N_v} over F_{q}")
     if potentially_good and c_v > 4:
         raise AssertionError("potentially good reduction forces c_v <= 4")
-    if ell >= 5 and v_min_delta != kodaira.conductor_exponent + kodaira.components - 1:
+    # f_v at ell >= 5 is 0 good, 1 multiplicative, 2 additive
+    f_v = 0 if N_v is not None else 2 if cls == ADDITIVE else 1
+    if ell >= 5 and v_min_delta != f_v + kodaira.components - 1:
         raise AssertionError(
             f"Ogg's formula fails: {kodaira.symbol} with v(Delta_min) = {v_min_delta}"
         )
     return LocalReductionData(ell, e, f, kodaira, c_v, v_min_delta, q, cls, potentially_good,
                               N_v, _euler_factor(cls, q, N_v))
+
+
+def _multiplicative(place, n: int, split: bool) -> LocalReductionData:
+    """I_n: c_v = n when split, and 2 - n % 2 when not."""
+    if split:
+        return _finish(place, KodairaType("In", n), n, n, MULT_SPLIT)
+    return _finish(place, KodairaType("In", n), 2 - n % 2, n, MULT_NONSPLIT)
 
 
 def _additive(place, kodaira, c_v, v_min_delta):
@@ -703,15 +688,15 @@ def _euler_factor(cls: str, q: int, N: int | None) -> Fraction:
 def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     """Is the reduction at p potentially supersingular?
 
-    Requires potential good reduction at p (v_p(j) >= 0).  Supersingularity
-    depends only on j over the algebraic closure, and jbar lies in F_p, so
-    any curve over F_p with that j-invariant decides it: it is supersingular
-    iff a_p = p + 1 - N is 0 mod p, i.e. N = 1 mod p (Silverman, AEC
-    V.3-V.4).
+    False at a potentially multiplicative place (v_p(j) < 0), which has no
+    supersingular type.  Elsewhere supersingularity depends only on j over
+    the algebraic closure, and jbar lies in F_p, so any curve over F_p with
+    that j-invariant decides it: it is supersingular iff a_p = p + 1 - N is
+    0 mod p, i.e. N = 1 mod p (Silverman, AEC V.3-V.4).
     """
     inv = invariants(model)
     if inv.j_pole_order(p):
-        raise ValueError("potentially multiplicative place has no supersingular type")
+        return False
     num, den = inv.j.numerator, inv.j.denominator
     jbar = num * pow(den, -1, p) % p
     if p <= 3:

@@ -465,7 +465,7 @@ def base_change_rules(data: LocalReductionData, f: int) -> dict:
             reduction_class=GOOD_SUPERSINGULAR if trace % data.ell == 0 else GOOD_ORDINARY,
             L_at_1=Fraction(q, N),
         )
-    elif data.kodaira.is_multiplicative:
+    elif data.kodaira.kind == "In":
         n = data.kodaira.n
         split = data.reduction_class == MULT_SPLIT or f % 2 == 0
         out.update(

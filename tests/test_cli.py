@@ -28,6 +28,7 @@ from eulerchar.curves import WeierstrassModel
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import ExternalArithmetic
 from eulerchar.valuations import vp
+from oracles import tate_normal_form
 
 REQ_TABLE = {
     "schema_version": 1,
@@ -1176,6 +1177,47 @@ def test_read_argv_agrees_with_argparse(argv):
     args = cli._read_argv(argv)
     if args is not None:
         assert vars(args) == _argparse_vars(argv)
+
+
+@st.composite
+def _fuzz_requests(draw) -> str:
+    """An `analyze` request over a census-box curve with |a4|, |a6| <= 30 or
+    a Tate normal form of a point of order 5 or 7 at a small rational t,
+    with p in {5, 7, 11, 13} and m in {1, p, 2p, 3p}."""
+    box = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+                    st.integers(-30, 30), st.integers(-30, 30))
+    normal_forms = st.builds(lambda q, num, den: tuple(tate_normal_form(q, Fraction(num, den))),
+                             st.sampled_from((5, 7)), st.integers(-12, 12), st.integers(1, 6))
+    curve = draw(st.one_of(box, normal_forms))
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    return json.dumps({
+        "schema_version": 1,
+        "curve": [str(c) for c in curve],
+        "prime": p,
+        "base_field": draw(st.sampled_from((1, p, 2 * p, 3 * p))),
+        "abelian_variety": {"dimension": 1, "factors": [["-1", "2", "2", "0", "0"]]},
+        "external": {"selmer_finite": True, "lambda_torsion_certificate": True},
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_requests())
+def test_in_domain_requests_report_or_refuse_the_curve(request_text):
+    """Every such request gives a report with exit code 0, 2 or 3, or is
+    refused at /curve (a singular curve) with exit code 1."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(request_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "-", "--format", "json"])
+    finally:
+        sys.stdin = saved
+    if code == 1:
+        assert not out.getvalue() and err.getvalue().startswith("error: /curve"), err.getvalue()
+    else:
+        assert code in (0, 2, 3) and not err.getvalue(), (code, err.getvalue())
+        doc, request = json.loads(out.getvalue()), json.loads(request_text)
+        assert (doc["p"], doc["conductor"]) == (request["prime"], request["base_field"])
 
 
 def test_bundled_requests_parse():

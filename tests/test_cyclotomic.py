@@ -1,9 +1,11 @@
+import json
 import sys
 from math import isqrt, log10
 
 import pytest
 from hypothesis import given, strategies as st
 
+from eulerchar.cli import main
 from eulerchar.cyclotomic import field_degree, printable, splitting
 from eulerchar.valuations import euler_phi, is_prime
 
@@ -22,10 +24,13 @@ def test_splitting_anchors():
         assert efg(ell, 1) == (1, 1, 1)
 
 
-def test_residue_and_local_degree():
-    sp = splitting(2, 7)
-    assert sp.residue_size == 8
-    assert sp.local_degree == 3
+def test_residue_and_local_degree(capsys):
+    """`splitting` reports the residue field size ell^f and the local
+    degree e f."""
+    for ell, m, expected in ((2, 7, ("8", 3)), (7, 49, ("7", 42))):
+        assert main(["splitting", "--ell", str(ell), "--conductor", str(m), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["residue_field_size"], doc["local_degree"]) == expected
 
 
 def test_rejects_bad_input():

@@ -4,8 +4,15 @@ from math import gcd
 
 import pytest
 
+from eulerchar import euler
 from eulerchar.cli import main, report_to_dict
-from eulerchar.curves import WeierstrassModel, extension_count, invariants, reduce_model
+from eulerchar.curves import (
+    SingularModelError,
+    WeierstrassModel,
+    extension_count,
+    invariants,
+    reduce_model,
+)
 from eulerchar.cyclotomic import splitting
 from eulerchar.euler import (
     ASSUMED,
@@ -354,6 +361,22 @@ def test_analyze_not_exact_suppression():
     small = analyze(E294, 3, 1, TABLE_23, EXT_FULL)
     assert small.torsion is None and small.suppressed
     assert small.suppression_reason == {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": 3}
+
+
+def test_analyze_refusals_come_from_the_plan(monkeypatch):
+    """A composite p, m < 1 and a singular E are refused by `plan`, before
+    any local data is computed."""
+
+    def no_local_data(*args):
+        raise AssertionError("local data computed for a refused request")
+
+    monkeypatch.setattr(euler, "local_data_at", no_local_data)
+    with pytest.raises(ValueError, match=r"\b4\b"):
+        analyze(E294, 4, 7, TABLE_23, EXT_FULL)
+    with pytest.raises(ValueError, match="conductor"):
+        analyze(E294, 7, 0, TABLE_23, EXT_FULL)
+    with pytest.raises(SingularModelError):
+        analyze(WeierstrassModel.from_rationals([0, 0, 0, 0, 0]), 7, 7, TABLE_23, EXT_FULL)
 
 
 def test_report_determinism():

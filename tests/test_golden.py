@@ -46,7 +46,7 @@ def _replay(rows, monkeypatch, capsys, before_each=lambda: None) -> list:
 
 def test_golden_reports(monkeypatch, capsys):
     assert _replay(ROWS, monkeypatch, capsys) == []
-    assert len(ROWS) >= 102
+    assert len(ROWS) >= 104
 
 
 def test_memos_never_change_a_report(monkeypatch, capsys, library_caches):

@@ -170,7 +170,7 @@ def test_multiplicative_n_matches_j_valuation():
             vj = vp(j, p) if j else 0
             if vj < 0:
                 d = run(model, p)
-                assert d.kodaira.is_multiplicative
+                assert d.kodaira.kind == "In"
                 assert d.kodaira.n == -vj == d.v_min_delta
                 found += 1
 
@@ -282,8 +282,7 @@ def test_pot_supersingular_anchors():
     assert pot_supersingular(EJ0, 5)  # j = 0 at 5 = 2 mod 3
     assert not pot_supersingular(E294, 7)  # good ordinary above 7
     assert not pot_supersingular(EJ0, 7)  # 7 = 1 mod 3: ordinary
-    with pytest.raises(ValueError):
-        pot_supersingular(E294, 2)  # v_2(j) < 0: potentially multiplicative
+    assert not pot_supersingular(E294, 2)  # v_2(j) < 0: potentially multiplicative
 
 
 def test_singular_point_formulas_match_scan():
@@ -504,8 +503,8 @@ def test_ogg_formula_over_census_box():
 def test_j_pole_order_over_census_box():
     """j_pole_order(ell) = max(0, -v_ell(j)) for every census-box curve at
     every ell in {2, 3, 5, 7, 11, 13}, and 0 at j = 0, where v_ell(j) is
-    undefined; Tate's algorithm, which reads the pole off v_ell(Delta) and
-    v_ell(c4), calls the place potentially good exactly when it is 0."""
+    undefined; Tate's algorithm calls the place potentially good exactly
+    when it is 0."""
     j_zero = 0
     for _, model, _ in _census_box_curves():
         inv = invariants(model)
@@ -765,10 +764,9 @@ def _oracle_curves(ell: int, rng: random.Random):
 
 def _isogeny_invariants(d) -> tuple:
     """What isogenous curves over Q share at a place: e, f, q_v, N_v (None
-    at a bad place), the reduction class, potentially_good, and at
-    ell >= 5 the conductor exponent."""
-    conductor = d.kodaira.conductor_exponent if d.ell >= 5 else None
-    return d.e, d.f, d.q_v, d.N_v, d.reduction_class, d.potentially_good, conductor
+    at a bad place), the reduction class, which at ell >= 5 fixes the
+    conductor exponent, and potentially_good."""
+    return d.e, d.f, d.q_v, d.N_v, d.reduction_class, d.potentially_good
 
 
 def _isogenous_pairs():
@@ -874,7 +872,7 @@ def _assert_tower_laws(lower, upper, where) -> None:
     if lower.is_good:
         assert upper.is_good, where
         assert upper.N_v == extension_count(lower.N_v, lower.q_v, k_f), where
-    elif lower.kodaira.is_multiplicative:
+    elif lower.kodaira.kind == "In":
         assert upper.kodaira.symbol == f"I{k_e * lower.kodaira.n}", where
         split = lower.reduction_class == MULT_SPLIT or k_f % 2 == 0
         assert upper.reduction_class == (MULT_SPLIT if split else MULT_NONSPLIT), where
