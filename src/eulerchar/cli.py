@@ -35,6 +35,7 @@ from types import SimpleNamespace
 
 from .curves import (
     DEFAULT_SAMPLES,
+    MAX_SAMPLES,
     CountCapError,
     SingularModelError,
     TorsionEstimate,
@@ -59,9 +60,6 @@ from .tate import LocalField, LocalReductionData, tate_algorithm
 from .valuations import factorize, int_valuation, is_prime
 
 SCHEMA_VERSION = 1
-# torsion_bound_over_F samples good primes below 10^4, of which there are
-# 1229: this leaves room for p and up to 228 primes of bad reduction
-MAX_SAMPLES = 1000
 # deepest nesting of arrays and objects in a request: the schema's is 4, and
 # the JSON decoder raises RecursionError near 1000 on CPython 3.10-3.12 only
 MAX_NESTING = 100
@@ -543,7 +541,6 @@ def _cmd_analyze(args):
 
 def _cmd_local(args):
     sp = splitting(args.ell, args.conductor)
-    check_printable(sp.ell, sp.f)
     data = local_data_at(args.curve, args.ell, args.conductor)
     doc = {
         "place": {"ell": args.ell, "e": sp.e, "f": sp.f, "g": sp.g},
@@ -555,7 +552,6 @@ def _cmd_local(args):
 
 def _cmd_splitting(args):
     sp = splitting(args.ell, args.conductor)
-    check_printable(sp.ell, sp.f)
     q = sp.ell**sp.f
     doc = {
         "ell": sp.ell,
@@ -634,7 +630,7 @@ _COMMANDS = {
         ("--prime", dict(required=True), _integer("/prime", _parse_prime, minimum=5)),
         ("--conductor", dict(default=1), _read_conductor),
         ("--samples", dict(default=DEFAULT_SAMPLES), _read_samples),
-    ), {}),
+    ), {UnprintableFieldError: "/base_field"}),
     "tau": (_cmd_tau, "sum of local degrees at supersingular places above p", (
         ("--curve", dict(required=True), _read_curve),
         ("--prime", dict(required=True), _read_prime),

@@ -41,8 +41,12 @@ from .valuations import (
 COUNT_CAP = 10**18
 # Mestre-Schoof: above this prime, Shanks-Mestre always pins #E(F_ell)
 MESTRE_BOUND = 229
-# good primes torsion_bound_over_F reduces at unless told otherwise
+# good primes torsion_bound_over_F reduces at unless told otherwise, and at
+# most: it samples primes below SAMPLE_BOUND, of which there are 1229, so
+# MAX_SAMPLES leaves room for p and up to 228 primes of bad reduction
 DEFAULT_SAMPLES = 20
+SAMPLE_BOUND = 10_000
+MAX_SAMPLES = 1000
 
 # Memo sizes.  #E(F_ell) by (ell, residues): a tower pass counts 53 distinct
 # curves, and residues mod small ell recur across census curves
@@ -489,7 +493,8 @@ def torsion_bound_over_F(
     k_w = F_{ell^f} read off the splitting of ell in Q(mu_m).  Lower bound:
     the rational p-torsion order.  Rational p-torsion injects into the same
     reductions, so an upper bound of 1 settles the lower bound without a
-    search.
+    search.  A sampled k_w whose counts could not print is refused, by
+    `splitting`, when the loop reaches it (`UnprintableFieldError`).
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
@@ -499,8 +504,8 @@ def torsion_bound_over_F(
     upper_exp = None
     used = 0
     for ell in primes_from(2):
-        if ell > 10_000:
-            raise ValueError(f"could not find {samples} usable primes below 10000")
+        if ell > SAMPLE_BOUND:
+            raise ValueError(f"could not find {samples} usable primes below {SAMPLE_BOUND}")
         if ell == p or disc % ell == 0:
             continue
         nf = count_residues(model, ell, splitting(ell, m).f)

@@ -1,4 +1,9 @@
-"""Splitting of rational primes in cyclotomic fields Q(mu_m)."""
+"""Splitting of rational primes in cyclotomic fields Q(mu_m).
+
+`splitting` is where every residue field F_{ell^f} of the library is first
+named, and it refuses one past `printable` (`UnprintableFieldError`): a
+`CyclotomicSplitting` that exists has a residue field whose counts print,
+for `euler.plan`, the subcommands and the torsion sampler alike."""
 
 from __future__ import annotations
 
@@ -31,7 +36,10 @@ SPLITTING_MEMO_SIZE = 1024
 
 @lru_cache(maxsize=SPLITTING_MEMO_SIZE)
 def splitting(ell: int, m: int) -> CyclotomicSplitting:
-    """Splitting data of the prime ell in Q(mu_m); m >= 1."""
+    """Splitting data of the prime ell in Q(mu_m); m >= 1.  Raises
+    `UnprintableFieldError` when F_{ell^f} fails `printable`, under the
+    digit limit in force at the first call for (ell, m): the answer is
+    memoized."""
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if m < 1:
@@ -41,6 +49,7 @@ def splitting(ell: int, m: int) -> CyclotomicSplitting:
     e = euler_phi(ell**a)
     f = multiplicative_order(ell, m_prime)
     g = euler_phi(m) // (e * f)
+    check_printable(ell, f)
     return CyclotomicSplitting(m=m, ell=ell, e=e, f=f, g=g)
 
 

@@ -28,7 +28,7 @@ from .curves import (
     invariants,
     torsion_bound_over_F,
 )
-from .cyclotomic import CyclotomicSplitting, check_printable, field_degree, splitting
+from .cyclotomic import CyclotomicSplitting, field_degree, splitting
 from .tate import GOOD_ORDINARY, LocalField, LocalReductionData, pot_supersingular, tate_algorithm
 from .valuations import factorize, is_prime, vp
 
@@ -106,14 +106,11 @@ def plan(E: WeierstrassModel, p: int, m: int, M=()) -> list[CyclotomicSplitting]
     """The splitting in Q(mu_m) of every relevant prime, in increasing order:
     the primes of the discriminant of the integral model E, the primes of M,
     and p.  A report covers these primes and no others.  Before any local
-    data is computed, `invariants` refuses a singular E, `splitting` refuses
-    m < 1 and a composite p, and a residue field whose counts could not
-    print is refused (`UnprintableFieldError`)."""
+    data is computed, `invariants` refuses a singular E, and `splitting`
+    refuses m < 1, a composite p and a residue field whose counts could not
+    print (`UnprintableFieldError`)."""
     primes = {ell for ell, _ in factorize(abs(invariants(E).disc))}.union(M, (p,))
-    rows = [splitting(ell, m) for ell in sorted(primes)]
-    for sp in rows:
-        check_printable(sp.ell, sp.f)
-    return rows
+    return [splitting(ell, m) for ell in sorted(primes)]
 
 
 def compute_M(A: AbelianVarietyInput) -> list[int]:

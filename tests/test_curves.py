@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
@@ -21,6 +22,7 @@ from eulerchar.curves import (
     reduce_model,
     torsion_bound_over_F,
 )
+from eulerchar.cyclotomic import UnprintableFieldError, splitting
 from eulerchar.finite_fields import fq_create
 from eulerchar.polynomials import rational_roots
 from oracles import (
@@ -615,6 +617,29 @@ def test_torsion_bound_anchors():
     # over Q(mu_7) the reductions leave room for the order-7 point
     est3 = torsion_bound_over_F(E294, 7, 7, samples=20)
     assert (est3.lower, est3.upper, est3.exact) == (1, 7, False)
+
+
+def test_torsion_bound_refuses_an_unprintable_sampled_field(monkeypatch):
+    """Over Q(mu_(2^31-1)) y^2 = x^3 - x, bad only at 2 (where f = 31), is
+    first sampled at ell = 3, with f = 715827882: `splitting` refuses that
+    field, under the default digit limit, before anything is counted over
+    it."""
+
+    def refuse(*args):
+        raise AssertionError("counted over an extension")
+
+    m = 2**31 - 1
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        monkeypatch.setattr(curves, "extension_count", refuse)
+        with pytest.raises(UnprintableFieldError, match=r"^3\^715827882 has about"):
+            torsion_bound_over_F(WeierstrassModel(0, 0, 0, -1, 0), 5, m)
+        with pytest.raises(UnprintableFieldError, match=r"^3\^715827882 has about"):
+            splitting(3, m)
+        assert splitting(2, m).f == 31
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_torsion_bound_rejects_bad_certificate():
