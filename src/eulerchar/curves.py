@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from .cyclotomic import splitting
+from .cyclotomic import UnprintableFieldError, splitting
 from .finite_fields import fq_create
 from .polynomials import Polynomial, is_square, poly_mul, poly_sub
 from .valuations import (
@@ -493,8 +493,10 @@ def torsion_bound_over_F(
     k_w = F_{ell^f} read off the splitting of ell in Q(mu_m).  Lower bound:
     the rational p-torsion order.  Rational p-torsion injects into the same
     reductions, so an upper bound of 1 settles the lower bound without a
-    search.  A sampled k_w whose counts could not print is refused, by
-    `splitting`, when the loop reaches it (`UnprintableFieldError`).
+    search.  A prime whose k_w `splitting` refuses is skipped, as the gcd
+    over the other samples still bounds the torsion; when the skipped fields
+    leave fewer than `samples` primes below SAMPLE_BOUND, the first of them
+    is refused (`UnprintableFieldError`).
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
@@ -503,12 +505,19 @@ def torsion_bound_over_F(
     disc = invariants(model).disc
     upper_exp = None
     used = 0
+    skipped = None
     for ell in primes_from(2):
         if ell > SAMPLE_BOUND:
-            raise ValueError(f"could not find {samples} usable primes below {SAMPLE_BOUND}")
+            short = f"could not find {samples} usable primes below {SAMPLE_BOUND}"
+            raise UnprintableFieldError(*skipped, f"{short}: ") if skipped else ValueError(short)
         if ell == p or disc % ell == 0:
             continue
-        nf = count_residues(model, ell, splitting(ell, m).f)
+        try:
+            f = splitting(ell, m).f
+        except UnprintableFieldError as exc:
+            skipped = skipped or (exc.ell, exc.f)
+            continue
+        nf = count_residues(model, ell, f)
         e = int_valuation(nf, p)
         upper_exp = e if upper_exp is None else min(upper_exp, e)
         used += 1

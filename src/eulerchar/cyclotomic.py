@@ -2,8 +2,9 @@
 
 `splitting` is where every residue field F_{ell^f} of the library is first
 named, and it refuses one past `printable` (`UnprintableFieldError`): a
-`CyclotomicSplitting` that exists has a residue field whose counts print,
-for `euler.plan`, the subcommands and the torsion sampler alike."""
+`CyclotomicSplitting` that exists has a residue field whose counts print.
+`euler.plan` and the subcommands pass the refusal on; the torsion sampler
+skips the prime and samples the next one."""
 
 from __future__ import annotations
 
@@ -35,11 +36,7 @@ SPLITTING_MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=SPLITTING_MEMO_SIZE)
-def splitting(ell: int, m: int) -> CyclotomicSplitting:
-    """Splitting data of the prime ell in Q(mu_m); m >= 1.  Raises
-    `UnprintableFieldError` when F_{ell^f} fails `printable`, under the
-    digit limit in force at the first call for (ell, m): the answer is
-    memoized."""
+def _split(ell: int, m: int) -> CyclotomicSplitting:
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if m < 1:
@@ -49,8 +46,16 @@ def splitting(ell: int, m: int) -> CyclotomicSplitting:
     e = euler_phi(ell**a)
     f = multiplicative_order(ell, m_prime)
     g = euler_phi(m) // (e * f)
-    check_printable(ell, f)
     return CyclotomicSplitting(m=m, ell=ell, e=e, f=f, g=g)
+
+
+def splitting(ell: int, m: int) -> CyclotomicSplitting:
+    """Splitting data of the prime ell in Q(mu_m); m >= 1.  Raises
+    `UnprintableFieldError` when F_{ell^f} fails `printable` under the digit
+    limit in force at this call: only (e, f, g) is memoized."""
+    sp = _split(ell, m)
+    check_printable(ell, sp.f)
+    return sp
 
 
 def field_degree(m: int) -> int:
@@ -77,12 +82,14 @@ def printable(ell: int, f: int) -> bool:
 
 
 class UnprintableFieldError(ValueError):
-    """A residue field F_{ell^f} past `printable`."""
+    """A residue field F_{ell^f} past `printable`; `context` opens the
+    message with what the field was wanted for."""
 
-    def __init__(self, ell: int, f: int):
-        super().__init__(f"{ell}^{f} has about {int(f * log10(ell)) + 1} digits: the count over "
-                         f"that field can pass the {sys.get_int_max_str_digits()}-digit limit "
-                         "on printing an integer")
+    def __init__(self, ell: int, f: int, context: str = ""):
+        self.ell, self.f = ell, f
+        digits = int(f * log10(ell)) + 1
+        super().__init__(f"{context}{ell}^{f} has about {digits} digits: the count over that field "
+                         f"can pass the {sys.get_int_max_str_digits()}-digit limit on printing an integer")
 
 
 def check_printable(ell: int, f: int) -> None:

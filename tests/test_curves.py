@@ -619,11 +619,11 @@ def test_torsion_bound_anchors():
     assert (est3.lower, est3.upper, est3.exact) == (1, 7, False)
 
 
-def test_torsion_bound_refuses_an_unprintable_sampled_field(monkeypatch):
-    """Over Q(mu_(2^31-1)) y^2 = x^3 - x, bad only at 2 (where f = 31), is
-    first sampled at ell = 3, with f = 715827882: `splitting` refuses that
-    field, under the default digit limit, before anything is counted over
-    it."""
+def test_torsion_bound_refuses_only_when_unprintable_fields_leave_it_short(monkeypatch):
+    """Over Q(mu_(2^31-1)) y^2 = x^3 - x, bad only at 2 (where f = 31), has
+    no good prime below SAMPLE_BOUND whose residue field prints, the first
+    being ell = 3 with f = 715827882: the sampler skips each one, counts over
+    none, and then refuses the first, under the default digit limit."""
 
     def refuse(*args):
         raise AssertionError("counted over an extension")
@@ -633,11 +633,28 @@ def test_torsion_bound_refuses_an_unprintable_sampled_field(monkeypatch):
     try:
         sys.set_int_max_str_digits(4300)
         monkeypatch.setattr(curves, "extension_count", refuse)
-        with pytest.raises(UnprintableFieldError, match=r"^3\^715827882 has about"):
+        with pytest.raises(UnprintableFieldError,
+                           match=r"^could not find 20 usable primes below 10000: 3\^715827882 has"):
             torsion_bound_over_F(WeierstrassModel(0, 0, 0, -1, 0), 5, m)
         with pytest.raises(UnprintableFieldError, match=r"^3\^715827882 has about"):
             splitting(3, m)
         assert splitting(2, m).f == 31
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_torsion_bound_skips_an_unprintable_sampled_field():
+    """11a over Q(mu_8191): splitting refuses the residue field F_{17^8190}
+    (about 10,078 digits) of the sampled prime 17, and the sampler brackets
+    the 5-torsion from the other good primes, exactly, as it did when it
+    counted over that field."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(UnprintableFieldError, match=r"^17\^8190 has about"):
+            splitting(17, 8191)
+        est = torsion_bound_over_F(WeierstrassModel(0, -1, 1, -10, -20), 5, 8191)
+        assert (est.lower, est.upper) == (5, 5)
     finally:
         sys.set_int_max_str_digits(saved)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulerchar.cli import main
-from eulerchar.cyclotomic import field_degree, printable, splitting
+from eulerchar.cyclotomic import UnprintableFieldError, field_degree, printable, splitting
 from eulerchar.valuations import euler_phi, is_prime
 
 
@@ -81,5 +81,22 @@ def test_printable_agrees_with_the_exact_rule(limit):
             assert not printable(ell, 10**20)
         sys.set_int_max_str_digits(0)
         assert printable(3, 10**20) and printable(2, 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_splitting_applies_the_digit_limit_of_each_call():
+    """Only (e, f, g) is memoized: with F_{5^10006} (about 6,994 digits)
+    split once under no limit, a second call under the default limit still
+    refuses it, and a third under no limit answers again."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert splitting(5, 10007).f == 10006
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(UnprintableFieldError, match=r"^5\^10006 has about 6994 digits"):
+            splitting(5, 10007)
+        sys.set_int_max_str_digits(0)
+        assert splitting(5, 10007).f == 10006
     finally:
         sys.set_int_max_str_digits(saved)

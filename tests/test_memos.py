@@ -24,7 +24,7 @@ def test_every_library_cache_is_bounded(library_caches):
     a cache keyed by request data must not grow without limit.  The parser
     is keyed by a subcommand name from a fixed table."""
     assert {"curves._count_prime_field", "curves._rational_torsion",
-            "valuations.factorize", "cyclotomic.splitting",
+            "valuations.factorize", "cyclotomic._split",
             "finite_fields.fq_create"} <= set(library_caches)
     unbounded = [name for name, fn in library_caches.items() if fn.cache_info().maxsize is None]
     assert unbounded == ["cli.build_parser"]
