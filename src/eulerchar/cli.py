@@ -19,7 +19,11 @@ The command line is read straight off the `_COMMANDS` table when it has
 the plain form `COMMAND [positional] --flag VALUE ...` with exact flag
 names; argparse is imported, and one subcommand's parser built, only for
 what else argparse accepts (abbreviated flags, values starting with `-`,
-`--`) and for help and usage errors.  Each argument's row also names the
+`--`) and for help and usage errors.  The fast path stays because without
+it a fresh process builds its parser inside the request it serves: the
+`scale` benchmark's `latency_p50_ms` then rose from 1.58 to 2.42 ms, past
+its 25 % bound (medians of 12 alternating pairs, CPython 3.11.7 on 2
+cores), while `wall_s` did not move.  Each argument's row also names the
 reader that checks its value as the request field it stands for; `main`
 runs the readers in row order, before a request file is read.
 """
@@ -266,7 +270,7 @@ def parse_request(obj) -> dict:
     if version != SCHEMA_VERSION:
         raise RequestError("/schema_version", f"unsupported version {version}")
     E = _parse_curve(obj["curve"], "/curve")
-    p = _parse_prime(obj["prime"], "/prime")
+    p = _parse_prime(obj["prime"], "/prime", minimum=5)
     m = _parse_conductor(obj["base_field"], "/base_field")
     A = _parse_abelian_variety(obj["abelian_variety"], "/abelian_variety")
     ext = _parse_external(obj.get("external", {}), "/external", p)
@@ -332,9 +336,6 @@ def report_to_dict(report: EulerCharReport) -> dict:
             "exponent": report.target_chi_sigma_exponent,
             "matches": report.chi_sigma_exponent == report.target_chi_sigma_exponent,
         }
-    torsion = None
-    if report.torsion is not None:
-        torsion = {**_torsion_fields(report.torsion), "source": report.torsion_source}
     return {
         "schema_version": SCHEMA_VERSION,
         "status": report.status,
@@ -346,7 +347,7 @@ def report_to_dict(report: EulerCharReport) -> dict:
         ],
         "M_rational": report.M_rational,
         "places": places,
-        "torsion": torsion,
+        "torsion": {**_torsion_fields(report.torsion), "source": report.torsion_source},
         "rho": {
             "base": report.p,
             "exponent": report.rho.exponent,
@@ -402,10 +403,9 @@ def render_text(doc: dict) -> str:
     lines.append("places:")
     lines += _table([_PLACES_HEADER, *doc["places"]], _PLACES_COLUMNS)
     t = doc["torsion"]
-    if t is not None:
-        lines.append(
-            f"torsion over F: lower {t['lower']}, upper {t['upper']}, exact {t['exact']} ({t['source']})"
-        )
+    lines.append(
+        f"torsion over F: lower {t['lower']}, upper {t['upper']}, exact {t['exact']} ({t['source']})"
+    )
     rho = doc["rho"]
     lines.append(
         f"rho: {rho['base']}^{rho['exponent']}  window {rho['window']}  breakdown {rho['breakdown']}"
@@ -507,7 +507,7 @@ def _read_curve(value) -> WeierstrassModel:
     return _parse_curve(value.split(",") if isinstance(value, str) else value, "/curve")
 
 
-_read_prime = _integer("/prime", _parse_prime)
+_read_prime = _integer("/prime", _parse_prime, minimum=5)  # the formula's p >= 5
 _read_conductor = _integer("/base_field", _parse_conductor)
 _read_samples = _integer("/samples", _parse_samples)
 _read_precision = _integer("/precision_digits", _parse_precision)
@@ -627,7 +627,7 @@ _COMMANDS = {
     ), {UnprintableFieldError: "/base_field"}),
     "torsion": (_cmd_torsion, "p-primary torsion bracket over Q(mu_m)", (
         ("--curve", dict(required=True), _read_curve),
-        ("--prime", dict(required=True), _integer("/prime", _parse_prime, minimum=5)),
+        ("--prime", dict(required=True), _read_prime),
         ("--conductor", dict(default=1), _read_conductor),
         ("--samples", dict(default=DEFAULT_SAMPLES), _read_samples),
     ), {UnprintableFieldError: "/base_field"}),

@@ -214,7 +214,7 @@ class RhoResult(NamedTuple):
 def rho_p(
     p: int,
     prime_data: list[tuple[CyclotomicSplitting, LocalReductionData]],
-    torsion: tuple[int, int] | None,
+    torsion: tuple[int, int],
     sha_p_order: int,
 ) -> RhoResult:
     """Exponent k with rho_p = p^k:
@@ -226,9 +226,7 @@ def rho_p(
     times.  `torsion` is the bracket (lower, upper) of the torsion order
     that rho uses.  When lower == upper that order is exact and so is the
     exponent; otherwise the result is the exponent window of the bracket
-    and no single value is fabricated.  With torsion=None (no torsion
-    machinery, p < 5) the exponent is None and the window collapses to the
-    torsion-free sum.
+    and no single value is fabricated.
     """
     sha_exp = vp(sha_p_order, p)
     tamagawa = sum(sp.g * vp(data.c_v, p) for sp, data in prime_data)
@@ -236,22 +234,16 @@ def rho_p(
         sp.g * vp(data.N_v, p) for sp, data in prime_data if sp.ell == p and data.is_good
     )
     base = sha_exp + tamagawa + counts
-
-    exact_exp = torsion_term = None
-    window = (base, base)
-    if torsion is not None:
-        lower, upper = (vp(t, p) for t in torsion)
-        window = (base - 2 * upper, base - 2 * lower)
-        if lower == upper:
-            torsion_term = -2 * lower
-            exact_exp = base + torsion_term
+    lower, upper = (vp(t, p) for t in torsion)
+    torsion_term = -2 * lower if lower == upper else None
     breakdown = {
         "sha": sha_exp,
         "torsion": torsion_term,
         "tamagawa": tamagawa,
         "reduction_counts": counts,
     }
-    return RhoResult(exact_exp, window, breakdown)
+    exact_exp = None if torsion_term is None else base + torsion_term
+    return RhoResult(exact_exp, (base - 2 * upper, base - 2 * lower), breakdown)
 
 
 class AuditRow(NamedTuple):
@@ -336,8 +328,8 @@ class EulerCharReport(NamedTuple):
     hypotheses: list[HypothesisResult]
     M_rational: list[int]
     places: list[tuple[CyclotomicSplitting, LocalReductionData]]  # one per prime
-    torsion: TorsionEstimate | None
-    torsion_source: str
+    torsion: TorsionEstimate
+    torsion_source: str  # "computed" or "certificate"
     rho: RhoResult
     chi_sigma_exponent: int | None
     audit: list[AuditRow]
@@ -351,12 +343,10 @@ class EulerCharReport(NamedTuple):
 
     @property
     def suppression_reason(self) -> dict | None:
-        """Why chi is suppressed: no torsion bracket below p = 5, or one that
-        is not exact; None when it is not."""
+        """Why chi is suppressed, a torsion bracket that is not exact; None
+        when it is not."""
         if not self.suppressed:
             return None
-        if self.torsion is None:
-            return {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": self.p}
         return {
             "code": "TORSION_NOT_EXACT",
             "lower": self.torsion.lower,
@@ -392,23 +382,19 @@ def analyze(
     data_at_p = next(data for sp, data in prime_rows if sp.ell == p)
     hypotheses = check_hypotheses(A, p, m, ext, data_at_p)
 
-    # the torsion machinery requires p >= 5; below it the p >= 5 hypothesis
-    # clause has already FAILed, so rho stays undetermined
-    torsion, used, torsion_source = None, None, "unavailable"
-    if p >= 5:
-        torsion = torsion_bound_over_F(E, p, m, samples=samples)
-        used, torsion_source = (torsion.lower, torsion.upper), "computed"
-        certificate = ext.torsion_p_override
-        if certificate is not None:
-            # lower and upper are powers of p, so this admits exactly the
-            # powers of p in the bracket
-            if certificate < torsion.lower or torsion.upper % certificate:
-                raise TorsionCertificateError(
-                    f"certificate {certificate} lies outside the computed "
-                    f"bracket [{torsion.lower}, {torsion.upper}]"
-                )
-            torsion = TorsionEstimate(p, certificate, torsion.upper)
-            used, torsion_source = (certificate, certificate), "certificate"
+    torsion = torsion_bound_over_F(E, p, m, samples=samples)
+    used, torsion_source = (torsion.lower, torsion.upper), "computed"
+    certificate = ext.torsion_p_override
+    if certificate is not None:
+        # lower and upper are powers of p, so this admits exactly the
+        # powers of p in the bracket
+        if certificate < torsion.lower or torsion.upper % certificate:
+            raise TorsionCertificateError(
+                f"certificate {certificate} lies outside the computed "
+                f"bracket [{torsion.lower}, {torsion.upper}]"
+            )
+        torsion = TorsionEstimate(p, certificate, torsion.upper)
+        used, torsion_source = (certificate, certificate), "certificate"
     rho = rho_p(p, prime_rows, used, ext.sha_p_order)
 
     m_prime_rows = [(sp, data) for sp, data in prime_rows if sp.ell in M_rational]

@@ -500,7 +500,7 @@ def _residue_over_pi(x: int, v: int | None, w: int, K: LocalField) -> int:
 # -- the step ladder: residue characteristic 2 and 3, and the oracle ----------------
 
 
-def _ladder(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalReductionData:
+def _ladder(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionData:
     """Tate's step ladder over Z[pi], valid at every residue characteristic:
     `tate_algorithm`'s route at ell in {2, 3}, and the oracle of the closed
     form at ell >= 5.  Values are K's: ints at e = 1, elements of Z[pi]
@@ -686,7 +686,7 @@ def _euler_factor(cls: str, q: int, N: int | None) -> Fraction:
 
 
 def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
-    """Is the reduction at p potentially supersingular?
+    """Is the reduction at a prime p >= 5 potentially supersingular?
 
     False at a potentially multiplicative place (v_p(j) < 0), which has no
     supersingular type.  Elsewhere supersingularity depends only on j over
@@ -694,11 +694,11 @@ def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     that j-invariant decides it: it is supersingular iff a_p = p + 1 - N is
     0 mod p, i.e. N = 1 mod p (Silverman, AEC V.3-V.4).
     """
+    if p < 5 or not is_prime(p):
+        raise ValueError("p must be a prime >= 5")
     inv = invariants(model)
     if inv.j_pole_order(p):
         return False
     num, den = inv.j.numerator, inv.j.denominator
     jbar = num * pow(den, -1, p) % p
-    if p <= 3:
-        return jbar == 0  # the supersingular locus in characteristic 2 and 3
     return count_points(model_with_j_invariant(jbar, p)) % p == 1

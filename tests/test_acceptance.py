@@ -177,7 +177,7 @@ def test_criterion_6_second_example_audit():
 
 def test_criterion_7_hypothesis_gates(monkeypatch, capsys):
     started = time.monotonic()
-    # p = 3 flips the p >= 5 clause and exits 2
+    # p = 3 lies outside the formula's p >= 5 and is refused at /prime
     req = {
         "schema_version": 1,
         "curve": ["1", "0", "0", "-1", "-1"],
@@ -197,10 +197,9 @@ def test_criterion_7_hypothesis_gates(monkeypatch, capsys):
 
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(req)))
     code = main(["analyze", "-", "--format", "json"])
-    out = capsys.readouterr().out
-    assert code == 2
-    doc = json.loads(out)
-    assert {h["name"]: h["status"] for h in doc["hypotheses"]}["p_prime_at_least_5"] == "FAIL"
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == "error: /prime: expected an integer >= 5, got 3\n"
 
     # supersingular at p flips the good-ordinary clause
     rep = analyze(

@@ -113,28 +113,23 @@ def test_analyze_exit_zero(monkeypatch, capsys):
         assert place["N_v"] is None or isinstance(place["N_v"], str)
 
 
-def test_analyze_exit_two_on_p3(monkeypatch, capsys):
+def test_analyze_refuses_p_below_5_at_prime(monkeypatch, capsys):
+    """The formula needs p >= 5: `analyze` refuses 2 and 3 at /prime, in
+    either format, as `tau`, `coranks` and `torsion` refuse `--prime 3`."""
     req = json.loads(json.dumps(REQ_TABLE))
-    req["prime"] = 3
     del req["external"]["torsion_p_override"]
     del req["target_chi_sigma_exponent"]
-    code, out, _ = _run(
-        ["analyze", "-", "--format", "json"],
-        stdin_text=json.dumps(req),
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["status"] == "HYPOTHESIS_FAIL"
-    statuses = {h["name"]: h["status"] for h in doc["hypotheses"]}
-    assert statuses["p_prime_at_least_5"] == "FAIL"
-    assert doc["rho"] == {
-        "base": 3,
-        "exponent": None,
-        "window": [0, 0],
-        "breakdown": {"sha": 0, "torsion": None, "tamagawa": 0, "reduction_counts": 0},
-    }
+    curve = "--curve=1,0,0,-1,-1"
+    for small in (2, 3):
+        message = f"error: /prime: expected an integer >= 5, got {small}\n"
+        for fmt in ("json", "text"):
+            got = _run(["analyze", "-", "--format", fmt],
+                       stdin_text=json.dumps({**req, "prime": small}),
+                       monkeypatch=monkeypatch, capsys=capsys)
+            assert got == (1, "", message)
+        for command in ("tau", "coranks", "torsion"):
+            got = _run([command, curve, "--prime", str(small)], capsys=capsys)
+            assert got == (1, "", message)
 
 
 def test_analyze_exit_three_not_exact(monkeypatch, capsys):
@@ -1283,16 +1278,9 @@ def test_external_keys_and_defaults_are_those_of_the_record():
         assert str(err.value) == f"/external/{key}: {message}"
 
 
-P3_REQUEST = {
-    **{k: v for k, v in REQ_TABLE.items() if k != "target_chi_sigma_exponent"},
-    "prime": 3,
-    "external": {"selmer_finite": True, "lambda_torsion_certificate": True},
-}
-
-
 @pytest.mark.parametrize("text,status,code", [
     (_bundled_request("analysis_with_factor_curve"), "OK", 0),
-    (json.dumps(P3_REQUEST), "HYPOTHESIS_FAIL", 2),
+    (_golden_stdin("analyze/E/p7/m7/table-marks-p-bad"), "HYPOTHESIS_FAIL", 2),
     (_golden_stdin("exit3/E/p7/m7"), "NOT_EXACT", 3),
 ])
 def test_report_status_sets_the_exit_code(monkeypatch, capsys, text, status, code):
@@ -1417,8 +1405,8 @@ def test_torsion_certificate_not_a_power_of_p_rejected_at_parse():
 
 
 def test_composite_prime_rejected_at_parse(monkeypatch, capsys):
-    """A composite prime is refused at /prime; 2 and 3 are primes outside
-    the formula's range and keep their HYPOTHESIS_FAIL report."""
+    """A composite prime is refused at /prime, and so are the primes 2 and
+    3, which lie outside the formula's range."""
     req = json.loads(json.dumps(REQ_TABLE))
     del req["external"]["torsion_p_override"]
     for composite in (9, 4, 25):
@@ -1430,8 +1418,6 @@ def test_composite_prime_rejected_at_parse(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err == "error: /prime: expected a prime, got 9\n"
     for small in (2, 3):
-        code, out, _ = _run(["analyze", "-", "--format", "json"],
-                            stdin_text=json.dumps({**req, "prime": small}),
-                            monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 2
-        assert json.loads(out)["status"] == "HYPOTHESIS_FAIL"
+        with pytest.raises(RequestError) as err:
+            parse_request({**req, "prime": small})
+        assert str(err.value) == f"/prime: expected an integer >= 5, got {small}"

@@ -236,21 +236,6 @@ def test_rho_override_when_not_exact():
         assert report.rho.exponent == exponent
 
 
-def test_rho_without_torsion():
-    """torsion=None (p < 5): no exponent, and the window is the
-    torsion-free sum."""
-    rows = _prime_rows(E294, 7, [2, 3, 7])
-    rho = rho_p(7, rows, None, 1)
-    assert rho.exponent is None
-    assert rho.window == (2, 2)
-    assert rho.breakdown == {
-        "sha": 0,
-        "torsion": None,
-        "tamagawa": 0,
-        "reduction_counts": 2,
-    }
-
-
 def test_rho_ignores_euler_factors():
     """rho never reads L_at_1: perturbing every Euler factor changes nothing."""
     rows = _prime_rows(E294, 7, [2, 3, 7])
@@ -285,7 +270,7 @@ def test_tau_anchors():
     assert tau_p(EJ0, 5, 1) == 1
     assert tau_p(EJ0, 5, 5) == 4  # unique totally ramified place, e*f = phi(5)
     assert tau_p(EJ0, 5, 11) == 10  # g = 2 places of degree f = 5
-    assert tau_p(E294, 2, 7) == 0  # potentially multiplicative: the zero branch
+    assert tau_p(EPRIME, 13, 7) == 0  # v_13(j) < 0: the zero branch
 
 
 def test_gamma_kernel_anchors():
@@ -357,10 +342,9 @@ def test_analyze_not_exact_suppression():
         "upper": 7,
         "hint": "supply torsion_p_override or raise samples",
     }
-    # below p = 5 no torsion bracket is computed, and the reason names p
-    small = analyze(E294, 3, 1, TABLE_23, EXT_FULL)
-    assert small.torsion is None and small.suppressed
-    assert small.suppression_reason == {"code": "TORSION_UNAVAILABLE_FOR_SMALL_P", "p": 3}
+    # below p = 5 the formula does not apply, and no report is made
+    with pytest.raises(ValueError, match="p must be a prime >= 5"):
+        analyze(E294, 3, 1, TABLE_23, EXT_FULL)
 
 
 def test_analyze_refusals_come_from_the_plan(monkeypatch):

@@ -282,7 +282,7 @@ def test_pot_supersingular_anchors():
     assert pot_supersingular(EJ0, 5)  # j = 0 at 5 = 2 mod 3
     assert not pot_supersingular(E294, 7)  # good ordinary above 7
     assert not pot_supersingular(EJ0, 7)  # 7 = 1 mod 3: ordinary
-    assert not pot_supersingular(E294, 2)  # v_2(j) < 0: potentially multiplicative
+    assert not pot_supersingular(EPRIME, 13)  # v_13(j) < 0: potentially multiplicative
 
 
 def test_singular_point_formulas_match_scan():
@@ -352,22 +352,12 @@ def test_cubic_multiple_root_formulas_match_scan():
             assert residue_roots([c, b, lead], p, 1) == (1, double[0])
 
 
-def test_pot_supersingular_small_characteristic():
-    """In characteristic 2 and 3 the supersingular locus is exactly j = 0."""
-    assert pot_supersingular(EJ0, 2)
-    assert pot_supersingular(EJ0, 3)
-    e1728 = WeierstrassModel.from_rationals([0, 0, 0, 1, 0])
-    assert pot_supersingular(e1728, 2)  # 1728 reduces to 0
-    assert pot_supersingular(e1728, 3)
-    # j = 128 = 2^7: v_2(j) > 0 so jbar = 0; but a unit j stays ordinary
-    # when it reduces to a nonzero value mod 3
-    e_unit_j = WeierstrassModel.from_rationals([1, 0, 0, 1, 1])
-    from eulerchar.curves import invariants
-    from eulerchar.valuations import vp
-
-    j = invariants(e_unit_j).j
-    if vp(j, 3) >= 0 and j.numerator % 3 != 0:
-        assert not pot_supersingular(e_unit_j, 3)
+def test_pot_supersingular_refuses_p_below_5():
+    """Below 5, and at a composite p, the F_p test is refused, as the
+    torsion routines refuse such a p."""
+    for p in (2, 3, 4, 9):
+        with pytest.raises(ValueError, match="p must be a prime >= 5"):
+            pot_supersingular(EJ0, p)
 
 
 def test_pot_supersingular_matches_quadratic_field_oracle():
