@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Survey the reduction of a curve at every place of Q(mu_m) above the primes
 of `euler.plan`, those of its discriminant and a chosen p: Kodaira types,
-Tamagawa numbers, counts, and Euler factors at s = 1.
+Tamagawa numbers, counts, and Euler factors at s = 1, with the exponent of
+each factor's p-adic absolute value.  It prints one `places` row per prime,
+for its g conjugate places, in the text layout of the `eulerchar` commands.
 
 Example: python scripts/reduction_survey.py --curve 1,0,0,-1,-1 --prime 7 --conductor 7
 """
@@ -9,7 +11,14 @@ Example: python scripts/reduction_survey.py --curve 1,0,0,-1,-1 --prime 7 --cond
 import argparse
 import sys
 
-from eulerchar.cli import RequestError, _read_conductor, _read_curve, _read_prime
+from eulerchar.cli import (
+    RequestError,
+    _read_conductor,
+    _read_curve,
+    _read_prime,
+    _reduction_fields,
+    _to_text,
+)
 from eulerchar.curves import invariants
 from eulerchar.cyclotomic import UnprintableFieldError
 from eulerchar.euler import local_data_at, plan
@@ -37,18 +46,13 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     inv = invariants(model)
-    print(f"curve {args.curve}: disc = {inv.disc}, j = {inv.j}")
-    print(f"{'ell':>5} {'(e,f,g)':>10} {'q_v':>8} {'type':>6} {'c_v':>4} "
-          f"{'class':<18} {'N_v':>8}  L(E,1)      |L|_p exp")
+    rows = []
     for sp in places:
         data = local_data_at(model, sp.ell, conductor)
-        L = data.L_at_1
-        exp = -vp(L, prime)
-        print(
-            f"{sp.ell:>5} {f'({sp.e},{sp.f},{sp.g})':>10} {data.q_v:>8} "
-            f"{data.kodaira.symbol:>6} {data.c_v:>4} {data.reduction_class:<18} "
-            f"{str(data.N_v):>8}  {str(L):<11} {exp:>3}   (x{sp.g} places)"
-        )
+        rows.append({"ell": sp.ell, "e": sp.e, "f": sp.f, "g": sp.g, **_reduction_fields(data),
+                     "L_at_1": str(data.L_at_1), "abs_L_p_exponent": -vp(data.L_at_1, prime)})
+    print(_to_text({"curve": args.curve, "disc": str(inv.disc), "j": str(inv.j), "p": prime,
+                    "conductor": conductor, "places": rows}))
     return 0
 
 

@@ -334,7 +334,9 @@ def report_to_dict(report: EulerCharReport) -> dict:
     if report.target_chi_sigma_exponent is not None:
         target = {
             "exponent": report.target_chi_sigma_exponent,
-            "matches": report.chi_sigma_exponent == report.target_chi_sigma_exponent,
+            # null while chi is suppressed, as its exponent is
+            "matches": None if report.chi_sigma_exponent is None
+            else report.chi_sigma_exponent == report.target_chi_sigma_exponent,
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -362,71 +364,6 @@ def report_to_dict(report: EulerCharReport) -> dict:
         "corank": _corank_fields(report.coranks),
         "suppression_reason": report.suppression_reason,
     }
-
-
-def _table(rows: list[dict], columns) -> list[str]:
-    """One line per row: each column is (prefix, key, align, width), and its
-    entry is str(row[key]) after prefix, padded by align ("<" or ">") to the
-    larger of width and its widest entry, so that every row puts the column
-    at the same offset; a width of None leaves the entry unpadded.  A table
-    with a header passes the header among its rows."""
-    widths = [width and max([width] + [len(str(row[key])) for row in rows])
-              for _, key, _, width in columns]
-    return ["".join(f"{prefix}{str(row[key]):{align}{w or ''}}"
-                    for (prefix, key, align, _), w in zip(columns, widths))
-            for row in rows]
-
-
-_PLACES_HEADER = dict(
-    place="place", q_v="q_v", kodaira="kodaira", c_v="c_v",
-    reduction_class="class", N_v="N_v", L_at_1="L(E,1)",
-)
-_PLACES_COLUMNS = (("  ", "place", "<", 7), (" ", "q_v", ">", 7), ("  ", "kodaira", "<", 6),
-                   (" ", "c_v", ">", 4), ("  ", "reduction_class", "<", 17),
-                   (" ", "N_v", ">", 8), ("  ", "L_at_1", "<", None))
-_AUDIT_COLUMNS = (("  ", "place", "<", 7), (" q=", "q_v", ">", 7),
-                  ("  ", "reduction_class", "<", 18), (" L=", "L_at_1", "<", 12),
-                  (" vp_L=", "vp_L", ">", 3), ("  contribution=", "contribution", ">", 2),
-                  ("  gamma_exp=", "gamma_kernel_exponent", "<", None))
-
-
-def render_text(doc: dict) -> str:
-    lines = []
-    lines.append(f"status: {doc['status']}")
-    lines.append(
-        f"p = {doc['p']}   conductor m = {doc['conductor']}   [F:Q] = {doc['degree']}"
-    )
-    lines.append("hypotheses:")
-    for h in doc["hypotheses"]:
-        lines.append(f"  {h['status']:<8} {h['name']}: {h['detail']}")
-    lines.append(f"bad-tower primes: {doc['M_rational']}")
-    lines.append("places:")
-    lines += _table([_PLACES_HEADER, *doc["places"]], _PLACES_COLUMNS)
-    t = doc["torsion"]
-    lines.append(
-        f"torsion over F: lower {t['lower']}, upper {t['upper']}, exact {t['exact']} ({t['source']})"
-    )
-    rho = doc["rho"]
-    lines.append(
-        f"rho: {rho['base']}^{rho['exponent']}  window {rho['window']}  breakdown {rho['breakdown']}"
-    )
-    lines.append(f"chi_cyc: {doc['chi_cyc']['base']}^{doc['chi_cyc']['exponent']}")
-    lines.append(f"chi_sigma: {doc['chi_sigma']['base']}^{doc['chi_sigma']['exponent']}")
-    if doc["target_chi_sigma"] is not None:
-        tgt = doc["target_chi_sigma"]
-        lines.append(f"target chi_sigma exponent: {tgt['exponent']} (matches: {tgt['matches']})")
-    lines.append("audit (per-place |L_v|_p exponents):")
-    lines += _table(doc["audit"], _AUDIT_COLUMNS)
-    lines.append(f"tau_p: {doc['tau_p']}")
-    cor = doc["corank"]
-    lines.append(
-        f"corank window: {cor['window']}  sigma_index_R: {cor['sigma_index_R']}  "
-        f"global: {cor['global_corank']}  local: {cor['local_corank']}  "
-        f"conjectural rank: {cor['conjectural_rank']}"
-    )
-    if doc["suppression_reason"] is not None:
-        lines.append(f"suppressed: {doc['suppression_reason']}")
-    return "\n".join(lines)
 
 
 def _to_json(value, indent: str = "\n") -> str:
@@ -470,10 +407,36 @@ def _to_json(value, indent: str = "\n") -> str:
     raise TypeError(f"a {kind.__name__} has no place in a JSON document")
 
 
-def _emit(doc: dict, fmt, out) -> None:
-    """Write doc to out: as indented JSON when fmt is "json", else as the
-    text fmt(doc) renders."""
-    out.write((_to_json(doc) if fmt == "json" else fmt(doc)) + "\n")
+def _text_value(value) -> str:
+    """A leaf, or a list of leaves, on one line: a str as it is, anything
+    else as in the JSON."""
+    return value if type(value) is str else json.dumps(value)
+
+
+def _to_text(doc: dict, indent: str = "") -> str:
+    """doc as text, a line `key: value` for each leaf and each list of
+    leaves; an object is `key:` over its entries, indented two spaces, and
+    a list of objects is `key:` over a table whose header row holds the
+    objects' keys, one row per object, each column padded to its widest
+    entry and no line ending in a space."""
+    lines = []
+    for key, value in doc.items():
+        if value and type(value) is dict:
+            lines += [f"{indent}{key}:", _to_text(value, indent + "  ")]
+        elif value and type(value) is list and type(value[0]) is dict:
+            rows = [list(value[0]), *([_text_value(v) for v in row.values()] for row in value)]
+            widths = [max(map(len, column)) for column in zip(*rows)]
+            lines.append(f"{indent}{key}:")
+            lines += [(indent + "  " + "  ".join(map(str.ljust, row, widths))).rstrip()
+                      for row in rows]
+        else:
+            lines.append(f"{indent}{key}: {_text_value(value)}")
+    return "\n".join(lines)
+
+
+def _emit(doc: dict, fmt: str, out) -> None:
+    """Write doc to out, as indented JSON when fmt is "json", else as text."""
+    out.write((_to_json(doc) if fmt == "json" else _to_text(doc)) + "\n")
 
 
 # -- subcommands ------------------------------------------------------------------------
@@ -481,8 +444,9 @@ def _emit(doc: dict, fmt, out) -> None:
 # (its text, `--` for `--flag=--`, or the row's default) and returns
 # it checked as the request field the flag stands for, at that field's pointer;
 # --ell and --degree at /ell and /degree.  A handler computes on checked values
-# and returns (document, text renderer, exit code); a library refusal passes
-# through it to `main`, which reports it at the pointer of the command's row.
+# and returns (document, exit code), and `_emit` prints the document in the
+# format asked for; a library refusal passes through the handler to `main`,
+# which reports it at the pointer of the command's row.
 
 
 def _integer(path: str, parse=_parse_int, **bounds):
@@ -536,7 +500,7 @@ def _cmd_analyze(args):
     if args.samples is not None:
         parsed["samples"] = args.samples
     report = analyze(**parsed)
-    return report_to_dict(report), render_text, _EXIT_CODES[report.status]
+    return report_to_dict(report), _EXIT_CODES[report.status]
 
 
 def _cmd_local(args):
@@ -547,7 +511,7 @@ def _cmd_local(args):
         **_reduction_fields(data),
         "euler_factor_at_1": str(data.L_at_1),
     }
-    return doc, lambda d: "\n".join(f"{k}: {v}" for k, v in d.items()), 0
+    return doc, 0
 
 
 def _cmd_splitting(args):
@@ -563,33 +527,23 @@ def _cmd_splitting(args):
         "local_degree": sp.e * sp.f,
         "degree": field_degree(sp.m),
     }
-    text = f"{sp.ell} in Q(mu_{sp.m}): e={sp.e} f={sp.f} g={sp.g} (residue field F_{q})"
-    return doc, lambda _: text, 0
+    return doc, 0
 
 
 def _cmd_torsion(args):
     est = torsion_bound_over_F(args.curve, args.prime, args.conductor, samples=args.samples)
-    text = (
-        f"p-primary torsion over Q(mu_{args.conductor}): lower {est.lower}, "
-        f"upper {est.upper}, exact {est.exact}"
-    )
-    return _torsion_fields(est), lambda _: text, 0
+    return _torsion_fields(est), 0
 
 
 def _cmd_tau(args):
     value = tau_p(args.curve, args.prime, args.conductor)
-    doc = {"p": args.prime, "conductor": args.conductor, "tau_p": value}
-    return doc, lambda _: f"tau_{args.prime} over Q(mu_{args.conductor}) = {value}", 0
+    return {"p": args.prime, "conductor": args.conductor, "tau_p": value}, 0
 
 
 def _cmd_coranks(args):
     tau = tau_p(args.curve, args.prime, args.conductor)
     rep = corank_report(field_degree(args.conductor), tau, args.sigma_index)
-    text = (
-        f"tau={rep.tau} window={rep.window} global={rep.global_corank} "
-        f"local={rep.local_corank} conjectural={rep.conjectural_rank}"
-    )
-    return {"tau_p": rep.tau, "degree": rep.degree, **_corank_fields(rep)}, lambda _: text, 0
+    return {"tau_p": rep.tau, "degree": rep.degree, **_corank_fields(rep)}, 0
 
 
 def _cmd_count(args):
@@ -599,9 +553,7 @@ def _cmd_count(args):
     n = tate_algorithm(args.curve, LocalField(ell, 1), f=degree).N_v
     if n is None:
         raise RequestError("/ell", f"the curve has bad reduction at {ell}")
-    q = ell**degree
-    doc = {"ell": ell, "degree": degree, "q": str(q), "count": str(n)}
-    return doc, lambda _: f"#E(F_{q}) = {n}", 0
+    return {"ell": ell, "degree": degree, "q": str(ell**degree), "count": str(n)}, 0
 
 
 # each subcommand: its handler, its help line, its arguments as
@@ -742,13 +694,13 @@ def main(argv=None) -> int:
     try:
         for name, _, read in (_FORMAT, *arguments):
             setattr(args, _dest(name), read(getattr(args, _dest(name))))
-        doc, text, code = args.fn(args)
+        doc, code = args.fn(args)
     except (ValueError, OSError) as exc:
         if not isinstance(exc, RequestError):
             exc = RequestError(refused_at.get(type(exc), "/"), str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(doc, "json" if args.format == "json" else text, sys.stdout)
+    _emit(doc, args.format, sys.stdout)
     return code
 
 

@@ -21,7 +21,6 @@ from eulerchar.cli import (
     build_parser,
     main,
     parse_request,
-    render_text,
     report_to_dict,
 )
 from eulerchar.curves import WeierstrassModel
@@ -265,22 +264,45 @@ def test_conjugate_places_share_one_record(monkeypatch, capsys):
 
 
 def test_text_and_json_carry_same_numbers(monkeypatch, capsys):
+    """The text report is the JSON document, in the text layout."""
     code, json_out, _ = _run(
         ["analyze", "-", "--format", "json"],
         stdin_text=json.dumps(REQ_TABLE),
         monkeypatch=monkeypatch,
         capsys=capsys,
     )
-    doc = json.loads(json_out)
-    text = render_text(doc)
-    assert f"chi_sigma: 7^{doc['chi_sigma']['exponent']}" in text
-    assert f"rho: 7^{doc['rho']['exponent']}" in text
-    assert f"tau_p: {doc['tau_p']}" in text
-    for place in doc["places"]:
-        assert place["L_at_1"] in text
-        assert place["kodaira"] in text
-    for row in doc["audit"]:
-        assert row["L_at_1"] in text
+    got, text, _ = _run(["analyze", "-", "--format", "text"], stdin_text=json.dumps(REQ_TABLE),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert got == code == 0
+    assert text == cli._to_text(json.loads(json_out)) + "\n"
+    assert "\nchi_sigma:\n  base: 7\n  exponent: 3\ntarget_chi_sigma:\n  exponent: 3\n" in text
+    assert "\nM_rational: [2, 3]\n" in text and "\ntau_p: 0\n" in text
+
+
+def test_text_layout():
+    """A leaf is `key: value`, a str as it is and any other leaf as in the
+    JSON; a list of leaves goes inline; an object indents its entries two
+    spaces; a list of objects is a table padded to each column's widest
+    entry, with no line ending in a space."""
+    doc = {
+        "name": "x y", "none": None, "yes": True, "no": False, "zero": 0, "big": "10" * 20,
+        "leaves": [2, 13], "strings": ["a"], "empty": [], "nothing": {},
+        "outer": {"inner": {"k": -1}, "after": "v"},
+        "rows": [{"place": "2#1", "q_v": "8", "n": None}, {"place": "13#10", "q_v": "1", "n": "7"}],
+        "last": 1,
+    }
+    assert cli._to_text(doc) == (
+        "name: x y\nnone: null\nyes: true\nno: false\nzero: 0\n"
+        f"big: {'10' * 20}\n"
+        'leaves: [2, 13]\nstrings: ["a"]\nempty: []\nnothing: {}\n'
+        "outer:\n  inner:\n    k: -1\n  after: v\n"
+        "rows:\n"
+        "  place  q_v  n\n"
+        "  2#1    8    null\n"
+        "  13#10  1    7\n"
+        "last: 1"
+    )
+    assert cli._to_text({"rows": [{"wide": "a", "b": "c"}]}) == "rows:\n  wide  b\n  a     c"
 
 
 def _twist_curve(d):
@@ -464,7 +486,9 @@ def test_subcommand_flags_rejected_at_their_pointer(capsys, argv, pointer):
 def test_numeric_flags_take_a_sign_and_leading_zeros(capsys):
     """`[+-]digits` admits a plus sign and leading zeros."""
     assert main(["splitting", "--ell", "+7", "--conductor", "07"]) == 0
-    assert capsys.readouterr().out == "7 in Q(mu_7): e=6 f=1 g=1 (residue field F_7)\n"
+    assert capsys.readouterr().out == (
+        "ell: 7\nconductor: 7\ne: 6\nf: 1\ng: 1\nresidue_field_size: 7\nlocal_degree: 6\n"
+        "degree: 6\n")
 
 
 def test_survey_reads_flags_with_the_subcommand_grammar():
@@ -495,23 +519,25 @@ def _survey():
 ])
 def test_survey_rows_match_the_report_places(curve, p, m, monkeypatch, capsys):
     """scripts/reduction_survey.py covers the primes of `euler.plan`, as
-    `analyze` does: with a reduction table that puts no prime in M, its row
-    for each prime shows the (e, f, g), type, c_v, class and N_v of that
-    prime's place rows in the report."""
+    `analyze` does: with a reduction table that puts no prime in M, its
+    `places` row for each prime shows the fields of that prime's place rows
+    in the report, in the same text, and the exponent of |L_v|_p."""
     monkeypatch.setattr(sys, "argv", ["reduction_survey.py", "--curve", curve,
                                       "--prime", str(p), "--conductor", str(m)])
     assert _survey().main() == 0
-    shown = {}
-    for line in capsys.readouterr().out.splitlines()[2:]:
-        ell, efg, _, kodaira, c_v, cls, n_v, *_ = line.split()
-        shown[int(ell)] = (efg, kodaira, c_v, cls, n_v)
+    out = capsys.readouterr().out
+    assert out.startswith(f"curve: {curve}\ndisc: ")
+    header, *rows = (line.split() for line in out.split("\nplaces:\n")[1].splitlines())
+    shown = {int(row[0]): dict(zip(header, row)) for row in rows}
     table = [{"prime": 2, "potentially_good": True, "good": False}]
     request = {"schema_version": 1, "curve": curve.split(","), "prime": p, "base_field": m,
                "abelian_variety": {"dimension": 1, "reduction_table": table}}
     doc = report_to_dict(analyze(**parse_request(request)))
     assert doc["M_rational"] == []
-    places = {row["ell"]: (f"({row['e']},{row['f']},{row['g']})", row["kodaira"], row["c_v"],
-                           row["reduction_class"], str(row["N_v"])) for row in doc["places"]}
+    places = {row["ell"]: {key: cli._text_value(value) for key, value in row.items()
+                           if key != "place"} for row in doc["places"]}
+    for fields in places.values():
+        fields["abs_L_p_exponent"] = str(-vp(Fraction(fields["L_at_1"]), p))
     assert shown == places
 
 
@@ -567,7 +593,9 @@ def test_flag_table_names_each_readers_pointer(command, flag, read):
 def test_splitting_accepts_wild_conductors(capsys):
     """splitting computes no local data, so it keeps every m >= 1."""
     assert main(["splitting", "--ell", "7", "--conductor", "49"]) == 0
-    assert capsys.readouterr().out == "7 in Q(mu_49): e=42 f=1 g=1 (residue field F_7)\n"
+    assert capsys.readouterr().out == (
+        "ell: 7\nconductor: 49\ne: 42\nf: 1\ng: 1\nresidue_field_size: 7\nlocal_degree: 42\n"
+        "degree: 42\n")
 
 
 def test_numeric_forms():
@@ -771,8 +799,8 @@ def test_dimension_disagreeing_with_factors_rejected(monkeypatch, capsys):
 
 
 def test_text_columns_widen_for_large_places(monkeypatch, capsys):
-    """A 20-digit place widens the place and q_v columns of every row and
-    keeps a space between its label and q_v; the discriminant
+    """A 20-digit place widens the place, ell and q_v columns of every row,
+    two spaces past the widest entry; the discriminant
     -2^4 * 953 * 284447 * 14855503647295757729 also needs Pollard rho to
     find that place at all."""
     big = 14855503647295757729
@@ -786,10 +814,11 @@ def test_text_columns_widen_for_large_places(monkeypatch, capsys):
     code, out, _ = _run(["analyze", "-", "--format", "text"], stdin_text=json.dumps(req),
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2
-    rows = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()
-    assert rows[-1].startswith(f"  {big}#1 {big}  I1 ")
-    assert rows[1] == "  2#1" + " " * 39 + "2  II         1  Additive              None  1"
-    assert all(row.split()[0].endswith("#1") for row in rows[1:])  # label, then q_v
+    rows = out.split("places:\n")[1].split("\ntorsion:")[0].splitlines()
+    assert rows[-1].startswith(f"  {big}#1  {big}  1  1  1  {big}  I1 ")
+    assert rows[1] == ("  2#1" + " " * 21 + "2" + " " * 21 + "1  1  1  2" + " " * 21
+                       + "II       1    4            Additive         true              null  1")
+    assert all(row.split()[0].endswith("#1") for row in rows[1:])  # label, then ell
 
 
 def test_parser_builds():
@@ -888,7 +917,7 @@ def test_import_and_plain_calls_load_no_dataclasses_or_argparse():
     )
     imported, called = (set(line.split()) for line in done.stderr.splitlines())
     assert "eulerchar.cli" in imported
-    assert done.stdout.startswith("7 in Q(mu_7): e=6 f=1 g=1")
+    assert done.stdout.startswith("ell: 7\nconductor: 7\ne: 6\nf: 1\ng: 1\n")
     for added in (imported, called):
         assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
         outside = {name for name in added if name.partition(".")[0] != "eulerchar"
@@ -1241,7 +1270,7 @@ def test_schema_example_is_a_valid_request(monkeypatch, capsys):
     code, out, err = _run(["analyze", "-"], stdin_text=SCHEMA_EXAMPLE,
                           monkeypatch=monkeypatch, capsys=capsys)
     assert code in (0, 2, 3), err
-    assert out.startswith("status: ")
+    assert out.startswith("schema_version: 1\nstatus: ")
 
 
 @pytest.mark.parametrize("text", [
@@ -1292,12 +1321,9 @@ def test_report_status_sets_the_exit_code(monkeypatch, capsys, text, status, cod
     assert (got, json.loads(out)["status"]) == (code, status)
 
 
-def _column_offsets(row: str, aligns: str, token: str) -> list[int]:
-    """Where each column of a text-table row sits: the start of a
-    left-aligned entry, the end of a right-aligned one."""
-    spans = [m.span() for m in re.finditer(token, row)]
-    assert len(spans) == len(aligns), row
-    return [start if a == "l" else end for (start, end), a in zip(spans, aligns)]
+def _column_starts(row: str) -> list[int]:
+    """Where each entry of a text-table row starts."""
+    return [m.start() for m in re.finditer(r"\S+", row)]
 
 
 @pytest.mark.parametrize(
@@ -1308,9 +1334,9 @@ def _column_offsets(row: str, aligns: str, token: str) -> list[int]:
     ],
 )
 def test_text_columns_line_up(monkeypatch, capsys, curve, prime, conductor, factor, wide):
-    """Every row of the places and audit tables, and the header of the
-    places table, puts its columns at the same offsets, also when an entry
-    is wider than its column's default."""
+    """Every row of the places and audit tables puts each entry where its
+    header puts the column's key, also when an entry is wider than the
+    key, and no line ends in a space."""
     req = {
         "schema_version": 1,
         "curve": curve,
@@ -1322,39 +1348,42 @@ def test_text_columns_line_up(monkeypatch, capsys, curve, prime, conductor, fact
     code, out, _ = _run(["analyze", "-", "--format", "text"], stdin_text=json.dumps(req),
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code in (0, 2)
-    places = out.split("places:\n")[1].split("\ntorsion")[0].splitlines()
-    assert places[0].split() == ["place", "q_v", "kodaira", "c_v", "class", "N_v", "L(E,1)"]
-    audit = out.split("exponents):\n")[1].split("\ntau_p")[0].splitlines()
+    doc = report_to_dict(analyze(**parse_request(req)))
+    places = out.split("\nplaces:\n")[1].split("\ntorsion:")[0].splitlines()
+    audit = out.split("\naudit:\n")[1].split("\ntau_p")[0].splitlines()
+    assert places[0].split() == list(doc["places"][0])
+    assert audit[0].split() == list(doc["audit"][0])
     assert any(wide in row for row in places) and any(wide in row for row in audit)
-    for rows, aligns, token in (
-        (places, "lrlrlrl", r"\S+"),
-        # place, q=, q_v, class, L=, L_at_1, vp_L=, vp_L, contribution=, ..., gamma_exp=, ...
-        (audit, "llrllllrlrll", r"[^\s=]+"),
-    ):
-        assert len({tuple(_column_offsets(row, aligns, token)) for row in rows}) == 1
+    for rows in (places, audit):
+        assert len({tuple(_column_starts(row)) for row in rows}) == 1
+    assert not any(line.endswith(" ") for line in out.splitlines())
 
 
-def test_text_columns_keep_their_defaults():
-    """Tables whose entries fit the default widths, and the header labels,
-    print at the default widths; the kodaira label is one wider than its
-    default, so that column is as wide as the label."""
-    text = render_text(report_to_dict(analyze(**parse_request(REQ_TABLE))))
+def test_text_tables_pad_each_column_to_its_widest_entry():
+    """Each column is as wide as its widest entry, header included, and two
+    spaces part it from the next."""
+    text = cli._to_text(report_to_dict(analyze(**parse_request(REQ_TABLE))))
     assert (
-        "places:\n"
-        "  place       q_v  kodaira  c_v  class                  N_v  L(E,1)\n"
-        "  2#1           8  I1         1  MultSplit             None  8/7\n"
-        "  2#2           8  I1         1  MultSplit             None  8/7\n"
-        "  3#1         729  I1         1  MultSplit             None  729/728\n"
-        "  7#1           7  I0         1  GoodOrdinary             7  1\n"
+        "\nplaces:\n"
+        "  place  ell  e  f  g  q_v  kodaira  c_v  v_min_delta  reduction_class"
+        "  potentially_good  N_v   L_at_1\n"
+        "  2#1    2    1  3  2  8    I1       1    1            MultSplit        false"
+        "             null  8/7\n"
+        "  2#2    2    1  3  2  8    I1       1    1            MultSplit        false"
+        "             null  8/7\n"
+        "  3#1    3    1  6  1  729  I1       1    1            MultSplit        false"
+        "             null  729/728\n"
+        "  7#1    7    6  1  1  7    I0       1    0            GoodOrdinary     true"
+        "              7     1\n"
+        "torsion:\n"
     ) in text
     assert (
-        "audit (per-place |L_v|_p exponents):\n"
-        "  2#1     q=      8  MultSplit          L=8/7          vp_L= -1  contribution= 1"
-        "  gamma_exp=1\n"
-        "  2#2     q=      8  MultSplit          L=8/7          vp_L= -1  contribution= 1"
-        "  gamma_exp=1\n"
-        "  3#1     q=    729  MultSplit          L=729/728      vp_L= -1  contribution= 1"
-        "  gamma_exp=1\n"
+        "\naudit:\n"
+        "  place  q_v  reduction_class  L_at_1   vp_L  contribution  gamma_kernel_exponent\n"
+        "  2#1    8    MultSplit        8/7      -1    1             1\n"
+        "  2#2    8    MultSplit        8/7      -1    1             1\n"
+        "  3#1    729  MultSplit        729/728  -1    1             1\n"
+        "tau_p: 0\n"
     ) in text
 
 

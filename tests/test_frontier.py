@@ -29,7 +29,8 @@ def test_measure_reports_a_finished_row_and_a_timeout():
     finished = measure({"argv": ["splitting", "--ell", "7", "--conductor", "1"], "stdin": "",
                         "cap": 30})
     assert (finished["exit"], finished["stdout_bytes"]) == (0, len(
-        "7 in Q(mu_1): e=1 f=1 g=1 (residue field F_7)\n"))
+        "ell: 7\nconductor: 1\ne: 1\nf: 1\ng: 1\nresidue_field_size: 7\nlocal_degree: 1\n"
+        "degree: 1\n"))
     assert finished["peak_rss_mb"] > 1
     # factoring m - 1 = 2 * 12 * (10^18 + 3) * (10^18 + 9) runs past a minute
     slow = measure({"argv": ["splitting", "--ell", "2", "--conductor",

@@ -46,7 +46,24 @@ def _replay(rows, monkeypatch, capsys, before_each=lambda: None) -> list:
 
 def test_golden_reports(monkeypatch, capsys):
     assert _replay(ROWS, monkeypatch, capsys) == []
-    assert len(ROWS) >= 110
+    assert len(ROWS) >= 114
+
+
+def test_text_rows_print_no_python_repr(monkeypatch, capsys):
+    """Every row that prints text prints the document's leaves as the JSON
+    does: no None, True, False or dict repr."""
+    monkeypatch.chdir(ROOT)
+    printed = {}
+    for row in ROWS:
+        if not {"json", "--format=json"} & set(row["argv"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(row["stdin"]))
+            main(row["argv"])
+            printed[row["name"]] = capsys.readouterr().out
+    texts = {name: out for name, out in printed.items() if out}
+    assert {"local", "splitting", "torsion", "tau", "coranks", "count", "analyze"} == {
+        row["argv"][0] for row in ROWS if row["name"] in texts}
+    for name, out in texts.items():
+        assert not any(word in out for word in ("None", "True", "False", "{'")), name
 
 
 def test_memos_never_change_a_report(monkeypatch, capsys, library_caches):
