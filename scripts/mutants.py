@@ -19,7 +19,11 @@ snapshot, as `python -m pytest -x -q tests` under a per-mutant cap, at most
 two at a time.  A mutant is killed when the tests fail, hung when the cap
 or the tests' own hang watchdog ends it, and survives when the tests pass.
 The script prints one line per mutant, then the killed, hung and surviving
-counts per module, and each survivor's line of source.
+counts per module, and each survivor's line of source.  A survivor listed
+in tests/data/mutants.json, an equivalent mutant with the reason it is
+one, counts as known and is not printed again; each entry names its site
+by module, operator and the text of the lines it edits, before and after
+(`site_text`), not by line number.
 
 Examples:
   python scripts/mutants.py --sample 40 --seed 7
@@ -29,6 +33,7 @@ Examples:
 import argparse
 import ast
 import contextlib
+import json
 import os
 import random
 import re
@@ -44,6 +49,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "eulerchar"
+KNOWN = ROOT / "tests" / "data" / "mutants.json"
 WORKERS = 2
 # seconds a mutant may run: tier-1 takes about 30 to 80 s, and the hang
 # watchdog of tests/conftest.py ends one test after 120 s
@@ -134,6 +140,30 @@ def apply(source: str, mutant: Mutant) -> str:
     return source
 
 
+def site_text(source: str, mutant: Mutant) -> tuple[str, str]:
+    """The lines of source that the mutant edits, each stripped and joined by
+    a space, before and after the edit."""
+    first = source.count("\n", 0, min(at for at, _, _ in mutant.edits))
+    last = source.count("\n", 0, max(at for at, _, _ in mutant.edits))
+
+    def text(s: str) -> str:
+        return " ".join(line.strip() for line in s.splitlines()[first:last + 1])
+    return text(source), text(apply(source, mutant))
+
+
+def site_key(source: str, mutant: Mutant) -> tuple[str, str, str, str]:
+    """(module, operator, source, mutant): how tests/data/mutants.json
+    names a site."""
+    return (mutant.module, mutant.operator, *site_text(source, mutant))
+
+
+def known_mutants() -> dict:
+    """The equivalent mutants of tests/data/mutants.json, each reason by its
+    `site_key`."""
+    entries = json.loads(KNOWN.read_text(encoding="utf-8"))
+    return {(e["module"], e["operator"], e["source"], e["mutant"]): e["reason"] for e in entries}
+
+
 def library_mutants(root: Path, modules) -> list[Mutant]:
     found = []
     for module in modules:
@@ -192,7 +222,10 @@ def main() -> int:
         sample = random.Random(args.seed).sample(found, min(args.sample, len(found)))
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             outcomes = list(pool.map(lambda m: run(snapshot, m), sample))
-        lines = {module: _source(snapshot, module).splitlines() for module in chosen}
+        sources = {module: _source(snapshot, module) for module in chosen}
+    known = known_mutants()
+    outcomes = [("known" if outcome == "survived" and site_key(sources[m.module], m) in known
+                 else outcome, seconds) for m, (outcome, seconds) in zip(sample, outcomes)]
     for mutant, (outcome, seconds) in zip(sample, outcomes):
         print(f"{outcome:<8} {mutant.module}.py:{mutant.line} {mutant.operator} "
               f"{mutant.old} -> {mutant.new}  ({seconds:.0f} s)")
@@ -201,12 +234,12 @@ def main() -> int:
         got = [outcome for m, (outcome, _) in zip(sample, outcomes) if m.module == module]
         sites = sum(m.module == module for m in found)
         print(f"{module}: " + ", ".join(f"{got.count(kind)} {kind}"
-                                        for kind in ("killed", "hung", "survived"))
+                                        for kind in ("killed", "hung", "survived", "known"))
               + f" of {len(got)} sampled from {sites} sites")
     for mutant, (outcome, _) in zip(sample, outcomes):
         if outcome == "survived":
             print(f"survivor {mutant.module}.py:{mutant.line} {mutant.old} -> {mutant.new}: "
-                  f"{lines[mutant.module][mutant.line - 1].strip()}")
+                  f"{site_text(sources[mutant.module], mutant)[0]}")
     return 0
 
 

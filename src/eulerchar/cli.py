@@ -367,44 +367,39 @@ def report_to_dict(report: EulerCharReport) -> dict:
 
 
 def _to_json(value, indent: str = "\n") -> str:
-    """value as `json.dumps(value, indent=2)` writes it, for the JSON-native
-    values a document holds; that encoder runs in pure Python whenever it
-    indents.  indent is the newline and indentation that precede value's
-    closing bracket.  Any other type, a float or a tuple say, and a non-str
-    key raise TypeError.
+    """value, a document or a container in one, as `json.dumps(value,
+    indent=2)` writes it, for the JSON-native values a document holds; that
+    encoder runs in pure Python whenever it indents.  indent is the newline
+    and indentation that precede value's closing bracket.  Any other type,
+    a leaf at the top, a float or a tuple say, and a non-str key raise
+    TypeError.
 
-    A container writes its leaves inline, by the same exact-type tests as
-    the value itself, and recurses only into the containers it holds."""
+    A container writes its leaves inline, by exact-type tests, and recurses
+    only into the containers it holds."""
     kind = type(value)  # the exact type: a bool is no int, a record no list
-    if kind is dict or kind is list:
-        if not value:
-            return "{}" if kind is dict else "[]"
-        inner = indent + "  "
-        is_dict = kind is dict
-        items = []
-        # a list item stands in as its own key, which only a dict's items use
-        for key, v in value.items() if is_dict else zip(value, value):
-            leaf = type(v)
-            if leaf is str:
-                v = _quote(v)
-            elif leaf is int:
-                v = int.__repr__(v)
-            elif v is None or leaf is bool:
-                v = "null" if v is None else "true" if v else "false"
-            else:
-                v = _to_json(v, inner)
-            # _quote raises TypeError on a non-str key
-            items.append(f"{_quote(key)}: {v}" if is_dict else v)
-        if is_dict:
-            return f"{{{inner}" + f",{inner}".join(items) + f"{indent}}}"
-        return f"[{inner}" + f",{inner}".join(items) + f"{indent}]"
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    raise TypeError(f"a {kind.__name__} has no place in a JSON document")
+    if kind is not dict and kind is not list:
+        raise TypeError(f"a {kind.__name__} has no place here in a JSON document")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    is_dict = kind is dict
+    items = []
+    # a list item stands in as its own key, which only a dict's items use
+    for key, v in value.items() if is_dict else zip(value, value):
+        leaf = type(v)
+        if leaf is str:
+            v = _quote(v)
+        elif leaf is int:
+            v = int.__repr__(v)
+        elif v is None or leaf is bool:
+            v = "null" if v is None else "true" if v else "false"
+        else:
+            v = _to_json(v, inner)
+        # _quote raises TypeError on a non-str key
+        items.append(f"{_quote(key)}: {v}" if is_dict else v)
+    if is_dict:
+        return f"{{{inner}" + f",{inner}".join(items) + f"{indent}}}"
+    return f"[{inner}" + f",{inner}".join(items) + f"{indent}]"
 
 
 def _text_value(value) -> str:
@@ -472,6 +467,7 @@ def _read_curve(value) -> WeierstrassModel:
 
 
 _read_prime = _integer("/prime", _parse_prime, minimum=5)  # the formula's p >= 5
+_read_ell = _integer("/ell", _parse_prime)
 _read_conductor = _integer("/base_field", _parse_conductor)
 _read_samples = _integer("/samples", _parse_samples)
 _read_precision = _integer("/precision_digits", _parse_precision)
@@ -556,6 +552,13 @@ def _cmd_count(args):
     return {"ell": ell, "degree": degree, "q": str(ell**degree), "count": str(n)}, 0
 
 
+# the argument rows that several subcommands share
+_CURVE = ("--curve", dict(required=True, help="a1,a2,a3,a4,a6"), _read_curve)
+_ELL = ("--ell", dict(required=True), _read_ell)
+_PRIME = ("--prime", dict(required=True), _read_prime)
+_CONDUCTOR = ("--conductor", dict(default=1), _read_conductor)
+_PRECISION = ("--precision-digits", {}, _read_precision)
+
 # each subcommand: its handler, its help line, its arguments as
 # (name or flag, add_argument keywords, reader), and the pointer at which it
 # reports each library refusal; `main` reports any other refusal at /
@@ -563,40 +566,30 @@ _COMMANDS = {
     "analyze": (_cmd_analyze, "run the full pipeline on a JSON request", (
         ("request", dict(help="request file path, or - for stdin"), str),
         ("--samples", {}, _read_samples),
-        ("--precision-digits", {}, _read_precision),
+        _PRECISION,
     ), {TorsionCertificateError: "/external/torsion_p_override",
         UnprintableFieldError: "/base_field"}),
     "local": (_cmd_local, "Tate data and Euler factor at one place", (
-        ("--curve", dict(required=True, help="a1,a2,a3,a4,a6"), _read_curve),
-        ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
-        ("--conductor", dict(default=1), _read_conductor),
-        ("--precision-digits", {}, _read_precision),
+        _CURVE, _ELL, _CONDUCTOR, _PRECISION,
     ), {UnprintableFieldError: "/base_field", CountCapError: "/ell"}),
     "splitting": (_cmd_splitting, "(e, f, g) of a prime in Q(mu_m)", (
-        ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
+        _ELL,
         # splitting computes no local data, so any m >= 1 will do
         ("--conductor", dict(required=True), _integer("/base_field", minimum=1)),
     ), {UnprintableFieldError: "/base_field"}),
     "torsion": (_cmd_torsion, "p-primary torsion bracket over Q(mu_m)", (
-        ("--curve", dict(required=True), _read_curve),
-        ("--prime", dict(required=True), _read_prime),
-        ("--conductor", dict(default=1), _read_conductor),
+        _CURVE, _PRIME, _CONDUCTOR,
         ("--samples", dict(default=DEFAULT_SAMPLES), _read_samples),
     ), {UnprintableFieldError: "/base_field"}),
     "tau": (_cmd_tau, "sum of local degrees at supersingular places above p", (
-        ("--curve", dict(required=True), _read_curve),
-        ("--prime", dict(required=True), _read_prime),
-        ("--conductor", dict(default=1), _read_conductor),
+        _CURVE, _PRIME, _CONDUCTOR,
     ), {CountCapError: "/prime"}),
     "coranks": (_cmd_coranks, "corank window and tower predictions", (
-        ("--curve", dict(required=True), _read_curve),
-        ("--prime", dict(required=True), _read_prime),
-        ("--conductor", dict(default=1), _read_conductor),
+        _CURVE, _PRIME, _CONDUCTOR,
         ("--sigma-index", {}, _integer("/external/sigma_index_R", minimum=1)),
     ), {CountCapError: "/prime"}),
     "count": (_cmd_count, "raw point count over F_{ell^f}", (
-        ("--curve", dict(required=True), _read_curve),
-        ("--ell", dict(required=True), _integer("/ell", _parse_prime)),
+        _CURVE, _ELL,
         ("--degree", dict(default=1), _integer("/degree", minimum=1)),
     ), {UnprintableFieldError: "/degree", CountCapError: "/ell"}),
 }

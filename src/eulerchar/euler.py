@@ -30,7 +30,7 @@ from .curves import (
 )
 from .cyclotomic import CyclotomicSplitting, field_degree, splitting
 from .tate import GOOD_ORDINARY, LocalField, LocalReductionData, pot_supersingular, tate_algorithm
-from .valuations import factorize, is_prime, vp
+from .valuations import check_formula_prime, factorize, vp
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -173,13 +173,15 @@ def check_hypotheses(
     the order of the table below.
 
     Statuses: PASS (verified), ASSUMED (user certificate), FAIL.  The table
-    is always produced; no clause failure aborts the computation.
+    is always produced; no clause failure aborts the computation.  Any p
+    but a prime >= 5 is refused (`check_formula_prime`), so the first clause
+    always passes.
     """
+    check_formula_prime(p)
     threshold = 2 * A.dimension + 1
     cls = e_data_at_p.reduction_class
     clauses = {
-        "p_prime_at_least_5": (PASS, f"p = {p}") if is_prime(p) and p >= 5
-        else (FAIL, f"p = {p} is not a prime >= 5"),
+        "p_prime_at_least_5": (PASS, f"p = {p}"),
         "sigma_no_p_torsion": (PASS, f"p = {p} > 2*dim(A) + 1 = {threshold}") if p > threshold
         else (ASSUMED, "certified by no_p_torsion_certificate") if ext.no_p_torsion_certificate
         else (FAIL, f"p = {p} <= {threshold} and no certificate supplied"),

@@ -19,9 +19,8 @@ data depends only on the field, so this pi serves as well as zeta - 1.
 
 v(Delta) is never evaluated in the pi-adic field: every
 rational integer x = ell^v u has v(x) = e v, so v(Delta) = e * v_ell(disc)
-of the model over Q, which is integral.  At every ell, v(Delta) = 0 means
-good reduction, and the residues of the model are those of the reduced
-curve.  Past that, the residue characteristic picks the route.
+of the model over Q, which is integral.  The residue characteristic picks
+the route, and every place of that characteristic, good or bad, takes it.
 
 Residue characteristic >= 5: a closed form, with no step that grows with e
 (Papadopoulos 1993; Silverman, Advanced Topics, IV.9).  The short model
@@ -35,18 +34,20 @@ Delta over powers of pi, as in PARI's `elllocalred` at p >= 5.  As
 pi^(e v) = c^v, the residue of x / pi^(e v) is u (ell/c)^v mod ell, a
 sign (-1)^v at the cyclotomic layer e = ell - 1 > 1, where c = -ell.  A
 nonzero residue is a square in F_{ell^f} whenever f is even; for odd f,
-Euler's criterion decides.  A place that is good after the scaling is
-counted from the residues of the scaled short model.
+Euler's criterion decides.  A good place, v(Delta_min) = 0, is counted
+from the residues of the scaled short model: at ell >= 5 it is isomorphic
+to the reduction of the model given, so isomorphic models share one count.
 
 Residue characteristic 2 and 3: the classical step ladder (I0, I_n, II,
 III, IV, I0*, I_n*, IV*, III*, II*, rescale), which works at every residue
 characteristic and serves the tests as the oracle of the closed form at
-ell >= 5.  Residues are integers mod ell, and every division in the
-residue field is an inverse pow(x, -1, ell).  Residue characteristic 2
-needs two non-generic normalizations, both solved by square roots in F_2,
-which Frobenius fixes: the coordinate change before the step-6 cubic uses
-s = a2 mod pi and t = pi * (a6 / pi^2 mod pi); everything else divides only
-by units.  Singular points and multiple roots come from closed-form
+ell >= 5.  At v(Delta) = 0 the residues of the model are those of the
+reduced curve, which is counted.  Residues are integers mod ell, and every
+division in the residue field is an inverse pow(x, -1, ell).  Residue
+characteristic 2 needs two non-generic normalizations, both solved by
+square roots in F_2, which Frobenius fixes: the coordinate change before
+the step-6 cubic uses s = a2 mod pi and t = pi * (a6 / pi^2 mod pi);
+everything else divides only by units.  Singular points and multiple roots come from closed-form
 solutions (the cube root in characteristic 3 is the identity on F_3 too),
 and each residue quadratic or cubic is read by one call to
 `polynomials.residue_roots`: its root count in F_{ell^f} and its multiple
@@ -115,7 +116,7 @@ from .curves import (
     model_with_j_invariant,
 )
 from .polynomials import is_square, residue_roots
-from .valuations import int_valuation, is_prime
+from .valuations import check_formula_prime, int_valuation, is_prime
 
 GOOD_ORDINARY = "GoodOrdinary"
 GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -394,12 +395,7 @@ def tate_algorithm(model: WeierstrassModel, K: LocalField, f: int = 1) -> LocalR
     (for good reduction) residue point count of a model over Q at a place
     with ramification index K.e and residue field F_{ell^f}: the closed form
     at ell >= 5, the step ladder at ell in {2, 3}."""
-    if K.ell < 5:
-        return _ladder(model, K, f)
-    inv, v_disc, pole, place = _place(model, K, f)
-    if not v_disc:
-        return _good_data([c % K.ell for c in model], place)
-    return _closed_form(inv, v_disc, pole, K, place)
+    return (_ladder if K.ell < 5 else _closed_form)(model, K, f)
 
 
 def _place(model: WeierstrassModel, K: LocalField, f: int):
@@ -433,16 +429,17 @@ _POTENTIALLY_GOOD = {
 }
 
 
-def _closed_form(inv, v_disc: int, pole: int, K: LocalField, place: tuple) -> LocalReductionData:
+def _closed_form(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionData:
     """Local data at ell >= 5 off the valuations over K of the model's c4,
-    c6 and Delta = (c4^3 - c6^2)/1728, given v_ell(Delta) > 0 and the pole
-    order of j.
+    c6 and Delta = (c4^3 - c6^2)/1728 and the pole order of j, at every
+    place, good ones included.
 
     The short model y^2 = x^3 - 27 c4 x - 54 c6 scaled by pi^k,
     k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal; its invariants are
     c4/pi^4k, c6/pi^6k and Delta/pi^12k.  Every c_v test follows PARI's
     `elllocalred` at p >= 5 with pi in place of p."""
-    ell, e, f = K.ell, K.e, place[2]
+    inv, v_disc, pole, place = _place(model, K, f)
+    ell, e = K.ell, K.e
     c4, c6 = inv.c4, inv.c6
     v_c4 = int_valuation(c4, ell) if c4 else None
     v_c6 = int_valuation(c6, ell) if c6 else None
@@ -694,8 +691,7 @@ def pot_supersingular(model: WeierstrassModel, p: int) -> bool:
     that j-invariant decides it: it is supersingular iff a_p = p + 1 - N is
     0 mod p, i.e. N = 1 mod p (Silverman, AEC V.3-V.4).
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
+    check_formula_prime(p)
     inv = invariants(model)
     if inv.j_pole_order(p):
         return False

@@ -49,6 +49,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_formula_prime(p: int) -> None:
+    """Refuse every p but a prime >= 5, the primes the Euler-characteristic
+    formula takes."""
+    if p < 5 or not is_prime(p):
+        raise ValueError("p must be a prime >= 5")
+
+
 def int_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer n; p is not checked.  Raises
     ValueError for n = 0."""

@@ -976,17 +976,15 @@ _json_leaf = st.one_of(
 )
 
 
-def _json_trees(depth: int):
-    """JSON-native trees nesting at most depth containers deep."""
-    if depth == 0:
-        return _json_leaf
-    children = _json_trees(depth - 1)
-    return st.one_of(_json_leaf, st.lists(children, max_size=4),
+def _json_containers(depth: int):
+    """JSON-native arrays and objects nesting at most depth containers deep."""
+    children = _json_leaf if depth == 1 else st.one_of(_json_leaf, _json_containers(depth - 1))
+    return st.one_of(st.lists(children, max_size=4),
                      st.dictionaries(_json_text, children, max_size=4))
 
 
 @settings(max_examples=500, deadline=None)
-@given(_json_trees(5))
+@given(_json_containers(5))
 def test_report_encoder_matches_the_stdlib(tree):
     """A JSON report is what `json.dumps(tree, indent=2)` writes, and a
     newline."""
@@ -1010,13 +1008,15 @@ class _Str(str):
 @pytest.mark.parametrize(
     "value",
     [1.5, {"x": 0.0}, (1, 2), [_Record(1)], {1: "a"}, {"a": {None: 1}}, {True: 1},
-     {"a": _Int(1)}, [_Str("x")], {"a": [1.5]}, _Int(1), _Str("x"), [True, _Int(0)]],
+     {"a": _Int(1)}, [_Str("x")], {"a": [1.5]}, _Int(1), _Str("x"), [True, _Int(0)],
+     "x", 1, True, None],
 )
 def test_report_encoder_refuses_what_no_document_holds(value):
     """A float, a tuple, a record, a subclass of int or str, or a non-str
     key in a document is a bug, at the top or as a leaf inside a container,
-    which encodes its leaves inline: the encoder raises TypeError, where
-    json.dumps would print something."""
+    which encodes its leaves inline; so is a bare leaf, which is no
+    document: the encoder raises TypeError, where json.dumps would print
+    something."""
     with pytest.raises(TypeError):
         cli._to_json(value)
 

@@ -147,10 +147,9 @@ def test_check_hypotheses_statuses():
 
 
 def test_check_hypotheses_failures():
-    rows = check_hypotheses(TABLE_23, 3, 7, EXT_FULL, local_data_at(E294, 3, 7))
-    by_name = {r.name: r for r in rows}
-    assert by_name["p_prime_at_least_5"].status == FAIL
-    assert any(r.status == FAIL for r in rows)
+    # p = 3 is refused, not audited: the first clause cannot FAIL
+    with pytest.raises(ValueError, match="p must be a prime >= 5"):
+        check_hypotheses(TABLE_23, 3, 7, EXT_FULL, local_data_at(E294, 3, 7))
 
     # supersingular at p: y^2 = x^3 + 1 at p = 5
     rows2 = check_hypotheses(

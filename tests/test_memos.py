@@ -36,6 +36,19 @@ def test_count_memo_is_keyed_by_residues_without_the_degree():
     assert curves._count_prime_field.cache_info()[:2] == (1, 1)
 
 
+def test_isomorphic_models_share_one_count_at_a_good_place():
+    """At a good ell >= 5 Tate's algorithm counts the short model of c4 and
+    c6, not the residues of the model given: E and its translate by
+    x -> x + 1, whose residues mod 11 differ, ask the count memo one
+    question and get one N_v."""
+    shifted = WeierstrassModel.from_rationals([1, 3, 1, 2, -1])
+    inv, inv_shifted = invariants(E294), invariants(shifted)
+    assert (inv.c4, inv.c6) == (inv_shifted.c4, inv_shifted.c6)
+    assert [c % 11 for c in E294] != [c % 11 for c in shifted]
+    assert local_data_at(E294, 11, 1).N_v == local_data_at(shifted, 11, 1).N_v
+    assert curves._count_prime_field.cache_info()[:2] == (1, 1)
+
+
 def test_torsion_memo_is_keyed_by_the_integral_model():
     """[-1, 2, 2, 0, 0] with a_i / 2^i has a point of order 7; read from
     rationals it is the integral model a_i * 4^i, and it and that model

@@ -52,3 +52,28 @@ def test_every_library_site_of_the_cli_parses():
     assert len(found) > 50
     for mutant in found:
         ast.parse(mutants.apply(source, mutant))
+
+
+def test_every_known_mutant_names_one_current_site():
+    """Each equivalent mutant of tests/data/mutants.json, with its reason,
+    matches exactly one site of today's library, so that an edit which
+    moves or removes its site fails here rather than going stale."""
+    mutants = _mutants()
+    known = mutants.known_mutants()
+    assert known
+    for key, reason in known.items():
+        module = key[0]
+        source = mutants._source(ROOT, module)
+        matches = [m for m in mutants.mutants(module, source) if mutants.site_key(source, m) == key]
+        assert len(matches) == 1, key
+        assert reason.strip(), key
+
+
+def test_site_text_spans_the_lines_a_mutant_edits():
+    mutants = _mutants()
+    source = "x = (a and\n     b)\n"
+    (boolop,) = [m for m in mutants.mutants("m", source) if m.operator == "boolop"]
+    assert mutants.site_text(source, boolop) == ("x = (a and", "x = (a or")
+    multi = "x = (a and\n     b and c)\n"
+    (boolop,) = [m for m in mutants.mutants("m", multi) if m.operator == "boolop"]
+    assert mutants.site_text(multi, boolop) == ("x = (a and b and c)", "x = (a or b or c)")
