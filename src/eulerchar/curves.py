@@ -2,18 +2,21 @@
 division polynomials on integers, and p-primary torsion bounds.  A curve
 over Q is read from rational a-invariants and carried as its integral model
 a_i * d^i, d the lcm of their denominators: every coefficient and every
-b-, c-invariant and Delta is an int, and j is the one Fraction.  psi_n is
-built in the one polynomial format of `polynomials`, dense integer lists
-low to high, and reaches `rational_roots` as such a list.  The rational
-lower bound lifts the roots of psi_p ell-adically and keeps a root x0 when
-the points above it are rational, which is a square test on the
-discriminant of
+b-, c-invariant and Delta is an int, and j is the one Fraction.  psi_5 and
+psi_7, the only division polynomials built, are in the one polynomial format
+of `polynomials`, dense integer lists low to high, and reach
+`rational_roots` as such lists.  The rational lower bound lifts the roots of
+psi_p ell-adically and keeps a root x0 when the points above it are
+rational, which is a square test on the discriminant of
 y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
 
-Every count goes through `count_residues`, which takes the a-invariants as
+A count of a-invariants goes through `count_residues`, which takes them as
 integers mod ell; `count_points` hands it the residues of a model from
-`reduce_model`.  A curve held fixed while the conductor climbs a tower keeps
-#E(F_ell) and E(Q)[p], so both are memoized in bounded module-level
+`reduce_model`.  At ell >= 5 it hands c4 and c6 mod ell to
+`count_invariants`, which Tate's closed form calls too, so a curve is
+counted once whatever model asks; at ell in {2, 3} it counts the at most 9
+affine points itself.  A curve held fixed while the conductor climbs a tower
+keeps #E(F_ell) and E(Q)[p], so both are memoized in bounded module-level
 `functools.lru_cache`s, as are the square-root tables of the O(ell) counting
 kernel; the *_MEMO_SIZE constants bound them.  Every value is immutable, and
 a call that raises stores nothing.
@@ -48,12 +51,12 @@ DEFAULT_SAMPLES = 20
 SAMPLE_BOUND = 10_000
 MAX_SAMPLES = 1000
 
-# Memo sizes.  #E(F_ell) by (ell, residues): a tower pass counts 57 distinct
-# curves, and a census pass (seed 1) from empty memos misses 1,242 times and
-# hits 2,344 times, as residues mod small ell recur across census curves and
-# at a good ell >= 5 isomorphic models share the count of one short model
+# Memo sizes.  #E(F_ell) by (ell, a, b) of the short model, ell >= 5: a
+# tower pass counts 48 distinct curves, and a census pass (seed 1) from empty
+# memos misses 882 times and hits 1,928 times, as curves mod small ell recur
+# across census curves and the sampler and Tate's algorithm ask one question
 COUNT_MEMO_SIZE = 256
-# square-root tables, one per prime up to MESTRE_BOUND: there are 50
+# square-root tables, one per prime 5 <= ell <= MESTRE_BOUND: there are 48
 SQUARE_TABLE_MEMO_SIZE = 64
 # rational p-torsion orders by (model, p): a tower pass needs 2
 TORSION_MEMO_SIZE = 64
@@ -192,62 +195,69 @@ def count_points(model: WeierstrassModel, f: int = 1) -> int:
 
 def count_residues(coeffs, ell: int, f: int = 1) -> int:
     """#E(F_{ell^f}) including infinity, for the curve over F_ell whose
-    a-invariants are the integers coeffs mod ell: the library's one
-    counting entry.
+    a-invariants are the integers coeffs mod ell: the counting entry for
+    a-invariants.
 
-    It is counted over F_ell (`_count_prime_field`: O(ell^{1/4}) group
-    operations above ell = 229, a pass over the x-fibers at or below), and
-    the count over F_{ell^f} follows from the Frobenius trace recurrence
-    (`extension_count`, which also checks the Hasse bound).  Every curve the
-    pipeline counts is defined over F_ell, since every choice in Tate's
-    algorithm is canonical.  ell > COUNT_CAP raises CountCapError, and a
-    singular model SingularModelError.
+    At ell >= 5 the curve is counted by its invariants c4 and c6 mod ell
+    (`count_invariants`), so isomorphic models share one count.  At ell in
+    {2, 3} its at most 9 affine points are counted directly.  The count over
+    F_{ell^f} follows from the Frobenius trace recurrence (`extension_count`,
+    which also checks the Hasse bound).  Every curve the pipeline counts is
+    defined over F_ell, since every choice in Tate's algorithm is canonical.
+    A singular model raises SingularModelError.
+    """
+    coeffs = [c % ell for c in coeffs]
+    c4, c6, disc = c_invariants(*b_invariants(coeffs))
+    if ell >= 5:
+        return count_invariants(c4, c6, ell, f)
+    if disc % ell == 0:
+        raise SingularModelError("cannot count points on a singular model")
+    a1, a2, a3, a4, a6 = coeffs
+    n = 1 + sum((y * y + (a1 * x + a3) * y - ((x + a2) * x + a4) * x - a6) % ell == 0
+                for x in range(ell) for y in range(ell))
+    return extension_count(n, ell, f)
+
+
+def count_invariants(c4: int, c6: int, ell: int, f: int = 1) -> int:
+    """#E(F_{ell^f}) including infinity, for the curve over F_ell, ell >= 5,
+    with invariants c4 and c6 mod ell: y^2 = x^3 + a x + b with a = -27 c4
+    and b = -54 c6, counted over F_ell (`_count_prime_field`) and lifted to
+    F_{ell^f} by `extension_count`.  ell > COUNT_CAP raises CountCapError,
+    and Delta = 0 mod ell SingularModelError, as does every ell < 5, where
+    that short model is singular.
     """
     if ell > COUNT_CAP:
         raise CountCapError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
-    return extension_count(_count_prime_field(ell, tuple([c % ell for c in coeffs])), ell, f)
+    return extension_count(_count_prime_field(ell, -27 * c4 % ell, -54 * c6 % ell), ell, f)
 
 
 @lru_cache(maxsize=COUNT_MEMO_SIZE)
-def _count_prime_field(p: int, coeffs: tuple[int, ...]) -> int:
-    """#E(F_p) for a1..a6 given as a tuple of residues mod p; memoized by
-    (p, residues), so a curve met again, at another residue degree f or in
-    another request, is neither checked nor counted again.  A singular
-    model raises SingularModelError, which stores nothing.
+def _count_prime_field(p: int, a: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + a x + b over F_p, p >= 5; memoized by
+    (p, a, b), so a curve met again, at another residue degree f, through
+    another model or in another request, is neither checked nor counted
+    again.  A singular curve raises SingularModelError, which stores
+    nothing.
 
     Above MESTRE_BOUND the count is Shanks-Mestre baby-step giant-step
     (`_count_shanks_mestre`); at or below it, one pass over the x-fibers
     (`_count_by_squares`).  The bound is where the Mestre-Schoof theorem
     starts to guarantee that Shanks-Mestre finishes, not a tuning constant.
     """
-    b = b_invariants(coeffs)
-    c4, c6, disc = c_invariants(*b)
-    if disc % p == 0:
+    if (4 * a**3 + 27 * b * b) % p == 0:
         raise SingularModelError("cannot count points on a singular model")
     if p <= MESTRE_BOUND:
-        return _count_by_squares(p, coeffs, b)
-    return _count_shanks_mestre(p, c4, c6)
+        return _count_by_squares(p, a, b)
+    return _count_shanks_mestre(p, a, b)
 
 
-def _count_by_squares(p: int, coeffs, b) -> int:
-    """#E(F_p) by one pass over the x-fibers: O(p) time and memory, exact
-    at every prime p; b holds the b-invariants of coeffs.
-
-    For odd p the fiber over x is (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 +
-    2 b4 x + b6, so it holds as many points as its right-hand side has
-    square roots, which `_square_root_counts` tabulates.
-    """
-    a1, a2, a3, a4, a6 = coeffs
-    if p == 2:
-        return 1 + sum(
-            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-            for x in (0, 1)
-            for y in (0, 1)
-        )
-    b2, b4, b6, _ = b
-    b4 *= 2
+def _count_by_squares(p: int, a: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + a x + b by one pass over the x-fibers: O(p)
+    time and memory, exact at every odd prime p.  The fiber over x holds as
+    many points as x^3 + a x + b has square roots, which
+    `_square_root_counts` tabulates."""
     roots = _square_root_counts(p)
-    return 1 + sum([roots[(((4 * x + b2) * x + b4) * x + b6) % p] for x in range(p)])
+    return 1 + sum([roots[((x * x + a) * x + b) % p] for x in range(p)])
 
 
 @lru_cache(maxsize=SQUARE_TABLE_MEMO_SIZE)
@@ -260,12 +270,11 @@ def _square_root_counts(p: int) -> bytes:
     return bytes(counts)
 
 
-def _count_shanks_mestre(p: int, c4: int, c6: int) -> int:
-    """#E(F_p) for a prime p >= 5 by Shanks-Mestre (Cohen, GTM 138, 7.4.3),
-    from the invariants c4 and c6 of the curve.
+def _count_shanks_mestre(p: int, a: int, b: int) -> int:
+    """#E(F_p) for E: y^2 = g(x) = x^3 + a x + b over a prime p >= 5 by
+    Shanks-Mestre (Cohen, GTM 138, 7.4.3).
 
-    E is isomorphic to y^2 = g(x) = x^3 + a x + b with a = -27 c4 and
-    b = -54 c6.  For x0 = 0, 1, 2, ... with d = g(x0) != 0 the point
+    For x0 = 0, 1, 2, ... with d = g(x0) != 0 the point
     (d x0, d^2) lies on the twist E_d: Y^2 = X^3 + d^2 a X + d^3 b, which
     has N = #E(F_p) points when d is a square and 2p + 2 - N when it is
     not, so no square root is taken.  Every point narrows the values of N
@@ -275,7 +284,6 @@ def _count_shanks_mestre(p: int, c4: int, c6: int) -> int:
     guarantees a unique survivor once p > 229: the group exponent of E or of
     its twist then has a single multiple in the Hasse interval.
     """
-    a, b = -27 * c4 % p, -54 * c6 % p
     r = isqrt(4 * p)  # floor(2 sqrt(p)); 4p is never a square
     lo, hi = p + 1 - r, p + 1 + r
     candidates = None
@@ -392,44 +400,30 @@ def extension_count(n1: int, q: int, k: int) -> int:
 
 
 def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
-    """psi_n in x of a model over Q, for odd n >= 1: integer
-    coefficients, degree (n^2 - 1)/2 and leading coefficient n.
+    """psi_n in x of a model over Q for n in {5, 7}, the primes at which
+    E(Q) can have a point of order p >= 5 (Mazur): integer coefficients,
+    degree (n^2 - 1)/2 and leading coefficient n.
 
-    The recurrence runs on the integer b-invariants, with B = psi_2^2 =
-    4x^3 + b2 x^2 + 2 b4 x + b6, and memoizes psi_k within the call only;
-    even k carry psi_k / psi_2, so even n is not exposed (psi_n has a factor
-    linear in y).  Raises ValueError for even n or a model over F_ell.
+    From the integer b-invariants, with B = psi_2^2 = 4x^3 + b2 x^2 +
+    2 b4 x + b6 and psi_4 carried as psi_4 / psi_2, the recurrence
+    psi_(2m+1) = psi_(m+2) psi_m^3 - psi_(m-1) psi_(m+1)^3 gives
+
+        psi_5 = psi_4 B^2 - psi_3^3,    psi_7 = psi_5 psi_3^3 - psi_4^3 B^2.
+
+    Raises ValueError for any other n or a model over F_ell.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("division_polynomial is defined here for odd n >= 1")
+    if n not in (5, 7):
+        raise ValueError("division_polynomial is defined here for n in {5, 7}")
     if not model.is_rational():
         raise ValueError("division_polynomial needs a model over Q")
     b2, b4, b6, b8 = b_invariants(model)
     B = [b6, 2 * b4, b2, 4]
-    psi = {
-        1: [1],
-        2: [1],
-        3: [b8, 3 * b6, 3 * b4, b2, 3],
-        4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
-    }
-    return Polynomial(_psi(n, psi, poly_mul(B, B)))
-
-
-def _psi(k: int, psi: dict, B2: list[int]) -> list[int]:
-    """psi_k by the division-polynomial recurrence, as integer coefficients
-    low-to-high, memoized in psi; a module-level function, since a closure
-    that calls itself outlives its call in a reference cycle."""
-    if k not in psi:
-        m = k // 2
-        # psi_{m-1}, psi_m, psi_{m+1}, psi_{m+2}
-        m1, m0, p1, p2 = (_psi(i, psi, B2) for i in range(m - 1, m + 3))
-        if k % 2 == 0:
-            psi[k] = poly_mul(m0, poly_sub(poly_mul(p2, m1, m1), poly_mul(_psi(m - 2, psi, B2), p1, p1)))
-        elif m % 2 == 0:
-            psi[k] = poly_sub(poly_mul(p2, m0, m0, m0, B2), poly_mul(m1, p1, p1, p1))
-        else:
-            psi[k] = poly_sub(poly_mul(p2, m0, m0, m0), poly_mul(m1, p1, p1, p1, B2))
-    return psi[k]
+    psi3 = [b8, 3 * b6, 3 * b4, b2, 3]
+    psi4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
+    psi5 = poly_sub(poly_mul(psi4, B, B), poly_mul(psi3, psi3, psi3))
+    if n == 5:
+        return Polynomial(psi5)
+    return Polynomial(poly_sub(poly_mul(psi5, psi3, psi3, psi3), poly_mul(psi4, psi4, psi4, B, B)))
 
 
 # -- torsion ----------------------------------------------------------------------

@@ -5,7 +5,8 @@
 characteristic and degree (`bench/tracing.py` reads its order too).  The
 library counts such a curve only in `tate.pot_supersingular`, through
 `curves.model_with_j_invariant`: Tate's algorithm and the torsion bound hand
-residues to `curves.count_residues` as integers and build no field.  Counts
+residues to `curves.count_residues`, or c4 and c6 mod ell to
+`curves.count_invariants`, as integers and build no field.  Counts
 over F_{ell^f} follow from the count over F_ell by the Frobenius recurrence,
 so no extension field and no field arithmetic lives here; `tests/oracles.py`
 keeps both as a reference.

@@ -23,33 +23,35 @@ of the model over Q, which is integral.  The residue characteristic picks
 the route, and every place of that characteristic, good or bad, takes it.
 
 Residue characteristic >= 5: a closed form, with no step that grows with e
-(Papadopoulos 1993; Silverman, Advanced Topics, IV.9).  The short model
-y^2 = x^3 - 27 c4 x - 54 c6 of the model is scaled by pi^k,
-k = min(floor(v(c4)/4), floor(v(c6)/6)), which makes it minimal, with
-v(Delta_min) = v(Delta) - 12 k.  A potentially multiplicative place, where
-j has a pole of order n/e, is I_n at v(Delta_min) = n and I_n* at n + 6;
-at a potentially good place v(Delta_min) fixes the type.  Each c_v is a
+(Papadopoulos 1993; Silverman, Advanced Topics, IV.9).  A model with
+invariants c4/pi^4k and c6/pi^6k, k = min(floor(v(c4)/4), floor(v(c6)/6)),
+is minimal (at ell >= 5 the short model of an integral pair is integral),
+with v(Delta_min) = v(Delta) - 12 k.  A potentially multiplicative place,
+where j has a pole of order n/e, is I_n at v(Delta_min) = n and I_n* at
+n + 6; at a potentially good place v(Delta_min) fixes the type.  Each c_v is a
 square test, or a root count of the I0* cubic, on residues of c4, c6 and
 Delta over powers of pi, as in PARI's `elllocalred` at p >= 5.  As
 pi^(e v) = c^v, the residue of x / pi^(e v) is u (ell/c)^v mod ell, a
 sign (-1)^v at the cyclotomic layer e = ell - 1 > 1, where c = -ell.  A
 nonzero residue is a square in F_{ell^f} whenever f is even; for odd f,
-Euler's criterion decides.  A good place, v(Delta_min) = 0, is counted
-from the residues of the scaled short model: at ell >= 5 it is isomorphic
-to the reduction of the model given, so isomorphic models share one count.
+Euler's criterion decides.  A good place, v(Delta_min) = 0, is counted by
+`curves.count_invariants` from the residues of the scaled c4 and c6, which
+fix the reduced curve up to isomorphism at ell >= 5, so isomorphic models
+share one count.
 
 Residue characteristic 2 and 3: the classical step ladder (I0, I_n, II,
 III, IV, I0*, I_n*, IV*, III*, II*, rescale), which works at every residue
 characteristic and serves the tests as the oracle of the closed form at
 ell >= 5.  At v(Delta) = 0 the residues of the model are those of the
-reduced curve, which is counted.  Residues are integers mod ell, and every
-division in the residue field is an inverse pow(x, -1, ell).  Residue
-characteristic 2 needs two non-generic normalizations, both solved by
-square roots in F_2, which Frobenius fixes: the coordinate change before
-the step-6 cubic uses s = a2 mod pi and t = pi * (a6 / pi^2 mod pi);
-everything else divides only by units.  Singular points and multiple roots come from closed-form
-solutions (the cube root in characteristic 3 is the identity on F_3 too),
-and each residue quadratic or cubic is read by one call to
+reduced curve, which `curves.count_residues` counts.  Residues are
+integers mod ell, and every division in the residue field is an inverse
+pow(x, -1, ell).  Residue characteristic 2 needs two non-generic
+normalizations, both solved by square roots in F_2, which Frobenius fixes:
+the coordinate change before the step-6 cubic uses s = a2 mod pi and
+t = pi * (a6 / pi^2 mod pi); everything else divides only by units.
+Singular points and multiple roots come from closed-form solutions (the
+cube root in characteristic 3 is the identity on F_3 too), and each
+residue quadratic or cubic is read by one call to
 `polynomials.residue_roots`: its root count in F_{ell^f} and its multiple
 root, so no step is linear in the residue field size.  Translations leave
 Delta unchanged and each step-11 rescale by pi divides it by pi^12.
@@ -92,10 +94,10 @@ Both routes take the curve over Q, and every choice they make is
 canonical, so every residue they inspect lies in F_ell.  The residue
 degree f enters only in q_v = ell^f, in square tests and in the number of
 roots in F_{ell^f} of each residue quadratic or cubic, and in
-N_v = #E(F_{ell^f}), which `curves.count_residues` takes of the residues of
-a minimal model and which is checked against the Hasse bound.  At residue
-characteristic >= 5 every result is checked against Ogg's formula
-v(Delta_min) = f_v + m_v - 1, with f_v read off the reduction class.
+N_v = #E(F_{ell^f}) of the reduced minimal model, which is counted over
+F_ell and checked against the Hasse bound.  At residue characteristic >= 5
+every result is checked against Ogg's formula v(Delta_min) = f_v + m_v - 1,
+with f_v read off the reduction class.
 Potential supersingularity above p is read off a_p mod p of a curve over
 F_p with the reduced j, which `curves.model_with_j_invariant` builds and
 `count_points` counts; this module handles residues as integers only.
@@ -110,6 +112,7 @@ from typing import NamedTuple
 from .curves import (
     WeierstrassModel,
     b_invariants,
+    count_invariants,
     count_points,
     count_residues,
     invariants,
@@ -434,10 +437,9 @@ def _closed_form(model: WeierstrassModel, K: LocalField, f: int) -> LocalReducti
     c6 and Delta = (c4^3 - c6^2)/1728 and the pole order of j, at every
     place, good ones included.
 
-    The short model y^2 = x^3 - 27 c4 x - 54 c6 scaled by pi^k,
-    k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal; its invariants are
-    c4/pi^4k, c6/pi^6k and Delta/pi^12k.  Every c_v test follows PARI's
-    `elllocalred` at p >= 5 with pi in place of p."""
+    A model with invariants c4/pi^4k, c6/pi^6k and Delta/pi^12k,
+    k = min(floor(v(c4)/4), floor(v(c6)/6)), is minimal.  Every c_v test
+    follows PARI's `elllocalred` at p >= 5 with pi in place of p."""
     inv, v_disc, pole, place = _place(model, K, f)
     ell, e = K.ell, K.e
     c4, c6 = inv.c4, inv.c6
@@ -463,7 +465,7 @@ def _closed_form(model: WeierstrassModel, K: LocalField, f: int) -> LocalReducti
 
     if D_min == 0:
         r4, r6 = residue(c4, v_c4, 4 * k), residue(c6, v_c6, 6 * k)
-        return _good_data([0, 0, 0, -27 * r4, -54 * r6], place)
+        return _good_data(count_invariants(r4, r6, ell, f), place)
     if D_min not in _POTENTIALLY_GOOD:
         raise AssertionError(f"no potentially good type has v(Delta_min) = {D_min}")
     kind, c_v = _POTENTIALLY_GOOD[D_min]
@@ -509,7 +511,7 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionDat
     n = e * v_disc
     abar = [c % ell for c in model]
     if n == 0:
-        return _good_data(abar, place)
+        return _good_data(count_residues(abar, ell, f), place)
     # the pi-adic model, embedded at the first round that is not multiplicative
     a = None
 
@@ -568,7 +570,7 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionDat
         n -= 12
         abar = [K.residue(x) for x in a]
         if n == 0:
-            return _good_data(abar, place)
+            return _good_data(count_residues(abar, ell, f), place)
 
     raise AssertionError("tate loop failed to terminate")
 
@@ -654,11 +656,9 @@ def _additive(place, kodaira, c_v, v_min_delta):
     return _finish(place, kodaira, c_v, v_min_delta, ADDITIVE)
 
 
-def _good_data(abar: list[int], place) -> LocalReductionData:
-    """Good reduction: abar are the residues of a minimal model, whose
-    curve over F_ell is counted over F_q."""
-    ell, _, f, q, _ = place
-    N = count_residues(abar, ell, f)
+def _good_data(N: int, place) -> LocalReductionData:
+    """Good reduction with N = #E(F_q) points on the reduced curve."""
+    ell, _, _, q, _ = place
     cls = GOOD_SUPERSINGULAR if (q + 1 - N) % ell == 0 else GOOD_ORDINARY
     return _finish(place, _KODAIRA["I0"], 1, 0, cls, N_v=N)
 

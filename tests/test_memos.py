@@ -9,10 +9,12 @@ from eulerchar.curves import (
     CountCapError,
     SingularModelError,
     WeierstrassModel,
+    count_invariants,
     count_residues,
     extension_count,
     invariants,
     rational_p_torsion_order,
+    torsion_bound_over_F,
 )
 from eulerchar.euler import local_data_at
 
@@ -49,6 +51,18 @@ def test_isomorphic_models_share_one_count_at_a_good_place():
     assert curves._count_prime_field.cache_info()[:2] == (1, 1)
 
 
+def test_the_sampler_and_tate_share_one_count():
+    """The torsion sampler counts a model's residues and Tate's closed form
+    the residues of c4 and c6; at a good ell >= 5 both ask the count memo
+    the one question of the curve.  Delta(E) = -2 * 3 * 7^2 and p = 5, so
+    ell = 11 is the first prime the bracket samples, and #E(F_11) has no
+    5-part, so it is the last."""
+    assert torsion_bound_over_F(E294, 5, 1).upper == 1
+    assert curves._count_prime_field.cache_info()[:2] == (0, 1)
+    local_data_at(E294, 11, 1)
+    assert curves._count_prime_field.cache_info()[:2] == (1, 1)
+
+
 def test_torsion_memo_is_keyed_by_the_integral_model():
     """[-1, 2, 2, 0, 0] with a_i / 2^i has a point of order 7; read from
     rationals it is the integral model a_i * 4^i, and it and that model
@@ -65,6 +79,14 @@ def test_a_call_that_raises_stores_nothing():
         local_data_at(E294, 10**18 + 3, 1)
     with pytest.raises(SingularModelError):
         count_residues([0, 0, 0, 0, 0], 5)
+    # E has bad reduction at 3 and 7: counted by its residues or by its
+    # invariants, singular there
+    for ell in (3, 7):
+        with pytest.raises(SingularModelError):
+            count_residues(E294, ell)
+    inv = invariants(E294)
+    with pytest.raises(SingularModelError):
+        count_invariants(inv.c4, inv.c6, 7)
     with pytest.raises(SingularModelError):
         rational_p_torsion_order(WeierstrassModel.from_rationals([0, 0, 0, 0, 0]), 7)
     for fn in (curves._count_prime_field, curves._rational_torsion):

@@ -559,13 +559,13 @@ def test_finish_rejects_type_contradicting_ogg():
 
 def test_finish_rejects_count_outside_hasse_bound(monkeypatch):
     """Every N_v is checked against (q + 1 - N_v)^2 <= 4 q, both when the
-    model is good at once and when good reduction follows a step-11
-    rescale."""
+    model is good at once and when it is good once its invariants are
+    scaled by pi^k, k = 1."""
     from eulerchar import tate
 
     non_minimal = transform(E294, Fraction(1, 5), 0, 0, 0)  # Delta * 5^12
     assert run(non_minimal, 5) == run(E294, 5)
-    monkeypatch.setattr(tate, "count_residues", lambda coeffs, ell, f=1: 0)
+    monkeypatch.setattr(tate, "count_invariants", lambda c4, c6, ell, f=1: 0)
     for model, f in ((E294, 1), (E294, 2), (non_minimal, 1)):
         with pytest.raises(AssertionError, match="Hasse"):
             run(model, 5, f=f)
