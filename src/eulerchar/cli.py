@@ -94,11 +94,13 @@ def _require(obj: dict, path: str, allowed, required: tuple[str, ...]):
             raise RequestError(f"{path}/{key}", "missing required key")
 
 
-def _parse_int(value, path: str, minimum: int | None = None) -> int:
+def _parse_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise RequestError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise RequestError(path, f"expected an integer >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise RequestError(path, f"expected an integer <= {maximum}, got {value}")
     return value
 
 
@@ -123,22 +125,6 @@ def _parse_conductor(value, path: str) -> int:
             f"{wild[0]}^2 divides {conductor}: wildly ramified conductors are unsupported",
         )
     return conductor
-
-
-def _parse_samples(value, path: str) -> int:
-    """The request's `samples`, or the `--samples` of analyze and torsion."""
-    samples = _parse_int(value, path, minimum=1)
-    if samples > MAX_SAMPLES:
-        raise RequestError(path, f"expected an integer <= {MAX_SAMPLES}, got {samples}")
-    return samples
-
-
-def _parse_precision(value, path: str) -> None:
-    """The request's `precision_digits`, or the `--precision-digits` of
-    analyze and local: still validated, so that no request breaks, but
-    without effect, as local arithmetic is exact."""
-    if value is not None:
-        _parse_int(value, path, minimum=4)
 
 
 def _ascii_int(text: str, signed: bool = True) -> int | None:
@@ -277,8 +263,12 @@ def parse_request(obj) -> dict:
     target = obj.get("target_chi_sigma_exponent")
     if target is not None:
         target = _parse_int(target, "/target_chi_sigma_exponent")
-    samples = _parse_samples(obj.get("samples", DEFAULT_SAMPLES), "/samples")
-    _parse_precision(obj.get("precision_digits"), "/precision_digits")
+    samples = _parse_int(obj.get("samples", DEFAULT_SAMPLES), "/samples",
+                         minimum=1, maximum=MAX_SAMPLES)
+    if obj.get("precision_digits") is not None:
+        # still validated, so that no request breaks, but without effect, as
+        # local arithmetic is exact
+        _parse_int(obj["precision_digits"], "/precision_digits", minimum=4)
     return dict(E=E, p=p, m=m, A=A, ext=ext, samples=samples, target_chi_sigma_exponent=target)
 
 
@@ -469,8 +459,8 @@ def _read_curve(value) -> WeierstrassModel:
 _read_prime = _integer("/prime", _parse_prime, minimum=5)  # the formula's p >= 5
 _read_ell = _integer("/ell", _parse_prime)
 _read_conductor = _integer("/base_field", _parse_conductor)
-_read_samples = _integer("/samples", _parse_samples)
-_read_precision = _integer("/precision_digits", _parse_precision)
+_read_samples = _integer("/samples", minimum=1, maximum=MAX_SAMPLES)
+_read_precision = _integer("/precision_digits", minimum=4)
 
 
 # the exit code of `analyze` for each report status

@@ -11,15 +11,15 @@ rational, which is a square test on the discriminant of
 y^2 + (a1 x0 + a3) y - (x0^3 + a2 x0^2 + a4 x0 + a6).
 
 A count of a-invariants goes through `count_residues`, which takes them as
-integers mod ell; `count_points` hands it the residues of a model from
-`reduce_model`.  At ell >= 5 it hands c4 and c6 mod ell to
-`count_invariants`, which Tate's closed form calls too, so a curve is
-counted once whatever model asks; at ell in {2, 3} it counts the at most 9
-affine points itself.  A curve held fixed while the conductor climbs a tower
-keeps #E(F_ell) and E(Q)[p], so both are memoized in bounded module-level
-`functools.lru_cache`s, as are the square-root tables of the O(ell) counting
-kernel; the *_MEMO_SIZE constants bound them.  Every value is immutable, and
-a call that raises stores nothing.
+integers mod ell; `count_points` hands it the residues of a model over
+F_ell.  At ell >= 5 it hands c4 and c6 mod ell to `count_invariants`, which
+Tate's closed form calls too, so a curve is counted once whatever model
+asks; at ell in {2, 3} it counts the at most 9 affine points itself.  A
+curve held fixed while the conductor climbs a tower keeps #E(F_ell) and
+E(Q)[p], so `_count_prime_field` and `rational_p_torsion_order` are each a
+bounded module-level `functools.lru_cache`, as is the square-root table of
+the O(ell) counting kernel; the *_MEMO_SIZE constants bound them.  Every
+value is immutable, and a call that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ MAX_SAMPLES = 1000
 COUNT_MEMO_SIZE = 256
 # square-root tables, one per prime 5 <= ell <= MESTRE_BOUND: there are 48
 SQUARE_TABLE_MEMO_SIZE = 64
-# rational p-torsion orders by (model, p): a tower pass needs 2
+# `rational_p_torsion_order` by (model, p): from empty memos a tower pass
+# misses twice and hits 5 times, and a census pass (seed 1) misses twice
 TORSION_MEMO_SIZE = 64
 
 
@@ -89,7 +90,7 @@ class WeierstrassModel(_Coefficients):
     `__slots__` for that), so equal models built separately never share
     them, and a singular model raises SingularModelError and stores
     nothing.  A model outlives its request only as a key of the bounded
-    rational-torsion memo (`_rational_torsion`).
+    memo of `rational_p_torsion_order`.
     """
 
     @classmethod
@@ -117,7 +118,10 @@ class WeierstrassModel(_Coefficients):
 
     @cached_property
     def _invariants(self) -> "CurveInvariants":
-        return _compute_invariants(self)
+        c4, c6, disc = c_invariants(*b_invariants(self))
+        if disc == 0:
+            raise SingularModelError("discriminant is zero")
+        return CurveInvariants(c4, c6, disc, Fraction(c4**3, disc))
 
 
 def b_invariants(coeffs):
@@ -161,18 +165,11 @@ def invariants(model: WeierstrassModel) -> CurveInvariants:
     return model._invariants
 
 
-def _compute_invariants(model: WeierstrassModel) -> CurveInvariants:
-    """(c4, c6, Delta, j) of a model over Q, on its integer coefficients;
-    SingularModelError when Delta = 0."""
-    c4, c6, disc = c_invariants(*b_invariants(model))
-    if disc == 0:
-        raise SingularModelError("discriminant is zero")
-    return CurveInvariants(c4, c6, disc, Fraction(c4**3, disc))
-
-
 def reduce_model(model: WeierstrassModel, ell: int) -> WeierstrassModel:
-    """The model over F_ell of a model over Q.  This is the library's one
-    constructor of F_ell: it builds every curve the library counts."""
+    """The model over F_ell of a model over Q, for `count_points`.  The
+    library builds one only in `model_with_j_invariant`, for
+    `pot_supersingular`; its other counts pass integers to `count_residues`
+    or `count_invariants`."""
     field = fq_create(ell)
     return WeierstrassModel(*(field.from_int(c) for c in model))
 
@@ -223,9 +220,12 @@ def count_invariants(c4: int, c6: int, ell: int, f: int = 1) -> int:
     with invariants c4 and c6 mod ell: y^2 = x^3 + a x + b with a = -27 c4
     and b = -54 c6, counted over F_ell (`_count_prime_field`) and lifted to
     F_{ell^f} by `extension_count`.  ell > COUNT_CAP raises CountCapError,
-    and Delta = 0 mod ell SingularModelError, as does every ell < 5, where
-    that short model is singular.
+    and Delta = 0 mod ell SingularModelError.  ell < 5 raises ValueError, as
+    the short model is singular there whatever the curve: count its
+    a-invariants with `count_residues`.
     """
+    if ell < 5:
+        raise ValueError(f"count_invariants needs ell >= 5, got {ell}: use count_residues")
     if ell > COUNT_CAP:
         raise CountCapError(f"characteristic {ell} exceeds counting cap {COUNT_CAP}")
     return extension_count(_count_prime_field(ell, -27 * c4 % ell, -54 * c6 % ell), ell, f)
@@ -429,8 +429,10 @@ def division_polynomial(model: WeierstrassModel, n: int) -> Polynomial:
 # -- torsion ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=TORSION_MEMO_SIZE)
 def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
-    """Exact order of the p-primary torsion of E(Q) for a prime p >= 5.
+    """Exact order of the p-primary torsion of E(Q) for a prime p >= 5,
+    memoized by (model, p).
 
     Rational roots of psi_p are found by ell-adic lifting at the smallest
     prime ell not dividing p * Delta.  There E mod ell is an elliptic curve
@@ -444,17 +446,11 @@ def rational_p_torsion_order(model: WeierstrassModel, p: int) -> int:
     p >= 11, so those p return 1 without building psi_p, whose degree is
     (p^2 - 1)/2.
     """
+    from .polynomials import rational_roots  # at call time, where bench/tracing.py wraps it
+
     check_formula_prime(p)
     if p >= 11:
         return 1
-    return _rational_torsion(model, p)
-
-
-@lru_cache(maxsize=TORSION_MEMO_SIZE)
-def _rational_torsion(model: WeierstrassModel, p: int) -> int:
-    """`rational_p_torsion_order` at p in {5, 7}, memoized by (model, p)."""
-    from .polynomials import rational_roots
-
     disc = invariants(model).disc
     ell = next(q for q in primes_from(2) if p * disc % q)
     psi = division_polynomial(model, p)

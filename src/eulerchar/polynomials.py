@@ -109,13 +109,13 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
     roots of P in F_{ell^f}; multiple is P's multiple root in [0, ell), or
     None when P is squarefree, i.e. its discriminant is nonzero mod ell.
 
-    A squarefree quadratic in odd characteristic has 2 roots in F_{ell^f}
-    when its discriminant is a square there (`is_square`) and 0 otherwise.
-    Any other squarefree P has r1 roots in F_ell (P(0) = P(1) = c for a
-    monic T^2 + b T + c in characteristic 2, else deg gcd(P, x^ell - x),
-    at O(log ell) polynomial products) and at most one irreducible factor,
-    of degree k = deg P - r1, whose k roots lie in F_{ell^f} exactly when k
-    divides f.
+    A squarefree P has r1 roots in F_ell.  A quadratic has 2 or 0: in odd
+    characteristic by a square test on its discriminant (`is_square`), and
+    in characteristic 2 by the parity of c, as a monic T^2 + b T + c has b
+    odd there, so P(0) = P(1) = c.  A cubic has deg gcd(P, x^ell - x), at
+    O(log ell) polynomial products.  Whatever the degree, the rest of P is
+    at most one irreducible factor, of degree k = deg P - r1, whose k roots
+    lie in F_{ell^f} exactly when k divides f.
     A multiple root lies in the perfect field F_ell, as the sole root of
     gcd(P, P'), and has a closed form in every characteristic: Frobenius
     fixes F_ell, so the square roots of characteristic 2 and the cube roots
@@ -139,6 +139,8 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
         if disc % ell == 0:
             # the double root squares to c in characteristic 2, else it is -b/2
             return 1, c if ell == 2 else -b * pow(2, -1, ell) % ell
+        # both roots or none lie in F_ell: in characteristic 2 when c is even
+        r1 = 2 * (c % 2 == 0 if ell == 2 else is_square(disc, ell))
     else:
         c, b, a = monic[:3]
         disc = 18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
@@ -159,12 +161,6 @@ def residue_roots(coeffs: list[int], ell: int, f: int) -> tuple[int, int | None]
             if (((r + a) * r + b) * r + c) % ell:
                 raise AssertionError("cubic multiple-root formulas failed")
             return roots, r
-    if degree == 2 and ell > 2:
-        return (2 if is_square(disc, ell, f) else 0), None
-    if degree == 2:
-        # b is odd, as P is squarefree, so P(0) = P(1) = c
-        r1 = 0 if c % 2 else 2
-    else:
         r1 = len(_poly_gcd_mod_p(monic, _frobenius_minus_x_mod_p(ell, monic, ell), ell)) - 1
     k = degree - r1
     return (degree if k and f % k == 0 else r1), None

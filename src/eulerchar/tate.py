@@ -450,7 +450,16 @@ def _closed_form(model: WeierstrassModel, K: LocalField, f: int) -> LocalReducti
     D_min = D - 12 * k
 
     def residue(x: int, v: int | None, w: int) -> int:
-        return _residue_over_pi(x, v, w, K)
+        """Residue of the rational integer x, of ell-adic valuation v (None
+        for x = 0), divided by pi^w, which must divide it: 0 when e v > w;
+        else x = ell^v u with w = e v, pi^w = c^v and the residue is
+        u (ell/c)^v, where ell/c = -1 at the cyclotomic layer."""
+        if v is not None and e * v < w:
+            raise AssertionError(f"pi^{w} does not divide {x}")
+        if v is None or e * v > w:
+            return 0
+        sign = -1 if K.c < 0 and v % 2 else 1
+        return sign * (x // ell**v) % ell
 
     if pole:
         n = e * pole
@@ -480,22 +489,6 @@ def _closed_form(model: WeierstrassModel, K: LocalField, f: int) -> LocalReducti
     return _additive(place, _KODAIRA[kind], c_v, D_min)
 
 
-def _residue_over_pi(x: int, v: int | None, w: int, K: LocalField) -> int:
-    """Residue of the rational integer x, of ell-adic valuation v (None for
-    x = 0), divided by pi^w, which must divide it: 0 when e v > w; else
-    x = ell^v u with w = e v, pi^w = c^v and the residue is u (ell/c)^v,
-    where ell/c = -1 at the cyclotomic layer."""
-    if v is None:
-        return 0
-    if K.e * v < w:
-        raise AssertionError(f"pi^{w} does not divide {x}")
-    if K.e * v > w:
-        return 0
-    ell = K.ell
-    sign = -1 if K.c < 0 and v % 2 else 1
-    return sign * (x // ell**v) % ell
-
-
 # -- the step ladder: residue characteristic 2 and 3, and the oracle ----------------
 
 
@@ -510,12 +503,12 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionDat
     # v(Delta) of the current model: translations keep it, rescales drop 12
     n = e * v_disc
     abar = [c % ell for c in model]
-    if n == 0:
-        return _good_data(count_residues(abar, ell, f), place)
     # the pi-adic model, embedded at the first round that is not multiplicative
     a = None
 
     for _round in range(n // 12 + 1):
+        if n == 0:
+            return _good_data(count_residues(abar, ell, f), place)
         # Step 2: the singular point, from the residues of the current model.
         x0, y0 = _singular_point(abar, ell)
         if e * pole == n:
@@ -569,8 +562,6 @@ def _ladder(model: WeierstrassModel, K: LocalField, f: int) -> LocalReductionDat
         a = _rescale_by_pi(K, a)
         n -= 12
         abar = [K.residue(x) for x in a]
-        if n == 0:
-            return _good_data(count_residues(abar, ell, f), place)
 
     raise AssertionError("tate loop failed to terminate")
 

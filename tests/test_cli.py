@@ -645,7 +645,7 @@ def test_parse_request_carries_integer_models_with_their_invariants(monkeypatch)
     def computed_again(model):
         raise AssertionError(f"invariants of {model} computed after parsing")
 
-    monkeypatch.setattr(curves, "_compute_invariants", computed_again)
+    monkeypatch.setattr(curves.WeierstrassModel._invariants, "func", computed_again)
     for parsed in parsed_census[:len(requests) + 40]:
         analyze(**parsed)
 

@@ -13,6 +13,7 @@ from eulerchar.curves import (
     WeierstrassModel,
     b_invariants,
     c_invariants,
+    count_invariants,
     count_points,
     count_residues,
     division_polynomial,
@@ -186,6 +187,20 @@ def test_count_rejects_singular():
     sing = reduce_model(WeierstrassModel.from_rationals([0, 0, 0, 0, 0]), 5)
     with pytest.raises(SingularModelError):
         count_points(sing)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_count_invariants_refuses_ell_below_5_as_outside_its_domain(ell):
+    """At ell in {2, 3} the short model y^2 = x^3 - 27 c4 x - 54 c6 is
+    singular for every (c4, c6), so the refusal names the domain, not the
+    curve: 37a, y^2 + y = x^3 - x, has c4 = 48, c6 = -216 and Delta = 37,
+    so good reduction at 2 and 3, where count_residues counts it."""
+    c4_37a, c6_37a, _ = c_invariants(*b_invariants([0, 0, 1, -1, 0]))
+    assert count_residues([0, 0, 1, -1, 0], ell) > 0
+    for c4, c6 in ((c4_37a, c6_37a), (1, 1), (0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="count_residues") as caught:
+            count_invariants(c4, c6, ell)
+        assert not isinstance(caught.value, SingularModelError)
 
 
 def test_count_char2_extension_field():

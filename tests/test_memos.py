@@ -25,7 +25,7 @@ def test_every_library_cache_is_bounded(library_caches):
     """A long-lived process sees ever new curves, primes and conductors, so
     a cache keyed by request data must not grow without limit.  The parser
     is keyed by a subcommand name from a fixed table."""
-    assert {"curves._count_prime_field", "curves._rational_torsion",
+    assert {"curves._count_prime_field", "curves.rational_p_torsion_order",
             "valuations.factorize", "cyclotomic._split",
             "finite_fields.fq_create"} <= set(library_caches)
     unbounded = [name for name, fn in library_caches.items() if fn.cache_info().maxsize is None]
@@ -71,7 +71,7 @@ def test_torsion_memo_is_keyed_by_the_integral_model():
     integral = WeierstrassModel.from_rationals([-2, 8, 16, 0, 0])
     assert scaled == integral and scaled is not integral
     assert rational_p_torsion_order(scaled, 7) == rational_p_torsion_order(integral, 7) == 7
-    assert curves._rational_torsion.cache_info()[:2] == (1, 1)
+    assert curves.rational_p_torsion_order.cache_info()[:2] == (1, 1)
 
 
 def test_a_call_that_raises_stores_nothing():
@@ -89,7 +89,7 @@ def test_a_call_that_raises_stores_nothing():
         count_invariants(inv.c4, inv.c6, 7)
     with pytest.raises(SingularModelError):
         rational_p_torsion_order(WeierstrassModel.from_rationals([0, 0, 0, 0, 0]), 7)
-    for fn in (curves._count_prime_field, curves._rational_torsion):
+    for fn in (curves._count_prime_field, curves.rational_p_torsion_order):
         assert fn.cache_info().currsize == 0
     # a model's invariants are memoized in its instance dict once computed,
     # and a singular model raises again on every call
