@@ -15,17 +15,11 @@ hypotheses all PASS/ASSUMED; 2 HYPOTHESIS_FAIL, some hypothesis FAILed
 (report still emitted); 3 NOT_EXACT, chi suppressed because the torsion
 input is not exact.  Malformed input exits 1 with a JSON-pointer diagnostic.
 
-The command line is read straight off the `_COMMANDS` table when it has
-the plain form `COMMAND [positional] --flag VALUE ...` with exact flag
-names; argparse is imported, and one subcommand's parser built, only for
-what else argparse accepts (abbreviated flags, values starting with `-`,
-`--`) and for help and usage errors.  The fast path stays because without
-it a fresh process builds its parser inside the request it serves: the
-`scale` benchmark's `latency_p50_ms` then rose from 1.58 to 2.42 ms, past
-its 25 % bound (medians of 12 alternating pairs, CPython 3.11.7 on 2
-cores), while `wall_s` did not move.  Each argument's row also names the
-reader that checks its value as the request field it stands for; `main`
-runs the readers in row order, before a request file is read.
+The command line is read straight off the `_COMMANDS` table by
+`_read_argv`, which also prints help and usage errors; no parser is built.
+Each argument's row also names the reader that checks its value as the
+request field it stands for; `main` runs the readers in row order, before a
+request file is read.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -426,12 +419,12 @@ def _emit(doc: dict, fmt: str, out) -> None:
 
 # -- subcommands ------------------------------------------------------------------------
 # Each argument's reader takes its value as the command line hands it over
-# (its text, `--` for `--flag=--`, or the row's default) and returns
-# it checked as the request field the flag stands for, at that field's pointer;
-# --ell and --degree at /ell and /degree.  A handler computes on checked values
-# and returns (document, exit code), and `_emit` prints the document in the
-# format asked for; a library refusal passes through the handler to `main`,
-# which reports it at the pointer of the command's row.
+# (its text, or the row's default) and returns it checked as the request
+# field the flag stands for, at that field's pointer; --ell and --degree at
+# /ell and /degree.  A handler computes on checked values and returns
+# (document, exit code), and `_emit` prints the document in the format asked
+# for; a library refusal passes through the handler to `main`, which reports
+# it at the pointer of the command's row.
 
 
 def _integer(path: str, parse=_parse_int, **bounds):
@@ -543,18 +536,18 @@ def _cmd_count(args):
 
 
 # the argument rows that several subcommands share
-_CURVE = ("--curve", dict(required=True, help="a1,a2,a3,a4,a6"), _read_curve)
+_CURVE = ("--curve", dict(required=True), _read_curve)
 _ELL = ("--ell", dict(required=True), _read_ell)
 _PRIME = ("--prime", dict(required=True), _read_prime)
 _CONDUCTOR = ("--conductor", dict(default=1), _read_conductor)
 _PRECISION = ("--precision-digits", {}, _read_precision)
 
-# each subcommand: its handler, its help line, its arguments as
-# (name or flag, add_argument keywords, reader), and the pointer at which it
-# reports each library refusal; `main` reports any other refusal at /
+# each subcommand: its handler, its help line, its arguments as (name or
+# flag, its `required`, `default` and `choices`, reader), and the pointer at
+# which it reports each library refusal; `main` reports any other refusal at /
 _COMMANDS = {
     "analyze": (_cmd_analyze, "run the full pipeline on a JSON request", (
-        ("request", dict(help="request file path, or - for stdin"), str),
+        ("request", {}, str),
         ("--samples", {}, _read_samples),
         _PRECISION,
     ), {TorsionCertificateError: "/external/torsion_p_override",
@@ -587,92 +580,89 @@ _COMMANDS = {
 _FORMAT = ("--format", dict(choices=("json", "text"), default="text"), str)
 
 
-def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace `build_parser(argv[0]).parse_args(argv[1:])` returns,
-    read off `_COMMANDS` without argparse, when argv is a command followed
-    by its positionals and by flags named in full, each as `--flag VALUE`
-    (VALUE not starting with `-`) or `--flag=VALUE`, with every required
-    flag given and every value among its choices; else None."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    fn, _, arguments, _ = _COMMANDS[argv[0]]
+def _stop(command: str | None, error: str | None = None):
+    """Print the usage line of command, built from its row, and its help
+    line on stdout and exit 0; with no command, the usage line and help
+    line of every command.  Given an error, print the usage line and
+    `eulerchar[ COMMAND]: error: <error>` on stderr and exit 2."""
+    prog = "eulerchar" if command is None else f"eulerchar {command}"
+    if command is None:
+        words = ["{" + ",".join(_COMMANDS) + "} ..."]
+        lines = [f"  {name:11}{summary}" for name, (_, summary, _, _) in _COMMANDS.items()]
+    else:
+        words, lines = [], [_COMMANDS[command][1]]
+        for name, keywords, _ in (_FORMAT, *_COMMANDS[command][2]):
+            if name.startswith("--"):
+                choices = keywords.get("choices")
+                name += " {" + ",".join(choices) + "}" if choices else " " + _dest(name).upper()
+                name = name if keywords.get("required") else f"[{name}]"
+            words.append(name)
+    if error is not None:
+        lines = [f"{prog}: error: {error}"]
+    usage = " ".join([f"usage: {prog} [-h]", *words])
+    (sys.stdout if error is None else sys.stderr).write("\n".join([usage, *lines]) + "\n")
+    raise SystemExit(0 if error is None else 2)
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """The namespace of argv, read off `_COMMANDS`: a command, then its
+    positionals and its flags in any order.  A flag is named in full or by
+    a prefix of exactly one of the command's flags, and takes its value as
+    `--flag=VALUE`, any text, or as `--flag VALUE`, the next token unless
+    that starts with `--`; a repeated flag's last value wins, and `--` ends
+    the flags.  `-h` or `--help` first, or anywhere after the command,
+    prints help; anything else that is not such a command line is a usage
+    error (`_stop`)."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        _stop(None, None if command in ("-h", "--help") else
+              "the following arguments are required: command" if command is None else
+              f"argument command: invalid choice: {command!r}")
+    if {"-h", "--help"} & set(argv):
+        _stop(command)
+    fn, _, arguments, _ = _COMMANDS[command]
     flags = {name: keywords for name, keywords, _ in (_FORMAT, *arguments) if name.startswith("--")}
     positionals = [name for name, _, _ in arguments if not name.startswith("--")]
     given, values = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
-        if token.startswith("--"):
-            name, eq, value = token.partition("=")
-            if not eq:
-                value = next(tokens, "-")  # a flag that ends argv has no value
-            # argparse reads `--flag=--` as no value at all, and checks the
-            # choices of a repeated flag each time
-            if (name not in flags or value == "--" or (value.startswith("-") and not eq)
-                    or value not in flags[name].get("choices", (value,))):
-                return None
-            given[name] = value
-        elif token.startswith("-") and token != "-":
-            return None
-        else:
+        if token == "--":
+            values += tokens
+        elif not token.startswith("-") or token == "-":
             values.append(token)
-    required = {name for name, keywords in flags.items() if keywords.get("required")}
-    if len(values) != len(positionals) or not required <= given.keys():
-        return None
-    args = SimpleNamespace(fn=fn, command=argv[0], **dict(zip(positionals, values)))
-    for name, keywords in flags.items():
-        setattr(args, _dest(name), given.get(name, keywords.get("default")))
-    return args
+        else:
+            # a name of one dash is a prefix of no flag, and `-` of every one
+            name, eq, value = token.partition("=")
+            matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+            if len(matches) != 1:
+                _stop(command, f"unrecognized arguments: {token}")
+            name = matches[0]
+            if not eq:
+                value = next(tokens, "--")  # a flag that ends argv has no value
+                if value.startswith("--"):
+                    _stop(command, f"argument {name}: expected one argument")
+            if value not in flags[name].get("choices", (value,)):
+                _stop(command, f"argument {name}: invalid choice: {value!r}")
+            given[name] = value
+    missing = positionals[len(values):] + [
+        name for name, keywords in flags.items() if keywords.get("required") and name not in given]
+    if missing:
+        _stop(command, f"the following arguments are required: {', '.join(missing)}")
+    if values[len(positionals):]:
+        _stop(command, f"unrecognized arguments: {' '.join(values[len(positionals):])}")
+    return SimpleNamespace(fn=fn, command=command, **dict(zip(positionals, values)), **{
+        _dest(name): given.get(name, keywords.get("default")) for name, keywords in flags.items()})
 
 
-def _dest(name: str) -> str:  # an argument's attribute, as argparse names it
+def _dest(name: str) -> str:  # an argument's attribute: its name, `-` as `_`
     return name.lstrip("-").replace("-", "_")
-
-
-@lru_cache(maxsize=None)
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one subcommand, or with no command the top-level
-    parser that lists them all.  Each is built once per process, and only
-    when asked for: nothing in it depends on the call, and parsing leaves
-    it unchanged."""
-    import argparse
-
-    if command is None:
-        parser = argparse.ArgumentParser(
-            prog="eulerchar",
-            description="Euler characteristics of Selmer groups over division towers "
-            "of cyclotomic fields: local reduction data, splitting, torsion, "
-            "tau, coranks, and the full chi pipeline.",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, (_, summary, _, _) in _COMMANDS.items():
-            sub.add_parser(name, help=summary)
-        return parser
-    fn, _, arguments, _ = _COMMANDS[command]
-    parser = argparse.ArgumentParser(prog=f"eulerchar {command}")
-    parser.set_defaults(fn=fn, command=command)
-    for name, keywords, _ in (_FORMAT, *arguments):
-        parser.add_argument(name, **keywords)
-    return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand; malformed input exits 1 with one line
-    `error: <pointer>: <message>`."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:
-        if not argv or argv[0] not in _COMMANDS:
-            # no subcommand comes first: the top-level parser prints its help
-            # and exits 0, or a usage error and exits 2
-            build_parser().parse_args(argv)
-        parser = build_parser(argv[0])
-        args = parser.parse_args(argv[1:])
-        # argparse hands `--flag=--` over as [] before 3.13 and as "--" from
-        # 3.13 on, where it refuses it as a --format: every reader sees the
-        # text, and every interpreter refuses the format
-        if args.format == []:
-            parser.error("argument --format: invalid choice: '--' (choose from 'json', 'text')")
-        vars(args).update({k: "--" for k, v in vars(args).items() if v == []})
+    `error: <pointer>: <message>`.  Help and usage errors raise SystemExit
+    (`_read_argv`)."""
+    args = _read_argv(sys.argv[1:] if argv is None else list(argv))
     _, _, arguments, refused_at = _COMMANDS[args.command]
     try:
         for name, _, read in (_FORMAT, *arguments):

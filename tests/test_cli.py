@@ -18,7 +18,6 @@ from eulerchar import cli
 from eulerchar.cli import (
     RequestError,
     analyze,
-    build_parser,
     main,
     parse_request,
     report_to_dict,
@@ -52,11 +51,15 @@ REQ_TABLE = {
 
 
 def _run(argv, stdin_text=None, monkeypatch=None, capsys=None):
+    """The exit code of `main(argv)`, returned or, for help and usage
+    errors, raised as SystemExit, and what it printed on stdout and on
+    stderr."""
     if stdin_text is not None:
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -436,7 +439,7 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         # past the counting cap, refused at the flag that names the characteristic
         ("count --curve 1,0,0,-1,-1 --ell 1000000000000000003", "/ell"),
         ("local --curve 1,0,0,-1,-1 --ell 1000000000000000003", "/ell"),
-        # numeric flags that are no integers, refused at their pointer, not by argparse
+        # numeric flags that are no integers, refused at their pointer, not as usage errors
         ("tau --curve 1,0,0,-1,-1 --prime x", "/prime"),
         ("local --curve 1,0,0,-1,-1 --ell 7 --conductor 1.5", "/base_field"),
         ("local --curve 1,0,0,-1,-1 --ell x", "/ell"),
@@ -448,8 +451,7 @@ def test_singular_curve_rejected(monkeypatch, capsys):
         # the torsion bracket needs p >= 5
         ("torsion --curve 1,0,0,-1,-1 --prime 3", "/prime"),
         ("torsion --curve 1,0,0,-1,-1 --prime 2", "/prime"),
-        # `--flag=--` reaches the reader as the text `--` (argparse hands it over
-        # as [] before 3.13), refused at the flag's pointer
+        # `--flag=--` reaches the reader as the text `--`, refused at the flag's pointer
         *((f"{command} --curve=-- --{flag} 7", "/curve") for command, flag in
           (("local", "ell"), ("torsion", "prime"), ("tau", "prime"), ("coranks", "prime"),
            ("count", "ell"))),
@@ -748,7 +750,8 @@ def test_oversized_samples_rejected(monkeypatch, capsys):
 
 def test_low_precision_rejected(monkeypatch, capsys):
     """--precision-digits below 4 is rejected at /precision_digits, as the
-    request's precision_digits is, before any analysis starts."""
+    request's precision_digits is, before any analysis starts; 4 is taken
+    by both."""
     path = "data/requests/analysis_with_factor_curve.json"
     for argv in (
         ["analyze", path, "--precision-digits", "1"],
@@ -759,6 +762,10 @@ def test_low_precision_rejected(monkeypatch, capsys):
         assert code == 1 and out == ""
         assert "/precision_digits" in err and ">= 4" in err
         assert "Traceback" not in err
+    with pytest.raises(RequestError, match="^/precision_digits: expected an integer >= 4, got 3$"):
+        parse_request({**REQ_TABLE, "precision_digits": 3})
+    assert parse_request({**REQ_TABLE, "precision_digits": 4})["p"] == 7
+    assert cli._read_precision("4") == 4
 
 
 def test_good_but_not_potentially_good_row_rejected(monkeypatch, capsys):
@@ -821,44 +828,15 @@ def test_text_columns_widen_for_large_places(monkeypatch, capsys):
     assert all(row.split()[0].endswith("#1") for row in rows[1:])  # label, then ell
 
 
-def test_parser_builds():
-    parser = build_parser("splitting")
-    args = parser.parse_args(["--ell", "3", "--conductor", "9"])
-    assert args.command == "splitting"
-
-
 COMMANDS = ("analyze", "local", "splitting", "torsion", "tau", "coranks", "count")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_subcommand_help(capsys, command):
-    with pytest.raises(SystemExit) as stop:
-        main([command, "-h"])
-    assert stop.value.code == 0
-    assert capsys.readouterr().out.startswith(f"usage: eulerchar {command} ")
-
-
-@pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0), (["frobnicate"], 2)])
-def test_top_level_usage_lists_every_command(capsys, argv, code):
-    with pytest.raises(SystemExit) as stop:
-        main(argv)
-    assert stop.value.code == code
-    printed = capsys.readouterr()
-    usage = (printed.out if code == 0 else printed.err).splitlines()[0]
-    assert usage == "usage: eulerchar [-h] {" + ",".join(COMMANDS) + "} ..."
-
-
-def test_format_dash_dash_is_a_usage_error(capsys):
-    """`--format=--` is an invalid choice on every interpreter: argparse
-    refuses it from 3.13 on, and hands it over as [] before."""
-    with pytest.raises(SystemExit) as stop:
-        main(["splitting", "--ell", "7", "--conductor", "7", "--format=--"])
-    assert stop.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.splitlines()[-1].startswith(
-        "eulerchar splitting: error: argument --format: invalid choice"
-    )
+    code, out, err = _run([command, "-h"], capsys=capsys)
+    usage, summary = out.splitlines()
+    assert (code, err, summary) == (0, "", cli._COMMANDS[command][1])
+    assert usage.startswith(f"usage: eulerchar {command} [-h] [--format {{json,text}}] ")
 
 
 def test_reports_leave_no_cyclic_garbage():
@@ -877,13 +855,6 @@ def test_reports_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_usage_error_names_its_subcommand(capsys):
-    with pytest.raises(SystemExit) as stop:
-        main(["analyze", "-", "--bogus"])
-    assert stop.value.code == 2
-    assert "eulerchar analyze: error: unrecognized arguments: --bogus" in capsys.readouterr().err
-
-
 def test_package_root_loads_no_submodule():
     """A fresh `import eulerchar` loads none of its modules: the root
     re-exports nothing, and callers import from the submodules."""
@@ -898,26 +869,31 @@ def test_package_root_loads_no_submodule():
 
 def test_import_and_plain_calls_load_no_dataclasses_or_argparse():
     """A fresh `eulerchar` process builds its records without importing
-    `dataclasses`, or `inspect`, which it pulls in; and reads a well-formed
-    command line without importing `argparse`, or `gettext`, which it
-    pulls in.  Every module it loads is its own or the standard library's:
-    the package has no runtime dependencies."""
+    `dataclasses`, or `inspect`, which it pulls in; and reads command lines,
+    prints help and reports a usage error without importing `argparse`, or
+    `gettext`, which it pulls in.  Every module it loads is its own or the
+    standard library's: the package has no runtime dependencies."""
     request = ROOT / "data" / "requests" / "analysis_with_reduction_table.json"
     probe = (
-        "import sys; before = set(sys.modules); import eulerchar.cli; "
+        "import contextlib, sys; before = set(sys.modules); import eulerchar.cli; "
         "print(*sorted(set(sys.modules) - before), file=sys.stderr); "
         "eulerchar.cli.main(['splitting', '--ell', '7', '--conductor', '7']); "
         "eulerchar.cli.main(['local', '--curve=-1,2,2,0,0', '--ell', '7', '--format', 'json']); "
-        f"eulerchar.cli.main(['analyze', {str(request)!r}, '--format=json']); "
+        f"eulerchar.cli.main(['analyze', {str(request)!r}, '--format=json'])\n"
+        "for argv in ['--help'], ['analyze', '-', '--bogus']:\n"
+        "    with contextlib.suppress(SystemExit): eulerchar.cli.main(argv)\n"
         "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
     )
-    imported, called = (set(line.split()) for line in done.stderr.splitlines())
+    first, *usage_error, last = done.stderr.splitlines()
+    imported, called = set(first.split()), set(last.split())
     assert "eulerchar.cli" in imported
     assert done.stdout.startswith("ell: 7\nconductor: 7\ne: 6\nf: 1\ng: 1\n")
+    assert "\nusage: eulerchar [-h] {" in done.stdout
+    assert usage_error[1:] == ["eulerchar analyze: error: unrecognized arguments: --bogus"]
     for added in (imported, called):
         assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
         outside = {name for name in added if name.partition(".")[0] != "eulerchar"
@@ -1091,75 +1067,6 @@ def test_unprintable_residue_field_refused_before_local_data(monkeypatch, capsys
         sys.set_int_max_str_digits(saved)
 
 
-def test_only_the_fallback_builds_a_parser(capsys):
-    """A well-formed call is read off the command table and builds no
-    parser; an abbreviated flag builds the one parser of its subcommand,
-    which reads it as the full flag."""
-    build_parser.cache_clear()
-    assert main(["splitting", "--ell", "3", "--conductor", "9"]) == 0
-    assert build_parser.cache_info().currsize == 0
-    full = capsys.readouterr()
-    assert main(["splitting", "--ell", "3", "--cond", "9"]) == 0
-    assert build_parser.cache_info().currsize == 1
-    assert capsys.readouterr() == full
-
-
-def _argparse_vars(argv):
-    """vars() of what argparse makes of argv, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(build_parser(argv[0]).parse_args(argv[1:]))
-        except SystemExit:
-            return None
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "analyze -",
-        "analyze --format json req.json",
-        "analyze req.json --samples 5 --precision-digits=x --format=text",
-        "local --curve=-1,2,2,0,0 --ell 7 --ell 5",
-        "splitting --conductor 9 --ell 3",
-        "coranks --curve 1,0,0,-1,-1 --prime 7 --sigma-index=-3",
-        "count --curve= --ell 5 --degree 3 --format=json",
-    ],
-)
-def test_read_argv_matches_argparse(argv):
-    args = cli._read_argv(argv.split())
-    assert args is not None
-    assert vars(args) == _argparse_vars(argv.split())
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["frobnicate"],
-        ["splitting", "--ell", "7", "--cond", "7"],  # an abbreviation
-        ["splitting", "--ell", "7", "--conductor=7", "--form", "json"],
-        ["coranks", "--curve", "1,0,0,-1,-1", "--prime", "7", "--sigma-index", "-3"],
-        ["local", "--curve", "-1,2,2,0,0", "--ell", "7"],
-        ["analyze", "--", "req.json"],
-        ["splitting", "--ell", "7", "--conductor", "7", "-h"],
-        ["splitting", "--help"],
-        ["splitting", "--ell", "7"],  # --conductor is required
-        ["splitting", "--ell", "7", "--conductor"],
-        ["splitting", "--ell", "7", "--conductor", "7", "--format", "xml"],
-        # argparse checks every --format, not only the last
-        ["splitting", "--ell", "7", "--conductor", "7", "--format=xml", "--format", "json"],
-        ["analyze", "a.json", "b.json"],
-        ["analyze"],
-        ["splitting", "7", "--ell", "7", "--conductor", "7"],
-        ["analyze", "-x"],
-        # argparse drops a `--` value, leaving none
-        ["splitting", "--ell=--", "--conductor", "7"],
-    ],
-)
-def test_read_argv_leaves_the_rest_to_argparse(argv):
-    assert cli._read_argv(argv) is None
-
-
 _FLAGS = sorted({name for _, _, arguments, _ in cli._COMMANDS.values()
                  for name, _, _ in (cli._FORMAT, *arguments) if name.startswith("--")})
 _WORDS = [*COMMANDS, *_FLAGS, "--form", "--cond", "-h", "--help", "--", "-", "-3",
@@ -1193,14 +1100,97 @@ def _command_lines(draw):
     return [command, *(word for item in draw(st.permutations(items)) for word in item)]
 
 
+_USAGE, _ANALYZE = "eulerchar splitting: error: ", "eulerchar analyze: error: "
+_TOP_HELP = "usage: eulerchar [-h] {" + ",".join(COMMANDS) + "} ..."
+_SPLITTING_HELP = ("usage: eulerchar splitting [-h] [--format {json,text}] --ell ELL "
+                   "--conductor CONDUCTOR")
+
+
+@pytest.mark.parametrize(
+    "argv,code,first_out,last_err",
+    [
+        # no command first: help, or a usage error
+        (["-h"], 0, _TOP_HELP, ""),
+        (["--help", "x"], 0, _TOP_HELP, ""),
+        ([], 2, "", "eulerchar: error: the following arguments are required: command"),
+        (["frobnicate"], 2, "", "eulerchar: error: argument command: invalid choice: 'frobnicate'"),
+        # help for a command, anywhere after it
+        (["splitting", "--help"], 0, _SPLITTING_HELP, ""),
+        (["splitting", "--ell", "7", "--conductor", "7", "-h"], 0, _SPLITTING_HELP, ""),
+        (["splitting", "--bogus", "-h"], 0, _SPLITTING_HELP, ""),
+        # flag values: `--flag=VALUE` hands over any text, and `--flag VALUE`
+        # the next token unless it starts with `--`
+        (["splitting", "--ell=--", "--conductor", "7"], 1, "",
+         "error: /ell: expected an integer, got '--'"),
+        (["splitting", "--ell", "7", "--conductor="], 1, "",
+         "error: /base_field: expected an integer, got ''"),
+        (["coranks", "--curve", "1,0,0,-1,-1", "--prime", "7", "--sigma-index", "-3"], 1, "",
+         "error: /external/sigma_index_R: expected an integer >= 1, got -3"),
+        (["local", "--curve", "-1,2,2,0,0", "--ell", "7"], 0, "place:", ""),
+        (["splitting", "--ell", "7", "--conductor"], 2, "",
+         _USAGE + "argument --conductor: expected one argument"),
+        (["splitting", "--ell", "--conductor", "7"], 2, "",
+         _USAGE + "argument --ell: expected one argument"),
+        # flag names: in full or by a prefix of exactly one flag; each
+        # --format checked, the last value of a repeated flag taken
+        (["splitting", "--ell", "7", "--cond", "7"], 0, "ell: 7", ""),
+        (["splitting", "--e=7", "--conductor=7", "--form", "json"], 0, "{", ""),
+        (["local", "--curve", "1,0,0,-1,-1", "--ell", "7", "--c", "7"], 2, "",
+         "eulerchar local: error: unrecognized arguments: --c"),
+        (["splitting", "--ell", "7", "--conductor", "7", "--format", "xml"], 2, "",
+         _USAGE + "argument --format: invalid choice: 'xml'"),
+        (["splitting", "--ell", "7", "--conductor", "7", "--format=xml", "--format", "json"], 2,
+         "", _USAGE + "argument --format: invalid choice: 'xml'"),
+        (["splitting", "--ell", "7", "--conductor", "7", "--format=--"], 2, "",
+         _USAGE + "argument --format: invalid choice: '--'"),
+        (["splitting", "--ell", "2", "--ell", "7", "--conductor", "7"], 0, "ell: 7", ""),
+        # `--` ends the flags
+        (["analyze", "--", "-x"], 1, "", "error: /: [Errno 2] No such file or directory: '-x'"),
+        (["splitting", "--ell", "7", "--", "--conductor", "7"], 2, "",
+         _USAGE + "the following arguments are required: --conductor"),
+        # usage errors
+        (["splitting", "--ell", "7"], 2, "",
+         _USAGE + "the following arguments are required: --conductor"),
+        (["analyze"], 2, "", _ANALYZE + "the following arguments are required: request"),
+        (["analyze", "-", "--bogus"], 2, "", _ANALYZE + "unrecognized arguments: --bogus"),
+        (["analyze", "a.json", "b.json"], 2, "", _ANALYZE + "unrecognized arguments: b.json"),
+        (["analyze", "-", "-x"], 2, "", _ANALYZE + "unrecognized arguments: -x"),
+        (["splitting", "7", "--ell", "7", "--conductor", "7"], 2, "",
+         _USAGE + "unrecognized arguments: 7"),
+    ],
+)
+def test_command_line_contract(capsys, argv, code, first_out, last_err):
+    """What each rule of `cli._read_argv` makes of a command line: its exit
+    code, the first line on stdout and the last on stderr.  A usage error
+    prints nothing on stdout, and on stderr the usage line that its
+    command's help begins with, then the error."""
+    got, out, err = _run(argv, capsys=capsys)
+    assert (got, out.partition("\n")[0], err.rstrip("\n").rpartition("\n")[2]) == (
+        code, first_out, last_err)
+    if code == 2:
+        command = argv[:1] if argv and argv[0] in COMMANDS else []
+        usage = _run([*command, "-h"], capsys=capsys)[1].partition("\n")[0]
+        assert err == f"{usage}\n{last_err}\n"
+
+
 @settings(max_examples=400, deadline=None)
 @given(_command_lines())
-def test_read_argv_agrees_with_argparse(argv):
-    """Whatever the reader accepts, argparse accepts, into the same
-    namespace."""
-    args = cli._read_argv(argv)
-    if args is not None:
-        assert vars(args) == _argparse_vars(argv)
+def test_every_command_line_reads_or_exits(argv):
+    """Every command line is read into the namespace of its command, whose
+    attributes are the handler, the command and each argument's, or exits 0
+    after printing help on stdout, or 2 after printing a usage error on
+    stderr alone."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = cli._read_argv(argv)
+    except SystemExit as stop:
+        assert (stop.code, bool(out.getvalue()), bool(err.getvalue())) in ((0, True, False),
+                                                                           (2, False, True))
+        return
+    arguments = (cli._FORMAT, *cli._COMMANDS[argv[0]][2])
+    assert vars(args).keys() == {"fn", "command", *(cli._dest(name) for name, _, _ in arguments)}
+    assert args.fn is cli._COMMANDS[argv[0]][0] and args.command == argv[0]
 
 
 @st.composite

@@ -23,13 +23,13 @@ E294 = WeierstrassModel.from_rationals([1, 0, 0, -1, -1])
 
 def test_every_library_cache_is_bounded(library_caches):
     """A long-lived process sees ever new curves, primes and conductors, so
-    a cache keyed by request data must not grow without limit.  The parser
-    is keyed by a subcommand name from a fixed table."""
+    a cache keyed by request data must not grow without limit; no library
+    cache is unbounded."""
     assert {"curves._count_prime_field", "curves.rational_p_torsion_order",
             "valuations.factorize", "cyclotomic._split",
             "finite_fields.fq_create"} <= set(library_caches)
     unbounded = [name for name, fn in library_caches.items() if fn.cache_info().maxsize is None]
-    assert unbounded == ["cli.build_parser"]
+    assert unbounded == []
 
 
 def test_count_memo_is_keyed_by_residues_without_the_degree():
