@@ -618,7 +618,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
         _stop(None, None if command in ("-h", "--help") else
               "the following arguments are required: command" if command is None else
               f"argument command: invalid choice: {command!r}")
-    if {"-h", "--help"} & set(argv):
+    if "-h" in argv or "--help" in argv:
         _stop(command)
     fn, _, arguments, _ = _COMMANDS[command]
     flags = {name: keywords for name, keywords, _ in (_FORMAT, *arguments) if name.startswith("--")}
