@@ -839,6 +839,33 @@ def test_subcommand_help(capsys, command):
     assert usage.startswith(f"usage: eulerchar {command} [-h] [--format {{json,text}}] ")
 
 
+@pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0), (["frobnicate"], 2)])
+def test_top_level_usage_lists_every_command(capsys, argv, code):
+    got, out, err = _run(argv, capsys=capsys)
+    assert got == code
+    usage = (out if code == 0 else err).splitlines()[0]
+    assert usage == "usage: eulerchar [-h] {" + ",".join(COMMANDS) + "} ..."
+    assert tuple(cli._COMMANDS) == COMMANDS
+
+
+def test_format_dash_dash_is_a_usage_error(capsys):
+    """`--format=--` hands `--` over as text, and `--` is no choice of
+    `--format`."""
+    code, out, err = _run(
+        ["splitting", "--ell", "7", "--conductor", "7", "--format=--"], capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(
+        "eulerchar splitting: error: argument --format: invalid choice"
+    )
+
+
+def test_usage_error_names_its_subcommand(capsys):
+    code, out, err = _run(["analyze", "-", "--bogus"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "eulerchar analyze: error: unrecognized arguments: --bogus"
+
+
 def test_reports_leave_no_cyclic_garbage():
     """With the cyclic collector off, the bundled requests and a p = 7
     torsion row (psi_7) leave nothing that only it could free."""
